@@ -209,6 +209,22 @@ def test_criterion_5_vm_quote_authenticity(campaign):
     )
 
 
+def test_campaign_counters_pinned(campaign):
+    """The shared campaign's exact counts: same behaviour, not just 0 violations."""
+    assert campaign.accepts == 2152
+    assert campaign.matched == {
+        "sgx_quote_authenticity": 247,
+        "sev_secret_secrecy": 522,
+        "vm_quote_authenticity": 247,
+    }
+    assert campaign.escaped == {
+        "sgx_quote_authenticity": 1905,
+        "sev_secret_secrecy": 0,
+        "vm_quote_authenticity": 1905,
+    }
+    assert campaign.total_violations == 0
+
+
 def test_criterion_6_sanity_attacks():
     passed = []
     for name in COMPROMISE_ATTACKS:

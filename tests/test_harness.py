@@ -7,6 +7,7 @@ from vmquote.codec import Atom, Label, encode
 from vmquote.guest import DESIGNATED_VM_CODE
 from vmquote.harness import (
     COMPROMISE_ATTACKS,
+    DEFAULT_MASK,
     NEGATIVE_SCENARIOS,
     PROPERTY_IDS,
     SCENARIOS,
@@ -20,6 +21,8 @@ from vmquote.harness import (
     check_all,
     check_postcondition,
     check_property,
+    fuzz_adversary,
+    parse_compromise_flags,
     rebuild_knowledge,
     run_scenario,
     run_scenario_world,
@@ -234,10 +237,24 @@ class TestTraceInfrastructure:
         world, _ = run_scenario_world("honest")
         assert [e.seq for e in world.trace] == list(range(len(world.trace)))
 
+    @staticmethod
+    def _knowledge_worlds():
+        for name in ("honest", "compromise_sev_psp_pre", "extract_other_guest_secret"):
+            yield name, run_scenario_world(name)[0]
+        # Fuzz runs reach the tamper, forge, keygen and leak event paths.
+        wide = parse_compromise_flags(["intel_rot", "amd_rot", "psp:designated"])
+        for mask_name, mask, seeds in (
+            ("default", DEFAULT_MASK, range(10)),
+            ("wide", wide, range(4)),
+        ):
+            for run_seed in seeds:
+                world = World(seed=run_seed)
+                fuzz_adversary(world, seed=run_seed, steps=40, mask=mask)
+                yield f"fuzz {mask_name} seed {run_seed}", world
+
     def test_rebuilt_knowledge_matches_live(self):
         """Send and adversary events alone reproduce the live view."""
-        for name in ("honest", "compromise_sev_psp_pre", "extract_other_guest_secret"):
-            world, _ = run_scenario_world(name)
+        for name, world in self._knowledge_worlds():
             world.knowledge.analyze()
             rebuilt = rebuild_knowledge(world.trace)
             rebuilt.analyze()
