@@ -15,59 +15,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .codec import Term, to_sexpr
+from .codec import Term, from_hex, to_hex, to_sexpr
 from .harness import (
     UnknownScenario,
     check_postcondition,
     fuzz_campaign,
     parse_compromise_flags,
     run_scenario_world,
-    term_from_hex,
-    term_hex,
 )
-from .relying_party import VerificationInput, rp_verify_vm_quote
-from .sev import Measurement
-from .sgx import Quote, SgxPlatformCert
+from .relying_party import EvidenceBundle, rp_verify_vm_quote
 
 #: Scenarios whose runs leave verifiable evidence worth exporting.
 PRODUCES_BUNDLE = ("honest",)
-
-
-@dataclass(frozen=True)
-class EvidenceBundle:
-    """Verification inputs in transportable form.
-
-    Round-trips losslessly: every field is a canonical term encoding (or
-    a raw key) in hex.
-    """
-
-    quote: Quote
-    sgx_cert: SgxPlatformCert
-    pspid: bytes
-    vmmsr: Measurement
-    vmdata: Term
-
-    def to_json_obj(self) -> dict:
-        return {
-            "quote": term_hex(self.quote.to_term()),
-            "sgx_cert": term_hex(self.sgx_cert.to_term()),
-            "pspid": self.pspid.hex(),
-            "vmmsr": term_hex(self.vmmsr.to_term()),
-            "vmdata": term_hex(self.vmdata),
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "EvidenceBundle":
-        return EvidenceBundle(
-            quote=Quote.from_term(term_from_hex(obj["quote"])),
-            sgx_cert=SgxPlatformCert.from_term(term_from_hex(obj["sgx_cert"])),
-            pspid=bytes.fromhex(obj["pspid"]),
-            vmmsr=Measurement.from_term(term_from_hex(obj["vmmsr"])),
-            vmdata=term_from_hex(obj["vmdata"]),
-        )
 
 
 def write_bundle_file(path: Path, bundle: EvidenceBundle, intel_pk: bytes, to_msr: Term) -> None:
@@ -76,20 +37,24 @@ def write_bundle_file(path: Path, bundle: EvidenceBundle, intel_pk: bytes, to_ms
         "bundle": bundle.to_json_obj(),
         "anchors": {
             "intel_ltk_pb": intel_pk.hex(),
-            "to_measurement": term_hex(to_msr),
+            "to_measurement": to_hex(to_msr),
         },
     }
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_bundle_file(path: Path) -> tuple[EvidenceBundle, bytes, Term]:
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except RecursionError:
+        # json reports nesting deeper than the interpreter's stack this way.
+        raise ValueError("JSON nested too deeply") from None
     bundle = EvidenceBundle.from_json_obj(doc["bundle"])
     anchors = doc["anchors"]
     return (
         bundle,
         bytes.fromhex(anchors["intel_ltk_pb"]),
-        term_from_hex(anchors["to_measurement"]),
+        from_hex(anchors["to_measurement"]),
     )
 
 
@@ -128,20 +93,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"malformed bundle: {exc}", file=sys.stderr)
         return 2
-    vin = VerificationInput(
-        quote=bundle.quote,
-        sgx_cert=bundle.sgx_cert,
-        intel_pk=intel_pk,
-        expected_to_msr=to_msr,
-        pspid=bundle.pspid,
-        vmmsr=bundle.vmmsr,
-        vmdata=bundle.vmdata,
-    )
-    verdict = rp_verify_vm_quote(vin)
+    verdict = rp_verify_vm_quote(bundle.verification_input(intel_pk, to_msr))
     if verdict.accept:
         print("verdict: accept")
         print(f"vmdata: {to_sexpr(bundle.vmdata)}")
-        print(f"vmdata hex: {term_hex(bundle.vmdata)}")
+        print(f"vmdata hex: {to_hex(bundle.vmdata)}")
         return 0
     print(f"verdict: reject ({verdict.reason})")
     return 1

@@ -35,20 +35,7 @@ TAG_TRANSPORT_KEYS = "transport_keys"
 TAG_SEV_KEK = "sev_kek"
 TAG_SEV_KIK = "sev_kik"
 TAG_OWNER_ENCLAVE_MEASUREMENT = "burrito_enclave_sgx_measurement"
-TAG_GUEST_VM = "burrito_guest_vm"
 TAG_GUEST_REPORT = "burrito_report"
-
-KNOWN_TAGS = (
-    TAG_SGX_PLATFORM_CERT,
-    TAG_SGX_QUOTE,
-    TAG_REPORT_DATA,
-    TAG_TRANSPORT_KEYS,
-    TAG_SEV_KEK,
-    TAG_SEV_KIK,
-    TAG_OWNER_ENCLAVE_MEASUREMENT,
-    TAG_GUEST_VM,
-    TAG_GUEST_REPORT,
-)
 
 
 class MalformedEncoding(ValueError):

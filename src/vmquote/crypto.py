@@ -45,8 +45,6 @@ from .codec import (
 
 KEY_LEN = 32
 NONCE_LEN = 12
-DIGEST_LEN = 32
-SIG_LEN = 64
 
 #: Only these labels may ever enter wrap-key derivation.
 WRAP_KEY_LABELS = (Label(TAG_SEV_KEK), Label(TAG_SEV_KIK))
@@ -162,12 +160,7 @@ def derive_wrap_key(label: Label, secret: bytes) -> bytes:
 
 
 def fresh_key(rng: Rng) -> bytes:
-    """Fresh 32-byte symmetric encryption key."""
-    return rng.bytes(KEY_LEN)
-
-
-def fresh_mac_key(rng: Rng) -> bytes:
-    """Fresh 32-byte MAC key."""
+    """Fresh 32-byte symmetric key, for encryption or MACs alike."""
     return rng.bytes(KEY_LEN)
 
 

@@ -7,15 +7,17 @@ Four event kinds, mirroring what the property checkers need to see:
 - adversary: an adversary capability was exercised
 - verdict: the relying party judged an evidence bundle
 
-All payload values are stored JSON-ready (hex strings for bytes and
-terms, plain str/int/bool otherwise), so an in-memory trace and its
-JSON-lines file are the same data. Timestamps are the strictly
-increasing seq numbers; nothing in a trace depends on wall-clock time,
-which is what makes replays byte-identical.
+All payload values are stored JSON-ready: Trace.append turns bytes and
+terms into hex strings (terms by their canonical encoding) and keeps
+plain str/int/bool values, so an in-memory trace and its JSON-lines
+file are the same data. Timestamps are the strictly increasing seq
+numbers; nothing in a trace depends on wall-clock time, which is what
+makes replays byte-identical.
 
 Transition payloads may carry protocol-internal secrets (the same way a
-formal trace carries them); adversary-knowledge reconstruction uses only
-send events, adversary events, and nothing else.
+formal trace carries them). Only send and adversary events are
+adversary-visible: their term, leak and leak_kind fields are what
+AdversaryKnowledge.learn consumes, live and on a rebuild alike.
 """
 
 from __future__ import annotations
@@ -23,20 +25,28 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from ..codec import Term, decode, encode
+from ..codec import Atom, Label, Tuple, encode
+
+# Hex form of payload terms, under the names the harness exports.
+from ..codec import from_hex as term_from_hex  # noqa: F401
+from ..codec import to_hex as term_hex  # noqa: F401
 
 KIND_SEND = "send"
 KIND_TRANSITION = "transition"
 KIND_ADVERSARY = "adversary"
 KIND_VERDICT = "verdict"
 
+#: Event kinds whose payload the adversary sees.
+ADVERSARY_VISIBLE = (KIND_SEND, KIND_ADVERSARY)
 
-def term_hex(term: Term) -> str:
-    return encode(term).hex()
 
-
-def term_from_hex(text: str) -> Term:
-    return decode(bytes.fromhex(text))
+def _stored(value):
+    """A payload value as the trace keeps it: bytes and terms as hex."""
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, (Atom, Label, Tuple)):
+        return encode(value).hex()
+    return value
 
 
 @dataclass(frozen=True)
@@ -67,7 +77,8 @@ class Trace:
         self.events: list[Event] = []
 
     def append(self, kind: str, **body) -> Event:
-        event = Event(seq=len(self.events), kind=kind, body=body)
+        stored = {key: _stored(value) for key, value in body.items()}
+        event = Event(seq=len(self.events), kind=kind, body=stored)
         self.events.append(event)
         return event
 

@@ -25,7 +25,7 @@ from ..codec import Atom, Term, Tuple
 from ..crypto import Rng
 from .events import KIND_VERDICT, Trace
 from .properties import PROPERTY_IDS, PropertyResult, check_property
-from .scenarios import forge_accepting_bundle
+from .scenarios import forge_accepting_bundle, forge_sgx_cert
 from .world import Pipeline, World
 
 _MOVE_SEED_TWEAK = 0x9E3779B9
@@ -223,8 +223,6 @@ def _move_extract(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -
 
 
 def _move_forge_bundle(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> None:
-    from .. import sgx
-
     options = []
     if world.is_compromised_intel():
         options.append(("intel", None))
@@ -235,19 +233,10 @@ def _move_forge_bundle(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMa
         return
     kind, plat = mv.choice(options)
     if kind == "intel":
-        fake_qek = world.adversary_sig_keygen()
-        fake_ppid = world.adversary_fresh(sgx.PPID_LEN)
-        sig = world.adversary_sign(
-            sgx.cert_payload(fake_qek.public, fake_ppid), world.intel_rot.ltk.private
-        )
-        cert_term = sgx.SgxPlatformCert(
-            qek_pb=fake_qek.public, ppid=fake_ppid, sig_ir=sig
-        ).to_term()
-        key = fake_qek.private
+        cert, key = forge_sgx_cert(world)
     else:
-        cert_term = plat.cert.to_term()
-        key = plat.qek.private
-    world.deliver("rp_bundle", forge_accepting_bundle(world, cert_term, key))
+        cert, key = plat.cert, plat.qek.private
+    world.deliver("rp_bundle", forge_accepting_bundle(world, cert, key).to_term())
 
 
 def _move_forge_request(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> None:

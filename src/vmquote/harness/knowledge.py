@@ -31,6 +31,7 @@ from __future__ import annotations
 from .. import crypto
 from ..codec import Atom, Label, MalformedEncoding, Term, Tuple, decode, encode
 from ..crypto import DecryptionFailure, InvalidPublicElement, WRAP_KEY_LABELS
+from .events import ADVERSARY_VISIBLE
 
 MAX_ROUNDS = 8
 
@@ -54,6 +55,27 @@ class AdversaryKnowledge:
         self._tried_dec: set = set()
         self._derived_from: set = set()
         self._digests: set | None = None
+
+    def learn(
+        self, kind: str, term: Term | None, leak: bytes | None, leak_kind: str | None
+    ) -> None:
+        """The one rule from a trace event to adversary knowledge.
+
+        The simulator applies it to every event it records and
+        rebuild_knowledge to every event it decodes, so the two views
+        agree by construction. Only send and adversary events count; a
+        leaked private key is registered before the event's term is
+        observed.
+        """
+        if kind not in ADVERSARY_VISIBLE:
+            return
+        if leak is not None:
+            if leak_kind == "dh_private":
+                self.add_private_dh(leak)
+            else:
+                self.add_private_sig(leak)
+        if term is not None:
+            self.observe(term)
 
     def observe(self, term: Term) -> None:
         """Record a term the adversary saw in the clear."""

@@ -28,8 +28,8 @@ after the fact really does open past traffic.
 
 Checkers rebuild adversary knowledge from the trace alone (bus traffic
 plus logged adversary actions); a live knowledge object may be passed in
-to skip the rebuild, and equality of the two views is part of the test
-suite.
+to skip the rebuild. Both views are fed by the same per-event rule,
+AdversaryKnowledge.learn, and the test suite checks that they agree.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from ..guest import DESIGNATED_VM_CODE
 from ..sgx import OWNER_ENCLAVE_MEASUREMENT
 from .events import (
     KIND_ADVERSARY,
-    KIND_SEND,
     KIND_TRANSITION,
     KIND_VERDICT,
     Trace,
@@ -112,23 +111,20 @@ def rebuild_knowledge(trace: Trace) -> AdversaryKnowledge:
     """Adversary view from the trace alone.
 
     Bus traffic is public; adversary events carry any value the
-    adversary created, computed, or was leaked. Transition payloads are
-    actor-internal and deliberately not consumed here.
+    adversary created, computed, or was leaked. Each event goes through
+    AdversaryKnowledge.learn, the rule the live simulator uses, so
+    transition payloads (actor-internal) are not consumed.
     """
     know = AdversaryKnowledge()
     for ev in trace.events:
-        if ev.kind == KIND_SEND:
-            know.observe(term_from_hex(ev.body["term"]))
-        elif ev.kind == KIND_ADVERSARY:
-            leak = ev.body.get("leak")
-            if leak is not None:
-                if ev.body.get("leak_kind") == "dh_private":
-                    know.add_private_dh(bytes.fromhex(leak))
-                else:
-                    know.add_private_sig(bytes.fromhex(leak))
-            term = ev.body.get("term")
-            if term is not None:
-                know.observe(term_from_hex(term))
+        term = ev.body.get("term")
+        leak = ev.body.get("leak")
+        know.learn(
+            ev.kind,
+            None if term is None else term_from_hex(term),
+            None if leak is None else bytes.fromhex(leak),
+            ev.body.get("leak_kind"),
+        )
     return know
 
 

@@ -13,16 +13,11 @@ run_scenario for just the trace.
 from __future__ import annotations
 
 from .. import crypto, sgx
-from ..codec import Atom, Term, Tuple
+from ..codec import Atom, Tuple
 from ..guest import DESIGNATED_VM_CODE
 from ..owner import TrustedOwner, report_data_preimage
-from ..sev import (
-    DeployPackage,
-    Measurement,
-    MeasurementPackage,
-    SecretPackage,
-    SevPlatformCert,
-)
+from ..relying_party import EvidenceBundle
+from ..sev import Measurement, MeasurementPackage, SevPlatformCert
 from ..sev import cert_payload as sev_cert_payload
 from ..sgx import OWNER_ENCLAVE_MEASUREMENT, quote_payload
 from .events import KIND_TRANSITION, KIND_VERDICT, Trace
@@ -121,7 +116,23 @@ def scenario_cross_platform_cert_swap(world: World) -> dict:
     return {"pipe": pipe, "verdict": pipe.verdict}
 
 
-def forge_accepting_bundle(world: World, cert_term: Term, qek_private: bytes) -> Term:
+def forge_sgx_cert(world: World) -> tuple[sgx.SgxPlatformCert, bytes]:
+    """A platform certificate minted under the stolen Intel root key.
+
+    Returns the certificate and the private half of its fresh quoting key.
+    """
+    fake_qek = world.adversary_sig_keygen()
+    fake_ppid = world.adversary_fresh(sgx.PPID_LEN)
+    sig = world.adversary_sign(
+        sgx.cert_payload(fake_qek.public, fake_ppid), world.intel_rot.ltk.private
+    )
+    cert = sgx.SgxPlatformCert(qek_pb=fake_qek.public, ppid=fake_ppid, sig_ir=sig)
+    return cert, fake_qek.private
+
+
+def forge_accepting_bundle(
+    world: World, cert: sgx.SgxPlatformCert, qek_private: bytes
+) -> EvidenceBundle:
     """Quote forged under a leaked or minted quoting key.
 
     Fabricates a measurement for the designated digest, computes the
@@ -144,19 +155,14 @@ def forge_accepting_bundle(world: World, cert_term: Term, qek_private: bytes) ->
         quote_payload(OWNER_ENCLAVE_MEASUREMENT, plat, Atom(rpdata)), qek_private
     )
     quote = sgx.Quote(msr=OWNER_ENCLAVE_MEASUREMENT, plat=plat, data=Atom(rpdata), sig=sig)
-    return Tuple([quote.to_term(), cert_term, Atom(pspid), msr.to_term(), vmdata])
+    return EvidenceBundle(quote=quote, sgx_cert=cert, pspid=pspid, vmmsr=msr, vmdata=vmdata)
 
 
 def scenario_compromise_intel_rot_pre(world: World) -> dict:
     world.compromise_intel_rot()
-    fake_qek = world.adversary_sig_keygen()
-    fake_ppid = world.adversary_fresh(sgx.PPID_LEN)
-    sig = world.adversary_sign(
-        sgx.cert_payload(fake_qek.public, fake_ppid), world.intel_rot.ltk.private
-    )
-    cert = sgx.SgxPlatformCert(qek_pb=fake_qek.public, ppid=fake_ppid, sig_ir=sig)
-    bundle = forge_accepting_bundle(world, cert.to_term(), fake_qek.private)
-    world.deliver("rp_bundle", bundle)
+    cert, qek_private = forge_sgx_cert(world)
+    bundle = forge_accepting_bundle(world, cert, qek_private)
+    world.deliver("rp_bundle", bundle.to_term())
     return {"verdict_expected": True}
 
 
@@ -170,8 +176,8 @@ def scenario_compromise_intel_rot_post(world: World) -> dict:
 def scenario_compromise_sgx_qe_pre(world: World) -> dict:
     target = world.sgx_platforms[0]
     world.compromise_sgx_qe(target)
-    bundle = forge_accepting_bundle(world, target.cert.to_term(), target.qek.private)
-    world.deliver("rp_bundle", bundle)
+    bundle = forge_accepting_bundle(world, target.cert, target.qek.private)
+    world.deliver("rp_bundle", bundle.to_term())
     return {"verdict_expected": True}
 
 
@@ -195,22 +201,13 @@ def scenario_compromise_amd_rot_pre(world: World) -> dict:
     sig = world.adversary_sign(sev_cert_payload(fake_sn.public), world.amd_rot.ltk.private)
     fake_cert = SevPlatformCert(psp_sn_pb=fake_sn.public, sig_ar=sig)
 
-    result = world.owner.deploy_vm(fake_cert, world.designated_dig)
-    world.drain_owner(world.owner, "owner0")
-    assert result is not None, "owner rejected a root-signed certificate"
-    pkg = DeployPackage(
-        go_sn_pb=result.go_sn_pb,
-        blob_d=result.blob_d,
-        mac_d=result.mac_d,
-        vmc=DESIGNATED_VM_CODE,
-    )
+    pkg = world.owner_deploy(world.owner, "owner0", fake_cert, DESIGNATED_VM_CODE)
+    assert pkg is not None, "owner rejected a root-signed certificate"
     world.send("owner0", "adv", pkg.to_term())
 
-    ss = crypto.shared_secret(result.go_sn_pb, fake_sn.private)
+    ss = crypto.shared_secret(pkg.go_sn_pb, fake_sn.private)
     kek = crypto.derive_wrap_key(crypto.WRAP_KEY_LABELS[0], ss)
-    kik = crypto.derive_wrap_key(crypto.WRAP_KEY_LABELS[1], ss)
-    del kik
-    plain = crypto.decrypt(result.blob_d, kek)
+    plain = crypto.decrypt(pkg.blob_d, kek)
     tek, tik = plain.items[1].value, plain.items[2].value
 
     msr = Measurement(
@@ -220,37 +217,24 @@ def scenario_compromise_amd_rot_pre(world: World) -> dict:
         nonce=world.adversary_fresh(16),
     )
     mac_ti = world.adversary_mac(msr.to_term(), tik)
-    mp_term = MeasurementPackage(msr=msr, mac_ti=mac_ti).to_term()
-    world.send("adv", "owner0", mp_term)
-    provision = world.recv_measurement(world.owner, "owner0", mp_term)
-    assert provision is not None, "owner refused a MAC-valid matching measurement"
-    world.send(
-        "owner0",
-        "adv",
-        SecretPackage(blob_p=provision.blob_p, mac_p=provision.mac_p).to_term(),
+    spkg = world.deliver(
+        "owner_measurement", MeasurementPackage(msr=msr, mac_ti=mac_ti).to_term()
     )
-    cik = crypto.decrypt(provision.blob_p, tek).value
+    assert spkg is not None, "owner refused a MAC-valid matching measurement"
+    cik = crypto.decrypt(spkg.blob_p, tek).value
 
     vmdata = Atom(world.adversary_fresh(24))
     tag = world.adversary_mac(vmdata, cik)
-    request = Tuple([vmdata, Atom(tag)])
-    world.send("adv", "owner0", request)
-    report = world.recv_report_request(
-        world.owner, "owner0", world.sgx_platforms[0], request
+    quote = world.deliver("owner_report", Tuple([vmdata, Atom(tag)]))
+    assert quote is not None, "stolen channel key should satisfy the owner"
+    bundle = EvidenceBundle(
+        quote=quote,
+        sgx_cert=world.sgx_platforms[0].cert,
+        pspid=fake_sn.public,
+        vmmsr=msr,
+        vmdata=vmdata,
     )
-    assert report is not None, "stolen channel key should satisfy the owner"
-    quote = sgx.qe_generate_quote(world.sgx_platforms[0], report)
-    world.send("sgx0", "adv", quote.to_term())
-    bundle = Tuple(
-        [
-            quote.to_term(),
-            world.sgx_platforms[0].cert.to_term(),
-            Atom(fake_sn.public),
-            msr.to_term(),
-            vmdata,
-        ]
-    )
-    world.deliver("rp_bundle", bundle)
+    world.deliver("rp_bundle", bundle.to_term())
     return {"cik": cik, "fake_psp": fake_sn.public}
 
 
@@ -293,7 +277,6 @@ def scenario_extract_other_guest_secret(world: World) -> dict:
     sev1 = world.sev_platforms[1]
     sgx.load_enclave(sgx1, OWNER_ENCLAVE_MEASUREMENT)
     owner1 = TrustedOwner(amd_ltk_pb=world.amd_rot.public, host_platform=sgx1, rng=world.rng)
-    world.owners.append(owner1)
     other_code = Atom(b"other tenant workload")
     world.publish("owner1", other_code)
     pipe1 = Pipeline(
@@ -311,20 +294,17 @@ def scenario_extract_other_guest_secret(world: World) -> dict:
     tag = world.adversary_mac(vmdata, stolen.value)
     request = Tuple([vmdata, Atom(tag)])
     world.send("adv", "owner1", request)
-    report = world.recv_report_request(owner1, "owner1", sgx1, request)
-    assert report is not None, "stolen channel key should satisfy the owner"
-    quote = sgx.qe_generate_quote(sgx1, report)
+    quote = world.recv_report_request(owner1, "owner1", sgx1, request)
+    assert quote is not None, "stolen channel key should satisfy the owner"
     world.send("sgx1", "adv", quote.to_term())
-    bundle = Tuple(
-        [
-            quote.to_term(),
-            sgx1.cert.to_term(),
-            Atom(sev1.psp_sn.public),
-            pipe1.last_measurement.to_term(),
-            vmdata,
-        ]
+    bundle = EvidenceBundle(
+        quote=quote,
+        sgx_cert=sgx1.cert,
+        pspid=sev1.psp_sn.public,
+        vmmsr=pipe1.last_measurement,
+        vmdata=vmdata,
     )
-    world.deliver("rp_bundle", bundle)
+    world.deliver("rp_bundle", bundle.to_term())
     return {"pipe0": pipe0, "pipe1": pipe1, "stolen": stolen}
 
 

@@ -8,23 +8,29 @@ guest code. All randomness of all actors flows from the single seeded
 Rng, so a replay with the same seed reproduces every key, nonce, and
 ciphertext byte.
 
-The Pipeline drives one honest protocol run step by step, holding at most
-one in-flight message the adversary may tamper with or drop between
-steps. All receiving ends (PSP handlers, owner handlers, relying party)
-are exposed as deliver targets so the adversary can also inject arbitrary
-terms, and every adversary capability that creates or leaks values logs
-them, which is what lets checkers rebuild adversary knowledge from the
-trace alone.
+Every event goes through World.record, which appends it to the trace
+and applies AdversaryKnowledge.learn to it: live adversary knowledge is
+exactly what the send and adversary events show, by the same rule a
+rebuild from the trace applies. An adversary capability that creates or
+leaks a value therefore only has to log it.
+
+Each receiving end (PSP handlers, owner handlers, relying party) is one
+recv_* method that returns its reply. The Pipeline drives one honest
+protocol run through them step by step, holding at most one in-flight
+message the adversary may tamper with or drop between steps, and
+deliver lets the adversary inject arbitrary terms at the same handlers.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .. import crypto, sev, sgx
 from ..codec import TAG_TRANSPORT_KEYS, Atom, Label, Term, Tuple
 from ..crypto import DecryptionFailure, InvalidPublicElement, Rng
 from ..guest import DESIGNATED_VM_CODE, GuestNotRunning, GuestRuntime
 from ..owner import TrustedOwner
-from ..relying_party import VerificationInput, Verdict, rp_verify_vm_quote
+from ..relying_party import EvidenceBundle, Verdict, VerificationInput, rp_verify_vm_quote
 from ..sev import (
     DeployPackage,
     MacVerificationFailed,
@@ -34,16 +40,10 @@ from ..sev import (
     SecretPackage,
     SessionBusy,
     SevPlatform,
+    SevPlatformCert,
 )
-from ..sgx import OWNER_ENCLAVE_MEASUREMENT, SgxPlatform, SgxPlatformCert
-from .events import (
-    KIND_ADVERSARY,
-    KIND_SEND,
-    KIND_TRANSITION,
-    KIND_VERDICT,
-    Trace,
-    term_hex,
-)
+from ..sgx import OWNER_ENCLAVE_MEASUREMENT, SgxPlatform
+from .events import KIND_ADVERSARY, KIND_SEND, KIND_TRANSITION, KIND_VERDICT, Trace
 from .knowledge import AdversaryKnowledge
 
 
@@ -56,7 +56,7 @@ class ForbiddenGuest(RuntimeError):
 
 
 class World:
-    def __init__(self, seed: int, n_sgx: int = 2, n_sev: int = 2) -> None:
+    def __init__(self, seed: int) -> None:
         self.seed = seed
         self.rng = Rng(seed)
         self.trace = Trace()
@@ -67,14 +67,14 @@ class World:
         self.amd_rot = sev.new_amd_rot(self.rng)
 
         self.sgx_platforms: list[SgxPlatform] = []
-        for _ in range(n_sgx):
+        for _ in range(2):
             plat = sgx.new_sgx_platform(self.rng)
             plat.cert = sgx.intel_rot_certify(self.intel_rot, plat.qek.public, plat.ppid)
             self.sgx_platforms.append(plat)
         sgx.load_enclave(self.sgx_platforms[0], OWNER_ENCLAVE_MEASUREMENT)
 
         self.sev_platforms: list[SevPlatform] = []
-        for _ in range(n_sev):
+        for _ in range(2):
             plat = sev.new_sev_platform(self.rng)
             plat.cert = sev.amd_rot_certify(self.amd_rot, plat.psp_sn.public)
             self.sev_platforms.append(plat)
@@ -84,7 +84,6 @@ class World:
             host_platform=self.sgx_platforms[0],
             rng=self.rng,
         )
-        self.owners: list[TrustedOwner] = [self.owner]
         self.guests: list[dict] = []
         self.last_verification: VerificationInput | None = None
         self._compromised: set = set()
@@ -107,26 +106,45 @@ class World:
 
     # ---- trace plumbing ----------------------------------------------
 
+    def record(self, kind: str, **body) -> None:
+        """Append one event; the adversary learns what it shows."""
+        self.trace.append(kind, **body)
+        self.knowledge.learn(kind, body.get("term"), body.get("leak"), body.get("leak_kind"))
+
     def send(self, src: str, dst: str, term: Term) -> Term:
         """Put a term on the bus: logged and visible to the adversary."""
-        self.knowledge.observe(term)
-        self.trace.append(KIND_SEND, src=src, dst=dst, term=term_hex(term))
+        self.record(KIND_SEND, src=src, dst=dst, term=term)
         return term
 
     def publish(self, src: str, term: Term) -> Term:
         return self.send(src, "bulletin", term)
 
     def transition(self, actor: str, label: str, **payload) -> None:
-        self.trace.append(KIND_TRANSITION, actor=actor, label=label, **payload)
+        self.record(KIND_TRANSITION, actor=actor, label=label, **payload)
 
     def adversary_event(self, action: str, **body) -> None:
-        self.trace.append(KIND_ADVERSARY, action=action, **body)
+        self.record(KIND_ADVERSARY, action=action, **body)
 
     def drain_owner(self, owner: TrustedOwner, name: str) -> None:
         """Move the enclave's action records into the trace."""
         while owner.actions:
             label, payload = owner.actions.pop(0)
             self.transition(name, label, **payload)
+
+    # ---- honest owner deployment --------------------------------------
+
+    def owner_deploy(
+        self, owner: TrustedOwner, name: str, cert: SevPlatformCert, vm_code: Atom
+    ) -> DeployPackage | None:
+        """The owner's opening move: a deploy package for the certified PSP."""
+        result = owner.deploy_vm(cert, crypto.digest(vm_code))
+        self.drain_owner(owner, name)
+        if result is None:
+            self.transition(name, "owner_deploy_refused", error="guard")
+            return None
+        return DeployPackage(
+            go_sn_pb=result.go_sn_pb, blob_d=result.blob_d, mac_d=result.mac_d, vmc=vm_code
+        )
 
     # ---- receiving ends (honest handlers, also injection targets) ----
 
@@ -151,27 +169,28 @@ class World:
         self.transition(
             name,
             "sev_session_measured",
-            psp=platform.psp_sn.public.hex(),
-            dig=mp.msr.dig.hex(),
-            nonce=mp.msr.nonce.hex(),
+            psp=platform.psp_sn.public,
+            dig=mp.msr.dig,
+            nonce=mp.msr.nonce,
         )
         return mp
 
     def recv_secret(
         self, platform: SevPlatform, name: str, term: Term
     ) -> GuestRuntime | None:
+        """Launch the guest; there is no reply, the result is its runtime."""
         try:
             pkg = SecretPackage.from_term(term)
         except ValueError:
             self.transition(name, "sev_secret_abort", error="malformed")
             return None
         try:
-            outcome = sev.psp_receive_secret(platform, pkg)
+            session = sev.psp_receive_secret(platform, pkg)
         except (NoMeasuredSession, MacVerificationFailed, DecryptionFailure) as exc:
             self.transition(name, "sev_secret_abort", error=type(exc).__name__)
             return None
         try:
-            runtime = GuestRuntime(outcome.session)
+            runtime = GuestRuntime(session)
         except GuestNotRunning as exc:
             self.transition(name, "sev_secret_abort", error=type(exc).__name__)
             return None
@@ -181,12 +200,14 @@ class World:
             name,
             "sev_guest_launched",
             guest=guest_name,
-            psp=platform.psp_sn.public.hex(),
-            dig=outcome.session.dig.hex(),
+            psp=platform.psp_sn.public,
+            dig=session.dig,
         )
         return runtime
 
-    def recv_measurement(self, owner: TrustedOwner, name: str, term: Term):
+    def recv_measurement(
+        self, owner: TrustedOwner, name: str, term: Term
+    ) -> SecretPackage | None:
         try:
             mp = MeasurementPackage.from_term(term)
         except ValueError:
@@ -197,21 +218,18 @@ class World:
         if result is None:
             self.transition(name, "owner_provision_refused", error="guard")
             return None
-        return result
+        return SecretPackage(blob_p=result.blob_p, mac_p=result.mac_p)
 
     def recv_report_request(
         self, owner: TrustedOwner, name: str, host: SgxPlatform, term: Term
-    ):
-        try:
-            if not isinstance(term, Tuple) or len(term) != 2 or not isinstance(
-                term.items[1], Atom
-            ):
-                raise ValueError("not a report request term")
-            vmdata, tag = term.items[0], term.items[1].value
-        except ValueError:
+    ) -> sgx.Quote | None:
+        """The owner's report for a guest request, quoted by its host's QE."""
+        if not isinstance(term, Tuple) or len(term) != 2 or not isinstance(
+            term.items[1], Atom
+        ):
             self.transition(name, "owner_report_refused", error="malformed")
             return None
-        report = owner.generate_report_for_vm(vmdata, tag)
+        report = owner.generate_report_for_vm(term.items[0], term.items[1].value)
         self.drain_owner(owner, name)
         if report is None:
             self.transition(name, "owner_report_refused", error="guard")
@@ -219,122 +237,98 @@ class World:
         self.transition(
             self.sgx_name(host),
             "sgx_ereport",
-            ppid=host.ppid.hex(),
-            msr=term_hex(report.enclave_msr),
-            data=term_hex(report.report_data),
+            ppid=host.ppid,
+            msr=report.enclave_msr,
+            data=report.report_data,
         )
-        return report
+        return sgx.qe_generate_quote(host, report)
 
     def recv_bundle(self, term: Term) -> Verdict:
         try:
-            if not isinstance(term, Tuple) or len(term) != 5:
-                raise ValueError("not a bundle term")
-            quote = sgx.Quote.from_term(term.items[0])
-            cert = SgxPlatformCert.from_term(term.items[1])
-            if not isinstance(term.items[2], Atom):
-                raise ValueError("pspid must be an atom")
-            pspid = term.items[2].value
-            vmmsr = Measurement.from_term(term.items[3])
-            vmdata = term.items[4]
+            bundle = EvidenceBundle.from_term(term)
         except ValueError:
-            verdict = Verdict(accept=False, reason="malformed")
-            self.trace.append(KIND_VERDICT, accept=False, reason="malformed")
-            return verdict
-        vin = VerificationInput(
-            quote=quote,
-            sgx_cert=cert,
-            intel_pk=self.intel_rot.public,
-            expected_to_msr=OWNER_ENCLAVE_MEASUREMENT,
-            pspid=pspid,
-            vmmsr=vmmsr,
-            vmdata=vmdata,
-        )
+            self.record(KIND_VERDICT, accept=False, reason="malformed")
+            return Verdict(accept=False, reason="malformed")
+        vin = bundle.verification_input(self.intel_rot.public, OWNER_ENCLAVE_MEASUREMENT)
         verdict = rp_verify_vm_quote(vin)
-        self.trace.append(
+        self.record(
             KIND_VERDICT,
             accept=verdict.accept,
             reason=verdict.reason,
-            quote_msr=term_hex(quote.msr),
-            cert_ppid=cert.ppid.hex(),
-            quote_data=term_hex(quote.data),
-            pspid=pspid.hex(),
-            msr_dig=vmmsr.dig.hex(),
-            msr_nonce=vmmsr.nonce.hex(),
-            vmdata=term_hex(vmdata),
+            quote_msr=bundle.quote.msr,
+            cert_ppid=bundle.sgx_cert.ppid,
+            quote_data=bundle.quote.data,
+            pspid=bundle.pspid,
+            msr_dig=bundle.vmmsr.dig,
+            msr_nonce=bundle.vmmsr.nonce,
+            vmdata=bundle.vmdata,
         )
         if verdict.accept:
             self.last_verification = vin
         return verdict
 
-    def deliver(self, target: str, term: Term) -> None:
-        """Adversary injection: hand a term to a named receiving end."""
+    def _receiving_end(self, target: str) -> tuple:
+        """A deliver target's (receiver, reply sender or None, handler)."""
         kind, _, idx = target.partition(":")
-        if kind == "sev_deploy":
+        if kind in ("sev_deploy", "sev_secret"):
             plat = self.sev_platforms[int(idx)]
-            self.send("adv", self.sev_name(plat), term)
-            mp = self.recv_deploy(plat, self.sev_name(plat), term)
-            if mp is not None:
-                self.send(self.sev_name(plat), "adv", mp.to_term())
-        elif kind == "sev_secret":
-            plat = self.sev_platforms[int(idx)]
-            self.send("adv", self.sev_name(plat), term)
-            self.recv_secret(plat, self.sev_name(plat), term)
-        elif kind == "owner_measurement":
-            self.send("adv", "owner0", term)
-            result = self.recv_measurement(self.owner, "owner0", term)
-            if result is not None:
-                pkg = SecretPackage(blob_p=result.blob_p, mac_p=result.mac_p)
-                self.send("owner0", "adv", pkg.to_term())
-        elif kind == "owner_report":
-            self.send("adv", "owner0", term)
-            report = self.recv_report_request(
-                self.owner, "owner0", self.sgx_platforms[0], term
-            )
-            if report is not None:
-                quote = sgx.qe_generate_quote(self.sgx_platforms[0], report)
-                self.send("sgx0", "adv", quote.to_term())
-        elif kind == "rp_bundle":
-            self.send("adv", "rp", term)
-            self.recv_bundle(term)
-        else:
-            raise ValueError(f"unknown deliver target: {target}")
+            name = self.sev_name(plat)
+            if kind == "sev_deploy":
+                return name, name, partial(self.recv_deploy, plat, name)
+            return name, None, partial(self.recv_secret, plat, name)
+        if kind == "owner_measurement":
+            return "owner0", "owner0", partial(self.recv_measurement, self.owner, "owner0")
+        if kind == "owner_report":
+            host = self.sgx_platforms[0]
+            handler = partial(self.recv_report_request, self.owner, "owner0", host)
+            return "owner0", self.sgx_name(host), handler
+        if kind == "rp_bundle":
+            return "rp", None, self.recv_bundle
+        raise ValueError(f"unknown deliver target: {target}")
+
+    def deliver(self, target: str, term: Term):
+        """Adversary injection: hand a term to a named receiving end.
+
+        A reply goes back to the adversary on the bus; the handler's
+        result is returned either way.
+        """
+        receiver, replier, handler = self._receiving_end(target)
+        self.send("adv", receiver, term)
+        result = handler(term)
+        if replier is not None and result is not None:
+            self.send(replier, "adv", result.to_term())
+        return result
 
     # ---- adversary value creation (always logged) --------------------
 
     def adversary_fresh(self, n: int) -> bytes:
         value = self.rng.bytes(n)
-        self.knowledge.observe(Atom(value))
-        self.adversary_event("fresh_value", term=term_hex(Atom(value)))
+        self.adversary_event("fresh_value", term=Atom(value))
         return value
 
     def adversary_sig_keygen(self) -> crypto.SigKeyPair:
         pair = crypto.sig_keygen(self.rng)
-        self.knowledge.add_private_sig(pair.private)
-        self.knowledge.observe(Atom(pair.public))
         self.adversary_event(
             "adversary_keygen",
-            leak=pair.private.hex(),
+            leak=pair.private,
             leak_kind="sig_private",
-            term=term_hex(Atom(pair.public)),
+            term=Atom(pair.public),
         )
         return pair
 
     def adversary_kx_keygen(self) -> crypto.KxKeyPair:
         pair = crypto.kx_keygen(self.rng)
-        self.knowledge.add_private_dh(pair.private)
-        self.knowledge.observe(Atom(pair.public))
         self.adversary_event(
             "adversary_keygen",
-            leak=pair.private.hex(),
+            leak=pair.private,
             leak_kind="dh_private",
-            term=term_hex(Atom(pair.public)),
+            term=Atom(pair.public),
         )
         return pair
 
     def adversary_compute(self, result: Term) -> Term:
         """Record a term the adversary computed from known material."""
-        self.knowledge.observe(result)
-        self.adversary_event("adversary_compute", term=term_hex(result))
+        self.adversary_event("adversary_compute", term=result)
         return result
 
     def adversary_sign(self, payload: Term, private: bytes) -> bytes:
@@ -347,18 +341,10 @@ class World:
         self.adversary_compute(Atom(tag))
         return tag
 
-    def adversary_encrypt(self, plain: Term, key: bytes) -> bytes:
-        blob = crypto.encrypt(plain, key, self.rng)
-        self.adversary_compute(Atom(blob))
-        return blob
-
     def adversary_tamper(self, pipeline: "Pipeline", new_term: Term) -> None:
         """Replace the in-flight message of a pipeline."""
         assert pipeline.in_flight is not None, "nothing in flight to tamper with"
-        self.knowledge.observe(new_term)
-        self.adversary_event(
-            "tamper", slot=pipeline.in_flight_slot, term=term_hex(new_term)
-        )
+        self.adversary_event("tamper", slot=pipeline.in_flight_slot, term=new_term)
         pipeline.in_flight = new_term
 
     def adversary_drop(self, pipeline: "Pipeline") -> None:
@@ -380,10 +366,9 @@ class World:
         if "intel_rot" in self._compromised:
             return
         self._compromised.add("intel_rot")
-        self.knowledge.add_private_sig(self.intel_rot.ltk.private)
         self.adversary_event(
             "compromise_intel_rot",
-            leak=self.intel_rot.ltk.private.hex(),
+            leak=self.intel_rot.ltk.private,
             leak_kind="sig_private",
         )
 
@@ -391,10 +376,9 @@ class World:
         if "amd_rot" in self._compromised:
             return
         self._compromised.add("amd_rot")
-        self.knowledge.add_private_sig(self.amd_rot.ltk.private)
         self.adversary_event(
             "compromise_amd_rot",
-            leak=self.amd_rot.ltk.private.hex(),
+            leak=self.amd_rot.ltk.private,
             leak_kind="sig_private",
         )
 
@@ -404,11 +388,10 @@ class World:
             return
         self._compromised.add(marker)
         platform.compromised = True
-        self.knowledge.add_private_sig(platform.qek.private)
         self.adversary_event(
             "compromise_sgx_qe",
-            ppid=platform.ppid.hex(),
-            leak=platform.qek.private.hex(),
+            ppid=platform.ppid,
+            leak=platform.qek.private,
             leak_kind="sig_private",
         )
 
@@ -418,11 +401,10 @@ class World:
             return
         self._compromised.add(marker)
         platform.compromised = True
-        self.knowledge.add_private_dh(platform.psp_sn.private)
         self.adversary_event(
             "compromise_sev_psp",
-            psp=platform.psp_sn.public.hex(),
-            leak=platform.psp_sn.private.hex(),
+            psp=platform.psp_sn.public,
+            leak=platform.psp_sn.private,
             leak_kind="dh_private",
         )
 
@@ -444,16 +426,13 @@ class World:
         self.transition(
             self.sgx_name(platform),
             "sgx_ereport",
-            ppid=platform.ppid.hex(),
-            msr=term_hex(msr),
-            data=term_hex(data),
+            ppid=platform.ppid,
+            msr=msr,
+            data=data,
         )
         quote = sgx.qe_generate_quote(platform, report)
-        self.knowledge.observe(quote.to_term())
         self.adversary_event(
-            "adversary_request_quote",
-            ppid=platform.ppid.hex(),
-            term=term_hex(quote.to_term()),
+            "adversary_request_quote", ppid=platform.ppid, term=quote.to_term()
         )
         return quote
 
@@ -470,12 +449,11 @@ class World:
         if session.dig == self.designated_dig:
             raise ForbiddenGuest("refusing to extract from the designated guest")
         secret = session.provisioned_secret
-        self.knowledge.observe(secret)
         self.adversary_event(
             "adversary_extract_sev_secret",
-            psp=platform.psp_sn.public.hex(),
-            dig=session.dig.hex(),
-            term=term_hex(secret),
+            psp=platform.psp_sn.public,
+            dig=session.dig,
+            term=secret,
         )
         return secret
 
@@ -490,7 +468,7 @@ class World:
             return False
         if crypto.digest(code) == self.designated_dig:
             return False
-        name = self.sev_name(platform)
+        idx = self.sev_platforms.index(platform)
         pair = self.adversary_kx_keygen()
         try:
             ss = crypto.shared_secret(platform.psp_sn.public, pair.private)
@@ -505,17 +483,14 @@ class World:
         )
         mac_d = crypto.mac(Atom(blob_d), kik)
         pkg = DeployPackage(go_sn_pb=pair.public, blob_d=blob_d, mac_d=mac_d, vmc=code)
-        self.send("adv", name, pkg.to_term())
-        mp = self.recv_deploy(platform, name, pkg.to_term())
+        mp = self.deliver(f"sev_deploy:{idx}", pkg.to_term())
         if mp is None:
             return False
-        self.send(name, "adv", mp.to_term())
         cik = self.adversary_fresh(32)
         blob_p = crypto.encrypt(Atom(cik), tek, self.rng)
         mac_p = crypto.mac(Tuple([mp.msr.to_term(), Atom(blob_p)]), tik)
         spkg = SecretPackage(blob_p=blob_p, mac_p=mac_p)
-        self.send("adv", name, spkg.to_term())
-        return self.recv_secret(platform, name, spkg.to_term()) is not None
+        return self.deliver(f"sev_secret:{idx}", spkg.to_term()) is not None
 
     # ---- escape-clause queries (used by scenarios/tests) ---------------
 
@@ -557,7 +532,6 @@ class Pipeline:
         self.guest: GuestRuntime | None = None
         self.guest_name: str | None = None
         self.last_measurement: Measurement | None = None
-        self.last_vmdata: Term | None = None
         self.verdict: Verdict | None = None
         self._steps = [
             self.step_owner_deploy,
@@ -605,19 +579,12 @@ class Pipeline:
         return term
 
     def step_owner_deploy(self) -> None:
-        world = self.world
-        result = self.owner.deploy_vm(self.sev_platform.cert, crypto.digest(self.vm_code))
-        world.drain_owner(self.owner, self.owner_name)
-        if result is None:
-            world.transition(self.owner_name, "owner_deploy_refused", error="guard")
+        pkg = self.world.owner_deploy(
+            self.owner, self.owner_name, self.sev_platform.cert, self.vm_code
+        )
+        if pkg is None:
             self.halted = True
             return
-        pkg = DeployPackage(
-            go_sn_pb=result.go_sn_pb,
-            blob_d=result.blob_d,
-            mac_d=result.mac_d,
-            vmc=self.vm_code,
-        )
         self._emit(self.owner_name, self.sev_name, pkg.to_term(), "deploy")
 
     def step_sp_deploy(self) -> None:
@@ -634,15 +601,11 @@ class Pipeline:
         term = self._take("measurement")
         if term is None:
             return
-        try:
-            self.last_measurement = MeasurementPackage.from_term(term).msr
-        except ValueError:
-            self.last_measurement = None
-        result = self.world.recv_measurement(self.owner, self.owner_name, term)
-        if result is None:
+        pkg = self.world.recv_measurement(self.owner, self.owner_name, term)
+        if pkg is None:
             self.halted = True
             return
-        pkg = SecretPackage(blob_p=result.blob_p, mac_p=result.mac_p)
+        self.last_measurement = MeasurementPackage.from_term(term).msr
         self._emit(self.owner_name, self.sev_name, pkg.to_term(), "secret")
 
     def step_sp_launch(self) -> None:
@@ -665,8 +628,8 @@ class Pipeline:
         self.world.transition(
             self.guest_name,
             "guest_request_report",
-            psp=self.sev_platform.psp_sn.public.hex(),
-            vmdata=term_hex(vmdata),
+            psp=self.sev_platform.psp_sn.public,
+            vmdata=vmdata,
         )
         self._emit(
             self.guest_name, self.owner_name, Tuple([vmdata, Atom(tag)]), "report_request"
@@ -676,25 +639,20 @@ class Pipeline:
         term = self._take("report_request")
         if term is None:
             return
-        if isinstance(term, Tuple) and len(term) == 2:
-            self.last_vmdata = term.items[0]
-        report = self.world.recv_report_request(
+        quote = self.world.recv_report_request(
             self.owner, self.owner_name, self.sgx_platform, term
         )
-        if report is None:
+        if quote is None:
             self.halted = True
             return
-        quote = sgx.qe_generate_quote(self.sgx_platform, report)
-        bundle = Tuple(
-            [
-                quote.to_term(),
-                self.sgx_platform.cert.to_term(),
-                Atom(self.sev_platform.psp_sn.public),
-                self.last_measurement.to_term(),
-                self.last_vmdata,
-            ]
+        bundle = EvidenceBundle(
+            quote=quote,
+            sgx_cert=self.sgx_platform.cert,
+            pspid=self.sev_platform.psp_sn.public,
+            vmmsr=self.last_measurement,
+            vmdata=term.items[0],
         )
-        self._emit(self.owner_name, "rp", bundle, "bundle")
+        self._emit(self.owner_name, "rp", bundle.to_term(), "bundle")
 
     def step_rp_verify(self) -> None:
         term = self._take("bundle")

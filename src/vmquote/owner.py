@@ -114,7 +114,7 @@ class TrustedOwner:
         kek = crypto.derive_wrap_key(Label(TAG_SEV_KEK), ss)
         kik = crypto.derive_wrap_key(Label(TAG_SEV_KIK), ss)
         tek = crypto.fresh_key(self._rng)
-        tik = crypto.fresh_mac_key(self._rng)
+        tik = crypto.fresh_key(self._rng)
         blob_d = crypto.encrypt(
             Tuple([Label(TAG_TRANSPORT_KEYS), Atom(tek), Atom(tik)]), kek, self._rng
         )
@@ -147,7 +147,7 @@ class TrustedOwner:
             return None
         if msr.dig != self._vm_dig:
             return None
-        cik = crypto.fresh_mac_key(self._rng)
+        cik = crypto.fresh_key(self._rng)
         blob_p = crypto.encrypt(Atom(cik), self._tek, self._rng)
         mac_p = crypto.mac(Tuple([msr.to_term(), Atom(blob_p)]), self._tik)
         result = ProvisionResult(blob_p=blob_p, mac_p=mac_p)

@@ -5,13 +5,16 @@ explicit inputs (no hidden key lookups). It recomputes the expected
 report data from the public evidence and accepts exactly when the quote
 chain verifies against the pinned owner-enclave measurement and that
 recomputed data.
+
+The evidence arrives as an EvidenceBundle, in its term form on the
+simulated network and in its JSON form in bundle files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codec import Atom, Term
+from .codec import Atom, Term, Tuple, from_hex, to_hex
 from .owner import report_data_preimage
 from .sev import Measurement
 from .sgx import Quote, SgxPlatformCert, quote_check_failure
@@ -39,6 +42,81 @@ class VerificationInput:
     pspid: bytes
     vmmsr: Measurement
     vmdata: Term
+
+
+@dataclass(frozen=True)
+class EvidenceBundle:
+    """The five pieces of evidence a verdict judges.
+
+    Term form: Tuple([quote, sgx_cert, Atom(pspid), vmmsr, vmdata]).
+    JSON form: the same five fields, each the hex of its canonical term
+    encoding except pspid, which is the raw key in hex. Both round-trip
+    losslessly, and the JSON form is parsed through the term form.
+    """
+
+    quote: Quote
+    sgx_cert: SgxPlatformCert
+    pspid: bytes
+    vmmsr: Measurement
+    vmdata: Term
+
+    def to_term(self) -> Term:
+        return Tuple(
+            [
+                self.quote.to_term(),
+                self.sgx_cert.to_term(),
+                Atom(self.pspid),
+                self.vmmsr.to_term(),
+                self.vmdata,
+            ]
+        )
+
+    @staticmethod
+    def from_term(term: Term) -> "EvidenceBundle":
+        if not isinstance(term, Tuple) or len(term) != 5 or not isinstance(term.items[2], Atom):
+            raise ValueError("not an evidence bundle term")
+        return EvidenceBundle(
+            quote=Quote.from_term(term.items[0]),
+            sgx_cert=SgxPlatformCert.from_term(term.items[1]),
+            pspid=term.items[2].value,
+            vmmsr=Measurement.from_term(term.items[3]),
+            vmdata=term.items[4],
+        )
+
+    def to_json_obj(self) -> dict:
+        return {
+            "quote": to_hex(self.quote.to_term()),
+            "sgx_cert": to_hex(self.sgx_cert.to_term()),
+            "pspid": self.pspid.hex(),
+            "vmmsr": to_hex(self.vmmsr.to_term()),
+            "vmdata": to_hex(self.vmdata),
+        }
+
+    @staticmethod
+    def from_json_obj(obj: dict) -> "EvidenceBundle":
+        return EvidenceBundle.from_term(
+            Tuple(
+                [
+                    from_hex(obj["quote"]),
+                    from_hex(obj["sgx_cert"]),
+                    Atom(bytes.fromhex(obj["pspid"])),
+                    from_hex(obj["vmmsr"]),
+                    from_hex(obj["vmdata"]),
+                ]
+            )
+        )
+
+    def verification_input(self, intel_pk: bytes, expected_to_msr: Term) -> VerificationInput:
+        """This evidence judged against the verifier's two trust anchors."""
+        return VerificationInput(
+            quote=self.quote,
+            sgx_cert=self.sgx_cert,
+            intel_pk=intel_pk,
+            expected_to_msr=expected_to_msr,
+            pspid=self.pspid,
+            vmmsr=self.vmmsr,
+            vmdata=self.vmdata,
+        )
 
 
 @dataclass(frozen=True)

@@ -225,13 +225,6 @@ class GuestSession:
         return self.phase == "running"
 
 
-@dataclass(frozen=True)
-class LaunchOutcome:
-    """Result of a successful secret injection."""
-
-    session: GuestSession
-
-
 @dataclass
 class SevPlatform:
     """One SEV machine: PSP key, firmware state atoms, guest slot."""
@@ -295,8 +288,8 @@ def psp_receive_deploy(
     return MeasurementPackage(msr=msr, mac_ti=crypto.mac(msr.to_term(), tik))
 
 
-def psp_receive_secret(platform: SevPlatform, pkg: SecretPackage) -> LaunchOutcome:
-    """Inject the guest secret and start the guest.
+def psp_receive_secret(platform: SevPlatform, pkg: SecretPackage) -> GuestSession:
+    """Inject the guest secret and start the guest; returns its session.
 
     The MAC must bind the secret blob to this session's exact
     measurement; the blob must open under this session's transport key.
@@ -322,4 +315,4 @@ def psp_receive_secret(platform: SevPlatform, pkg: SecretPackage) -> LaunchOutco
         raise
     session.provisioned_secret = secret
     session.phase = "running"
-    return LaunchOutcome(session=session)
+    return session

@@ -147,10 +147,10 @@ def test_criterion_2_state_machine_exhaustion():
                         res = owner.provision_vm(garbage_msr, garbage_mac)
                     present = res is not None
                     if present:
-                        out = psp_receive_secret(
+                        session = psp_receive_secret(
                             sev_plat, SecretPackage(blob_p=res.blob_p, mac_p=res.mac_p)
                         )
-                        rt = GuestRuntime(out.session)
+                        rt = GuestRuntime(session)
                         staged_request = rt.request_report(rt.next_report_payload())
                 else:
                     if mode == "honest" and staged_request is not None:

@@ -67,9 +67,11 @@ class TestVerify:
 
     def test_truncated_file_exits_2(self, bundle_path, capsys):
         text = bundle_path.read_text()
-        bundle_path.write_text(text[: len(text) // 2])
-        assert main(["verify", str(bundle_path)]) == 2
-        assert "malformed bundle" in capsys.readouterr().err
+        deeply_nested = "[" * 200_000 + "]" * 200_000
+        for content in (text[: len(text) // 2], deeply_nested):
+            bundle_path.write_text(content)
+            assert main(["verify", str(bundle_path)]) == 2
+            assert "malformed bundle" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.json")]) == 2

@@ -16,7 +16,6 @@ from vmquote.crypto import (
     digest,
     encrypt,
     fresh_key,
-    fresh_mac_key,
     kx_keygen,
     mac,
     shared_secret,
@@ -158,20 +157,20 @@ class TestAead:
 
 class TestMac:
     def test_round_trip(self):
-        key = fresh_mac_key(Rng(22))
+        key = fresh_key(Rng(22))
         term = Atom(b"launch measurement")
         assert verify_mac(term, mac(term, key), key)
 
     def test_garbage_never_raises(self):
         rng = Rng(23)
-        key = fresh_mac_key(rng)
+        key = fresh_key(rng)
         term = Atom(b"m")
         assert verify_mac(term, b"", key) is False
         assert verify_mac(term, b"\x00" * 32, key) is False
-        assert verify_mac(term, mac(term, key), fresh_mac_key(rng)) is False
+        assert verify_mac(term, mac(term, key), fresh_key(rng)) is False
 
     def test_message_binding(self):
-        key = fresh_mac_key(Rng(24))
+        key = fresh_key(Rng(24))
         assert not verify_mac(Atom(b"other"), mac(Atom(b"one"), key), key)
 
 

@@ -75,9 +75,9 @@ def test_psp_compromise_extraction_chain():
     ss = crypto.shared_secret(psp.public, go.private)
     kek = crypto.derive_wrap_key(Label("sev_kek"), ss)
     tek = crypto.fresh_key(rng)
-    tik = crypto.fresh_mac_key(rng)
+    tik = crypto.fresh_key(rng)
     blob_d = crypto.encrypt(Tuple([Label("transport_keys"), Atom(tek), Atom(tik)]), kek, rng)
-    cik = crypto.fresh_mac_key(rng)
+    cik = crypto.fresh_key(rng)
     blob_p = crypto.encrypt(Atom(cik), tek, rng)
 
     k = AdversaryKnowledge()

@@ -62,10 +62,10 @@ def drive_to_provisioned(ctx, vmc=DESIGNATED_VM_CODE):
     prov = owner.provision_vm(mp.msr, mp.mac_ti)
     from vmquote.sev import SecretPackage
 
-    out = psp_receive_secret(
+    session = psp_receive_secret(
         sev_plat, SecretPackage(blob_p=prov.blob_p, mac_p=prov.mac_p)
     )
-    return mp, out
+    return mp, session
 
 
 class TestDeploy:
@@ -160,8 +160,8 @@ class TestProvision:
 class TestReportGeneration:
     def test_happy_path(self, ctx):
         owner = ctx[5]
-        mp, out = drive_to_provisioned(ctx)
-        rt = GuestRuntime(out.session)
+        mp, session = drive_to_provisioned(ctx)
+        rt = GuestRuntime(session)
         payload, tag = rt.request_report(rt.next_report_payload())
         report = owner.generate_report_for_vm(payload, tag)
         assert report is not None
@@ -175,8 +175,8 @@ class TestReportGeneration:
 
     def test_bad_tag_refused(self, ctx):
         owner = ctx[5]
-        mp, out = drive_to_provisioned(ctx)
-        rt = GuestRuntime(out.session)
+        mp, session = drive_to_provisioned(ctx)
+        rt = GuestRuntime(session)
         payload, tag = rt.request_report(rt.next_report_payload())
         assert owner.generate_report_for_vm(payload, b"\x00" * 32) is None
         refusals = [a for a in owner.actions if a[0] == "owner_generate_report"]
@@ -184,8 +184,8 @@ class TestReportGeneration:
 
     def test_repeatable(self, ctx):
         owner = ctx[5]
-        mp, out = drive_to_provisioned(ctx)
-        rt = GuestRuntime(out.session)
+        mp, session = drive_to_provisioned(ctx)
+        rt = GuestRuntime(session)
         payload, tag = rt.request_report(rt.next_report_payload())
         r1 = owner.generate_report_for_vm(payload, tag)
         r2 = owner.generate_report_for_vm(payload, tag)
@@ -193,8 +193,8 @@ class TestReportGeneration:
 
     def test_action_record_carries_bindings(self, ctx):
         owner = ctx[5]
-        mp, out = drive_to_provisioned(ctx)
-        rt = GuestRuntime(out.session)
+        mp, session = drive_to_provisioned(ctx)
+        rt = GuestRuntime(session)
         payload, tag = rt.request_report(rt.next_report_payload())
         owner.generate_report_for_vm(payload, tag)
         name, body = owner.actions[-1]

@@ -51,8 +51,8 @@ def evidence():
     )
     mp = psp_receive_deploy(sev_plat, pkg, rng)
     prov = owner.provision_vm(mp.msr, mp.mac_ti)
-    out = psp_receive_secret(sev_plat, SecretPackage(blob_p=prov.blob_p, mac_p=prov.mac_p))
-    rt = GuestRuntime(out.session)
+    session = psp_receive_secret(sev_plat, SecretPackage(blob_p=prov.blob_p, mac_p=prov.mac_p))
+    rt = GuestRuntime(session)
     payload, tag = rt.request_report(rt.next_report_payload())
     report = owner.generate_report_for_vm(payload, tag)
     quote = sgx.qe_generate_quote(host, report)

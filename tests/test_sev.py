@@ -32,7 +32,7 @@ def make_deploy(platform, rng, vmc=VM_CODE):
     kek = crypto.derive_wrap_key(Label("sev_kek"), ss)
     kik = crypto.derive_wrap_key(Label("sev_kik"), ss)
     tek = crypto.fresh_key(rng)
-    tik = crypto.fresh_mac_key(rng)
+    tik = crypto.fresh_key(rng)
     blob_d = crypto.encrypt(
         Tuple([Label("transport_keys"), Atom(tek), Atom(tik)]), kek, rng
     )
@@ -154,9 +154,9 @@ class TestProvision:
     def test_happy_path_launches(self, plat):
         rng = Rng(51)
         msr, tek, tik = self._measured(plat, rng)
-        out = psp_receive_secret(plat, make_secret(msr, tek, tik, rng))
-        assert out.session.running
-        assert out.session.provisioned_secret == Atom(b"\x5c" * 32)
+        session = psp_receive_secret(plat, make_secret(msr, tek, tik, rng))
+        assert session.running
+        assert session.provisioned_secret == Atom(b"\x5c" * 32)
 
     def test_no_session_raises(self, plat):
         rng = Rng(52)
@@ -228,8 +228,7 @@ class TestGuestRuntime:
         plat = new_sev_platform(rng)
         pkg, tek, tik = make_deploy(plat, rng, vmc=vmc)
         mp = psp_receive_deploy(plat, pkg, rng)
-        out = psp_receive_secret(plat, make_secret(mp.msr, tek, tik, rng, secret=secret))
-        return out.session
+        return psp_receive_secret(plat, make_secret(mp.msr, tek, tik, rng, secret=secret))
 
     def test_runtime_for_measured_session_refused(self):
         rng = Rng(61)
