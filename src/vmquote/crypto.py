@@ -10,6 +10,12 @@ wrap-key derivation.
 All randomness flows through an injected Rng handle. The library default
 draws from OS entropy; the simulator injects a seeded generator so that
 whole protocol runs replay byte-for-byte.
+
+Key objects (AES-GCM ciphers, X25519 and Ed25519 private keys) are loaded
+once per key and kept in per-process caches of at most 64 keys each,
+least recently used out first: loading a private key costs as much as
+using it once, and the adversary's closure reuses each key across many
+trial decryptions.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import hmac as _hmac
 import random
 import secrets
 from dataclasses import dataclass
+from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -45,6 +52,7 @@ from .codec import (
 
 KEY_LEN = 32
 NONCE_LEN = 12
+_KEY_CACHE_SIZE = 64
 
 #: Only these labels may ever enter wrap-key derivation.
 WRAP_KEY_LABELS = (Label(TAG_SEV_KEK), Label(TAG_SEV_KIK))
@@ -107,15 +115,30 @@ class KxKeyPair:
     public: bytes
 
 
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _sig_private(private: bytes) -> Ed25519PrivateKey:
+    return Ed25519PrivateKey.from_private_bytes(private)
+
+
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _kx_private(private: bytes) -> X25519PrivateKey:
+    return X25519PrivateKey.from_private_bytes(private)
+
+
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _aead(key: bytes) -> AESGCM:
+    return AESGCM(key)
+
+
 def sig_keygen(rng: Rng) -> SigKeyPair:
     priv = rng.bytes(KEY_LEN)
-    pub = Ed25519PrivateKey.from_private_bytes(priv).public_key()
+    pub = _sig_private(priv).public_key()
     return SigKeyPair(private=priv, public=pub.public_bytes_raw())
 
 
 def sign(term: Term, private: bytes) -> bytes:
     """Sign the canonical encoding of term. 64-byte signature."""
-    return Ed25519PrivateKey.from_private_bytes(private).sign(encode(term))
+    return _sig_private(private).sign(encode(term))
 
 
 def verify(term: Term, signature: bytes, public: bytes) -> bool:
@@ -129,7 +152,7 @@ def verify(term: Term, signature: bytes, public: bytes) -> bool:
 
 def kx_keygen(rng: Rng) -> KxKeyPair:
     priv = rng.bytes(KEY_LEN)
-    pub = X25519PrivateKey.from_private_bytes(priv).public_key()
+    pub = _kx_private(priv).public_key()
     return KxKeyPair(private=priv, public=pub.public_bytes_raw())
 
 
@@ -142,8 +165,7 @@ def shared_secret(public: bytes, private: bytes) -> bytes:
     """
     try:
         pk = X25519PublicKey.from_public_bytes(public)
-        sk = X25519PrivateKey.from_private_bytes(private)
-        return sk.exchange(pk)
+        return _kx_private(private).exchange(pk)
     except (ValueError, TypeError) as exc:
         raise InvalidPublicElement(str(exc)) from exc
 
@@ -167,7 +189,7 @@ def fresh_key(rng: Rng) -> bytes:
 def encrypt(term: Term, key: bytes, rng: Rng) -> bytes:
     """AEAD-encrypt encode(term): 12-byte fresh nonce || GCM ciphertext."""
     nonce = rng.bytes(NONCE_LEN)
-    return nonce + AESGCM(key).encrypt(nonce, encode(term), None)
+    return nonce + _aead(key).encrypt(nonce, encode(term), None)
 
 
 def decrypt(blob: bytes, key: bytes) -> Term:
@@ -180,7 +202,7 @@ def decrypt(blob: bytes, key: bytes) -> Term:
     if len(blob) < NONCE_LEN + 16:
         raise DecryptionFailure("ciphertext too short")
     try:
-        plain = AESGCM(key).decrypt(blob[:NONCE_LEN], blob[NONCE_LEN:], None)
+        plain = _aead(key).decrypt(blob[:NONCE_LEN], blob[NONCE_LEN:], None)
     except (InvalidTag, ValueError) as exc:
         raise DecryptionFailure("authentication failed") from exc
     try:

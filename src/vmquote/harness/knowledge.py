@@ -1,4 +1,4 @@
-"""Bounded explicit Dolev-Yao adversary knowledge.
+"""Explicit Dolev-Yao adversary knowledge.
 
 The adversary sees every term on the network plus the public bulletin,
 and on top of that whatever private keys compromises hand it. Knowledge
@@ -16,14 +16,34 @@ grows by an analysis closure run to fixpoint:
   stacks derivations, so one layer is complete and keeps the closure
   polynomial
 
-The closure is capped at 8 rounds; honest-schedule derivations need at
-most five.
+The closure is evaluated semi-naively: each round applies the rules only
+to what is new since the rule last ran, so no rule ever repeats work.
+
+- A term is split or decoded once, in the round after it is learned.
+- Key negotiation pairs new public elements with the privates already
+  registered, and newly registered privates with every public element.
+- A wrap key is derived once from each atom, in the round the atom
+  becomes eligible.
+- Trial decryption tries new keys against every blob and old keys against
+  new blobs, so each (blob, key) pair is tried once in the object's life.
+
+Within a round the rules run in that order. Each adds its results in the
+first-seen order of its inputs (decryptions by blob, then by key), so
+terms_list() order depends only on what was learned and when analyze ran.
+
+There is no round cap. Every analysis output is a strict sub-term, the
+decoding or the decryption of a known term, each with a shorter encoding
+than its source, or one of the 32-byte negotiation or derivation atoms.
+Every term the closure can learn therefore encodes in no more bytes than
+the longest observed term or a 32-byte atom. There are finitely many such
+terms and atom origins only rise, so the closure reaches its fixpoint.
 
 Derivability (synthesis) is goal-directed: a term is derivable when it is
 known, is a Label (public vocabulary), is a Tuple of derivable parts, or
 is an Atom carrying the encoding or the digest of something derivable.
 Fresh atomic randomness is derivable only if it was actually learned,
-which is exactly what the secrecy property asks about.
+which is exactly what the secrecy property asks about. The recursion
+stops because tuple items and decodings are strictly smaller terms.
 """
 
 from __future__ import annotations
@@ -32,8 +52,6 @@ from .. import crypto
 from ..codec import Atom, Label, MalformedEncoding, Term, Tuple, decode, encode
 from ..crypto import DecryptionFailure, InvalidPublicElement, WRAP_KEY_LABELS
 from .events import ADVERSARY_VISIBLE
-
-MAX_ROUNDS = 8
 
 # Atom origins, in increasing privilege: derivation outputs never feed
 # derivation again, negotiation outputs feed derivation only, observed
@@ -46,15 +64,37 @@ _MIN_CIPHERTEXT = crypto.NONCE_LEN + 16 + 5
 
 
 class AdversaryKnowledge:
+    """What the adversary knows, closed under analysis by analyze().
+
+    The counters rounds, kx_pairs, trials and hits count the closure's
+    work: rounds run, negotiations attempted, trial decryptions and the
+    ones that succeeded. They are never written to a trace.
+    """
+
     def __init__(self) -> None:
-        self._terms: dict[bytes, Term] = {}
+        self._known: set[bytes] = set()
+        self._terms: list[Term] = []
+        # atom payload -> origin, and its rank in first-seen order
         self._atoms: dict[bytes, int] = {}
+        self._rank: dict[bytes, int] = {}
         self.dh_privates: dict[bytes, None] = {}
         self.sig_privates: dict[bytes, None] = {}
-        self._tried_kx: set = set()
-        self._tried_dec: set = set()
-        self._derived_from: set = set()
-        self._digests: set | None = None
+        # delta state: what each rule has not seen yet
+        self._split = 0
+        self._pubs: list[bytes] = []
+        self._new_pubs: list[bytes] = []
+        self._kx_privates = 0
+        self._new_eligible: list[bytes] = []
+        self._keys: list[bytes] = []
+        self._blobs: list[bytes] = []
+        self._tried_keys = 0
+        self._tried_blobs = 0
+        self._digests: set[bytes] = set()
+        self._digested = 0
+        self.rounds = 0
+        self.kx_pairs = 0
+        self.trials = 0
+        self.hits = 0
 
     def learn(
         self, kind: str, term: Term | None, leak: bytes | None, leak_kind: str | None
@@ -91,99 +131,133 @@ class AdversaryKnowledge:
         self.sig_privates.setdefault(private, None)
         self._add(Atom(private), _OBS)
 
-    def _add(self, term: Term, origin: int) -> bool:
+    def _add(self, term: Term, origin: int) -> None:
         key = encode(term)
-        fresh = key not in self._terms
-        if fresh:
-            self._terms[key] = term
-            self._digests = None
-        if isinstance(term, Atom):
-            prev = self._atoms.get(term.value, -1)
-            if origin > prev:
-                self._atoms[term.value] = origin
-                if prev >= 0:
-                    # origin was widened; derivation gating may change
-                    fresh = True
-        return fresh
+        if key not in self._known:
+            self._known.add(key)
+            self._terms.append(term)
+        if not isinstance(term, Atom):
+            return
+        value = term.value
+        prev = self._atoms.get(value, -1)
+        if origin <= prev:
+            return
+        if prev < 0:
+            self._rank[value] = len(self._atoms)
+            if len(value) == 32:
+                self._keys.append(value)
+            elif len(value) >= _MIN_CIPHERTEXT:
+                self._blobs.append(value)
+        self._atoms[value] = origin
+        if len(value) == 32:
+            if origin == _OBS:
+                self._new_pubs.append(value)
+            if prev < _KX <= origin:
+                self._new_eligible.append(value)
 
     def knows(self, term: Term) -> bool:
-        return encode(term) in self._terms
+        return encode(term) in self._known
 
     def terms_list(self) -> list:
         """All known terms in first-seen order (deterministic)."""
-        return list(self._terms.values())
+        return list(self._terms)
+
+    def _pending(self) -> bool:
+        return bool(
+            self._split < len(self._terms)
+            or self._new_pubs
+            or self._kx_privates < len(self.dh_privates)
+            or self._new_eligible
+            or self._tried_keys < len(self._keys)
+            or self._tried_blobs < len(self._blobs)
+        )
 
     def analyze(self) -> None:
-        """Run the analysis closure to fixpoint (capped rounds)."""
-        for _ in range(MAX_ROUNDS):
-            if not self._analyze_round():
-                break
-        self._digests = None
+        """Run the analysis closure to its fixpoint."""
+        while self._pending():
+            self.rounds += 1
+            self._split_new_terms()
+            self._negotiate()
+            self._derive()
+            self._trial_decrypt()
 
-    def _analyze_round(self) -> bool:
-        added = False
-        for term in list(self._terms.values()):
+    def _split_new_terms(self) -> None:
+        end = len(self._terms)
+        for term in self._terms[self._split : end]:
             if isinstance(term, Tuple):
                 for item in term.items:
-                    added |= self._add(item, _OBS)
+                    self._add(item, _OBS)
             elif isinstance(term, Atom) and len(term.value) >= 5:
                 try:
                     inner = decode(term.value)
                 except MalformedEncoding:
-                    pass
-                else:
-                    added |= self._add(inner, _OBS)
-
-        atoms = list(self._atoms.items())
-        pubs = [a for a, origin in atoms if origin == _OBS and len(a) == 32]
-        for private in list(self.dh_privates):
-            for pub in pubs:
-                pair = (pub, private)
-                if pair in self._tried_kx:
                     continue
-                self._tried_kx.add(pair)
+                self._add(inner, _OBS)
+        self._split = end
+
+    def _negotiate(self) -> None:
+        rank = self._rank.__getitem__
+        new_pubs = sorted(self._new_pubs, key=rank)
+        self._new_pubs = []
+        self._pubs = sorted(self._pubs + new_pubs, key=rank)
+        privates = list(self.dh_privates)
+        old = self._kx_privates
+        self._kx_privates = len(privates)
+        for i, private in enumerate(privates):
+            for pub in new_pubs if i < old else self._pubs:
+                self.kx_pairs += 1
                 try:
                     ss = crypto.shared_secret(pub, private)
                 except InvalidPublicElement:
                     continue
-                added |= self._add(Atom(ss), _KX)
+                self._add(Atom(ss), _KX)
 
-        for a, origin in list(self._atoms.items()):
-            if len(a) == 32 and origin >= _KX and a not in self._derived_from:
-                self._derived_from.add(a)
-                for label in WRAP_KEY_LABELS:
-                    added |= self._add(Atom(crypto.derive_wrap_key(label, a)), _KDF)
+    def _derive(self) -> None:
+        eligible = sorted(self._new_eligible, key=self._rank.__getitem__)
+        self._new_eligible = []
+        for value in eligible:
+            for label in WRAP_KEY_LABELS:
+                self._add(Atom(crypto.derive_wrap_key(label, value)), _KDF)
 
-        keys = [a for a in self._atoms if len(a) == 32]
-        blobs = [a for a in self._atoms if len(a) >= _MIN_CIPHERTEXT]
-        for blob in blobs:
-            for key in keys:
-                pair = (blob, key)
-                if pair in self._tried_dec:
-                    continue
-                self._tried_dec.add(pair)
+    def _trial_decrypt(self) -> None:
+        """New keys x all blobs, old keys x new blobs, run key by key.
+
+        Key-major order reuses each key's cipher object; the successes are
+        then added blob by blob, each blob's keys in first-seen order.
+        """
+        keys, blobs = self._keys, self._blobs
+        old_keys, old_blobs = self._tried_keys, self._tried_blobs
+        self._tried_keys, self._tried_blobs = len(keys), len(blobs)
+        self.trials += (len(keys) - old_keys) * len(blobs) + old_keys * (
+            len(blobs) - old_blobs
+        )
+        found = []
+        for k, key in enumerate(keys):
+            for b in range(0 if k >= old_keys else old_blobs, len(blobs)):
                 try:
-                    plain = crypto.decrypt(blob, key)
+                    plain = crypto.decrypt(blobs[b], key)
                 except DecryptionFailure:
                     continue
-                added |= self._add(plain, _OBS)
-        return added
+                found.append((b, k, plain))
+        self.hits += len(found)
+        found.sort(key=lambda hit: hit[:2])
+        for _, _, plain in found:
+            self._add(plain, _OBS)
 
     def _digest_index(self) -> set:
-        if self._digests is None:
-            self._digests = {crypto.digest(t) for t in self._terms.values()}
+        for term in self._terms[self._digested :]:
+            self._digests.add(crypto.digest(term))
+        self._digested = len(self._terms)
         return self._digests
 
-    def derivable(self, term: Term, _depth: int = 0) -> bool:
+    def derivable(self, term: Term) -> bool:
         """Goal-directed synthesis check against analyzed knowledge."""
-        if _depth > MAX_ROUNDS:
-            return False
         if isinstance(term, Label):
             return True
         if self.knows(term):
             return True
         if isinstance(term, Tuple):
-            return all(self.derivable(i, _depth + 1) for i in term.items)
+            return all(self.derivable(i) for i in term.items)
         if isinstance(term, Atom):
             if len(term.value) >= 5:
                 try:
@@ -191,7 +265,7 @@ class AdversaryKnowledge:
                 except MalformedEncoding:
                     pass
                 else:
-                    if self.derivable(inner, _depth + 1):
+                    if self.derivable(inner):
                         return True
             return term.value in self._digest_index()
         return False

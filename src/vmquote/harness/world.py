@@ -84,7 +84,7 @@ class World:
             host_platform=self.sgx_platforms[0],
             rng=self.rng,
         )
-        self.guests: list[dict] = []
+        self.guests: list[str] = []
         self.last_verification: VerificationInput | None = None
         self._compromised: set = set()
 
@@ -195,7 +195,7 @@ class World:
             self.transition(name, "sev_secret_abort", error=type(exc).__name__)
             return None
         guest_name = f"guest{len(self.guests)}"
-        self.guests.append({"name": guest_name, "runtime": runtime, "platform": platform})
+        self.guests.append(guest_name)
         self.transition(
             name,
             "sev_guest_launched",
@@ -617,7 +617,7 @@ class Pipeline:
             self.halted = True
             return
         self.guest = runtime
-        self.guest_name = self.world.guests[-1]["name"]
+        self.guest_name = self.world.guests[-1]
 
     def step_guest_report(self) -> None:
         if self.guest is None:

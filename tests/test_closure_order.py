@@ -1,0 +1,250 @@
+"""The delta closure against the round-based closure it replaced.
+
+RoundClosure below is the reference: every round rescans every known
+term, rebuilds the key, blob and public-element lists, and skips the
+pairs it tried before, running to fixpoint without a round cap. The fuzz
+campaign samples terms_list(), so the delta closure must learn the same
+terms in the same order, with the same origin for every atom, after every
+analyze, not just reach the same set.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from vmquote import crypto
+from vmquote.codec import Atom, Label, MalformedEncoding, Tuple, decode, encode
+from vmquote.crypto import WRAP_KEY_LABELS, DecryptionFailure, InvalidPublicElement, Rng
+from vmquote.harness import DEFAULT_MASK, World, fuzz_adversary, parse_compromise_flags
+from vmquote.harness import world as world_mod
+from vmquote.harness.knowledge import AdversaryKnowledge
+
+_KDF, _KX, _OBS = 0, 1, 2
+_MIN_CIPHERTEXT = crypto.NONCE_LEN + 16 + 5
+
+
+class RoundClosure:
+    """Reference closure: full rescans each round, run to fixpoint."""
+
+    def __init__(self) -> None:
+        self._terms = {}
+        self._atoms = {}
+        self.dh_privates = {}
+        self._tried_kx = set()
+        self._tried_dec = set()
+        self._derived_from = set()
+
+    def observe(self, term) -> None:
+        self._add(term, _OBS)
+
+    def add_private_dh(self, private: bytes) -> None:
+        self.dh_privates.setdefault(private, None)
+        self._add(Atom(private), _OBS)
+
+    def add_private_sig(self, private: bytes) -> None:
+        self._add(Atom(private), _OBS)
+
+    def _add(self, term, origin: int) -> bool:
+        key = encode(term)
+        fresh = key not in self._terms
+        if fresh:
+            self._terms[key] = term
+        if isinstance(term, Atom):
+            prev = self._atoms.get(term.value, -1)
+            if origin > prev:
+                self._atoms[term.value] = origin
+                if prev >= 0:
+                    fresh = True
+        return fresh
+
+    def terms_list(self) -> list:
+        return list(self._terms.values())
+
+    def analyze(self) -> None:
+        while self._analyze_round():
+            pass
+
+    def _analyze_round(self) -> bool:
+        added = False
+        for term in list(self._terms.values()):
+            if isinstance(term, Tuple):
+                for item in term.items:
+                    added |= self._add(item, _OBS)
+            elif isinstance(term, Atom) and len(term.value) >= 5:
+                try:
+                    inner = decode(term.value)
+                except MalformedEncoding:
+                    pass
+                else:
+                    added |= self._add(inner, _OBS)
+
+        pubs = [a for a, origin in self._atoms.items() if origin == _OBS and len(a) == 32]
+        for private in list(self.dh_privates):
+            for pub in pubs:
+                if (pub, private) in self._tried_kx:
+                    continue
+                self._tried_kx.add((pub, private))
+                try:
+                    ss = crypto.shared_secret(pub, private)
+                except InvalidPublicElement:
+                    continue
+                added |= self._add(Atom(ss), _KX)
+
+        for a, origin in list(self._atoms.items()):
+            if len(a) == 32 and origin >= _KX and a not in self._derived_from:
+                self._derived_from.add(a)
+                for label in WRAP_KEY_LABELS:
+                    added |= self._add(Atom(crypto.derive_wrap_key(label, a)), _KDF)
+
+        keys = [a for a in self._atoms if len(a) == 32]
+        blobs = [a for a in self._atoms if len(a) >= _MIN_CIPHERTEXT]
+        for blob in blobs:
+            for key in keys:
+                if (blob, key) in self._tried_dec:
+                    continue
+                self._tried_dec.add((blob, key))
+                try:
+                    plain = crypto.decrypt(blob, key)
+                except DecryptionFailure:
+                    continue
+                added |= self._add(plain, _OBS)
+        return added
+
+
+class Mirrored(AdversaryKnowledge):
+    """AdversaryKnowledge that feeds a RoundClosure the same inputs.
+
+    After each analyze it records any difference in terms_list() order or
+    in atom origins. Mismatches are collected, not raised, so that no
+    caller can swallow them.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reference = RoundClosure()
+        self.analyses = 0
+        self.mismatches: list[str] = []
+
+    def observe(self, term) -> None:
+        super().observe(term)
+        self.reference.observe(term)
+
+    def add_private_dh(self, private: bytes) -> None:
+        super().add_private_dh(private)
+        self.reference.add_private_dh(private)
+
+    def add_private_sig(self, private: bytes) -> None:
+        super().add_private_sig(private)
+        self.reference.add_private_sig(private)
+
+    def analyze(self) -> None:
+        super().analyze()
+        self.reference.analyze()
+        self.analyses += 1
+        mine = [encode(t) for t in self.terms_list()]
+        theirs = [encode(t) for t in self.reference.terms_list()]
+        if mine != theirs:
+            first = next(
+                (i for i, (a, b) in enumerate(zip(mine, theirs)) if a != b),
+                min(len(mine), len(theirs)),
+            )
+            self.mismatches.append(
+                f"analyze {self.analyses}: terms differ from index {first} "
+                f"({len(mine)} vs {len(theirs)} terms)"
+            )
+        if list(self._atoms.items()) != list(self.reference._atoms.items()):
+            self.mismatches.append(f"analyze {self.analyses}: atom origins differ")
+
+
+def _mirrored_fuzz_worlds(monkeypatch, mask, seeds):
+    monkeypatch.setattr(world_mod, "AdversaryKnowledge", Mirrored)
+    for run_seed in seeds:
+        world = World(seed=run_seed)
+        fuzz_adversary(world, seed=run_seed, steps=40, mask=mask)
+        world.knowledge.analyze()
+        yield run_seed, world.knowledge
+
+
+def test_fuzz_worlds_default_mask(monkeypatch):
+    for run_seed, know in _mirrored_fuzz_worlds(monkeypatch, DEFAULT_MASK, range(30)):
+        assert isinstance(know, Mirrored)
+        assert know.mismatches == [], run_seed
+        assert know.analyses >= 1
+
+
+def test_fuzz_worlds_wide_mask(monkeypatch):
+    """Stolen roots and the designated PSP: leaks, forgeries, own keys."""
+    wide = parse_compromise_flags(["intel_rot", "amd_rot", "psp:designated"])
+    for run_seed, know in _mirrored_fuzz_worlds(monkeypatch, wide, range(30)):
+        assert know.mismatches == [], run_seed
+
+
+def _pool():
+    """Terms and privates that exercise every closure rule and ordering.
+
+    Two blobs open under crossed keys, so key-major and blob-major trial
+    order disagree; negotiation outputs and derived keys appear later as
+    observed atoms and as plaintexts, which widens their origin.
+    """
+    rng = Rng(7)
+    pairs = [crypto.kx_keygen(rng) for _ in range(3)]
+    k1, k2, k3 = (crypto.fresh_key(rng) for _ in range(3))
+    ss_01 = crypto.shared_secret(pairs[1].public, pairs[0].private)
+    ss_02 = crypto.shared_secret(pairs[2].public, pairs[0].private)
+    kek_01 = crypto.derive_wrap_key(WRAP_KEY_LABELS[0], ss_01)
+    kik_02 = crypto.derive_wrap_key(WRAP_KEY_LABELS[1], ss_02)
+    secret = Atom(b"secret payload..")
+    blob_a = crypto.encrypt(Tuple([Label("under_k1"), Atom(k2)]), k1, rng)
+    blob_b = crypto.encrypt(Tuple([Label("under_k2"), Atom(k1)]), k2, rng)
+    terms = [
+        Atom(pairs[0].public),
+        Atom(pairs[1].public),
+        Atom(pairs[2].public),
+        Atom(pairs[2].private),
+        Atom(k1),
+        Atom(k2),
+        Atom(ss_01),
+        Atom(kek_01),
+        Atom(kik_02),
+        Atom(blob_a),
+        Atom(blob_b),
+        Atom(crypto.encrypt(secret, k2, rng)),
+        Atom(crypto.encrypt(Tuple([Label("transport_keys"), Atom(k3)]), kek_01, rng)),
+        Atom(crypto.encrypt(Atom(ss_02), k3, rng)),
+        Atom(crypto.encrypt(Atom(kik_02), k1, rng)),
+        Atom(crypto.encrypt(Atom(encode(Tuple([Atom(k2), secret]))), kik_02, rng)),
+        Tuple([Atom(blob_b), Atom(encode(Atom(k3)))]),
+        Tuple([Atom(pairs[1].public), Tuple([Atom(ss_02), Label("x")])]),
+    ]
+    privates = [p.private for p in pairs]
+    return terms, privates
+
+
+_TERMS, _PRIVATES = _pool()
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), st.integers(0, len(_TERMS) - 1)),
+        st.tuples(st.just("register"), st.integers(0, len(_PRIVATES) - 1)),
+        st.tuples(st.just("analyze"), st.just(0)),
+    ),
+    max_size=24,
+)
+
+
+@given(ops=_OPS)
+# blobs before keys, the later blob's key first: one decrypt phase opens
+# both, and key-major order would learn the later blob's contents first
+@example(ops=[("observe", 9), ("observe", 10), ("observe", 5), ("observe", 4)])
+@settings(max_examples=150, deadline=None)
+def test_interleavings_match_reference(ops):
+    know = Mirrored()
+    for op, idx in ops:
+        if op == "observe":
+            know.observe(_TERMS[idx])
+        elif op == "register":
+            know.add_private_dh(_PRIVATES[idx])
+        else:
+            know.analyze()
+    know.analyze()
+    assert know.mismatches == []
+
