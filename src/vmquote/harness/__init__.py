@@ -21,6 +21,7 @@ from .fuzz import (
 from .knowledge import AdversaryKnowledge
 from .properties import (
     PROPERTY_IDS,
+    Compromises,
     PropertyResult,
     UnknownProperty,
     check_all,
@@ -55,6 +56,7 @@ __all__ = [
     "parse_compromise_flags",
     "AdversaryKnowledge",
     "PROPERTY_IDS",
+    "Compromises",
     "PropertyResult",
     "UnknownProperty",
     "check_all",

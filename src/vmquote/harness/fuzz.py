@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from ..codec import Atom, Term, Tuple
 from ..crypto import Rng
 from .events import KIND_VERDICT, Trace
-from .properties import PROPERTY_IDS, PropertyResult, check_property
+from .properties import PROPERTY_IDS, check_all
 from .scenarios import forge_accepting_bundle, forge_sgx_cert
 from .world import Pipeline, World
 
@@ -171,15 +171,16 @@ def _move_inject(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) ->
 
 def _move_compromise(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> None:
     options = []
-    if mask.intel_rot and not world.is_compromised_intel():
+    taken = world.compromised
+    if mask.intel_rot and not taken.intel:
         options.append(("intel", None))
-    if mask.amd_rot and not world.is_compromised_amd():
+    if mask.amd_rot and not taken.amd:
         options.append(("amd", None))
     for plat in world.sgx_platforms:
-        if not plat.compromised and mask.allows_qe(world, plat):
+        if plat.ppid.hex() not in taken.qe_ppids and mask.allows_qe(world, plat):
             options.append(("qe", plat))
     for plat in world.sev_platforms:
-        if not plat.compromised and mask.allows_psp(world, plat):
+        if plat.psp_sn.public.hex() not in taken.psp_ids and mask.allows_psp(world, plat):
             options.append(("psp", plat))
     if not options:
         return
@@ -224,10 +225,10 @@ def _move_extract(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -
 
 def _move_forge_bundle(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> None:
     options = []
-    if world.is_compromised_intel():
+    if world.compromised.intel:
         options.append(("intel", None))
     for plat in world.sgx_platforms:
-        if plat.compromised:
+        if plat.ppid.hex() in world.compromised.qe_ppids:
             options.append(("qe", plat))
     if not options:
         return
@@ -339,9 +340,7 @@ def fuzz_campaign(
         run_seed = seed * 1_000_003 + i
         world = World(seed=run_seed)
         fuzz_adversary(world, seed=run_seed, steps=steps, mask=mask)
-        world.knowledge.analyze()
-        for pid in PROPERTY_IDS:
-            res: PropertyResult = check_property(world.trace, pid, world.knowledge)
+        for pid, res in check_all(world.trace, world.knowledge).items():
             result.matched[pid] += res.matched
             result.escaped[pid] += res.escaped
             if not res.holds:

@@ -78,7 +78,6 @@ class AdversaryKnowledge:
         self._atoms: dict[bytes, int] = {}
         self._rank: dict[bytes, int] = {}
         self.dh_privates: dict[bytes, None] = {}
-        self.sig_privates: dict[bytes, None] = {}
         # delta state: what each rule has not seen yet
         self._split = 0
         self._pubs: list[bytes] = []
@@ -128,7 +127,6 @@ class AdversaryKnowledge:
 
     def add_private_sig(self, private: bytes) -> None:
         """Register a signing private key (owned or stolen)."""
-        self.sig_privates.setdefault(private, None)
         self._add(Atom(private), _OBS)
 
     def _add(self, term: Term, origin: int) -> None:

@@ -20,9 +20,15 @@ vm_quote_authenticity
     and a real report request by that guest with the same payload,
     unless any of the four roots/keys involved was compromised.
 
-Compromise escapes are trace-global: a compromise event anywhere in the
-trace excuses matching instances, mirroring how such disjuncts quantify
-over a whole trace. That is not a loophole but a fact about the
+Each checker names its instances, its escape clause and its backing
+predicate; _judge runs the one loop that excuses, matches or returns an
+instance as the witness.
+
+Escapes come from Compromises, the record Compromises.learn builds from
+the trace's compromise actions; the simulator keeps the same record live
+by the same rule. Escapes are trace-global: a compromise event anywhere
+in the trace excuses matching instances, mirroring how such disjuncts
+quantify over a whole trace. That is not a loophole but a fact about the
 protocol: the key exchange has no forward secrecy, so a PSP key stolen
 after the fact really does open past traffic.
 
@@ -34,7 +40,7 @@ AdversaryKnowledge.learn, and the test suite checks that they agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .. import crypto
 from ..codec import Atom
@@ -44,6 +50,7 @@ from .events import (
     KIND_ADVERSARY,
     KIND_TRANSITION,
     KIND_VERDICT,
+    Event,
     Trace,
     term_from_hex,
     term_hex,
@@ -81,30 +88,41 @@ class PropertyResult:
     escaped: int = 0
 
 
-@dataclass(frozen=True)
-class _Escapes:
-    intel: bool
-    amd: bool
-    qe_ppids: frozenset
-    psp_ids: frozenset
+@dataclass
+class Compromises:
+    """What the adversary has compromised, read off adversary events.
 
+    Keys are hex, as traces store them. The simulator applies learn to
+    every event it records and the checkers to every event of the trace
+    they judge, so the live and the rebuilt record agree by construction.
+    """
 
-def _collect_escapes(trace: Trace) -> _Escapes:
-    intel = False
-    amd = False
-    qes = set()
-    psps = set()
-    for ev in trace.of_kind(KIND_ADVERSARY):
-        action = ev.body.get("action")
+    intel: bool = False
+    amd: bool = False
+    qe_ppids: set[str] = field(default_factory=set)
+    psp_ids: set[str] = field(default_factory=set)
+
+    def learn(self, event: Event) -> None:
+        """The one rule from a trace event to compromise state."""
+        if event.kind != KIND_ADVERSARY:
+            return
+        action = event.body.get("action")
         if action == "compromise_intel_rot":
-            intel = True
+            self.intel = True
         elif action == "compromise_amd_rot":
-            amd = True
+            self.amd = True
         elif action == "compromise_sgx_qe":
-            qes.add(ev.body["ppid"])
+            self.qe_ppids.add(event.body["ppid"])
         elif action == "compromise_sev_psp":
-            psps.add(ev.body["psp"])
-    return _Escapes(intel=intel, amd=amd, qe_ppids=frozenset(qes), psp_ids=frozenset(psps))
+            self.psp_ids.add(event.body["psp"])
+
+    @staticmethod
+    def from_trace(trace: Trace) -> "Compromises":
+        """The record the trace's events show."""
+        record = Compromises()
+        for ev in trace.events:
+            record.learn(ev)
+        return record
 
 
 def rebuild_knowledge(trace: Trace) -> AdversaryKnowledge:
@@ -146,126 +164,113 @@ def check_all(
     return {pid: check_property(trace, pid, knowledge) for pid in PROPERTY_IDS}
 
 
-def _check_sgx_quote_authenticity(trace: Trace) -> PropertyResult:
-    esc = _collect_escapes(trace)
-    reports: list[tuple[int, dict]] = [
-        (ev.seq, ev.body)
-        for ev in trace.of_kind(KIND_TRANSITION)
-        if ev.body.get("label") == "owner_generate_report"
-    ]
+def _judge(pid: str, instances: list[Event], escaped, backed) -> PropertyResult:
+    """Judge instances in trace order: excused, matched, or the witness.
+
+    An instance its escape clause covers is excused; otherwise it must be
+    backed by honest correspondence, and the first that is not ends the
+    judgement as the witness.
+    """
     matched = 0
-    escaped = 0
-    for ev in trace.of_kind(KIND_VERDICT):
-        if not ev.body.get("accept") or ev.body.get("quote_msr") != _TO_MSR_HEX:
-            continue
-        cert_ppid = ev.body["cert_ppid"]
-        if esc.intel or cert_ppid in esc.qe_ppids:
-            escaped += 1
-            continue
-        quote_data = ev.body["quote_data"]
-        ok = any(
-            seq < ev.seq
-            and body["host_ppid"] == cert_ppid
-            and term_hex(Atom(bytes.fromhex(body["rpdata"]))) == quote_data
-            for seq, body in reports
-        )
-        if not ok:
+    excused = 0
+    for ev in instances:
+        if escaped(ev):
+            excused += 1
+        elif backed(ev):
+            matched += 1
+        else:
             return PropertyResult(
-                "sgx_quote_authenticity",
-                holds=False,
-                witness=dict(ev.body),
-                matched=matched,
-                escaped=escaped,
+                pid, holds=False, witness=dict(ev.body), matched=matched, escaped=excused
             )
-        matched += 1
-    return PropertyResult(
-        "sgx_quote_authenticity", holds=True, matched=matched, escaped=escaped
+    return PropertyResult(pid, holds=True, matched=matched, escaped=excused)
+
+
+def _owner_accepts(trace: Trace) -> list[Event]:
+    """Accepted verdicts whose quote names the owner-enclave measurement."""
+    return [
+        ev
+        for ev in trace.of_kind(KIND_VERDICT)
+        if ev.body.get("accept") and ev.body.get("quote_msr") == _TO_MSR_HEX
+    ]
+
+
+def _transitions(trace: Trace, label: str) -> list[Event]:
+    return [ev for ev in trace.of_kind(KIND_TRANSITION) if ev.body.get("label") == label]
+
+
+def _check_sgx_quote_authenticity(trace: Trace) -> PropertyResult:
+    esc = Compromises.from_trace(trace)
+    reports = _transitions(trace, "owner_generate_report")
+
+    def backed(ev: Event) -> bool:
+        return any(
+            rep.seq < ev.seq
+            and rep.body["host_ppid"] == ev.body["cert_ppid"]
+            and term_hex(Atom(bytes.fromhex(rep.body["rpdata"]))) == ev.body["quote_data"]
+            for rep in reports
+        )
+
+    return _judge(
+        "sgx_quote_authenticity",
+        _owner_accepts(trace),
+        lambda ev: esc.intel or ev.body["cert_ppid"] in esc.qe_ppids,
+        backed,
     )
 
 
 def _check_sev_secret_secrecy(
     trace: Trace, knowledge: AdversaryKnowledge | None
 ) -> PropertyResult:
-    esc = _collect_escapes(trace)
+    esc = Compromises.from_trace(trace)
     instances = [
-        ev.body
-        for ev in trace.of_kind(KIND_TRANSITION)
-        if ev.body.get("label") == "owner_provision_vm"
-        and ev.body.get("vm_dig") == _DESIGNATED_DIG_HEX
+        ev
+        for ev in _transitions(trace, "owner_provision_vm")
+        if ev.body.get("vm_dig") == _DESIGNATED_DIG_HEX
     ]
-    if not instances:
-        return PropertyResult("sev_secret_secrecy", holds=True)
-    if knowledge is None:
-        knowledge = rebuild_knowledge(trace)
-    knowledge.analyze()
-    matched = 0
-    escaped = 0
-    for body in instances:
-        if esc.amd or body["psp_id"] in esc.psp_ids:
-            escaped += 1
-            continue
-        if knowledge.derivable(Atom(bytes.fromhex(body["cik"]))):
-            return PropertyResult(
-                "sev_secret_secrecy",
-                holds=False,
-                witness=dict(body),
-                matched=matched,
-                escaped=escaped,
-            )
-        matched += 1
-    return PropertyResult("sev_secret_secrecy", holds=True, matched=matched, escaped=escaped)
+    if instances:
+        if knowledge is None:
+            knowledge = rebuild_knowledge(trace)
+        knowledge.analyze()
+    return _judge(
+        "sev_secret_secrecy",
+        instances,
+        lambda ev: esc.amd or ev.body["psp_id"] in esc.psp_ids,
+        lambda ev: not knowledge.derivable(Atom(bytes.fromhex(ev.body["cik"]))),
+    )
 
 
 def _check_vm_quote_authenticity(trace: Trace) -> PropertyResult:
-    esc = _collect_escapes(trace)
-    launches: list[tuple[int, dict]] = []
-    requests: list[tuple[int, dict]] = []
-    for ev in trace.of_kind(KIND_TRANSITION):
-        label = ev.body.get("label")
-        if label == "sev_session_measured":
-            launches.append((ev.seq, ev.body))
-        elif label == "guest_request_report":
-            requests.append((ev.seq, ev.body))
-    matched = 0
-    escaped = 0
-    for ev in trace.of_kind(KIND_VERDICT):
-        if (
-            not ev.body.get("accept")
-            or ev.body.get("quote_msr") != _TO_MSR_HEX
-            or ev.body.get("msr_dig") != _DESIGNATED_DIG_HEX
-        ):
-            continue
-        pspid = ev.body["pspid"]
-        if (
+    esc = Compromises.from_trace(trace)
+    launches = _transitions(trace, "sev_session_measured")
+    requests = _transitions(trace, "guest_request_report")
+
+    def escaped(ev: Event) -> bool:
+        return (
             esc.intel
             or esc.amd
             or ev.body["cert_ppid"] in esc.qe_ppids
-            or pspid in esc.psp_ids
-        ):
-            escaped += 1
-            continue
+            or ev.body["pspid"] in esc.psp_ids
+        )
+
+    def backed(ev: Event) -> bool:
         measured = any(
-            seq < ev.seq
-            and body["psp"] == pspid
-            and body["dig"] == ev.body["msr_dig"]
-            and body["nonce"] == ev.body["msr_nonce"]
-            for seq, body in launches
+            launch.seq < ev.seq
+            and launch.body["psp"] == ev.body["pspid"]
+            and launch.body["dig"] == ev.body["msr_dig"]
+            and launch.body["nonce"] == ev.body["msr_nonce"]
+            for launch in launches
         )
         requested = any(
-            seq < ev.seq
-            and body["psp"] == pspid
-            and body["vmdata"] == ev.body["vmdata"]
-            for seq, body in requests
+            req.seq < ev.seq
+            and req.body["psp"] == ev.body["pspid"]
+            and req.body["vmdata"] == ev.body["vmdata"]
+            for req in requests
         )
-        if not (measured and requested):
-            return PropertyResult(
-                "vm_quote_authenticity",
-                holds=False,
-                witness=dict(ev.body),
-                matched=matched,
-                escaped=escaped,
-            )
-        matched += 1
-    return PropertyResult(
-        "vm_quote_authenticity", holds=True, matched=matched, escaped=escaped
+        return measured and requested
+
+    return _judge(
+        "vm_quote_authenticity",
+        [ev for ev in _owner_accepts(trace) if ev.body.get("msr_dig") == _DESIGNATED_DIG_HEX],
+        escaped,
+        backed,
     )

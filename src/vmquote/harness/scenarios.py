@@ -21,7 +21,7 @@ from ..sev import Measurement, MeasurementPackage, SevPlatformCert
 from ..sev import cert_payload as sev_cert_payload
 from ..sgx import OWNER_ENCLAVE_MEASUREMENT, quote_payload
 from .events import KIND_TRANSITION, KIND_VERDICT, Trace
-from .properties import PROPERTY_IDS, PropertyResult, check_property
+from .properties import check_all
 from .world import Pipeline, World
 
 
@@ -364,8 +364,9 @@ def run_scenario(name: str, seed: int = 0) -> Trace:
 # ---- postconditions ------------------------------------------------------
 #
 # Each scenario has a pass condition the CLI and the test suite share:
-# what the attack (or honest run) must have produced, and that every
-# property checker still comes back clean.
+# every property checker comes back clean, and the scenario produced what
+# the attack (or honest run) exists to show. A postcondition gets the
+# closed adversary knowledge and the checkers' results for its world.
 
 
 def _accepts(world: World) -> list:
@@ -380,15 +381,6 @@ def _transitions(world: World, label: str) -> list:
     ]
 
 
-def _prop(world: World, pid: str) -> PropertyResult:
-    world.knowledge.analyze()
-    return check_property(world.trace, pid, world.knowledge)
-
-
-def _all_hold(world: World) -> bool:
-    return all(_prop(world, pid).holds for pid in PROPERTY_IDS)
-
-
 def _designated_cik(world: World) -> Atom | None:
     for body in _transitions(world, "owner_provision_vm"):
         if body["vm_dig"] == world.designated_dig.hex():
@@ -399,184 +391,141 @@ def _designated_cik(world: World) -> Atom | None:
 def _cik_derivable(world: World) -> bool:
     cik = _designated_cik(world)
     assert cik is not None, "scenario never provisioned the designated guest"
-    world.knowledge.analyze()
     return world.knowledge.derivable(cik)
 
 
-def _post_honest(world: World, info: dict) -> bool:
+def _post_honest(world: World, info: dict, results: dict) -> bool:
     return (
         len(_accepts(world)) == 1
         and world.owner.phase == "PROVISIONED"
         and len(_transitions(world, "owner_deploy_vm")) == 1
         and len(_transitions(world, "owner_provision_vm")) == 1
-        and _all_hold(world)
     )
 
 
-def _post_tamper_deploy_blob(world: World, info: dict) -> bool:
+def _post_tamper_deploy_blob(world: World, info: dict, results: dict) -> bool:
     return (
         not _accepts(world)
         and _transitions(world, "sev_deploy_abort")
         and world.sev_platforms[0].session is None
-        and _all_hold(world)
     )
 
 
-def _post_tamper_measurement(world: World, info: dict) -> bool:
+def _post_provision_refused(world: World, info: dict, results: dict) -> bool:
     session = world.sev_platforms[0].session
     return (
         not _accepts(world)
         and _transitions(world, "owner_provision_refused")
         and (session is None or not session.running)
-        and _all_hold(world)
     )
 
 
-def _post_tamper_secret_package(world: World, info: dict) -> bool:
+def _post_tamper_secret_package(world: World, info: dict, results: dict) -> bool:
     return (
         not _accepts(world)
         and _transitions(world, "sev_secret_abort")
         and world.sev_platforms[0].session is None
-        and _all_hold(world)
     )
 
 
-def _post_replay_secret_package(world: World, info: dict) -> bool:
+def _post_replay_secret_package(world: World, info: dict, results: dict) -> bool:
     aborts = _transitions(world, "sev_secret_abort")
     return (
         len(_accepts(world)) == 1
         and any(b.get("error") == "NoMeasuredSession" for b in aborts)
         and world.sev_platforms[0].session is not None
         and world.sev_platforms[0].session.running
-        and _all_hold(world)
     )
 
 
-def _post_wrong_vm_code(world: World, info: dict) -> bool:
-    session = world.sev_platforms[0].session
-    return (
-        not _accepts(world)
-        and _transitions(world, "owner_provision_refused")
-        and (session is None or not session.running)
-        and _all_hold(world)
-    )
+def _post_forge_report_request(world: World, info: dict, results: dict) -> bool:
+    return not _accepts(world) and _transitions(world, "owner_report_refused")
 
 
-def _post_forge_report_request(world: World, info: dict) -> bool:
-    return (
-        not _accepts(world)
-        and _transitions(world, "owner_report_refused")
-        and _all_hold(world)
-    )
-
-
-def _post_cross_platform_cert_swap(world: World, info: dict) -> bool:
+def _post_cross_platform_cert_swap(world: World, info: dict, results: dict) -> bool:
     rejects = [
         ev.body
         for ev in world.trace.of_kind(KIND_VERDICT)
         if not ev.body.get("accept")
     ]
+    return not _accepts(world) and any(b.get("reason") == "quote-sig" for b in rejects)
+
+
+def _post_intel_pre(world: World, info: dict, results: dict) -> bool:
     return (
-        not _accepts(world)
-        and any(b.get("reason") == "quote-sig" for b in rejects)
-        and _all_hold(world)
+        len(_accepts(world)) == 1
+        and results["sgx_quote_authenticity"].escaped >= 1
+        and results["vm_quote_authenticity"].escaped >= 1
     )
 
 
-def _post_intel_pre(world: World, info: dict) -> bool:
+def _post_intel_post(world: World, info: dict, results: dict) -> bool:
+    return len(_accepts(world)) == 1 and results["sgx_quote_authenticity"].escaped == 1
+
+
+def _post_amd_pre(world: World, info: dict, results: dict) -> bool:
     return (
         len(_accepts(world)) == 1
-        and _prop(world, "sgx_quote_authenticity").escaped >= 1
-        and _prop(world, "vm_quote_authenticity").escaped >= 1
-        and _all_hold(world)
-    )
-
-
-def _post_intel_post(world: World, info: dict) -> bool:
-    return (
-        len(_accepts(world)) == 1
-        and _prop(world, "sgx_quote_authenticity").escaped == 1
-        and _all_hold(world)
-    )
-
-
-def _post_qe_pre(world: World, info: dict) -> bool:
-    return _post_intel_pre(world, info)
-
-
-def _post_qe_post(world: World, info: dict) -> bool:
-    return _post_intel_post(world, info)
-
-
-def _post_amd_pre(world: World, info: dict) -> bool:
-    return (
-        len(_accepts(world)) == 1
-        and _prop(world, "sev_secret_secrecy").escaped >= 1
-        and _prop(world, "vm_quote_authenticity").escaped >= 1
+        and results["sev_secret_secrecy"].escaped >= 1
+        and results["vm_quote_authenticity"].escaped >= 1
         and _cik_derivable(world)
-        and _all_hold(world)
     )
 
 
-def _post_amd_post(world: World, info: dict) -> bool:
+def _post_amd_post(world: World, info: dict, results: dict) -> bool:
     return (
         len(_accepts(world)) == 1
-        and _prop(world, "sev_secret_secrecy").escaped == 1
+        and results["sev_secret_secrecy"].escaped == 1
         and not _cik_derivable(world)
-        and _all_hold(world)
     )
 
 
-def _post_psp_pre(world: World, info: dict) -> bool:
+def _post_psp_pre(world: World, info: dict, results: dict) -> bool:
     return (
         len(_accepts(world)) == 1
-        and _prop(world, "sev_secret_secrecy").escaped == 1
-        and _prop(world, "vm_quote_authenticity").escaped == 1
+        and results["sev_secret_secrecy"].escaped == 1
+        and results["vm_quote_authenticity"].escaped == 1
         and _cik_derivable(world)
-        and _all_hold(world)
     )
 
 
-def _post_psp_post(world: World, info: dict) -> bool:
-    # Same extraction works after the run: the exchange has no forward
-    # secrecy, which is exactly why the escape clause is trace-global.
-    return _post_psp_pre(world, info)
-
-
-def _post_extract_other(world: World, info: dict) -> bool:
+def _post_extract_other(world: World, info: dict, results: dict) -> bool:
     cik = _designated_cik(world)
-    world.knowledge.analyze()
     return (
         len(_accepts(world)) == 3
-        and all(_prop(world, pid).escaped == 0 for pid in PROPERTY_IDS)
+        and all(res.escaped == 0 for res in results.values())
         and world.knowledge.knows(info["stolen"])
         and cik is not None
         and not world.knowledge.derivable(cik)
-        and _all_hold(world)
     )
 
 
 POSTCONDITIONS = {
     "honest": _post_honest,
     "tamper_deploy_blob": _post_tamper_deploy_blob,
-    "tamper_measurement": _post_tamper_measurement,
+    "tamper_measurement": _post_provision_refused,
     "tamper_secret_package": _post_tamper_secret_package,
     "replay_secret_package": _post_replay_secret_package,
-    "wrong_vm_code": _post_wrong_vm_code,
+    "wrong_vm_code": _post_provision_refused,
     "forge_report_request": _post_forge_report_request,
     "cross_platform_cert_swap": _post_cross_platform_cert_swap,
     "compromise_intel_rot_pre": _post_intel_pre,
     "compromise_intel_rot_post": _post_intel_post,
-    "compromise_sgx_qe_pre": _post_qe_pre,
-    "compromise_sgx_qe_post": _post_qe_post,
+    "compromise_sgx_qe_pre": _post_intel_pre,
+    "compromise_sgx_qe_post": _post_intel_post,
     "compromise_amd_rot_pre": _post_amd_pre,
     "compromise_amd_rot_post": _post_amd_post,
     "compromise_sev_psp_pre": _post_psp_pre,
-    "compromise_sev_psp_post": _post_psp_post,
+    # Same extraction works after the run: the exchange has no forward
+    # secrecy, which is exactly why the escape clause is trace-global.
+    "compromise_sev_psp_post": _post_psp_pre,
     "extract_other_guest_secret": _post_extract_other,
 }
 
 
 def check_postcondition(name: str, world: World, info: dict) -> bool:
     """True when the scenario produced what it exists to demonstrate."""
-    return POSTCONDITIONS[name](world, info)
+    post = POSTCONDITIONS[name]
+    world.knowledge.analyze()
+    results = check_all(world.trace, world.knowledge)
+    return all(res.holds for res in results.values()) and bool(post(world, info, results))

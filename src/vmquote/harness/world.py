@@ -9,10 +9,11 @@ Rng, so a replay with the same seed reproduces every key, nonce, and
 ciphertext byte.
 
 Every event goes through World.record, which appends it to the trace
-and applies AdversaryKnowledge.learn to it: live adversary knowledge is
-exactly what the send and adversary events show, by the same rule a
-rebuild from the trace applies. An adversary capability that creates or
-leaks a value therefore only has to log it.
+and applies both learn rules to it: AdversaryKnowledge.learn and
+Compromises.learn. Live adversary knowledge and the live compromise
+record are exactly what the events show, by the same rules the checkers
+apply to a trace. An adversary capability that creates, leaks or steals
+a value therefore only has to log it.
 
 Each receiving end (PSP handlers, owner handlers, relying party) is one
 recv_* method that returns its reply. The Pipeline drives one honest
@@ -45,6 +46,7 @@ from ..sev import (
 from ..sgx import OWNER_ENCLAVE_MEASUREMENT, SgxPlatform
 from .events import KIND_ADVERSARY, KIND_SEND, KIND_TRANSITION, KIND_VERDICT, Trace
 from .knowledge import AdversaryKnowledge
+from .properties import Compromises
 
 
 class ForbiddenMeasurement(RuntimeError):
@@ -61,6 +63,7 @@ class World:
         self.rng = Rng(seed)
         self.trace = Trace()
         self.knowledge = AdversaryKnowledge()
+        self.compromised = Compromises()
         self.designated_dig = crypto.digest(DESIGNATED_VM_CODE)
 
         self.intel_rot = sgx.new_intel_rot(self.rng)
@@ -86,7 +89,6 @@ class World:
         )
         self.guests: list[str] = []
         self.last_verification: VerificationInput | None = None
-        self._compromised: set = set()
 
         self.publish("intel_rot", Atom(self.intel_rot.public))
         self.publish("amd_rot", Atom(self.amd_rot.public))
@@ -108,7 +110,7 @@ class World:
 
     def record(self, kind: str, **body) -> None:
         """Append one event; the adversary learns what it shows."""
-        self.trace.append(kind, **body)
+        self.compromised.learn(self.trace.append(kind, **body))
         self.knowledge.learn(kind, body.get("term"), body.get("leak"), body.get("leak_kind"))
 
     def send(self, src: str, dst: str, term: Term) -> Term:
@@ -363,9 +365,8 @@ class World:
     # ---- compromise capabilities --------------------------------------
 
     def compromise_intel_rot(self) -> None:
-        if "intel_rot" in self._compromised:
+        if self.compromised.intel:
             return
-        self._compromised.add("intel_rot")
         self.adversary_event(
             "compromise_intel_rot",
             leak=self.intel_rot.ltk.private,
@@ -373,9 +374,8 @@ class World:
         )
 
     def compromise_amd_rot(self) -> None:
-        if "amd_rot" in self._compromised:
+        if self.compromised.amd:
             return
-        self._compromised.add("amd_rot")
         self.adversary_event(
             "compromise_amd_rot",
             leak=self.amd_rot.ltk.private,
@@ -383,11 +383,8 @@ class World:
         )
 
     def compromise_sgx_qe(self, platform: SgxPlatform) -> None:
-        marker = ("qe", platform.ppid)
-        if marker in self._compromised:
+        if platform.ppid.hex() in self.compromised.qe_ppids:
             return
-        self._compromised.add(marker)
-        platform.compromised = True
         self.adversary_event(
             "compromise_sgx_qe",
             ppid=platform.ppid,
@@ -396,11 +393,8 @@ class World:
         )
 
     def compromise_sev_psp(self, platform: SevPlatform) -> None:
-        marker = ("psp", platform.psp_sn.public)
-        if marker in self._compromised:
+        if platform.psp_sn.public.hex() in self.compromised.psp_ids:
             return
-        self._compromised.add(marker)
-        platform.compromised = True
         self.adversary_event(
             "compromise_sev_psp",
             psp=platform.psp_sn.public,
@@ -491,14 +485,6 @@ class World:
         mac_p = crypto.mac(Tuple([mp.msr.to_term(), Atom(blob_p)]), tik)
         spkg = SecretPackage(blob_p=blob_p, mac_p=mac_p)
         return self.deliver(f"sev_secret:{idx}", spkg.to_term()) is not None
-
-    # ---- escape-clause queries (used by scenarios/tests) ---------------
-
-    def is_compromised_intel(self) -> bool:
-        return "intel_rot" in self._compromised
-
-    def is_compromised_amd(self) -> bool:
-        return "amd_rot" in self._compromised
 
 
 class Pipeline:

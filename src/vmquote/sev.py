@@ -234,7 +234,6 @@ class SevPlatform:
     launch_sev: Atom
     cert: SevPlatformCert | None = None
     session: GuestSession | None = None
-    compromised: bool = False
 
 
 def new_sev_platform(rng: Rng) -> SevPlatform:

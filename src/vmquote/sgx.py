@@ -162,18 +162,12 @@ def quote_payload(msr: Term, plat: Atom, data: Term) -> Term:
 
 @dataclass
 class SgxPlatform:
-    """One SGX machine: identity, quoting key, loaded enclaves.
-
-    compromised is bookkeeping for the simulator; flipping it never
-    changes functional behavior, it only records that the quoting key was
-    leaked to the adversary.
-    """
+    """One SGX machine: identity, quoting key, loaded enclaves."""
 
     ppid: bytes
     qek: SigKeyPair
     plat_info: Atom
     cert: SgxPlatformCert | None = None
-    compromised: bool = False
     _loaded: set = field(default_factory=set)
     _issued: set = field(default_factory=set)
     _next_serial: int = 0

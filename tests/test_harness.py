@@ -8,6 +8,7 @@ from vmquote.guest import DESIGNATED_VM_CODE
 from vmquote.harness import (
     COMPROMISE_ATTACKS,
     DEFAULT_MASK,
+    Compromises,
     NEGATIVE_SCENARIOS,
     PROPERTY_IDS,
     SCENARIOS,
@@ -27,7 +28,7 @@ from vmquote.harness import (
     run_scenario,
     run_scenario_world,
 )
-from vmquote.harness.events import KIND_SEND, KIND_VERDICT, Event, term_hex
+from vmquote.harness.events import KIND_ADVERSARY, KIND_SEND, KIND_VERDICT, Event, term_hex
 from vmquote.sgx import OWNER_ENCLAVE_MEASUREMENT
 
 
@@ -197,6 +198,55 @@ class TestCheckerSoundness:
         assert not result.holds
         assert result.witness["cik"] == cik.hex()
 
+    @pytest.mark.parametrize("pid", ["sgx_quote_authenticity", "vm_quote_authenticity"])
+    def test_first_unexcused_unbacked_accept_is_the_witness(self, pid):
+        """Judging stops at the first accept neither excused nor backed."""
+        trace = Trace()
+        trace.append(
+            "adversary",
+            action="compromise_sgx_qe",
+            ppid="aa" * 16,
+            leak="00" * 32,
+            leak_kind="sig_private",
+        )
+        for seq, ppid in enumerate(("aa", "ee", "ff"), start=1):
+            trace.events.append(self._accept_event(seq, cert_ppid=ppid * 16))
+        result = check_property(trace, pid)
+        assert not result.holds
+        assert result.witness["cert_ppid"] == "ee" * 16
+        assert result.matched == 0
+        assert result.escaped == 1
+
+    def test_psp_escape_excuses_only_its_own_provision(self):
+        """A later PSP compromise excuses that PSP's cik, not the other's."""
+        ciks = (b"\x5a" * 32, b"\x6b" * 32)
+        psps = ("cc" * 32, "c1" * 32)
+        trace = Trace()
+        for cik, psp in zip(ciks, psps):
+            trace.append(
+                "transition",
+                actor="owner0",
+                label="owner_provision_vm",
+                psp_id=psp,
+                cik=cik.hex(),
+                vm_dig=crypto.digest(DESIGNATED_VM_CODE).hex(),
+                msr_dig=crypto.digest(DESIGNATED_VM_CODE).hex(),
+                msr_nonce="dd" * 16,
+            )
+        for cik in ciks:
+            trace.append("send", src="adv", dst="bus", term=term_hex(Atom(cik)))
+        trace.append(
+            "adversary",
+            action="compromise_sev_psp",
+            psp=psps[0],
+            leak="11" * 32,
+            leak_kind="dh_private",
+        )
+        result = check_property(trace, "sev_secret_secrecy")
+        assert not result.holds
+        assert result.witness["cik"] == ciks[1].hex()
+        assert result.escaped == 1
+
 
 class TestAdversaryInterfaceLimits:
     def test_owner_enclave_quote_refused(self):
@@ -222,6 +272,26 @@ class TestAdversaryInterfaceLimits:
         world = World(seed=5)
         with pytest.raises(ForbiddenGuest):
             world.adversary_extract_sev_secret(world.sev_platforms[1])
+
+    def test_each_compromise_is_recorded_once(self):
+        world = World(seed=5)
+        sgx1, sev1 = world.sgx_platforms[1], world.sev_platforms[1]
+        for compromise in (
+            world.compromise_intel_rot,
+            world.compromise_amd_rot,
+            lambda: world.compromise_sgx_qe(sgx1),
+            lambda: world.compromise_sev_psp(sev1),
+        ):
+            before = len(world.trace.of_kind(KIND_ADVERSARY))
+            compromise()
+            compromise()
+            assert len(world.trace.of_kind(KIND_ADVERSARY)) == before + 1
+        assert world.compromised == Compromises(
+            intel=True,
+            amd=True,
+            qe_ppids={sgx1.ppid.hex()},
+            psp_ids={sev1.psp_sn.public.hex()},
+        )
 
 
 class TestTraceInfrastructure:
@@ -261,6 +331,7 @@ class TestTraceInfrastructure:
             live = {encode(t) for t in world.knowledge.terms_list()}
             again = {encode(t) for t in rebuilt.terms_list()}
             assert live == again, name
+            assert world.compromised == Compromises.from_trace(world.trace), name
 
     def test_send_events_carry_decodable_terms(self):
         world, _ = run_scenario_world("honest")
