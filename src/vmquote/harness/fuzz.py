@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from ..codec import Atom, Term, Tuple
 from ..crypto import Rng
 from .events import KIND_VERDICT, Trace
+from .knowledge import CLOSURE_COUNTERS
 from .properties import PROPERTY_IDS, check_all
 from .scenarios import forge_accepting_bundle, forge_sgx_cert
 from .world import Pipeline, World
@@ -299,6 +300,8 @@ class CampaignResult:
     matched: dict = field(default_factory=dict)
     escaped: dict = field(default_factory=dict)
     violations: dict = field(default_factory=dict)
+    # each run's closure counters, summed; like them, never in a trace
+    closure: dict = field(default_factory=lambda: dict.fromkeys(CLOSURE_COUNTERS, 0))
 
     @property
     def total_violations(self) -> int:
@@ -307,7 +310,8 @@ class CampaignResult:
     def summary_lines(self) -> list[str]:
         lines = [
             f"fuzz campaign: {self.runs} runs x {self.steps} steps, "
-            f"seed {self.seed}, {self.elapsed:.1f}s, {self.accepts} accepted verdicts"
+            f"seed {self.seed}, {self.elapsed:.1f}s, {self.accepts} accepted verdicts; "
+            "closure: " + ", ".join(f"{n} {name}" for name, n in self.closure.items())
         ]
         for pid in PROPERTY_IDS:
             lines.append(
@@ -348,5 +352,7 @@ def fuzz_campaign(
         result.accepts += sum(
             1 for ev in world.trace.of_kind(KIND_VERDICT) if ev.body.get("accept")
         )
+        for name in CLOSURE_COUNTERS:
+            result.closure[name] += getattr(world.knowledge, name)
     result.elapsed = time.monotonic() - started
     return result

@@ -26,6 +26,9 @@ to what is new since the rule last ran, so no rule ever repeats work.
   becomes eligible.
 - Trial decryption tries new keys against every blob and old keys against
   new blobs, so each (blob, key) pair is tried once in the object's life.
+  Each blob is split into nonce and body once, when it is learned; each
+  key's GCM tag is checked against its range of blobs in one scan, and
+  only the blobs that authenticate are opened, through crypto.decrypt.
 
 Within a round the rules run in that order. Each adds its results in the
 first-seen order of its inputs (decryptions by blob, then by key), so
@@ -60,7 +63,12 @@ _KDF = 0
 _KX = 1
 _OBS = 2
 
-_MIN_CIPHERTEXT = crypto.NONCE_LEN + 16 + 5
+# The shortest term encoding: a tag byte and a 4-byte length.
+_MIN_ENCODING = len(encode(Atom(b"")))
+_MIN_CIPHERTEXT = crypto.NONCE_LEN + 16 + _MIN_ENCODING
+
+#: The closure's work counters, attributes of AdversaryKnowledge.
+CLOSURE_COUNTERS = ("rounds", "kx_pairs", "trials", "hits")
 
 
 class AdversaryKnowledge:
@@ -72,7 +80,7 @@ class AdversaryKnowledge:
     """
 
     def __init__(self) -> None:
-        self._known: set[bytes] = set()
+        self._known: set[Term] = set()
         self._terms: list[Term] = []
         # atom payload -> origin, and its rank in first-seen order
         self._atoms: dict[bytes, int] = {}
@@ -85,7 +93,8 @@ class AdversaryKnowledge:
         self._kx_privates = 0
         self._new_eligible: list[bytes] = []
         self._keys: list[bytes] = []
-        self._blobs: list[bytes] = []
+        # ciphertext-sized atoms, split once into (nonce, body)
+        self._blobs: list[tuple[bytes, bytes]] = []
         self._tried_keys = 0
         self._tried_blobs = 0
         self._digests: set[bytes] = set()
@@ -130,9 +139,8 @@ class AdversaryKnowledge:
         self._add(Atom(private), _OBS)
 
     def _add(self, term: Term, origin: int) -> None:
-        key = encode(term)
-        if key not in self._known:
-            self._known.add(key)
+        if term not in self._known:
+            self._known.add(term)
             self._terms.append(term)
         if not isinstance(term, Atom):
             return
@@ -145,7 +153,8 @@ class AdversaryKnowledge:
             if len(value) == 32:
                 self._keys.append(value)
             elif len(value) >= _MIN_CIPHERTEXT:
-                self._blobs.append(value)
+                n = crypto.NONCE_LEN
+                self._blobs.append((value[:n], value[n:]))
         self._atoms[value] = origin
         if len(value) == 32:
             if origin == _OBS:
@@ -154,7 +163,7 @@ class AdversaryKnowledge:
                 self._new_eligible.append(value)
 
     def knows(self, term: Term) -> bool:
-        return encode(term) in self._known
+        return term in self._known
 
     def terms_list(self) -> list:
         """All known terms in first-seen order (deterministic)."""
@@ -185,7 +194,7 @@ class AdversaryKnowledge:
             if isinstance(term, Tuple):
                 for item in term.items:
                     self._add(item, _OBS)
-            elif isinstance(term, Atom) and len(term.value) >= 5:
+            elif isinstance(term, Atom) and len(term.value) >= _MIN_ENCODING:
                 try:
                     inner = decode(term.value)
                 except MalformedEncoding:
@@ -218,10 +227,12 @@ class AdversaryKnowledge:
                 self._add(Atom(crypto.derive_wrap_key(label, value)), _KDF)
 
     def _trial_decrypt(self) -> None:
-        """New keys x all blobs, old keys x new blobs, run key by key.
+        """New keys x all blobs, old keys x new blobs, scanned key by key.
 
-        Key-major order reuses each key's cipher object; the successes are
-        then added blob by blob, each blob's keys in first-seen order.
+        Each key's tag is checked against its range of blobs in one
+        crypto.scan_tags call. The (blob, key) pairs that authenticate are
+        then opened through crypto.decrypt blob by blob, each blob's keys
+        in first-seen order, and what opens to a term is added.
         """
         keys, blobs = self._keys, self._blobs
         old_keys, old_blobs = self._tried_keys, self._tried_blobs
@@ -229,17 +240,20 @@ class AdversaryKnowledge:
         self.trials += (len(keys) - old_keys) * len(blobs) + old_keys * (
             len(blobs) - old_blobs
         )
-        found = []
+        tagged = []
         for k, key in enumerate(keys):
-            for b in range(0 if k >= old_keys else old_blobs, len(blobs)):
-                try:
-                    plain = crypto.decrypt(blobs[b], key)
-                except DecryptionFailure:
-                    continue
-                found.append((b, k, plain))
-        self.hits += len(found)
-        found.sort(key=lambda hit: hit[:2])
-        for _, _, plain in found:
+            start = 0 if k >= old_keys else old_blobs
+            if start < len(blobs):
+                for b in crypto.scan_tags(key, blobs, start):
+                    tagged.append((b, k))
+        tagged.sort()
+        for b, k in tagged:
+            nonce, body = blobs[b]
+            try:
+                plain = crypto.decrypt(nonce + body, keys[k])
+            except DecryptionFailure:
+                continue
+            self.hits += 1
             self._add(plain, _OBS)
 
     def _digest_index(self) -> set:
@@ -257,7 +271,7 @@ class AdversaryKnowledge:
         if isinstance(term, Tuple):
             return all(self.derivable(i) for i in term.items)
         if isinstance(term, Atom):
-            if len(term.value) >= 5:
+            if len(term.value) >= _MIN_ENCODING:
                 try:
                     inner = decode(term.value)
                 except MalformedEncoding:

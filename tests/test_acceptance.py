@@ -223,6 +223,13 @@ def test_campaign_counters_pinned(campaign):
         "vm_quote_authenticity": 1905,
     }
     assert campaign.total_violations == 0
+    # the closure's summed work: the same (blob, key) pairs tried, the same opened
+    assert campaign.closure == {
+        "rounds": 8374,
+        "kx_pairs": 45314,
+        "trials": 2770015,
+        "hits": 1576,
+    }
 
 
 def test_criterion_6_sanity_attacks():

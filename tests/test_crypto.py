@@ -6,6 +6,7 @@ import pytest
 
 from vmquote.codec import Atom, Label, Tuple, encode
 from vmquote.crypto import (
+    NONCE_LEN,
     WRAP_KEY_LABELS,
     DecryptionFailure,
     InvalidPublicElement,
@@ -18,6 +19,7 @@ from vmquote.crypto import (
     fresh_key,
     kx_keygen,
     mac,
+    scan_tags,
     shared_secret,
     sig_keygen,
     sign,
@@ -153,6 +155,50 @@ class TestAead:
         rng = Rng(21)
         key = fresh_key(rng)
         assert encrypt(Atom(b"x"), key, rng) != encrypt(Atom(b"x"), key, rng)
+
+
+class TestScanTags:
+    @staticmethod
+    def _split(blob):
+        return (blob[:NONCE_LEN], blob[NONCE_LEN:])
+
+    def _sealed(self, seed):
+        rng = Rng(seed)
+        key = fresh_key(rng)
+        others = [encrypt(Atom(b"other %d" % i), fresh_key(rng), rng) for i in range(4)]
+        mine = encrypt(Atom(b"mine"), key, rng)
+        return key, [self._split(b) for b in others[:2] + [mine] + others[2:]]
+
+    def test_finds_the_one_blob_under_the_key(self):
+        key, sealed = self._sealed(25)
+        assert scan_tags(key, sealed) == [2]
+
+    def test_wrong_key_finds_nothing(self):
+        _, sealed = self._sealed(26)
+        assert scan_tags(fresh_key(Rng(27)), sealed) == []
+
+    def test_flipped_byte_rejected(self):
+        key, sealed = self._sealed(28)
+        nonce, body = sealed[2]
+        for i in (0, len(body) // 2, len(body) - 1):
+            flipped = bytearray(body)
+            flipped[i] ^= 0x01
+            assert scan_tags(key, [(nonce, bytes(flipped))]) == []
+        flipped_nonce = bytes([nonce[0] ^ 0x01]) + nonce[1:]
+        assert scan_tags(key, [(flipped_nonce, body)]) == []
+
+    def test_truncated_body_rejected(self):
+        key, sealed = self._sealed(29)
+        nonce, body = sealed[2]
+        for n in (0, 1, 15, 16, len(body) - 1):
+            assert scan_tags(key, [(nonce, body[:n])]) == []
+
+    def test_start_index_honoured(self):
+        key, sealed = self._sealed(30)
+        assert scan_tags(key, sealed, 2) == [2]
+        assert scan_tags(key, sealed, 3) == []
+        assert scan_tags(key, sealed + sealed, 3) == [7]
+        assert scan_tags(key, sealed, len(sealed)) == []
 
 
 class TestMac:

@@ -75,6 +75,20 @@ def test_campaign_summary_lines_shape():
         assert pid in line
 
 
+def test_campaign_sums_closure_counters():
+    result = fuzz_campaign(runs=3, steps=20, seed=4)
+    expected = dict.fromkeys(("rounds", "kx_pairs", "trials", "hits"), 0)
+    for i in range(3):
+        world = World(seed=4 * 1_000_003 + i)
+        fuzz_adversary(world, seed=4 * 1_000_003 + i, steps=20, mask=DEFAULT_MASK)
+        check_all(world.trace, world.knowledge)
+        for name in expected:
+            expected[name] += getattr(world.knowledge, name)
+    assert result.closure == expected
+    assert expected["trials"] > expected["hits"] > 0
+    assert f"{expected['trials']} trials, {expected['hits']} hits" in result.summary_lines()[0]
+
+
 class TestMask:
     def test_default_blocks_designated(self):
         world = World(seed=1)

@@ -1,5 +1,7 @@
 """Adversary knowledge closure: what leaks, what stays out of reach."""
 
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
 from vmquote import crypto
 from vmquote.codec import Atom, Label, Tuple, encode
 from vmquote.crypto import Rng
@@ -36,6 +38,25 @@ def test_trial_decryption_with_known_key():
     k.observe(Atom(key))
     k.analyze()
     assert k.knows(secret)
+
+
+def test_authentic_blob_without_a_term_teaches_nothing():
+    """A blob whose tag checks but whose plaintext is no term stays opaque."""
+    rng = Rng(97)
+    key = crypto.fresh_key(rng)
+    nonce = bytes(crypto.NONCE_LEN)
+    raw = b"\xff" * 8
+    blob = nonce + AESGCM(key).encrypt(nonce, raw, None)
+    assert crypto.scan_tags(key, [(nonce, blob[len(nonce) :])]) == [0]
+    k = AdversaryKnowledge()
+    k.observe(Atom(blob))
+    k.observe(Atom(key))
+    k.analyze()
+    wrap_keys = [Atom(crypto.derive_wrap_key(label, key)) for label in crypto.WRAP_KEY_LABELS]
+    assert k.terms_list() == [Atom(blob), Atom(key), *wrap_keys]
+    assert not k.knows(Atom(raw))
+    # the key and the two wrap keys derived from it, against one blob
+    assert (k.trials, k.hits) == (3, 0)
 
 
 def test_registered_private_negotiates():
@@ -176,6 +197,39 @@ class TestDerivable:
         k.observe(Atom(b"unrelated"))
         k.analyze()
         assert not k.derivable(Atom(Rng(95).bytes(32)))
+
+
+class TestKnownSet:
+    def test_atom_and_label_stay_distinct(self):
+        k = AdversaryKnowledge()
+        k.observe(Atom(b"x"))
+        assert k.knows(Atom(b"x"))
+        assert not k.knows(Label("x"))
+        k = AdversaryKnowledge()
+        k.observe(Label("x"))
+        assert k.knows(Label("x"))
+        assert not k.knows(Atom(b"x"))
+
+    def test_equal_nested_tuple_built_apart_is_known(self):
+        def nested():
+            return Tuple([Label("l"), Tuple([Atom(b"a"), Tuple((Atom(b"b"),))])])
+
+        k = AdversaryKnowledge()
+        k.observe(nested())
+        assert nested() is not nested()
+        assert k.knows(nested())
+        assert not k.knows(Tuple([Label("l"), Tuple([Atom(b"a"), Tuple([Atom(b"c")])])]))
+
+    def test_terms_list_has_no_duplicates(self):
+        k = AdversaryKnowledge()
+        k.observe(Tuple([Atom(b"a"), Atom(b"b")]))
+        k.analyze()
+        k.observe(Tuple([Atom(b"a"), Atom(b"b")]))
+        k.observe(Atom(b"a"))
+        k.analyze()
+        terms = k.terms_list()
+        assert terms == [Tuple([Atom(b"a"), Atom(b"b")]), Atom(b"a"), Atom(b"b")]
+        assert len({encode(t) for t in terms}) == len(terms)
 
 
 def test_terms_list_deterministic_order():
