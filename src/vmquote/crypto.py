@@ -17,12 +17,23 @@ least recently used out first: loading a private key costs as much as
 using it once, and the adversary's closure reuses each key across many
 trial decryptions.
 
+The symbolic model treats encryption as perfect: a blob opens only under
+the key that sealed it (Dolev-Yao; sdec(senc(m, k), k) = m is the only
+decryption equation). The process therefore keeps a provenance map of at
+most _PROVENANCE_SIZE blobs, oldest out first: encrypt maps each output
+to its key, and sign marks each signature as no ciphertext at all. A
+ciphertext entry is never overwritten. The map is a hint and never a
+verdict. provenance() answers None for a blob it does not hold, whether
+evicted, tampered with, produced by another process or never made here,
+and the caller must then fall back to trying keys.
+
 Those trial decryptions go through scan_tags, which checks one key's GCM
 tag against many blobs and only reports which ones authenticate; nearly
 every trial fails, so it neither raises nor decodes. decrypt is the only
-way from a blob to a plaintext term: the closure opens each hit through
-it, so a blob that authenticates but holds no term is rejected there, as
-everywhere.
+way from a blob to a plaintext term: the closure opens each hit, and each
+ciphertext under the key the map names, through it, so the tag is always
+checked and a blob that authenticates but holds no term is rejected
+there, as everywhere.
 """
 
 from __future__ import annotations
@@ -60,6 +71,13 @@ from .codec import (
 KEY_LEN = 32
 NONCE_LEN = 12
 _KEY_CACHE_SIZE = 64
+_PROVENANCE_SIZE = 1024
+
+#: provenance() of a signature: a blob that is no ciphertext.
+NOT_SEALED = b""
+
+# blob -> the key that sealed it, or NOT_SEALED; insertion order is age
+_provenance: dict[bytes, bytes] = {}
 
 #: Only these labels may ever enter wrap-key derivation.
 WRAP_KEY_LABELS = (Label(TAG_SEV_KEK), Label(TAG_SEV_KIK))
@@ -143,9 +161,28 @@ def sig_keygen(rng: Rng) -> SigKeyPair:
     return SigKeyPair(private=priv, public=pub.public_bytes_raw())
 
 
+def _register(blob: bytes, sealer: bytes) -> None:
+    """Record blob's provenance; a ciphertext entry is never overwritten."""
+    if _provenance.get(blob):
+        return
+    _provenance[blob] = sealer
+    while len(_provenance) > _PROVENANCE_SIZE:
+        del _provenance[next(iter(_provenance))]
+
+
+def provenance(blob: bytes) -> bytes | None:
+    """The key that sealed blob, NOT_SEALED for a signature, else None.
+
+    None means only that this process holds no record of blob.
+    """
+    return _provenance.get(blob)
+
+
 def sign(term: Term, private: bytes) -> bytes:
     """Sign the canonical encoding of term. 64-byte signature."""
-    return _sig_private(private).sign(encode(term))
+    sig = _sig_private(private).sign(encode(term))
+    _register(sig, NOT_SEALED)
+    return sig
 
 
 def verify(term: Term, signature: bytes, public: bytes) -> bool:
@@ -177,15 +214,21 @@ def shared_secret(public: bytes, private: bytes) -> bytes:
         raise InvalidPublicElement(str(exc)) from exc
 
 
+# encode(Tuple([label, Atom(secret)])) is this prefix, the 4-byte length
+# of secret, then secret.
+_WRAP_PREFIX = {label: encode(Tuple([label, Atom(b"")]))[:-4] for label in WRAP_KEY_LABELS}
+
+
 def derive_wrap_key(label: Label, secret: bytes) -> bytes:
     """Derive a 32-byte wrap key from a negotiated secret.
 
     The key is SHA-256 over encode(Tuple([label, Atom(secret)])); distinct
     labels therefore yield unrelated keys from the same secret.
     """
-    if label not in WRAP_KEY_LABELS:
+    prefix = _WRAP_PREFIX.get(label)
+    if prefix is None:
         raise UnknownDerivationLabel(f"no such derivation label: {label!r}")
-    return hashlib.sha256(encode(Tuple([label, Atom(secret)]))).digest()
+    return hashlib.sha256(prefix + len(secret).to_bytes(4, "big") + secret).digest()
 
 
 def fresh_key(rng: Rng) -> bytes:
@@ -196,7 +239,9 @@ def fresh_key(rng: Rng) -> bytes:
 def encrypt(term: Term, key: bytes, rng: Rng) -> bytes:
     """AEAD-encrypt encode(term): 12-byte fresh nonce || GCM ciphertext."""
     nonce = rng.bytes(NONCE_LEN)
-    return nonce + _aead(key).encrypt(nonce, encode(term), None)
+    blob = nonce + _aead(key).encrypt(nonce, encode(term), None)
+    _register(blob, key)
+    return blob
 
 
 def decrypt(blob: bytes, key: bytes) -> Term:

@@ -6,8 +6,8 @@ grows by an analysis closure run to fixpoint:
 
 - tuples are taken apart
 - atoms whose payload parses as a term are decoded
-- observed ciphertext atoms are trial-decrypted under every known 32-byte
-  key
+- ciphertext-sized atoms are decrypted under the known 32-byte keys
+  that can open them
 - key negotiation runs between observed 32-byte elements and the
   registered private elements (privates are an explicit registry: the
   adversary owns or stole them, it does not guess them out of atoms)
@@ -24,11 +24,29 @@ to what is new since the rule last ran, so no rule ever repeats work.
   registered, and newly registered privates with every public element.
 - A wrap key is derived once from each atom, in the round the atom
   becomes eligible.
-- Trial decryption tries new keys against every blob and old keys against
-  new blobs, so each (blob, key) pair is tried once in the object's life.
-  Each blob is split into nonce and body once, when it is learned; each
-  key's GCM tag is checked against its range of blobs in one scan, and
-  only the blobs that authenticate are opened, through crypto.decrypt.
+- Trial decryption covers new keys against every blob and old keys against
+  new blobs, so each (blob, key) pair is covered once in the object's life.
+  Each key's GCM tag is checked against its range of blobs of unknown
+  origin in one scan, and only the pairs that authenticate are opened,
+  through crypto.decrypt.
+
+Encryption is perfect, as in the symbolic model: a blob opens under the
+key that sealed it and under no other (Dolev-Yao; in Tamarin,
+sdec(senc(m, k), k) = m is the only decryption equation). When a blob is
+learned, crypto.provenance classifies it once:
+
+- a ciphertext crypto.encrypt made is paired only with its sealing key,
+  when that key is known
+- a signature crypto.sign made is no ciphertext and is never paired
+- any other blob (evicted from the bounded map, tampered with, read from
+  a trace in a fresh process, or random bytes) is scanned against every
+  key
+
+The pairs skipped are exactly those that cannot open, so no hit is lost.
+The registered pairs are still opened through crypto.decrypt, which
+checks the tag. Each blob is classified once, so a later eviction changes
+nothing. Whether the map holds a blob or not, the closure therefore
+learns the same terms in the same order. Only the scanning work differs.
 
 Within a round the rules run in that order. Each adds its results in the
 first-seen order of its inputs (decryptions by blob, then by key), so
@@ -75,8 +93,11 @@ class AdversaryKnowledge:
     """What the adversary knows, closed under analysis by analyze().
 
     The counters rounds, kx_pairs, trials and hits count the closure's
-    work: rounds run, negotiations attempted, trial decryptions and the
-    ones that succeeded. They are never written to a trace.
+    work: rounds run, negotiations attempted, (blob, key) pairs covered by
+    trial decryption and the ones that opened to a term. scanned counts
+    the covered pairs whose tag crypto.scan_tags checked, which are those
+    of blobs with no provenance; it equals trials when no blob has any.
+    None of them is ever written to a trace.
     """
 
     def __init__(self) -> None:
@@ -93,16 +114,25 @@ class AdversaryKnowledge:
         self._kx_privates = 0
         self._new_eligible: list[bytes] = []
         self._keys: list[bytes] = []
-        # ciphertext-sized atoms, split once into (nonce, body)
-        self._blobs: list[tuple[bytes, bytes]] = []
+        self._key_index: dict[bytes, int] = {}
+        # ciphertext-sized atoms, and their indices filed by provenance:
+        # under the key that sealed them, or (split once into nonce and
+        # body) among the blobs of unknown origin
+        self._blobs: list[bytes] = []
+        self._sealed: dict[bytes, list[int]] = {}
+        self._new_sealed: list[tuple[int, bytes]] = []
+        self._opaque: list[tuple[bytes, bytes]] = []
+        self._opaque_at: list[int] = []
         self._tried_keys = 0
         self._tried_blobs = 0
+        self._tried_opaque = 0
         self._digests: set[bytes] = set()
         self._digested = 0
         self.rounds = 0
         self.kx_pairs = 0
         self.trials = 0
         self.hits = 0
+        self.scanned = 0
 
     def learn(
         self, kind: str, term: Term | None, leak: bytes | None, leak_kind: str | None
@@ -151,16 +181,28 @@ class AdversaryKnowledge:
         if prev < 0:
             self._rank[value] = len(self._atoms)
             if len(value) == 32:
+                self._key_index[value] = len(self._keys)
                 self._keys.append(value)
             elif len(value) >= _MIN_CIPHERTEXT:
-                n = crypto.NONCE_LEN
-                self._blobs.append((value[:n], value[n:]))
+                self._file_blob(value)
         self._atoms[value] = origin
         if len(value) == 32:
             if origin == _OBS:
                 self._new_pubs.append(value)
             if prev < _KX <= origin:
                 self._new_eligible.append(value)
+
+    def _file_blob(self, value: bytes) -> None:
+        b = len(self._blobs)
+        self._blobs.append(value)
+        sealer = crypto.provenance(value)
+        if sealer is None:
+            n = crypto.NONCE_LEN
+            self._opaque.append((value[:n], value[n:]))
+            self._opaque_at.append(b)
+        elif sealer != crypto.NOT_SEALED:
+            self._sealed.setdefault(sealer, []).append(b)
+            self._new_sealed.append((b, sealer))
 
     def knows(self, term: Term) -> bool:
         return term in self._known
@@ -227,30 +269,38 @@ class AdversaryKnowledge:
                 self._add(Atom(crypto.derive_wrap_key(label, value)), _KDF)
 
     def _trial_decrypt(self) -> None:
-        """New keys x all blobs, old keys x new blobs, scanned key by key.
+        """New keys x all blobs, old keys x new blobs, as filed.
 
-        Each key's tag is checked against its range of blobs in one
-        crypto.scan_tags call. The (blob, key) pairs that authenticate are
-        then opened through crypto.decrypt blob by blob, each blob's keys
-        in first-seen order, and what opens to a term is added.
+        A registered ciphertext is paired with its sealing key alone. Each
+        key's tag is checked against its range of blobs of unknown origin
+        in one crypto.scan_tags call. The pairs found are then opened
+        through crypto.decrypt blob by blob, each blob's keys in
+        first-seen order, and what opens to a term is added.
         """
-        keys, blobs = self._keys, self._blobs
-        old_keys, old_blobs = self._tried_keys, self._tried_blobs
+        keys, blobs, opaque = self._keys, self._blobs, self._opaque
+        old_keys, old_blobs, old_opaque = self._tried_keys, self._tried_blobs, self._tried_opaque
         self._tried_keys, self._tried_blobs = len(keys), len(blobs)
+        self._tried_opaque = len(opaque)
         self.trials += (len(keys) - old_keys) * len(blobs) + old_keys * (
             len(blobs) - old_blobs
         )
-        tagged = []
-        for k, key in enumerate(keys):
-            start = 0 if k >= old_keys else old_blobs
-            if start < len(blobs):
-                for b in crypto.scan_tags(key, blobs, start):
-                    tagged.append((b, k))
+        tagged = [(b, k) for k in range(old_keys, len(keys)) for b in self._sealed.get(keys[k], ())]
+        for b, sealer in self._new_sealed:
+            k = self._key_index.get(sealer, old_keys)
+            if k < old_keys:
+                tagged.append((b, k))
+        self._new_sealed = []
+        at = self._opaque_at
+        for k in range(old_keys if old_opaque == len(opaque) else 0, len(keys)):
+            start = 0 if k >= old_keys else old_opaque
+            if start < len(opaque):
+                self.scanned += len(opaque) - start
+                for i in crypto.scan_tags(keys[k], opaque, start):
+                    tagged.append((at[i], k))
         tagged.sort()
         for b, k in tagged:
-            nonce, body = blobs[b]
             try:
-                plain = crypto.decrypt(nonce + body, keys[k])
+                plain = crypto.decrypt(blobs[b], keys[k])
             except DecryptionFailure:
                 continue
             self.hits += 1

@@ -4,9 +4,11 @@ import hashlib
 
 import pytest
 
+from vmquote import crypto
 from vmquote.codec import Atom, Label, Tuple, encode
 from vmquote.crypto import (
     NONCE_LEN,
+    NOT_SEALED,
     WRAP_KEY_LABELS,
     DecryptionFailure,
     InvalidPublicElement,
@@ -19,6 +21,7 @@ from vmquote.crypto import (
     fresh_key,
     kx_keygen,
     mac,
+    provenance,
     scan_tags,
     shared_secret,
     sig_keygen,
@@ -44,6 +47,12 @@ class TestDerivation:
         sd = bytes(range(32))
         expected = digest(Tuple([Label("sev_kek"), Atom(sd)]))
         assert derive_wrap_key(Label("sev_kek"), sd) == expected
+
+    def test_matches_explicit_construction_any_length(self):
+        for n in (0, 1, 31, 33, 300):
+            sd = bytes(i % 256 for i in range(n))
+            for label in WRAP_KEY_LABELS:
+                assert derive_wrap_key(label, sd) == digest(Tuple([label, Atom(sd)]))
 
     def test_unknown_label_rejected(self):
         with pytest.raises(UnknownDerivationLabel):
@@ -199,6 +208,52 @@ class TestScanTags:
         assert scan_tags(key, sealed, 3) == []
         assert scan_tags(key, sealed + sealed, 3) == [7]
         assert scan_tags(key, sealed, len(sealed)) == []
+
+
+class TestProvenance:
+    @pytest.fixture(autouse=True)
+    def _own_map(self, monkeypatch):
+        monkeypatch.setattr(crypto, "_provenance", {})
+
+    def test_encrypt_registers_its_key(self):
+        rng = Rng(31)
+        key = fresh_key(rng)
+        blob = encrypt(Atom(b"payload"), key, rng)
+        assert provenance(blob) == key
+
+    def test_sign_registers_no_ciphertext(self):
+        pair = sig_keygen(Rng(32))
+        sig = sign(Atom(b"payload"), pair.private)
+        assert provenance(sig) == NOT_SEALED
+
+    def test_unknown_blob_has_none(self):
+        assert provenance(Rng(33).bytes(64)) is None
+
+    def test_oldest_evicted_at_bound(self, monkeypatch):
+        monkeypatch.setattr(crypto, "_PROVENANCE_SIZE", 3)
+        rng = Rng(34)
+        key = fresh_key(rng)
+        blobs = [encrypt(Atom(b"m%d" % i), key, rng) for i in range(5)]
+        assert [provenance(b) for b in blobs] == [None, None, key, key, key]
+        assert len(crypto._provenance) == 3
+
+    def test_ciphertext_entry_never_overwritten(self):
+        rng = Rng(35)
+        key = fresh_key(rng)
+        blob = encrypt(Atom(b"payload"), key, rng)
+        crypto._register(blob, NOT_SEALED)
+        crypto._register(blob, fresh_key(rng))
+        assert provenance(blob) == key
+
+    def test_flipped_copy_has_none(self):
+        rng = Rng(36)
+        blob = encrypt(Atom(b"payload"), fresh_key(rng), rng)
+        sig = sign(Atom(b"payload"), sig_keygen(rng).private)
+        for registered in (blob, sig):
+            for i in (0, len(registered) // 2, len(registered) - 1):
+                flipped = bytearray(registered)
+                flipped[i] ^= 0x01
+                assert provenance(bytes(flipped)) is None
 
 
 class TestMac:

@@ -1,5 +1,6 @@
 """Adversary knowledge closure: what leaks, what stays out of reach."""
 
+import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from vmquote import crypto
@@ -38,6 +39,24 @@ def test_trial_decryption_with_known_key():
     k.observe(Atom(key))
     k.analyze()
     assert k.knows(secret)
+
+
+@pytest.mark.parametrize("key_first", [False, True], ids=["blob_first", "key_first"])
+def test_registered_ciphertext_opens_in_either_order(key_first):
+    """A sealing key learned after its blob, or a blob after its key."""
+    rng = Rng(98)
+    key = crypto.fresh_key(rng)
+    secret = Atom(b"sealed payload..")
+    blob = crypto.encrypt(secret, key, rng)
+    k = AdversaryKnowledge()
+    first, second = (Atom(key), Atom(blob)) if key_first else (Atom(blob), Atom(key))
+    k.observe(first)
+    k.analyze()
+    assert not k.knows(secret)
+    k.observe(second)
+    k.analyze()
+    assert k.knows(secret)
+    assert (k.scanned, k.hits) == (0, 1)
 
 
 def test_authentic_blob_without_a_term_teaches_nothing():
@@ -142,6 +161,35 @@ class TestCounters:
         work = (k.rounds, k.kx_pairs, k.trials, k.hits)
         k.analyze()
         assert (k.rounds, k.kx_pairs, k.trials, k.hits) == work
+
+    @staticmethod
+    def _key_and_blob(key, blob):
+        k = AdversaryKnowledge()
+        k.observe(Tuple([Atom(key), Atom(blob)]))
+        k.analyze()
+        return k
+
+    def test_registered_ciphertext_is_not_scanned(self):
+        rng = Rng(99)
+        key = crypto.fresh_key(rng)
+        k = self._key_and_blob(key, crypto.encrypt(Atom(b"payload"), key, rng))
+        assert k.knows(Atom(b"payload"))
+        assert (k.trials, k.scanned, k.hits) == (3, 0, 1)
+
+    def test_registered_signature_is_never_scanned(self):
+        rng = Rng(100)
+        sig = crypto.sign(Atom(b"payload"), crypto.sig_keygen(rng).private)
+        k = self._key_and_blob(crypto.fresh_key(rng), sig)
+        assert (k.trials, k.scanned, k.hits) == (3, 0, 0)
+
+    def test_without_provenance_every_pair_is_scanned(self, monkeypatch):
+        rng = Rng(101)
+        key = crypto.fresh_key(rng)
+        blob = crypto.encrypt(Atom(b"payload"), key, rng)
+        monkeypatch.setattr(crypto, "_provenance", {})
+        k = self._key_and_blob(key, blob)
+        assert k.knows(Atom(b"payload"))
+        assert (k.trials, k.scanned, k.hits) == (3, 3, 1)
 
     def test_fuzz_world_tries_each_pair_once(self):
         world = World(seed=5)

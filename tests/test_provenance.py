@@ -1,0 +1,69 @@
+"""The closure learns the same with or without blob provenance.
+
+crypto's provenance map only tells the closure which (blob, key) pairs
+cannot open. Each fuzz world below runs three ways: with the map live,
+with it emptied before every event is learned and before every closure
+(as for a trace read in a fresh process), and with the map bounded to a
+single entry. All three must learn the same terms in the same order, with
+the same atom origins and the same trial and hit counts.
+"""
+
+from vmquote import crypto
+from vmquote.codec import encode
+from vmquote.harness import DEFAULT_MASK, World, fuzz_adversary, parse_compromise_flags
+from vmquote.harness import world as world_mod
+from vmquote.harness.knowledge import AdversaryKnowledge
+
+
+class Forgetful(AdversaryKnowledge):
+    """Knowledge that never finds a blob in the provenance map."""
+
+    def learn(self, kind, term, leak, leak_kind) -> None:
+        crypto._provenance.clear()
+        super().learn(kind, term, leak, leak_kind)
+
+    def analyze(self) -> None:
+        crypto._provenance.clear()
+        super().analyze()
+
+
+def _closure(monkeypatch, mask, seed, knowledge=AdversaryKnowledge, bound=crypto._PROVENANCE_SIZE):
+    monkeypatch.setattr(crypto, "_provenance", {})
+    monkeypatch.setattr(crypto, "_PROVENANCE_SIZE", bound)
+    monkeypatch.setattr(world_mod, "AdversaryKnowledge", knowledge)
+    world = World(seed=seed)
+    fuzz_adversary(world, seed=seed, steps=40, mask=mask)
+    know = world.knowledge
+    know.analyze()
+    assert isinstance(know, knowledge)
+    learned = (
+        [encode(t) for t in know.terms_list()],
+        list(know._atoms.items()),
+        know.trials,
+        know.hits,
+    )
+    return learned, know.scanned
+
+
+def _check_worlds(monkeypatch, mask):
+    saved = 0
+    for seed in range(30):
+        live, live_scanned = _closure(monkeypatch, mask, seed)
+        cleared, cleared_scanned = _closure(monkeypatch, mask, seed, knowledge=Forgetful)
+        tiny, tiny_scanned = _closure(monkeypatch, mask, seed, bound=1)
+        assert cleared == live, seed
+        assert tiny == live, seed
+        trials = live[2]
+        assert cleared_scanned == trials, seed
+        assert live_scanned <= tiny_scanned <= trials, seed
+        saved += trials - live_scanned
+    assert saved > 0
+
+
+def test_fuzz_worlds_default_mask(monkeypatch):
+    _check_worlds(monkeypatch, DEFAULT_MASK)
+
+
+def test_fuzz_worlds_wide_mask(monkeypatch):
+    """Stolen roots and the designated PSP: leaks, forgeries, own keys."""
+    _check_worlds(monkeypatch, parse_compromise_flags(["intel_rot", "amd_rot", "psp:designated"]))
