@@ -12,15 +12,30 @@ Wire layout, all lengths 4-byte big-endian:
     Atom   0x01 | byte count  | payload bytes
     Label  0x02 | byte count  | UTF-8 text
     Tuple  0x03 | item count  | encoded items, in order
+
+The encoding is injective, so a term is nothing more than its class and
+its payload. Terms are immutable slotted values: equality is the same class
+and an equal payload, and the hash is the payload's hash. Atom(b"x") and
+Label("x") are therefore never equal, as their encodings differ in the
+type byte.
+
+may_decode is decode's header check without the exceptions: it answers
+False only for bytes that decode must reject, so a caller holding many
+opaque atoms (keys, digests, signatures) can skip most of them without
+raising MalformedEncoding once per atom.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
 
 _T_ATOM = 0x01
 _T_LABEL = 0x02
 _T_TUPLE = 0x03
+
+# type byte | 4-byte big-endian length
+_HEADER = struct.Struct(">BI")
+_HEADER_LEN = _HEADER.size
 
 #: Decoder limits. Honest traffic stays far below both.
 MAX_DECODE_BYTES = 1 << 20
@@ -42,48 +57,101 @@ class MalformedEncoding(ValueError):
     """Raised when bytes do not decode to exactly one well-formed Term."""
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Payload:
+    """What the three term classes share: one payload slot, set once.
+
+    __init__ writes the slot through its descriptor; every later
+    assignment or deletion raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        field = self.__slots__[0]
+        return f"{type(self).__name__}({field}={getattr(self, field)!r})"
+
+    def __reduce__(self):
+        return type(self), (getattr(self, self.__slots__[0]),)
+
+
+class Atom(_Payload):
     """Opaque byte payload: keys, digests, nonces, ciphertexts, code."""
 
-    value: bytes
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, bytes):
+    def __init__(self, value: bytes) -> None:
+        if not isinstance(value, bytes):
             raise TypeError("Atom payload must be bytes")
+        _set_value(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is Atom:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.value)
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(_Payload):
     """Printable tag string used to disambiguate payload shapes."""
 
-    text: str
+    __slots__ = ("text",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.text, str):
+    def __init__(self, text: str) -> None:
+        if not isinstance(text, str):
             raise TypeError("Label text must be str")
-        if not self.text.isprintable():
+        if not text.isprintable():
             raise ValueError("Label text must be printable")
+        _set_text(self, text)
+
+    def __eq__(self, other):
+        if other.__class__ is Label:
+            return self.text == other.text
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.text)
 
 
-@dataclass(frozen=True)
-class Tuple:
+class Tuple(_Payload):
     """Ordered grouping of Terms."""
 
-    items: tuple
+    __slots__ = ("items",)
 
     def __init__(self, items) -> None:
-        object.__setattr__(self, "items", tuple(items))
+        _set_items(self, tuple(items))
+
+    def __eq__(self, other):
+        if other.__class__ is Tuple:
+            return self.items == other.items
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.items)
 
     def __len__(self) -> int:
         return len(self.items)
 
+
+_set_value = Atom.value.__set__
+_set_text = Label.text.__set__
+_set_items = Tuple.items.__set__
 
 Term = Atom | Label | Tuple
 
 
 def encode(term: Term) -> bytes:
     """Serialize a Term to its canonical byte string."""
+    if term.__class__ is Atom:
+        value = term.value
+        return _HEADER.pack(_T_ATOM, len(value)) + value
     out = bytearray()
     _encode_into(term, out)
     return bytes(out)
@@ -91,17 +159,14 @@ def encode(term: Term) -> bytes:
 
 def _encode_into(term: Term, out: bytearray) -> None:
     if isinstance(term, Atom):
-        out.append(_T_ATOM)
-        out += len(term.value).to_bytes(4, "big")
+        out += _HEADER.pack(_T_ATOM, len(term.value))
         out += term.value
     elif isinstance(term, Label):
         text = term.text.encode("utf-8")
-        out.append(_T_LABEL)
-        out += len(text).to_bytes(4, "big")
+        out += _HEADER.pack(_T_LABEL, len(text))
         out += text
     elif isinstance(term, Tuple):
-        out.append(_T_TUPLE)
-        out += len(term.items).to_bytes(4, "big")
+        out += _HEADER.pack(_T_TUPLE, len(term.items))
         for item in term.items:
             _encode_into(item, out)
     else:
@@ -128,11 +193,10 @@ def decode(data: bytes) -> Term:
 def _decode_at(data: bytes, pos: int, depth: int) -> tuple:
     if depth > MAX_DECODE_DEPTH:
         raise MalformedEncoding("nesting too deep")
-    if pos + 5 > len(data):
+    if pos + _HEADER_LEN > len(data):
         raise MalformedEncoding("truncated header")
-    kind = data[pos]
-    length = int.from_bytes(data[pos + 1 : pos + 5], "big")
-    pos += 5
+    kind, length = _HEADER.unpack_from(data, pos)
+    pos += _HEADER_LEN
     if kind == _T_ATOM:
         if pos + length > len(data):
             raise MalformedEncoding("truncated atom payload")
@@ -155,6 +219,23 @@ def _decode_at(data: bytes, pos: int, depth: int) -> tuple:
             items.append(item)
         return Tuple(items), pos
     raise MalformedEncoding(f"unknown type byte 0x{kind:02x}")
+
+
+def may_decode(data: bytes) -> bool:
+    """False only where decode(data) must raise MalformedEncoding.
+
+    Checks the outermost header alone: data shorter than a header, an
+    unknown type byte, or an Atom or Label whose declared length is not
+    the rest of data. True promises nothing; decode still checks the rest.
+    """
+    if len(data) < _HEADER_LEN:
+        return False
+    kind, length = _HEADER.unpack_from(data)
+    if kind == _T_TUPLE:
+        return True
+    if kind == _T_ATOM or kind == _T_LABEL:
+        return length == len(data) - _HEADER_LEN
+    return False
 
 
 def to_hex(term: Term) -> str:

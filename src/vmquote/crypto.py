@@ -70,6 +70,8 @@ from .codec import (
 
 KEY_LEN = 32
 NONCE_LEN = 12
+#: Length of a digest() output (SHA-256).
+DIGEST_LEN = hashlib.sha256().digest_size
 _KEY_CACHE_SIZE = 64
 _PROVENANCE_SIZE = 1024
 

@@ -59,18 +59,39 @@ Every term the closure can learn therefore encodes in no more bytes than
 the longest observed term or a 32-byte atom. There are finitely many such
 terms and atom origins only rise, so the closure reaches its fixpoint.
 
+Most atoms the closure makes are pseudo-random: keys, negotiation and
+derivation outputs, digests, signatures. Before decoding an atom, both the
+split rule and derivable ask codec.may_decode, an exception-free check of
+the outermost header, and skip the atom when it says decode must fail.
+decode alone decides what parses: an atom the guard lets through but
+decode rejects teaches nothing, and every atom that parses, whatever its
+length, is decoded.
+
 Derivability (synthesis) is goal-directed: a term is derivable when it is
 known, is a Label (public vocabulary), is a Tuple of derivable parts, or
-is an Atom carrying the encoding or the digest of something derivable.
-Fresh atomic randomness is derivable only if it was actually learned,
-which is exactly what the secrecy property asks about. The recursion
-stops because tuple items and decodings are strictly smaller terms.
+is an Atom carrying the encoding of something derivable or the digest of
+a known term. Fresh atomic randomness is derivable only if it was
+actually learned, which is exactly what the secrecy property asks about.
+The recursion stops because tuple items and decodings are strictly
+smaller terms.
+
+The digest rule deliberately under-approximates the adversary: it accepts
+the digest of a known term but not of a term that is only derivable, such
+as a Tuple of known atoms that was never observed whole. Enumerating the
+derivable preimages is unbounded. No verdict rests on this gap today:
+the secrecy checker asks only about fresh keys, which are no digest, and
+World.adversary_digest records every digest the adversary computes, and
+its preimage, as known. A property that asks about the digest of a
+composed term must extend the rule first. Only a 32-byte atom can be a
+digest, and the index of digests of known terms is built only when such
+an atom is asked about and no other rule derives it. Every known term is
+a candidate preimage, so the index hashes each of them once.
 """
 
 from __future__ import annotations
 
 from .. import crypto
-from ..codec import Atom, Label, MalformedEncoding, Term, Tuple, decode, encode
+from ..codec import Atom, Label, MalformedEncoding, Term, Tuple, decode, encode, may_decode
 from ..crypto import DecryptionFailure, InvalidPublicElement, WRAP_KEY_LABELS
 from .events import ADVERSARY_VISIBLE
 
@@ -236,7 +257,7 @@ class AdversaryKnowledge:
             if isinstance(term, Tuple):
                 for item in term.items:
                     self._add(item, _OBS)
-            elif isinstance(term, Atom) and len(term.value) >= _MIN_ENCODING:
+            elif isinstance(term, Atom) and may_decode(term.value):
                 try:
                     inner = decode(term.value)
                 except MalformedEncoding:
@@ -321,13 +342,14 @@ class AdversaryKnowledge:
         if isinstance(term, Tuple):
             return all(self.derivable(i) for i in term.items)
         if isinstance(term, Atom):
-            if len(term.value) >= _MIN_ENCODING:
+            value = term.value
+            if may_decode(value):
                 try:
-                    inner = decode(term.value)
+                    inner = decode(value)
                 except MalformedEncoding:
                     pass
                 else:
                     if self.derivable(inner):
                         return True
-            return term.value in self._digest_index()
+            return len(value) == crypto.DIGEST_LEN and value in self._digest_index()
         return False

@@ -1,5 +1,6 @@
-"""Canonical term encoding: frozen vectors, round-trips, rejection."""
+"""Canonical term encoding: frozen vectors, round-trips, rejection, term values."""
 
+import copy
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from vmquote.codec import (
     decode,
     encode,
     from_hex,
+    may_decode,
     to_hex,
     to_sexpr,
 )
@@ -159,6 +161,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Label("bad\x00label")
 
+    @pytest.mark.parametrize("payload", ["text", bytearray(b"x"), memoryview(b"x"), 1, None])
+    def test_atom_rejects_non_bytes(self, payload):
+        with pytest.raises(TypeError):
+            Atom(payload)
+
+    @pytest.mark.parametrize("text", [b"x", 1, None])
+    def test_label_rejects_non_str(self, text):
+        with pytest.raises(TypeError):
+            Label(text)
+
     def test_tuple_normalizes_to_tuple(self):
         t = Tuple([Atom(b"a")])
         assert isinstance(t.items, tuple)
@@ -166,3 +178,101 @@ class TestConstruction:
     def test_sexpr_rendering(self):
         term = Tuple([Label("burrito_report"), Atom(b"\x00\x2a")])
         assert to_sexpr(term) == "('burrito_report' 0x002a)"
+
+
+_printable = st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=24)
+
+
+class TestTermValues:
+    """Equality is class plus payload, the hash is the payload's hash."""
+
+    @given(a=_term_strategy(), b=_term_strategy())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_iff_same_encoding(self, a, b):
+        assert (a == b) == (encode(a) == encode(b))
+        assert (a != b) == (encode(a) != encode(b))
+        if a == b:
+            assert hash(a) == hash(b)
+        rebuilt = decode(encode(a))
+        assert rebuilt == a and not rebuilt != a
+        assert hash(rebuilt) == hash(a)
+        assert len({a, rebuilt}) == 1
+
+    @given(text=_printable)
+    @settings(max_examples=100, deadline=None)
+    def test_same_bytes_different_class_stay_distinct(self, text):
+        raw = text.encode("utf-8")
+        terms = [Atom(raw), Label(text), Tuple([Atom(raw)]), Tuple([Label(text)])]
+        for i, a in enumerate(terms):
+            for b in terms[i + 1 :]:
+                assert a != b and b != a
+        assert len(set(terms)) == len(terms)
+        assert len({encode(t) for t in terms}) == len(terms)
+
+    def test_not_equal_to_bare_payload(self):
+        assert Atom(b"x") != b"x"
+        assert Label("x") != "x"
+        assert Tuple([]) != ()
+
+    @given(term=_term_strategy())
+    @settings(max_examples=50, deadline=None)
+    def test_immutable(self, term):
+        for name in ("value", "text", "items", "other"):
+            with pytest.raises(AttributeError):
+                setattr(term, name, b"")
+            with pytest.raises(AttributeError):
+                delattr(term, name)
+        assert decode(encode(term)) == term
+        assert copy.deepcopy(term) == term
+
+    @given(term=_term_strategy())
+    @settings(max_examples=50, deadline=None)
+    def test_repr_is_constructor_form(self, term):
+        assert eval(repr(term), {"Atom": Atom, "Label": Label, "Tuple": Tuple}) == term
+
+    def test_repr_layout(self):
+        term = Tuple([Atom(b"\x00a"), Label("l"), Tuple([])])
+        assert repr(term) == "Tuple(items=(Atom(value=b'\\x00a'), Label(text='l'), Tuple(items=())))"
+
+
+class TestMayDecode:
+    """may_decode is False only where decode must raise."""
+
+    @given(
+        data=st.one_of(
+            st.binary(max_size=48),
+            st.tuples(st.sampled_from(b"\x01\x02\x03\x07"), st.integers(0, 40), st.binary(max_size=40)).map(
+                lambda h: bytes([h[0]]) + h[1].to_bytes(4, "big") + h[2]
+            ),
+            st.tuples(_term_strategy(), st.integers(-6, 3)).map(
+                lambda c: encode(c[0])[: c[1]] if c[1] < 0 else encode(c[0]) + b"\x00" * c[1]
+            ),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_false_implies_decode_raises(self, data):
+        if not may_decode(data):
+            with pytest.raises(MalformedEncoding):
+                decode(data)
+
+    @given(term=_term_strategy())
+    @settings(max_examples=100, deadline=None)
+    def test_true_for_every_encoding(self, term):
+        assert may_decode(encode(term))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"\x01\x00\x00\x00",
+            b"\x07\x00\x00\x00\x00",
+            b"\x00\x00\x00\x00\x00",
+            encode(Atom(b"abc"))[:-1],
+            encode(Atom(b"abc")) + b"\x00",
+            encode(Label("abc")) + b"\x00",
+        ],
+    )
+    def test_rejects_bad_headers(self, data):
+        assert not may_decode(data)
+        with pytest.raises(MalformedEncoding):
+            decode(data)

@@ -27,6 +27,17 @@ def test_encoded_atoms_decode():
     assert k.knows(Atom(b"\x01" * 32))
 
 
+def test_key_sized_encoding_still_decodes():
+    """The decode guard skips no parsable atom, even a key-sized one."""
+    inner = Atom(b"\x00" * 27)
+    outer = Atom(encode(inner))
+    assert len(outer.value) == 32
+    k = AdversaryKnowledge()
+    k.observe(outer)
+    k.analyze()
+    assert k.knows(inner)
+
+
 def test_trial_decryption_with_known_key():
     rng = Rng(91)
     key = crypto.fresh_key(rng)
@@ -239,6 +250,33 @@ class TestDerivable:
         k.observe(term)
         k.analyze()
         assert k.derivable(Atom(crypto.digest(term)))
+
+    def test_digest_of_unobserved_tuple_not_derivable(self):
+        """The digest rule deliberately under-approximates the adversary.
+
+        The Tuple is derivable from its known parts, but only digests of
+        known terms count, so its digest is not derivable.
+        """
+        k = AdversaryKnowledge()
+        k.observe(Atom(b"a"))
+        k.observe(Atom(b"b"))
+        k.analyze()
+        preimage = Tuple([Atom(b"a"), Atom(b"b")])
+        assert k.derivable(preimage)
+        assert not k.derivable(Atom(crypto.digest(preimage)))
+
+    def test_only_digest_sized_atoms_consult_the_digest_index(self, monkeypatch):
+        calls = []
+        digest = crypto.digest
+        monkeypatch.setattr(crypto, "digest", lambda term: calls.append(term) or digest(term))
+        k = AdversaryKnowledge()
+        k.observe(Tuple([Atom(b"a"), Atom(b"b")]))
+        k.analyze()
+        assert not k.derivable(Atom(b"\xfe" * 31))
+        assert not k.derivable(Atom(b"\xfe" * 33))
+        assert calls == []
+        assert not k.derivable(Atom(b"\xfe" * crypto.DIGEST_LEN))
+        assert calls == k.terms_list()
 
     def test_fresh_randomness_not_derivable(self):
         k = AdversaryKnowledge()
