@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, files, output text."""
 
+import hashlib
 import json
 
 import pytest
@@ -46,6 +47,11 @@ def test_run_deterministic_output(tmp_path):
 def bundle_path(tmp_path):
     main(["run", "honest", "--seed", "7", "--out", str(tmp_path)])
     return tmp_path / "honest-seed7.bundle.json"
+
+
+def test_bundle_file_bytes_pinned(bundle_path):
+    digest = hashlib.sha256(bundle_path.read_bytes()).hexdigest()
+    assert digest == "91b5b7f0b23de9f5fb19ee57062b09e311c601c7ada44a0d4aa527eb92bd466d"
 
 
 class TestVerify:
