@@ -23,11 +23,16 @@ may_decode is decode's header check without the exceptions: it answers
 False only for bytes that decode must reject, so a caller holding many
 opaque atoms (keys, digests, signatures) can skip most of them without
 raising MalformedEncoding once per atom.
+
+Message is the one rule from a protocol message to its term: a Tuple
+that starts with Label(TAG) when the class sets TAG, then carries every
+dataclass field in declaration order, each as its annotation says.
 """
 
 from __future__ import annotations
 
 import struct
+import typing
 
 _T_ATOM = 0x01
 _T_LABEL = 0x02
@@ -236,6 +241,73 @@ def may_decode(data: bytes) -> bool:
     if kind == _T_ATOM or kind == _T_LABEL:
         return length == len(data) - _HEADER_LEN
     return False
+
+
+class Message:
+    """Base of the protocol messages: one term layout, stated once.
+
+    A subclass is a dataclass. Its term form is a Tuple of Label(TAG),
+    when the class sets TAG, followed by every field in declaration order.
+    A field's annotation sets how it travels: bytes as an Atom of those
+    bytes, Atom as that Atom, Term as any term, and a Message subclass
+    in its own term form. from_term raises ValueError for any other
+    shape, nested messages included. Field kinds are resolved once, when
+    the subclass is defined.
+    """
+
+    #: Label text the term form starts with; None for no tag.
+    TAG = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        hints = typing.get_type_hints(cls)
+        layout = []
+        for name in cls.__dict__.get("__annotations__", {}):
+            kind = hints[name]
+            if kind == Term:
+                kind = Term
+            elif not (
+                kind is bytes
+                or kind is Atom
+                or (isinstance(kind, type) and issubclass(kind, Message))
+            ):
+                raise TypeError(f"{cls.__name__}.{name}: not a message field kind")
+            layout.append((name, kind))
+        cls._layout = tuple(layout)
+        cls._head = () if cls.TAG is None else (Label(cls.TAG),)
+
+    def to_term(self) -> Tuple:
+        items = list(self._head)
+        for name, kind in self._layout:
+            value = getattr(self, name)
+            if kind is bytes:
+                value = Atom(value)
+            elif kind is not Atom and kind is not Term:
+                value = value.to_term()
+            items.append(value)
+        return Tuple(items)
+
+    @classmethod
+    def from_term(cls, term: Term):
+        head = cls._head
+        if not isinstance(term, Tuple) or len(term.items) != len(head) + len(cls._layout):
+            raise ValueError(f"not a {cls.__name__} term")
+        items = term.items
+        if head:
+            if items[0] != head[0]:
+                raise ValueError(f"not a {cls.__name__} term")
+            items = items[1:]
+        values = []
+        for (_, kind), item in zip(cls._layout, items):
+            if kind is bytes or kind is Atom:
+                if item.__class__ is not Atom:
+                    raise ValueError(f"not a {cls.__name__} term")
+                if kind is bytes:
+                    item = item.value
+            elif kind is not Term:
+                item = kind.from_term(item)
+            values.append(item)
+        return cls(*values)
 
 
 def to_hex(term: Term) -> str:

@@ -47,32 +47,27 @@ class CompromiseMask:
     """Which compromise moves a fuzz run may perform.
 
     The designated platforms are sgx0 (owner host) and sev0 (deployment
-    target). Key hex strings grant compromise of one specific platform
-    regardless of the designated/other split.
+    target). The other platforms' keys may always be compromised. Key hex
+    strings grant compromise of one specific platform regardless of the
+    designated/other split.
     """
 
     intel_rot: bool = False
     amd_rot: bool = False
     designated_qe: bool = False
-    other_qe: bool = True
     designated_psp: bool = False
-    other_psp: bool = True
     qe_ppids: frozenset = frozenset()
     psp_ids: frozenset = frozenset()
 
     def allows_qe(self, world: World, platform) -> bool:
-        if platform.ppid.hex() in self.qe_ppids:
+        if platform is not world.sgx_platforms[0]:
             return True
-        if platform is world.sgx_platforms[0]:
-            return self.designated_qe
-        return self.other_qe
+        return self.designated_qe or platform.ppid.hex() in self.qe_ppids
 
     def allows_psp(self, world: World, platform) -> bool:
-        if platform.psp_sn.public.hex() in self.psp_ids:
+        if platform is not world.sev_platforms[0]:
             return True
-        if platform is world.sev_platforms[0]:
-            return self.designated_psp
-        return self.other_psp
+        return self.designated_psp or platform.psp_sn.public.hex() in self.psp_ids
 
 
 DEFAULT_MASK = CompromiseMask()
@@ -82,7 +77,9 @@ def parse_compromise_flags(flags: list[str]) -> CompromiseMask:
     """Build a mask from repeatable --allow-compromise values.
 
     Accepted: intel_rot, amd_rot, qe:designated, qe:other, qe:<ppid hex>,
-    psp:designated, psp:other, psp:<key hex>. Flags only ever grant.
+    psp:designated, psp:other, psp:<key hex>. Flags only ever grant, and
+    the other platforms are always granted, so qe:other and psp:other
+    are accepted no-ops.
     """
     kwargs: dict = {"qe_ppids": set(), "psp_ids": set()}
     for flag in flags:
@@ -94,17 +91,13 @@ def parse_compromise_flags(flags: list[str]) -> CompromiseMask:
             rest = flag[3:]
             if rest == "designated":
                 kwargs["designated_qe"] = True
-            elif rest == "other":
-                kwargs["other_qe"] = True
-            else:
+            elif rest != "other":
                 kwargs["qe_ppids"].add(_hex_or_raise(rest, flag))
         elif flag.startswith("psp:"):
             rest = flag[4:]
             if rest == "designated":
                 kwargs["designated_psp"] = True
-            elif rest == "other":
-                kwargs["other_psp"] = True
-            else:
+            elif rest != "other":
                 kwargs["psp_ids"].add(_hex_or_raise(rest, flag))
         else:
             raise ValueError(f"unknown compromise flag: {flag!r}")

@@ -31,7 +31,13 @@ from ..codec import TAG_TRANSPORT_KEYS, Atom, Label, Term, Tuple
 from ..crypto import DecryptionFailure, InvalidPublicElement, Rng
 from ..guest import DESIGNATED_VM_CODE, GuestNotRunning, GuestRuntime
 from ..owner import TrustedOwner
-from ..relying_party import EvidenceBundle, Verdict, VerificationInput, rp_verify_vm_quote
+from ..relying_party import (
+    REASON_MALFORMED,
+    EvidenceBundle,
+    Verdict,
+    VerificationInput,
+    rp_verify_vm_quote,
+)
 from ..sev import (
     DeployPackage,
     MacVerificationFailed,
@@ -219,8 +225,7 @@ class World:
         self.drain_owner(owner, name)
         if result is None:
             self.transition(name, "owner_provision_refused", error="guard")
-            return None
-        return SecretPackage(blob_p=result.blob_p, mac_p=result.mac_p)
+        return result
 
     def recv_report_request(
         self, owner: TrustedOwner, name: str, host: SgxPlatform, term: Term
@@ -249,8 +254,8 @@ class World:
         try:
             bundle = EvidenceBundle.from_term(term)
         except ValueError:
-            self.record(KIND_VERDICT, accept=False, reason="malformed")
-            return Verdict(accept=False, reason="malformed")
+            self.record(KIND_VERDICT, accept=False, reason=REASON_MALFORMED)
+            return Verdict(accept=False, reason=REASON_MALFORMED)
         vin = bundle.verification_input(self.intel_rot.public, OWNER_ENCLAVE_MEASUREMENT)
         verdict = rp_verify_vm_quote(vin)
         self.record(

@@ -32,7 +32,7 @@ from .codec import (
     encode,
 )
 from .crypto import InvalidPublicElement, Rng
-from .sev import Measurement, SevPlatformCert
+from .sev import Measurement, SecretPackage, SevPlatformCert
 from .sgx import LocalReport, SgxPlatform
 
 PHASE_INIT = "INIT"
@@ -47,14 +47,6 @@ class DeployResult:
     go_sn_pb: bytes
     blob_d: bytes
     mac_d: bytes
-
-
-@dataclass(frozen=True)
-class ProvisionResult:
-    """Wrapped guest secret plus its measurement-binding MAC."""
-
-    blob_p: bytes
-    mac_p: bytes
 
 
 def report_data_preimage(psp_id: bytes, msr: Measurement, vmdata: Term) -> Term:
@@ -131,7 +123,7 @@ class TrustedOwner:
         )
         return DeployResult(go_sn_pb=go_sn.public, blob_d=blob_d, mac_d=mac_d)
 
-    def provision_vm(self, msr: Measurement, mac_ti: bytes) -> ProvisionResult | None:
+    def provision_vm(self, msr: Measurement, mac_ti: bytes) -> SecretPackage | None:
         """Release the guest secret against a matching measurement.
 
         Accepts only in DEPLOYED, only a measurement MACed under this
@@ -150,7 +142,7 @@ class TrustedOwner:
         cik = crypto.fresh_key(self._rng)
         blob_p = crypto.encrypt(Atom(cik), self._tek, self._rng)
         mac_p = crypto.mac(Tuple([msr.to_term(), Atom(blob_p)]), self._tik)
-        result = ProvisionResult(blob_p=blob_p, mac_p=mac_p)
+        result = SecretPackage(blob_p=blob_p, mac_p=mac_p)
         self._msr = msr
         self._cik = cik
         self._tek = None

@@ -14,17 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codec import Atom, Term, Tuple, from_hex, to_hex
+from .codec import Atom, Message, Term, Tuple, from_hex, to_hex
 from .owner import report_data_preimage
 from .sev import Measurement
-from .sgx import Quote, SgxPlatformCert, quote_check_failure
+from .sgx import (  # the REASON_* names are re-exported for callers
+    REASON_CERT_SIG,
+    REASON_DATA_MISMATCH,
+    REASON_MALFORMED,
+    REASON_MSR_MISMATCH,
+    REASON_QUOTE_SIG,
+    Quote,
+    SgxPlatformCert,
+    quote_check_failure,
+)
 from . import crypto
-
-REASON_CERT_SIG = "cert-sig"
-REASON_QUOTE_SIG = "quote-sig"
-REASON_MSR_MISMATCH = "msr-mismatch"
-REASON_DATA_MISMATCH = "data-mismatch"
-REASON_MALFORMED = "malformed"
 
 
 @dataclass(frozen=True)
@@ -45,13 +48,14 @@ class VerificationInput:
 
 
 @dataclass(frozen=True)
-class EvidenceBundle:
+class EvidenceBundle(Message):
     """The five pieces of evidence a verdict judges.
 
-    Term form: Tuple([quote, sgx_cert, Atom(pspid), vmmsr, vmdata]).
-    JSON form: the same five fields, each the hex of its canonical term
-    encoding except pspid, which is the raw key in hex. Both round-trip
-    losslessly, and the JSON form is parsed through the term form.
+    Term form: Tuple([quote, sgx_cert, Atom(pspid), vmmsr, vmdata]), by
+    the Message layout. JSON form: the same five fields, pspid as its raw
+    bytes in hex and every other field as the hex of its canonical term
+    encoding. Both round-trip losslessly, and the JSON form is parsed
+    through the term form.
     """
 
     quote: Quote
@@ -60,48 +64,19 @@ class EvidenceBundle:
     vmmsr: Measurement
     vmdata: Term
 
-    def to_term(self) -> Term:
-        return Tuple(
-            [
-                self.quote.to_term(),
-                self.sgx_cert.to_term(),
-                Atom(self.pspid),
-                self.vmmsr.to_term(),
-                self.vmdata,
-            ]
-        )
-
-    @staticmethod
-    def from_term(term: Term) -> "EvidenceBundle":
-        if not isinstance(term, Tuple) or len(term) != 5 or not isinstance(term.items[2], Atom):
-            raise ValueError("not an evidence bundle term")
-        return EvidenceBundle(
-            quote=Quote.from_term(term.items[0]),
-            sgx_cert=SgxPlatformCert.from_term(term.items[1]),
-            pspid=term.items[2].value,
-            vmmsr=Measurement.from_term(term.items[3]),
-            vmdata=term.items[4],
-        )
-
     def to_json_obj(self) -> dict:
         return {
-            "quote": to_hex(self.quote.to_term()),
-            "sgx_cert": to_hex(self.sgx_cert.to_term()),
-            "pspid": self.pspid.hex(),
-            "vmmsr": to_hex(self.vmmsr.to_term()),
-            "vmdata": to_hex(self.vmdata),
+            name: item.value.hex() if kind is bytes else to_hex(item)
+            for (name, kind), item in zip(self._layout, self.to_term().items)
         }
 
-    @staticmethod
-    def from_json_obj(obj: dict) -> "EvidenceBundle":
-        return EvidenceBundle.from_term(
+    @classmethod
+    def from_json_obj(cls, obj: dict) -> "EvidenceBundle":
+        return cls.from_term(
             Tuple(
                 [
-                    from_hex(obj["quote"]),
-                    from_hex(obj["sgx_cert"]),
-                    Atom(bytes.fromhex(obj["pspid"])),
-                    from_hex(obj["vmmsr"]),
-                    from_hex(obj["vmdata"]),
+                    Atom(bytes.fromhex(obj[name])) if kind is bytes else from_hex(obj[name])
+                    for name, kind in cls._layout
                 ]
             )
         )

@@ -22,6 +22,7 @@ from .codec import (
     TAG_TRANSPORT_KEYS,
     Atom,
     Label,
+    Message,
     Term,
     Tuple,
 )
@@ -44,7 +45,7 @@ class NoMeasuredSession(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SevPlatformCert:
+class SevPlatformCert(Message):
     """Root-signed PSP key. sig_ar signs Tuple([Atom(psp_sn_pb)]).
 
     Deliberately binds no platform identity beyond the key itself: the
@@ -56,19 +57,6 @@ class SevPlatformCert:
 
     def payload(self) -> Term:
         return cert_payload(self.psp_sn_pb)
-
-    def to_term(self) -> Term:
-        return Tuple([Atom(self.psp_sn_pb), Atom(self.sig_ar)])
-
-    @staticmethod
-    def from_term(term: Term) -> "SevPlatformCert":
-        if (
-            not isinstance(term, Tuple)
-            or len(term) != 2
-            or not all(isinstance(i, Atom) for i in term.items)
-        ):
-            raise ValueError("not a PSP certificate term")
-        return SevPlatformCert(psp_sn_pb=term.items[0].value, sig_ar=term.items[1].value)
 
 
 def cert_payload(psp_sn_pb: bytes) -> Term:
@@ -98,7 +86,7 @@ def amd_rot_certify(rot: AmdRot, psp_sn_pb: bytes) -> SevPlatformCert:
 
 
 @dataclass(frozen=True)
-class DeployPackage:
+class DeployPackage(Message):
     """Everything the deploying party hands the platform.
 
     go_sn_pb: deployer's negotiation element. blob_d: transport keys
@@ -112,27 +100,9 @@ class DeployPackage:
     mac_d: bytes
     vmc: Atom
 
-    def to_term(self) -> Term:
-        return Tuple([Atom(self.go_sn_pb), Atom(self.blob_d), Atom(self.mac_d), self.vmc])
-
-    @staticmethod
-    def from_term(term: Term) -> "DeployPackage":
-        if (
-            not isinstance(term, Tuple)
-            or len(term) != 4
-            or not all(isinstance(i, Atom) for i in term.items)
-        ):
-            raise ValueError("not a deploy package term")
-        return DeployPackage(
-            go_sn_pb=term.items[0].value,
-            blob_d=term.items[1].value,
-            mac_d=term.items[2].value,
-            vmc=term.items[3],
-        )
-
 
 @dataclass(frozen=True)
-class Measurement:
+class Measurement(Message):
     """Launch measurement: platform state, code digest, fresh nonce."""
 
     plat_sev: Atom
@@ -140,47 +110,17 @@ class Measurement:
     dig: bytes
     nonce: bytes
 
-    def to_term(self) -> Term:
-        return Tuple([self.plat_sev, self.launch_sev, Atom(self.dig), Atom(self.nonce)])
-
-    @staticmethod
-    def from_term(term: Term) -> "Measurement":
-        if (
-            not isinstance(term, Tuple)
-            or len(term) != 4
-            or not all(isinstance(i, Atom) for i in term.items)
-        ):
-            raise ValueError("not a measurement term")
-        return Measurement(
-            plat_sev=term.items[0],
-            launch_sev=term.items[1],
-            dig=term.items[2].value,
-            nonce=term.items[3].value,
-        )
-
 
 @dataclass(frozen=True)
-class MeasurementPackage:
+class MeasurementPackage(Message):
     """Measurement plus its MAC under the transport integrity key."""
 
     msr: Measurement
     mac_ti: bytes
 
-    def to_term(self) -> Term:
-        return Tuple([self.msr.to_term(), Atom(self.mac_ti)])
-
-    @staticmethod
-    def from_term(term: Term) -> "MeasurementPackage":
-        if not isinstance(term, Tuple) or len(term) != 2 or not isinstance(term.items[1], Atom):
-            raise ValueError("not a measurement package term")
-        return MeasurementPackage(
-            msr=Measurement.from_term(term.items[0]),
-            mac_ti=term.items[1].value,
-        )
-
 
 @dataclass(frozen=True)
-class SecretPackage:
+class SecretPackage(Message):
     """Wrapped guest secret, MAC-bound to the exact measurement.
 
     mac_p signs Tuple([msr.to_term(), Atom(blob_p)]).
@@ -188,19 +128,6 @@ class SecretPackage:
 
     blob_p: bytes
     mac_p: bytes
-
-    def to_term(self) -> Term:
-        return Tuple([Atom(self.blob_p), Atom(self.mac_p)])
-
-    @staticmethod
-    def from_term(term: Term) -> "SecretPackage":
-        if (
-            not isinstance(term, Tuple)
-            or len(term) != 2
-            or not all(isinstance(i, Atom) for i in term.items)
-        ):
-            raise ValueError("not a secret package term")
-        return SecretPackage(blob_p=term.items[0].value, mac_p=term.items[1].value)
 
 
 @dataclass

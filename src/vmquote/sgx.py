@@ -20,6 +20,7 @@ from .codec import (
     TAG_SGX_QUOTE,
     Atom,
     Label,
+    Message,
     Term,
     Tuple,
 )
@@ -32,6 +33,13 @@ PLAT_INFO_LEN = 8
 #: value, and the simulator refuses to hand the adversary quotes for it.
 OWNER_ENCLAVE_MEASUREMENT = Label(TAG_OWNER_ENCLAVE_MEASUREMENT)
 
+#: Reasons quote_check_failure gives for a rejected quote chain.
+REASON_CERT_SIG = "cert-sig"
+REASON_QUOTE_SIG = "quote-sig"
+REASON_MSR_MISMATCH = "msr-mismatch"
+REASON_DATA_MISMATCH = "data-mismatch"
+REASON_MALFORMED = "malformed"
+
 
 class EnclaveNotLoaded(RuntimeError):
     """ereport requested for a measurement not loaded on this platform."""
@@ -42,11 +50,13 @@ class ForeignReport(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SgxPlatformCert:
+class SgxPlatformCert(Message):
     """Root-signed binding of a quoting key to a platform identity.
 
     sig_ir signs Tuple([Label(tag), Atom(qek_pb), Atom(ppid)]).
     """
+
+    TAG = TAG_SGX_PLATFORM_CERT
 
     qek_pb: bytes
     ppid: bytes
@@ -54,31 +64,6 @@ class SgxPlatformCert:
 
     def payload(self) -> Term:
         return cert_payload(self.qek_pb, self.ppid)
-
-    def to_term(self) -> Term:
-        return Tuple(
-            [
-                Label(TAG_SGX_PLATFORM_CERT),
-                Atom(self.qek_pb),
-                Atom(self.ppid),
-                Atom(self.sig_ir),
-            ]
-        )
-
-    @staticmethod
-    def from_term(term: Term) -> "SgxPlatformCert":
-        if (
-            not isinstance(term, Tuple)
-            or len(term) != 4
-            or term.items[0] != Label(TAG_SGX_PLATFORM_CERT)
-            or not all(isinstance(i, Atom) for i in term.items[1:])
-        ):
-            raise ValueError("not a platform certificate term")
-        return SgxPlatformCert(
-            qek_pb=term.items[1].value,
-            ppid=term.items[2].value,
-            sig_ir=term.items[3].value,
-        )
 
 
 def cert_payload(qek_pb: bytes, ppid: bytes) -> Term:
@@ -121,11 +106,13 @@ class LocalReport:
 
 
 @dataclass(frozen=True)
-class Quote:
+class Quote(Message):
     """Remotely verifiable quote signed by the platform's quoting key.
 
     sig signs Tuple([Label(tag), msr, plat, data]).
     """
+
+    TAG = TAG_SGX_QUOTE
 
     msr: Term
     plat: Atom
@@ -134,26 +121,6 @@ class Quote:
 
     def payload(self) -> Term:
         return quote_payload(self.msr, self.plat, self.data)
-
-    def to_term(self) -> Term:
-        return Tuple([Label(TAG_SGX_QUOTE), self.msr, self.plat, self.data, Atom(self.sig)])
-
-    @staticmethod
-    def from_term(term: Term) -> "Quote":
-        if (
-            not isinstance(term, Tuple)
-            or len(term) != 5
-            or term.items[0] != Label(TAG_SGX_QUOTE)
-            or not isinstance(term.items[2], Atom)
-            or not isinstance(term.items[4], Atom)
-        ):
-            raise ValueError("not a quote term")
-        return Quote(
-            msr=term.items[1],
-            plat=term.items[2],
-            data=term.items[3],
-            sig=term.items[4].value,
-        )
 
 
 def quote_payload(msr: Term, plat: Atom, data: Term) -> Term:
@@ -238,16 +205,16 @@ def quote_check_failure(
     """
     try:
         if not crypto.verify(cert.payload(), cert.sig_ir, intel_pk):
-            return "cert-sig"
+            return REASON_CERT_SIG
         if not crypto.verify(quote.payload(), quote.sig, cert.qek_pb):
-            return "quote-sig"
+            return REASON_QUOTE_SIG
         if quote.msr != msr_exp:
-            return "msr-mismatch"
+            return REASON_MSR_MISMATCH
         if quote.data != data_exp:
-            return "data-mismatch"
+            return REASON_DATA_MISMATCH
         return None
     except Exception:
-        return "malformed"
+        return REASON_MALFORMED
 
 
 def verify_quote(

@@ -108,7 +108,9 @@ class TestMask:
             ["intel_rot", "amd_rot", "qe:designated", "psp:designated", "psp:other"]
         )
         assert mask.intel_rot and mask.amd_rot
-        assert mask.designated_qe and mask.designated_psp and mask.other_psp
+        assert mask.designated_qe and mask.designated_psp
+        world = World(seed=1)
+        assert mask.allows_psp(world, world.sev_platforms[1])
 
     def test_parse_rejects_unknown_flag(self):
         with pytest.raises(ValueError):
