@@ -293,12 +293,10 @@ class Message:
         if not isinstance(term, Tuple) or len(term.items) != len(head) + len(cls._layout):
             raise ValueError(f"not a {cls.__name__} term")
         items = term.items
-        if head:
-            if items[0] != head[0]:
-                raise ValueError(f"not a {cls.__name__} term")
-            items = items[1:]
+        if head and items[0] != head[0]:
+            raise ValueError(f"not a {cls.__name__} term")
         values = []
-        for (_, kind), item in zip(cls._layout, items):
+        for (_, kind), item in zip(cls._layout, items[len(head) :]):
             if kind is bytes or kind is Atom:
                 if item.__class__ is not Atom:
                     raise ValueError(f"not a {cls.__name__} term")
