@@ -8,13 +8,23 @@ monotonic counter standing in for a timestamp.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from . import crypto
-from .codec import TAG_GUEST_REPORT, Atom, Label, Term, Tuple
+from .codec import TAG_GUEST_REPORT, Atom, Label, Message, Term, Tuple
 from .sev import GuestSession
 
 #: Code of the designated guest workload; its digest is the launch digest
 #: the owner commits to and the one the secrecy property singles out.
 DESIGNATED_VM_CODE = Atom(b"burrito_guest_vm")
+
+
+@dataclass(frozen=True)
+class ReportRequest(Message):
+    """A guest's payload for the owner to vouch for, MAC'd under its channel key."""
+
+    vmdata: Term
+    tag: bytes
 
 
 class GuestNotRunning(RuntimeError):
@@ -40,8 +50,8 @@ class GuestRuntime:
         self.clock += 1
         return Tuple([Label(TAG_GUEST_REPORT), Atom(self.clock.to_bytes(8, "big"))])
 
-    def request_report(self, payload: Term) -> tuple:
-        """MAC a payload for the owner. Returns (payload, tag)."""
+    def request_report(self, payload: Term) -> ReportRequest:
+        """MAC a payload for the owner."""
         if not self._session.running:
             raise GuestNotRunning("session is not running")
-        return payload, crypto.mac(payload, self._cik)
+        return ReportRequest(vmdata=payload, tag=crypto.mac(payload, self._cik))

@@ -1,14 +1,19 @@
-"""Randomized adversary schedules: bounded falsification pressure.
+"""Adversary moves as data, their one interpreter, and the fuzzer.
 
-Each fuzz run builds a fresh world, interleaves a fixed budget of
-adversary moves with the honest pipeline, lets the honest parties finish
-whatever protocol is left, then closes the adversary knowledge and
-checks all three properties. Moves cover the Dolev-Yao repertoire:
+A Move is one adversary action with every choice already made. apply
+performs a move on a World and its honest Pipeline and is the only code
+that does; run_schedule applies a sequence of moves and returns the ones
+it applied, the run's schedule. A schedule replays on a fresh world of
+the same seed without any move Rng, to the same trace.
+
+The fuzzer is a move generator. fuzz_moves draws each move from its own
+Rng against the world the last move left, over the Dolev-Yao repertoire:
 advancing or starving honest steps, tampering, dropping, injecting
 knowledge-built terms at every receiving end, mask-permitted
-compromises, quote requests for adversary enclaves, running the
-adversary's own guest deployments, extracting non-designated guest
-secrets, and outright forgery with stolen signing keys.
+compromises, quote requests for adversary enclaves, the adversary's own
+guest deployments, extraction of non-designated guest secrets, and
+forgery with stolen signing keys. fuzz_adversary applies its moves and
+lets the honest parties finish.
 
 The compromise mask is the threat-model knob: the default forbids
 touching the designated platforms' keys and both roots of trust, which
@@ -19,14 +24,20 @@ unconditionally.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from ..codec import Atom, Term, Tuple
+from .. import sgx
+from ..codec import Atom, Tuple
 from ..crypto import Rng
+from ..guest import DESIGNATED_VM_CODE, ReportRequest
+from ..owner import report_data_preimage
+from ..relying_party import EvidenceBundle
+from ..sev import Measurement
+from ..sgx import OWNER_ENCLAVE_MEASUREMENT, quote_payload
 from .events import KIND_VERDICT, Trace
 from .knowledge import CLOSURE_COUNTERS
 from .properties import PROPERTY_IDS, check_all
-from .scenarios import forge_accepting_bundle, forge_sgx_cert
 from .world import Pipeline, World
 
 _MOVE_SEED_TWEAK = 0x9E3779B9
@@ -114,154 +125,269 @@ def _hex_or_raise(text: str, flag: str) -> str:
     return text.lower()
 
 
-# ---- individual moves ---------------------------------------------------
+# ---- moves and their interpreter ----------------------------------------
 
 
-def _move_advance(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> None:
-    pipe.advance()
+@dataclass(frozen=True)
+class Move:
+    """One adversary action with every choice already made.
+
+    kind names the action, args hold its choices: an item path, byte and
+    bit for a flip, platform indices, terms and lengths. Fresh values are
+    named only by their length; apply mints them from the world's Rng.
+    """
+
+    kind: str
+    args: tuple = ()
 
 
-def _move_tamper(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> None:
-    term = pipe.in_flight
-    if not isinstance(term, Tuple) or len(term) == 0:
-        return
-    style = mv.randrange(3)
-    items = list(term.items)
-    if style == 0:
-        atom_indices = [
-            i for i, it in enumerate(items) if isinstance(it, Atom) and len(it.value) > 0
-        ]
-        if not atom_indices:
-            return
-        idx = mv.choice(atom_indices)
-        value = bytearray(items[idx].value)
-        value[mv.randrange(len(value))] ^= 1 << mv.randrange(8)
-        items[idx] = Atom(bytes(value))
-    elif style == 1:
-        items[mv.randrange(len(items))] = mv.choice(world.knowledge.terms_list())
-    else:
-        items.pop()
-    world.adversary_tamper(pipe, Tuple(items))
-
-
-def _move_drop(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> None:
-    if pipe.in_flight is not None:
-        world.adversary_drop(pipe)
-
-
-def _move_inject(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> None:
-    style = mv.randrange(3)
-    if style == 0:
-        term: Term = mv.choice(world.knowledge.terms_list())
-    elif style == 1:
-        parts = [
-            mv.choice(world.knowledge.terms_list()) for _ in range(2 + mv.randrange(3))
-        ]
-        term = Tuple(parts)
-    else:
-        term = Atom(world.adversary_fresh(mv.choice([16, 32, 64])))
-    world.deliver(mv.choice(list(_INJECT_TARGETS)), term)
-
-
-def _move_compromise(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> None:
-    options = []
-    taken = world.compromised
-    if mask.intel_rot and not taken.intel:
-        options.append(("intel", None))
-    if mask.amd_rot and not taken.amd:
-        options.append(("amd", None))
-    for plat in world.sgx_platforms:
-        if plat.ppid.hex() not in taken.qe_ppids and mask.allows_qe(world, plat):
-            options.append(("qe", plat))
-    for plat in world.sev_platforms:
-        if plat.psp_sn.public.hex() not in taken.psp_ids and mask.allows_psp(world, plat):
-            options.append(("psp", plat))
-    if not options:
-        return
-    kind, plat = mv.choice(options)
-    if kind == "intel":
-        world.compromise_intel_rot()
-    elif kind == "amd":
-        world.compromise_amd_rot()
-    elif kind == "qe":
-        world.compromise_sgx_qe(plat)
-    else:
-        world.compromise_sev_psp(plat)
-
-
-def _move_request_quote(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> None:
-    platform = mv.choice(world.sgx_platforms)
-    msr = Atom(world.adversary_fresh(16))
-    data = Atom(world.adversary_fresh(mv.choice([8, 32])))
-    world.adversary_request_quote(platform, msr, data)
-
-
-def _move_own_deploy(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> None:
-    free = [p for p in world.sev_platforms if p.session is None]
-    if not free:
-        return
-    code = Atom(b"fuzz workload " + world.adversary_fresh(4))
-    world.adversary_own_deploy(mv.choice(free), code)
-
-
-def _move_extract(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> None:
-    candidates = [
-        p
-        for p in world.sev_platforms
-        if p.session is not None
-        and p.session.running
-        and p.session.dig != world.designated_dig
-    ]
-    if not candidates:
-        return
-    world.adversary_extract_sev_secret(mv.choice(candidates))
-
-
-def _move_forge_bundle(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> None:
-    options = []
-    if world.compromised.intel:
-        options.append(("intel", None))
-    for plat in world.sgx_platforms:
-        if plat.ppid.hex() in world.compromised.qe_ppids:
-            options.append(("qe", plat))
-    if not options:
-        return
-    kind, plat = mv.choice(options)
-    if kind == "intel":
-        cert, key = forge_sgx_cert(world)
-    else:
-        cert, key = plat.cert, plat.qek.private
-    world.deliver("rp_bundle", forge_accepting_bundle(world, cert, key).to_term())
-
-
-def _move_forge_request(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> None:
-    vmdata = Atom(world.adversary_fresh(16))
-    tag = Atom(world.adversary_fresh(32))
-    world.deliver("owner_report", Tuple([vmdata, tag]))
-
-
-_MOVES = (
-    (10, _move_advance),
-    (2, _move_tamper),
-    (1, _move_drop),
-    (3, _move_inject),
-    (2, _move_compromise),
-    (2, _move_request_quote),
-    (1, _move_own_deploy),
-    (1, _move_extract),
-    (2, _move_forge_bundle),
-    (1, _move_forge_request),
+#: Every kind apply performs, with its args.
+MOVE_KINDS = (
+    "advance",  # the honest pipeline takes one step
+    "finish",  # the honest pipeline runs to completion
+    "flip",  # (item path, byte, bit) in the in-flight message
+    "replace",  # (item index, term) in the in-flight message
+    "truncate",  # the in-flight message loses its last item
+    "drop",  # the in-flight message is lost
+    "inject",  # (deliver target, term)
+    "inject_fresh",  # (deliver target, length) of a fresh atom
+    "compromise",  # ("intel" | "amd" | "qe" | "psp", platform index or None)
+    "request_quote",  # (sgx index, report data length) for an adversary enclave
+    "own_deploy",  # (sev index,) of a free platform
+    "extract",  # (sev index,) of a running non-designated guest
+    "forge_bundle",  # (sgx index whose quoting key is stolen, or None for the Intel root,)
+    "forge_request",  # (vmdata length,) of a report request under a fresh tag
 )
-_TOTAL_WEIGHT = sum(w for w, _ in _MOVES)
 
 
-def _pick_move(mv: Rng):
-    roll = mv.randrange(_TOTAL_WEIGHT)
-    for weight, move in _MOVES:
-        if roll < weight:
-            return move
-        roll -= weight
-    raise AssertionError("unreachable")
+def forge_sgx_cert(world: World) -> tuple[sgx.SgxPlatformCert, bytes]:
+    """A platform certificate minted under the stolen Intel root key.
+
+    Returns the certificate and the private half of its fresh quoting key.
+    """
+    fake_qek = world.adversary_sig_keygen()
+    fake_ppid = world.adversary_fresh(sgx.PPID_LEN)
+    sig = world.adversary_sign(
+        sgx.cert_payload(fake_qek.public, fake_ppid), world.intel_rot.ltk.private
+    )
+    cert = sgx.SgxPlatformCert(qek_pb=fake_qek.public, ppid=fake_ppid, sig_ir=sig)
+    return cert, fake_qek.private
+
+
+def forge_accepting_bundle(
+    world: World, cert: sgx.SgxPlatformCert, qek_private: bytes
+) -> EvidenceBundle:
+    """Quote forged under a leaked or minted quoting key.
+
+    Fabricates a measurement for the designated digest, computes the
+    matching report data the way the owner would, and signs a quote
+    naming the owner-enclave measurement. Verifies cleanly whenever the
+    certificate chain checks out, precisely the situation the escape
+    clauses describe.
+    """
+    pspid = world.sev_platforms[0].psp_sn.public
+    msr = Measurement(
+        plat_sev=Atom(world.adversary_fresh(8)),
+        launch_sev=Atom(world.adversary_fresh(8)),
+        dig=world.adversary_digest(DESIGNATED_VM_CODE),
+        nonce=world.adversary_fresh(16),
+    )
+    vmdata = Atom(world.adversary_fresh(24))
+    rpdata = world.adversary_digest(report_data_preimage(pspid, msr, vmdata))
+    plat = Atom(world.adversary_fresh(8))
+    sig = world.adversary_sign(
+        quote_payload(OWNER_ENCLAVE_MEASUREMENT, plat, Atom(rpdata)), qek_private
+    )
+    quote = sgx.Quote(msr=OWNER_ENCLAVE_MEASUREMENT, plat=plat, data=Atom(rpdata), sig=sig)
+    return EvidenceBundle(quote=quote, sgx_cert=cert, pspid=pspid, vmmsr=msr, vmdata=vmdata)
+
+
+def _flipped(term: Tuple, path: tuple, byte: int, bit: int) -> Tuple:
+    """Copy of a tuple term with one bit of the atom at path flipped."""
+    items = list(term.items)
+    index = path[0]
+    if len(path) > 1:
+        items[index] = _flipped(items[index], path[1:], byte, bit)
+    else:
+        value = bytearray(items[index].value)
+        value[byte] ^= 1 << bit
+        items[index] = Atom(bytes(value))
+    return Tuple(items)
+
+
+def apply(world: World, pipe: Pipeline, move: Move) -> None:
+    """Perform one move on the world and its honest pipeline."""
+    kind, args = move.kind, move.args
+    if kind == "advance":
+        pipe.advance()
+    elif kind == "finish":
+        pipe.run_all()
+    elif kind == "flip":
+        world.adversary_tamper(pipe, _flipped(pipe.in_flight, *args))
+    elif kind == "replace":
+        index, term = args
+        items = list(pipe.in_flight.items)
+        items[index] = term
+        world.adversary_tamper(pipe, Tuple(items))
+    elif kind == "truncate":
+        world.adversary_tamper(pipe, Tuple(pipe.in_flight.items[:-1]))
+    elif kind == "drop":
+        world.adversary_drop(pipe)
+    elif kind == "inject":
+        world.deliver(*args)
+    elif kind == "inject_fresh":
+        target, length = args
+        world.deliver(target, Atom(world.adversary_fresh(length)))
+    elif kind == "compromise":
+        what, index = args
+        if what == "intel":
+            world.compromise_intel_rot()
+        elif what == "amd":
+            world.compromise_amd_rot()
+        elif what == "qe":
+            world.compromise_sgx_qe(world.sgx_platforms[index])
+        else:
+            world.compromise_sev_psp(world.sev_platforms[index])
+    elif kind == "request_quote":
+        index, length = args
+        msr = Atom(world.adversary_fresh(16))
+        data = Atom(world.adversary_fresh(length))
+        world.adversary_request_quote(world.sgx_platforms[index], msr, data)
+    elif kind == "own_deploy":
+        code = Atom(b"fuzz workload " + world.adversary_fresh(4))
+        world.adversary_own_deploy(world.sev_platforms[args[0]], code)
+    elif kind == "extract":
+        world.adversary_extract_sev_secret(world.sev_platforms[args[0]])
+    elif kind == "forge_bundle":
+        if args[0] is None:
+            cert, key = forge_sgx_cert(world)
+        else:
+            plat = world.sgx_platforms[args[0]]
+            cert, key = plat.cert, plat.qek.private
+        world.deliver("rp_bundle", forge_accepting_bundle(world, cert, key).to_term())
+    elif kind == "forge_request":
+        vmdata = Atom(world.adversary_fresh(args[0]))
+        request = ReportRequest(vmdata=vmdata, tag=world.adversary_fresh(32))
+        world.deliver("owner_report", request.to_term())
+    else:
+        raise ValueError(f"unknown move kind: {kind!r}")
+
+
+def run_schedule(world: World, pipe: Pipeline, moves: Iterable[Move]) -> list[Move]:
+    """Apply moves in order; returns the ones applied, the run's schedule.
+
+    moves may be a generator that reads the world between moves: each
+    move is applied before the next one is asked for.
+    """
+    schedule = []
+    for move in moves:
+        apply(world, pipe, move)
+        schedule.append(move)
+    return schedule
+
+
+# ---- the fuzzer's generator ----------------------------------------------
+
+#: The fuzz move families, each repeated as often as its draw weight.
+_FAMILIES = (
+    ("advance",) * 10
+    + ("tamper",) * 2
+    + ("drop",)
+    + ("inject",) * 3
+    + ("compromise",) * 2
+    + ("request_quote",) * 2
+    + ("own_deploy",)
+    + ("extract",)
+    + ("forge_bundle",) * 2
+    + ("forge_request",)
+)
+
+
+def _draw(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> Move | None:
+    """The next fuzz move for the world as it stands; None for a no-op."""
+    family = mv.choice(_FAMILIES)
+    if family == "advance":
+        return Move("advance") if not pipe.done else None
+    if family == "tamper":
+        items = pipe.in_flight.items if isinstance(pipe.in_flight, Tuple) else ()
+        if not items:
+            return None
+        style = mv.randrange(3)
+        if style == 0:
+            atoms = [i for i, it in enumerate(items) if isinstance(it, Atom) and it.value]
+            if not atoms:
+                return None
+            index = mv.choice(atoms)
+            byte = mv.randrange(len(items[index].value))
+            return Move("flip", ((index,), byte, mv.randrange(8)))
+        if style == 1:
+            term = mv.choice(world.knowledge.terms_list())
+            return Move("replace", (mv.randrange(len(items)), term))
+        return Move("truncate")
+    if family == "drop":
+        return Move("drop") if pipe.in_flight is not None else None
+    if family == "inject":
+        style = mv.randrange(3)
+        if style == 2:
+            length = mv.choice([16, 32, 64])
+            return Move("inject_fresh", (mv.choice(_INJECT_TARGETS), length))
+        if style == 0:
+            term = mv.choice(world.knowledge.terms_list())
+        else:
+            terms = world.knowledge.terms_list()
+            term = Tuple([mv.choice(terms) for _ in range(2 + mv.randrange(3))])
+        return Move("inject", (mv.choice(_INJECT_TARGETS), term))
+    if family == "compromise":
+        taken = world.compromised
+        options = []
+        if mask.intel_rot and not taken.intel:
+            options.append(("intel", None))
+        if mask.amd_rot and not taken.amd:
+            options.append(("amd", None))
+        for i, plat in enumerate(world.sgx_platforms):
+            if plat.ppid.hex() not in taken.qe_ppids and mask.allows_qe(world, plat):
+                options.append(("qe", i))
+        for i, plat in enumerate(world.sev_platforms):
+            if plat.psp_sn.public.hex() not in taken.psp_ids and mask.allows_psp(world, plat):
+                options.append(("psp", i))
+        return Move("compromise", mv.choice(options)) if options else None
+    if family == "request_quote":
+        index = mv.choice(range(len(world.sgx_platforms)))
+        return Move("request_quote", (index, mv.choice([8, 32])))
+    if family == "own_deploy":
+        free = [i for i, p in enumerate(world.sev_platforms) if p.session is None]
+        return Move("own_deploy", (mv.choice(free),)) if free else None
+    if family == "extract":
+        running = [
+            i
+            for i, p in enumerate(world.sev_platforms)
+            if p.session and p.session.running and p.session.dig != world.designated_dig
+        ]
+        return Move("extract", (mv.choice(running),)) if running else None
+    if family == "forge_bundle":
+        options = [None] if world.compromised.intel else []
+        for i, plat in enumerate(world.sgx_platforms):
+            if plat.ppid.hex() in world.compromised.qe_ppids:
+                options.append(i)
+        return Move("forge_bundle", (mv.choice(options),)) if options else None
+    return Move("forge_request", (16,))
+
+
+def fuzz_moves(
+    world: World, pipe: Pipeline, seed: int, steps: int, mask: CompromiseMask = DEFAULT_MASK
+) -> Iterator[Move]:
+    """The fuzzer's moves, each drawn against the world the last one left.
+
+    Draws from a move Rng of its own, so the world's Rng sees only what
+    the moves themselves mint. A step whose move would do nothing (a
+    finished pipeline, no message in flight, no platform to pick) yields
+    no move.
+    """
+    mv = Rng(seed ^ _MOVE_SEED_TWEAK)
+    for _ in range(steps):
+        move = _draw(world, pipe, mv, mask)
+        if move is not None:
+            yield move
 
 
 def fuzz_adversary(
@@ -273,10 +399,8 @@ def fuzz_adversary(
     zero-step budget therefore yields exactly the honest run), so every
     run ends with honest parties having said everything they can.
     """
-    mv = Rng(seed ^ _MOVE_SEED_TWEAK)
     pipe = Pipeline(world)
-    for _ in range(steps):
-        _pick_move(mv)(world, pipe, mv, mask)
+    run_schedule(world, pipe, fuzz_moves(world, pipe, seed, steps, mask))
     pipe.run_all()
     return world.trace
 

@@ -1,26 +1,31 @@
 """Scripted runs: one honest baseline, tampering, and compromise attacks.
 
-Every scenario is a deterministic function of the seed. The negative
-scenarios each break one message or guard and must end with the honest
-parties refusing (no accepted verdict); the compromise scenarios mount
-the four attacks the escape clauses exist for, pre- and post-run, so the
-checkers can be watched excusing exactly those and nothing else.
+A scenario is a schedule of fuzz.Move values, run by the same apply the
+fuzzer uses, or, for the two that run the adversary's own crypto or a
+second owner, a function of (world, pipe). The negative scenarios each
+break one message or guard and must end with the honest parties refusing
+(no accepted verdict); the compromise scenarios mount the four attacks
+the escape clauses exist for, pre- and post-run, so the checkers can be
+watched excusing exactly those and nothing else.
 
-Scenario functions return an info dict for tests to poke at; use
-run_scenario for just the trace.
+run_scenario_world returns the world and an info dict for tests to poke
+at; use run_scenario for just the trace.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .. import crypto, sgx
-from ..codec import Atom, Tuple
-from ..guest import DESIGNATED_VM_CODE
-from ..owner import TrustedOwner, report_data_preimage
+from ..codec import Atom
+from ..guest import DESIGNATED_VM_CODE, ReportRequest
+from ..owner import TrustedOwner
 from ..relying_party import EvidenceBundle
 from ..sev import Measurement, MeasurementPackage, SevPlatformCert
 from ..sev import cert_payload as sev_cert_payload
-from ..sgx import OWNER_ENCLAVE_MEASUREMENT, quote_payload
+from ..sgx import OWNER_ENCLAVE_MEASUREMENT
 from .events import KIND_TRANSITION, KIND_VERDICT, Trace
+from .fuzz import Move, run_schedule
 from .properties import check_all
 from .world import Pipeline, World
 
@@ -29,166 +34,52 @@ class UnknownScenario(ValueError):
     """Scenario name not in SCENARIOS."""
 
 
-def _flip_atom(term: Tuple, index: int, byte_index: int = 0) -> Tuple:
-    """Copy of a tuple term with one byte of one atom item flipped."""
-    items = list(term.items)
-    atom = items[index]
-    assert isinstance(atom, Atom) and len(atom.value) > byte_index
-    value = bytearray(atom.value)
-    value[byte_index] ^= 0x01
-    items[index] = Atom(bytes(value))
-    return Tuple(items)
+ADVANCE = Move("advance")
+FINISH = Move("finish")
 
 
-def _advance_to_slot(pipe: Pipeline, slot: str) -> None:
-    while pipe.in_flight_slot != slot:
-        assert pipe.advance(), f"pipeline halted before reaching slot {slot!r}"
-
-
-def scenario_honest(world: World) -> dict:
-    pipe = Pipeline(world)
-    pipe.run_all()
-    return {"pipe": pipe, "verdict": pipe.verdict}
-
-
-def scenario_tamper_deploy_blob(world: World) -> dict:
-    pipe = Pipeline(world)
-    _advance_to_slot(pipe, "deploy")
-    world.adversary_tamper(pipe, _flip_atom(pipe.in_flight, 1))
-    pipe.run_all()
-    return {"pipe": pipe, "verdict": pipe.verdict}
-
-
-def scenario_tamper_measurement(world: World) -> dict:
-    pipe = Pipeline(world)
-    _advance_to_slot(pipe, "measurement")
-    msr_term, mac_atom = pipe.in_flight.items
-    world.adversary_tamper(pipe, Tuple([_flip_atom(msr_term, 3), mac_atom]))
-    pipe.run_all()
-    return {"pipe": pipe, "verdict": pipe.verdict}
-
-
-def scenario_tamper_secret_package(world: World) -> dict:
-    pipe = Pipeline(world)
-    _advance_to_slot(pipe, "secret")
-    world.adversary_tamper(pipe, _flip_atom(pipe.in_flight, 0))
-    pipe.run_all()
-    return {"pipe": pipe, "verdict": pipe.verdict}
-
-
-def scenario_replay_secret_package(world: World) -> dict:
-    pipe = Pipeline(world)
-    _advance_to_slot(pipe, "secret")
+def _replay_secret_package(world: World, pipe: Pipeline) -> Iterator[Move]:
+    yield from (ADVANCE,) * 3
     replayed = pipe.in_flight
-    pipe.run_all()
-    world.deliver("sev_secret:0", replayed)
-    return {"pipe": pipe, "verdict": pipe.verdict, "replayed": replayed}
+    yield FINISH
+    yield Move("inject", ("sev_secret:0", replayed))
 
 
-def scenario_wrong_vm_code(world: World) -> dict:
-    pipe = Pipeline(world)
-    _advance_to_slot(pipe, "deploy")
-    items = list(pipe.in_flight.items)
-    items[3] = Atom(b"evil code")
-    world.adversary_tamper(pipe, Tuple(items))
-    pipe.run_all()
-    return {"pipe": pipe, "verdict": pipe.verdict}
+def _cross_platform_cert_swap(world: World, pipe: Pipeline) -> Iterator[Move]:
+    yield from (ADVANCE,) * 6
+    yield Move("replace", (1, world.sgx_platforms[1].cert.to_term()))
+    yield FINISH
 
 
-def scenario_forge_report_request(world: World) -> dict:
-    pipe = Pipeline(world)
-    for _ in range(4):
-        pipe.advance()
-    assert pipe.guest is not None
-    vmdata = Atom(world.adversary_fresh(24))
-    tag = world.adversary_fresh(32)
-    world.deliver("owner_report", Tuple([vmdata, Atom(tag)]))
-    return {"pipe": pipe, "verdict": pipe.verdict}
+#: Scenarios that are plain move sequences: a tuple of moves, or a
+#: generator over (world, pipe) for the two that reuse a term the run made.
+#: The pipeline's in-flight slot after n advances: 1 deploy, 2 measurement,
+#: 3 secret, 5 report_request, 6 bundle.
+SCHEDULES = {
+    "honest": (FINISH,),
+    "tamper_deploy_blob": (ADVANCE, Move("flip", ((1,), 0, 0)), FINISH),
+    "tamper_measurement": (ADVANCE,) * 2 + (Move("flip", ((0, 3), 0, 0)), FINISH),
+    "tamper_secret_package": (ADVANCE,) * 3 + (Move("flip", ((0,), 0, 0)), FINISH),
+    "replay_secret_package": _replay_secret_package,
+    "wrong_vm_code": (ADVANCE, Move("replace", (3, Atom(b"evil code"))), FINISH),
+    "forge_report_request": (ADVANCE,) * 4 + (Move("forge_request", (24,)),),
+    "cross_platform_cert_swap": _cross_platform_cert_swap,
+    "compromise_intel_rot_pre": (
+        Move("compromise", ("intel", None)),
+        Move("forge_bundle", (None,)),
+    ),
+    "compromise_intel_rot_post": (FINISH, Move("compromise", ("intel", None))),
+    "compromise_sgx_qe_pre": (Move("compromise", ("qe", 0)), Move("forge_bundle", (0,))),
+    "compromise_sgx_qe_post": (FINISH, Move("compromise", ("qe", 0))),
+    "compromise_amd_rot_post": (FINISH, Move("compromise", ("amd", None))),
+    # Passive extraction: a compromised PSP key opens the honest run ...
+    "compromise_sev_psp_pre": (Move("compromise", ("psp", 0)), FINISH),
+    # ... and, with no forward secrecy, works after the fact too.
+    "compromise_sev_psp_post": (FINISH, Move("compromise", ("psp", 0))),
+}
 
 
-def scenario_cross_platform_cert_swap(world: World) -> dict:
-    pipe = Pipeline(world)
-    _advance_to_slot(pipe, "bundle")
-    items = list(pipe.in_flight.items)
-    items[1] = world.sgx_platforms[1].cert.to_term()
-    world.adversary_tamper(pipe, Tuple(items))
-    pipe.run_all()
-    return {"pipe": pipe, "verdict": pipe.verdict}
-
-
-def forge_sgx_cert(world: World) -> tuple[sgx.SgxPlatformCert, bytes]:
-    """A platform certificate minted under the stolen Intel root key.
-
-    Returns the certificate and the private half of its fresh quoting key.
-    """
-    fake_qek = world.adversary_sig_keygen()
-    fake_ppid = world.adversary_fresh(sgx.PPID_LEN)
-    sig = world.adversary_sign(
-        sgx.cert_payload(fake_qek.public, fake_ppid), world.intel_rot.ltk.private
-    )
-    cert = sgx.SgxPlatformCert(qek_pb=fake_qek.public, ppid=fake_ppid, sig_ir=sig)
-    return cert, fake_qek.private
-
-
-def forge_accepting_bundle(
-    world: World, cert: sgx.SgxPlatformCert, qek_private: bytes
-) -> EvidenceBundle:
-    """Quote forged under a leaked or minted quoting key.
-
-    Fabricates a measurement for the designated digest, computes the
-    matching report data the way the owner would, and signs a quote
-    naming the owner-enclave measurement. Verifies cleanly whenever the
-    certificate chain checks out, precisely the situation the escape
-    clauses describe.
-    """
-    pspid = world.sev_platforms[0].psp_sn.public
-    msr = Measurement(
-        plat_sev=Atom(world.adversary_fresh(8)),
-        launch_sev=Atom(world.adversary_fresh(8)),
-        dig=world.adversary_digest(DESIGNATED_VM_CODE),
-        nonce=world.adversary_fresh(16),
-    )
-    vmdata = Atom(world.adversary_fresh(24))
-    rpdata = world.adversary_digest(report_data_preimage(pspid, msr, vmdata))
-    plat = Atom(world.adversary_fresh(8))
-    sig = world.adversary_sign(
-        quote_payload(OWNER_ENCLAVE_MEASUREMENT, plat, Atom(rpdata)), qek_private
-    )
-    quote = sgx.Quote(msr=OWNER_ENCLAVE_MEASUREMENT, plat=plat, data=Atom(rpdata), sig=sig)
-    return EvidenceBundle(quote=quote, sgx_cert=cert, pspid=pspid, vmmsr=msr, vmdata=vmdata)
-
-
-def scenario_compromise_intel_rot_pre(world: World) -> dict:
-    world.compromise_intel_rot()
-    cert, qek_private = forge_sgx_cert(world)
-    bundle = forge_accepting_bundle(world, cert, qek_private)
-    world.deliver("rp_bundle", bundle.to_term())
-    return {"verdict_expected": True}
-
-
-def scenario_compromise_intel_rot_post(world: World) -> dict:
-    pipe = Pipeline(world)
-    pipe.run_all()
-    world.compromise_intel_rot()
-    return {"pipe": pipe, "verdict": pipe.verdict}
-
-
-def scenario_compromise_sgx_qe_pre(world: World) -> dict:
-    target = world.sgx_platforms[0]
-    world.compromise_sgx_qe(target)
-    bundle = forge_accepting_bundle(world, target.cert, target.qek.private)
-    world.deliver("rp_bundle", bundle.to_term())
-    return {"verdict_expected": True}
-
-
-def scenario_compromise_sgx_qe_post(world: World) -> dict:
-    pipe = Pipeline(world)
-    pipe.run_all()
-    world.compromise_sgx_qe(world.sgx_platforms[0])
-    return {"pipe": pipe, "verdict": pipe.verdict}
-
-
-def scenario_compromise_amd_rot_pre(world: World) -> dict:
+def compromise_amd_rot_pre(world: World, pipe: Pipeline) -> dict:
     """Fake SEV platform under a stolen AMD root key.
 
     The owner deploys to a platform that exists only as an adversary
@@ -224,8 +115,8 @@ def scenario_compromise_amd_rot_pre(world: World) -> dict:
     cik = crypto.decrypt(spkg.blob_p, tek).value
 
     vmdata = Atom(world.adversary_fresh(24))
-    tag = world.adversary_mac(vmdata, cik)
-    quote = world.deliver("owner_report", Tuple([vmdata, Atom(tag)]))
+    request = ReportRequest(vmdata=vmdata, tag=world.adversary_mac(vmdata, cik))
+    quote = world.deliver("owner_report", request.to_term())
     assert quote is not None, "stolen channel key should satisfy the owner"
     bundle = EvidenceBundle(
         quote=quote,
@@ -235,33 +126,10 @@ def scenario_compromise_amd_rot_pre(world: World) -> dict:
         vmdata=vmdata,
     )
     world.deliver("rp_bundle", bundle.to_term())
-    return {"cik": cik, "fake_psp": fake_sn.public}
+    return {}
 
 
-def scenario_compromise_amd_rot_post(world: World) -> dict:
-    pipe = Pipeline(world)
-    pipe.run_all()
-    world.compromise_amd_rot()
-    return {"pipe": pipe, "verdict": pipe.verdict}
-
-
-def scenario_compromise_sev_psp_pre(world: World) -> dict:
-    """Passive extraction: a compromised PSP key opens the honest run."""
-    world.compromise_sev_psp(world.sev_platforms[0])
-    pipe = Pipeline(world)
-    pipe.run_all()
-    return {"pipe": pipe, "verdict": pipe.verdict}
-
-
-def scenario_compromise_sev_psp_post(world: World) -> dict:
-    """No forward secrecy: the same extraction works after the fact."""
-    pipe = Pipeline(world)
-    pipe.run_all()
-    world.compromise_sev_psp(world.sev_platforms[0])
-    return {"pipe": pipe, "verdict": pipe.verdict}
-
-
-def scenario_extract_other_guest_secret(world: World) -> dict:
+def extract_other_guest_secret(world: World, pipe: Pipeline) -> dict:
     """Host-level theft from a non-designated guest.
 
     A second owner deploys a different workload; the adversary (as host)
@@ -270,8 +138,7 @@ def scenario_extract_other_guest_secret(world: World) -> dict:
     designated guest's key stays out of reach: the properties scope
     secrecy to the designated digest on purpose.
     """
-    pipe0 = Pipeline(world)
-    pipe0.run_all()
+    pipe.run_all()
 
     sgx1 = world.sgx_platforms[1]
     sev1 = world.sev_platforms[1]
@@ -291,8 +158,7 @@ def scenario_extract_other_guest_secret(world: World) -> dict:
 
     stolen = world.adversary_extract_sev_secret(sev1)
     vmdata = Atom(world.adversary_fresh(24))
-    tag = world.adversary_mac(vmdata, stolen.value)
-    request = Tuple([vmdata, Atom(tag)])
+    request = ReportRequest(vmdata=vmdata, tag=world.adversary_mac(vmdata, stolen.value)).to_term()
     world.send("adv", "owner1", request)
     quote = world.recv_report_request(owner1, "owner1", sgx1, request)
     assert quote is not None, "stolen channel key should satisfy the owner"
@@ -305,27 +171,16 @@ def scenario_extract_other_guest_secret(world: World) -> dict:
         vmdata=vmdata,
     )
     world.deliver("rp_bundle", bundle.to_term())
-    return {"pipe0": pipe0, "pipe1": pipe1, "stolen": stolen}
+    return {"stolen": stolen}
 
 
+#: Every scenario: a schedule, or a function of (world, pipe) returning
+#: extra info for the two that run the adversary's own crypto or a
+#: second owner.
 SCENARIOS = {
-    "honest": scenario_honest,
-    "tamper_deploy_blob": scenario_tamper_deploy_blob,
-    "tamper_measurement": scenario_tamper_measurement,
-    "tamper_secret_package": scenario_tamper_secret_package,
-    "replay_secret_package": scenario_replay_secret_package,
-    "wrong_vm_code": scenario_wrong_vm_code,
-    "forge_report_request": scenario_forge_report_request,
-    "cross_platform_cert_swap": scenario_cross_platform_cert_swap,
-    "compromise_intel_rot_pre": scenario_compromise_intel_rot_pre,
-    "compromise_intel_rot_post": scenario_compromise_intel_rot_post,
-    "compromise_sgx_qe_pre": scenario_compromise_sgx_qe_pre,
-    "compromise_sgx_qe_post": scenario_compromise_sgx_qe_post,
-    "compromise_amd_rot_pre": scenario_compromise_amd_rot_pre,
-    "compromise_amd_rot_post": scenario_compromise_amd_rot_post,
-    "compromise_sev_psp_pre": scenario_compromise_sev_psp_pre,
-    "compromise_sev_psp_post": scenario_compromise_sev_psp_post,
-    "extract_other_guest_secret": scenario_extract_other_guest_secret,
+    **SCHEDULES,
+    "compromise_amd_rot_pre": compromise_amd_rot_pre,
+    "extract_other_guest_secret": extract_other_guest_secret,
 }
 
 #: Negative scenarios: the honest flow must abort with no accepted verdict.
@@ -348,11 +203,23 @@ COMPROMISE_ATTACKS = (
 
 
 def run_scenario_world(name: str, seed: int = 0) -> tuple[World, dict]:
-    fn = SCENARIOS.get(name)
-    if fn is None:
+    """Run a scenario on a fresh world of the seed.
+
+    info holds the pipeline, its verdict and the schedule applied (None
+    for a function scenario), plus what a function scenario returns.
+    """
+    script = SCENARIOS.get(name)
+    if script is None:
         raise UnknownScenario(f"unknown scenario: {name}")
     world = World(seed=seed)
-    info = fn(world)
+    pipe = Pipeline(world)
+    info = {"pipe": pipe, "schedule": None}
+    if name in SCHEDULES:
+        moves = script(world, pipe) if callable(script) else script
+        info["schedule"] = run_schedule(world, pipe, moves)
+    else:
+        info.update(script(world, pipe))
+    info["verdict"] = pipe.verdict
     return world, info
 
 
@@ -439,7 +306,8 @@ def _post_replay_secret_package(world: World, info: dict, results: dict) -> bool
 
 
 def _post_forge_report_request(world: World, info: dict, results: dict) -> bool:
-    return not _accepts(world) and _transitions(world, "owner_report_refused")
+    refused = not _accepts(world) and _transitions(world, "owner_report_refused")
+    return refused and info["pipe"].guest is not None
 
 
 def _post_cross_platform_cert_swap(world: World, info: dict, results: dict) -> bool:

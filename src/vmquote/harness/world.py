@@ -29,7 +29,7 @@ from functools import partial
 from .. import crypto, sev, sgx
 from ..codec import TAG_TRANSPORT_KEYS, Atom, Label, Term, Tuple
 from ..crypto import DecryptionFailure, InvalidPublicElement, Rng
-from ..guest import DESIGNATED_VM_CODE, GuestNotRunning, GuestRuntime
+from ..guest import DESIGNATED_VM_CODE, GuestNotRunning, GuestRuntime, ReportRequest
 from ..owner import TrustedOwner
 from ..relying_party import (
     REASON_MALFORMED,
@@ -231,12 +231,12 @@ class World:
         self, owner: TrustedOwner, name: str, host: SgxPlatform, term: Term
     ) -> sgx.Quote | None:
         """The owner's report for a guest request, quoted by its host's QE."""
-        if not isinstance(term, Tuple) or len(term) != 2 or not isinstance(
-            term.items[1], Atom
-        ):
+        try:
+            request = ReportRequest.from_term(term)
+        except ValueError:
             self.transition(name, "owner_report_refused", error="malformed")
             return None
-        report = owner.generate_report_for_vm(term.items[0], term.items[1].value)
+        report = owner.generate_report_for_vm(request.vmdata, request.tag)
         self.drain_owner(owner, name)
         if report is None:
             self.transition(name, "owner_report_refused", error="guard")
@@ -614,17 +614,14 @@ class Pipeline:
         if self.guest is None:
             self.halted = True
             return
-        payload = self.guest.next_report_payload()
-        vmdata, tag = self.guest.request_report(payload)
+        request = self.guest.request_report(self.guest.next_report_payload())
         self.world.transition(
             self.guest_name,
             "guest_request_report",
             psp=self.sev_platform.psp_sn.public,
-            vmdata=vmdata,
+            vmdata=request.vmdata,
         )
-        self._emit(
-            self.guest_name, self.owner_name, Tuple([vmdata, Atom(tag)]), "report_request"
-        )
+        self._emit(self.guest_name, self.owner_name, request.to_term(), "report_request")
 
     def step_owner_quote(self) -> None:
         term = self._take("report_request")
@@ -641,7 +638,7 @@ class Pipeline:
             sgx_cert=self.sgx_platform.cert,
             pspid=self.sev_platform.psp_sn.public,
             vmmsr=self.last_measurement,
-            vmdata=term.items[0],
+            vmdata=ReportRequest.from_term(term).vmdata,
         )
         self._emit(self.owner_name, "rp", bundle.to_term(), "bundle")
 

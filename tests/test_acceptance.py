@@ -154,7 +154,9 @@ def test_criterion_2_state_machine_exhaustion():
                         staged_request = rt.request_report(rt.next_report_payload())
                 else:
                     if mode == "honest" and staged_request is not None:
-                        res = owner.generate_report_for_vm(*staged_request)
+                        res = owner.generate_report_for_vm(
+                            staged_request.vmdata, staged_request.tag
+                        )
                     else:
                         res = owner.generate_report_for_vm(garbage_vmdata, garbage_tag)
                     present = res is not None

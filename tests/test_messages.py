@@ -12,6 +12,7 @@ import hashlib
 import pytest
 
 from vmquote.codec import TAG_SGX_PLATFORM_CERT, TAG_SGX_QUOTE, Atom, Label, Tuple, encode
+from vmquote.guest import ReportRequest
 from vmquote.harness import Pipeline, World
 from vmquote.relying_party import EvidenceBundle
 from vmquote.sev import (
@@ -32,6 +33,7 @@ LAYOUTS = {
     Measurement: (None, (0, 1, 2, 3), {}),
     MeasurementPackage: (None, (1,), {0: Measurement}),
     SecretPackage: (None, (0, 1), {}),
+    ReportRequest: (None, (1,), {}),
     SgxPlatformCert: (TAG_SGX_PLATFORM_CERT, (1, 2, 3), {}),
     Quote: (TAG_SGX_QUOTE, (2, 4), {}),
     EvidenceBundle: (None, (2,), {0: Quote, 1: SgxPlatformCert, 3: Measurement}),
@@ -44,6 +46,7 @@ ENCODING_DIGESTS = {
     Measurement: "db26863612c603b3fdc5928ec9f0e622ec10dd60911492845561d93bc407632b",
     MeasurementPackage: "5ca4525b08018c4c5588afe4b993b9d7719aa1511b2668d8f8d13032065dfec9",
     SecretPackage: "6e3b211c51656b72d7c2bf68a747257e13bf35bcd8294054db74b5eb49773395",
+    ReportRequest: "472ab514074b868063c2cae5e10748038b856edc8821508e0e533d7667d12ba8",
     SgxPlatformCert: "28d46ae0ffadca2f839223b48dc970ab6e571d44c782517b771c23c1bc05463a",
     Quote: "8769b77a534e667bb1041970578dd9b2bc74fe0591eda5dc931124d350f3e156",
     EvidenceBundle: "016fc8195994a7b133db6ea2ab2f2b24adf63c680b598703503115655e83a33c",
@@ -67,6 +70,7 @@ def _honest_messages() -> dict:
         Measurement: mp.msr,
         MeasurementPackage: mp,
         SecretPackage: SecretPackage.from_term(sent["secret"]),
+        ReportRequest: ReportRequest.from_term(sent["report_request"]),
         SgxPlatformCert: world.sgx_platforms[0].cert,
         Quote: bundle.quote,
         EvidenceBundle: bundle,

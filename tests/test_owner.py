@@ -162,11 +162,11 @@ class TestReportGeneration:
         owner = ctx[5]
         mp, session = drive_to_provisioned(ctx)
         rt = GuestRuntime(session)
-        payload, tag = rt.request_report(rt.next_report_payload())
-        report = owner.generate_report_for_vm(payload, tag)
+        request = rt.request_report(rt.next_report_payload())
+        report = owner.generate_report_for_vm(request.vmdata, request.tag)
         assert report is not None
         assert report.enclave_msr == sgx.OWNER_ENCLAVE_MEASUREMENT
-        expected = crypto.digest(report_data_preimage(owner._psp_id, mp.msr, payload))
+        expected = crypto.digest(report_data_preimage(owner._psp_id, mp.msr, request.vmdata))
         assert report.report_data == Atom(expected)
 
     def test_refused_before_provisioned(self, ctx):
@@ -177,8 +177,8 @@ class TestReportGeneration:
         owner = ctx[5]
         mp, session = drive_to_provisioned(ctx)
         rt = GuestRuntime(session)
-        payload, tag = rt.request_report(rt.next_report_payload())
-        assert owner.generate_report_for_vm(payload, b"\x00" * 32) is None
+        request = rt.request_report(rt.next_report_payload())
+        assert owner.generate_report_for_vm(request.vmdata, b"\x00" * 32) is None
         refusals = [a for a in owner.actions if a[0] == "owner_generate_report"]
         assert refusals == []
 
@@ -186,17 +186,17 @@ class TestReportGeneration:
         owner = ctx[5]
         mp, session = drive_to_provisioned(ctx)
         rt = GuestRuntime(session)
-        payload, tag = rt.request_report(rt.next_report_payload())
-        r1 = owner.generate_report_for_vm(payload, tag)
-        r2 = owner.generate_report_for_vm(payload, tag)
+        request = rt.request_report(rt.next_report_payload())
+        r1 = owner.generate_report_for_vm(request.vmdata, request.tag)
+        r2 = owner.generate_report_for_vm(request.vmdata, request.tag)
         assert (r1.enclave_msr, r1.report_data) == (r2.enclave_msr, r2.report_data)
 
     def test_action_record_carries_bindings(self, ctx):
         owner = ctx[5]
         mp, session = drive_to_provisioned(ctx)
         rt = GuestRuntime(session)
-        payload, tag = rt.request_report(rt.next_report_payload())
-        owner.generate_report_for_vm(payload, tag)
+        request = rt.request_report(rt.next_report_payload())
+        owner.generate_report_for_vm(request.vmdata, request.tag)
         name, body = owner.actions[-1]
         assert name == "owner_generate_report"
         assert body["host_ppid"] == owner.host_ppid.hex()

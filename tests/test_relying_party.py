@@ -53,8 +53,8 @@ def evidence():
     prov = owner.provision_vm(mp.msr, mp.mac_ti)
     session = psp_receive_secret(sev_plat, SecretPackage(blob_p=prov.blob_p, mac_p=prov.mac_p))
     rt = GuestRuntime(session)
-    payload, tag = rt.request_report(rt.next_report_payload())
-    report = owner.generate_report_for_vm(payload, tag)
+    request = rt.request_report(rt.next_report_payload())
+    report = owner.generate_report_for_vm(request.vmdata, request.tag)
     quote = sgx.qe_generate_quote(host, report)
 
     return VerificationInput(
@@ -64,7 +64,7 @@ def evidence():
         expected_to_msr=sgx.OWNER_ENCLAVE_MEASUREMENT,
         pspid=sev_plat.psp_sn.public,
         vmmsr=mp.msr,
-        vmdata=payload,
+        vmdata=request.vmdata,
     )
 
 

@@ -253,8 +253,8 @@ class TestGuestRuntime:
     def test_report_tag_verifies_under_channel_key(self):
         secret = Atom(b"\x77" * 32)
         rt = GuestRuntime(self._running(Rng(64), secret=secret))
-        payload, tag = rt.request_report(rt.next_report_payload())
-        assert crypto.verify_mac(payload, tag, secret.value)
+        request = rt.request_report(rt.next_report_payload())
+        assert crypto.verify_mac(request.vmdata, request.tag, secret.value)
 
     def test_digest_exposed(self):
         rt = GuestRuntime(self._running(Rng(65)))
