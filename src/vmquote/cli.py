@@ -72,15 +72,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"trace: {trace_path} ({len(world.trace.events)} events)")
     if args.scenario in PRODUCES_BUNDLE and world.last_verification is not None:
         vin = world.last_verification
-        bundle = EvidenceBundle(
-            quote=vin.quote,
-            sgx_cert=vin.sgx_cert,
-            pspid=vin.pspid,
-            vmmsr=vin.vmmsr,
-            vmdata=vin.vmdata,
-        )
         bundle_path = out_dir / f"{stem}.bundle.json"
-        write_bundle_file(bundle_path, bundle, vin.intel_pk, vin.expected_to_msr)
+        write_bundle_file(
+            bundle_path,
+            EvidenceBundle.from_verification_input(vin),
+            vin.intel_pk,
+            vin.expected_to_msr,
+        )
         print(f"bundle: {bundle_path}")
     ok = check_postcondition(args.scenario, world, info)
     print(f"postcondition: {'pass' if ok else 'FAIL'}")

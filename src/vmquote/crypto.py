@@ -25,7 +25,10 @@ to its key, and sign marks each signature as no ciphertext at all. A
 ciphertext entry is never overwritten. The map is a hint and never a
 verdict. provenance() answers None for a blob it does not hold, whether
 evicted, tampered with, produced by another process or never made here,
-and the caller must then fall back to trying keys.
+and the caller must then fall back to trying keys, except for blobs the
+trace shows as fresh values, which are atomic and no ciphertext. Fresh
+values are not entered in the map: they would evict the ciphertext
+records it exists for.
 
 Those trial decryptions go through scan_tags, which checks one key's GCM
 tag against many blobs and only reports which ones authenticate; nearly

@@ -16,8 +16,9 @@ makes replays byte-identical.
 
 Transition payloads may carry protocol-internal secrets (the same way a
 formal trace carries them). Only send and adversary events are
-adversary-visible: their term, leak and leak_kind fields are what
-AdversaryKnowledge.learn consumes, live and on a rebuild alike.
+adversary-visible: their term, leak and leak_kind fields, and whether
+the action is FRESH_VALUE, are what AdversaryKnowledge.learn consumes,
+live and on a rebuild alike.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ KIND_VERDICT = "verdict"
 
 #: Event kinds whose payload the adversary sees.
 ADVERSARY_VISIBLE = (KIND_SEND, KIND_ADVERSARY)
+
+#: The adversary action that logs a value it minted: a fresh name.
+FRESH_VALUE = "fresh_value"
 
 
 def _stored(value):

@@ -32,21 +32,34 @@ to what is new since the rule last ran, so no rule ever repeats work.
 
 Encryption is perfect, as in the symbolic model: a blob opens under the
 key that sealed it and under no other (Dolev-Yao; in Tamarin,
-sdec(senc(m, k), k) = m is the only decryption equation). When a blob is
-learned, crypto.provenance classifies it once:
+sdec(senc(m, k), k) = m is the only decryption equation). Fresh names are
+atomic, as Tamarin's ~n is: never senc(m, k) and never h(m). Read
+computationally, random bytes authenticate under a key, or equal a
+digest, only with negligible probability. When a blob is learned, it is
+classified once:
 
+- a fresh value the adversary minted (a fresh_value event, live or in a
+  trace) is no ciphertext and is never paired
 - a ciphertext crypto.encrypt made is paired only with its sealing key,
   when that key is known
 - a signature crypto.sign made is no ciphertext and is never paired
-- any other blob (evicted from the bounded map, tampered with, read from
-  a trace in a fresh process, or random bytes) is scanned against every
+- any other blob (evicted from crypto's bounded provenance map, tampered
+  with, or read from a trace in a fresh process) is scanned against every
   key
+
+A fresh 32-byte value is still a key: the adversary's own transport key
+seals what it provisions.
 
 The pairs skipped are exactly those that cannot open, so no hit is lost.
 The registered pairs are still opened through crypto.decrypt, which
 checks the tag. Each blob is classified once, so a later eviction changes
 nothing. Whether the map holds a blob or not, the closure therefore
 learns the same terms in the same order. Only the scanning work differs.
+Every skipped pair still counts in trials.
+
+Known atoms are kept by their bytes, in the one table that also records
+each atom's origin and drives the rules; the known set proper holds only
+Labels and Tuples.
 
 Within a round the rules run in that order. Each adds its results in the
 first-seen order of its inputs (decryptions by blob, then by key), so
@@ -71,21 +84,23 @@ Derivability (synthesis) is goal-directed: a term is derivable when it is
 known, is a Label (public vocabulary), is a Tuple of derivable parts, or
 is an Atom carrying the encoding of something derivable or the digest of
 a known term. Fresh atomic randomness is derivable only if it was
-actually learned, which is exactly what the secrecy property asks about.
-The recursion stops because tuple items and decodings are strictly
-smaller terms.
+actually learned, which is exactly what the secrecy property asks about;
+derivable(term, fresh=True) states that term is such a fresh name, so
+the digest rule is skipped for it. The recursion stops because tuple
+items and decodings are strictly smaller terms.
 
 The digest rule deliberately under-approximates the adversary: it accepts
 the digest of a known term but not of a term that is only derivable, such
 as a Tuple of known atoms that was never observed whole. Enumerating the
 derivable preimages is unbounded. No verdict rests on this gap today:
-the secrecy checker asks only about fresh keys, which are no digest, and
-World.adversary_digest records every digest the adversary computes, and
-its preimage, as known. A property that asks about the digest of a
-composed term must extend the rule first. Only a 32-byte atom can be a
-digest, and the index of digests of known terms is built only when such
-an atom is asked about and no other rule derives it. Every known term is
-a candidate preimage, so the index hashes each of them once.
+the secrecy checker asks only about fresh keys, which are no digest and
+skip the rule, and World.adversary_digest records every digest the
+adversary computes, and its preimage, as known. A property that asks
+about the digest of a composed term must extend the rule first. Only a
+32-byte atom can be a digest, and the index of digests of known terms is
+built only when such an atom is asked about and no other rule derives
+it. Every known term is a candidate preimage, so the index hashes each of
+them once.
 """
 
 from __future__ import annotations
@@ -117,14 +132,16 @@ class AdversaryKnowledge:
     work: rounds run, negotiations attempted, (blob, key) pairs covered by
     trial decryption and the ones that opened to a term. scanned counts
     the covered pairs whose tag crypto.scan_tags checked, which are those
-    of blobs with no provenance; it equals trials when no blob has any.
-    None of them is ever written to a trace.
+    of blobs with no provenance; when no blob has any, it equals trials
+    except for the blobs the trace shows as fresh. None of them is ever
+    written to a trace.
     """
 
     def __init__(self) -> None:
+        # the known Labels and Tuples; known atoms are the keys of _atoms
         self._known: set[Term] = set()
         self._terms: list[Term] = []
-        # atom payload -> origin, and its rank in first-seen order
+        # known atom payload -> origin, and its rank in first-seen order
         self._atoms: dict[bytes, int] = {}
         self._rank: dict[bytes, int] = {}
         self.dh_privates: dict[bytes, None] = {}
@@ -144,6 +161,9 @@ class AdversaryKnowledge:
         self._new_sealed: list[tuple[int, bytes]] = []
         self._opaque: list[tuple[bytes, bytes]] = []
         self._opaque_at: list[int] = []
+        # true while learn observes a fresh_value event's term; a flag, not
+        # an argument, so that observe stays the one way in for a seen term
+        self._minting = False
         self._tried_keys = 0
         self._tried_blobs = 0
         self._tried_opaque = 0
@@ -156,7 +176,12 @@ class AdversaryKnowledge:
         self.scanned = 0
 
     def learn(
-        self, kind: str, term: Term | None, leak: bytes | None, leak_kind: str | None
+        self,
+        kind: str,
+        term: Term | None,
+        leak: bytes | None,
+        leak_kind: str | None,
+        fresh: bool = False,
     ) -> None:
         """The one rule from a trace event to adversary knowledge.
 
@@ -164,7 +189,9 @@ class AdversaryKnowledge:
         rebuild_knowledge to every event it decodes, so the two views
         agree by construction. Only send and adversary events count; a
         leaked private key is registered before the event's term is
-        observed.
+        observed. fresh says the event is the adversary's fresh_value
+        event: its term is a fresh name, and a fresh blob is filed like a
+        signature, never trial-decrypted.
         """
         if kind not in ADVERSARY_VISIBLE:
             return
@@ -174,7 +201,9 @@ class AdversaryKnowledge:
             else:
                 self.add_private_sig(leak)
         if term is not None:
+            self._minting = fresh
             self.observe(term)
+            self._minting = False
 
     def observe(self, term: Term) -> None:
         """Record a term the adversary saw in the clear."""
@@ -190,16 +219,17 @@ class AdversaryKnowledge:
         self._add(Atom(private), _OBS)
 
     def _add(self, term: Term, origin: int) -> None:
-        if term not in self._known:
-            self._known.add(term)
-            self._terms.append(term)
-        if not isinstance(term, Atom):
+        if term.__class__ is not Atom:
+            if term not in self._known:
+                self._known.add(term)
+                self._terms.append(term)
             return
         value = term.value
         prev = self._atoms.get(value, -1)
         if origin <= prev:
             return
         if prev < 0:
+            self._terms.append(term)
             self._rank[value] = len(self._atoms)
             if len(value) == 32:
                 self._key_index[value] = len(self._keys)
@@ -216,7 +246,7 @@ class AdversaryKnowledge:
     def _file_blob(self, value: bytes) -> None:
         b = len(self._blobs)
         self._blobs.append(value)
-        sealer = crypto.provenance(value)
+        sealer = crypto.NOT_SEALED if self._minting else crypto.provenance(value)
         if sealer is None:
             n = crypto.NONCE_LEN
             self._opaque.append((value[:n], value[n:]))
@@ -226,6 +256,8 @@ class AdversaryKnowledge:
             self._new_sealed.append((b, sealer))
 
     def knows(self, term: Term) -> bool:
+        if term.__class__ is Atom:
+            return term.value in self._atoms
         return term in self._known
 
     def terms_list(self) -> list:
@@ -333,8 +365,13 @@ class AdversaryKnowledge:
         self._digested = len(self._terms)
         return self._digests
 
-    def derivable(self, term: Term) -> bool:
-        """Goal-directed synthesis check against analyzed knowledge."""
+    def derivable(self, term: Term, fresh: bool = False) -> bool:
+        """Goal-directed synthesis check against analyzed knowledge.
+
+        fresh says term is a fresh name, such as a key crypto.fresh_key
+        drew: an Atom then skips the digest rule, since no fresh name is
+        a digest.
+        """
         if isinstance(term, Label):
             return True
         if self.knows(term):
@@ -351,5 +388,7 @@ class AdversaryKnowledge:
                 else:
                     if self.derivable(inner):
                         return True
-            return len(value) == crypto.DIGEST_LEN and value in self._digest_index()
+            return (
+                not fresh and len(value) == crypto.DIGEST_LEN and value in self._digest_index()
+            )
         return False

@@ -47,6 +47,7 @@ from ..codec import Atom
 from ..guest import DESIGNATED_VM_CODE
 from ..sgx import OWNER_ENCLAVE_MEASUREMENT
 from .events import (
+    FRESH_VALUE,
     KIND_ADVERSARY,
     KIND_TRANSITION,
     KIND_VERDICT,
@@ -142,6 +143,7 @@ def rebuild_knowledge(trace: Trace) -> AdversaryKnowledge:
             None if term is None else term_from_hex(term),
             None if leak is None else bytes.fromhex(leak),
             ev.body.get("leak_kind"),
+            ev.body.get("action") == FRESH_VALUE,
         )
     return know
 
@@ -235,7 +237,7 @@ def _check_sev_secret_secrecy(
         "sev_secret_secrecy",
         instances,
         lambda ev: esc.amd or ev.body["psp_id"] in esc.psp_ids,
-        lambda ev: not knowledge.derivable(Atom(bytes.fromhex(ev.body["cik"]))),
+        lambda ev: not knowledge.derivable(Atom(bytes.fromhex(ev.body["cik"])), fresh=True),
     )
 
 

@@ -258,7 +258,7 @@ def _designated_cik(world: World) -> Atom | None:
 def _cik_derivable(world: World) -> bool:
     cik = _designated_cik(world)
     assert cik is not None, "scenario never provisioned the designated guest"
-    return world.knowledge.derivable(cik)
+    return world.knowledge.derivable(cik, fresh=True)
 
 
 def _post_honest(world: World, info: dict, results: dict) -> bool:
@@ -364,7 +364,7 @@ def _post_extract_other(world: World, info: dict, results: dict) -> bool:
         and all(res.escaped == 0 for res in results.values())
         and world.knowledge.knows(info["stolen"])
         and cik is not None
-        and not world.knowledge.derivable(cik)
+        and not world.knowledge.derivable(cik, fresh=True)
     )
 
 

@@ -50,7 +50,7 @@ from ..sev import (
     SevPlatformCert,
 )
 from ..sgx import OWNER_ENCLAVE_MEASUREMENT, SgxPlatform
-from .events import KIND_ADVERSARY, KIND_SEND, KIND_TRANSITION, KIND_VERDICT, Trace
+from .events import FRESH_VALUE, KIND_ADVERSARY, KIND_SEND, KIND_TRANSITION, KIND_VERDICT, Trace
 from .knowledge import AdversaryKnowledge
 from .properties import Compromises
 
@@ -117,7 +117,13 @@ class World:
     def record(self, kind: str, **body) -> None:
         """Append one event; the adversary learns what it shows."""
         self.compromised.learn(self.trace.append(kind, **body))
-        self.knowledge.learn(kind, body.get("term"), body.get("leak"), body.get("leak_kind"))
+        self.knowledge.learn(
+            kind,
+            body.get("term"),
+            body.get("leak"),
+            body.get("leak_kind"),
+            body.get("action") == FRESH_VALUE,
+        )
 
     def send(self, src: str, dst: str, term: Term) -> Term:
         """Put a term on the bus: logged and visible to the adversary."""
@@ -310,7 +316,7 @@ class World:
 
     def adversary_fresh(self, n: int) -> bytes:
         value = self.rng.bytes(n)
-        self.adversary_event("fresh_value", term=Atom(value))
+        self.adversary_event(FRESH_VALUE, term=Atom(value))
         return value
 
     def adversary_sig_keygen(self) -> crypto.SigKeyPair:

@@ -93,6 +93,11 @@ class EvidenceBundle(Message):
             vmdata=self.vmdata,
         )
 
+    @classmethod
+    def from_verification_input(cls, vin: VerificationInput) -> "EvidenceBundle":
+        """The evidence vin judges, without its anchors: verification_input's inverse."""
+        return cls(*(getattr(vin, name) for name, _ in cls._layout))
+
 
 @dataclass(frozen=True)
 class Verdict:

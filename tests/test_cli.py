@@ -88,6 +88,11 @@ class TestVerify:
         assert EvidenceBundle.from_json_obj(bundle.to_json_obj()) == bundle
         assert len(intel_pk) == 32
 
+    def test_bundle_from_its_verification_input(self, bundle_path):
+        bundle, intel_pk, to_msr = load_bundle_file(bundle_path)
+        vin = bundle.verification_input(intel_pk, to_msr)
+        assert EvidenceBundle.from_verification_input(vin) == bundle
+
 
 class TestFuzz:
     def test_clean_campaign_exits_0(self, capsys):

@@ -6,8 +6,8 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from vmquote import crypto
 from vmquote.codec import Atom, Label, Tuple, encode
 from vmquote.crypto import Rng
-from vmquote.harness import DEFAULT_MASK, World, fuzz_adversary
-from vmquote.harness.knowledge import AdversaryKnowledge
+from vmquote.harness import DEFAULT_MASK, World, fuzz_adversary, rebuild_knowledge
+from vmquote.harness.knowledge import _MIN_CIPHERTEXT, AdversaryKnowledge
 
 
 def test_tuples_come_apart():
@@ -283,6 +283,71 @@ class TestDerivable:
         k.observe(Atom(b"unrelated"))
         k.analyze()
         assert not k.derivable(Atom(Rng(95).bytes(32)))
+
+
+class TestFreshValues:
+    """Fresh names are atomic: no ciphertext and no digest."""
+
+    @staticmethod
+    def _pairs(k):
+        atoms = [t.value for t in k.terms_list() if isinstance(t, Atom)]
+        keys = sum(1 for a in atoms if len(a) == 32)
+        blobs = sum(1 for a in atoms if len(a) >= _MIN_CIPHERTEXT)
+        return keys, blobs
+
+    def test_fresh_blob_is_covered_but_never_scanned(self, monkeypatch):
+        # no provenance record survives: every other blob is scanned
+        monkeypatch.setattr(crypto, "_PROVENANCE_SIZE", 0)
+        world = World(seed=12)
+        value = world.adversary_fresh(64)
+        rebuilt = rebuild_knowledge(world.trace)
+        for k in (world.knowledge, rebuilt):
+            k.analyze()
+            keys, blobs = self._pairs(k)
+            assert k.trials == keys * blobs
+            assert k.scanned == keys * (blobs - 1)
+        assert (rebuilt.trials, rebuilt.scanned) == (world.knowledge.trials, world.knowledge.scanned)
+
+        computed = World(seed=12)
+        computed.adversary_compute(Atom(value))
+        k = computed.knowledge
+        k.analyze()
+        keys, blobs = self._pairs(k)
+        assert k.scanned == k.trials == keys * blobs
+
+    def test_fresh_key_opens_a_blob_sealed_under_it(self, monkeypatch):
+        monkeypatch.setattr(crypto, "_PROVENANCE_SIZE", 0)
+        world = World(seed=13)
+        key = world.adversary_fresh(32)
+        secret = Atom(b"sealed under a fresh key")
+        world.adversary_compute(Atom(crypto.encrypt(secret, key, world.rng)))
+        rebuilt = rebuild_knowledge(world.trace)
+        for k in (world.knowledge, rebuilt):
+            k.analyze()
+            assert k.knows(secret)
+
+    def test_fresh_atom_skips_the_digest_rule(self, monkeypatch):
+        term = Tuple([Label("report_data"), Atom(b"a")])
+        value = crypto.digest(term)
+        k = AdversaryKnowledge()
+        k.observe(term)
+        k.analyze()
+        calls = []
+        digest = crypto.digest
+        monkeypatch.setattr(crypto, "digest", lambda t: calls.append(t) or digest(t))
+        assert not k.derivable(Atom(value), fresh=True)
+        assert calls == []
+        assert k.derivable(Atom(value))
+        assert calls == k.terms_list()
+
+    def test_known_or_decodable_fresh_atom_is_derivable(self):
+        key = Rng(103).bytes(32)
+        k = AdversaryKnowledge()
+        k.observe(Atom(key))
+        k.observe(Atom(b"a"))
+        k.analyze()
+        assert k.derivable(Atom(key), fresh=True)
+        assert k.derivable(Atom(encode(Tuple([Atom(b"a"), Label("l")]))), fresh=True)
 
 
 class TestKnownSet:

@@ -5,22 +5,25 @@ cannot open. Each fuzz world below runs three ways: with the map live,
 with it emptied before every event is learned and before every closure
 (as for a trace read in a fresh process), and with the map bounded to a
 single entry. All three must learn the same terms in the same order, with
-the same atom origins and the same trial and hit counts.
+the same atom origins and the same trial and hit counts. With the map
+emptied, every covered pair is scanned except those of the blobs the
+trace shows as fresh values.
 """
 
 from vmquote import crypto
-from vmquote.codec import encode
+from vmquote.codec import Atom, encode, from_hex
 from vmquote.harness import DEFAULT_MASK, World, fuzz_adversary, parse_compromise_flags
 from vmquote.harness import world as world_mod
-from vmquote.harness.knowledge import AdversaryKnowledge
+from vmquote.harness.events import FRESH_VALUE, KIND_ADVERSARY
+from vmquote.harness.knowledge import _MIN_CIPHERTEXT, AdversaryKnowledge
 
 
 class Forgetful(AdversaryKnowledge):
     """Knowledge that never finds a blob in the provenance map."""
 
-    def learn(self, kind, term, leak, leak_kind) -> None:
+    def learn(self, kind, term, leak, leak_kind, fresh=False) -> None:
         crypto._provenance.clear()
-        super().learn(kind, term, leak, leak_kind)
+        super().learn(kind, term, leak, leak_kind, fresh)
 
     def analyze(self) -> None:
         crypto._provenance.clear()
@@ -42,22 +45,34 @@ def _closure(monkeypatch, mask, seed, knowledge=AdversaryKnowledge, bound=crypto
         know.trials,
         know.hits,
     )
-    return learned, know.scanned
+    atoms = [t.value for t in know.terms_list() if isinstance(t, Atom)]
+    keys = sum(1 for a in atoms if len(a) == 32)
+    blobs = sum(1 for a in atoms if len(a) >= _MIN_CIPHERTEXT)
+    fresh_blobs = sum(
+        1
+        for ev in world.trace.of_kind(KIND_ADVERSARY)
+        if ev.body["action"] == FRESH_VALUE
+        and len(from_hex(ev.body["term"]).value) >= _MIN_CIPHERTEXT
+    )
+    return learned, know.scanned, (keys, blobs, fresh_blobs)
 
 
 def _check_worlds(monkeypatch, mask):
-    saved = 0
+    saved = fresh = 0
     for seed in range(30):
-        live, live_scanned = _closure(monkeypatch, mask, seed)
-        cleared, cleared_scanned = _closure(monkeypatch, mask, seed, knowledge=Forgetful)
-        tiny, tiny_scanned = _closure(monkeypatch, mask, seed, bound=1)
+        live, live_scanned, (keys, blobs, fresh_blobs) = _closure(monkeypatch, mask, seed)
+        cleared, cleared_scanned, _ = _closure(monkeypatch, mask, seed, knowledge=Forgetful)
+        tiny, tiny_scanned, _ = _closure(monkeypatch, mask, seed, bound=1)
         assert cleared == live, seed
         assert tiny == live, seed
         trials = live[2]
-        assert cleared_scanned == trials, seed
+        assert trials == keys * blobs, seed
+        assert cleared_scanned == keys * (blobs - fresh_blobs), seed
         assert live_scanned <= tiny_scanned <= trials, seed
         saved += trials - live_scanned
+        fresh += fresh_blobs
     assert saved > 0
+    assert fresh > 0
 
 
 def test_fuzz_worlds_default_mask(monkeypatch):
