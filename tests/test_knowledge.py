@@ -306,7 +306,8 @@ class TestFreshValues:
             keys, blobs = self._pairs(k)
             assert k.trials == keys * blobs
             assert k.scanned == keys * (blobs - 1)
-        assert (rebuilt.trials, rebuilt.scanned) == (world.knowledge.trials, world.knowledge.scanned)
+        live = world.knowledge
+        assert (rebuilt.trials, rebuilt.scanned) == (live.trials, live.scanned)
 
         computed = World(seed=12)
         computed.adversary_compute(Atom(value))
