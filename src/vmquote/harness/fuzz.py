@@ -15,6 +15,11 @@ guest deployments, extraction of non-designated guest secrets, and
 forgery with stolen signing keys. fuzz_adversary applies its moves and
 lets the honest parties finish.
 
+A draw that samples the adversary's terms (a replace, or an inject of a
+known term or a tuple of them) first runs the knowledge closure to its
+fixpoint, so the pool is everything the adversary can analyze out of
+what it has seen, whatever moves came before.
+
 The compromise mask is the threat-model knob: the default forbids
 touching the designated platforms' keys and both roots of trust, which
 is exactly the premise set under which the properties must hold
@@ -303,6 +308,12 @@ _FAMILIES = (
 )
 
 
+def _pool(world: World) -> list:
+    """The terms a draw samples: all the adversary knows, closed first."""
+    world.knowledge.analyze()
+    return world.knowledge.terms_list()
+
+
 def _draw(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> Move | None:
     """The next fuzz move for the world as it stands; None for a no-op."""
     family = mv.choice(_FAMILIES)
@@ -321,7 +332,7 @@ def _draw(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> Move |
             byte = mv.randrange(len(items[index].value))
             return Move("flip", ((index,), byte, mv.randrange(8)))
         if style == 1:
-            term = mv.choice(world.knowledge.terms_list())
+            term = mv.choice(_pool(world))
             return Move("replace", (mv.randrange(len(items)), term))
         return Move("truncate")
     if family == "drop":
@@ -331,10 +342,10 @@ def _draw(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> Move |
         if style == 2:
             length = mv.choice([16, 32, 64])
             return Move("inject_fresh", (mv.choice(_INJECT_TARGETS), length))
+        terms = _pool(world)
         if style == 0:
-            term = mv.choice(world.knowledge.terms_list())
+            term = mv.choice(terms)
         else:
-            terms = world.knowledge.terms_list()
             term = Tuple([mv.choice(terms) for _ in range(2 + mv.randrange(3))])
         return Move("inject", (mv.choice(_INJECT_TARGETS), term))
     if family == "compromise":

@@ -8,7 +8,7 @@ grows by an analysis closure run to fixpoint:
 - atoms whose payload parses as a term are decoded
 - ciphertext-sized atoms are decrypted under the known 32-byte keys
   that can open them
-- key negotiation runs between observed 32-byte elements and the
+- key negotiation runs between the negotiation elements and the
   registered private elements (privates are an explicit registry: the
   adversary owns or stole them, it does not guess them out of atoms)
 - wrap keys are derived from observed and negotiated 32-byte atoms, but
@@ -16,12 +16,29 @@ grows by an analysis closure run to fixpoint:
   stacks derivations, so one layer is complete and keeps the closure
   polynomial
 
+A negotiation element is a 32-byte public element that an honest party
+feeds to X25519 when it is handed a known term: the go_sn_pb of a Tuple
+that DeployPackage.from_term accepts (the PSP's psp_receive_deploy) and
+the psp_sn_pb of a Tuple that SevPlatformCert.from_term accepts (the
+owner's TrustedOwner.deploy_vm). The split rule classifies each Tuple
+once, when it takes it apart, so the rule is decided from the trace alone
+and live and rebuilt knowledge agree. Tamarin's DH theory lets the
+adversary exponentiate any known term, and this rule is narrower, but it
+loses nothing: a shared secret matters only as key material for a seal
+or a MAC that some party opens or checks, and only honest parties open
+or check with X25519 outputs, each computed from a negotiation element.
+An exchange on any other atom yields a value no honest party uses, so it
+seals nothing and MACs nothing anyone checks. Every shared secret an
+honest party computes is still derived whenever its private is
+registered, for a forged certificate as for a genuine one.
+
 The closure is evaluated semi-naively: each round applies the rules only
 to what is new since the rule last ran, so no rule ever repeats work.
 
 - A term is split or decoded once, in the round after it is learned.
-- Key negotiation pairs new public elements with the privates already
-  registered, and newly registered privates with every public element.
+- Key negotiation pairs new negotiation elements with the privates
+  already registered, and newly registered privates with every
+  negotiation element.
 - A wrap key is derived once from each atom, in the round the atom
   becomes eligible.
 - Trial decryption covers new keys against every blob and old keys against
@@ -108,6 +125,7 @@ from __future__ import annotations
 from .. import crypto
 from ..codec import Atom, Label, MalformedEncoding, Term, Tuple, decode, encode, may_decode
 from ..crypto import DecryptionFailure, InvalidPublicElement, WRAP_KEY_LABELS
+from ..sev import DeployPackage, SevPlatformCert
 from .events import ADVERSARY_VISIBLE
 
 # Atom origins, in increasing privilege: derivation outputs never feed
@@ -120,6 +138,9 @@ _OBS = 2
 # The shortest term encoding: a tag byte and a 4-byte length.
 _MIN_ENCODING = len(encode(Atom(b"")))
 _MIN_CIPHERTEXT = crypto.NONCE_LEN + 16 + _MIN_ENCODING
+
+# The messages whose receiver feeds a field to X25519, and that field.
+_NEGOTIATING = ((DeployPackage, "go_sn_pb"), (SevPlatformCert, "psp_sn_pb"))
 
 #: The closure's work counters, attributes of AdversaryKnowledge.
 CLOSURE_COUNTERS = ("rounds", "kx_pairs", "trials", "hits")
@@ -147,6 +168,9 @@ class AdversaryKnowledge:
         self.dh_privates: dict[bytes, None] = {}
         # delta state: what each rule has not seen yet
         self._split = 0
+        # negotiation elements: all of them, those negotiation has paired
+        # in first-seen order, and those it has not seen yet
+        self._elements: set[bytes] = set()
         self._pubs: list[bytes] = []
         self._new_pubs: list[bytes] = []
         self._kx_privates = 0
@@ -237,11 +261,8 @@ class AdversaryKnowledge:
             elif len(value) >= _MIN_CIPHERTEXT:
                 self._file_blob(value)
         self._atoms[value] = origin
-        if len(value) == 32:
-            if origin == _OBS:
-                self._new_pubs.append(value)
-            if prev < _KX <= origin:
-                self._new_eligible.append(value)
+        if len(value) == 32 and prev < _KX <= origin:
+            self._new_eligible.append(value)
 
     def _file_blob(self, value: bytes) -> None:
         b = len(self._blobs)
@@ -289,6 +310,11 @@ class AdversaryKnowledge:
             if isinstance(term, Tuple):
                 for item in term.items:
                     self._add(item, _OBS)
+                for message, name in _NEGOTIATING:
+                    try:
+                        self._negotiation_element(getattr(message.from_term(term), name))
+                    except ValueError:
+                        pass
             elif isinstance(term, Atom) and may_decode(term.value):
                 try:
                     inner = decode(term.value)
@@ -296,6 +322,11 @@ class AdversaryKnowledge:
                     continue
                 self._add(inner, _OBS)
         self._split = end
+
+    def _negotiation_element(self, value: bytes) -> None:
+        if len(value) == crypto.KEY_LEN and value not in self._elements:
+            self._elements.add(value)
+            self._new_pubs.append(value)
 
     def _negotiate(self) -> None:
         rank = self._rank.__getitem__

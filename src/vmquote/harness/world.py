@@ -20,6 +20,10 @@ recv_* method that returns its reply. The Pipeline drives one honest
 protocol run through them step by step, holding at most one in-flight
 message the adversary may tamper with or drop between steps, and
 deliver lets the adversary inject arbitrary terms at the same handlers.
+At the owner's two receiving ends the Pipeline calls owner_provision and
+owner_report, the work behind recv_measurement and recv_report_request,
+which also return the message as parsed: the host builds the evidence
+bundle from it.
 """
 
 from __future__ import annotations
@@ -222,31 +226,45 @@ class World:
     def recv_measurement(
         self, owner: TrustedOwner, name: str, term: Term
     ) -> SecretPackage | None:
+        return self.owner_provision(owner, name, term)[1]
+
+    def owner_provision(
+        self, owner: TrustedOwner, name: str, term: Term
+    ) -> tuple[MeasurementPackage | None, SecretPackage | None]:
+        """The owner's provisioning step: the package as parsed, and the reply."""
         try:
             mp = MeasurementPackage.from_term(term)
         except ValueError:
             self.transition(name, "owner_provision_refused", error="malformed")
-            return None
+            return None, None
         result = owner.provision_vm(mp.msr, mp.mac_ti)
         self.drain_owner(owner, name)
         if result is None:
             self.transition(name, "owner_provision_refused", error="guard")
-        return result
+        return mp, result
 
     def recv_report_request(
         self, owner: TrustedOwner, name: str, host: SgxPlatform, term: Term
     ) -> sgx.Quote | None:
-        """The owner's report for a guest request, quoted by its host's QE."""
+        return self.owner_report(owner, name, host, term)[1]
+
+    def owner_report(
+        self, owner: TrustedOwner, name: str, host: SgxPlatform, term: Term
+    ) -> tuple[ReportRequest | None, sgx.Quote | None]:
+        """The owner's report for a guest request, quoted by its host's QE.
+
+        Returns the request as parsed, and the quote.
+        """
         try:
             request = ReportRequest.from_term(term)
         except ValueError:
             self.transition(name, "owner_report_refused", error="malformed")
-            return None
+            return None, None
         report = owner.generate_report_for_vm(request.vmdata, request.tag)
         self.drain_owner(owner, name)
         if report is None:
             self.transition(name, "owner_report_refused", error="guard")
-            return None
+            return request, None
         self.transition(
             self.sgx_name(host),
             "sgx_ereport",
@@ -254,7 +272,7 @@ class World:
             msr=report.enclave_msr,
             data=report.report_data,
         )
-        return sgx.qe_generate_quote(host, report)
+        return request, sgx.qe_generate_quote(host, report)
 
     def recv_bundle(self, term: Term) -> Verdict:
         try:
@@ -598,11 +616,11 @@ class Pipeline:
         term = self._take("measurement")
         if term is None:
             return
-        pkg = self.world.recv_measurement(self.owner, self.owner_name, term)
+        mp, pkg = self.world.owner_provision(self.owner, self.owner_name, term)
         if pkg is None:
             self.halted = True
             return
-        self.last_measurement = MeasurementPackage.from_term(term).msr
+        self.last_measurement = mp.msr
         self._emit(self.owner_name, self.sev_name, pkg.to_term(), "secret")
 
     def step_sp_launch(self) -> None:
@@ -633,7 +651,7 @@ class Pipeline:
         term = self._take("report_request")
         if term is None:
             return
-        quote = self.world.recv_report_request(
+        request, quote = self.world.owner_report(
             self.owner, self.owner_name, self.sgx_platform, term
         )
         if quote is None:
@@ -644,7 +662,7 @@ class Pipeline:
             sgx_cert=self.sgx_platform.cert,
             pspid=self.sev_platform.psp_sn.public,
             vmmsr=self.last_measurement,
-            vmdata=ReportRequest.from_term(term).vmdata,
+            vmdata=request.vmdata,
         )
         self._emit(self.owner_name, "rp", bundle.to_term(), "bundle")
 

@@ -1,7 +1,7 @@
 """The delta closure against the round-based closure it replaced.
 
 RoundClosure below is the reference: every round rescans every known
-term, rebuilds the key, blob and public-element lists, and skips the
+term, rebuilds the key, blob and negotiation-element lists, and skips the
 pairs it tried before, running to fixpoint without a round cap. The fuzz
 campaign samples terms_list(), so the delta closure must learn the same
 terms in the same order, with the same origin for every atom, after every
@@ -17,6 +17,7 @@ from vmquote.crypto import WRAP_KEY_LABELS, DecryptionFailure, InvalidPublicElem
 from vmquote.harness import DEFAULT_MASK, World, fuzz_adversary, parse_compromise_flags
 from vmquote.harness import world as world_mod
 from vmquote.harness.knowledge import AdversaryKnowledge
+from vmquote.sev import DeployPackage, SevPlatformCert
 
 _KDF, _KX, _OBS = 0, 1, 2
 _MIN_CIPHERTEXT = crypto.NONCE_LEN + 16 + 5
@@ -65,7 +66,8 @@ class RoundClosure:
 
     def _analyze_round(self) -> bool:
         added = False
-        for term in list(self._terms.values()):
+        known = list(self._terms.values())
+        for term in known:
             if isinstance(term, Tuple):
                 for item in term.items:
                     added |= self._add(item, _OBS)
@@ -77,7 +79,15 @@ class RoundClosure:
                 else:
                     added |= self._add(inner, _OBS)
 
-        pubs = [a for a, origin in self._atoms.items() if origin == _OBS and len(a) == 32]
+        # what the PSP and the owner feed to X25519, in the tuples split so far
+        elements = set()
+        for term in known:
+            for message, name in ((DeployPackage, "go_sn_pb"), (SevPlatformCert, "psp_sn_pb")):
+                try:
+                    elements.add(getattr(message.from_term(term), name))
+                except ValueError:
+                    pass
+        pubs = [a for a in self._atoms if a in elements and len(a) == 32]
         for private in list(self.dh_privates):
             for pub in pubs:
                 if (pub, private) in self._tried_kx:
@@ -183,7 +193,10 @@ def _pool():
 
     Two blobs open under crossed keys, so key-major and blob-major trial
     order disagree; negotiation outputs and derived keys appear later as
-    observed atoms and as plaintexts, which widens their origin.
+    observed atoms and as plaintexts, which widens their origin. Two
+    public elements sit in negotiation positions, in a deploy package and
+    in a platform certificate; the third is a bare atom and negotiates
+    nothing.
     """
     rng = Rng(7)
     pairs = [crypto.kx_keygen(rng) for _ in range(3)]
@@ -195,10 +208,13 @@ def _pool():
     secret = Atom(b"secret payload..")
     blob_a = crypto.encrypt(Tuple([Label("under_k1"), Atom(k2)]), k1, rng)
     blob_b = crypto.encrypt(Tuple([Label("under_k2"), Atom(k1)]), k2, rng)
+    deploy = DeployPackage(
+        go_sn_pb=pairs[1].public, blob_d=b"blob", mac_d=b"mac", vmc=Atom(b"code")
+    )
     terms = [
         Atom(pairs[0].public),
-        Atom(pairs[1].public),
-        Atom(pairs[2].public),
+        deploy.to_term(),
+        SevPlatformCert(psp_sn_pb=pairs[2].public, sig_ar=b"sig").to_term(),
         Atom(pairs[2].private),
         Atom(k1),
         Atom(k2),

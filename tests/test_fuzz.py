@@ -13,7 +13,9 @@ from vmquote.harness import (
     parse_compromise_flags,
     run_scenario,
 )
+from vmquote.harness import world as world_mod
 from vmquote.harness.events import KIND_VERDICT
+from vmquote.harness.knowledge import AdversaryKnowledge
 
 
 def test_zero_steps_is_the_honest_run():
@@ -87,6 +89,29 @@ def test_campaign_sums_closure_counters():
     assert result.closure == expected
     assert expected["trials"] > expected["hits"] > 0
     assert f"{expected['trials']} trials, {expected['hits']} hits" in result.summary_lines()[0]
+
+
+class PoolWatch(AdversaryKnowledge):
+    """Knowledge that notes, at each terms_list() call, whether work is pending."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.samples: list[bool] = []
+
+    def terms_list(self) -> list:
+        self.samples.append(self._pending())
+        return super().terms_list()
+
+
+def test_every_draw_samples_a_closed_pool(monkeypatch):
+    """What a draw can inject never depends on whether something ran analyze."""
+    monkeypatch.setattr(world_mod, "AdversaryKnowledge", PoolWatch)
+    samples = []
+    for run_seed in range(10):
+        world = World(seed=run_seed)
+        fuzz_adversary(world, seed=run_seed, steps=40)
+        samples += world.knowledge.samples
+    assert samples and not any(samples)
 
 
 class TestMask:

@@ -8,6 +8,7 @@ from vmquote.codec import Atom, Label, Tuple, encode
 from vmquote.crypto import Rng
 from vmquote.harness import DEFAULT_MASK, World, fuzz_adversary, rebuild_knowledge
 from vmquote.harness.knowledge import _MIN_CIPHERTEXT, AdversaryKnowledge
+from vmquote.sev import DeployPackage, amd_rot_certify, new_amd_rot
 
 
 def test_tuples_come_apart():
@@ -90,15 +91,32 @@ def test_authentic_blob_without_a_term_teaches_nothing():
 
 
 def test_registered_private_negotiates():
+    """A registered private meets the PSP key of a platform certificate."""
     rng = Rng(92)
     victim = crypto.kx_keygen(rng)
     adv = crypto.kx_keygen(rng)
     k = AdversaryKnowledge()
-    k.observe(Atom(victim.public))
+    k.observe(amd_rot_certify(new_amd_rot(rng), victim.public).to_term())
     k.add_private_dh(adv.private)
     k.analyze()
     ss = crypto.shared_secret(victim.public, adv.private)
     assert k.knows(Atom(ss))
+
+
+def test_element_outside_a_negotiation_position_negotiates_nothing():
+    """No honest party feeds a bare atom, or a tuple's other items, to X25519."""
+    rng = Rng(104)
+    victim = crypto.kx_keygen(rng)
+    other = crypto.kx_keygen(rng)
+    adv = crypto.kx_keygen(rng)
+    k = AdversaryKnowledge()
+    k.observe(Atom(victim.public))
+    # certificate-shaped, with the element in the signature's place
+    k.observe(Tuple([Atom(b"not a key"), Atom(other.public)]))
+    k.add_private_dh(adv.private)
+    k.analyze()
+    assert k.kx_pairs == 0
+    assert not k.knows(Atom(crypto.shared_secret(victim.public, adv.private)))
 
 
 def test_observed_privates_are_not_guessed():
@@ -107,7 +125,7 @@ def test_observed_privates_are_not_guessed():
     victim = crypto.kx_keygen(rng)
     leaked = crypto.kx_keygen(rng)
     k = AdversaryKnowledge()
-    k.observe(Atom(victim.public))
+    k.observe(amd_rot_certify(new_amd_rot(rng), victim.public).to_term())
     k.observe(Atom(leaked.private))
     k.analyze()
     ss = crypto.shared_secret(victim.public, leaked.private)
@@ -117,9 +135,9 @@ def test_observed_privates_are_not_guessed():
 def test_psp_compromise_extraction_chain():
     """Stolen PSP private opens deploy traffic end to end.
 
-    Wire view: negotiation element, wrapped transport keys, wrapped
-    channel secret. The closure must chain negotiate, derive, decrypt,
-    decrypt to reach the channel key.
+    Wire view: the deploy package (negotiation element, wrapped
+    transport keys), then the wrapped channel secret. The closure must
+    chain negotiate, derive, decrypt, decrypt to reach the channel key.
     """
     rng = Rng(94)
     psp = crypto.kx_keygen(rng)
@@ -128,13 +146,14 @@ def test_psp_compromise_extraction_chain():
     kek = crypto.derive_wrap_key(Label("sev_kek"), ss)
     tek = crypto.fresh_key(rng)
     tik = crypto.fresh_key(rng)
+    kik = crypto.derive_wrap_key(Label("sev_kik"), ss)
     blob_d = crypto.encrypt(Tuple([Label("transport_keys"), Atom(tek), Atom(tik)]), kek, rng)
+    mac_d = crypto.mac(Atom(blob_d), kik)
     cik = crypto.fresh_key(rng)
     blob_p = crypto.encrypt(Atom(cik), tek, rng)
 
     k = AdversaryKnowledge()
-    k.observe(Atom(go.public))
-    k.observe(Atom(blob_d))
+    k.observe(DeployPackage(go.public, blob_d, mac_d, Atom(b"guest code")).to_term())
     k.observe(Atom(blob_p))
     k.analyze()
     assert not k.knows(Atom(cik))
