@@ -29,8 +29,11 @@ or a MAC that some party opens or checks, and only honest parties open
 or check with X25519 outputs, each computed from a negotiation element.
 An exchange on any other atom yields a value no honest party uses, so it
 seals nothing and MACs nothing anyone checks. Every shared secret an
-honest party computes is still derived whenever its private is
-registered, for a forged certificate as for a genuine one.
+honest party computes is still derived whenever the adversary holds
+either private of that exchange, for a forged certificate as for a
+genuine one: the PSP's peer element arrives in a deploy package, the
+owner's in the certificate it deploys to, and the owner's own element
+goes out in its deploy package.
 
 The closure is evaluated semi-naively: each round applies the rules only
 to what is new since the rule last ran, so no rule ever repeats work.
