@@ -42,7 +42,6 @@ class GuestRuntime:
             raise GuestNotRunning("provisioned secret has unusable shape")
         self._session = session
         self._cik = secret.value
-        self.vm_digest = session.dig
         self.clock = 0
 
     def next_report_payload(self) -> Term:

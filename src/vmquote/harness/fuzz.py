@@ -9,11 +9,13 @@ the same seed without any move Rng, to the same trace.
 The fuzzer is a move generator. fuzz_moves draws each move from its own
 Rng against the world the last move left, over the Dolev-Yao repertoire:
 advancing or starving honest steps, tampering, dropping, injecting
-knowledge-built terms at every receiving end, mask-permitted
-compromises, quote requests for adversary enclaves, the adversary's own
-guest deployments, extraction of non-designated guest secrets, and
-forgery with stolen signing keys. fuzz_adversary applies its moves and
-lets the honest parties finish.
+knowledge-built terms at the receiving ends of _INJECT_TARGETS,
+mask-permitted compromises, quote requests for adversary enclaves, the
+adversary's own guest deployments, extraction of non-designated guest
+secrets, and forgery with stolen signing keys. fuzz_adversary applies
+its moves and lets the honest parties finish. The tenant,
+forge_sev_cert and forge_measurement kinds are never drawn: only
+scenarios apply them.
 
 A draw that samples the adversary's terms (a replace, or an inject of a
 known term or a tuple of them) first runs the knowledge closure to its
@@ -32,13 +34,13 @@ import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .. import sgx
+from .. import sev, sgx
 from ..codec import Atom, Tuple
 from ..crypto import Rng
 from ..guest import DESIGNATED_VM_CODE, ReportRequest
 from ..owner import report_data_preimage
 from ..relying_party import EvidenceBundle
-from ..sev import Measurement
+from ..sev import Measurement, MeasurementPackage
 from ..sgx import OWNER_ENCLAVE_MEASUREMENT, quote_payload
 from .events import KIND_VERDICT, Trace
 from .knowledge import CLOSURE_COUNTERS
@@ -156,12 +158,15 @@ MOVE_KINDS = (
     "drop",  # the in-flight message is lost
     "inject",  # (deliver target, term)
     "inject_fresh",  # (deliver target, length) of a fresh atom
+    "tenant",  # (code,) a new owner on the next SGX platform runs its pipeline to the end
     "compromise",  # ("intel" | "amd" | "qe" | "psp", platform index or None)
     "request_quote",  # (sgx index, report data length) for an adversary enclave
     "own_deploy",  # (sev index,) of a free platform
     "extract",  # (sev index,) of a running non-designated guest
     "forge_bundle",  # (sgx index whose quoting key is stolen, or None for the Intel root,)
-    "forge_request",  # (vmdata length,) of a report request under a fresh tag
+    "forge_sev_cert",  # (deliver target,) gets a fresh key's cert signed by the stolen AMD root
+    "forge_measurement",  # (key,) MACs a fresh designated-digest measurement for owner0
+    "forge_request",  # (deliver target, vmdata length, key or None for a fresh tag)
 )
 
 
@@ -243,6 +248,8 @@ def apply(world: World, pipe: Pipeline, move: Move) -> None:
     elif kind == "inject_fresh":
         target, length = args
         world.deliver(target, Atom(world.adversary_fresh(length)))
+    elif kind == "tenant":
+        Pipeline(world, world.add_owner(args[0])).run_all()
     elif kind == "compromise":
         what, index = args
         if what == "intel":
@@ -270,10 +277,24 @@ def apply(world: World, pipe: Pipeline, move: Move) -> None:
             plat = world.sgx_platforms[args[0]]
             cert, key = plat.cert, plat.qek.private
         world.deliver("rp_bundle", forge_accepting_bundle(world, cert, key).to_term())
+    elif kind == "forge_sev_cert":
+        fake = world.adversary_kx_keygen()
+        sig = world.adversary_sign(sev.cert_payload(fake.public), world.amd_rot.ltk.private)
+        world.deliver(args[0], sev.SevPlatformCert(psp_sn_pb=fake.public, sig_ar=sig).to_term())
+    elif kind == "forge_measurement":
+        msr = Measurement(
+            plat_sev=Atom(world.adversary_fresh(8)),
+            launch_sev=Atom(world.adversary_fresh(8)),
+            dig=world.designated_dig,
+            nonce=world.adversary_fresh(16),
+        )
+        mac_ti = world.adversary_mac(msr.to_term(), args[0])
+        world.deliver("owner_measurement", MeasurementPackage(msr=msr, mac_ti=mac_ti).to_term())
     elif kind == "forge_request":
-        vmdata = Atom(world.adversary_fresh(args[0]))
-        request = ReportRequest(vmdata=vmdata, tag=world.adversary_fresh(32))
-        world.deliver("owner_report", request.to_term())
+        target, length, key = args
+        vmdata = Atom(world.adversary_fresh(length))
+        tag = world.adversary_fresh(32) if key is None else world.adversary_mac(vmdata, key)
+        world.deliver(target, ReportRequest(vmdata=vmdata, tag=tag).to_term())
     else:
         raise ValueError(f"unknown move kind: {kind!r}")
 
@@ -381,7 +402,7 @@ def _draw(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> Move |
             if plat.ppid.hex() in world.compromised.qe_ppids:
                 options.append(i)
         return Move("forge_bundle", (mv.choice(options),)) if options else None
-    return Move("forge_request", (16,))
+    return Move("forge_request", ("owner_report", 16, None))
 
 
 def fuzz_moves(

@@ -1,12 +1,13 @@
 """Scripted runs: one honest baseline, tampering, and compromise attacks.
 
-A scenario is a schedule of fuzz.Move values, run by the same apply the
-fuzzer uses, or, for the two that run the adversary's own crypto or a
-second owner, a function of (world, pipe). The negative scenarios each
-break one message or guard and must end with the honest parties refusing
-(no accepted verdict); the compromise scenarios mount the four attacks
-the escape clauses exist for, pre- and post-run, so the checkers can be
-watched excusing exactly those and nothing else.
+Every scenario is a schedule of fuzz.Move values, run by the same apply
+the fuzzer uses: a tuple of moves, or a generator over (world, pipe)
+that reads what earlier moves put on the bus or let the adversary learn.
+The negative scenarios each break one message or guard and must end with
+the honest parties refusing (no accepted verdict); the compromise
+scenarios mount the four attacks the escape clauses exist for, pre- and
+post-run, so the checkers can be watched excusing exactly those and
+nothing else.
 
 run_scenario_world returns the world and an info dict for tests to poke
 at; use run_scenario for just the trace.
@@ -16,15 +17,13 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .. import crypto, sgx
-from ..codec import Atom
-from ..guest import DESIGNATED_VM_CODE, ReportRequest
-from ..owner import TrustedOwner
+from .. import crypto
+from ..codec import TAG_TRANSPORT_KEYS, Atom, Label, Term, Tuple
+from ..guest import ReportRequest
 from ..relying_party import EvidenceBundle
-from ..sev import Measurement, MeasurementPackage, SevPlatformCert
-from ..sev import cert_payload as sev_cert_payload
-from ..sgx import OWNER_ENCLAVE_MEASUREMENT
-from .events import KIND_TRANSITION, KIND_VERDICT, Trace
+from ..sev import Measurement, MeasurementPackage, SecretPackage, SevPlatformCert
+from ..sgx import Quote
+from .events import KIND_ADVERSARY, KIND_SEND, KIND_TRANSITION, KIND_VERDICT, Trace, term_from_hex
 from .fuzz import Move, run_schedule
 from .properties import check_all
 from .world import Pipeline, World
@@ -36,6 +35,50 @@ class UnknownScenario(ValueError):
 
 ADVANCE = Move("advance")
 FINISH = Move("finish")
+
+
+def _sent(world: World, src: str, dst: str) -> Term:
+    """The last term src put on the bus for dst."""
+    return next(
+        term_from_hex(ev.body["term"])
+        for ev in reversed(world.trace.events)
+        if ev.kind == KIND_SEND and ev.body["src"] == src and ev.body["dst"] == dst
+    )
+
+
+def _stolen(world: World) -> list[Term]:
+    """The guest secrets the adversary's extraction events show."""
+    return [
+        term_from_hex(ev.body["term"])
+        for ev in world.trace.of_kind(KIND_ADVERSARY)
+        if ev.body["action"] == "adversary_extract_sev_secret"
+    ]
+
+
+def _transport_keys(world: World) -> tuple[bytes, bytes]:
+    """tek and tik of the last transport-keys tuple the closure opened."""
+    world.knowledge.analyze()
+    tag = Label(TAG_TRANSPORT_KEYS)
+    opened = [
+        term
+        for term in world.knowledge.terms_list()
+        if isinstance(term, Tuple) and len(term) == 3 and term.items[0] == tag
+    ]
+    _, tek, tik = opened[-1].items
+    return tek.value, tik.value
+
+
+def _inject_evidence(world: World, i: int, pspid: bytes, msr: Measurement) -> Move:
+    """Evidence for the quote owner i last made for the adversary's request."""
+    request = ReportRequest.from_term(_sent(world, "adv", f"owner{i}"))
+    bundle = EvidenceBundle(
+        quote=Quote.from_term(_sent(world, f"sgx{i}", "adv")),
+        sgx_cert=world.sgx_platforms[i].cert,
+        pspid=pspid,
+        vmmsr=msr,
+        vmdata=request.vmdata,
+    )
+    return Move("inject", ("rp_bundle", bundle.to_term()))
 
 
 def _replay_secret_package(world: World, pipe: Pipeline) -> Iterator[Move]:
@@ -51,8 +94,44 @@ def _cross_platform_cert_swap(world: World, pipe: Pipeline) -> Iterator[Move]:
     yield FINISH
 
 
-#: Scenarios that are plain move sequences: a tuple of moves, or a
-#: generator over (world, pipe) for the two that reuse a term the run made.
+def _compromise_amd_rot_pre(world: World, pipe: Pipeline) -> Iterator[Move]:
+    """Fake SEV platform under a stolen AMD root key.
+
+    The owner deploys to a platform that exists only as an adversary
+    keypair, so every transport secret, the channel key included, lands
+    in adversary hands, and the owner can then be driven to vouch for
+    arbitrary guest data.
+    """
+    yield Move("compromise", ("amd", None))
+    yield Move("forge_sev_cert", ("owner_deploy",))
+    fake = SevPlatformCert.from_term(_sent(world, "adv", "owner0"))
+    tek, tik = _transport_keys(world)
+    yield Move("forge_measurement", (tik,))
+    msr = MeasurementPackage.from_term(_sent(world, "adv", "owner0")).msr
+    secret = SecretPackage.from_term(_sent(world, "owner0", "adv"))
+    cik = crypto.decrypt(secret.blob_p, tek)
+    yield Move("forge_request", ("owner_report", 24, cik.value))
+    yield _inject_evidence(world, 0, fake.psp_sn_pb, msr)
+
+
+def _extract_other_guest_secret(world: World, pipe: Pipeline) -> Iterator[Move]:
+    """Host-level theft from a non-designated guest.
+
+    A second owner deploys a different workload; the adversary (as host)
+    rips that guest's channel key out of memory and makes the second
+    owner vouch for fabricated data. Everything verifies, and the
+    designated guest's key stays out of reach: the properties scope
+    secrecy to the designated digest on purpose.
+    """
+    yield FINISH
+    yield Move("tenant", (Atom(b"other tenant workload"),))
+    yield Move("extract", (1,))
+    yield Move("forge_request", ("owner_report:1", 24, _stolen(world)[-1].value))
+    msr = MeasurementPackage.from_term(_sent(world, "sev1", "owner1")).msr
+    yield _inject_evidence(world, 1, world.sev_platforms[1].psp_sn.public, msr)
+
+
+#: Every scenario, as a tuple of moves or a generator over (world, pipe).
 #: The pipeline's in-flight slot after n advances: 1 deploy, 2 measurement,
 #: 3 secret, 5 report_request, 6 bundle.
 SCHEDULES = {
@@ -62,7 +141,8 @@ SCHEDULES = {
     "tamper_secret_package": (ADVANCE,) * 3 + (Move("flip", ((0,), 0, 0)), FINISH),
     "replay_secret_package": _replay_secret_package,
     "wrong_vm_code": (ADVANCE, Move("replace", (3, Atom(b"evil code"))), FINISH),
-    "forge_report_request": (ADVANCE,) * 4 + (Move("forge_request", (24,)),),
+    "forge_report_request": (ADVANCE,) * 4
+    + (Move("forge_request", ("owner_report", 24, None)),),
     "cross_platform_cert_swap": _cross_platform_cert_swap,
     "compromise_intel_rot_pre": (
         Move("compromise", ("intel", None)),
@@ -71,117 +151,16 @@ SCHEDULES = {
     "compromise_intel_rot_post": (FINISH, Move("compromise", ("intel", None))),
     "compromise_sgx_qe_pre": (Move("compromise", ("qe", 0)), Move("forge_bundle", (0,))),
     "compromise_sgx_qe_post": (FINISH, Move("compromise", ("qe", 0))),
+    "compromise_amd_rot_pre": _compromise_amd_rot_pre,
     "compromise_amd_rot_post": (FINISH, Move("compromise", ("amd", None))),
     # Passive extraction: a compromised PSP key opens the honest run ...
     "compromise_sev_psp_pre": (Move("compromise", ("psp", 0)), FINISH),
     # ... and, with no forward secrecy, works after the fact too.
     "compromise_sev_psp_post": (FINISH, Move("compromise", ("psp", 0))),
+    "extract_other_guest_secret": _extract_other_guest_secret,
 }
 
-
-def compromise_amd_rot_pre(world: World, pipe: Pipeline) -> dict:
-    """Fake SEV platform under a stolen AMD root key.
-
-    The owner deploys to a platform that exists only as an adversary
-    keypair, so every transport secret, the channel key included, lands
-    in adversary hands, and the owner can then be driven to vouch for
-    arbitrary guest data.
-    """
-    world.compromise_amd_rot()
-    fake_sn = world.adversary_kx_keygen()
-    sig = world.adversary_sign(sev_cert_payload(fake_sn.public), world.amd_rot.ltk.private)
-    fake_cert = SevPlatformCert(psp_sn_pb=fake_sn.public, sig_ar=sig)
-
-    pkg = world.owner_deploy(world.owner, "owner0", fake_cert, DESIGNATED_VM_CODE)
-    assert pkg is not None, "owner rejected a root-signed certificate"
-    world.send("owner0", "adv", pkg.to_term())
-
-    ss = crypto.shared_secret(pkg.go_sn_pb, fake_sn.private)
-    kek = crypto.derive_wrap_key(crypto.WRAP_KEY_LABELS[0], ss)
-    plain = crypto.decrypt(pkg.blob_d, kek)
-    tek, tik = plain.items[1].value, plain.items[2].value
-
-    msr = Measurement(
-        plat_sev=Atom(world.adversary_fresh(8)),
-        launch_sev=Atom(world.adversary_fresh(8)),
-        dig=world.designated_dig,
-        nonce=world.adversary_fresh(16),
-    )
-    mac_ti = world.adversary_mac(msr.to_term(), tik)
-    spkg = world.deliver(
-        "owner_measurement", MeasurementPackage(msr=msr, mac_ti=mac_ti).to_term()
-    )
-    assert spkg is not None, "owner refused a MAC-valid matching measurement"
-    cik = crypto.decrypt(spkg.blob_p, tek).value
-
-    vmdata = Atom(world.adversary_fresh(24))
-    request = ReportRequest(vmdata=vmdata, tag=world.adversary_mac(vmdata, cik))
-    quote = world.deliver("owner_report", request.to_term())
-    assert quote is not None, "stolen channel key should satisfy the owner"
-    bundle = EvidenceBundle(
-        quote=quote,
-        sgx_cert=world.sgx_platforms[0].cert,
-        pspid=fake_sn.public,
-        vmmsr=msr,
-        vmdata=vmdata,
-    )
-    world.deliver("rp_bundle", bundle.to_term())
-    return {}
-
-
-def extract_other_guest_secret(world: World, pipe: Pipeline) -> dict:
-    """Host-level theft from a non-designated guest.
-
-    A second owner deploys a different workload; the adversary (as host)
-    rips that guest's channel key out of memory and makes the second
-    owner vouch for fabricated data. Everything verifies, and the
-    designated guest's key stays out of reach: the properties scope
-    secrecy to the designated digest on purpose.
-    """
-    pipe.run_all()
-
-    sgx1 = world.sgx_platforms[1]
-    sev1 = world.sev_platforms[1]
-    sgx.load_enclave(sgx1, OWNER_ENCLAVE_MEASUREMENT)
-    owner1 = TrustedOwner(amd_ltk_pb=world.amd_rot.public, host_platform=sgx1, rng=world.rng)
-    other_code = Atom(b"other tenant workload")
-    world.publish("owner1", other_code)
-    pipe1 = Pipeline(
-        world,
-        owner=owner1,
-        owner_name="owner1",
-        sev_platform=sev1,
-        sgx_platform=sgx1,
-        vm_code=other_code,
-    )
-    pipe1.run_all()
-
-    stolen = world.adversary_extract_sev_secret(sev1)
-    vmdata = Atom(world.adversary_fresh(24))
-    request = ReportRequest(vmdata=vmdata, tag=world.adversary_mac(vmdata, stolen.value)).to_term()
-    world.send("adv", "owner1", request)
-    quote = world.recv_report_request(owner1, "owner1", sgx1, request)
-    assert quote is not None, "stolen channel key should satisfy the owner"
-    world.send("sgx1", "adv", quote.to_term())
-    bundle = EvidenceBundle(
-        quote=quote,
-        sgx_cert=sgx1.cert,
-        pspid=sev1.psp_sn.public,
-        vmmsr=pipe1.last_measurement,
-        vmdata=vmdata,
-    )
-    world.deliver("rp_bundle", bundle.to_term())
-    return {"stolen": stolen}
-
-
-#: Every scenario: a schedule, or a function of (world, pipe) returning
-#: extra info for the two that run the adversary's own crypto or a
-#: second owner.
-SCENARIOS = {
-    **SCHEDULES,
-    "compromise_amd_rot_pre": compromise_amd_rot_pre,
-    "extract_other_guest_secret": extract_other_guest_secret,
-}
+SCENARIOS = SCHEDULES
 
 #: Negative scenarios: the honest flow must abort with no accepted verdict.
 NEGATIVE_SCENARIOS = (
@@ -205,22 +184,16 @@ COMPROMISE_ATTACKS = (
 def run_scenario_world(name: str, seed: int = 0) -> tuple[World, dict]:
     """Run a scenario on a fresh world of the seed.
 
-    info holds the pipeline, its verdict and the schedule applied (None
-    for a function scenario), plus what a function scenario returns.
+    info holds the pipeline, its verdict and the schedule applied.
     """
     script = SCENARIOS.get(name)
     if script is None:
         raise UnknownScenario(f"unknown scenario: {name}")
     world = World(seed=seed)
     pipe = Pipeline(world)
-    info = {"pipe": pipe, "schedule": None}
-    if name in SCHEDULES:
-        moves = script(world, pipe) if callable(script) else script
-        info["schedule"] = run_schedule(world, pipe, moves)
-    else:
-        info.update(script(world, pipe))
-    info["verdict"] = pipe.verdict
-    return world, info
+    moves = script(world, pipe) if callable(script) else script
+    schedule = run_schedule(world, pipe, moves)
+    return world, {"pipe": pipe, "verdict": pipe.verdict, "schedule": schedule}
 
 
 def run_scenario(name: str, seed: int = 0) -> Trace:
@@ -359,10 +332,12 @@ def _post_psp_pre(world: World, info: dict, results: dict) -> bool:
 
 def _post_extract_other(world: World, info: dict, results: dict) -> bool:
     cik = _designated_cik(world)
+    stolen = _stolen(world)
     return (
         len(_accepts(world)) == 3
         and all(res.escaped == 0 for res in results.values())
-        and world.knowledge.knows(info["stolen"])
+        and len(stolen) == 1
+        and world.knowledge.knows(stolen[0])
         and cik is not None
         and not world.knowledge.derivable(cik, fresh=True)
     )

@@ -1,12 +1,15 @@
 """Simulation world: actors, in-memory bus, adversary capabilities.
 
 A World is built deterministically from a seed: roots of trust, two SGX
-platforms (sgx0 hosts the trusted owner), two SEV platforms (sev0 is the
-designated deployment target), the owner enclave, and a public bulletin
-carrying every certificate, the root public keys, and the designated
-guest code. All randomness of all actors flows from the single seeded
-Rng, so a replay with the same seed reproduces every key, nonce, and
-ciphertext byte.
+platforms, two SEV platforms, the designated owner enclave, and a public
+bulletin carrying every certificate, the root public keys, and the
+designated guest code. Owner i means owners[i], named owner{i}: it runs
+on sgx_platforms[i] and deploys workloads[i] to sev_platforms[i]. Owner
+0 is the designated owner, so sgx0 and sev0 are the designated
+platforms; add_owner brings in a second tenant on the next SGX platform.
+All randomness of all actors flows from the single seeded Rng, so a
+replay with the same seed reproduces every key, nonce, and ciphertext
+byte.
 
 Every event goes through World.record, which appends it to the trace
 and applies both learn rules to it: AdversaryKnowledge.learn and
@@ -15,15 +18,14 @@ record are exactly what the events show, by the same rules the checkers
 apply to a trace. An adversary capability that creates, leaks or steals
 a value therefore only has to log it.
 
-Each receiving end (PSP handlers, owner handlers, relying party) is one
-recv_* method that returns its reply. The Pipeline drives one honest
-protocol run through them step by step, holding at most one in-flight
-message the adversary may tamper with or drop between steps, and
-deliver lets the adversary inject arbitrary terms at the same handlers.
-At the owner's two receiving ends the Pipeline calls owner_provision and
-owner_report, the work behind recv_measurement and recv_report_request,
-which also return the message as parsed: the host builds the evidence
-bundle from it.
+Each receiving end (PSP handlers, owner i's three steps, relying party)
+is one method that returns its reply. The Pipeline drives owner i's
+honest protocol run through them step by step, holding at most one
+in-flight message the adversary may tamper with or drop between steps,
+and deliver lets the adversary inject arbitrary terms at the same
+handlers, named by target strings such as owner_report:1. The owner's
+provisioning and report steps also return the message as parsed: the
+host builds the evidence bundle from it.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ class World:
             plat = sgx.new_sgx_platform(self.rng)
             plat.cert = sgx.intel_rot_certify(self.intel_rot, plat.qek.public, plat.ppid)
             self.sgx_platforms.append(plat)
-        sgx.load_enclave(self.sgx_platforms[0], OWNER_ENCLAVE_MEASUREMENT)
 
         self.sev_platforms: list[SevPlatform] = []
         for _ in range(2):
@@ -92,11 +93,8 @@ class World:
             plat.cert = sev.amd_rot_certify(self.amd_rot, plat.psp_sn.public)
             self.sev_platforms.append(plat)
 
-        self.owner = TrustedOwner(
-            amd_ltk_pb=self.amd_rot.public,
-            host_platform=self.sgx_platforms[0],
-            rng=self.rng,
-        )
+        self.owners: list[TrustedOwner] = []
+        self.workloads: list[Atom] = []
         self.guests: list[str] = []
         self.last_verification: VerificationInput | None = None
 
@@ -106,15 +104,28 @@ class World:
             self.publish("intel_rot", plat.cert.to_term())
         for plat in self.sev_platforms:
             self.publish("amd_rot", plat.cert.to_term())
-        self.publish("owner0", DESIGNATED_VM_CODE)
+        self.add_owner(DESIGNATED_VM_CODE)
 
-    # ---- naming ------------------------------------------------------
+    @property
+    def owner(self) -> TrustedOwner:
+        """The designated owner, owner0."""
+        return self.owners[0]
 
-    def sgx_name(self, plat: SgxPlatform) -> str:
-        return f"sgx{self.sgx_platforms.index(plat)}"
+    def add_owner(self, code: Atom) -> int:
+        """A new tenant: an owner enclave on the next SGX platform.
 
-    def sev_name(self, plat: SevPlatform) -> str:
-        return f"sev{self.sev_platforms.index(plat)}"
+        Loads the enclave, publishes the workload the owner will deploy,
+        and returns the owner's index.
+        """
+        i = len(self.owners)
+        host = self.sgx_platforms[i]
+        sgx.load_enclave(host, OWNER_ENCLAVE_MEASUREMENT)
+        self.owners.append(
+            TrustedOwner(amd_ltk_pb=self.amd_rot.public, host_platform=host, rng=self.rng)
+        )
+        self.workloads.append(code)
+        self.publish(f"owner{i}", code)
+        return i
 
     # ---- trace plumbing ----------------------------------------------
 
@@ -143,32 +154,17 @@ class World:
     def adversary_event(self, action: str, **body) -> None:
         self.record(KIND_ADVERSARY, action=action, **body)
 
-    def drain_owner(self, owner: TrustedOwner, name: str) -> None:
-        """Move the enclave's action records into the trace."""
+    def drain_owner(self, i: int) -> None:
+        """Move owner i's enclave action records into the trace."""
+        owner = self.owners[i]
         while owner.actions:
             label, payload = owner.actions.pop(0)
-            self.transition(name, label, **payload)
-
-    # ---- honest owner deployment --------------------------------------
-
-    def owner_deploy(
-        self, owner: TrustedOwner, name: str, cert: SevPlatformCert, vm_code: Atom
-    ) -> DeployPackage | None:
-        """The owner's opening move: a deploy package for the certified PSP."""
-        result = owner.deploy_vm(cert, crypto.digest(vm_code))
-        self.drain_owner(owner, name)
-        if result is None:
-            self.transition(name, "owner_deploy_refused", error="guard")
-            return None
-        return DeployPackage(
-            go_sn_pb=result.go_sn_pb, blob_d=result.blob_d, mac_d=result.mac_d, vmc=vm_code
-        )
+            self.transition(f"owner{i}", label, **payload)
 
     # ---- receiving ends (honest handlers, also injection targets) ----
 
-    def recv_deploy(
-        self, platform: SevPlatform, name: str, term: Term
-    ) -> MeasurementPackage | None:
+    def recv_deploy(self, i: int, term: Term) -> MeasurementPackage | None:
+        platform, name = self.sev_platforms[i], f"sev{i}"
         try:
             pkg = DeployPackage.from_term(term)
         except ValueError:
@@ -193,10 +189,9 @@ class World:
         )
         return mp
 
-    def recv_secret(
-        self, platform: SevPlatform, name: str, term: Term
-    ) -> GuestRuntime | None:
+    def recv_secret(self, i: int, term: Term) -> GuestRuntime | None:
         """Launch the guest; there is no reply, the result is its runtime."""
+        platform, name = self.sev_platforms[i], f"sev{i}"
         try:
             pkg = SecretPackage.from_term(term)
         except ValueError:
@@ -223,50 +218,66 @@ class World:
         )
         return runtime
 
-    def recv_measurement(
-        self, owner: TrustedOwner, name: str, term: Term
-    ) -> SecretPackage | None:
-        return self.owner_provision(owner, name, term)[1]
+    # Owner i's three steps. Owner i is named owner{i}, runs on sgx{i} and
+    # deploys workloads[i]; the Pipeline hands it sev{i}'s certificate.
+
+    def owner_deploy(self, i: int, cert: SevPlatformCert) -> DeployPackage | None:
+        """Owner i's opening move: a deploy package for the certified PSP."""
+        result = self.owners[i].deploy_vm(cert, crypto.digest(self.workloads[i]))
+        self.drain_owner(i)
+        if result is None:
+            self.transition(f"owner{i}", "owner_deploy_refused", error="guard")
+            return None
+        return DeployPackage(
+            go_sn_pb=result.go_sn_pb,
+            blob_d=result.blob_d,
+            mac_d=result.mac_d,
+            vmc=self.workloads[i],
+        )
+
+    def recv_platform_cert(self, i: int, term: Term) -> DeployPackage | None:
+        try:
+            cert = SevPlatformCert.from_term(term)
+        except ValueError:
+            self.transition(f"owner{i}", "owner_deploy_refused", error="malformed")
+            return None
+        return self.owner_deploy(i, cert)
 
     def owner_provision(
-        self, owner: TrustedOwner, name: str, term: Term
+        self, i: int, term: Term
     ) -> tuple[MeasurementPackage | None, SecretPackage | None]:
-        """The owner's provisioning step: the package as parsed, and the reply."""
+        """Owner i's provisioning step: the package as parsed, and the reply."""
         try:
             mp = MeasurementPackage.from_term(term)
         except ValueError:
-            self.transition(name, "owner_provision_refused", error="malformed")
+            self.transition(f"owner{i}", "owner_provision_refused", error="malformed")
             return None, None
-        result = owner.provision_vm(mp.msr, mp.mac_ti)
-        self.drain_owner(owner, name)
+        result = self.owners[i].provision_vm(mp.msr, mp.mac_ti)
+        self.drain_owner(i)
         if result is None:
-            self.transition(name, "owner_provision_refused", error="guard")
+            self.transition(f"owner{i}", "owner_provision_refused", error="guard")
         return mp, result
 
-    def recv_report_request(
-        self, owner: TrustedOwner, name: str, host: SgxPlatform, term: Term
-    ) -> sgx.Quote | None:
-        return self.owner_report(owner, name, host, term)[1]
-
     def owner_report(
-        self, owner: TrustedOwner, name: str, host: SgxPlatform, term: Term
+        self, i: int, term: Term
     ) -> tuple[ReportRequest | None, sgx.Quote | None]:
-        """The owner's report for a guest request, quoted by its host's QE.
+        """Owner i's report for a guest request, quoted by its host's QE.
 
         Returns the request as parsed, and the quote.
         """
         try:
             request = ReportRequest.from_term(term)
         except ValueError:
-            self.transition(name, "owner_report_refused", error="malformed")
+            self.transition(f"owner{i}", "owner_report_refused", error="malformed")
             return None, None
-        report = owner.generate_report_for_vm(request.vmdata, request.tag)
-        self.drain_owner(owner, name)
+        report = self.owners[i].generate_report_for_vm(request.vmdata, request.tag)
+        self.drain_owner(i)
         if report is None:
-            self.transition(name, "owner_report_refused", error="guard")
+            self.transition(f"owner{i}", "owner_report_refused", error="guard")
             return request, None
+        host = self.sgx_platforms[i]
         self.transition(
-            self.sgx_name(host),
+            f"sgx{i}",
             "sgx_ereport",
             ppid=host.ppid,
             msr=report.enclave_msr,
@@ -299,23 +310,33 @@ class World:
         return verdict
 
     def _receiving_end(self, target: str) -> tuple:
-        """A deliver target's (receiver, reply sender or None, handler)."""
-        kind, _, idx = target.partition(":")
-        if kind in ("sev_deploy", "sev_secret"):
-            plat = self.sev_platforms[int(idx)]
-            name = self.sev_name(plat)
-            if kind == "sev_deploy":
-                return name, name, partial(self.recv_deploy, plat, name)
-            return name, None, partial(self.recv_secret, plat, name)
-        if kind == "owner_measurement":
-            return "owner0", "owner0", partial(self.recv_measurement, self.owner, "owner0")
-        if kind == "owner_report":
-            host = self.sgx_platforms[0]
-            handler = partial(self.recv_report_request, self.owner, "owner0", host)
-            return "owner0", self.sgx_name(host), handler
-        if kind == "rp_bundle":
+        """A deliver target's (receiver, reply sender or None, handler).
+
+        sev_deploy:i and sev_secret:i name SEV platform i; owner_deploy,
+        owner_measurement and owner_report name owner0, or owner i with
+        :i; rp_bundle names the relying party. Any other target, an index
+        included, names no receiving end and raises ValueError.
+        """
+        if target == "rp_bundle":
             return "rp", None, self.recv_bundle
-        raise ValueError(f"unknown deliver target: {target}")
+        kind, sep, idx = target.partition(":")
+        if kind.startswith("owner_") and not sep:
+            idx = "0"
+        parties = self.sev_platforms if kind.startswith("sev_") else self.owners
+        if idx not in [str(i) for i in range(len(parties))]:
+            raise ValueError(f"no receiving end: {target}")
+        i = int(idx)
+        if kind == "sev_deploy":
+            return f"sev{i}", f"sev{i}", partial(self.recv_deploy, i)
+        if kind == "sev_secret":
+            return f"sev{i}", None, partial(self.recv_secret, i)
+        if kind == "owner_deploy":
+            return f"owner{i}", f"owner{i}", partial(self.recv_platform_cert, i)
+        if kind == "owner_measurement":
+            return f"owner{i}", f"owner{i}", lambda term: self.owner_provision(i, term)[1]
+        if kind == "owner_report":
+            return f"owner{i}", f"sgx{i}", lambda term: self.owner_report(i, term)[1]
+        raise ValueError(f"no receiving end: {target}")
 
     def deliver(self, target: str, term: Term):
         """Adversary injection: hand a term to a named receiving end.
@@ -363,6 +384,8 @@ class World:
         return result
 
     def adversary_sign(self, payload: Term, private: bytes) -> bytes:
+        """Sign with a key the adversary minted or stole, never derived."""
+        assert self.knowledge.knows(Atom(private)), "adversary lacks the signing key"
         sig = crypto.sign(payload, private)
         self.adversary_compute(Atom(sig))
         return sig
@@ -447,7 +470,7 @@ class World:
         sgx.load_enclave(platform, msr)
         report = sgx.ereport(platform, msr, data)
         self.transition(
-            self.sgx_name(platform),
+            f"sgx{self.sgx_platforms.index(platform)}",
             "sgx_ereport",
             ppid=platform.ppid,
             msr=msr,
@@ -517,30 +540,22 @@ class World:
 
 
 class Pipeline:
-    """One honest protocol run, stepped so the adversary can interleave.
+    """Owner i's honest protocol run, stepped so the adversary can interleave.
 
-    At most one message is in flight between steps; tamper with
-    `in_flight` or call `drop()` before the consuming step runs. A
-    failed step halts the rest of the pipeline (the honest parties have
-    nothing left to say), which is itself an observable outcome.
+    Owner i deploys workloads[i] to sev{i} and is quoted by sgx{i}. At
+    most one message is in flight between steps; tamper with `in_flight`
+    or call `drop()` before the consuming step runs. A failed step halts
+    the rest of the pipeline (the honest parties have nothing left to
+    say), which is itself an observable outcome.
     """
 
-    def __init__(
-        self,
-        world: World,
-        owner: TrustedOwner | None = None,
-        owner_name: str = "owner0",
-        sev_platform: SevPlatform | None = None,
-        sgx_platform: SgxPlatform | None = None,
-        vm_code: Atom = DESIGNATED_VM_CODE,
-    ) -> None:
+    def __init__(self, world: World, i: int = 0) -> None:
         self.world = world
-        self.owner = owner if owner is not None else world.owner
-        self.owner_name = owner_name
-        self.sev_platform = sev_platform if sev_platform is not None else world.sev_platforms[0]
-        self.sgx_platform = sgx_platform if sgx_platform is not None else world.sgx_platforms[0]
-        self.vm_code = vm_code
-        self.sev_name = world.sev_name(self.sev_platform)
+        self.i = i
+        self.owner_name = f"owner{i}"
+        self.sev_name = f"sev{i}"
+        self.sev_platform = world.sev_platforms[i]
+        self.sgx_platform = world.sgx_platforms[i]
         self.in_flight: Term | None = None
         self.in_flight_slot: str | None = None
         self.halted = False
@@ -594,9 +609,7 @@ class Pipeline:
         return term
 
     def step_owner_deploy(self) -> None:
-        pkg = self.world.owner_deploy(
-            self.owner, self.owner_name, self.sev_platform.cert, self.vm_code
-        )
+        pkg = self.world.owner_deploy(self.i, self.sev_platform.cert)
         if pkg is None:
             self.halted = True
             return
@@ -606,7 +619,7 @@ class Pipeline:
         term = self._take("deploy")
         if term is None:
             return
-        mp = self.world.recv_deploy(self.sev_platform, self.sev_name, term)
+        mp = self.world.recv_deploy(self.i, term)
         if mp is None:
             self.halted = True
             return
@@ -616,7 +629,7 @@ class Pipeline:
         term = self._take("measurement")
         if term is None:
             return
-        mp, pkg = self.world.owner_provision(self.owner, self.owner_name, term)
+        mp, pkg = self.world.owner_provision(self.i, term)
         if pkg is None:
             self.halted = True
             return
@@ -627,7 +640,7 @@ class Pipeline:
         term = self._take("secret")
         if term is None:
             return
-        runtime = self.world.recv_secret(self.sev_platform, self.sev_name, term)
+        runtime = self.world.recv_secret(self.i, term)
         if runtime is None:
             self.halted = True
             return
@@ -651,9 +664,7 @@ class Pipeline:
         term = self._take("report_request")
         if term is None:
             return
-        request, quote = self.world.owner_report(
-            self.owner, self.owner_name, self.sgx_platform, term
-        )
+        request, quote = self.world.owner_report(self.i, term)
         if quote is None:
             self.halted = True
             return

@@ -82,10 +82,6 @@ class TrustedOwner:
             return PHASE_DEPLOYED
         return PHASE_INIT
 
-    @property
-    def host_ppid(self) -> bytes:
-        return self._host.ppid
-
     def deploy_vm(self, cert: SevPlatformCert, dig: bytes) -> DeployResult | None:
         """Commit to a platform and VM digest; emit deployment secrets.
 

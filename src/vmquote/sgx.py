@@ -215,14 +215,3 @@ def quote_check_failure(
         return None
     except Exception:
         return REASON_MALFORMED
-
-
-def verify_quote(
-    msr_exp: Term,
-    data_exp: Term,
-    quote: Quote,
-    cert: SgxPlatformCert,
-    intel_pk: bytes,
-) -> bool:
-    """True iff every check passes. Never raises."""
-    return quote_check_failure(msr_exp, data_exp, quote, cert, intel_pk) is None

@@ -3,6 +3,12 @@
 The digests were recorded from the code before the harness refactor
 that feeds adversary knowledge from events; any change to what a
 scenario or a fuzz run records shows up here as a digest mismatch.
+
+One deliberate re-record since: the two compromise_amd_rot_pre digests,
+when the scenario became a move schedule. Its trace gained exactly one
+event, the send adv -> owner0 of the forged platform certificate just
+before owner_deploy_vm; the old hand-run script gave the owner the
+certificate without putting it on the bus.
 """
 
 import hashlib
@@ -13,7 +19,7 @@ from vmquote.harness import DEFAULT_MASK, SCENARIOS, World, fuzz_adversary, run_
 
 SCENARIO_DIGESTS = {
     (0, "compromise_amd_rot_post"): "bc8c174e4f8d7026cce0ed81e8d655af8c585a457cb272bec659c6f76517c63d",
-    (0, "compromise_amd_rot_pre"): "ad99e02a7a1030423b1ce7e2852ceafc720088225f7be51ed543258ea160816a",
+    (0, "compromise_amd_rot_pre"): "9b112fecafa4e3dfbf51089dd3c1f906783a4d96cd679cd27f8b83745d7c5e88",
     (0, "compromise_intel_rot_post"): "474503d7ef7a828ca63fb9ea9a38f05bd39111b22c60df79eaccfd1dcb27978f",
     (0, "compromise_intel_rot_pre"): "fb271d74f7bc897bdfd77e098f725aa28d9d0bb635458d8a3c063bc07cd51864",
     (0, "compromise_sev_psp_post"): "22483028d301fe7c77e0f4cf8b20c6fc4c4e328ed427019a64d53c8ba59a40fa",
@@ -30,7 +36,7 @@ SCENARIO_DIGESTS = {
     (0, "tamper_secret_package"): "c748ffd5a194e5b034e5d1d8394ce122fe3a05a9e605afc07e82bc0df53d64a0",
     (0, "wrong_vm_code"): "8686ad4f6a2a9b48436d9c641c0d4dce3cd10ced170d75fb9b26c2bfce94e452",
     (7, "compromise_amd_rot_post"): "90dc587d0effc7e08584244846b085b6f0a75ef3dab821ff8861aeee23cb68da",
-    (7, "compromise_amd_rot_pre"): "35ccb6cdf09e172abe818b10b98c1e1b5aa7d5c3cb121517b99b1a408a812856",
+    (7, "compromise_amd_rot_pre"): "3bb3c4a75a6619dfb9f191a41ea0a86ceda3ddf520484881e79881884f1df3cf",
     (7, "compromise_intel_rot_post"): "ec7452f99b01fa28e4eddffd61e3561926072fd1cb94a1fc0aa285aad743f357",
     (7, "compromise_intel_rot_pre"): "349ec57cb53380ce80c961cc1d20c98e8d2f4126e266f2a77f7a8a59961bb61e",
     (7, "compromise_sev_psp_post"): "05e20ec360ef0f969b664a4e92276ea3262b719f528a7339bd115924fbffdd93",

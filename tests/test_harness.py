@@ -2,7 +2,7 @@
 
 import pytest
 
-from vmquote import crypto
+from vmquote import crypto, sev
 from vmquote.codec import Atom, Label, encode
 from vmquote.guest import DESIGNATED_VM_CODE
 from vmquote.harness import (
@@ -28,7 +28,15 @@ from vmquote.harness import (
     run_scenario,
     run_scenario_world,
 )
-from vmquote.harness.events import KIND_ADVERSARY, KIND_SEND, KIND_VERDICT, Event, term_hex
+from vmquote.harness.events import (
+    KIND_ADVERSARY,
+    KIND_SEND,
+    KIND_TRANSITION,
+    KIND_VERDICT,
+    Event,
+    term_hex,
+)
+from vmquote.harness.fuzz import Move, apply
 from vmquote.sgx import OWNER_ENCLAVE_MEASUREMENT
 
 
@@ -86,8 +94,6 @@ class TestCompromiseScenarios:
 
     @staticmethod
     def _provisioned_cik(world):
-        from vmquote.harness.events import KIND_TRANSITION
-
         for ev in world.trace.of_kind(KIND_TRANSITION):
             if ev.body.get("label") == "owner_provision_vm":
                 return bytes.fromhex(ev.body["cik"])
@@ -273,6 +279,19 @@ class TestAdversaryInterfaceLimits:
         with pytest.raises(ForbiddenGuest):
             world.adversary_extract_sev_secret(world.sev_platforms[1])
 
+    @pytest.mark.parametrize(
+        "move",
+        (
+            Move("forge_sev_cert", ("owner_deploy",)),
+            Move("forge_bundle", (None,)),
+            Move("forge_bundle", (0,)),
+        ),
+    )
+    def test_forgery_needs_the_stolen_key(self, move):
+        world = World(seed=5)
+        with pytest.raises(AssertionError, match="signing key"):
+            apply(world, Pipeline(world), move)
+
     def test_each_compromise_is_recorded_once(self):
         world = World(seed=5)
         sgx1, sev1 = world.sgx_platforms[1], world.sev_platforms[1]
@@ -292,6 +311,79 @@ class TestAdversaryInterfaceLimits:
             qe_ppids={sgx1.ppid.hex()},
             psp_ids={sev1.psp_sn.public.hex()},
         )
+
+
+class TestReceivingEnds:
+    """deliver's targets: each names one receiving end or raises."""
+
+    @pytest.mark.parametrize(
+        "target",
+        (
+            "owner_deploy:1",
+            "owner_measurement:9",
+            "owner_report:1",
+            "owner_report:",
+            "owner_report:01",
+            "rp_bundle:3",
+            "rp_bundle:0",
+            "sev_deploy",
+            "sev_deploy:2",
+            "sev_secret:-1",
+            "no_such_end:0",
+        ),
+    )
+    def test_target_naming_no_receiving_end_raises(self, target):
+        world = World(seed=5)
+        before = len(world.trace)
+        with pytest.raises(ValueError):
+            world.deliver(target, Atom(b"x"))
+        assert len(world.trace) == before
+
+    def test_owner_index_routes_to_that_owner(self):
+        world = World(seed=5)
+        assert world.add_owner(Atom(b"other workload")) == 1
+        world.deliver("owner_report:1", Atom(b"x"))
+        world.deliver("owner_measurement", Atom(b"x"))
+        sends = world.trace.of_kind(KIND_SEND)[-2:]
+        assert [ev.body["dst"] for ev in sends] == ["owner1", "owner0"]
+        refused = world.trace.of_kind(KIND_TRANSITION)[-2:]
+        assert [ev.body["actor"] for ev in refused] == ["owner1", "owner0"]
+
+    @staticmethod
+    def _deploy_refusals(world, term) -> list:
+        assert world.deliver("owner_deploy", term) is None
+        assert not [ev for ev in world.trace.of_kind(KIND_SEND) if ev.body["dst"] == "adv"]
+        return [
+            ev.body["error"]
+            for ev in world.trace.of_kind(KIND_TRANSITION)
+            if ev.body["label"] == "owner_deploy_refused"
+        ]
+
+    def test_owner_deploy_malformed(self):
+        world = World(seed=5)
+        assert self._deploy_refusals(world, Atom(b"not a certificate")) == ["malformed"]
+
+    def test_owner_deploy_cert_not_signed_by_amd(self):
+        world = World(seed=5)
+        signer = world.adversary_sig_keygen()
+        psp = world.adversary_kx_keygen()
+        sig = world.adversary_sign(sev.cert_payload(psp.public), signer.private)
+        cert = sev.SevPlatformCert(psp_sn_pb=psp.public, sig_ar=sig)
+        assert self._deploy_refusals(world, cert.to_term()) == ["guard"]
+
+    def test_owner_deploy_twice(self):
+        world = World(seed=5)
+        Pipeline(world).run_all()
+        cert = world.sev_platforms[1].cert
+        assert self._deploy_refusals(world, cert.to_term()) == ["guard"]
+
+    def test_owner_deploy_reply_goes_to_adv(self):
+        world = World(seed=5)
+        pkg = world.deliver("owner_deploy", world.sev_platforms[1].cert.to_term())
+        last = world.trace.of_kind(KIND_SEND)[-1].body
+        assert (last["src"], last["dst"]) == ("owner0", "adv")
+        assert last["term"] == term_hex(pkg.to_term())
+        assert pkg.vmc == DESIGNATED_VM_CODE
 
 
 class TestTraceInfrastructure:

@@ -192,13 +192,13 @@ class TestReportGeneration:
         assert (r1.enclave_msr, r1.report_data) == (r2.enclave_msr, r2.report_data)
 
     def test_action_record_carries_bindings(self, ctx):
-        owner = ctx[5]
+        host, owner = ctx[3], ctx[5]
         mp, session = drive_to_provisioned(ctx)
         rt = GuestRuntime(session)
         request = rt.request_report(rt.next_report_payload())
         owner.generate_report_for_vm(request.vmdata, request.tag)
         name, body = owner.actions[-1]
         assert name == "owner_generate_report"
-        assert body["host_ppid"] == owner.host_ppid.hex()
+        assert body["host_ppid"] == host.ppid.hex()
         assert body["msr_dig"] == mp.msr.dig.hex()
         assert body["msr_nonce"] == mp.msr.nonce.hex()

@@ -257,5 +257,6 @@ class TestGuestRuntime:
         assert crypto.verify_mac(request.vmdata, request.tag, secret.value)
 
     def test_digest_exposed(self):
-        rt = GuestRuntime(self._running(Rng(65)))
-        assert rt.vm_digest == crypto.digest(DESIGNATED_VM_CODE)
+        session = self._running(Rng(65))
+        GuestRuntime(session)
+        assert session.dig == crypto.digest(DESIGNATED_VM_CODE)
