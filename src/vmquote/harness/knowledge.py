@@ -11,10 +11,8 @@ grows by an analysis closure run to fixpoint:
 - key negotiation runs between the negotiation elements and the
   registered private elements (privates are an explicit registry: the
   adversary owns or stole them, it does not guess them out of atoms)
-- wrap keys are derived from observed and negotiated 32-byte atoms, but
-  derivation outputs are not fed back in; the honest key schedule never
-  stacks derivations, so one layer is complete and keeps the closure
-  polynomial
+- both wrap keys are derived from each negotiation output, and from
+  nothing else
 
 A negotiation element is a 32-byte public element that an honest party
 feeds to X25519 when it is handed a known term: the go_sn_pb of a Tuple
@@ -35,6 +33,18 @@ genuine one: the PSP's peer element arrives in a deploy package, the
 owner's in the certificate it deploys to, and the owner's own element
 goes out in its deploy package.
 
+The derive rule is narrowed the same way. Among honest parties only
+psp_receive_deploy and TrustedOwner.deploy_vm call derive_wrap_key (the
+adversary's own deploy, World.adversary_own_deploy, mirrors the owner's),
+and each calls it on the X25519 output it has just computed, which never
+goes on the bus. A wrap key derived from any other atom (a digest, a tag,
+a public key, a fresh value, another wrap key) therefore seals nothing
+and MACs nothing that any party opens or checks, so no hit is lost. Each
+negotiation output is derived from exactly once, even if the adversary
+observed the same bytes before it negotiated them. Derivation outputs are
+never fed back in: the honest key schedule never stacks derivations, so
+one layer is complete and keeps the closure polynomial.
+
 The closure is evaluated semi-naively: each round applies the rules only
 to what is new since the rule last ran, so no rule ever repeats work.
 
@@ -42,8 +52,8 @@ to what is new since the rule last ran, so no rule ever repeats work.
 - Key negotiation pairs new negotiation elements with the privates
   already registered, and newly registered privates with every
   negotiation element.
-- A wrap key is derived once from each atom, in the round the atom
-  becomes eligible.
+- A wrap key is derived once from each negotiation output, in the round
+  negotiation first computes it.
 - Trial decryption covers new keys against every blob and old keys against
   new blobs, so each (blob, key) pair is covered once in the object's life.
   Each key's GCM tag is checked against its range of blobs of unknown
@@ -77,9 +87,9 @@ nothing. Whether the map holds a blob or not, the closure therefore
 learns the same terms in the same order. Only the scanning work differs.
 Every skipped pair still counts in trials.
 
-Known atoms are kept by their bytes, in the one table that also records
-each atom's origin and drives the rules; the known set proper holds only
-Labels and Tuples.
+Known atoms are kept by their bytes, in the one table that also ranks
+them in first-seen order; the known set proper holds only Labels and
+Tuples.
 
 Within a round the rules run in that order. Each adds its results in the
 first-seen order of its inputs (decryptions by blob, then by key), so
@@ -90,7 +100,8 @@ decoding or the decryption of a known term, each with a shorter encoding
 than its source, or one of the 32-byte negotiation or derivation atoms.
 Every term the closure can learn therefore encodes in no more bytes than
 the longest observed term or a 32-byte atom. There are finitely many such
-terms and atom origins only rise, so the closure reaches its fixpoint.
+terms, each learned once, and each negotiation output is derived from
+once, so the closure reaches its fixpoint.
 
 Most atoms the closure makes are pseudo-random: keys, negotiation and
 derivation outputs, digests, signatures. Before decoding an atom, both the
@@ -131,13 +142,6 @@ from ..crypto import DecryptionFailure, InvalidPublicElement, WRAP_KEY_LABELS
 from ..sev import DeployPackage, SevPlatformCert
 from .events import ADVERSARY_VISIBLE
 
-# Atom origins, in increasing privilege: derivation outputs never feed
-# derivation again, negotiation outputs feed derivation only, observed
-# atoms feed everything.
-_KDF = 0
-_KX = 1
-_OBS = 2
-
 # The shortest term encoding: a tag byte and a 4-byte length.
 _MIN_ENCODING = len(encode(Atom(b"")))
 _MIN_CIPHERTEXT = crypto.NONCE_LEN + 16 + _MIN_ENCODING
@@ -162,11 +166,10 @@ class AdversaryKnowledge:
     """
 
     def __init__(self) -> None:
-        # the known Labels and Tuples; known atoms are the keys of _atoms
+        # the known Labels and Tuples; known atoms are the keys of _rank
         self._known: set[Term] = set()
         self._terms: list[Term] = []
-        # known atom payload -> origin, and its rank in first-seen order
-        self._atoms: dict[bytes, int] = {}
+        # known atom payload -> its rank in first-seen order
         self._rank: dict[bytes, int] = {}
         self.dh_privates: dict[bytes, None] = {}
         # delta state: what each rule has not seen yet
@@ -177,7 +180,9 @@ class AdversaryKnowledge:
         self._pubs: list[bytes] = []
         self._new_pubs: list[bytes] = []
         self._kx_privates = 0
-        self._new_eligible: list[bytes] = []
+        # negotiation outputs: all of them, and those not derived from yet
+        self._kx_outputs: set[bytes] = set()
+        self._new_outputs: list[bytes] = []
         self._keys: list[bytes] = []
         self._key_index: dict[bytes, int] = {}
         # ciphertext-sized atoms, and their indices filed by provenance:
@@ -234,38 +239,33 @@ class AdversaryKnowledge:
 
     def observe(self, term: Term) -> None:
         """Record a term the adversary saw in the clear."""
-        self._add(term, _OBS)
+        self._add(term)
 
     def add_private_dh(self, private: bytes) -> None:
         """Register a key-negotiation private element (owned or stolen)."""
         self.dh_privates.setdefault(private, None)
-        self._add(Atom(private), _OBS)
+        self._add(Atom(private))
 
     def add_private_sig(self, private: bytes) -> None:
         """Register a signing private key (owned or stolen)."""
-        self._add(Atom(private), _OBS)
+        self._add(Atom(private))
 
-    def _add(self, term: Term, origin: int) -> None:
+    def _add(self, term: Term) -> None:
         if term.__class__ is not Atom:
             if term not in self._known:
                 self._known.add(term)
                 self._terms.append(term)
             return
         value = term.value
-        prev = self._atoms.get(value, -1)
-        if origin <= prev:
+        if value in self._rank:
             return
-        if prev < 0:
-            self._terms.append(term)
-            self._rank[value] = len(self._atoms)
-            if len(value) == 32:
-                self._key_index[value] = len(self._keys)
-                self._keys.append(value)
-            elif len(value) >= _MIN_CIPHERTEXT:
-                self._file_blob(value)
-        self._atoms[value] = origin
-        if len(value) == 32 and prev < _KX <= origin:
-            self._new_eligible.append(value)
+        self._terms.append(term)
+        self._rank[value] = len(self._rank)
+        if len(value) == 32:
+            self._key_index[value] = len(self._keys)
+            self._keys.append(value)
+        elif len(value) >= _MIN_CIPHERTEXT:
+            self._file_blob(value)
 
     def _file_blob(self, value: bytes) -> None:
         b = len(self._blobs)
@@ -281,7 +281,7 @@ class AdversaryKnowledge:
 
     def knows(self, term: Term) -> bool:
         if term.__class__ is Atom:
-            return term.value in self._atoms
+            return term.value in self._rank
         return term in self._known
 
     def terms_list(self) -> list:
@@ -293,7 +293,7 @@ class AdversaryKnowledge:
             self._split < len(self._terms)
             or self._new_pubs
             or self._kx_privates < len(self.dh_privates)
-            or self._new_eligible
+            or self._new_outputs
             or self._tried_keys < len(self._keys)
             or self._tried_blobs < len(self._blobs)
         )
@@ -312,7 +312,7 @@ class AdversaryKnowledge:
         for term in self._terms[self._split : end]:
             if isinstance(term, Tuple):
                 for item in term.items:
-                    self._add(item, _OBS)
+                    self._add(item)
                 for message, name in _NEGOTIATING:
                     try:
                         self._negotiation_element(getattr(message.from_term(term), name))
@@ -323,7 +323,7 @@ class AdversaryKnowledge:
                     inner = decode(term.value)
                 except MalformedEncoding:
                     continue
-                self._add(inner, _OBS)
+                self._add(inner)
         self._split = end
 
     def _negotiation_element(self, value: bytes) -> None:
@@ -346,14 +346,17 @@ class AdversaryKnowledge:
                     ss = crypto.shared_secret(pub, private)
                 except InvalidPublicElement:
                     continue
-                self._add(Atom(ss), _KX)
+                self._add(Atom(ss))
+                if ss not in self._kx_outputs:
+                    self._kx_outputs.add(ss)
+                    self._new_outputs.append(ss)
 
     def _derive(self) -> None:
-        eligible = sorted(self._new_eligible, key=self._rank.__getitem__)
-        self._new_eligible = []
-        for value in eligible:
+        outputs = sorted(self._new_outputs, key=self._rank.__getitem__)
+        self._new_outputs = []
+        for value in outputs:
             for label in WRAP_KEY_LABELS:
-                self._add(Atom(crypto.derive_wrap_key(label, value)), _KDF)
+                self._add(Atom(crypto.derive_wrap_key(label, value)))
 
     def _trial_decrypt(self) -> None:
         """New keys x all blobs, old keys x new blobs, as filed.
@@ -391,7 +394,7 @@ class AdversaryKnowledge:
             except DecryptionFailure:
                 continue
             self.hits += 1
-            self._add(plain, _OBS)
+            self._add(plain)
 
     def _digest_index(self) -> set:
         for term in self._terms[self._digested :]:

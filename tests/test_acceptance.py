@@ -213,24 +213,24 @@ def test_criterion_5_vm_quote_authenticity(campaign):
 
 def test_campaign_counters_pinned(campaign):
     """The shared campaign's exact counts: same behaviour, not just 0 violations."""
-    assert campaign.accepts == 2121
+    assert campaign.accepts == 2155
     assert campaign.matched == {
-        "sgx_quote_authenticity": 236,
-        "sev_secret_secrecy": 516,
-        "vm_quote_authenticity": 236,
+        "sgx_quote_authenticity": 243,
+        "sev_secret_secrecy": 524,
+        "vm_quote_authenticity": 243,
     }
     assert campaign.escaped == {
-        "sgx_quote_authenticity": 1885,
+        "sgx_quote_authenticity": 1912,
         "sev_secret_secrecy": 0,
-        "vm_quote_authenticity": 1885,
+        "vm_quote_authenticity": 1912,
     }
     assert campaign.total_violations == 0
     # the closure's summed work: the same (blob, key) pairs tried, the same opened
     assert campaign.closure == {
-        "rounds": 14923,
-        "kx_pairs": 8334,
-        "trials": 1410630,
-        "hits": 1888,
+        "rounds": 13688,
+        "kx_pairs": 7997,
+        "trials": 637501,
+        "hits": 1912,
     }
 
 

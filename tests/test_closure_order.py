@@ -4,8 +4,8 @@ RoundClosure below is the reference: every round rescans every known
 term, rebuilds the key, blob and negotiation-element lists, and skips the
 pairs it tried before, running to fixpoint without a round cap. The fuzz
 campaign samples terms_list(), so the delta closure must learn the same
-terms in the same order, with the same origin for every atom, after every
-analyze, not just reach the same set.
+terms in the same order, and compute the same negotiation outputs, after
+every analyze, not just reach the same set.
 """
 
 from hypothesis import example, given, settings
@@ -19,7 +19,6 @@ from vmquote.harness import world as world_mod
 from vmquote.harness.knowledge import AdversaryKnowledge
 from vmquote.sev import DeployPackage, SevPlatformCert
 
-_KDF, _KX, _OBS = 0, 1, 2
 _MIN_CIPHERTEXT = crypto.NONCE_LEN + 16 + 5
 
 
@@ -28,34 +27,32 @@ class RoundClosure:
 
     def __init__(self) -> None:
         self._terms = {}
+        # known atom payloads, in first-seen order
         self._atoms = {}
         self.dh_privates = {}
+        self._kx_outputs = set()
         self._tried_kx = set()
         self._tried_dec = set()
         self._derived_from = set()
 
     def observe(self, term) -> None:
-        self._add(term, _OBS)
+        self._add(term)
 
     def add_private_dh(self, private: bytes) -> None:
         self.dh_privates.setdefault(private, None)
-        self._add(Atom(private), _OBS)
+        self._add(Atom(private))
 
     def add_private_sig(self, private: bytes) -> None:
-        self._add(Atom(private), _OBS)
+        self._add(Atom(private))
 
-    def _add(self, term, origin: int) -> bool:
+    def _add(self, term) -> bool:
         key = encode(term)
-        fresh = key not in self._terms
-        if fresh:
-            self._terms[key] = term
+        if key in self._terms:
+            return False
+        self._terms[key] = term
         if isinstance(term, Atom):
-            prev = self._atoms.get(term.value, -1)
-            if origin > prev:
-                self._atoms[term.value] = origin
-                if prev >= 0:
-                    fresh = True
-        return fresh
+            self._atoms[term.value] = None
+        return True
 
     def terms_list(self) -> list:
         return list(self._terms.values())
@@ -70,14 +67,14 @@ class RoundClosure:
         for term in known:
             if isinstance(term, Tuple):
                 for item in term.items:
-                    added |= self._add(item, _OBS)
+                    added |= self._add(item)
             elif isinstance(term, Atom) and len(term.value) >= 5:
                 try:
                     inner = decode(term.value)
                 except MalformedEncoding:
                     pass
                 else:
-                    added |= self._add(inner, _OBS)
+                    added |= self._add(inner)
 
         # what the PSP and the owner feed to X25519, in the tuples split so far
         elements = set()
@@ -97,13 +94,15 @@ class RoundClosure:
                     ss = crypto.shared_secret(pub, private)
                 except InvalidPublicElement:
                     continue
-                added |= self._add(Atom(ss), _KX)
+                self._kx_outputs.add(ss)
+                added |= self._add(Atom(ss))
 
-        for a, origin in list(self._atoms.items()):
-            if len(a) == 32 and origin >= _KX and a not in self._derived_from:
+        # wrap keys come from negotiation outputs only, each derived once
+        for a in list(self._atoms):
+            if a in self._kx_outputs and a not in self._derived_from:
                 self._derived_from.add(a)
                 for label in WRAP_KEY_LABELS:
-                    added |= self._add(Atom(crypto.derive_wrap_key(label, a)), _KDF)
+                    added |= self._add(Atom(crypto.derive_wrap_key(label, a)))
 
         keys = [a for a in self._atoms if len(a) == 32]
         blobs = [a for a in self._atoms if len(a) >= _MIN_CIPHERTEXT]
@@ -116,7 +115,7 @@ class RoundClosure:
                     plain = crypto.decrypt(blob, key)
                 except DecryptionFailure:
                     continue
-                added |= self._add(plain, _OBS)
+                added |= self._add(plain)
         return added
 
 
@@ -124,7 +123,7 @@ class Mirrored(AdversaryKnowledge):
     """AdversaryKnowledge that feeds a RoundClosure the same inputs.
 
     After each analyze it records any difference in terms_list() order or
-    in atom origins. Mismatches are collected, not raised, so that no
+    in the negotiation outputs. Mismatches are collected, not raised, so that no
     caller can swallow them.
     """
 
@@ -161,8 +160,8 @@ class Mirrored(AdversaryKnowledge):
                 f"analyze {self.analyses}: terms differ from index {first} "
                 f"({len(mine)} vs {len(theirs)} terms)"
             )
-        if list(self._atoms.items()) != list(self.reference._atoms.items()):
-            self.mismatches.append(f"analyze {self.analyses}: atom origins differ")
+        if self._kx_outputs != self.reference._kx_outputs:
+            self.mismatches.append(f"analyze {self.analyses}: negotiation outputs differ")
 
 
 def _mirrored_fuzz_worlds(monkeypatch, mask, seeds):
@@ -192,8 +191,9 @@ def _pool():
     """Terms and privates that exercise every closure rule and ordering.
 
     Two blobs open under crossed keys, so key-major and blob-major trial
-    order disagree; negotiation outputs and derived keys appear later as
-    observed atoms and as plaintexts, which widens their origin. Two
+    order disagree; negotiation outputs and derived keys also appear as
+    observed atoms and as plaintexts, before or after they are computed,
+    and only a negotiation output derives keys, even one seen first. Two
     public elements sit in negotiation positions, in a deploy package and
     in a platform certificate; the third is a bare atom and negotiates
     nothing.
@@ -251,6 +251,9 @@ _OPS = st.lists(
 # blobs before keys, the later blob's key first: one decrypt phase opens
 # both, and key-major order would learn the later blob's contents first
 @example(ops=[("observe", 9), ("observe", 10), ("observe", 5), ("observe", 4)])
+# a shared secret observed before the exchange that computes it still
+# derives both wrap keys
+@example(ops=[("observe", 6), ("analyze", 0), ("observe", 1), ("register", 0)])
 @settings(max_examples=150, deadline=None)
 def test_interleavings_match_reference(ops):
     know = Mirrored()

@@ -55,7 +55,9 @@ SCENARIO_DIGESTS = {
 }
 
 #: sha256 over the concatenated JSONL traces of fuzz runs 0..19, in order.
-FUZZ_DIGEST = "95a7dfaef62d3dd7aab7a78ac839c437d540cc1b51b7b81328a2719e7d136d8c"
+#: Fuzz moves draw terms from the closed knowledge, so a closure rule that
+#: changes what the adversary knows re-records it.
+FUZZ_DIGEST = "a6c556bf6d891b024cfbd2b4e266acc6f65f81c0c3f7aee24b22f81547dc5db3"
 
 
 def _sha256(text: str) -> str:

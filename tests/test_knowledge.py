@@ -83,11 +83,10 @@ def test_authentic_blob_without_a_term_teaches_nothing():
     k.observe(Atom(blob))
     k.observe(Atom(key))
     k.analyze()
-    wrap_keys = [Atom(crypto.derive_wrap_key(label, key)) for label in crypto.WRAP_KEY_LABELS]
-    assert k.terms_list() == [Atom(blob), Atom(key), *wrap_keys]
+    assert k.terms_list() == [Atom(blob), Atom(key)]
     assert not k.knows(Atom(raw))
-    # the key and the two wrap keys derived from it, against one blob
-    assert (k.trials, k.hits) == (3, 0)
+    # an observed key derives no wrap key: one key against one blob
+    assert (k.trials, k.hits) == (1, 0)
 
 
 def test_registered_private_negotiates():
@@ -117,6 +116,39 @@ def test_element_outside_a_negotiation_position_negotiates_nothing():
     k.analyze()
     assert k.kx_pairs == 0
     assert not k.knows(Atom(crypto.shared_secret(victim.public, adv.private)))
+
+
+def test_observed_atom_derives_no_wrap_key():
+    """Only negotiation outputs are key material for derive_wrap_key."""
+    value = Rng(105).bytes(32)
+    k = AdversaryKnowledge()
+    k.observe(Atom(value))
+    k.analyze()
+    assert k.terms_list() == [Atom(value)]
+    for label in crypto.WRAP_KEY_LABELS:
+        assert not k.knows(Atom(crypto.derive_wrap_key(label, value)))
+
+
+@pytest.mark.parametrize("observed_first", [False, True], ids=["unseen", "observed_first"])
+def test_negotiation_output_derives_both_wrap_keys(observed_first):
+    """A shared secret is derived from once, even if it was seen before."""
+    rng = Rng(106)
+    victim = crypto.kx_keygen(rng)
+    adv = crypto.kx_keygen(rng)
+    ss = crypto.shared_secret(victim.public, adv.private)
+    wrap_keys = [Atom(crypto.derive_wrap_key(label, ss)) for label in crypto.WRAP_KEY_LABELS]
+    k = AdversaryKnowledge()
+    if observed_first:
+        k.observe(Atom(ss))
+        k.analyze()
+        assert not any(k.knows(key) for key in wrap_keys)
+    k.observe(amd_rot_certify(new_amd_rot(rng), victim.public).to_term())
+    k.add_private_dh(adv.private)
+    k.analyze()
+    assert k.kx_pairs == 1
+    atoms = [t for t in k.terms_list() if isinstance(t, Atom)]
+    assert atoms.count(Atom(ss)) == 1
+    assert atoms[-2:] == wrap_keys
 
 
 def test_observed_privates_are_not_guessed():
@@ -186,8 +218,8 @@ class TestCounters:
         k = AdversaryKnowledge()
         k.observe(Tuple([Atom(key), Atom(crypto.encrypt(Atom(b"payload"), key, rng))]))
         k.analyze()
-        # the key and the two wrap keys derived from it, against one blob
-        assert (k.trials, k.hits) == (3, 1)
+        # one key against one blob; an observed key derives no wrap key
+        assert (k.trials, k.hits) == (1, 1)
         work = (k.rounds, k.kx_pairs, k.trials, k.hits)
         k.analyze()
         assert (k.rounds, k.kx_pairs, k.trials, k.hits) == work
@@ -204,13 +236,13 @@ class TestCounters:
         key = crypto.fresh_key(rng)
         k = self._key_and_blob(key, crypto.encrypt(Atom(b"payload"), key, rng))
         assert k.knows(Atom(b"payload"))
-        assert (k.trials, k.scanned, k.hits) == (3, 0, 1)
+        assert (k.trials, k.scanned, k.hits) == (1, 0, 1)
 
     def test_registered_signature_is_never_scanned(self):
         rng = Rng(100)
         sig = crypto.sign(Atom(b"payload"), crypto.sig_keygen(rng).private)
         k = self._key_and_blob(crypto.fresh_key(rng), sig)
-        assert (k.trials, k.scanned, k.hits) == (3, 0, 0)
+        assert (k.trials, k.scanned, k.hits) == (1, 0, 0)
 
     def test_without_provenance_every_pair_is_scanned(self, monkeypatch):
         rng = Rng(101)
@@ -219,7 +251,7 @@ class TestCounters:
         monkeypatch.setattr(crypto, "_provenance", {})
         k = self._key_and_blob(key, blob)
         assert k.knows(Atom(b"payload"))
-        assert (k.trials, k.scanned, k.hits) == (3, 3, 1)
+        assert (k.trials, k.scanned, k.hits) == (1, 1, 1)
 
     def test_fuzz_world_tries_each_pair_once(self):
         world = World(seed=5)

@@ -13,6 +13,7 @@ can be stolen.
 
 import pytest
 
+from vmquote import crypto
 from vmquote.codec import Atom
 from vmquote.harness import (
     DEFAULT_MASK,
@@ -23,19 +24,35 @@ from vmquote.harness import (
 )
 from vmquote.harness import properties
 from vmquote.harness.events import KIND_TRANSITION
-from vmquote.harness.knowledge import _OBS, AdversaryKnowledge
+from vmquote.harness.knowledge import AdversaryKnowledge
 
 WIDE_MASK = parse_compromise_flags(["intel_rot", "amd_rot", "psp:designated", "qe:designated"])
 TRACES_PER_MASK = 50
 
 
 class EveryAtomNegotiates(AdversaryKnowledge):
-    """Every observed 32-byte atom is a public element."""
+    """Every observed 32-byte atom is a public element.
 
-    def _add(self, term, origin) -> None:
-        super()._add(term, origin)
-        if term.__class__ is Atom and origin == _OBS:
+    An atom is observed when it is learned other than as a negotiation or
+    derivation output, or learned again that way later.
+    """
+
+    _making = False
+
+    def _add(self, term) -> None:
+        super()._add(term)
+        if term.__class__ is Atom and not self._making:
             self._negotiation_element(term.value)
+
+    def _negotiate(self) -> None:
+        self._making = True
+        super()._negotiate()
+        self._making = False
+
+    def _derive(self) -> None:
+        self._making = True
+        super()._derive()
+        self._making = False
 
 
 def _analyzed(trace, knowledge, monkeypatch):
@@ -48,8 +65,14 @@ def _analyzed(trace, knowledge, monkeypatch):
 
 
 def _observed(know) -> set:
-    """The terms learned, less the atoms only negotiation or derivation made."""
-    return {t for t in know.terms_list() if t.__class__ is not Atom or know._atoms[t.value] == _OBS}
+    """The terms learned, less negotiation outputs and the wrap keys derived from them."""
+    made = set(know._kx_outputs)
+    made.update(
+        crypto.derive_wrap_key(label, ss)
+        for ss in know._kx_outputs
+        for label in crypto.WRAP_KEY_LABELS
+    )
+    return {t for t in know.terms_list() if t.__class__ is not Atom or t.value not in made}
 
 
 def _channel_keys(trace) -> list:

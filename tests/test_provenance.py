@@ -5,8 +5,8 @@ cannot open. Each fuzz world below runs three ways: with the map live,
 with it emptied before every event is learned and before every closure
 (as for a trace read in a fresh process), and with the map bounded to a
 single entry. All three must learn the same terms in the same order, with
-the same atom origins and the same trial and hit counts. With the map
-emptied, every covered pair is scanned except those of the blobs the
+the same negotiation outputs and the same trial and hit counts. With the
+map emptied, every covered pair is scanned except those of the blobs the
 trace shows as fresh values.
 """
 
@@ -41,7 +41,7 @@ def _closure(monkeypatch, mask, seed, knowledge=AdversaryKnowledge, bound=crypto
     assert isinstance(know, knowledge)
     learned = (
         [encode(t) for t in know.terms_list()],
-        list(know._atoms.items()),
+        sorted(know._kx_outputs),
         know.trials,
         know.hits,
     )
