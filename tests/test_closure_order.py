@@ -123,8 +123,8 @@ class Mirrored(AdversaryKnowledge):
     """AdversaryKnowledge that feeds a RoundClosure the same inputs.
 
     After each analyze it records any difference in terms_list() order or
-    in the negotiation outputs. Mismatches are collected, not raised, so that no
-    caller can swallow them.
+    in the negotiation outputs. Mismatches are collected, not raised, so
+    that no caller can swallow them.
     """
 
     def __init__(self) -> None:

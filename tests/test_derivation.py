@@ -33,8 +33,8 @@ TRACES_PER_MASK = 50
 class EveryAtomDerives(AdversaryKnowledge):
     """Every observed 32-byte atom derives both wrap keys too.
 
-    An atom is observed when it is learned other than as a derivation
-    output, or learned again that way later. derived_from holds every atom
+    An atom counts as observed whenever a rule other than derivation adds
+    it, whether or not it was already known. derived_from holds every atom
     the rule has derived from, negotiation outputs included.
     """
 
@@ -93,9 +93,8 @@ def test_negotiation_outputs_lose_nothing(mask, monkeypatch):
         narrow = _analyzed(trace, AdversaryKnowledge, monkeypatch)
         every = _analyzed(trace, EveryAtomDerives, monkeypatch)
         assert narrow.hits == every.hits, run_seed
-        assert _observed(narrow, narrow._kx_outputs) == _observed(every, every.derived_from), (
-            run_seed
-        )
+        observed = _observed(narrow, narrow._kx_outputs)
+        assert observed == _observed(every, every.derived_from), run_seed
         for cik in _channel_keys(trace):
             provisioned += 1
             leaked += narrow.derivable(cik, fresh=True)

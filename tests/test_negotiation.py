@@ -33,8 +33,8 @@ TRACES_PER_MASK = 50
 class EveryAtomNegotiates(AdversaryKnowledge):
     """Every observed 32-byte atom is a public element.
 
-    An atom is observed when it is learned other than as a negotiation or
-    derivation output, or learned again that way later.
+    An atom counts as observed whenever a rule other than negotiation or
+    derivation adds it, whether or not it was already known.
     """
 
     _making = False
