@@ -83,6 +83,34 @@ class TestHonestRun:
         assert pipe.done
         assert pipe.verdict.accept
 
+    def test_pipeline_step_boundaries(self):
+        """Each advance ends after a send or after the launch."""
+        pipe = Pipeline(World(seed=0))
+        seen = []
+        for _ in range(7):
+            seen.append((pipe.advance(), pipe.in_flight_slot, pipe.done))
+        assert seen == [
+            (True, "deploy", False),
+            (True, "measurement", False),
+            (True, "secret", False),
+            (True, None, False),
+            (True, "report_request", False),
+            (True, "bundle", False),
+            (True, None, True),
+        ]
+        assert pipe.advance() is False
+        assert pipe.verdict.accept
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 5, 6))
+    def test_drop_halts_at_the_next_advance(self, k):
+        pipe = Pipeline(World(seed=0))
+        for _ in range(k):
+            pipe.advance()
+        pipe.drop()
+        assert pipe.advance() is True
+        assert pipe.done
+        assert pipe.verdict is None
+
 
 class TestCompromiseScenarios:
     def test_pre_attacks_accept_but_escape(self):
