@@ -142,8 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="WHAT",
-        help="intel_rot | amd_rot | qe:<ppid|designated|other> | "
-        "psp:<hexkey|designated|other>; repeatable",
+        help="intel_rot | amd_rot | qe:<designated|other> | psp:<designated|other>; repeatable",
     )
     p_fuzz.set_defaults(fn=cmd_fuzz)
     return parser

@@ -65,27 +65,20 @@ class CompromiseMask:
     """Which compromise moves a fuzz run may perform.
 
     The designated platforms are sgx0 (owner host) and sev0 (deployment
-    target). The other platforms' keys may always be compromised. Key hex
-    strings grant compromise of one specific platform regardless of the
-    designated/other split.
+    target). The other platforms' keys may always be compromised; the
+    designated ones and the roots of trust only when their field is set.
     """
 
     intel_rot: bool = False
     amd_rot: bool = False
     designated_qe: bool = False
     designated_psp: bool = False
-    qe_ppids: frozenset = frozenset()
-    psp_ids: frozenset = frozenset()
 
     def allows_qe(self, world: World, platform) -> bool:
-        if platform is not world.sgx_platforms[0]:
-            return True
-        return self.designated_qe or platform.ppid.hex() in self.qe_ppids
+        return self.designated_qe or platform is not world.sgx_platforms[0]
 
     def allows_psp(self, world: World, platform) -> bool:
-        if platform is not world.sev_platforms[0]:
-            return True
-        return self.designated_psp or platform.psp_sn.public.hex() in self.psp_ids
+        return self.designated_psp or platform is not world.sev_platforms[0]
 
 
 DEFAULT_MASK = CompromiseMask()
@@ -94,42 +87,22 @@ DEFAULT_MASK = CompromiseMask()
 def parse_compromise_flags(flags: list[str]) -> CompromiseMask:
     """Build a mask from repeatable --allow-compromise values.
 
-    Accepted: intel_rot, amd_rot, qe:designated, qe:other, qe:<ppid hex>,
-    psp:designated, psp:other, psp:<key hex>. Flags only ever grant, and
-    the other platforms are always granted, so qe:other and psp:other
-    are accepted no-ops.
+    Accepted: intel_rot, amd_rot, qe:designated, qe:other,
+    psp:designated, psp:other; any other value raises ValueError. Flags
+    only ever grant, and the other platforms are always granted, so
+    qe:other and psp:other are accepted no-ops.
     """
-    kwargs: dict = {"qe_ppids": set(), "psp_ids": set()}
+    kwargs = {}
     for flag in flags:
-        if flag == "intel_rot":
-            kwargs["intel_rot"] = True
-        elif flag == "amd_rot":
-            kwargs["amd_rot"] = True
-        elif flag.startswith("qe:"):
-            rest = flag[3:]
-            if rest == "designated":
-                kwargs["designated_qe"] = True
-            elif rest != "other":
-                kwargs["qe_ppids"].add(_hex_or_raise(rest, flag))
-        elif flag.startswith("psp:"):
-            rest = flag[4:]
-            if rest == "designated":
-                kwargs["designated_psp"] = True
-            elif rest != "other":
-                kwargs["psp_ids"].add(_hex_or_raise(rest, flag))
-        else:
+        if flag in ("intel_rot", "amd_rot"):
+            kwargs[flag] = True
+        elif flag == "qe:designated":
+            kwargs["designated_qe"] = True
+        elif flag == "psp:designated":
+            kwargs["designated_psp"] = True
+        elif flag not in ("qe:other", "psp:other"):
             raise ValueError(f"unknown compromise flag: {flag!r}")
-    kwargs["qe_ppids"] = frozenset(kwargs["qe_ppids"])
-    kwargs["psp_ids"] = frozenset(kwargs["psp_ids"])
     return CompromiseMask(**kwargs)
-
-
-def _hex_or_raise(text: str, flag: str) -> str:
-    try:
-        bytes.fromhex(text)
-    except ValueError:
-        raise ValueError(f"bad hex in compromise flag: {flag!r}") from None
-    return text.lower()
 
 
 # ---- moves and their interpreter ----------------------------------------
@@ -251,15 +224,7 @@ def apply(world: World, pipe: Pipeline, move: Move) -> None:
     elif kind == "tenant":
         Pipeline(world, world.add_owner(args[0])).run_all()
     elif kind == "compromise":
-        what, index = args
-        if what == "intel":
-            world.compromise_intel_rot()
-        elif what == "amd":
-            world.compromise_amd_rot()
-        elif what == "qe":
-            world.compromise_sgx_qe(world.sgx_platforms[index])
-        else:
-            world.compromise_sev_psp(world.sev_platforms[index])
+        world.compromise(*args)
     elif kind == "request_quote":
         index, length = args
         msr = Atom(world.adversary_fresh(16))

@@ -18,10 +18,10 @@ from __future__ import annotations
 from typing import Iterator
 
 from .. import crypto
-from ..codec import TAG_TRANSPORT_KEYS, Atom, Label, Term, Tuple
+from ..codec import Atom, Term
 from ..guest import ReportRequest
 from ..relying_party import EvidenceBundle
-from ..sev import Measurement, MeasurementPackage, SecretPackage, SevPlatformCert
+from ..sev import Measurement, MeasurementPackage, SecretPackage, SevPlatformCert, TransportKeys
 from ..sgx import Quote
 from .events import KIND_ADVERSARY, KIND_SEND, KIND_TRANSITION, KIND_VERDICT, Trace, term_from_hex
 from .fuzz import Move, run_schedule
@@ -58,14 +58,13 @@ def _stolen(world: World) -> list[Term]:
 def _transport_keys(world: World) -> tuple[bytes, bytes]:
     """tek and tik of the last transport-keys tuple the closure opened."""
     world.knowledge.analyze()
-    tag = Label(TAG_TRANSPORT_KEYS)
-    opened = [
-        term
-        for term in world.knowledge.terms_list()
-        if isinstance(term, Tuple) and len(term) == 3 and term.items[0] == tag
-    ]
-    _, tek, tik = opened[-1].items
-    return tek.value, tik.value
+    opened = []
+    for term in world.knowledge.terms_list():
+        try:
+            opened.append(TransportKeys.from_term(term))
+        except ValueError:
+            pass
+    return opened[-1].tek, opened[-1].tik
 
 
 def _inject_evidence(world: World, i: int, pspid: bytes, msr: Measurement) -> Move:

@@ -19,21 +19,25 @@ apply to a trace. An adversary capability that creates, leaks or steals
 a value therefore only has to log it.
 
 Each receiving end (PSP handlers, owner i's three steps, relying party)
-is one method that returns its reply. The Pipeline drives owner i's
-honest protocol run through them step by step, holding at most one
-in-flight message the adversary may tamper with or drop between steps,
-and deliver lets the adversary inject arbitrary terms at the same
-handlers, named by target strings such as owner_report:1. The owner's
-provisioning and report steps also return the message as parsed: the
-host builds the evidence bundle from it.
+is one method that returns its reply. The Pipeline is owner i's honest
+protocol run as one script over them, in protocol order: owner deploy,
+PSP measure, owner provision, guest launch, report request, owner
+quote, relying-party verdict. The script pauses after each send and
+after the launch, holding at most one in-flight message the adversary
+may tamper with or drop before it resumes; a dropped message or a
+refusal ends the script. deliver lets the adversary inject arbitrary
+terms at the same handlers, named by target strings such as
+owner_report:1. The owner's provisioning and report steps also return
+the message as parsed: the host builds the evidence bundle from it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import partial
 
 from .. import crypto, sev, sgx
-from ..codec import TAG_TRANSPORT_KEYS, Atom, Label, Term, Tuple
+from ..codec import Atom, Term, Tuple
 from ..crypto import DecryptionFailure, InvalidPublicElement, Rng
 from ..guest import DESIGNATED_VM_CODE, GuestNotRunning, GuestRuntime, ReportRequest
 from ..owner import TrustedOwner
@@ -47,7 +51,6 @@ from ..relying_party import (
 from ..sev import (
     DeployPackage,
     MacVerificationFailed,
-    Measurement,
     MeasurementPackage,
     NoMeasuredSession,
     SecretPackage,
@@ -416,43 +419,39 @@ class World:
 
     # ---- compromise capabilities --------------------------------------
 
-    def compromise_intel_rot(self) -> None:
-        if self.compromised.intel:
-            return
-        self.adversary_event(
-            "compromise_intel_rot",
-            leak=self.intel_rot.ltk.private,
-            leak_kind="sig_private",
-        )
+    def compromise(self, what: str, index: int | None = None) -> None:
+        """Steal one key; a key already stolen is not logged again.
 
-    def compromise_amd_rot(self) -> None:
-        if self.compromised.amd:
-            return
-        self.adversary_event(
-            "compromise_amd_rot",
-            leak=self.amd_rot.ltk.private,
-            leak_kind="sig_private",
-        )
-
-    def compromise_sgx_qe(self, platform: SgxPlatform) -> None:
-        if platform.ppid.hex() in self.compromised.qe_ppids:
-            return
-        self.adversary_event(
-            "compromise_sgx_qe",
-            ppid=platform.ppid,
-            leak=platform.qek.private,
-            leak_kind="sig_private",
-        )
-
-    def compromise_sev_psp(self, platform: SevPlatform) -> None:
-        if platform.psp_sn.public.hex() in self.compromised.psp_ids:
-            return
-        self.adversary_event(
-            "compromise_sev_psp",
-            psp=platform.psp_sn.public,
-            leak=platform.psp_sn.private,
-            leak_kind="dh_private",
-        )
+        intel and amd steal a root of trust's signing key, qe the quoting
+        key of sgx{index}, psp the PSP key of sev{index}.
+        """
+        taken = self.compromised
+        if what in ("intel", "amd"):
+            if not getattr(taken, what):
+                rot = self.intel_rot if what == "intel" else self.amd_rot
+                self.adversary_event(
+                    f"compromise_{what}_rot", leak=rot.ltk.private, leak_kind="sig_private"
+                )
+        elif what == "qe":
+            plat = self.sgx_platforms[index]
+            if plat.ppid.hex() not in taken.qe_ppids:
+                self.adversary_event(
+                    "compromise_sgx_qe",
+                    ppid=plat.ppid,
+                    leak=plat.qek.private,
+                    leak_kind="sig_private",
+                )
+        elif what == "psp":
+            plat = self.sev_platforms[index]
+            if plat.psp_sn.public.hex() not in taken.psp_ids:
+                self.adversary_event(
+                    "compromise_sev_psp",
+                    psp=plat.psp_sn.public,
+                    leak=plat.psp_sn.private,
+                    leak_kind="dh_private",
+                )
+        else:
+            raise ValueError(f"unknown compromise: {what!r}")
 
     # ---- non-compromise adversary capabilities ------------------------
 
@@ -524,9 +523,7 @@ class World:
         kik = crypto.derive_wrap_key(crypto.WRAP_KEY_LABELS[1], ss)
         tek = self.adversary_fresh(32)
         tik = self.adversary_fresh(32)
-        blob_d = crypto.encrypt(
-            Tuple([Label(TAG_TRANSPORT_KEYS), Atom(tek), Atom(tik)]), kek, self.rng
-        )
+        blob_d = crypto.encrypt(sev.TransportKeys(tek=tek, tik=tik).to_term(), kek, self.rng)
         mac_d = crypto.mac(Atom(blob_d), kik)
         pkg = DeployPackage(go_sn_pb=pair.public, blob_d=blob_d, mac_d=mac_d, vmc=code)
         mp = self.deliver(f"sev_deploy:{idx}", pkg.to_term())
@@ -542,48 +539,30 @@ class World:
 class Pipeline:
     """Owner i's honest protocol run, stepped so the adversary can interleave.
 
-    Owner i deploys workloads[i] to sev{i} and is quoted by sgx{i}. At
-    most one message is in flight between steps; tamper with `in_flight`
-    or call `drop()` before the consuming step runs. A failed step halts
-    the rest of the pipeline (the honest parties have nothing left to
-    say), which is itself an observable outcome.
+    Owner i deploys workloads[i] to sev{i} and is quoted by sgx{i}. The
+    run is one script; each advance() runs it to the next send or to the
+    guest's launch. At most one message is in flight between advances:
+    tamper with `in_flight` or call `drop()` before the next one. A
+    dropped message or a refusal halts the run (the honest parties have
+    nothing left to say), which is itself an observable outcome.
     """
 
     def __init__(self, world: World, i: int = 0) -> None:
         self.world = world
-        self.i = i
-        self.owner_name = f"owner{i}"
-        self.sev_name = f"sev{i}"
-        self.sev_platform = world.sev_platforms[i]
-        self.sgx_platform = world.sgx_platforms[i]
         self.in_flight: Term | None = None
         self.in_flight_slot: str | None = None
-        self.halted = False
+        self.done = False
         self.guest: GuestRuntime | None = None
-        self.guest_name: str | None = None
-        self.last_measurement: Measurement | None = None
         self.verdict: Verdict | None = None
-        self._steps = [
-            self.step_owner_deploy,
-            self.step_sp_deploy,
-            self.step_owner_provision,
-            self.step_sp_launch,
-            self.step_guest_report,
-            self.step_owner_quote,
-            self.step_rp_verify,
-        ]
-        self._idx = 0
-
-    @property
-    def done(self) -> bool:
-        return self.halted or self._idx >= len(self._steps)
+        self._script = self._run(i)
 
     def advance(self) -> bool:
         if self.done:
             return False
-        step = self._steps[self._idx]
-        self._idx += 1
-        step()
+        try:
+            next(self._script)
+        except StopIteration:
+            self.done = True
         return True
 
     def run_all(self) -> None:
@@ -594,91 +573,58 @@ class Pipeline:
         self.in_flight = None
         self.in_flight_slot = None
 
-    def _emit(self, src: str, dst: str, term: Term, slot: str) -> None:
+    def _hand_over(self, src: str, dst: str, term: Term, slot: str) -> Iterator[None]:
+        """Send a term, let the adversary act, and return what arrives."""
         self.world.send(src, dst, term)
-        self.in_flight = term
-        self.in_flight_slot = slot
-
-    def _take(self, slot: str) -> Term | None:
-        if self.in_flight is None or self.in_flight_slot != slot:
-            self.halted = True
-            return None
-        term = self.in_flight
-        self.in_flight = None
-        self.in_flight_slot = None
+        self.in_flight, self.in_flight_slot = term, slot
+        yield
+        term, self.in_flight, self.in_flight_slot = self.in_flight, None, None
         return term
 
-    def step_owner_deploy(self) -> None:
-        pkg = self.world.owner_deploy(self.i, self.sev_platform.cert)
-        if pkg is None:
-            self.halted = True
+    def _run(self, i: int) -> Iterator[None]:
+        world = self.world
+        owner, sev_name = f"owner{i}", f"sev{i}"
+        sev_platform = world.sev_platforms[i]
+        deploy = world.owner_deploy(i, sev_platform.cert)
+        if deploy is None:
             return
-        self._emit(self.owner_name, self.sev_name, pkg.to_term(), "deploy")
-
-    def step_sp_deploy(self) -> None:
-        term = self._take("deploy")
+        term = yield from self._hand_over(owner, sev_name, deploy.to_term(), "deploy")
         if term is None:
             return
-        mp = self.world.recv_deploy(self.i, term)
-        if mp is None:
-            self.halted = True
+        measured = world.recv_deploy(i, term)
+        if measured is None:
             return
-        self._emit(self.sev_name, self.owner_name, mp.to_term(), "measurement")
-
-    def step_owner_provision(self) -> None:
-        term = self._take("measurement")
+        term = yield from self._hand_over(sev_name, owner, measured.to_term(), "measurement")
         if term is None:
             return
-        mp, pkg = self.world.owner_provision(self.i, term)
-        if pkg is None:
-            self.halted = True
+        mp, secret = world.owner_provision(i, term)
+        if secret is None:
             return
-        self.last_measurement = mp.msr
-        self._emit(self.owner_name, self.sev_name, pkg.to_term(), "secret")
-
-    def step_sp_launch(self) -> None:
-        term = self._take("secret")
+        term = yield from self._hand_over(owner, sev_name, secret.to_term(), "secret")
         if term is None:
             return
-        runtime = self.world.recv_secret(self.i, term)
-        if runtime is None:
-            self.halted = True
-            return
-        self.guest = runtime
-        self.guest_name = self.world.guests[-1]
-
-    def step_guest_report(self) -> None:
+        self.guest = world.recv_secret(i, term)
         if self.guest is None:
-            self.halted = True
             return
+        guest = world.guests[-1]
+        yield
         request = self.guest.request_report(self.guest.next_report_payload())
-        self.world.transition(
-            self.guest_name,
-            "guest_request_report",
-            psp=self.sev_platform.psp_sn.public,
-            vmdata=request.vmdata,
+        world.transition(
+            guest, "guest_request_report", psp=sev_platform.psp_sn.public, vmdata=request.vmdata
         )
-        self._emit(self.guest_name, self.owner_name, request.to_term(), "report_request")
-
-    def step_owner_quote(self) -> None:
-        term = self._take("report_request")
+        term = yield from self._hand_over(guest, owner, request.to_term(), "report_request")
         if term is None:
             return
-        request, quote = self.world.owner_report(self.i, term)
+        request, quote = world.owner_report(i, term)
         if quote is None:
-            self.halted = True
             return
         bundle = EvidenceBundle(
             quote=quote,
-            sgx_cert=self.sgx_platform.cert,
-            pspid=self.sev_platform.psp_sn.public,
-            vmmsr=self.last_measurement,
+            sgx_cert=world.sgx_platforms[i].cert,
+            pspid=sev_platform.psp_sn.public,
+            vmmsr=mp.msr,
             vmdata=request.vmdata,
         )
-        self._emit(self.owner_name, "rp", bundle.to_term(), "bundle")
-
-    def step_rp_verify(self) -> None:
-        term = self._take("bundle")
-        if term is None:
-            return
-        self.verdict = self.world.recv_bundle(term)
+        term = yield from self._hand_over(owner, "rp", bundle.to_term(), "bundle")
+        if term is not None:
+            self.verdict = world.recv_bundle(term)

@@ -24,7 +24,6 @@ from .codec import (
     TAG_REPORT_DATA,
     TAG_SEV_KEK,
     TAG_SEV_KIK,
-    TAG_TRANSPORT_KEYS,
     Atom,
     Label,
     Term,
@@ -32,7 +31,7 @@ from .codec import (
     encode,
 )
 from .crypto import InvalidPublicElement, Rng
-from .sev import Measurement, SecretPackage, SevPlatformCert
+from .sev import Measurement, SecretPackage, SevPlatformCert, TransportKeys
 from .sgx import LocalReport, SgxPlatform
 
 PHASE_INIT = "INIT"
@@ -103,9 +102,7 @@ class TrustedOwner:
         kik = crypto.derive_wrap_key(Label(TAG_SEV_KIK), ss)
         tek = crypto.fresh_key(self._rng)
         tik = crypto.fresh_key(self._rng)
-        blob_d = crypto.encrypt(
-            Tuple([Label(TAG_TRANSPORT_KEYS), Atom(tek), Atom(tik)]), kek, self._rng
-        )
+        blob_d = crypto.encrypt(TransportKeys(tek=tek, tik=tik).to_term(), kek, self._rng)
         mac_d = crypto.mac(Atom(blob_d), kik)
         self._psp_id = cert.psp_sn_pb
         self._vm_dig = dig

@@ -102,6 +102,16 @@ class DeployPackage(Message):
 
 
 @dataclass(frozen=True)
+class TransportKeys(Message):
+    """The plaintext blob_d wraps: the guest's transport keys."""
+
+    TAG = TAG_TRANSPORT_KEYS
+
+    tek: bytes
+    tik: bytes
+
+
+@dataclass(frozen=True)
 class Measurement(Message):
     """Launch measurement: platform state, code digest, fresh nonce."""
 
@@ -192,16 +202,10 @@ def psp_receive_deploy(
     kek = crypto.derive_wrap_key(Label(TAG_SEV_KEK), ss)
     kik = crypto.derive_wrap_key(Label(TAG_SEV_KIK), ss)
     plain = crypto.decrypt(pkg.blob_d, kek)
-    if (
-        not isinstance(plain, Tuple)
-        or len(plain) != 3
-        or plain.items[0] != Label(TAG_TRANSPORT_KEYS)
-        or not isinstance(plain.items[1], Atom)
-        or not isinstance(plain.items[2], Atom)
-    ):
-        raise DecryptionFailure("transport-keys plaintext has unexpected shape")
-    tek = plain.items[1].value
-    tik = plain.items[2].value
+    try:
+        keys = TransportKeys.from_term(plain)
+    except ValueError:
+        raise DecryptionFailure("transport-keys plaintext has unexpected shape") from None
     if not crypto.verify_mac(Atom(pkg.blob_d), pkg.mac_d, kik):
         raise MacVerificationFailed("deploy package MAC rejected")
     msr = Measurement(
@@ -210,8 +214,8 @@ def psp_receive_deploy(
         dig=crypto.digest(pkg.vmc),
         nonce=rng.bytes(NONCE_LEN),
     )
-    platform.session = GuestSession(vmc=pkg.vmc, dig=msr.dig, tek=tek, tik=tik, msr=msr)
-    return MeasurementPackage(msr=msr, mac_ti=crypto.mac(msr.to_term(), tik))
+    platform.session = GuestSession(vmc=pkg.vmc, dig=msr.dig, tek=keys.tek, tik=keys.tik, msr=msr)
+    return MeasurementPackage(msr=msr, mac_ti=crypto.mac(msr.to_term(), keys.tik))
 
 
 def psp_receive_secret(platform: SevPlatform, pkg: SecretPackage) -> GuestSession:

@@ -123,10 +123,11 @@ class TestMask:
         assert DEFAULT_MASK.allows_psp(world, world.sev_platforms[1])
 
     def test_specific_key_grant(self):
+        """A flag naming one platform's key is not a mask value."""
         world = World(seed=1)
         ppid = world.sgx_platforms[0].ppid.hex()
-        mask = parse_compromise_flags([f"qe:{ppid}"])
-        assert mask.allows_qe(world, world.sgx_platforms[0])
+        with pytest.raises(ValueError):
+            parse_compromise_flags([f"qe:{ppid}"])
 
     def test_parse_all_flag_forms(self):
         mask = parse_compromise_flags(

@@ -323,15 +323,10 @@ class TestAdversaryInterfaceLimits:
     def test_each_compromise_is_recorded_once(self):
         world = World(seed=5)
         sgx1, sev1 = world.sgx_platforms[1], world.sev_platforms[1]
-        for compromise in (
-            world.compromise_intel_rot,
-            world.compromise_amd_rot,
-            lambda: world.compromise_sgx_qe(sgx1),
-            lambda: world.compromise_sev_psp(sev1),
-        ):
+        for args in (("intel",), ("amd",), ("qe", 1), ("psp", 1)):
             before = len(world.trace.of_kind(KIND_ADVERSARY))
-            compromise()
-            compromise()
+            world.compromise(*args)
+            world.compromise(*args)
             assert len(world.trace.of_kind(KIND_ADVERSARY)) == before + 1
         assert world.compromised == Compromises(
             intel=True,

@@ -11,7 +11,15 @@ import hashlib
 
 import pytest
 
-from vmquote.codec import TAG_SGX_PLATFORM_CERT, TAG_SGX_QUOTE, Atom, Label, Tuple, encode
+from vmquote.codec import (
+    TAG_SGX_PLATFORM_CERT,
+    TAG_SGX_QUOTE,
+    TAG_TRANSPORT_KEYS,
+    Atom,
+    Label,
+    Tuple,
+    encode,
+)
 from vmquote.guest import ReportRequest
 from vmquote.harness import Pipeline, World
 from vmquote.relying_party import EvidenceBundle
@@ -21,6 +29,7 @@ from vmquote.sev import (
     MeasurementPackage,
     SecretPackage,
     SevPlatformCert,
+    TransportKeys,
 )
 from vmquote.sgx import Quote, SgxPlatformCert
 
@@ -30,6 +39,7 @@ from vmquote.sgx import Quote, SgxPlatformCert
 LAYOUTS = {
     SevPlatformCert: (None, (0, 1), {}),
     DeployPackage: (None, (0, 1, 2, 3), {}),
+    TransportKeys: (TAG_TRANSPORT_KEYS, (1, 2), {}),
     Measurement: (None, (0, 1, 2, 3), {}),
     MeasurementPackage: (None, (1,), {0: Measurement}),
     SecretPackage: (None, (0, 1), {}),
@@ -43,6 +53,7 @@ LAYOUTS = {
 ENCODING_DIGESTS = {
     SevPlatformCert: "3dc5b0ef4fbb44524f6a90fdcd47e93096702e2a050725c036ecb74908a7e4a1",
     DeployPackage: "362476b44edddc601c5e539c588dc009bebdb7988a156cf6f9215334e9443f5c",
+    TransportKeys: "7b8f09b033af2f3b3ae8f1a82434c28018321c17a8f6d6469b9df20925bd2f17",
     Measurement: "db26863612c603b3fdc5928ec9f0e622ec10dd60911492845561d93bc407632b",
     MeasurementPackage: "5ca4525b08018c4c5588afe4b993b9d7719aa1511b2668d8f8d13032065dfec9",
     SecretPackage: "6e3b211c51656b72d7c2bf68a747257e13bf35bcd8294054db74b5eb49773395",
@@ -54,7 +65,11 @@ ENCODING_DIGESTS = {
 
 
 def _honest_messages() -> dict:
-    """One message of each class, as the honest run at seed 7 sends it."""
+    """One message of each class, as the honest run at seed 7 sends it.
+
+    The transport keys travel only wrapped in blob_d, so they are read
+    from sev0's session.
+    """
     world = World(seed=7)
     pipe = Pipeline(world)
     sent = {}
@@ -64,9 +79,11 @@ def _honest_messages() -> dict:
     assert pipe.verdict is not None and pipe.verdict.accept
     mp = MeasurementPackage.from_term(sent["measurement"])
     bundle = EvidenceBundle.from_term(sent["bundle"])
+    session = world.sev_platforms[0].session
     return {
         SevPlatformCert: world.sev_platforms[0].cert,
         DeployPackage: DeployPackage.from_term(sent["deploy"]),
+        TransportKeys: TransportKeys(tek=session.tek, tik=session.tik),
         Measurement: mp.msr,
         MeasurementPackage: mp,
         SecretPackage: SecretPackage.from_term(sent["secret"]),
