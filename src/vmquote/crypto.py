@@ -201,8 +201,15 @@ def verify(term: Term, signature: bytes, public: bytes) -> bool:
 
 def kx_keygen(rng: Rng) -> KxKeyPair:
     priv = rng.bytes(KEY_LEN)
-    pub = _kx_private(priv).public_key()
-    return KxKeyPair(private=priv, public=pub.public_bytes_raw())
+    return KxKeyPair(private=priv, public=kx_public(priv))
+
+
+def kx_public(private: bytes) -> bytes:
+    """The X25519 public element of private.
+
+    Raises ValueError when private is not 32 bytes long.
+    """
+    return _kx_private(private).public_key().public_bytes_raw()
 
 
 def shared_secret(public: bytes, private: bytes) -> bytes:

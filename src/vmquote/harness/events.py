@@ -43,6 +43,9 @@ ADVERSARY_VISIBLE = (KIND_SEND, KIND_ADVERSARY)
 #: The adversary action that logs a value it minted: a fresh name.
 FRESH_VALUE = "fresh_value"
 
+# The one decoder every trace line goes through.
+_DECODER = json.JSONDecoder()
+
 
 def _stored(value):
     """A payload value as the trace keeps it: bytes and terms as hex."""
@@ -65,13 +68,6 @@ class Event:
             sort_keys=True,
             separators=(",", ":"),
         )
-
-    @staticmethod
-    def from_json(line: str) -> "Event":
-        obj = json.loads(line)
-        seq = obj.pop("seq")
-        kind = obj.pop("kind")
-        return Event(seq=seq, kind=kind, body=obj)
 
 
 class Trace:
@@ -100,8 +96,24 @@ class Trace:
 
     @staticmethod
     def from_jsonl(text: str) -> "Trace":
+        """Parse to_jsonl output, skipping blank lines.
+
+        Raises ValueError, and nothing else, unless every other line is
+        exactly one JSON object with an int seq and a str kind.
+        """
         trace = Trace()
-        for line in text.splitlines():
-            if line.strip():
-                trace.events.append(Event.from_json(line))
+        for n, line in enumerate(text.splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                body = _DECODER.decode(line)
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"trace line {n}: {exc}") from None
+            if body.__class__ is not dict:
+                raise ValueError(f"trace line {n} is no JSON object")
+            seq = body.pop("seq", None)
+            kind = body.pop("kind", None)
+            if seq.__class__ is not int or kind.__class__ is not str:
+                raise ValueError(f"trace line {n} lacks an int seq or a str kind")
+            trace.events.append(Event(seq, kind, body))
         return trace

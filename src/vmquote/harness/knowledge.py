@@ -8,30 +8,55 @@ grows by an analysis closure run to fixpoint:
 - atoms whose payload parses as a term are decoded
 - ciphertext-sized atoms are decrypted under the known 32-byte keys
   that can open them
-- key negotiation runs between the negotiation elements and the
-  registered private elements (privates are an explicit registry: the
-  adversary owns or stole them, it does not guess them out of atoms)
+- key negotiation pairs each registered private element with the
+  negotiation elements of the other side (privates are an explicit
+  registry: the adversary owns or stole them, it does not guess them out
+  of atoms)
 - both wrap keys are derived from each negotiation output, and from
   nothing else
 
 A negotiation element is a 32-byte public element that an honest party
-feeds to X25519 when it is handed a known term: the go_sn_pb of a Tuple
-that DeployPackage.from_term accepts (the PSP's psp_receive_deploy) and
-the psp_sn_pb of a Tuple that SevPlatformCert.from_term accepts (the
-owner's TrustedOwner.deploy_vm). The split rule classifies each Tuple
-once, when it takes it apart, so the rule is decided from the trace alone
-and live and rebuilt knowledge agree. Tamarin's DH theory lets the
-adversary exponentiate any known term, and this rule is narrower, but it
-loses nothing: a shared secret matters only as key material for a seal
-or a MAC that some party opens or checks, and only honest parties open
-or check with X25519 outputs, each computed from a negotiation element.
-An exchange on any other atom yields a value no honest party uses, so it
-seals nothing and MACs nothing anyone checks. Every shared secret an
-honest party computes is still derived whenever the adversary holds
-either private of that exchange, for a forged certificate as for a
-genuine one: the PSP's peer element arrives in a deploy package, the
-owner's in the certificate it deploys to, and the owner's own element
-goes out in its deploy package.
+feeds to X25519 when it is handed a known term. Each is filed by the
+message it came from:
+
+- a deploy-package element is the go_sn_pb of a Tuple that
+  DeployPackage.from_term accepts; the PSP's psp_receive_deploy exchanges
+  its own private with it
+- a certificate element is the psp_sn_pb of a Tuple that
+  SevPlatformCert.from_term accepts; the owner's TrustedOwner.deploy_vm
+  exchanges its go private with it
+
+An element can be in both sets. The split rule files each Tuple once,
+when it takes it apart, so the rule is decided from the trace alone and
+live and rebuilt knowledge agree.
+
+Negotiation runs only across roles. Each registered private's own public
+element is computed once, when it is registered, and a private p meets
+an element e only when e is a deploy-package element and pub(p) a
+certificate element (p plays the PSP), or e is a certificate element and
+pub(p) a deploy-package element (p plays the owner). Each such pair is
+exchanged exactly once, in first-seen order, also when it only becomes
+eligible because pub(p) turns up in a message after p was registered.
+
+Tamarin's DH theory lets the adversary exponentiate any known term, and
+this rule is narrower, but it loses nothing. A shared secret matters only
+as key material for a seal or a MAC that some party opens or checks, and
+only honest parties open or check with X25519 outputs. Each such output
+is X25519 of an honest private h with an element x it was handed: the PSP
+exchanges its own private with deploy-package elements, the owner its go
+private with certificate elements. pub(h) is filed under the other side:
+every platform certificate is published, so a PSP's public is a
+certificate element, and the owner's go public goes out in its deploy
+package. The adversary computes that output either from h itself, which
+only a stolen PSP private can be (the owner's go private never leaks),
+paired with x, or from the private of x, a key it stole or minted (for
+a forged certificate, for its own deploy, or to substitute), paired with
+pub(h).
+Either pair crosses the roles. This still holds when a replayed PSP
+public is substituted for go_sn_pb: that element is then in both sets,
+so the PSP's exchange of its own private with its own public is a
+cross-role pair too. Any other exchange yields a value no honest party
+computes, so it seals nothing and MACs nothing anyone checks.
 
 The derive rule is narrowed the same way. Among honest parties only
 psp_receive_deploy and TrustedOwner.deploy_vm call derive_wrap_key (the
@@ -49,9 +74,9 @@ The closure is evaluated semi-naively: each round applies the rules only
 to what is new since the rule last ran, so no rule ever repeats work.
 
 - A term is split or decoded once, in the round after it is learned.
-- Key negotiation pairs new negotiation elements with the privates
-  already registered, and newly registered privates with every
-  negotiation element.
+- Key negotiation runs in a round only after a negotiation element was
+  filed or a private registered, and skips every pair it has exchanged
+  before.
 - A wrap key is derived once from each negotiation output, in the round
   negotiation first computes it.
 - Trial decryption covers new keys against every blob and old keys against
@@ -100,8 +125,9 @@ decoding or the decryption of a known term, each with a shorter encoding
 than its source, or one of the 32-byte negotiation or derivation atoms.
 Every term the closure can learn therefore encodes in no more bytes than
 the longest observed term or a 32-byte atom. There are finitely many such
-terms, each learned once, and each negotiation output is derived from
-once, so the closure reaches its fixpoint.
+terms, each learned once, each pair of a private and an element is
+exchanged once, and each negotiation output is derived from once, so the
+closure reaches its fixpoint.
 
 Most atoms the closure makes are pseudo-random: keys, negotiation and
 derivation outputs, digests, signatures. Before decoding an atom, both the
@@ -146,9 +172,6 @@ from .events import ADVERSARY_VISIBLE
 _MIN_ENCODING = len(encode(Atom(b"")))
 _MIN_CIPHERTEXT = crypto.NONCE_LEN + 16 + _MIN_ENCODING
 
-# The messages whose receiver feeds a field to X25519, and that field.
-_NEGOTIATING = ((DeployPackage, "go_sn_pb"), (SevPlatformCert, "psp_sn_pb"))
-
 #: The closure's work counters, attributes of AdversaryKnowledge.
 CLOSURE_COUNTERS = ("rounds", "kx_pairs", "trials", "hits")
 
@@ -171,15 +194,22 @@ class AdversaryKnowledge:
         self._terms: list[Term] = []
         # known atom payload -> its rank in first-seen order
         self._rank: dict[bytes, int] = {}
-        self.dh_privates: dict[bytes, None] = {}
+        # registered private -> its own public element, in registration order
+        self.dh_privates: dict[bytes, bytes] = {}
         # delta state: what each rule has not seen yet
         self._split = 0
-        # negotiation elements: all of them, those negotiation has paired
-        # in first-seen order, and those it has not seen yet
-        self._elements: set[bytes] = set()
-        self._pubs: list[bytes] = []
-        self._new_pubs: list[bytes] = []
-        self._kx_privates = 0
+        # negotiation elements, filed by the message they came from, with
+        # the field each message's receiver feeds to X25519; the pairs
+        # negotiation has exchanged, and whether an element or a private
+        # has arrived since it last ran
+        self._deploy_elements: set[bytes] = set()
+        self._cert_elements: set[bytes] = set()
+        self._negotiating = (
+            (DeployPackage, "go_sn_pb", self._deploy_elements),
+            (SevPlatformCert, "psp_sn_pb", self._cert_elements),
+        )
+        self._kx_tried: set[tuple[bytes, bytes]] = set()
+        self._kx_stale = False
         # negotiation outputs: all of them, and those not derived from yet
         self._kx_outputs: set[bytes] = set()
         self._new_outputs: list[bytes] = []
@@ -243,7 +273,13 @@ class AdversaryKnowledge:
 
     def add_private_dh(self, private: bytes) -> None:
         """Register a key-negotiation private element (owned or stolen)."""
-        self.dh_privates.setdefault(private, None)
+        if private not in self.dh_privates:
+            try:
+                public = crypto.kx_public(private)
+            except ValueError:
+                public = b""  # no X25519 private: it negotiates nothing
+            self.dh_privates[private] = public
+            self._kx_stale = True
         self._add(Atom(private))
 
     def add_private_sig(self, private: bytes) -> None:
@@ -291,8 +327,7 @@ class AdversaryKnowledge:
     def _pending(self) -> bool:
         return bool(
             self._split < len(self._terms)
-            or self._new_pubs
-            or self._kx_privates < len(self.dh_privates)
+            or self._kx_stale
             or self._new_outputs
             or self._tried_keys < len(self._keys)
             or self._tried_blobs < len(self._blobs)
@@ -313,11 +348,14 @@ class AdversaryKnowledge:
             if isinstance(term, Tuple):
                 for item in term.items:
                     self._add(item)
-                for message, name in _NEGOTIATING:
+                for message, name, elements in self._negotiating:
                     try:
-                        self._negotiation_element(getattr(message.from_term(term), name))
+                        value = getattr(message.from_term(term), name)
                     except ValueError:
-                        pass
+                        continue
+                    if len(value) == crypto.KEY_LEN and value not in elements:
+                        elements.add(value)
+                        self._kx_stale = True
             elif isinstance(term, Atom) and may_decode(term.value):
                 try:
                     inner = decode(term.value)
@@ -326,21 +364,29 @@ class AdversaryKnowledge:
                 self._add(inner)
         self._split = end
 
-    def _negotiation_element(self, value: bytes) -> None:
-        if len(value) == crypto.KEY_LEN and value not in self._elements:
-            self._elements.add(value)
-            self._new_pubs.append(value)
+    def _peers(self, public: bytes) -> set[bytes]:
+        """The negotiation elements a private with this own public element meets.
+
+        It plays the PSP against deploy-package elements when public is a
+        certificate element, and the owner against certificate elements
+        when public is a deploy-package element.
+        """
+        peers = self._deploy_elements if public in self._cert_elements else set()
+        if public in self._deploy_elements:
+            peers = peers | self._cert_elements
+        return peers
 
     def _negotiate(self) -> None:
+        if not self._kx_stale:
+            return
+        self._kx_stale = False
         rank = self._rank.__getitem__
-        new_pubs = sorted(self._new_pubs, key=rank)
-        self._new_pubs = []
-        self._pubs = sorted(self._pubs + new_pubs, key=rank)
-        privates = list(self.dh_privates)
-        old = self._kx_privates
-        self._kx_privates = len(privates)
-        for i, private in enumerate(privates):
-            for pub in new_pubs if i < old else self._pubs:
+        tried = self._kx_tried
+        for private, public in self.dh_privates.items():
+            for pub in sorted(self._peers(public), key=rank):
+                if (pub, private) in tried:
+                    continue
+                tried.add((pub, private))
                 self.kx_pairs += 1
                 try:
                     ss = crypto.shared_secret(pub, private)

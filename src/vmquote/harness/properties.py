@@ -26,7 +26,8 @@ instance as the witness.
 
 Escapes come from Compromises, the record Compromises.learn builds from
 the trace's compromise actions; the simulator keeps the same record live
-by the same rule. Escapes are trace-global: a compromise event anywhere
+by the same rule, and check_all reads it off the trace once for all three
+checkers. Escapes are trace-global: a compromise event anywhere
 in the trace excuses matching instances, mirroring how such disjuncts
 quantify over a whole trace. That is not a loophole but a fact about the
 protocol: the key exchange has no forward secrecy, so a PSP key stolen
@@ -149,21 +150,32 @@ def rebuild_knowledge(trace: Trace) -> AdversaryKnowledge:
 
 
 def check_property(
-    trace: Trace, property_id: str, knowledge: AdversaryKnowledge | None = None
+    trace: Trace,
+    property_id: str,
+    knowledge: AdversaryKnowledge | None = None,
+    compromises: Compromises | None = None,
 ) -> PropertyResult:
+    """Judge one property over trace.
+
+    compromises is the trace's Compromises record; it is read off the
+    trace when not given.
+    """
+    if property_id not in PROPERTY_IDS:
+        raise UnknownProperty(f"unknown property: {property_id}")
+    esc = Compromises.from_trace(trace) if compromises is None else compromises
     if property_id == "sgx_quote_authenticity":
-        return _check_sgx_quote_authenticity(trace)
+        return _check_sgx_quote_authenticity(trace, esc)
     if property_id == "sev_secret_secrecy":
-        return _check_sev_secret_secrecy(trace, knowledge)
-    if property_id == "vm_quote_authenticity":
-        return _check_vm_quote_authenticity(trace)
-    raise UnknownProperty(f"unknown property: {property_id}")
+        return _check_sev_secret_secrecy(trace, esc, knowledge)
+    return _check_vm_quote_authenticity(trace, esc)
 
 
 def check_all(
     trace: Trace, knowledge: AdversaryKnowledge | None = None
 ) -> dict[str, PropertyResult]:
-    return {pid: check_property(trace, pid, knowledge) for pid in PROPERTY_IDS}
+    """Judge every property, reading the Compromises record off trace once."""
+    esc = Compromises.from_trace(trace)
+    return {pid: check_property(trace, pid, knowledge, esc) for pid in PROPERTY_IDS}
 
 
 def _judge(pid: str, instances: list[Event], escaped, backed) -> PropertyResult:
@@ -200,8 +212,7 @@ def _transitions(trace: Trace, label: str) -> list[Event]:
     return [ev for ev in trace.of_kind(KIND_TRANSITION) if ev.body.get("label") == label]
 
 
-def _check_sgx_quote_authenticity(trace: Trace) -> PropertyResult:
-    esc = Compromises.from_trace(trace)
+def _check_sgx_quote_authenticity(trace: Trace, esc: Compromises) -> PropertyResult:
     reports = _transitions(trace, "owner_generate_report")
 
     def backed(ev: Event) -> bool:
@@ -221,9 +232,8 @@ def _check_sgx_quote_authenticity(trace: Trace) -> PropertyResult:
 
 
 def _check_sev_secret_secrecy(
-    trace: Trace, knowledge: AdversaryKnowledge | None
+    trace: Trace, esc: Compromises, knowledge: AdversaryKnowledge | None
 ) -> PropertyResult:
-    esc = Compromises.from_trace(trace)
     instances = [
         ev
         for ev in _transitions(trace, "owner_provision_vm")
@@ -241,8 +251,7 @@ def _check_sev_secret_secrecy(
     )
 
 
-def _check_vm_quote_authenticity(trace: Trace) -> PropertyResult:
-    esc = Compromises.from_trace(trace)
+def _check_vm_quote_authenticity(trace: Trace, esc: Compromises) -> PropertyResult:
     launches = _transitions(trace, "sev_session_measured")
     requests = _transitions(trace, "guest_request_report")
 

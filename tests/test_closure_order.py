@@ -9,6 +9,7 @@ every analyze, not just reach the same set.
 """
 
 from hypothesis import example, given, settings
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from hypothesis import strategies as st
 
 from vmquote import crypto
@@ -76,18 +77,25 @@ class RoundClosure:
                 else:
                     added |= self._add(inner)
 
-        # what the PSP and the owner feed to X25519, in the tuples split so far
-        elements = set()
+        # what the PSP and the owner feed to X25519, in the tuples split so
+        # far: each private meets the elements of the side its own public
+        # element is not on
+        deploy, cert = set(), set()
         for term in known:
-            for message, name in ((DeployPackage, "go_sn_pb"), (SevPlatformCert, "psp_sn_pb")):
+            for message, name, elements in (
+                (DeployPackage, "go_sn_pb", deploy),
+                (SevPlatformCert, "psp_sn_pb", cert),
+            ):
                 try:
                     elements.add(getattr(message.from_term(term), name))
                 except ValueError:
                     pass
-        pubs = [a for a in self._atoms if a in elements and len(a) == 32]
+        atoms = list(self._atoms)
         for private in list(self.dh_privates):
-            for pub in pubs:
-                if (pub, private) in self._tried_kx:
+            own = X25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
+            for pub in atoms:
+                crossed = (pub in deploy and own in cert) or (pub in cert and own in deploy)
+                if len(pub) != 32 or not crossed or (pub, private) in self._tried_kx:
                     continue
                 self._tried_kx.add((pub, private))
                 try:
@@ -193,13 +201,14 @@ def _pool():
     Two blobs open under crossed keys, so key-major and blob-major trial
     order disagree; negotiation outputs and derived keys also appear as
     observed atoms and as plaintexts, before or after they are computed,
-    and only a negotiation output derives keys, even one seen first. Two
-    public elements sit in negotiation positions, in a deploy package and
-    in a platform certificate; the third is a bare atom and negotiates
-    nothing.
+    and only a negotiation output derives keys, even one seen first.
+    pairs[0]'s public element goes out in a deploy package, pairs[1]'s and
+    pairs[2]'s in platform certificates, and pairs[1]'s in a second deploy
+    package too, as a replayed PSP public; pairs[3]'s is a bare tuple item
+    only, so its private negotiates nothing.
     """
     rng = Rng(7)
-    pairs = [crypto.kx_keygen(rng) for _ in range(3)]
+    pairs = [crypto.kx_keygen(rng) for _ in range(4)]
     k1, k2, k3 = (crypto.fresh_key(rng) for _ in range(3))
     ss_01 = crypto.shared_secret(pairs[1].public, pairs[0].private)
     ss_02 = crypto.shared_secret(pairs[2].public, pairs[0].private)
@@ -208,13 +217,17 @@ def _pool():
     secret = Atom(b"secret payload..")
     blob_a = crypto.encrypt(Tuple([Label("under_k1"), Atom(k2)]), k1, rng)
     blob_b = crypto.encrypt(Tuple([Label("under_k2"), Atom(k1)]), k2, rng)
-    deploy = DeployPackage(
-        go_sn_pb=pairs[1].public, blob_d=b"blob", mac_d=b"mac", vmc=Atom(b"code")
-    )
+
+    def deploy(pair):
+        return DeployPackage(pair.public, b"blob", b"mac", Atom(b"code")).to_term()
+
+    def cert(pair):
+        return SevPlatformCert(psp_sn_pb=pair.public, sig_ar=b"sig").to_term()
+
     terms = [
         Atom(pairs[0].public),
-        deploy.to_term(),
-        SevPlatformCert(psp_sn_pb=pairs[2].public, sig_ar=b"sig").to_term(),
+        deploy(pairs[0]),
+        cert(pairs[1]),
         Atom(pairs[2].private),
         Atom(k1),
         Atom(k2),
@@ -229,7 +242,9 @@ def _pool():
         Atom(crypto.encrypt(Atom(kik_02), k1, rng)),
         Atom(crypto.encrypt(Atom(encode(Tuple([Atom(k2), secret]))), kik_02, rng)),
         Tuple([Atom(blob_b), Atom(encode(Atom(k3)))]),
-        Tuple([Atom(pairs[1].public), Tuple([Atom(ss_02), Label("x")])]),
+        Tuple([Atom(pairs[3].public), Tuple([Atom(ss_02), Label("x")])]),
+        cert(pairs[2]),
+        deploy(pairs[1]),
     ]
     privates = [p.private for p in pairs]
     return terms, privates
@@ -253,7 +268,10 @@ _OPS = st.lists(
 @example(ops=[("observe", 9), ("observe", 10), ("observe", 5), ("observe", 4)])
 # a shared secret observed before the exchange that computes it still
 # derives both wrap keys
-@example(ops=[("observe", 6), ("analyze", 0), ("observe", 1), ("register", 0)])
+@example(ops=[("observe", 6), ("analyze", 0), ("observe", 1), ("observe", 2), ("register", 0)])
+# a private meets a certificate only once its own public element turns up
+# in a deploy package
+@example(ops=[("register", 0), ("observe", 2), ("analyze", 0), ("observe", 1)])
 @settings(max_examples=150, deadline=None)
 def test_interleavings_match_reference(ops):
     know = Mirrored()

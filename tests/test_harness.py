@@ -120,6 +120,21 @@ class TestCompromiseScenarios:
             assert all(results[pid].holds for pid in PROPERTY_IDS), name
             assert any(results[pid].escaped > 0 for pid in PROPERTY_IDS), name
 
+    def test_check_all_reads_compromises_once(self, monkeypatch):
+        """check_all judges as check_property does, from one Compromises record."""
+        world, _ = run_scenario_world("compromise_sev_psp_pre", seed=1)
+        alone = {pid: check_property(world.trace, pid, world.knowledge) for pid in PROPERTY_IDS}
+        built = []
+        from_trace = Compromises.from_trace
+
+        def counted(trace):
+            built.append(trace)
+            return from_trace(trace)
+
+        monkeypatch.setattr(Compromises, "from_trace", staticmethod(counted))
+        assert check_all(world.trace, world.knowledge) == alone
+        assert built == [world.trace]
+
     @staticmethod
     def _provisioned_cik(world):
         for ev in world.trace.of_kind(KIND_TRANSITION):

@@ -89,13 +89,19 @@ def test_authentic_blob_without_a_term_teaches_nothing():
     assert (k.trials, k.hits) == (1, 0)
 
 
+def _deploy_term(go_public: bytes):
+    """A deploy package whose owner element is go_public."""
+    return DeployPackage(go_public, b"blob", b"mac", Atom(b"code")).to_term()
+
+
 def test_registered_private_negotiates():
-    """A registered private meets the PSP key of a platform certificate."""
+    """A private deployed with meets the PSP key of a platform certificate."""
     rng = Rng(92)
     victim = crypto.kx_keygen(rng)
     adv = crypto.kx_keygen(rng)
     k = AdversaryKnowledge()
     k.observe(amd_rot_certify(new_amd_rot(rng), victim.public).to_term())
+    k.observe(_deploy_term(adv.public))
     k.add_private_dh(adv.private)
     k.analyze()
     ss = crypto.shared_secret(victim.public, adv.private)
@@ -143,12 +149,26 @@ def test_negotiation_output_derives_both_wrap_keys(observed_first):
         k.analyze()
         assert not any(k.knows(key) for key in wrap_keys)
     k.observe(amd_rot_certify(new_amd_rot(rng), victim.public).to_term())
+    k.observe(_deploy_term(adv.public))
     k.add_private_dh(adv.private)
     k.analyze()
     assert k.kx_pairs == 1
     atoms = [t for t in k.terms_list() if isinstance(t, Atom)]
     assert atoms.count(Atom(ss)) == 1
     assert atoms[-2:] == wrap_keys
+
+
+def test_malformed_leaked_private_negotiates_nothing():
+    """A trace may leak a dh_private of the wrong length; it meets no element."""
+    rng = Rng(107)
+    psp = crypto.kx_keygen(rng)
+    k = AdversaryKnowledge()
+    k.observe(amd_rot_certify(new_amd_rot(rng), psp.public).to_term())
+    k.observe(_deploy_term(psp.public))
+    k.learn("adversary", None, b"short", "dh_private")
+    k.analyze()
+    assert k.kx_pairs == 0
+    assert k.knows(Atom(b"short"))
 
 
 def test_observed_privates_are_not_guessed():
@@ -167,9 +187,10 @@ def test_observed_privates_are_not_guessed():
 def test_psp_compromise_extraction_chain():
     """Stolen PSP private opens deploy traffic end to end.
 
-    Wire view: the deploy package (negotiation element, wrapped
-    transport keys), then the wrapped channel secret. The closure must
-    chain negotiate, derive, decrypt, decrypt to reach the channel key.
+    Wire view: the PSP's published certificate, the deploy package
+    (negotiation element, wrapped transport keys), then the wrapped
+    channel secret. The closure must chain negotiate, derive, decrypt,
+    decrypt to reach the channel key.
     """
     rng = Rng(94)
     psp = crypto.kx_keygen(rng)
@@ -185,6 +206,7 @@ def test_psp_compromise_extraction_chain():
     blob_p = crypto.encrypt(Atom(cik), tek, rng)
 
     k = AdversaryKnowledge()
+    k.observe(amd_rot_certify(new_amd_rot(rng), psp.public).to_term())
     k.observe(DeployPackage(go.public, blob_d, mac_d, Atom(b"guest code")).to_term())
     k.observe(Atom(blob_p))
     k.analyze()
