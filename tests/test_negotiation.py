@@ -17,6 +17,7 @@ provisioned channel key. Half the traces use the default mask, half a wide
 one under which the designated PSP key and the AMD root can be stolen.
 """
 
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -121,9 +122,9 @@ def _channel_keys(trace) -> list:
 
 
 def _compare(mask_id, wider, monkeypatch):
-    """Rebuild every trace under both rules; the summed work of each."""
+    """Rebuild every trace under both rules; the summed kx_pairs and trials of each."""
     provisioned = leaked = 0
-    work = {"narrow": [0, 0], "wide": [0, 0]}
+    work = {"narrow": Counter(), "wide": Counter()}
     for run_seed, trace in enumerate(_traces(mask_id)):
         narrow = _analyzed(trace, AdversaryKnowledge, monkeypatch)
         wide = _analyzed(trace, wider, monkeypatch)
@@ -134,8 +135,7 @@ def _compare(mask_id, wider, monkeypatch):
             leaked += narrow.derivable(cik, fresh=True)
             assert narrow.derivable(cik, fresh=True) == wide.derivable(cik, fresh=True), run_seed
         for side, know in (("narrow", narrow), ("wide", wide)):
-            work[side][0] += know.kx_pairs
-            work[side][1] += know.trials
+            work[side].update(kx_pairs=know.kx_pairs, trials=know.trials)
     # the comparison means something: guests were provisioned, and channel
     # keys leaked exactly where the mask lets the designated PSP key go
     assert provisioned > 0
@@ -146,16 +146,14 @@ def _compare(mask_id, wider, monkeypatch):
 @pytest.mark.parametrize("mask_id", MASKS)
 def test_negotiation_elements_lose_nothing(mask_id, monkeypatch):
     work = _compare(mask_id, EveryAtomNegotiates, monkeypatch)
-    assert work["narrow"][0] < work["wide"][0]
+    assert work["narrow"]["kx_pairs"] < work["wide"]["kx_pairs"]
 
 
 @pytest.mark.parametrize("mask_id", MASKS)
 def test_cross_role_pairs_lose_nothing(mask_id, monkeypatch):
     work = _compare(mask_id, AnyPrivateNegotiates, monkeypatch)
-    narrow_pairs, narrow_trials = work["narrow"]
-    wide_pairs, wide_trials = work["wide"]
-    assert narrow_pairs < wide_pairs
-    assert narrow_trials < wide_trials
+    for counter in ("kx_pairs", "trials"):
+        assert work["narrow"][counter] < work["wide"][counter]
 
 
 def _cert(rng, public: bytes):
