@@ -150,24 +150,12 @@ def rebuild_knowledge(trace: Trace) -> AdversaryKnowledge:
 
 
 def check_property(
-    trace: Trace,
-    property_id: str,
-    knowledge: AdversaryKnowledge | None = None,
-    compromises: Compromises | None = None,
+    trace: Trace, property_id: str, knowledge: AdversaryKnowledge | None = None
 ) -> PropertyResult:
-    """Judge one property over trace.
-
-    compromises is the trace's Compromises record; it is read off the
-    trace when not given.
-    """
-    if property_id not in PROPERTY_IDS:
+    """Judge one property over trace."""
+    if property_id not in _CHECKERS:
         raise UnknownProperty(f"unknown property: {property_id}")
-    esc = Compromises.from_trace(trace) if compromises is None else compromises
-    if property_id == "sgx_quote_authenticity":
-        return _check_sgx_quote_authenticity(trace, esc)
-    if property_id == "sev_secret_secrecy":
-        return _check_sev_secret_secrecy(trace, esc, knowledge)
-    return _check_vm_quote_authenticity(trace, esc)
+    return _CHECKERS[property_id](trace, Compromises.from_trace(trace), knowledge)
 
 
 def check_all(
@@ -175,7 +163,7 @@ def check_all(
 ) -> dict[str, PropertyResult]:
     """Judge every property, reading the Compromises record off trace once."""
     esc = Compromises.from_trace(trace)
-    return {pid: check_property(trace, pid, knowledge, esc) for pid in PROPERTY_IDS}
+    return {pid: _CHECKERS[pid](trace, esc, knowledge) for pid in PROPERTY_IDS}
 
 
 def _judge(pid: str, instances: list[Event], escaped, backed) -> PropertyResult:
@@ -212,7 +200,9 @@ def _transitions(trace: Trace, label: str) -> list[Event]:
     return [ev for ev in trace.of_kind(KIND_TRANSITION) if ev.body.get("label") == label]
 
 
-def _check_sgx_quote_authenticity(trace: Trace, esc: Compromises) -> PropertyResult:
+def _check_sgx_quote_authenticity(
+    trace: Trace, esc: Compromises, knowledge: AdversaryKnowledge | None
+) -> PropertyResult:
     reports = _transitions(trace, "owner_generate_report")
 
     def backed(ev: Event) -> bool:
@@ -251,7 +241,9 @@ def _check_sev_secret_secrecy(
     )
 
 
-def _check_vm_quote_authenticity(trace: Trace, esc: Compromises) -> PropertyResult:
+def _check_vm_quote_authenticity(
+    trace: Trace, esc: Compromises, knowledge: AdversaryKnowledge | None
+) -> PropertyResult:
     launches = _transitions(trace, "sev_session_measured")
     requests = _transitions(trace, "guest_request_report")
 
@@ -285,3 +277,11 @@ def _check_vm_quote_authenticity(trace: Trace, esc: Compromises) -> PropertyResu
         escaped,
         backed,
     )
+
+
+#: Property id -> checker; every checker takes (trace, esc, knowledge).
+_CHECKERS = {
+    "sgx_quote_authenticity": _check_sgx_quote_authenticity,
+    "sev_secret_secrecy": _check_sev_secret_secrecy,
+    "vm_quote_authenticity": _check_vm_quote_authenticity,
+}
