@@ -69,6 +69,13 @@ class Event:
             separators=(",", ":"),
         )
 
+    def text(self, key: str) -> str:
+        """The str field key; ValueError when it is missing or no str."""
+        value = self.body.get(key)
+        if value.__class__ is not str:
+            raise ValueError(f"trace event {self.seq} has no str {key}")
+        return value
+
 
 class Trace:
     """Append-only event list with auto-assigned seq numbers."""

@@ -37,6 +37,12 @@ Checkers rebuild adversary knowledge from the trace alone (bus traffic
 plus logged adversary actions); a live knowledge object may be passed in
 to skip the rebuild. Both views are fed by the same per-event rule,
 AdversaryKnowledge.learn, and the test suite checks that they agree.
+
+The offline audit is total: on any trace Trace.from_jsonl accepts,
+rebuild_knowledge and check_all raise nothing but ValueError. Every field
+they decode, look up or match against another event goes through
+Event.text, which requires a str, and a channel key nested too deep to
+judge is a ValueError too.
 """
 
 from __future__ import annotations
@@ -114,9 +120,9 @@ class Compromises:
         elif action == "compromise_amd_rot":
             self.amd = True
         elif action == "compromise_sgx_qe":
-            self.qe_ppids.add(event.body["ppid"])
+            self.qe_ppids.add(event.text("ppid"))
         elif action == "compromise_sev_psp":
-            self.psp_ids.add(event.body["psp"])
+            self.psp_ids.add(event.text("psp"))
 
     @staticmethod
     def from_trace(trace: Trace) -> "Compromises":
@@ -141,8 +147,8 @@ def rebuild_knowledge(trace: Trace) -> AdversaryKnowledge:
         leak = ev.body.get("leak")
         know.learn(
             ev.kind,
-            None if term is None else term_from_hex(term),
-            None if leak is None else bytes.fromhex(leak),
+            None if term is None else term_from_hex(ev.text("term")),
+            None if leak is None else bytes.fromhex(ev.text("leak")),
             ev.body.get("leak_kind"),
             ev.body.get("action") == FRESH_VALUE,
         )
@@ -208,15 +214,15 @@ def _check_sgx_quote_authenticity(
     def backed(ev: Event) -> bool:
         return any(
             rep.seq < ev.seq
-            and rep.body["host_ppid"] == ev.body["cert_ppid"]
-            and term_hex(Atom(bytes.fromhex(rep.body["rpdata"]))) == ev.body["quote_data"]
+            and rep.text("host_ppid") == ev.text("cert_ppid")
+            and term_hex(Atom(bytes.fromhex(rep.text("rpdata")))) == ev.text("quote_data")
             for rep in reports
         )
 
     return _judge(
         "sgx_quote_authenticity",
         _owner_accepts(trace),
-        lambda ev: esc.intel or ev.body["cert_ppid"] in esc.qe_ppids,
+        lambda ev: esc.intel or ev.text("cert_ppid") in esc.qe_ppids,
         backed,
     )
 
@@ -233,11 +239,19 @@ def _check_sev_secret_secrecy(
         if knowledge is None:
             knowledge = rebuild_knowledge(trace)
         knowledge.analyze()
+
+    def backed(ev: Event) -> bool:
+        cik = Atom(bytes.fromhex(ev.text("cik")))
+        try:
+            return not knowledge.derivable(cik, fresh=True)
+        except RecursionError:
+            raise ValueError(f"trace event {ev.seq}: cik nests too deep") from None
+
     return _judge(
         "sev_secret_secrecy",
         instances,
-        lambda ev: esc.amd or ev.body["psp_id"] in esc.psp_ids,
-        lambda ev: not knowledge.derivable(Atom(bytes.fromhex(ev.body["cik"])), fresh=True),
+        lambda ev: esc.amd or ev.text("psp_id") in esc.psp_ids,
+        backed,
     )
 
 
@@ -251,22 +265,22 @@ def _check_vm_quote_authenticity(
         return (
             esc.intel
             or esc.amd
-            or ev.body["cert_ppid"] in esc.qe_ppids
-            or ev.body["pspid"] in esc.psp_ids
+            or ev.text("cert_ppid") in esc.qe_ppids
+            or ev.text("pspid") in esc.psp_ids
         )
 
     def backed(ev: Event) -> bool:
         measured = any(
             launch.seq < ev.seq
-            and launch.body["psp"] == ev.body["pspid"]
-            and launch.body["dig"] == ev.body["msr_dig"]
-            and launch.body["nonce"] == ev.body["msr_nonce"]
+            and launch.text("psp") == ev.text("pspid")
+            and launch.text("dig") == ev.text("msr_dig")
+            and launch.text("nonce") == ev.text("msr_nonce")
             for launch in launches
         )
         requested = any(
             req.seq < ev.seq
-            and req.body["psp"] == ev.body["pspid"]
-            and req.body["vmdata"] == ev.body["vmdata"]
+            and req.text("psp") == ev.text("pspid")
+            and req.text("vmdata") == ev.text("vmdata")
             for req in requests
         )
         return measured and requested

@@ -133,7 +133,7 @@ def _extract_other_guest_secret(world: World, pipe: Pipeline) -> Iterator[Move]:
 #: Every scenario, as a tuple of moves or a generator over (world, pipe).
 #: The pipeline's in-flight slot after n advances: 1 deploy, 2 measurement,
 #: 3 secret, 5 report_request, 6 bundle.
-SCHEDULES = {
+SCENARIOS = {
     "honest": (FINISH,),
     "tamper_deploy_blob": (ADVANCE, Move("flip", ((1,), 0, 0)), FINISH),
     "tamper_measurement": (ADVANCE,) * 2 + (Move("flip", ((0, 3), 0, 0)), FINISH),
@@ -158,8 +158,6 @@ SCHEDULES = {
     "compromise_sev_psp_post": (FINISH, Move("compromise", ("psp", 0))),
     "extract_other_guest_secret": _extract_other_guest_secret,
 }
-
-SCENARIOS = SCHEDULES
 
 #: Negative scenarios: the honest flow must abort with no accepted verdict.
 NEGATIVE_SCENARIOS = (

@@ -15,12 +15,10 @@ from hypothesis import strategies as st
 from vmquote import crypto
 from vmquote.codec import Atom, Label, MalformedEncoding, Tuple, decode, encode
 from vmquote.crypto import WRAP_KEY_LABELS, DecryptionFailure, InvalidPublicElement, Rng
-from vmquote.harness import DEFAULT_MASK, World, fuzz_adversary, parse_compromise_flags
+from vmquote.harness import World, fuzz_adversary
 from vmquote.harness import world as world_mod
-from vmquote.harness.knowledge import AdversaryKnowledge
+from vmquote.harness.knowledge import _MIN_CIPHERTEXT, AdversaryKnowledge
 from vmquote.sev import DeployPackage, SevPlatformCert
-
-_MIN_CIPHERTEXT = crypto.NONCE_LEN + 16 + 5
 
 
 class RoundClosure:
@@ -181,17 +179,16 @@ def _mirrored_fuzz_worlds(monkeypatch, mask, seeds):
         yield run_seed, world.knowledge
 
 
-def test_fuzz_worlds_default_mask(monkeypatch):
-    for run_seed, know in _mirrored_fuzz_worlds(monkeypatch, DEFAULT_MASK, range(30)):
+def test_fuzz_worlds_default_mask(monkeypatch, masks):
+    for run_seed, know in _mirrored_fuzz_worlds(monkeypatch, masks["default"], range(30)):
         assert isinstance(know, Mirrored)
         assert know.mismatches == [], run_seed
         assert know.analyses >= 1
 
 
-def test_fuzz_worlds_wide_mask(monkeypatch):
-    """Stolen roots and the designated PSP: leaks, forgeries, own keys."""
-    wide = parse_compromise_flags(["intel_rot", "amd_rot", "psp:designated"])
-    for run_seed, know in _mirrored_fuzz_worlds(monkeypatch, wide, range(30)):
+def test_fuzz_worlds_wide_mask(monkeypatch, masks):
+    """Stolen roots and designated keys: leaks, forgeries, own keys."""
+    for run_seed, know in _mirrored_fuzz_worlds(monkeypatch, masks["wide"], range(30)):
         assert know.mismatches == [], run_seed
 
 

@@ -1,12 +1,29 @@
-"""Trace.from_jsonl is total: any text parses to a Trace or raises ValueError."""
+"""The offline audit is total.
 
+Trace.from_jsonl parses any text to a Trace or raises ValueError, and
+rebuild_knowledge and check_all raise nothing but ValueError on any trace
+it accepts.
+"""
+
+import contextlib
 import json
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vmquote.harness import Trace
+from vmquote import crypto
+from vmquote.codec import Atom, encode, to_hex
+from vmquote.guest import DESIGNATED_VM_CODE
+from vmquote.harness import Trace, check_all, rebuild_knowledge
+from vmquote.sgx import OWNER_ENCLAVE_MEASUREMENT
+
+# the field values that make an event an instance of a checker
+_DIG = crypto.digest(DESIGNATED_VM_CODE).hex()
+_MSR = to_hex(OWNER_ENCLAVE_MEASUREMENT)
+# a channel key that is an atom encoding an atom, and so on, too deep to judge
+_DEEP = reduce(lambda value, _: encode(Atom(value)), range(3_000), b"").hex()
 
 
 @pytest.mark.parametrize(
@@ -43,6 +60,39 @@ def test_event_fields_are_read_off_each_line():
     assert (event.seq, event.kind, event.body) == (3, "send", {"src": "adv"})
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"seq": 0, "kind": "send", "term": 1}',
+        '{"seq": 0, "kind": "adversary", "leak": 1}',
+        '{"seq": 0, "kind": "adversary", "action": "compromise_sgx_qe"}',
+        '{"seq": 0, "kind": "adversary", "action": "compromise_sgx_qe", "ppid": [1]}',
+        '{"seq": 0, "kind": "transition", "label": "owner_provision_vm", '
+        f'"vm_dig": "{_DIG}", "cik": "{"00" * 32}"}}',
+        f'{{"seq": 0, "kind": "verdict", "accept": true, "quote_msr": "{_MSR}"}}',
+        '{"seq": 0, "kind": "transition", "label": "owner_generate_report", "rpdata": "00"}\n'
+        f'{{"seq": 1, "kind": "verdict", "accept": true, "quote_msr": "{_MSR}", '
+        '"cert_ppid": "aa", "quote_data": "00"}',
+        '{"seq": 0, "kind": "transition", "label": "owner_provision_vm", '
+        f'"vm_dig": "{_DIG}", "psp_id": "aa", "cik": "{_DEEP}"}}',
+    ],
+    ids=[
+        "term",
+        "leak",
+        "no-ppid",
+        "list-ppid",
+        "no-psp_id",
+        "no-cert_ppid",
+        "no-host_ppid",
+        "deep-cik",
+    ],
+)
+def test_hostile_field_fails_the_audit_with_value_error(text):
+    trace = Trace.from_jsonl(text)
+    with pytest.raises(ValueError, match="trace event"):
+        check_all(trace, rebuild_knowledge(trace))
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)
@@ -50,9 +100,42 @@ _JSON = st.recursive(
     max_leaves=8,
 )
 
+# events with the kind, label or action and the designated values that
+# make each checker read the other fields, which may be anything
+_AUDITED = st.fixed_dictionaries(
+    {
+        "seq": st.integers(0, 3),
+        "kind": st.sampled_from(["send", "transition", "adversary", "verdict"]),
+    },
+    optional={
+        "label": st.sampled_from(
+            [
+                "owner_provision_vm",
+                "owner_generate_report",
+                "sev_session_measured",
+                "guest_request_report",
+            ]
+        ),
+        "action": st.sampled_from(["compromise_sgx_qe", "compromise_sev_psp", "fresh_value"]),
+        "accept": st.just(True),
+        "quote_msr": st.just(_MSR),
+        "vm_dig": st.just(_DIG),
+        "msr_dig": st.just(_DIG),
+        "leak_kind": st.just("dh_private"),
+        **{
+            name: _JSON | st.just("00" * 32)
+            for name in (
+                "term leak ppid psp psp_id pspid cik rpdata host_ppid cert_ppid quote_data"
+                " dig nonce msr_nonce vmdata"
+            ).split()
+        },
+    },
+)
+
 _LINES = st.one_of(
     st.text(),
     _JSON.map(json.dumps),
+    _AUDITED.map(json.dumps),
     st.fixed_dictionaries(
         {"seq": _JSON, "kind": _JSON}, optional={"term": st.text(max_size=8)}
     ).map(json.dumps),
@@ -70,3 +153,6 @@ def test_any_text_gives_a_trace_or_value_error(text):
     for event in trace.events:
         assert event.seq.__class__ is int and event.kind.__class__ is str
         assert "seq" not in event.body and "kind" not in event.body
+    for audit in (rebuild_knowledge, check_all):
+        with contextlib.suppress(ValueError):
+            audit(trace)

@@ -7,7 +7,6 @@ from vmquote.codec import Atom, Label, encode
 from vmquote.guest import DESIGNATED_VM_CODE
 from vmquote.harness import (
     COMPROMISE_ATTACKS,
-    DEFAULT_MASK,
     Compromises,
     NEGATIVE_SCENARIOS,
     PROPERTY_IDS,
@@ -23,7 +22,6 @@ from vmquote.harness import (
     check_postcondition,
     check_property,
     fuzz_adversary,
-    parse_compromise_flags,
     rebuild_knowledge,
     run_scenario,
     run_scenario_world,
@@ -438,23 +436,19 @@ class TestTraceInfrastructure:
         assert [e.seq for e in world.trace] == list(range(len(world.trace)))
 
     @staticmethod
-    def _knowledge_worlds():
+    def _knowledge_worlds(masks):
         for name in ("honest", "compromise_sev_psp_pre", "extract_other_guest_secret"):
             yield name, run_scenario_world(name)[0]
         # Fuzz runs reach the tamper, forge, keygen and leak event paths.
-        wide = parse_compromise_flags(["intel_rot", "amd_rot", "psp:designated"])
-        for mask_name, mask, seeds in (
-            ("default", DEFAULT_MASK, range(10)),
-            ("wide", wide, range(4)),
-        ):
+        for mask_name, seeds in (("default", range(10)), ("wide", range(4))):
             for run_seed in seeds:
                 world = World(seed=run_seed)
-                fuzz_adversary(world, seed=run_seed, steps=40, mask=mask)
+                fuzz_adversary(world, seed=run_seed, steps=40, mask=masks[mask_name])
                 yield f"fuzz {mask_name} seed {run_seed}", world
 
-    def test_rebuilt_knowledge_matches_live(self):
+    def test_rebuilt_knowledge_matches_live(self, masks):
         """Send and adversary events alone reproduce the live view."""
-        for name, world in self._knowledge_worlds():
+        for name, world in self._knowledge_worlds(masks):
             world.knowledge.analyze()
             rebuilt = rebuild_knowledge(world.trace)
             rebuilt.analyze()

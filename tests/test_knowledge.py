@@ -282,7 +282,7 @@ class TestCounters:
         k.analyze()
         atoms = [t.value for t in k.terms_list() if isinstance(t, Atom)]
         keys = sum(1 for a in atoms if len(a) == 32)
-        blobs = sum(1 for a in atoms if len(a) >= crypto.NONCE_LEN + 16 + 5)
+        blobs = sum(1 for a in atoms if len(a) >= _MIN_CIPHERTEXT)
         assert k.trials == keys * blobs
         assert 0 < k.hits < k.trials
         assert k.rounds > 0 and k.kx_pairs > 0

@@ -1,52 +1,41 @@
-"""Negotiating only across roles loses the adversary nothing.
+"""The closure loses the adversary nothing to a Dolev-Yao oracle.
 
-The closure pairs a registered private only with the elements of the side
-its own public element is not on: deploy-package elements when that public
-is a certificate element, certificate elements when it is a deploy-package
-element. Each recorded fuzz trace is rebuilt with that rule and with a
-wider one, kept here as a test subclass:
+The closure negotiates only across roles and derives wrap keys only from
+negotiation outputs (see harness/knowledge.py). DolevYaoWide is the
+widest rule it is compared with: every registered private meets every
+observed 32-byte atom, as Tamarin's DH theory lets the adversary
+exponentiate any term, and both wrap keys are derived from every
+observed 32-byte atom and every negotiation output. Each narrower rule
+the closure had before lies between the two, so this one comparison
+covers them all.
 
-- EveryAtomNegotiates pairs every private with every observed 32-byte
-  atom, as Tamarin's DH theory lets the adversary do.
-- AnyPrivateNegotiates pairs every private with every negotiation element,
-  whichever side it is on (the rule the closure had before).
-
-The extra exchanges must open nothing: the same hits, the same terms apart
-from negotiation and derivation outputs, and the same verdict on every
-provisioned channel key. Half the traces use the default mask, half a wide
-one under which the designated PSP key and the AMD root can be stolen.
+Every trace of the shared fuzz pool (conftest.py) is rebuilt under both.
+The oracle's extra exchanges and keys must open nothing: the same hits,
+the same terms apart from each side's negotiation and derivation
+outputs, and the same verdict on every provisioned channel key. The
+hand-built tests at the end pin the cross-role rule on single exchanges.
 """
 
 from collections import Counter
-from functools import lru_cache
-
-import pytest
 
 from vmquote import crypto
 from vmquote.codec import Atom
 from vmquote.crypto import Rng
-from vmquote.harness import (
-    DEFAULT_MASK,
-    World,
-    fuzz_adversary,
-    parse_compromise_flags,
-    rebuild_knowledge,
-)
+from vmquote.harness import rebuild_knowledge
 from vmquote.harness import properties
 from vmquote.harness.events import KIND_TRANSITION
 from vmquote.harness.knowledge import AdversaryKnowledge
 from vmquote.sev import DeployPackage, amd_rot_certify, new_amd_rot
 
-WIDE_MASK = parse_compromise_flags(["intel_rot", "amd_rot", "psp:designated", "qe:designated"])
-MASKS = {"default": DEFAULT_MASK, "wide": WIDE_MASK}
-TRACES_PER_MASK = 50
 
-
-class EveryAtomNegotiates(AdversaryKnowledge):
-    """Every registered private meets every observed 32-byte atom.
+class DolevYaoWide(AdversaryKnowledge):
+    """Every observed 32-byte atom is a peer of every private and derives wrap keys.
 
     An atom counts as observed whenever a rule other than negotiation or
-    derivation adds it, whether or not it was already known.
+    derivation adds it, whether or not it was already known. Negotiation
+    outputs derive both wrap keys too. Derivation outputs are never fed
+    back in, so there is one layer of derivation, as in the closure.
+    derived_from holds every atom the rule has derived from.
     """
 
     _making = False
@@ -54,6 +43,7 @@ class EveryAtomNegotiates(AdversaryKnowledge):
     def __init__(self) -> None:
         super().__init__()
         self._observed: set[bytes] = set()
+        self.derived_from: set[bytes] = set()
 
     def _add(self, term) -> None:
         super()._add(term)
@@ -62,6 +52,7 @@ class EveryAtomNegotiates(AdversaryKnowledge):
             if len(value) == crypto.KEY_LEN and value not in self._observed:
                 self._observed.add(value)
                 self._kx_stale = True
+                self._new_outputs.append(value)
 
     def _peers(self, public: bytes) -> set[bytes]:
         return self._observed
@@ -72,28 +63,15 @@ class EveryAtomNegotiates(AdversaryKnowledge):
         self._making = False
 
     def _derive(self) -> None:
+        fresh = [v for v in dict.fromkeys(self._new_outputs) if v not in self.derived_from]
+        self.derived_from.update(fresh)
+        self._new_outputs = fresh
         self._making = True
         super()._derive()
         self._making = False
 
 
-class AnyPrivateNegotiates(AdversaryKnowledge):
-    """Every registered private meets every negotiation element, either side's."""
-
-    def _peers(self, public: bytes) -> set[bytes]:
-        return self._deploy_elements | self._cert_elements
-
-
-@lru_cache(maxsize=None)
-def _traces(mask_id: str) -> tuple:
-    traces = []
-    for run_seed in range(TRACES_PER_MASK):
-        world = World(seed=run_seed)
-        traces.append(fuzz_adversary(world, seed=run_seed, steps=40, mask=MASKS[mask_id]))
-    return tuple(traces)
-
-
-def _analyzed(trace, knowledge, monkeypatch):
+def _rebuilt(trace, knowledge, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(properties, "AdversaryKnowledge", knowledge)
         know = rebuild_knowledge(trace)
@@ -102,58 +80,48 @@ def _analyzed(trace, knowledge, monkeypatch):
     return know
 
 
-def _observed(know) -> set:
-    """The terms learned, less negotiation outputs and the wrap keys derived from them."""
+def _observed(know, derived_from) -> set:
+    """The terms learned, less negotiation outputs and the wrap keys derived_from derives."""
     made = set(know._kx_outputs)
     made.update(
-        crypto.derive_wrap_key(label, ss)
-        for ss in know._kx_outputs
+        crypto.derive_wrap_key(label, value)
+        for value in derived_from
         for label in crypto.WRAP_KEY_LABELS
     )
     return {t for t in know.terms_list() if t.__class__ is not Atom or t.value not in made}
 
 
-def _channel_keys(trace) -> list:
-    return [
-        Atom(bytes.fromhex(ev.body["cik"]))
-        for ev in trace.of_kind(KIND_TRANSITION)
-        if ev.body.get("label") == "owner_provision_vm"
-    ]
-
-
-def _compare(mask_id, wider, monkeypatch):
-    """Rebuild every trace under both rules; the summed kx_pairs and trials of each."""
-    provisioned = leaked = 0
-    work = {"narrow": Counter(), "wide": Counter()}
-    for run_seed, trace in enumerate(_traces(mask_id)):
-        narrow = _analyzed(trace, AdversaryKnowledge, monkeypatch)
-        wide = _analyzed(trace, wider, monkeypatch)
-        assert narrow.hits == wide.hits, run_seed
-        assert _observed(narrow) == _observed(wide), run_seed
-        for cik in _channel_keys(trace):
-            provisioned += 1
-            leaked += narrow.derivable(cik, fresh=True)
-            assert narrow.derivable(cik, fresh=True) == wide.derivable(cik, fresh=True), run_seed
-        for side, know in (("narrow", narrow), ("wide", wide)):
+def test_closure_loses_nothing_to_the_oracle(fuzz_pool, monkeypatch):
+    mask_id, traces = fuzz_pool
+    provisioned = leaked = any_side_pairs = 0
+    work = {"closure": Counter(), "oracle": Counter()}
+    for run_seed, trace in enumerate(traces):
+        closure = _rebuilt(trace, AdversaryKnowledge, monkeypatch)
+        oracle = _rebuilt(trace, DolevYaoWide, monkeypatch)
+        assert closure.hits == oracle.hits, run_seed
+        observed = _observed(closure, closure._kx_outputs)
+        assert observed == _observed(oracle, oracle.derived_from), run_seed
+        for ev in trace.of_kind(KIND_TRANSITION):
+            if ev.body.get("label") == "owner_provision_vm":
+                cik = Atom(bytes.fromhex(ev.body["cik"]))
+                verdict = closure.derivable(cik, fresh=True)
+                assert verdict == oracle.derivable(cik, fresh=True), run_seed
+                provisioned += 1
+                leaked += verdict
+        # the any-side rule the closure had before pairs every private
+        # with every negotiation element, each pair once
+        elements = closure._deploy_elements | closure._cert_elements
+        any_side_pairs += len(closure.dh_privates) * len(elements)
+        for side, know in (("closure", closure), ("oracle", oracle)):
             work[side].update(kx_pairs=know.kx_pairs, trials=know.trials)
-    # the comparison means something: guests were provisioned, and channel
-    # keys leaked exactly where the mask lets the designated PSP key go
+    # the comparison means something: guests were provisioned, channel
+    # keys leaked exactly where the mask lets the designated PSP key go,
+    # and the closure did less work than the oracle and the any-side rule
     assert provisioned > 0
     assert (leaked > 0) == (mask_id == "wide")
-    return work
-
-
-@pytest.mark.parametrize("mask_id", MASKS)
-def test_negotiation_elements_lose_nothing(mask_id, monkeypatch):
-    work = _compare(mask_id, EveryAtomNegotiates, monkeypatch)
-    assert work["narrow"]["kx_pairs"] < work["wide"]["kx_pairs"]
-
-
-@pytest.mark.parametrize("mask_id", MASKS)
-def test_cross_role_pairs_lose_nothing(mask_id, monkeypatch):
-    work = _compare(mask_id, AnyPrivateNegotiates, monkeypatch)
     for counter in ("kx_pairs", "trials"):
-        assert work["narrow"][counter] < work["wide"][counter]
+        assert work["closure"][counter] < work["oracle"][counter]
+    assert work["closure"]["kx_pairs"] < any_side_pairs
 
 
 def _cert(rng, public: bytes):

@@ -12,7 +12,7 @@ trace shows as fresh values.
 
 from vmquote import crypto
 from vmquote.codec import Atom, encode, from_hex
-from vmquote.harness import DEFAULT_MASK, World, fuzz_adversary, parse_compromise_flags
+from vmquote.harness import World, fuzz_adversary
 from vmquote.harness import world as world_mod
 from vmquote.harness.events import FRESH_VALUE, KIND_ADVERSARY
 from vmquote.harness.knowledge import _MIN_CIPHERTEXT, AdversaryKnowledge
@@ -75,10 +75,10 @@ def _check_worlds(monkeypatch, mask):
     assert fresh > 0
 
 
-def test_fuzz_worlds_default_mask(monkeypatch):
-    _check_worlds(monkeypatch, DEFAULT_MASK)
+def test_fuzz_worlds_default_mask(monkeypatch, masks):
+    _check_worlds(monkeypatch, masks["default"])
 
 
-def test_fuzz_worlds_wide_mask(monkeypatch):
-    """Stolen roots and the designated PSP: leaks, forgeries, own keys."""
-    _check_worlds(monkeypatch, parse_compromise_flags(["intel_rot", "amd_rot", "psp:designated"]))
+def test_fuzz_worlds_wide_mask(monkeypatch, masks):
+    """Stolen roots and designated keys: leaks, forgeries, own keys."""
+    _check_worlds(monkeypatch, masks["wide"])

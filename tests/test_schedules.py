@@ -12,7 +12,7 @@ import pytest
 
 from vmquote.harness import DEFAULT_MASK, Pipeline, World, fuzz_adversary
 from vmquote.harness.fuzz import MOVE_KINDS, Move, apply, fuzz_moves, run_schedule
-from vmquote.harness.scenarios import SCHEDULES, run_scenario_world
+from vmquote.harness.scenarios import SCENARIOS, run_scenario_world
 
 #: The fuzz runs test_golden.py pins.
 FUZZ_SEEDS = range(20)
@@ -41,7 +41,7 @@ def fuzz_runs() -> dict:
 
 
 @pytest.mark.parametrize("seed", (0, 7))
-@pytest.mark.parametrize("name", sorted(SCHEDULES))
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_schedule_replays_its_trace(name, seed):
     world, info = run_scenario_world(name, seed)
     replayed, _ = _replayed(seed, info["schedule"])
@@ -67,7 +67,7 @@ def test_apply_handles_exactly_the_declared_kinds():
 
 def test_every_move_kind_is_produced(fuzz_runs):
     produced = {move.kind for _, schedule in fuzz_runs.values() for move in schedule}
-    for name in SCHEDULES:
+    for name in SCENARIOS:
         _, info = run_scenario_world(name, 0)
         produced.update(move.kind for move in info["schedule"])
     assert produced == set(MOVE_KINDS)
