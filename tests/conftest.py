@@ -1,12 +1,23 @@
-"""Fuzz masks and the recorded fuzz-trace pool the closure tests share.
+"""Fuzz masks, the recorded fuzz-trace pool and the Dolev-Yao oracle the closure tests share.
 
-The pool is recorded once per session and read only: each test rebuilds
-its own knowledge from a trace, so no test sees another's state.
+The pool is recorded once per session and read only, and so is its
+rebuild under the closure and the oracle: no test changes a trace or a
+rebuilt knowledge.
 """
 
 import pytest
 
-from vmquote.harness import DEFAULT_MASK, World, fuzz_adversary, parse_compromise_flags
+from vmquote import crypto
+from vmquote.codec import Atom
+from vmquote.harness import (
+    DEFAULT_MASK,
+    World,
+    fuzz_adversary,
+    parse_compromise_flags,
+    properties,
+    rebuild_knowledge,
+)
+from vmquote.harness.knowledge import AdversaryKnowledge
 
 #: Under the wide mask both roots, the designated PSP key and the
 #: designated QE key can be stolen.
@@ -33,3 +44,67 @@ def fuzz_pool(request) -> tuple:
         for seed in POOL_SEEDS
     )
     return request.param, traces
+
+
+class DolevYaoWide(AdversaryKnowledge):
+    """Every observed 32-byte atom is a peer of every private and derives wrap keys.
+
+    This is the widest rule the closure is compared with, as Tamarin's DH
+    theory lets the adversary exponentiate any term. An atom counts as
+    observed whenever a rule other than negotiation or derivation adds
+    it, whether or not it was already known. Negotiation outputs derive
+    both wrap keys too. Derivation outputs are never fed back in, so
+    there is one layer of derivation, as in the closure. derived_from
+    holds every atom the rule has derived from.
+    """
+
+    _making = False
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._observed: set[bytes] = set()
+        self.derived_from: set[bytes] = set()
+
+    def _add(self, term) -> None:
+        super()._add(term)
+        if term.__class__ is Atom and not self._making:
+            value = term.value
+            if len(value) == crypto.KEY_LEN and value not in self._observed:
+                self._observed.add(value)
+                self._kx_stale = True
+                self._new_outputs.append(value)
+
+    def _peers(self, public: bytes) -> set[bytes]:
+        return self._observed
+
+    def _negotiate(self) -> None:
+        self._making = True
+        super()._negotiate()
+        self._making = False
+
+    def _derive(self) -> None:
+        fresh = [v for v in dict.fromkeys(self._new_outputs) if v not in self.derived_from]
+        self.derived_from.update(fresh)
+        self._new_outputs = fresh
+        self._making = True
+        super()._derive()
+        self._making = False
+
+
+def _rebuilt(trace, knowledge):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(properties, "AdversaryKnowledge", knowledge)
+        know = rebuild_knowledge(trace)
+    assert type(know) is knowledge
+    know.analyze()
+    return know
+
+
+@pytest.fixture(scope="session")
+def oracle_pool(fuzz_pool) -> tuple:
+    """(mask id, (trace, closure, oracle) for each pool trace), both rebuilt and closed."""
+    mask_id, traces = fuzz_pool
+    return mask_id, tuple(
+        (trace, _rebuilt(trace, AdversaryKnowledge), _rebuilt(trace, DolevYaoWide))
+        for trace in traces
+    )
