@@ -17,6 +17,21 @@ least recently used out first: loading a private key costs as much as
 using it once, and the adversary's closure reuses each key across many
 trial decryptions.
 
+Beside them, two bounded per-process memos of 64 entries each, least
+recently used out first, answer a repeated check from the first one:
+verify's outcome, keyed by (public, encode(term), signature), and
+shared_secret's output, keyed by (public, private). Both are pure
+functions of their key, so a memo changes no result, only the work.
+An exchange that raises InvalidPublicElement is not cached and raises
+again on every call. Keys are typed, so a memoryview never answers for
+equal bytes, and an unhashable argument such as a bytearray skips the
+memo; either gets the result it got without one. The size stays at 64: a fuzz
+run repeats a check within a few calls (forged and replayed bundles
+carry the same genuine certificate; the closure exchanges pairs the
+owner, the PSP or the adversary's own deploy already did), while a
+memo large enough to hold a whole verify workload would answer its
+timed checks from the work its set-up did.
+
 The symbolic model treats encryption as perfect: a blob opens only under
 the key that sealed it (Dolev-Yao; sdec(senc(m, k), k) = m is the only
 decryption equation). The process therefore keeps a provenance map of at
@@ -160,6 +175,33 @@ def _aead(key: bytes) -> AESGCM:
     return AESGCM(key)
 
 
+@lru_cache(maxsize=_KEY_CACHE_SIZE, typed=True)
+def _verified(public: bytes, message: bytes, signature: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
+        return True
+    except (InvalidSignature, ValueError, TypeError):
+        return False
+
+
+@lru_cache(maxsize=_KEY_CACHE_SIZE, typed=True)
+def _exchanged(public: bytes, private: bytes) -> bytes:
+    try:
+        pk = X25519PublicKey.from_public_bytes(public)
+        return _kx_private(private).exchange(pk)
+    except (ValueError, TypeError) as exc:
+        raise InvalidPublicElement(str(exc)) from exc
+
+
+def _memoised(memo, *args):
+    """memo(*args), or the uncached call when an argument cannot be hashed."""
+    try:
+        hash(args)
+    except (TypeError, ValueError):
+        return memo.__wrapped__(*args)
+    return memo(*args)
+
+
 def sig_keygen(rng: Rng) -> SigKeyPair:
     priv = rng.bytes(KEY_LEN)
     pub = _sig_private(priv).public_key()
@@ -193,10 +235,10 @@ def sign(term: Term, private: bytes) -> bytes:
 def verify(term: Term, signature: bytes, public: bytes) -> bool:
     """Check a signature against encode(term). Never raises."""
     try:
-        Ed25519PublicKey.from_public_bytes(public).verify(signature, encode(term))
-        return True
-    except (InvalidSignature, ValueError, TypeError):
+        message = encode(term)
+    except (ValueError, TypeError):
         return False
+    return _memoised(_verified, public, message, signature)
 
 
 def kx_keygen(rng: Rng) -> KxKeyPair:
@@ -219,11 +261,7 @@ def shared_secret(public: bytes, private: bytes) -> bytes:
     degenerate elements (the all-zero element and other low-order points
     whose exchange output would be all zeros).
     """
-    try:
-        pk = X25519PublicKey.from_public_bytes(public)
-        return _kx_private(private).exchange(pk)
-    except (ValueError, TypeError) as exc:
-        raise InvalidPublicElement(str(exc)) from exc
+    return _memoised(_exchanged, public, private)
 
 
 # encode(Tuple([label, Atom(secret)])) is this prefix, the 4-byte length

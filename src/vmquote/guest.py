@@ -17,6 +17,8 @@ from .sev import GuestSession
 #: Code of the designated guest workload; its digest is the launch digest
 #: the owner commits to and the one the secrecy property singles out.
 DESIGNATED_VM_CODE = Atom(b"burrito_guest_vm")
+#: crypto.digest(DESIGNATED_VM_CODE), computed once.
+DESIGNATED_VM_DIGEST = crypto.digest(DESIGNATED_VM_CODE)
 
 
 @dataclass(frozen=True)

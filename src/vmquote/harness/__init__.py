@@ -37,7 +37,7 @@ from .scenarios import (
     run_scenario,
     run_scenario_world,
 )
-from .world import ForbiddenGuest, ForbiddenMeasurement, Pipeline, World
+from .world import CapabilityDenied, ForbiddenGuest, ForbiddenMeasurement, Pipeline, World
 
 __all__ = [
     "KIND_ADVERSARY",
@@ -69,6 +69,7 @@ __all__ = [
     "check_postcondition",
     "run_scenario",
     "run_scenario_world",
+    "CapabilityDenied",
     "ForbiddenGuest",
     "ForbiddenMeasurement",
     "Pipeline",

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from .. import sev, sgx
 from ..codec import Atom, Tuple
 from ..crypto import Rng
-from ..guest import DESIGNATED_VM_CODE, ReportRequest
+from ..guest import DESIGNATED_VM_CODE, DESIGNATED_VM_DIGEST, ReportRequest
 from ..owner import report_data_preimage
 from ..relying_party import EvidenceBundle
 from ..sev import Measurement, MeasurementPackage
@@ -250,7 +250,7 @@ def apply(world: World, pipe: Pipeline, move: Move) -> None:
         msr = Measurement(
             plat_sev=Atom(world.adversary_fresh(8)),
             launch_sev=Atom(world.adversary_fresh(8)),
-            dig=world.designated_dig,
+            dig=DESIGNATED_VM_DIGEST,
             nonce=world.adversary_fresh(16),
         )
         mac_ti = world.adversary_mac(msr.to_term(), args[0])
@@ -358,7 +358,7 @@ def _draw(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> Move |
         running = [
             i
             for i, p in enumerate(world.sev_platforms)
-            if p.session and p.session.running and p.session.dig != world.designated_dig
+            if p.session and p.session.running and p.session.dig != DESIGNATED_VM_DIGEST
         ]
         return Move("extract", (mv.choice(running),)) if running else None
     if family == "forge_bundle":

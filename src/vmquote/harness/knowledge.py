@@ -28,7 +28,10 @@ message it came from:
 
 An element can be in both sets. The split rule files each Tuple once,
 when it takes it apart, so the rule is decided from the trace alone and
-live and rebuilt knowledge agree.
+live and rebuilt knowledge agree. Filing is decided before from_term:
+a Tuple of the wrong arity, or whose field at the element's position is
+not a new 32-byte Atom, is skipped without building the message, and
+from_term is asked only about the rest.
 
 Negotiation runs only across roles. Each registered private's own public
 element is computed once, when it is registered, and a private p meets
@@ -176,6 +179,13 @@ _MIN_CIPHERTEXT = crypto.NONCE_LEN + 16 + _MIN_ENCODING
 CLOSURE_COUNTERS = ("rounds", "kx_pairs", "trials", "hits")
 
 
+def _position(message: type, name: str) -> tuple[int, int]:
+    """(arity of message's term form, index of field name among its items)."""
+    head = len(message._head)
+    fields = [field for field, _ in message._layout]
+    return head + len(fields), head + fields.index(name)
+
+
 class AdversaryKnowledge:
     """What the adversary knows, closed under analysis by analyze().
 
@@ -205,8 +215,8 @@ class AdversaryKnowledge:
         self._deploy_elements: set[bytes] = set()
         self._cert_elements: set[bytes] = set()
         self._negotiating = (
-            (DeployPackage, "go_sn_pb", self._deploy_elements),
-            (SevPlatformCert, "psp_sn_pb", self._cert_elements),
+            (DeployPackage, *_position(DeployPackage, "go_sn_pb"), self._deploy_elements),
+            (SevPlatformCert, *_position(SevPlatformCert, "psp_sn_pb"), self._cert_elements),
         )
         self._kx_tried: set[tuple[bytes, bytes]] = set()
         self._kx_stale = False
@@ -346,16 +356,21 @@ class AdversaryKnowledge:
         end = len(self._terms)
         for term in self._terms[self._split : end]:
             if isinstance(term, Tuple):
-                for item in term.items:
+                items = term.items
+                for item in items:
                     self._add(item)
-                for message, name, elements in self._negotiating:
+                for message, arity, at, elements in self._negotiating:
+                    if len(items) != arity or items[at].__class__ is not Atom:
+                        continue
+                    value = items[at].value
+                    if len(value) != crypto.KEY_LEN or value in elements:
+                        continue
                     try:
-                        value = getattr(message.from_term(term), name)
+                        message.from_term(term)
                     except ValueError:
                         continue
-                    if len(value) == crypto.KEY_LEN and value not in elements:
-                        elements.add(value)
-                        self._kx_stale = True
+                    elements.add(value)
+                    self._kx_stale = True
             elif isinstance(term, Atom) and may_decode(term.value):
                 try:
                     inner = decode(term.value)

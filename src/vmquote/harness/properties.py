@@ -49,9 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import crypto
 from ..codec import Atom
-from ..guest import DESIGNATED_VM_CODE
+from ..guest import DESIGNATED_VM_DIGEST
 from ..sgx import OWNER_ENCLAVE_MEASUREMENT
 from .events import (
     FRESH_VALUE,
@@ -72,7 +71,7 @@ PROPERTY_IDS = (
 )
 
 _TO_MSR_HEX = term_hex(OWNER_ENCLAVE_MEASUREMENT)
-_DESIGNATED_DIG_HEX = crypto.digest(DESIGNATED_VM_CODE).hex()
+_DESIGNATED_DIG_HEX = DESIGNATED_VM_DIGEST.hex()
 
 
 class UnknownProperty(ValueError):

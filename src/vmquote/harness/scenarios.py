@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .. import crypto
 from ..codec import Atom, Term
-from ..guest import ReportRequest
+from ..guest import DESIGNATED_VM_DIGEST, ReportRequest
 from ..relying_party import EvidenceBundle
 from ..sev import Measurement, MeasurementPackage, SecretPackage, SevPlatformCert, TransportKeys
 from ..sgx import Quote
@@ -31,6 +31,10 @@ from .world import Pipeline, World
 
 class UnknownScenario(ValueError):
     """Scenario name not in SCENARIOS."""
+
+
+class ScenarioIncomplete(RuntimeError):
+    """A postcondition asks about a protocol step the scenario never reached."""
 
 
 ADVANCE = Move("advance")
@@ -218,16 +222,20 @@ def _transitions(world: World, label: str) -> list:
     ]
 
 
+_DESIGNATED_DIG_HEX = DESIGNATED_VM_DIGEST.hex()
+
+
 def _designated_cik(world: World) -> Atom | None:
     for body in _transitions(world, "owner_provision_vm"):
-        if body["vm_dig"] == world.designated_dig.hex():
+        if body["vm_dig"] == _DESIGNATED_DIG_HEX:
             return Atom(bytes.fromhex(body["cik"]))
     return None
 
 
 def _cik_derivable(world: World) -> bool:
     cik = _designated_cik(world)
-    assert cik is not None, "scenario never provisioned the designated guest"
+    if cik is None:
+        raise ScenarioIncomplete("scenario never provisioned the designated guest")
     return world.knowledge.derivable(cik, fresh=True)
 
 

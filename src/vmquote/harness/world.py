@@ -39,7 +39,13 @@ from functools import partial
 from .. import crypto, sev, sgx
 from ..codec import Atom, Term, Tuple
 from ..crypto import DecryptionFailure, InvalidPublicElement, Rng
-from ..guest import DESIGNATED_VM_CODE, GuestNotRunning, GuestRuntime, ReportRequest
+from ..guest import (
+    DESIGNATED_VM_CODE,
+    DESIGNATED_VM_DIGEST,
+    GuestNotRunning,
+    GuestRuntime,
+    ReportRequest,
+)
 from ..owner import TrustedOwner
 from ..relying_party import (
     REASON_MALFORMED,
@@ -72,6 +78,10 @@ class ForbiddenGuest(RuntimeError):
     """Secret extraction aimed at the designated guest (or no guest)."""
 
 
+class CapabilityDenied(RuntimeError):
+    """An adversary capability lacks what it needs: a key, a preimage, a message."""
+
+
 class World:
     def __init__(self, seed: int) -> None:
         self.seed = seed
@@ -79,7 +89,6 @@ class World:
         self.trace = Trace()
         self.knowledge = AdversaryKnowledge()
         self.compromised = Compromises()
-        self.designated_dig = crypto.digest(DESIGNATED_VM_CODE)
 
         self.intel_rot = sgx.new_intel_rot(self.rng)
         self.amd_rot = sev.new_amd_rot(self.rng)
@@ -388,7 +397,8 @@ class World:
 
     def adversary_sign(self, payload: Term, private: bytes) -> bytes:
         """Sign with a key the adversary minted or stole, never derived."""
-        assert self.knowledge.knows(Atom(private)), "adversary lacks the signing key"
+        if not self.knowledge.knows(Atom(private)):
+            raise CapabilityDenied("adversary lacks the signing key")
         sig = crypto.sign(payload, private)
         self.adversary_compute(Atom(sig))
         return sig
@@ -400,7 +410,8 @@ class World:
 
     def adversary_tamper(self, pipeline: "Pipeline", new_term: Term) -> None:
         """Replace the in-flight message of a pipeline."""
-        assert pipeline.in_flight is not None, "nothing in flight to tamper with"
+        if pipeline.in_flight is None:
+            raise CapabilityDenied("nothing in flight to tamper with")
         self.adversary_event("tamper", slot=pipeline.in_flight_slot, term=new_term)
         pipeline.in_flight = new_term
 
@@ -411,7 +422,8 @@ class World:
     def adversary_digest(self, preimage: Term) -> bytes:
         """Hash rule: digest of a derivable preimage, both recorded."""
         self.knowledge.analyze()
-        assert self.knowledge.derivable(preimage), "adversary lacks the preimage"
+        if not self.knowledge.derivable(preimage):
+            raise CapabilityDenied("adversary lacks the preimage")
         value = crypto.digest(preimage)
         self.adversary_compute(preimage)
         self.adversary_compute(Atom(value))
@@ -491,7 +503,7 @@ class World:
         session = platform.session
         if session is None or not session.running:
             raise ForbiddenGuest("no running guest on this platform")
-        if session.dig == self.designated_dig:
+        if session.dig == DESIGNATED_VM_DIGEST:
             raise ForbiddenGuest("refusing to extract from the designated guest")
         secret = session.provisioned_secret
         self.adversary_event(
@@ -511,7 +523,7 @@ class World:
         """
         if platform.session is not None:
             return False
-        if crypto.digest(code) == self.designated_dig:
+        if crypto.digest(code) == DESIGNATED_VM_DIGEST:
             return False
         idx = self.sev_platforms.index(platform)
         pair = self.adversary_kx_keygen()

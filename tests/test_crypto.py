@@ -3,6 +3,9 @@
 import hashlib
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 
 from vmquote import crypto
 from vmquote.codec import Atom, Label, Tuple, encode
@@ -133,6 +136,134 @@ class TestKeyExchange:
         a = kx_keygen(Rng(17))
         with pytest.raises(InvalidPublicElement):
             shared_secret(b"\x05" * 16, a.private)
+
+
+# X25519 elements of small order: each exchange yields all zeros, or the
+# element is out of range; the library refuses every one.
+_LOW_ORDER = [
+    bytes(32),
+    b"\x01" + bytes(31),
+    bytes.fromhex("e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"),
+    bytes.fromhex("5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157"),
+    b"\xec" + b"\xff" * 30 + b"\x7f",
+    b"\xed" + b"\xff" * 30 + b"\x7f",
+    b"\xee" + b"\xff" * 30 + b"\x7f",
+]
+
+
+def _reference_verify(term, signature, public) -> bool:
+    """verify without the memo, straight from the library."""
+    try:
+        Ed25519PublicKey.from_public_bytes(public).verify(signature, encode(term))
+        return True
+    except (InvalidSignature, ValueError, TypeError):
+        return False
+
+
+def _reference_exchange(public, private):
+    """shared_secret without the memo: the output, or the exception type."""
+    try:
+        pk = X25519PublicKey.from_public_bytes(public)
+        return X25519PrivateKey.from_private_bytes(private).exchange(pk)
+    except (ValueError, TypeError):
+        return InvalidPublicElement
+
+
+def _exchange(public, private):
+    try:
+        return shared_secret(public, private)
+    except InvalidPublicElement:
+        return InvalidPublicElement
+
+
+class TestMemo:
+    """verify and shared_secret answer repeats from a memo; no result may change."""
+
+    def test_verify_matches_the_library_on_random_and_hostile_inputs(self):
+        rng = Rng(40)
+        pairs = [sig_keygen(rng) for _ in range(3)]
+        cases = []
+        for _ in range(300):
+            term = _random_payload_term(rng)
+            signer, checker = rng.choice(pairs), rng.choice(pairs)
+            sig = sign(term, signer.private)
+            cases.append((term, sig, checker.public))
+            cases.append((term, rng.bytes(64), checker.public))
+        hostile_sigs = [b"", bytes(64), b"\xff" * 64, rng.bytes(63), rng.bytes(65), None, "sig"]
+        hostile_pubs = [b"", bytes(32), b"\xff" * 32, rng.bytes(31), None, "pub", 7]
+        term, sig = Atom(b"m"), sign(Atom(b"m"), pairs[0].private)
+        cases += [(term, s, pairs[0].public) for s in hostile_sigs]
+        cases += [(term, sig, p) for p in hostile_pubs]
+        cases.append((object(), sig, pairs[0].public))
+        for _ in range(2):  # the second pass answers from the memo where it can
+            for term, sig, public in cases:
+                assert verify(term, sig, public) is _reference_verify(term, sig, public)
+
+    def test_cached_success_does_not_admit_a_tampered_check(self):
+        pair = sig_keygen(Rng(41))
+        term = Tuple([Label("quote"), Atom(b"attested payload")])
+        sig = sign(term, pair.private)
+        assert verify(term, sig, pair.public)
+        assert verify(term, sig, pair.public)
+        assert not verify(Tuple([Label("quote"), Atom(b"attested payloaD")]), sig, pair.public)
+        for i in (0, 31, 63):
+            flipped = bytearray(sig)
+            flipped[i] ^= 1
+            assert not verify(term, bytes(flipped), pair.public)
+        assert not verify(term, sig, sig_keygen(Rng(42)).public)
+        assert verify(term, sig, pair.public)
+
+    def test_exchange_matches_the_library_on_random_and_hostile_inputs(self):
+        rng = Rng(43)
+        privates = [kx_keygen(rng).private for _ in range(4)]
+        publics = [kx_keygen(rng).public for _ in range(20)] + [rng.bytes(32) for _ in range(20)]
+        publics += _LOW_ORDER + [b"", rng.bytes(31), rng.bytes(33), None, "pub"]
+        hostile_privates = [b"", rng.bytes(31), None]
+        cases = [(pub, priv) for pub in publics for priv in privates]
+        cases += [(publics[0], priv) for priv in hostile_privates]
+        for _ in range(2):
+            for public, private in cases:
+                assert _exchange(public, private) == _reference_exchange(public, private)
+
+    def test_degenerate_elements_raise_on_every_call(self):
+        private = kx_keygen(Rng(44)).private
+        for element in _LOW_ORDER:
+            for _ in range(3):
+                with pytest.raises(InvalidPublicElement):
+                    shared_secret(element, private)
+
+    def test_unhashable_arguments_skip_the_memo(self):
+        """A bytearray or a memoryview gives what it gave before the memo, on every call."""
+        rng = Rng(45)
+        pair, kx_a, kx_b = sig_keygen(rng), kx_keygen(rng), kx_keygen(rng)
+        term = Atom(b"bytes-like")
+        sig = sign(term, pair.private)
+        secret = shared_secret(kx_a.public, kx_b.private)
+        for _ in range(2):
+            assert verify(term, bytearray(sig), pair.public) is True
+            assert verify(term, bytearray(sig[:-1] + b"\x00"), pair.public) is False
+            assert verify(term, sig, bytearray(pair.public)) is False
+            assert _exchange(bytearray(kx_b.public), kx_a.private) is InvalidPublicElement
+            assert _exchange(kx_b.public, bytearray(kx_a.private)) is InvalidPublicElement
+            assert _exchange(memoryview(kx_b.public), kx_a.private) is InvalidPublicElement
+            assert shared_secret(kx_b.public, memoryview(kx_a.private)) == secret
+            assert verify(term, sig, memoryview(pair.public)) is False
+            writable = memoryview(bytearray(kx_b.public))
+            assert _exchange(writable, kx_a.private) is InvalidPublicElement
+            assert verify(term, memoryview(bytearray(sig)), pair.public) is True
+            assert verify(term, sig, memoryview(bytearray(pair.public))) is False
+
+    def test_memo_never_exceeds_its_bound(self):
+        rng = Rng(46)
+        pair, kx = sig_keygen(rng), kx_keygen(rng)
+        for _ in range(3 * crypto._KEY_CACHE_SIZE):
+            term = Atom(rng.bytes(8))
+            verify(term, sign(term, pair.private), pair.public)
+            shared_secret(kx_keygen(rng).public, kx.private)
+            assert crypto._verified.cache_info().currsize <= crypto._KEY_CACHE_SIZE
+            assert crypto._exchanged.cache_info().currsize <= crypto._KEY_CACHE_SIZE
+        assert crypto._verified.cache_info().currsize == crypto._KEY_CACHE_SIZE
+        assert crypto._exchanged.cache_info().currsize == crypto._KEY_CACHE_SIZE
 
 
 class TestAead:

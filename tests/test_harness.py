@@ -1,7 +1,14 @@
 """Simulator, scenarios, trace properties, checker soundness."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import vmquote
 from vmquote import crypto, sev
 from vmquote.codec import Atom, Label, encode
 from vmquote.guest import DESIGNATED_VM_CODE
@@ -11,6 +18,7 @@ from vmquote.harness import (
     NEGATIVE_SCENARIOS,
     PROPERTY_IDS,
     SCENARIOS,
+    CapabilityDenied,
     ForbiddenGuest,
     ForbiddenMeasurement,
     Pipeline,
@@ -330,8 +338,40 @@ class TestAdversaryInterfaceLimits:
     )
     def test_forgery_needs_the_stolen_key(self, move):
         world = World(seed=5)
-        with pytest.raises(AssertionError, match="signing key"):
+        with pytest.raises(CapabilityDenied, match="signing key"):
             apply(world, Pipeline(world), move)
+
+    def test_refusals_survive_python_O(self):
+        """The capability guards are no asserts: python -O keeps every one."""
+        script = textwrap.dedent(
+            """
+            from vmquote.codec import Atom
+            from vmquote.harness import CapabilityDenied, Pipeline, World
+            from vmquote.harness.fuzz import Move, apply
+
+            world = World(seed=5)
+            pipe = Pipeline(world)
+            for refused in (
+                lambda: apply(world, pipe, Move("forge_bundle", (0,))),
+                lambda: world.adversary_tamper(pipe, Atom(b"x")),
+                lambda: world.adversary_digest(Atom(bytes(40))),
+            ):
+                try:
+                    refused()
+                except CapabilityDenied as exc:
+                    print(exc)
+            """
+        )
+        src = str(Path(vmquote.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert run.stdout.splitlines() == [
+            "adversary lacks the signing key",
+            "nothing in flight to tamper with",
+            "adversary lacks the preimage",
+        ]
 
     def test_each_compromise_is_recorded_once(self):
         world = World(seed=5)

@@ -7,10 +7,10 @@ at the end pin the cross-role rule on single exchanges.
 """
 
 from vmquote import crypto
-from vmquote.codec import Atom
+from vmquote.codec import Atom, Label, Tuple
 from vmquote.crypto import Rng
 from vmquote.harness.knowledge import AdversaryKnowledge
-from vmquote.sev import DeployPackage, amd_rot_certify, new_amd_rot
+from vmquote.sev import DeployPackage, SevPlatformCert, amd_rot_certify, new_amd_rot
 
 
 def _observed(know, derived_from) -> set:
@@ -42,6 +42,55 @@ def test_cross_role_pairs_lose_nothing(oracle_pool):
         len(c.dh_privates) * len(c._deploy_elements | c._cert_elements) for _, c, _ in rebuilt
     )
     assert sum(c.kx_pairs for _, c, _ in rebuilt) < any_side_pairs
+
+
+def _filed_by_from_term(terms) -> tuple[set, set]:
+    """Deploy-package and certificate elements, filed by from_term alone."""
+    deploy, cert = set(), set()
+    for term in terms:
+        for message, name, elements in (
+            (DeployPackage, "go_sn_pb", deploy),
+            (SevPlatformCert, "psp_sn_pb", cert),
+        ):
+            try:
+                value = getattr(message.from_term(term), name)
+            except ValueError:
+                continue
+            if len(value) == crypto.KEY_LEN:
+                elements.add(value)
+    return deploy, cert
+
+
+def _filed(know) -> tuple[set, set]:
+    return know._deploy_elements, know._cert_elements
+
+
+def test_filing_matches_from_term(oracle_pool):
+    """Deciding arity and field class before from_term files what from_term alone files."""
+    _, rebuilt = oracle_pool
+    for run_seed, (_, closure, _) in enumerate(rebuilt):
+        assert _filed(closure) == _filed_by_from_term(closure.terms_list()), run_seed
+    assert all(all(_filed(c)) for _, c, _ in rebuilt)
+
+
+def test_filing_edge_tuples():
+    rng = Rng(204)
+    go, psp, short, inner = rng.bytes(32), rng.bytes(32), rng.bytes(31), rng.bytes(32)
+    sig = rng.bytes(64)
+    k = AdversaryKnowledge()
+    for term in (
+        Tuple([Atom(rng.bytes(32)) for _ in range(3)]),
+        Tuple([Atom(go), Atom(b"blob"), Atom(b"mac"), Atom(b"code")]),
+        Tuple([Atom(rng.bytes(32)) for _ in range(5)]),
+        Tuple([Tuple([Atom(inner)]), Atom(sig)]),
+        Tuple([Atom(inner), Tuple([Atom(sig)])]),
+        Tuple([Atom(short), Atom(b"blob"), Atom(b"mac"), Atom(b"code")]),
+        Tuple([Atom(inner), Atom(b"blob"), Atom(b"mac"), Label("code")]),
+        Tuple([Atom(psp), Atom(sig)]),
+    ):
+        k.observe(term)
+    k.analyze()
+    assert _filed(k) == _filed_by_from_term(k.terms_list()) == ({go}, {psp})
 
 
 def _cert(rng, public: bytes):
