@@ -236,7 +236,7 @@ def verify(term: Term, signature: bytes, public: bytes) -> bool:
     """Check a signature against encode(term). Never raises."""
     try:
         message = encode(term)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, RecursionError):
         return False
     return _memoised(_verified, public, message, signature)
 

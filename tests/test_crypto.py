@@ -110,6 +110,11 @@ class TestSignatures:
         assert verify(term, b"\x00" * 64, pair.public) is False
         assert verify(term, rng.bytes(7), pair.public) is False
         assert verify(term, sign(term, pair.private), b"\x01" * 5) is False
+        deep = term
+        for _ in range(5000):  # nested past the recursion limit: encode cannot finish
+            deep = Tuple([deep])
+        assert verify(deep, bytes(64), pair.public) is False
+        assert verify(deep, bytes(64), b"\x01" * 5) is False
 
 
 class TestKeyExchange:
