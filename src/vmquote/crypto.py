@@ -125,7 +125,6 @@ class Rng:
     """
 
     def __init__(self, seed: int | None = None) -> None:
-        self.seed = seed
         self._rand = None if seed is None else random.Random(seed)
 
     def bytes(self, n: int) -> bytes:
@@ -340,7 +339,7 @@ def verify_mac(term: Term, tag: bytes, key: bytes) -> bool:
     """Constant-time MAC check. Never raises."""
     try:
         return _hmac.compare_digest(mac(term, key), tag)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, RecursionError):
         return False
 
 

@@ -61,17 +61,21 @@ so the PSP's exchange of its own private with its own public is a
 cross-role pair too. Any other exchange yields a value no honest party
 computes, so it seals nothing and MACs nothing anyone checks.
 
-The derive rule is narrowed the same way. Among honest parties only
-psp_receive_deploy and TrustedOwner.deploy_vm call derive_wrap_key (the
-adversary's own deploy, World.adversary_own_deploy, mirrors the owner's),
-and each calls it on the X25519 output it has just computed, which never
-goes on the bus. A wrap key derived from any other atom (a digest, a tag,
-a public key, a fresh value, another wrap key) therefore seals nothing
-and MACs nothing that any party opens or checks, so no hit is lost. Each
-negotiation output is derived from exactly once, even if the adversary
-observed the same bytes before it negotiated them. Derivation outputs are
-never fed back in: the honest key schedule never stacks derivations, so
-one layer is complete and keeps the closure polynomial.
+The derive rule is narrowed the same way. sev.wrap_keys is the one
+derivation site: it is the only caller of derive_wrap_key in the package
+(tests/test_derivation.py checks the source for that), and this rule
+derives through it too. Outside the closure it runs in
+psp_receive_deploy and, through sev.seal_deploy, in
+TrustedOwner.deploy_vm and the adversary's own deploy,
+World.adversary_own_deploy; each hands it the X25519 output it has just
+computed, which never goes on the bus. A wrap key derived from any other
+atom (a digest, a tag, a public key, a fresh value, another wrap key)
+therefore seals nothing and MACs nothing that any party opens or checks,
+so no hit is lost. Each negotiation output is derived from exactly once,
+even if the adversary observed the same bytes before it negotiated them.
+Derivation outputs are never fed back in: the honest key schedule never
+stacks derivations, so one layer is complete and keeps the closure
+polynomial.
 
 The closure is evaluated semi-naively: each round applies the rules only
 to what is new since the rule last ran, so no rule ever repeats work.
@@ -167,8 +171,8 @@ from __future__ import annotations
 
 from .. import crypto
 from ..codec import Atom, Label, MalformedEncoding, Term, Tuple, decode, encode, may_decode
-from ..crypto import DecryptionFailure, InvalidPublicElement, WRAP_KEY_LABELS
-from ..sev import DeployPackage, SevPlatformCert
+from ..crypto import DecryptionFailure, InvalidPublicElement
+from ..sev import DeployPackage, SevPlatformCert, wrap_keys
 from .events import ADVERSARY_VISIBLE
 
 # The shortest term encoding: a tag byte and a 4-byte length.
@@ -416,8 +420,8 @@ class AdversaryKnowledge:
         outputs = sorted(self._new_outputs, key=self._rank.__getitem__)
         self._new_outputs = []
         for value in outputs:
-            for label in WRAP_KEY_LABELS:
-                self._add(Atom(crypto.derive_wrap_key(label, value)))
+            for key in wrap_keys(value):
+                self._add(Atom(key))
 
     def _trial_decrypt(self) -> None:
         """New keys x all blobs, old keys x new blobs, as filed.

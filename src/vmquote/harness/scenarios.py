@@ -19,13 +19,13 @@ from typing import Iterator
 
 from .. import crypto
 from ..codec import Atom, Term
-from ..guest import DESIGNATED_VM_DIGEST, ReportRequest
+from ..guest import ReportRequest
 from ..relying_party import EvidenceBundle
 from ..sev import Measurement, MeasurementPackage, SecretPackage, SevPlatformCert, TransportKeys
 from ..sgx import Quote
-from .events import KIND_ADVERSARY, KIND_SEND, KIND_TRANSITION, KIND_VERDICT, Trace, term_from_hex
+from .events import KIND_ADVERSARY, KIND_SEND, KIND_VERDICT, Trace, term_from_hex
 from .fuzz import Move, run_schedule
-from .properties import check_all
+from .properties import _DESIGNATED_DIG_HEX, _owner_accepts, _transitions, check_all
 from .world import Pipeline, World
 
 
@@ -59,8 +59,8 @@ def _stolen(world: World) -> list[Term]:
     ]
 
 
-def _transport_keys(world: World) -> tuple[bytes, bytes]:
-    """tek and tik of the last transport-keys tuple the closure opened."""
+def _transport_keys(world: World) -> TransportKeys:
+    """The last transport-keys tuple the closure opened."""
     world.knowledge.analyze()
     opened = []
     for term in world.knowledge.terms_list():
@@ -68,7 +68,7 @@ def _transport_keys(world: World) -> tuple[bytes, bytes]:
             opened.append(TransportKeys.from_term(term))
         except ValueError:
             pass
-    return opened[-1].tek, opened[-1].tik
+    return opened[-1]
 
 
 def _inject_evidence(world: World, i: int, pspid: bytes, msr: Measurement) -> Move:
@@ -108,11 +108,11 @@ def _compromise_amd_rot_pre(world: World, pipe: Pipeline) -> Iterator[Move]:
     yield Move("compromise", ("amd", None))
     yield Move("forge_sev_cert", ("owner_deploy",))
     fake = SevPlatformCert.from_term(_sent(world, "adv", "owner0"))
-    tek, tik = _transport_keys(world)
-    yield Move("forge_measurement", (tik,))
+    keys = _transport_keys(world)
+    yield Move("forge_measurement", (keys.tik,))
     msr = MeasurementPackage.from_term(_sent(world, "adv", "owner0")).msr
     secret = SecretPackage.from_term(_sent(world, "owner0", "adv"))
-    cik = crypto.decrypt(secret.blob_p, tek)
+    cik = crypto.decrypt(secret.blob_p, keys.tek)
     yield Move("forge_request", ("owner_report", 24, cik.value))
     yield _inject_evidence(world, 0, fake.psp_sn_pb, msr)
 
@@ -210,25 +210,10 @@ def run_scenario(name: str, seed: int = 0) -> Trace:
 # closed adversary knowledge and the checkers' results for its world.
 
 
-def _accepts(world: World) -> list:
-    return [ev for ev in world.trace.of_kind(KIND_VERDICT) if ev.body.get("accept")]
-
-
-def _transitions(world: World, label: str) -> list:
-    return [
-        ev.body
-        for ev in world.trace.of_kind(KIND_TRANSITION)
-        if ev.body.get("label") == label
-    ]
-
-
-_DESIGNATED_DIG_HEX = DESIGNATED_VM_DIGEST.hex()
-
-
 def _designated_cik(world: World) -> Atom | None:
-    for body in _transitions(world, "owner_provision_vm"):
-        if body["vm_dig"] == _DESIGNATED_DIG_HEX:
-            return Atom(bytes.fromhex(body["cik"]))
+    for ev in _transitions(world.trace, "owner_provision_vm"):
+        if ev.body["vm_dig"] == _DESIGNATED_DIG_HEX:
+            return Atom(bytes.fromhex(ev.body["cik"]))
     return None
 
 
@@ -241,17 +226,17 @@ def _cik_derivable(world: World) -> bool:
 
 def _post_honest(world: World, info: dict, results: dict) -> bool:
     return (
-        len(_accepts(world)) == 1
+        len(_owner_accepts(world.trace)) == 1
         and world.owner.phase == "PROVISIONED"
-        and len(_transitions(world, "owner_deploy_vm")) == 1
-        and len(_transitions(world, "owner_provision_vm")) == 1
+        and len(_transitions(world.trace, "owner_deploy_vm")) == 1
+        and len(_transitions(world.trace, "owner_provision_vm")) == 1
     )
 
 
 def _post_tamper_deploy_blob(world: World, info: dict, results: dict) -> bool:
     return (
-        not _accepts(world)
-        and _transitions(world, "sev_deploy_abort")
+        not _owner_accepts(world.trace)
+        and _transitions(world.trace, "sev_deploy_abort")
         and world.sev_platforms[0].session is None
     )
 
@@ -259,33 +244,36 @@ def _post_tamper_deploy_blob(world: World, info: dict, results: dict) -> bool:
 def _post_provision_refused(world: World, info: dict, results: dict) -> bool:
     session = world.sev_platforms[0].session
     return (
-        not _accepts(world)
-        and _transitions(world, "owner_provision_refused")
+        not _owner_accepts(world.trace)
+        and _transitions(world.trace, "owner_provision_refused")
         and (session is None or not session.running)
     )
 
 
 def _post_tamper_secret_package(world: World, info: dict, results: dict) -> bool:
     return (
-        not _accepts(world)
-        and _transitions(world, "sev_secret_abort")
+        not _owner_accepts(world.trace)
+        and _transitions(world.trace, "sev_secret_abort")
         and world.sev_platforms[0].session is None
     )
 
 
 def _post_replay_secret_package(world: World, info: dict, results: dict) -> bool:
-    aborts = _transitions(world, "sev_secret_abort")
+    aborts = _transitions(world.trace, "sev_secret_abort")
     return (
-        len(_accepts(world)) == 1
-        and any(b.get("error") == "NoMeasuredSession" for b in aborts)
+        len(_owner_accepts(world.trace)) == 1
+        and any(ev.body.get("error") == "NoMeasuredSession" for ev in aborts)
         and world.sev_platforms[0].session is not None
         and world.sev_platforms[0].session.running
     )
 
 
 def _post_forge_report_request(world: World, info: dict, results: dict) -> bool:
-    refused = not _accepts(world) and _transitions(world, "owner_report_refused")
-    return refused and info["pipe"].guest is not None
+    return (
+        not _owner_accepts(world.trace)
+        and _transitions(world.trace, "owner_report_refused")
+        and info["pipe"].guest is not None
+    )
 
 
 def _post_cross_platform_cert_swap(world: World, info: dict, results: dict) -> bool:
@@ -294,24 +282,29 @@ def _post_cross_platform_cert_swap(world: World, info: dict, results: dict) -> b
         for ev in world.trace.of_kind(KIND_VERDICT)
         if not ev.body.get("accept")
     ]
-    return not _accepts(world) and any(b.get("reason") == "quote-sig" for b in rejects)
+    return not _owner_accepts(world.trace) and any(
+        b.get("reason") == "quote-sig" for b in rejects
+    )
 
 
 def _post_intel_pre(world: World, info: dict, results: dict) -> bool:
     return (
-        len(_accepts(world)) == 1
+        len(_owner_accepts(world.trace)) == 1
         and results["sgx_quote_authenticity"].escaped >= 1
         and results["vm_quote_authenticity"].escaped >= 1
     )
 
 
 def _post_intel_post(world: World, info: dict, results: dict) -> bool:
-    return len(_accepts(world)) == 1 and results["sgx_quote_authenticity"].escaped == 1
+    return (
+        len(_owner_accepts(world.trace)) == 1
+        and results["sgx_quote_authenticity"].escaped == 1
+    )
 
 
 def _post_amd_pre(world: World, info: dict, results: dict) -> bool:
     return (
-        len(_accepts(world)) == 1
+        len(_owner_accepts(world.trace)) == 1
         and results["sev_secret_secrecy"].escaped >= 1
         and results["vm_quote_authenticity"].escaped >= 1
         and _cik_derivable(world)
@@ -320,7 +313,7 @@ def _post_amd_pre(world: World, info: dict, results: dict) -> bool:
 
 def _post_amd_post(world: World, info: dict, results: dict) -> bool:
     return (
-        len(_accepts(world)) == 1
+        len(_owner_accepts(world.trace)) == 1
         and results["sev_secret_secrecy"].escaped == 1
         and not _cik_derivable(world)
     )
@@ -328,7 +321,7 @@ def _post_amd_post(world: World, info: dict, results: dict) -> bool:
 
 def _post_psp_pre(world: World, info: dict, results: dict) -> bool:
     return (
-        len(_accepts(world)) == 1
+        len(_owner_accepts(world.trace)) == 1
         and results["sev_secret_secrecy"].escaped == 1
         and results["vm_quote_authenticity"].escaped == 1
         and _cik_derivable(world)
@@ -339,7 +332,7 @@ def _post_extract_other(world: World, info: dict, results: dict) -> bool:
     cik = _designated_cik(world)
     stolen = _stolen(world)
     return (
-        len(_accepts(world)) == 3
+        len(_owner_accepts(world.trace)) == 3
         and all(res.escaped == 0 for res in results.values())
         and len(stolen) == 1
         and world.knowledge.knows(stolen[0])

@@ -37,7 +37,7 @@ from collections.abc import Iterator
 from functools import partial
 
 from .. import crypto, sev, sgx
-from ..codec import Atom, Term, Tuple
+from ..codec import Atom, Term
 from ..crypto import DecryptionFailure, InvalidPublicElement, Rng
 from ..guest import (
     DESIGNATED_VM_CODE,
@@ -84,7 +84,6 @@ class CapabilityDenied(RuntimeError):
 
 class World:
     def __init__(self, seed: int) -> None:
-        self.seed = seed
         self.rng = Rng(seed)
         self.trace = Trace()
         self.knowledge = AdversaryKnowledge()
@@ -233,27 +232,18 @@ class World:
     # Owner i's three steps. Owner i is named owner{i}, runs on sgx{i} and
     # deploys workloads[i]; the Pipeline hands it sev{i}'s certificate.
 
-    def owner_deploy(self, i: int, cert: SevPlatformCert) -> DeployPackage | None:
+    def owner_deploy(self, i: int, term: Term) -> DeployPackage | None:
         """Owner i's opening move: a deploy package for the certified PSP."""
-        result = self.owners[i].deploy_vm(cert, crypto.digest(self.workloads[i]))
-        self.drain_owner(i)
-        if result is None:
-            self.transition(f"owner{i}", "owner_deploy_refused", error="guard")
-            return None
-        return DeployPackage(
-            go_sn_pb=result.go_sn_pb,
-            blob_d=result.blob_d,
-            mac_d=result.mac_d,
-            vmc=self.workloads[i],
-        )
-
-    def recv_platform_cert(self, i: int, term: Term) -> DeployPackage | None:
         try:
             cert = SevPlatformCert.from_term(term)
         except ValueError:
             self.transition(f"owner{i}", "owner_deploy_refused", error="malformed")
             return None
-        return self.owner_deploy(i, cert)
+        pkg = self.owners[i].deploy_vm(cert, self.workloads[i])
+        self.drain_owner(i)
+        if pkg is None:
+            self.transition(f"owner{i}", "owner_deploy_refused", error="guard")
+        return pkg
 
     def owner_provision(
         self, i: int, term: Term
@@ -343,7 +333,7 @@ class World:
         if kind == "sev_secret":
             return f"sev{i}", None, partial(self.recv_secret, i)
         if kind == "owner_deploy":
-            return f"owner{i}", f"owner{i}", partial(self.recv_platform_cert, i)
+            return f"owner{i}", f"owner{i}", partial(self.owner_deploy, i)
         if kind == "owner_measurement":
             return f"owner{i}", f"owner{i}", lambda term: self.owner_provision(i, term)[1]
         if kind == "owner_report":
@@ -531,20 +521,12 @@ class World:
             ss = crypto.shared_secret(platform.psp_sn.public, pair.private)
         except InvalidPublicElement:
             return False
-        kek = crypto.derive_wrap_key(crypto.WRAP_KEY_LABELS[0], ss)
-        kik = crypto.derive_wrap_key(crypto.WRAP_KEY_LABELS[1], ss)
-        tek = self.adversary_fresh(32)
-        tik = self.adversary_fresh(32)
-        blob_d = crypto.encrypt(sev.TransportKeys(tek=tek, tik=tik).to_term(), kek, self.rng)
-        mac_d = crypto.mac(Atom(blob_d), kik)
-        pkg = DeployPackage(go_sn_pb=pair.public, blob_d=blob_d, mac_d=mac_d, vmc=code)
+        keys = sev.TransportKeys(tek=self.adversary_fresh(32), tik=self.adversary_fresh(32))
+        pkg = sev.seal_deploy(ss, pair.public, keys, code, self.rng)
         mp = self.deliver(f"sev_deploy:{idx}", pkg.to_term())
         if mp is None:
             return False
-        cik = self.adversary_fresh(32)
-        blob_p = crypto.encrypt(Atom(cik), tek, self.rng)
-        mac_p = crypto.mac(Tuple([mp.msr.to_term(), Atom(blob_p)]), tik)
-        spkg = SecretPackage(blob_p=blob_p, mac_p=mac_p)
+        spkg = sev.seal_secret(mp.msr, Atom(self.adversary_fresh(32)), keys, self.rng)
         return self.deliver(f"sev_secret:{idx}", spkg.to_term()) is not None
 
 
@@ -597,7 +579,7 @@ class Pipeline:
         world = self.world
         owner, sev_name = f"owner{i}", f"sev{i}"
         sev_platform = world.sev_platforms[i]
-        deploy = world.owner_deploy(i, sev_platform.cert)
+        deploy = world.owner_deploy(i, sev_platform.cert.to_term())
         if deploy is None:
             return
         term = yield from self._hand_over(owner, sev_name, deploy.to_term(), "deploy")

@@ -4,8 +4,8 @@ The owner runs inside an SGX enclave on a host platform. It walks a
 strict one-way chain:
 
     INIT        nothing set
-    DEPLOYED    psp_id, vm_dig, tek, tik set        (after deploy_vm)
-    PROVISIONED msr, cik set; tek, tik erased       (after provision_vm)
+    DEPLOYED    psp_id, vm_dig, keys set            (after deploy_vm)
+    PROVISIONED msr, cik set; keys erased           (after provision_vm)
 
 Each operation checks its guards and returns None on any failure, leaving
 state untouched; nothing here ever raises for a protocol reason. The
@@ -17,35 +17,15 @@ never placed on the simulated network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import crypto, sgx
-from .codec import (
-    TAG_REPORT_DATA,
-    TAG_SEV_KEK,
-    TAG_SEV_KIK,
-    Atom,
-    Label,
-    Term,
-    Tuple,
-    encode,
-)
+from . import crypto, sev, sgx
+from .codec import TAG_REPORT_DATA, Atom, Label, Term, Tuple, encode
 from .crypto import InvalidPublicElement, Rng
-from .sev import Measurement, SecretPackage, SevPlatformCert, TransportKeys
+from .sev import DeployPackage, Measurement, SecretPackage, SevPlatformCert, TransportKeys
 from .sgx import LocalReport, SgxPlatform
 
 PHASE_INIT = "INIT"
 PHASE_DEPLOYED = "DEPLOYED"
 PHASE_PROVISIONED = "PROVISIONED"
-
-
-@dataclass(frozen=True)
-class DeployResult:
-    """Outputs the host combines with the VM code into a deploy package."""
-
-    go_sn_pb: bytes
-    blob_d: bytes
-    mac_d: bytes
 
 
 def report_data_preimage(psp_id: bytes, msr: Measurement, vmdata: Term) -> Term:
@@ -67,8 +47,7 @@ class TrustedOwner:
         self._rng = rng
         self._psp_id: bytes | None = None
         self._vm_dig: bytes | None = None
-        self._tek: bytes | None = None
-        self._tik: bytes | None = None
+        self._keys: TransportKeys | None = None
         self._msr: Measurement | None = None
         self._cik: bytes | None = None
         self.actions: list = []
@@ -81,13 +60,14 @@ class TrustedOwner:
             return PHASE_DEPLOYED
         return PHASE_INIT
 
-    def deploy_vm(self, cert: SevPlatformCert, dig: bytes) -> DeployResult | None:
-        """Commit to a platform and VM digest; emit deployment secrets.
+    def deploy_vm(self, cert: SevPlatformCert, vmc: Atom) -> DeployPackage | None:
+        """Commit to a platform and the digest of the VM code vmc.
 
         Accepts only in INIT and only a certificate that verifies under
         the baked-in AMD root key. On success the owner is DEPLOYED and
-        the result carries its negotiation element plus the wrapped
-        transport keys. Returns None on any failure, state unchanged.
+        the result is the deploy package for vmc: its negotiation element
+        plus the wrapped transport keys. Returns None on any failure,
+        state unchanged.
         """
         if self._vm_dig is not None:
             return None
@@ -98,23 +78,18 @@ class TrustedOwner:
             ss = crypto.shared_secret(cert.psp_sn_pb, go_sn.private)
         except InvalidPublicElement:
             return None
-        kek = crypto.derive_wrap_key(Label(TAG_SEV_KEK), ss)
-        kik = crypto.derive_wrap_key(Label(TAG_SEV_KIK), ss)
-        tek = crypto.fresh_key(self._rng)
-        tik = crypto.fresh_key(self._rng)
-        blob_d = crypto.encrypt(TransportKeys(tek=tek, tik=tik).to_term(), kek, self._rng)
-        mac_d = crypto.mac(Atom(blob_d), kik)
+        keys = TransportKeys(tek=crypto.fresh_key(self._rng), tik=crypto.fresh_key(self._rng))
+        pkg = sev.seal_deploy(ss, go_sn.public, keys, vmc, self._rng)
         self._psp_id = cert.psp_sn_pb
-        self._vm_dig = dig
-        self._tek = tek
-        self._tik = tik
+        self._vm_dig = crypto.digest(vmc)
+        self._keys = keys
         self.actions.append(
             (
                 "owner_deploy_vm",
-                {"psp_id": cert.psp_sn_pb.hex(), "vm_dig": dig.hex()},
+                {"psp_id": cert.psp_sn_pb.hex(), "vm_dig": self._vm_dig.hex()},
             )
         )
-        return DeployResult(go_sn_pb=go_sn.public, blob_d=blob_d, mac_d=mac_d)
+        return pkg
 
     def provision_vm(self, msr: Measurement, mac_ti: bytes) -> SecretPackage | None:
         """Release the guest secret against a matching measurement.
@@ -128,18 +103,15 @@ class TrustedOwner:
         """
         if self._vm_dig is None or self._cik is not None:
             return None
-        if not crypto.verify_mac(msr.to_term(), mac_ti, self._tik):
+        if not crypto.verify_mac(msr.to_term(), mac_ti, self._keys.tik):
             return None
         if msr.dig != self._vm_dig:
             return None
         cik = crypto.fresh_key(self._rng)
-        blob_p = crypto.encrypt(Atom(cik), self._tek, self._rng)
-        mac_p = crypto.mac(Tuple([msr.to_term(), Atom(blob_p)]), self._tik)
-        result = SecretPackage(blob_p=blob_p, mac_p=mac_p)
+        result = sev.seal_secret(msr, Atom(cik), self._keys, self._rng)
         self._msr = msr
         self._cik = cik
-        self._tek = None
-        self._tik = None
+        self._keys = None
         self.actions.append(
             (
                 "owner_provision_vm",

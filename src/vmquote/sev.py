@@ -5,7 +5,9 @@ negotiation key. Guest deployment runs the pre-SNP launch flow: the
 deploying party sends its own negotiation element plus transport keys
 wrapped under derived keys, the PSP measures the loaded guest code and
 returns a MACed measurement, and a secret package released against that
-measurement is decrypted into the guest before it starts running.
+measurement is decrypted into the guest before it starts running. The
+launch key schedule (wrap_keys, seal_deploy, secret_binding, seal_secret)
+is written out here once, for every party that seals or opens a package.
 
 One guest session per platform at a time; a failed provisioning step
 terminates the session.
@@ -16,16 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import crypto
-from .codec import (
-    TAG_SEV_KEK,
-    TAG_SEV_KIK,
-    TAG_TRANSPORT_KEYS,
-    Atom,
-    Label,
-    Message,
-    Term,
-    Tuple,
-)
+from .codec import TAG_TRANSPORT_KEYS, Atom, Message, Term, Tuple
 from .crypto import DecryptionFailure, KxKeyPair, Rng, SigKeyPair
 
 NONCE_LEN = 16
@@ -133,7 +126,7 @@ class MeasurementPackage(Message):
 class SecretPackage(Message):
     """Wrapped guest secret, MAC-bound to the exact measurement.
 
-    mac_p signs Tuple([msr.to_term(), Atom(blob_p)]).
+    mac_p signs secret_binding(msr, blob_p).
     """
 
     blob_p: bytes
@@ -149,10 +142,8 @@ class GuestSession:
     implies provisioned_secret is present.
     """
 
-    vmc: Atom
     dig: bytes
-    tek: bytes
-    tik: bytes
+    keys: TransportKeys
     msr: Measurement
     phase: str = "measured"
     provisioned_secret: Term | None = None
@@ -181,6 +172,39 @@ def new_sev_platform(rng: Rng) -> SevPlatform:
     )
 
 
+def wrap_keys(ss: bytes) -> tuple[bytes, bytes]:
+    """The wrap keys (kek, kik) of a negotiated secret.
+
+    The one place the launch key schedule derives: the owner, the PSP,
+    the adversary's own deploy and the adversary-knowledge closure all
+    derive through it, always from an X25519 output just computed.
+    """
+    kek_label, kik_label = crypto.WRAP_KEY_LABELS
+    return crypto.derive_wrap_key(kek_label, ss), crypto.derive_wrap_key(kik_label, ss)
+
+
+def seal_deploy(
+    ss: bytes, go_sn_pb: bytes, keys: TransportKeys, vmc: Atom, rng: Rng
+) -> DeployPackage:
+    """The deploy package: keys wrapped under kek, the wrap MACed under kik."""
+    kek, kik = wrap_keys(ss)
+    blob_d = crypto.encrypt(keys.to_term(), kek, rng)
+    return DeployPackage(
+        go_sn_pb=go_sn_pb, blob_d=blob_d, mac_d=crypto.mac(Atom(blob_d), kik), vmc=vmc
+    )
+
+
+def secret_binding(msr: Measurement, blob_p: bytes) -> Term:
+    """What mac_p signs: the secret blob bound to one exact measurement."""
+    return Tuple([msr.to_term(), Atom(blob_p)])
+
+
+def seal_secret(msr: Measurement, secret: Term, keys: TransportKeys, rng: Rng) -> SecretPackage:
+    """The secret package: secret sealed under tek, bound to msr under tik."""
+    blob_p = crypto.encrypt(secret, keys.tek, rng)
+    return SecretPackage(blob_p=blob_p, mac_p=crypto.mac(secret_binding(msr, blob_p), keys.tik))
+
+
 def psp_receive_deploy(
     platform: SevPlatform, pkg: DeployPackage, rng: Rng
 ) -> MeasurementPackage:
@@ -198,9 +222,7 @@ def psp_receive_deploy(
     """
     if platform.session is not None:
         raise SessionBusy("platform already hosts a guest session")
-    ss = crypto.shared_secret(pkg.go_sn_pb, platform.psp_sn.private)
-    kek = crypto.derive_wrap_key(Label(TAG_SEV_KEK), ss)
-    kik = crypto.derive_wrap_key(Label(TAG_SEV_KIK), ss)
+    kek, kik = wrap_keys(crypto.shared_secret(pkg.go_sn_pb, platform.psp_sn.private))
     plain = crypto.decrypt(pkg.blob_d, kek)
     try:
         keys = TransportKeys.from_term(plain)
@@ -214,7 +236,7 @@ def psp_receive_deploy(
         dig=crypto.digest(pkg.vmc),
         nonce=rng.bytes(NONCE_LEN),
     )
-    platform.session = GuestSession(vmc=pkg.vmc, dig=msr.dig, tek=keys.tek, tik=keys.tik, msr=msr)
+    platform.session = GuestSession(dig=msr.dig, keys=keys, msr=msr)
     return MeasurementPackage(msr=msr, mac_ti=crypto.mac(msr.to_term(), keys.tik))
 
 
@@ -234,12 +256,11 @@ def psp_receive_secret(platform: SevPlatform, pkg: SecretPackage) -> GuestSessio
     session = platform.session
     if session is None or session.phase != "measured":
         raise NoMeasuredSession("no session awaiting a secret package")
-    bound = Tuple([session.msr.to_term(), Atom(pkg.blob_p)])
-    if not crypto.verify_mac(bound, pkg.mac_p, session.tik):
+    if not crypto.verify_mac(secret_binding(session.msr, pkg.blob_p), pkg.mac_p, session.keys.tik):
         platform.session = None
         raise MacVerificationFailed("secret package MAC rejected")
     try:
-        secret = crypto.decrypt(pkg.blob_p, session.tek)
+        secret = crypto.decrypt(pkg.blob_p, session.keys.tek)
     except DecryptionFailure:
         platform.session = None
         raise

@@ -35,7 +35,6 @@ from vmquote.owner import (
     TrustedOwner,
 )
 from vmquote.sev import (
-    DeployPackage,
     Measurement,
     SecretPackage,
     amd_rot_certify,
@@ -109,7 +108,6 @@ def test_criterion_2_state_machine_exhaustion():
     garbage_mac = rng.bytes(32)
     garbage_vmdata = Atom(rng.bytes(24))
     garbage_tag = rng.bytes(32)
-    designated_dig = crypto.digest(DESIGNATED_VM_CODE)
 
     ops = ("deploy", "provision", "report")
     options = [(op, mode) for op in ops for mode in ("honest", "garbage")]
@@ -130,16 +128,10 @@ def test_criterion_2_state_machine_exhaustion():
             for op, mode in seq:
                 if op == "deploy":
                     cert = sev_plat.cert if mode == "honest" else rogue_cert
-                    res = owner.deploy_vm(cert, designated_dig)
+                    res = owner.deploy_vm(cert, DESIGNATED_VM_CODE)
                     present = res is not None
                     if present:
-                        pkg = DeployPackage(
-                            go_sn_pb=res.go_sn_pb,
-                            blob_d=res.blob_d,
-                            mac_d=res.mac_d,
-                            vmc=DESIGNATED_VM_CODE,
-                        )
-                        staged_mp = psp_receive_deploy(sev_plat, pkg, rng)
+                        staged_mp = psp_receive_deploy(sev_plat, res, rng)
                 elif op == "provision":
                     if mode == "honest" and staged_mp is not None:
                         res = owner.provision_vm(staged_mp.msr, staged_mp.mac_ti)

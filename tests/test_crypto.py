@@ -405,6 +405,10 @@ class TestMac:
         assert verify_mac(term, b"", key) is False
         assert verify_mac(term, b"\x00" * 32, key) is False
         assert verify_mac(term, mac(term, key), fresh_key(rng)) is False
+        deep = term
+        for _ in range(5000):  # nested past the recursion limit: encode cannot finish
+            deep = Tuple([deep])
+        assert verify_mac(deep, b"\x00" * 32, key) is False
 
     def test_message_binding(self):
         key = fresh_key(Rng(24))

@@ -3,10 +3,44 @@
 The oracle (conftest.py) also derives both wrap keys from every observed
 32-byte atom. Its extra keys must give the same verdict on every
 provisioned channel key, while the closure tries fewer (blob, key) pairs.
+
+The narrowing is sound because every derivation runs on an X25519 output
+just computed; that holds while sev.wrap_keys is the one place in the
+package that names crypto.derive_wrap_key.
 """
 
+import ast
+from pathlib import Path
+
+import vmquote
 from vmquote.codec import Atom
 from vmquote.harness.events import KIND_TRANSITION
+
+
+def _derive_refs(tree: ast.AST) -> int:
+    """How often tree names derive_wrap_key: a call, a reference or an import."""
+    return sum(
+        (isinstance(node, ast.Name) and node.id == "derive_wrap_key")
+        or (isinstance(node, ast.Attribute) and node.attr == "derive_wrap_key")
+        or (isinstance(node, ast.alias) and node.name == "derive_wrap_key")
+        for node in ast.walk(tree)
+    )
+
+
+def test_wrap_keys_is_the_one_derivation_site():
+    root = Path(vmquote.__file__).parent
+    trees = {
+        path.relative_to(root).as_posix(): ast.parse(path.read_text())
+        for path in root.rglob("*.py")
+    }
+    wrap_keys = next(
+        node
+        for node in ast.walk(trees["sev.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "wrap_keys"
+    )
+    named = {name: n for name, tree in trees.items() if (n := _derive_refs(tree))}
+    assert named == {"sev.py": _derive_refs(wrap_keys)}
+    assert named["sev.py"] > 0
 
 
 def test_negotiation_outputs_lose_nothing(oracle_pool):

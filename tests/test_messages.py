@@ -83,7 +83,7 @@ def _honest_messages() -> dict:
     return {
         SevPlatformCert: world.sev_platforms[0].cert,
         DeployPackage: DeployPackage.from_term(sent["deploy"]),
-        TransportKeys: TransportKeys(tek=session.tek, tik=session.tik),
+        TransportKeys: session.keys,
         Measurement: mp.msr,
         MeasurementPackage: mp,
         SecretPackage: SecretPackage.from_term(sent["secret"]),

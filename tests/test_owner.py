@@ -56,8 +56,7 @@ def ctx():
 
 def drive_to_provisioned(ctx, vmc=DESIGNATED_VM_CODE):
     rng, amd, intel, host, sev_plat, owner = ctx
-    dep = owner.deploy_vm(sev_plat.cert, crypto.digest(vmc))
-    pkg = DeployPackage(go_sn_pb=dep.go_sn_pb, blob_d=dep.blob_d, mac_d=dep.mac_d, vmc=vmc)
+    pkg = owner.deploy_vm(sev_plat.cert, vmc)
     mp = psp_receive_deploy(sev_plat, pkg, rng)
     prov = owner.provision_vm(mp.msr, mp.mac_ti)
     from vmquote.sev import SecretPackage
@@ -72,7 +71,7 @@ class TestDeploy:
     def test_happy_path_transitions(self, ctx):
         rng, amd, intel, host, sev_plat, owner = ctx
         assert owner.phase == PHASE_INIT
-        dep = owner.deploy_vm(sev_plat.cert, crypto.digest(DESIGNATED_VM_CODE))
+        dep = owner.deploy_vm(sev_plat.cert, DESIGNATED_VM_CODE)
         assert dep is not None
         assert owner.phase == PHASE_DEPLOYED
         assert owner.actions[-1][0] == "owner_deploy_vm"
@@ -81,26 +80,19 @@ class TestDeploy:
         rng, amd, intel, host, sev_plat, owner = ctx
         rogue = new_amd_rot(rng)
         fake = amd_rot_certify(rogue, sev_plat.psp_sn.public)
-        assert owner.deploy_vm(fake, crypto.digest(DESIGNATED_VM_CODE)) is None
+        assert owner.deploy_vm(fake, DESIGNATED_VM_CODE) is None
         assert owner.phase == PHASE_INIT
         assert owner.actions == []
 
     def test_second_deploy_refused(self, ctx):
         rng, amd, intel, host, sev_plat, owner = ctx
-        dig = crypto.digest(DESIGNATED_VM_CODE)
-        assert owner.deploy_vm(sev_plat.cert, dig) is not None
-        assert owner.deploy_vm(sev_plat.cert, dig) is None
+        assert owner.deploy_vm(sev_plat.cert, DESIGNATED_VM_CODE) is not None
+        assert owner.deploy_vm(sev_plat.cert, DESIGNATED_VM_CODE) is None
         assert owner.phase == PHASE_DEPLOYED
 
     def test_deploy_package_opens_on_platform(self, ctx):
         rng, amd, intel, host, sev_plat, owner = ctx
-        dep = owner.deploy_vm(sev_plat.cert, crypto.digest(DESIGNATED_VM_CODE))
-        pkg = DeployPackage(
-            go_sn_pb=dep.go_sn_pb,
-            blob_d=dep.blob_d,
-            mac_d=dep.mac_d,
-            vmc=DESIGNATED_VM_CODE,
-        )
+        pkg = owner.deploy_vm(sev_plat.cert, DESIGNATED_VM_CODE)
         mp = psp_receive_deploy(sev_plat, pkg, rng)
         assert mp.msr.dig == crypto.digest(DESIGNATED_VM_CODE)
 
@@ -108,13 +100,7 @@ class TestDeploy:
 class TestProvision:
     def _deployed(self, ctx):
         rng, amd, intel, host, sev_plat, owner = ctx
-        dep = owner.deploy_vm(sev_plat.cert, crypto.digest(DESIGNATED_VM_CODE))
-        pkg = DeployPackage(
-            go_sn_pb=dep.go_sn_pb,
-            blob_d=dep.blob_d,
-            mac_d=dep.mac_d,
-            vmc=DESIGNATED_VM_CODE,
-        )
+        pkg = owner.deploy_vm(sev_plat.cert, DESIGNATED_VM_CODE)
         return psp_receive_deploy(sev_plat, pkg, rng)
 
     def test_happy_path_erases_transport_keys(self, ctx):
@@ -123,7 +109,7 @@ class TestProvision:
         prov = owner.provision_vm(mp.msr, mp.mac_ti)
         assert prov is not None
         assert owner.phase == PHASE_PROVISIONED
-        assert owner._tek is None and owner._tik is None
+        assert owner._keys is None
 
     def test_provision_in_init_refused(self, ctx):
         rng, amd, intel, host, sev_plat, owner = ctx
@@ -142,7 +128,7 @@ class TestProvision:
         """A correctly MACed measurement of the wrong code is refused."""
         rng, amd, intel, host, sev_plat, owner = ctx
         other_code = Atom(b"evil image")
-        dep = owner.deploy_vm(sev_plat.cert, crypto.digest(DESIGNATED_VM_CODE))
+        dep = owner.deploy_vm(sev_plat.cert, DESIGNATED_VM_CODE)
         pkg = DeployPackage(
             go_sn_pb=dep.go_sn_pb, blob_d=dep.blob_d, mac_d=dep.mac_d, vmc=other_code
         )

@@ -18,7 +18,6 @@ from vmquote.relying_party import (
     rp_verify_vm_quote,
 )
 from vmquote.sev import (
-    DeployPackage,
     SecretPackage,
     amd_rot_certify,
     new_amd_rot,
@@ -42,13 +41,7 @@ def evidence():
     sev_plat.cert = amd_rot_certify(amd, sev_plat.psp_sn.public)
     owner = TrustedOwner(amd.public, host, rng)
 
-    dep = owner.deploy_vm(sev_plat.cert, crypto.digest(DESIGNATED_VM_CODE))
-    pkg = DeployPackage(
-        go_sn_pb=dep.go_sn_pb,
-        blob_d=dep.blob_d,
-        mac_d=dep.mac_d,
-        vmc=DESIGNATED_VM_CODE,
-    )
+    pkg = owner.deploy_vm(sev_plat.cert, DESIGNATED_VM_CODE)
     mp = psp_receive_deploy(sev_plat, pkg, rng)
     prov = owner.provision_vm(mp.msr, mp.mac_ti)
     session = psp_receive_secret(sev_plat, SecretPackage(blob_p=prov.blob_p, mac_p=prov.mac_p))

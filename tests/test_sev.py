@@ -3,7 +3,7 @@
 import pytest
 
 from vmquote import crypto
-from vmquote.codec import Atom, Label, Tuple
+from vmquote.codec import Atom, Label, Tuple, encode
 from vmquote.crypto import DecryptionFailure, Rng
 from vmquote.guest import DESIGNATED_VM_CODE, GuestNotRunning, GuestRuntime
 from vmquote.sev import (
@@ -15,11 +15,14 @@ from vmquote.sev import (
     SecretPackage,
     SessionBusy,
     SevPlatformCert,
+    TransportKeys,
     amd_rot_certify,
     new_amd_rot,
     new_sev_platform,
     psp_receive_deploy,
     psp_receive_secret,
+    seal_deploy,
+    seal_secret,
 )
 
 VM_CODE = Atom(b"some vm image")
@@ -82,7 +85,7 @@ class TestDeploy:
         assert crypto.verify_mac(mp.msr.to_term(), mp.mac_ti, tik)
         assert plat.session is not None
         assert plat.session.phase == "measured"
-        assert plat.session.tek == tek
+        assert plat.session.keys.tek == tek
 
     def test_second_deploy_busy(self, plat):
         rng = Rng(45)
@@ -201,6 +204,29 @@ class TestProvision:
         with pytest.raises(DecryptionFailure):
             psp_receive_secret(plat, pkg)
         assert plat.session is None
+
+
+class TestKeySchedule:
+    """seal_deploy and seal_secret build, byte for byte, the hand-built packages."""
+
+    def test_seal_deploy_matches_hand_built(self, plat):
+        pkg, tek, tik = make_deploy(plat, Rng(66))
+        rng = Rng(66)
+        go_sn = crypto.kx_keygen(rng)
+        ss = crypto.shared_secret(plat.psp_sn.public, go_sn.private)
+        keys = TransportKeys(tek=crypto.fresh_key(rng), tik=crypto.fresh_key(rng))
+        assert (keys.tek, keys.tik) == (tek, tik)
+        sealed = seal_deploy(ss, go_sn.public, keys, VM_CODE, rng)
+        assert encode(sealed.to_term()) == encode(pkg.to_term())
+
+    def test_seal_secret_matches_hand_built(self, plat):
+        rng = Rng(67)
+        pkg, tek, tik = make_deploy(plat, rng)
+        msr = psp_receive_deploy(plat, pkg, rng).msr
+        secret = Atom(b"\x5c" * 32)
+        hand = make_secret(msr, tek, tik, Rng(68), secret=secret)
+        sealed = seal_secret(msr, secret, TransportKeys(tek=tek, tik=tik), Rng(68))
+        assert encode(sealed.to_term()) == encode(hand.to_term())
 
 
 class TestPackageTerms:
