@@ -11,7 +11,7 @@ import pytest
 import vmquote
 from vmquote import crypto, sev
 from vmquote.codec import Atom, Label, encode
-from vmquote.guest import DESIGNATED_VM_CODE
+from vmquote.guest import DESIGNATED_VM_CODE, ReportRequest
 from vmquote.harness import (
     COMPROMISE_ATTACKS,
     Compromises,
@@ -43,6 +43,7 @@ from vmquote.harness.events import (
     term_hex,
 )
 from vmquote.harness.fuzz import Move, apply
+from vmquote.owner import report_data_preimage
 from vmquote.sgx import OWNER_ENCLAVE_MEASUREMENT
 
 
@@ -460,6 +461,91 @@ class TestReceivingEnds:
         assert (last["src"], last["dst"]) == ("owner0", "adv")
         assert last["term"] == term_hex(pkg.to_term())
         assert pkg.vmc == DESIGNATED_VM_CODE
+
+    @staticmethod
+    def _refusal(world, target, term) -> list:
+        """Deliver a term that must be refused; the events after its send."""
+        before = len(world.trace)
+        world.deliver(target, term)
+        new = world.trace.events[before:]
+        assert new[0].kind == KIND_SEND and new[0].body["src"] == "adv"
+        assert not [ev for ev in new if ev.kind == KIND_SEND and ev.body["dst"] == "adv"]
+        return [(ev.kind, ev.body) for ev in new[1:]]
+
+    @staticmethod
+    def _refused(actor, label, error) -> tuple:
+        return KIND_TRANSITION, {"actor": actor, "label": label, "error": error}
+
+    MALFORMED_REFUSALS = {
+        "sev_deploy:0": _refused("sev0", "sev_deploy_abort", "malformed"),
+        "sev_secret:0": _refused("sev0", "sev_secret_abort", "malformed"),
+        "owner_deploy": _refused("owner0", "owner_deploy_refused", "malformed"),
+        "owner_measurement": _refused("owner0", "owner_provision_refused", "malformed"),
+        "owner_report": _refused("owner0", "owner_report_refused", "malformed"),
+        "rp_bundle": (KIND_VERDICT, {"accept": False, "reason": "malformed"}),
+    }
+
+    @pytest.mark.parametrize("target", tuple(MALFORMED_REFUSALS))
+    def test_malformed_is_refused_once(self, target):
+        world = World(seed=5)
+        refusals = self._refusal(world, target, Atom(b"not a message"))
+        assert refusals == [self.MALFORMED_REFUSALS[target]]
+
+    def test_measurement_before_deploy_is_guard_refusal(self):
+        world = World(seed=5)
+        plat = world.sev_platforms[0]
+        msr = sev.Measurement(plat.plat_sev, plat.launch_sev, b"\x00" * 32, b"\x01" * 16)
+        term = sev.MeasurementPackage(msr=msr, mac_ti=b"\x00" * 32).to_term()
+        assert self._refusal(world, "owner_measurement", term) == [
+            self._refused("owner0", "owner_provision_refused", "guard")
+        ]
+
+    def test_report_request_before_provision_is_guard_refusal(self):
+        world = World(seed=5)
+        term = ReportRequest(vmdata=Atom(b"x"), tag=b"\x00" * 32).to_term()
+        assert self._refusal(world, "owner_report", term) == [
+            self._refused("owner0", "owner_report_refused", "guard")
+        ]
+        assert not [
+            ev for ev in world.trace.of_kind(KIND_TRANSITION) if ev.body["label"] == "sgx_ereport"
+        ]
+
+    @staticmethod
+    def _ereports(world) -> list:
+        return [
+            ev.body
+            for ev in world.trace.of_kind(KIND_TRANSITION)
+            if ev.body["label"] == "sgx_ereport"
+        ]
+
+    def test_owner_quote_records_its_ereport(self):
+        world = World(seed=5)
+        Pipeline(world).run_all()
+        vin = world.last_verification
+        rpdata = crypto.digest(report_data_preimage(vin.pspid, vin.vmmsr, vin.vmdata))
+        assert self._ereports(world) == [
+            {
+                "actor": "sgx0",
+                "label": "sgx_ereport",
+                "ppid": world.sgx_platforms[0].ppid.hex(),
+                "msr": term_hex(OWNER_ENCLAVE_MEASUREMENT),
+                "data": term_hex(Atom(rpdata)),
+            }
+        ]
+
+    def test_adversary_quote_records_its_ereport(self):
+        world = World(seed=5)
+        msr, data = Atom(b"adversary enclave"), Atom(b"adversary data")
+        world.adversary_request_quote(world.sgx_platforms[1], msr, data)
+        assert self._ereports(world) == [
+            {
+                "actor": "sgx1",
+                "label": "sgx_ereport",
+                "ppid": world.sgx_platforms[1].ppid.hex(),
+                "msr": term_hex(msr),
+                "data": term_hex(data),
+            }
+        ]
 
 
 class TestTraceInfrastructure:
