@@ -16,23 +16,30 @@ and applies both learn rules to it: AdversaryKnowledge.learn and
 Compromises.learn. Live adversary knowledge and the live compromise
 record are exactly what the events show, by the same rules the checkers
 apply to a trace. An adversary capability that creates, leaks or steals
-a value therefore only has to log it.
+a value therefore only has to log it. Owner i's enclave records its
+commitments the same way: it is built with a recorder that writes them
+as owner{i} transitions the moment it makes them.
 
 Each receiving end (PSP handlers, owner i's three steps, relying party)
-is one method that returns its reply. The Pipeline is owner i's honest
-protocol run as one script over them, in protocol order: owner deploy,
-PSP measure, owner provision, guest launch, report request, owner
-quote, relying-party verdict. The script pauses after each send and
-after the launch, holding at most one in-flight message the adversary
-may tamper with or drop before it resumes; a dropped message or a
-refusal ends the script. deliver lets the adversary inject arbitrary
-terms at the same handlers, named by target strings such as
+is one method that returns its reply. All but the relying party parse
+their message through _parse, the one place a malformed term becomes the
+receiver's refusal; the relying party's refusal is its malformed
+verdict. Both quoting paths, the owner's and the adversary's own
+enclave, record sgx_ereport through _quote. The Pipeline is owner i's
+honest protocol run as one script over them, in protocol order: owner
+deploy, PSP measure, owner provision, guest launch, report request,
+owner quote, relying-party verdict. The script pauses after each send
+and after the launch, holding at most one in-flight message the
+adversary may tamper with or drop before it resumes; a dropped message
+or a refusal ends the script. deliver lets the adversary inject
+arbitrary terms at the same handlers, named by target strings such as
 owner_report:1. The owner's provisioning and report steps also return
 the message as parsed: the host builds the evidence bundle from it.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterator
 from functools import partial
 
@@ -131,8 +138,15 @@ class World:
         i = len(self.owners)
         host = self.sgx_platforms[i]
         sgx.load_enclave(host, OWNER_ENCLAVE_MEASUREMENT)
+        # The recorder holds the world weakly: a bound method would make
+        # every World a reference cycle, left for the cyclic collector.
         self.owners.append(
-            TrustedOwner(amd_ltk_pb=self.amd_rot.public, host_platform=host, rng=self.rng)
+            TrustedOwner(
+                amd_ltk_pb=self.amd_rot.public,
+                host_platform=host,
+                rng=self.rng,
+                record=partial(World.transition, weakref.proxy(self), f"owner{i}"),
+            )
         )
         self.workloads.append(code)
         self.publish(f"owner{i}", code)
@@ -165,21 +179,32 @@ class World:
     def adversary_event(self, action: str, **body) -> None:
         self.record(KIND_ADVERSARY, action=action, **body)
 
-    def drain_owner(self, i: int) -> None:
-        """Move owner i's enclave action records into the trace."""
-        owner = self.owners[i]
-        while owner.actions:
-            label, payload = owner.actions.pop(0)
-            self.transition(f"owner{i}", label, **payload)
-
     # ---- receiving ends (honest handlers, also injection targets) ----
+
+    def _parse(self, message: type, term: Term, actor: str, refusal: str):
+        """The term as a message of that type, or None after actor's malformed refusal."""
+        try:
+            return message.from_term(term)
+        except ValueError:
+            self.transition(actor, refusal, error="malformed")
+            return None
+
+    def _quote(self, i: int, report: sgx.LocalReport) -> sgx.Quote:
+        """sgx{i}'s quote of a local report it minted, its ereport recorded first."""
+        host = self.sgx_platforms[i]
+        self.transition(
+            f"sgx{i}",
+            "sgx_ereport",
+            ppid=host.ppid,
+            msr=report.enclave_msr,
+            data=report.report_data,
+        )
+        return sgx.qe_generate_quote(host, report)
 
     def recv_deploy(self, i: int, term: Term) -> MeasurementPackage | None:
         platform, name = self.sev_platforms[i], f"sev{i}"
-        try:
-            pkg = DeployPackage.from_term(term)
-        except ValueError:
-            self.transition(name, "sev_deploy_abort", error="malformed")
+        pkg = self._parse(DeployPackage, term, name, "sev_deploy_abort")
+        if pkg is None:
             return None
         try:
             mp = sev.psp_receive_deploy(platform, pkg, self.rng)
@@ -203,19 +228,18 @@ class World:
     def recv_secret(self, i: int, term: Term) -> GuestRuntime | None:
         """Launch the guest; there is no reply, the result is its runtime."""
         platform, name = self.sev_platforms[i], f"sev{i}"
-        try:
-            pkg = SecretPackage.from_term(term)
-        except ValueError:
-            self.transition(name, "sev_secret_abort", error="malformed")
+        pkg = self._parse(SecretPackage, term, name, "sev_secret_abort")
+        if pkg is None:
             return None
         try:
             session = sev.psp_receive_secret(platform, pkg)
-        except (NoMeasuredSession, MacVerificationFailed, DecryptionFailure) as exc:
-            self.transition(name, "sev_secret_abort", error=type(exc).__name__)
-            return None
-        try:
             runtime = GuestRuntime(session)
-        except GuestNotRunning as exc:
+        except (
+            NoMeasuredSession,
+            MacVerificationFailed,
+            DecryptionFailure,
+            GuestNotRunning,
+        ) as exc:
             self.transition(name, "sev_secret_abort", error=type(exc).__name__)
             return None
         guest_name = f"guest{len(self.guests)}"
@@ -234,13 +258,10 @@ class World:
 
     def owner_deploy(self, i: int, term: Term) -> DeployPackage | None:
         """Owner i's opening move: a deploy package for the certified PSP."""
-        try:
-            cert = SevPlatformCert.from_term(term)
-        except ValueError:
-            self.transition(f"owner{i}", "owner_deploy_refused", error="malformed")
+        cert = self._parse(SevPlatformCert, term, f"owner{i}", "owner_deploy_refused")
+        if cert is None:
             return None
         pkg = self.owners[i].deploy_vm(cert, self.workloads[i])
-        self.drain_owner(i)
         if pkg is None:
             self.transition(f"owner{i}", "owner_deploy_refused", error="guard")
         return pkg
@@ -249,13 +270,10 @@ class World:
         self, i: int, term: Term
     ) -> tuple[MeasurementPackage | None, SecretPackage | None]:
         """Owner i's provisioning step: the package as parsed, and the reply."""
-        try:
-            mp = MeasurementPackage.from_term(term)
-        except ValueError:
-            self.transition(f"owner{i}", "owner_provision_refused", error="malformed")
+        mp = self._parse(MeasurementPackage, term, f"owner{i}", "owner_provision_refused")
+        if mp is None:
             return None, None
         result = self.owners[i].provision_vm(mp.msr, mp.mac_ti)
-        self.drain_owner(i)
         if result is None:
             self.transition(f"owner{i}", "owner_provision_refused", error="guard")
         return mp, result
@@ -267,25 +285,14 @@ class World:
 
         Returns the request as parsed, and the quote.
         """
-        try:
-            request = ReportRequest.from_term(term)
-        except ValueError:
-            self.transition(f"owner{i}", "owner_report_refused", error="malformed")
+        request = self._parse(ReportRequest, term, f"owner{i}", "owner_report_refused")
+        if request is None:
             return None, None
         report = self.owners[i].generate_report_for_vm(request.vmdata, request.tag)
-        self.drain_owner(i)
         if report is None:
             self.transition(f"owner{i}", "owner_report_refused", error="guard")
             return request, None
-        host = self.sgx_platforms[i]
-        self.transition(
-            f"sgx{i}",
-            "sgx_ereport",
-            ppid=host.ppid,
-            msr=report.enclave_msr,
-            data=report.report_data,
-        )
-        return request, sgx.qe_generate_quote(host, report)
+        return request, self._quote(i, report)
 
     def recv_bundle(self, term: Term) -> Verdict:
         try:
@@ -360,25 +367,18 @@ class World:
         self.adversary_event(FRESH_VALUE, term=Atom(value))
         return value
 
-    def adversary_sig_keygen(self) -> crypto.SigKeyPair:
-        pair = crypto.sig_keygen(self.rng)
+    def _adversary_keygen(self, keygen, leak_kind: str):
+        pair = keygen(self.rng)
         self.adversary_event(
-            "adversary_keygen",
-            leak=pair.private,
-            leak_kind="sig_private",
-            term=Atom(pair.public),
+            "adversary_keygen", leak=pair.private, leak_kind=leak_kind, term=Atom(pair.public)
         )
         return pair
 
+    def adversary_sig_keygen(self) -> crypto.SigKeyPair:
+        return self._adversary_keygen(crypto.sig_keygen, "sig_private")
+
     def adversary_kx_keygen(self) -> crypto.KxKeyPair:
-        pair = crypto.kx_keygen(self.rng)
-        self.adversary_event(
-            "adversary_keygen",
-            leak=pair.private,
-            leak_kind="dh_private",
-            term=Atom(pair.public),
-        )
-        return pair
+        return self._adversary_keygen(crypto.kx_keygen, "dh_private")
 
     def adversary_compute(self, result: Term) -> Term:
         """Record a term the adversary computed from known material."""
@@ -470,14 +470,7 @@ class World:
             raise ForbiddenMeasurement("refusing to quote the owner-enclave measurement")
         sgx.load_enclave(platform, msr)
         report = sgx.ereport(platform, msr, data)
-        self.transition(
-            f"sgx{self.sgx_platforms.index(platform)}",
-            "sgx_ereport",
-            ppid=platform.ppid,
-            msr=msr,
-            data=data,
-        )
-        quote = sgx.qe_generate_quote(platform, report)
+        quote = self._quote(self.sgx_platforms.index(platform), report)
         self.adversary_event(
             "adversary_request_quote", ppid=platform.ppid, term=quote.to_term()
         )

@@ -9,16 +9,19 @@ strict one-way chain:
 
 Each operation checks its guards and returns None on any failure, leaving
 state untouched; nothing here ever raises for a protocol reason. The
-untrusted host only ever sees the returned packages. Successful
-operations append an action record to self.actions so the simulator can
-trace what the enclave committed to; that channel carries secrets and is
-never placed on the simulated network.
+untrusted host only ever sees the returned packages. Each successful
+operation reports what the enclave committed to, as raw values, through
+the record callable it was built with (record(label, **payload)); the
+simulator's recorder writes it to the trace. That channel carries
+secrets and is never placed on the simulated network.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from . import crypto, sev, sgx
-from .codec import TAG_REPORT_DATA, Atom, Label, Term, Tuple, encode
+from .codec import TAG_REPORT_DATA, Atom, Label, Term, Tuple
 from .crypto import InvalidPublicElement, Rng
 from .sev import DeployPackage, Measurement, SecretPackage, SevPlatformCert, TransportKeys
 from .sgx import LocalReport, SgxPlatform
@@ -38,19 +41,25 @@ class TrustedOwner:
 
     amd_ltk_pb is baked in at construction (enclave initialization data);
     host_platform is the SGX platform this enclave runs on, used only to
-    mint local reports.
+    mint local reports; record receives each commitment.
     """
 
-    def __init__(self, amd_ltk_pb: bytes, host_platform: SgxPlatform, rng: Rng) -> None:
+    def __init__(
+        self,
+        amd_ltk_pb: bytes,
+        host_platform: SgxPlatform,
+        rng: Rng,
+        record: Callable[..., None],
+    ) -> None:
         self.amd_ltk_pb = amd_ltk_pb
         self._host = host_platform
         self._rng = rng
+        self._record = record
         self._psp_id: bytes | None = None
         self._vm_dig: bytes | None = None
         self._keys: TransportKeys | None = None
         self._msr: Measurement | None = None
         self._cik: bytes | None = None
-        self.actions: list = []
 
     @property
     def phase(self) -> str:
@@ -83,12 +92,7 @@ class TrustedOwner:
         self._psp_id = cert.psp_sn_pb
         self._vm_dig = crypto.digest(vmc)
         self._keys = keys
-        self.actions.append(
-            (
-                "owner_deploy_vm",
-                {"psp_id": cert.psp_sn_pb.hex(), "vm_dig": self._vm_dig.hex()},
-            )
-        )
+        self._record("owner_deploy_vm", psp_id=cert.psp_sn_pb, vm_dig=self._vm_dig)
         return pkg
 
     def provision_vm(self, msr: Measurement, mac_ti: bytes) -> SecretPackage | None:
@@ -112,17 +116,13 @@ class TrustedOwner:
         self._msr = msr
         self._cik = cik
         self._keys = None
-        self.actions.append(
-            (
-                "owner_provision_vm",
-                {
-                    "psp_id": self._psp_id.hex(),
-                    "cik": cik.hex(),
-                    "vm_dig": self._vm_dig.hex(),
-                    "msr_dig": msr.dig.hex(),
-                    "msr_nonce": msr.nonce.hex(),
-                },
-            )
+        self._record(
+            "owner_provision_vm",
+            psp_id=self._psp_id,
+            cik=cik,
+            vm_dig=self._vm_dig,
+            msr_dig=msr.dig,
+            msr_nonce=msr.nonce,
         )
         return result
 
@@ -142,17 +142,13 @@ class TrustedOwner:
             return None
         rpdata = crypto.digest(report_data_preimage(self._psp_id, self._msr, vmdata))
         report = sgx.ereport(self._host, sgx.OWNER_ENCLAVE_MEASUREMENT, Atom(rpdata))
-        self.actions.append(
-            (
-                "owner_generate_report",
-                {
-                    "host_ppid": self._host.ppid.hex(),
-                    "psp_id": self._psp_id.hex(),
-                    "msr_dig": self._msr.dig.hex(),
-                    "msr_nonce": self._msr.nonce.hex(),
-                    "vmdata": encode(vmdata).hex(),
-                    "rpdata": rpdata.hex(),
-                },
-            )
+        self._record(
+            "owner_generate_report",
+            host_ppid=self._host.ppid,
+            psp_id=self._psp_id,
+            msr_dig=self._msr.dig,
+            msr_nonce=self._msr.nonce,
+            vmdata=vmdata,
+            rpdata=rpdata,
         )
         return report

@@ -121,7 +121,7 @@ def test_criterion_2_state_machine_exhaustion():
             sequences += 1
             skeletons.add(tuple(op for op, _ in seq))
             sev_plat.session = None
-            owner = TrustedOwner(amd.public, host, rng)
+            owner = TrustedOwner(amd.public, host, rng, lambda label, **payload: None)
             staged_mp = None
             staged_request = None
             model = PHASE_INIT

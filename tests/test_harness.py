@@ -1,9 +1,11 @@
 """Simulator, scenarios, trace properties, checker soundness."""
 
+import gc
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
@@ -107,6 +109,18 @@ class TestHonestRun:
         ]
         assert pipe.advance() is False
         assert pipe.verdict.accept
+
+    def test_finished_world_is_freed_without_the_cycle_collector(self):
+        """No reference cycle keeps a world, its trace and its knowledge alive."""
+        gc.disable()
+        try:
+            world = World(seed=0)
+            Pipeline(world).run_all()
+            freed = weakref.ref(world)
+            del world
+            assert freed() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("k", (1, 2, 3, 5, 6))
     def test_drop_halts_at_the_next_advance(self, k):

@@ -39,7 +39,7 @@ def evidence():
     sgx.load_enclave(host, sgx.OWNER_ENCLAVE_MEASUREMENT)
     sev_plat = new_sev_platform(rng)
     sev_plat.cert = amd_rot_certify(amd, sev_plat.psp_sn.public)
-    owner = TrustedOwner(amd.public, host, rng)
+    owner = TrustedOwner(amd.public, host, rng, lambda label, **payload: None)
 
     pkg = owner.deploy_vm(sev_plat.cert, DESIGNATED_VM_CODE)
     mp = psp_receive_deploy(sev_plat, pkg, rng)
