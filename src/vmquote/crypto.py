@@ -23,14 +23,29 @@ verify's outcome, keyed by (public, encode(term), signature), and
 shared_secret's output, keyed by (public, private). Both are pure
 functions of their key, so a memo changes no result, only the work.
 An exchange that raises InvalidPublicElement is not cached and raises
-again on every call. Keys are typed, so a memoryview never answers for
-equal bytes, and an unhashable argument such as a bytearray skips the
-memo; either gets the result it got without one. The size stays at 64: a fuzz
-run repeats a check within a few calls (forged and replayed bundles
-carry the same genuine certificate; the closure exchanges pairs the
-owner, the PSP or the adversary's own deploy already did), while a
-memo large enough to hold a whole verify workload would answer its
-timed checks from the work its set-up did.
+again on every call.
+
+sign writes to the verify memo too. The symbolic model's signature
+equation, verify(sign(m, sk), m, pk(sk)) = true, holds for Ed25519, so
+after signing, sign records True under (the signer's public key,
+encode(term), the signature), and verify answers a signature this
+process made without running the library. Every other check runs
+Ed25519: a tampered signature, a signature checked under another key,
+and every signature in a fresh process, such as each bundle `vmquote
+verify` loads. verify memoises only exact bytes arguments; a bytearray,
+a memoryview or any other type is checked without the memo. The
+exchange memo's keys are typed, so a memoryview never answers for equal
+bytes, and an unhashable argument such as a bytearray skips it. Either
+way an argument gets the result it got without a memo.
+
+The size stays at 64. A fuzz run repeats a check within a few calls:
+forged and replayed bundles carry the same genuine certificate, and the
+closure exchanges pairs the owner, the PSP or the adversary's own
+deploy already did. The verify workload's set-up signs the bundles its
+timed checks load; its last 64 signatures can answer at most the first
+few dozen of those checks before they are evicted, while a memo large
+enough to hold the whole workload would answer every timed check from
+the work its set-up did.
 
 The symbolic model treats encryption as perfect: a blob opens only under
 the key that sealed it (Dolev-Yao; sdec(senc(m, k), k) = m is the only
@@ -98,6 +113,10 @@ NOT_SEALED = b""
 
 # blob -> the key that sealed it, or NOT_SEALED; insertion order is age
 _provenance: dict[bytes, bytes] = {}
+
+# (public, encode(term), signature) -> verify's outcome; insertion order is
+# recency, least recently used first
+_verified: dict[tuple[bytes, bytes, bytes], bool] = {}
 
 #: Only these labels may ever enter wrap-key derivation.
 WRAP_KEY_LABELS = (Label(TAG_SEV_KEK), Label(TAG_SEV_KIK))
@@ -174,8 +193,7 @@ def _aead(key: bytes) -> AESGCM:
     return AESGCM(key)
 
 
-@lru_cache(maxsize=_KEY_CACHE_SIZE, typed=True)
-def _verified(public: bytes, message: bytes, signature: bytes) -> bool:
+def _ed25519_verify(public: bytes, message: bytes, signature: bytes) -> bool:
     try:
         Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
         return True
@@ -224,10 +242,21 @@ def provenance(blob: bytes) -> bytes | None:
     return _provenance.get(blob)
 
 
+def _remember(check: tuple[bytes, bytes, bytes], outcome: bool) -> None:
+    """Record verify's outcome for check as the most recently used entry."""
+    _verified.pop(check, None)
+    _verified[check] = outcome
+    if len(_verified) > _KEY_CACHE_SIZE:
+        del _verified[next(iter(_verified))]
+
+
 def sign(term: Term, private: bytes) -> bytes:
     """Sign the canonical encoding of term. 64-byte signature."""
-    sig = _sig_private(private).sign(encode(term))
+    key = _sig_private(private)
+    message = encode(term)
+    sig = key.sign(message)
     _register(sig, NOT_SEALED)
+    _remember((key.public_key().public_bytes_raw(), message, sig), True)
     return sig
 
 
@@ -237,7 +266,14 @@ def verify(term: Term, signature: bytes, public: bytes) -> bool:
         message = encode(term)
     except (ValueError, TypeError, RecursionError):
         return False
-    return _memoised(_verified, public, message, signature)
+    if type(public) is not bytes or type(signature) is not bytes:
+        return _ed25519_verify(public, message, signature)
+    check = (public, message, signature)
+    outcome = _verified.get(check)
+    if outcome is None:
+        outcome = _ed25519_verify(public, message, signature)
+    _remember(check, outcome)
+    return outcome
 
 
 def kx_keygen(rng: Rng) -> KxKeyPair:

@@ -425,8 +425,14 @@ class World:
         """Steal one key; a key already stolen is not logged again.
 
         intel and amd steal a root of trust's signing key, qe the quoting
-        key of sgx{index}, psp the PSP key of sev{index}.
+        key of sgx{index}, psp the PSP key of sev{index}. An index that
+        names no platform (None, a bool, a negative or out-of-range
+        number) raises ValueError and records nothing.
         """
+        if what in ("qe", "psp"):
+            count = len(self.sgx_platforms if what == "qe" else self.sev_platforms)
+            if type(index) is not int or index not in range(count):
+                raise ValueError(f"no {what} platform: {index!r}")
         taken = self.compromised
         if what in ("intel", "amd"):
             if not getattr(taken, what):

@@ -10,6 +10,7 @@ import random
 import time
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from vmquote import crypto, sgx
 from vmquote.codec import Atom, Label, Tuple, decode, encode
@@ -297,6 +298,8 @@ def test_criterion_8_crypto_and_codec_suites():
         msg = Atom(rng.bytes(rng.randrange(64)))
         s = crypto.sign(msg, pair_a.private)
         assert crypto.verify(msg, s, pair_a.public)
+        # sign's own verdict answers verify above; the library checks it too
+        Ed25519PublicKey.from_public_bytes(pair_a.public).verify(s, encode(msg))
         assert not crypto.verify(msg, s, pair_b.public)
 
     for _ in range(1000):

@@ -1,12 +1,17 @@
 """Crypto layer invariants, run at the sample sizes the checks promise."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 
+import vmquote
 from vmquote import crypto
 from vmquote.codec import Atom, Label, Tuple, encode
 from vmquote.crypto import (
@@ -95,6 +100,7 @@ class TestSignatures:
             term = _random_payload_term(rng)
             s = sign(term, pair_a.private)
             assert verify(term, s, pair_a.public)
+            assert _reference_verify(term, s, pair_a.public)
             assert not verify(term, s, pair_b.public)
 
     def test_tampered_message_rejected(self):
@@ -265,10 +271,105 @@ class TestMemo:
             term = Atom(rng.bytes(8))
             verify(term, sign(term, pair.private), pair.public)
             shared_secret(kx_keygen(rng).public, kx.private)
-            assert crypto._verified.cache_info().currsize <= crypto._KEY_CACHE_SIZE
+            assert len(crypto._verified) <= crypto._KEY_CACHE_SIZE
             assert crypto._exchanged.cache_info().currsize <= crypto._KEY_CACHE_SIZE
-        assert crypto._verified.cache_info().currsize == crypto._KEY_CACHE_SIZE
+        assert len(crypto._verified) == crypto._KEY_CACHE_SIZE
         assert crypto._exchanged.cache_info().currsize == crypto._KEY_CACHE_SIZE
+
+
+@pytest.fixture
+def library_verifies(monkeypatch):
+    """The public keys of every Ed25519 check crypto hands to the library."""
+    calls = []
+    real = crypto.Ed25519PublicKey
+
+    class Counting:
+        @staticmethod
+        def from_public_bytes(data):
+            calls.append(data)
+            return real.from_public_bytes(data)
+
+    monkeypatch.setattr(crypto, "Ed25519PublicKey", Counting)
+    return calls
+
+
+def _flip_byte(blob: bytes, i: int) -> bytes:
+    flipped = bytearray(blob)
+    flipped[i] ^= 1
+    return bytes(flipped)
+
+
+class TestSignatureEquation:
+    """verify(sign(m, sk), m, pk(sk)) = true: sign records its own verdict."""
+
+    TERM = Tuple([Label("quote"), Atom(b"attested payload")])
+    OTHER_TERM = Tuple([Label("quote"), Atom(b"attested payloaD")])
+
+    def test_own_signature_verifies_without_the_library(self, library_verifies):
+        pair = sig_keygen(Rng(50))
+        sig = sign(self.TERM, pair.private)
+        assert verify(self.TERM, sig, pair.public)
+        assert verify(self.TERM, sig, pair.public)
+        assert library_verifies == []
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda term, sig, public: (TestSignatureEquation.OTHER_TERM, sig, public),
+            lambda term, sig, public: (term, _flip_byte(sig, 0), public),
+            lambda term, sig, public: (term, _flip_byte(sig, 31), public),
+            lambda term, sig, public: (term, _flip_byte(sig, 63), public),
+            lambda term, sig, public: (term, sig, sig_keygen(Rng(52)).public),
+        ],
+        ids=["message", "sig-byte-0", "sig-byte-31", "sig-byte-63", "other-key"],
+    )
+    def test_each_tampered_check_runs_the_library_once(self, library_verifies, tamper):
+        pair = sig_keygen(Rng(51))
+        sig = sign(self.TERM, pair.private)
+        term, bad_sig, public = tamper(self.TERM, sig, pair.public)
+        assert not verify(term, bad_sig, public)
+        assert library_verifies == [public]
+        assert verify(self.TERM, sig, pair.public)
+        assert library_verifies == [public]
+
+    def test_signature_from_another_process_runs_the_library_once(self, library_verifies):
+        script = (
+            "from vmquote.codec import Atom\n"
+            "from vmquote.crypto import Rng, sig_keygen, sign\n"
+            "print(sign(Atom(b'signed elsewhere'), sig_keygen(Rng(53)).private).hex())\n"
+        )
+        src = str(Path(vmquote.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        sig = bytes.fromhex(run.stdout)
+        pair = sig_keygen(Rng(53))
+        assert verify(Atom(b"signed elsewhere"), sig, pair.public)
+        assert library_verifies == [pair.public]
+        assert verify(Atom(b"signed elsewhere"), sig, pair.public)
+        assert library_verifies == [pair.public]
+
+    def test_signing_alone_keeps_the_memo_bounded_and_least_recent_out(self, library_verifies):
+        rng = Rng(54)
+        pair = sig_keygen(rng)
+        terms = [Atom(rng.bytes(8)) for _ in range(3 * crypto._KEY_CACHE_SIZE)]
+        sigs = []
+        for term in terms:
+            sigs.append(sign(term, pair.private))
+            assert len(crypto._verified) <= crypto._KEY_CACHE_SIZE
+        assert len(crypto._verified) == crypto._KEY_CACHE_SIZE
+        first_kept = len(terms) - crypto._KEY_CACHE_SIZE
+        assert verify(terms[first_kept], sigs[first_kept], pair.public)
+        assert library_verifies == []
+        # that check made terms[first_kept] the most recent, so one more
+        # signature evicts terms[first_kept + 1] in its place
+        sign(Atom(b"one more"), pair.private)
+        assert verify(terms[first_kept], sigs[first_kept], pair.public)
+        assert library_verifies == []
+        assert verify(terms[first_kept + 1], sigs[first_kept + 1], pair.public)
+        assert verify(terms[0], sigs[0], pair.public)
+        assert library_verifies == [pair.public, pair.public]
 
 
 class TestAead:

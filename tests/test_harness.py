@@ -403,6 +403,16 @@ class TestAdversaryInterfaceLimits:
             psp_ids={sev1.psp_sn.public.hex()},
         )
 
+    @pytest.mark.parametrize("what", ["qe", "psp"])
+    @pytest.mark.parametrize("index", [None, -1, -2, 2, 7, True, False, 1.0, "0"])
+    def test_compromise_of_no_platform_raises_and_records_nothing(self, what, index):
+        world = World(seed=5)
+        before = world.trace.to_jsonl()
+        with pytest.raises(ValueError, match="no .* platform"):
+            world.compromise(what, index)
+        assert world.trace.to_jsonl() == before
+        assert world.compromised == Compromises()
+
 
 class TestReceivingEnds:
     """deliver's targets: each names one receiving end or raises."""
