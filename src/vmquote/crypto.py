@@ -20,10 +20,21 @@ trial decryptions.
 Beside them, two bounded per-process memos of 64 entries each, least
 recently used out first, answer a repeated check from the first one:
 verify's outcome, keyed by (public, encode(term), signature), and
-shared_secret's output, keyed by (public, private). Both are pure
-functions of their key, so a memo changes no result, only the work.
-An exchange that raises InvalidPublicElement is not cached and raises
-again on every call.
+shared_secret's output, keyed by the unordered pair {kx_public(private),
+public}. A memo changes no result, only the work. An exchange that
+raises InvalidPublicElement is not cached and raises again on every
+call.
+
+The exchange memo uses the symbolic model's Diffie-Hellman equation,
+(g^a)^b = (g^b)^a, which holds for X25519: shared_secret(pk(b), a) =
+shared_secret(pk(a), b). One entry therefore answers an exact repeat
+and the swapped call alike; in an honest run the PSP's exchange is
+answered from the owner's. An entry answers only those two calls: the
+private that made it, or the public element of that private, which lies
+on the curve. Two privates can share one public element (the clamped
+scalars s and 8l - s, l the group order) and then disagree on an
+element off the curve, so a call with the other private of such a twin
+goes to the library.
 
 sign writes to the verify memo too. The symbolic model's signature
 equation, verify(sign(m, sk), m, pk(sk)) = true, holds for Ed25519, so
@@ -32,11 +43,10 @@ encode(term), the signature), and verify answers a signature this
 process made without running the library. Every other check runs
 Ed25519: a tampered signature, a signature checked under another key,
 and every signature in a fresh process, such as each bundle `vmquote
-verify` loads. verify memoises only exact bytes arguments; a bytearray,
-a memoryview or any other type is checked without the memo. The
-exchange memo's keys are typed, so a memoryview never answers for equal
-bytes, and an unhashable argument such as a bytearray skips it. Either
-way an argument gets the result it got without a memo.
+verify` loads. Both memos take only exact bytes arguments, and the
+exchange memo only a 32-byte private; a bytearray, a memoryview or any
+other argument goes to the library, and so gets the result it got
+without a memo.
 
 The size stays at 64. A fuzz run repeats a check within a few calls:
 forged and replayed bundles carry the same genuine certificate, and the
@@ -117,6 +127,10 @@ _provenance: dict[bytes, bytes] = {}
 # (public, encode(term), signature) -> verify's outcome; insertion order is
 # recency, least recently used first
 _verified: dict[tuple[bytes, bytes, bytes], bool] = {}
+
+# {kx_public(private), public} -> (private, kx_public(private), output) of
+# the exchange that made the entry; insertion order is recency, as above
+_exchanged: dict[frozenset[bytes], tuple[bytes, bytes, bytes]] = {}
 
 #: Only these labels may ever enter wrap-key derivation.
 WRAP_KEY_LABELS = (Label(TAG_SEV_KEK), Label(TAG_SEV_KIK))
@@ -201,22 +215,12 @@ def _ed25519_verify(public: bytes, message: bytes, signature: bytes) -> bool:
         return False
 
 
-@lru_cache(maxsize=_KEY_CACHE_SIZE, typed=True)
-def _exchanged(public: bytes, private: bytes) -> bytes:
+def _x25519(public: bytes, private: bytes) -> bytes:
     try:
         pk = X25519PublicKey.from_public_bytes(public)
         return _kx_private(private).exchange(pk)
     except (ValueError, TypeError) as exc:
         raise InvalidPublicElement(str(exc)) from exc
-
-
-def _memoised(memo, *args):
-    """memo(*args), or the uncached call when an argument cannot be hashed."""
-    try:
-        hash(args)
-    except (TypeError, ValueError):
-        return memo.__wrapped__(*args)
-    return memo(*args)
 
 
 def sig_keygen(rng: Rng) -> SigKeyPair:
@@ -242,12 +246,12 @@ def provenance(blob: bytes) -> bytes | None:
     return _provenance.get(blob)
 
 
-def _remember(check: tuple[bytes, bytes, bytes], outcome: bool) -> None:
-    """Record verify's outcome for check as the most recently used entry."""
-    _verified.pop(check, None)
-    _verified[check] = outcome
-    if len(_verified) > _KEY_CACHE_SIZE:
-        del _verified[next(iter(_verified))]
+def _remember(memo: dict, key, value) -> None:
+    """Record value under key as memo's most recently used entry."""
+    memo.pop(key, None)
+    memo[key] = value
+    if len(memo) > _KEY_CACHE_SIZE:
+        del memo[next(iter(memo))]
 
 
 def sign(term: Term, private: bytes) -> bytes:
@@ -256,7 +260,7 @@ def sign(term: Term, private: bytes) -> bytes:
     message = encode(term)
     sig = key.sign(message)
     _register(sig, NOT_SEALED)
-    _remember((key.public_key().public_bytes_raw(), message, sig), True)
+    _remember(_verified, (key.public_key().public_bytes_raw(), message, sig), True)
     return sig
 
 
@@ -272,7 +276,7 @@ def verify(term: Term, signature: bytes, public: bytes) -> bool:
     outcome = _verified.get(check)
     if outcome is None:
         outcome = _ed25519_verify(public, message, signature)
-    _remember(check, outcome)
+    _remember(_verified, check, outcome)
     return outcome
 
 
@@ -296,7 +300,16 @@ def shared_secret(public: bytes, private: bytes) -> bytes:
     degenerate elements (the all-zero element and other low-order points
     whose exchange output would be all zeros).
     """
-    return _memoised(_exchanged, public, private)
+    if type(public) is not bytes or type(private) is not bytes or len(private) != KEY_LEN:
+        return _x25519(public, private)
+    own = kx_public(private)
+    pair = frozenset((own, public))
+    entry = _exchanged.get(pair)
+    # an entry answers its own private, and the swapped call naming its public element
+    if entry is None or (private != entry[0] and public != entry[1]):
+        entry = (private, own, _x25519(public, private))
+    _remember(_exchanged, pair, entry)
+    return entry[2]
 
 
 # encode(Tuple([label, Atom(secret)])) is this prefix, the 4-byte length

@@ -7,12 +7,16 @@ Four event kinds, mirroring what the property checkers need to see:
 - adversary: an adversary capability was exercised
 - verdict: the relying party judged an evidence bundle
 
-All payload values are stored JSON-ready: Trace.append turns bytes and
-terms into hex strings (terms by their canonical encoding) and keeps
-plain str/int/bool values, so an in-memory trace and its JSON-lines
-file are the same data. Timestamps are the strictly increasing seq
-numbers; nothing in a trace depends on wall-clock time, which is what
-makes replays byte-identical.
+Trace.append records payload values as given, once it has checked
+that each is bytes, a term (Atom, Label or Tuple), or a str, int, bool
+or None; any other value raises TypeError there. An event builds its
+JSON-ready body on first read (body, text, to_json or ==), bytes and
+terms as hex strings (terms by their canonical encoding), then keeps
+the body and drops the values. Bytes and terms are immutable, so an
+in-memory trace and its JSON-lines file hold the same data, and a run
+hexes only the events it reads. Timestamps are the strictly increasing
+seq numbers; nothing in a trace depends on wall-clock time, which is
+what makes replays byte-identical.
 
 Transition payloads may carry protocol-internal secrets (the same way a
 formal trace carries them). Only send and adversary events are
@@ -24,7 +28,6 @@ live and on a rebuild alike.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from ..codec import Atom, Label, Tuple, encode
 
@@ -47,6 +50,10 @@ FRESH_VALUE = "fresh_value"
 _DECODER = json.JSONDecoder()
 
 
+#: The payload value types Trace.append records; bool is an int.
+_RECORDABLE = (str, Tuple, bytes, Atom, Label, int, type(None))
+
+
 def _stored(value):
     """A payload value as the trace keeps it: bytes and terms as hex."""
     if isinstance(value, bytes):
@@ -56,11 +63,48 @@ def _stored(value):
     return value
 
 
-@dataclass(frozen=True)
 class Event:
-    seq: int
-    kind: str
-    body: dict
+    """One trace event: its seq, its kind and its JSON-ready body.
+
+    Event(seq, kind, body) holds body as given; an event Trace.append
+    records holds its raw values until body is first read. No field can
+    be assigned or deleted.
+    """
+
+    __slots__ = ("seq", "kind", "_body", "_values")
+
+    def __init__(self, seq: int, kind: str, body: dict) -> None:
+        _set_seq(self, seq)
+        _set_kind(self, kind)
+        _set_body(self, body)
+        _set_values(self, None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a trace event is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("a trace event is immutable")
+
+    @property
+    def body(self) -> dict:
+        values = self._values
+        if values is None:
+            return self._body
+        body = {key: _stored(value) for key, value in values.items()}
+        _set_body(self, body)
+        _set_values(self, None)
+        return body
+
+    def __eq__(self, other):
+        if other.__class__ is Event:
+            return (self.seq, self.kind, self.body) == (other.seq, other.kind, other.body)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Event(seq={self.seq!r}, kind={self.kind!r}, body={self.body!r})"
+
+    def __reduce__(self):
+        return Event, (self.seq, self.kind, self.body)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -77,15 +121,27 @@ class Event:
         return value
 
 
+_set_seq = Event.seq.__set__
+_set_kind = Event.kind.__set__
+_set_body = Event._body.__set__
+_set_values = Event._values.__set__
+
+
 class Trace:
     """Append-only event list with auto-assigned seq numbers."""
 
     def __init__(self) -> None:
         self.events: list[Event] = []
 
-    def append(self, kind: str, **body) -> Event:
-        stored = {key: _stored(value) for key, value in body.items()}
-        event = Event(seq=len(self.events), kind=kind, body=stored)
+    def append(self, kind: str, **values) -> Event:
+        """Record one event; TypeError for a value no trace can hold."""
+        for key, value in values.items():
+            if not isinstance(value, _RECORDABLE):
+                raise TypeError(f"trace field {key} cannot hold a {type(value).__name__}")
+        event = object.__new__(Event)
+        _set_seq(event, len(self.events))
+        _set_kind(event, kind)
+        _set_values(event, values)
         self.events.append(event)
         return event
 

@@ -8,13 +8,17 @@ from pathlib import Path
 
 import pytest
 from cryptography.exceptions import InvalidSignature
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 
 import vmquote
 from vmquote import crypto
 from vmquote.codec import Atom, Label, Tuple, encode
+from vmquote.harness import run_scenario_world
 from vmquote.crypto import (
+    KEY_LEN,
     NONCE_LEN,
     NOT_SEALED,
     WRAP_KEY_LABELS,
@@ -28,6 +32,7 @@ from vmquote.crypto import (
     encrypt,
     fresh_key,
     kx_keygen,
+    kx_public,
     mac,
     provenance,
     scan_tags,
@@ -272,9 +277,9 @@ class TestMemo:
             verify(term, sign(term, pair.private), pair.public)
             shared_secret(kx_keygen(rng).public, kx.private)
             assert len(crypto._verified) <= crypto._KEY_CACHE_SIZE
-            assert crypto._exchanged.cache_info().currsize <= crypto._KEY_CACHE_SIZE
+            assert len(crypto._exchanged) <= crypto._KEY_CACHE_SIZE
         assert len(crypto._verified) == crypto._KEY_CACHE_SIZE
-        assert crypto._exchanged.cache_info().currsize == crypto._KEY_CACHE_SIZE
+        assert len(crypto._exchanged) == crypto._KEY_CACHE_SIZE
 
 
 @pytest.fixture
@@ -370,6 +375,96 @@ class TestSignatureEquation:
         assert verify(terms[first_kept + 1], sigs[first_kept + 1], pair.public)
         assert verify(terms[0], sigs[0], pair.public)
         assert library_verifies == [pair.public, pair.public]
+
+
+@pytest.fixture
+def library_exchanges(monkeypatch):
+    """The public elements of every X25519 exchange crypto hands to the library.
+
+    The exchange memo starts empty, so no earlier test answers a call.
+    """
+    calls = []
+    real = crypto.X25519PublicKey
+
+    class Counting:
+        @staticmethod
+        def from_public_bytes(data):
+            calls.append(data)
+            return real.from_public_bytes(data)
+
+    monkeypatch.setattr(crypto, "X25519PublicKey", Counting)
+    monkeypatch.setattr(crypto, "_exchanged", {})
+    return calls
+
+
+# the group order of Curve25519's prime subgroup
+_ORDER = 2**252 + 27742317777372353535851937790883648493
+
+
+class TestExchangeEquation:
+    """(g^a)^b = (g^b)^a: one exchange answers its swapped call."""
+
+    def test_swapped_call_runs_no_library_exchange(self, library_exchanges):
+        rng = Rng(60)
+        a, b = kx_keygen(rng), kx_keygen(rng)
+        secret = shared_secret(b.public, a.private)
+        assert library_exchanges == [b.public]
+        assert shared_secret(a.public, b.private) == secret
+        assert shared_secret(b.public, a.private) == secret
+        assert library_exchanges == [b.public]
+        assert secret == _reference_exchange(a.public, b.private)
+
+    def test_honest_run_makes_one_library_exchange(self, library_exchanges):
+        world, info = run_scenario_world("honest", seed=61)
+        assert info["verdict"].accept
+        assert len(library_exchanges) == 1
+
+    @given(
+        a=st.binary(min_size=KEY_LEN, max_size=KEY_LEN),
+        b=st.binary(min_size=KEY_LEN, max_size=KEY_LEN),
+        swapped_first=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_both_call_orders_equal_the_library(self, a, b, swapped_first):
+        public_a, public_b = kx_public(a), kx_public(b)
+        # X25519 ignores bit 255 of an element, so this is public_b spelled otherwise
+        high_b = public_b[:-1] + bytes([public_b[-1] | 0x80])
+        calls = [(public_b, a), (public_a, b), (high_b, a), (public_a, b), (high_b, a)]
+        if swapped_first:
+            calls.reverse()
+        expected = _reference_exchange(public_b, a)
+        assert _reference_exchange(high_b, a) == expected
+        for public, private in calls:
+            assert shared_secret(public, private) == _reference_exchange(public, private)
+            assert shared_secret(public, private) == expected
+
+    def test_twin_privates_each_get_their_own_exchange(self, library_exchanges):
+        """Clamped scalars s and 8l - s share one public element but not every exchange."""
+        scalar = 2**254 + 8
+        a, twin = scalar.to_bytes(KEY_LEN, "little"), (8 * _ORDER - scalar).to_bytes(KEY_LEN, "little")
+        assert kx_public(a) == kx_public(twin)
+        rng = Rng(62)
+        off_curve = next(
+            element
+            for element in iter(lambda: rng.bytes(KEY_LEN), None)
+            if _reference_exchange(element, a) != _reference_exchange(element, twin)
+        )
+        for _ in range(2):
+            for private in (a, twin):
+                assert shared_secret(off_curve, private) == _reference_exchange(off_curve, private)
+        genuine = kx_keygen(rng).public
+        assert shared_secret(genuine, a) == shared_secret(genuine, twin)
+
+    def test_low_order_elements_raise_on_every_call(self, library_exchanges):
+        rng = Rng(63)
+        a, b = kx_keygen(rng), kx_keygen(rng)
+        shared_secret(b.public, a.private)
+        for element in _LOW_ORDER:
+            for private in (a.private, b.private, a.private):
+                with pytest.raises(InvalidPublicElement):
+                    shared_secret(element, private)
+        assert library_exchanges == [b.public] + [e for e in _LOW_ORDER for _ in range(3)]
+        assert not any(element in pair for element in _LOW_ORDER for pair in crypto._exchanged)
 
 
 class TestAead:

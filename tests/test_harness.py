@@ -1,11 +1,13 @@
 """Simulator, scenarios, trace properties, checker soundness."""
 
+import copy
 import gc
 import os
 import subprocess
 import sys
 import textwrap
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,7 @@ from vmquote.harness import (
     run_scenario,
     run_scenario_world,
 )
+from vmquote.harness import events
 from vmquote.harness.events import (
     KIND_ADVERSARY,
     KIND_SEND,
@@ -613,6 +616,63 @@ class TestTraceInfrastructure:
 
         for ev in world.trace.of_kind(KIND_SEND):
             term_from_hex(ev.body["term"])  # raises if malformed
+
+
+class TestDeferredBody:
+    """A recorded event hexes its payload on first read, and only then."""
+
+    @pytest.mark.parametrize("value", [bytearray(b"\x01"), [1], {"a": 1}])
+    def test_unrecordable_value_raises_when_recorded(self, value):
+        trace = Trace()
+        with pytest.raises(TypeError, match="trace field term"):
+            trace.append(KIND_SEND, src="adv", term=value)
+        assert len(trace) == 0
+
+    @pytest.mark.parametrize("field", ["seq", "kind", "body"])
+    def test_event_fields_cannot_be_assigned(self, field):
+        trace = Trace()
+        trace.append(KIND_SEND, src="adv", dst="bus", term=Atom(b"\x01"))
+        for event in (trace.events[0], Trace.from_jsonl(trace.to_jsonl()).events[0]):
+            body = event.body
+            with pytest.raises(AttributeError):
+                setattr(event, field, 1)
+            with pytest.raises(AttributeError):
+                delattr(event, field)
+            assert (event.seq, event.kind, event.body) == (0, KIND_SEND, body)
+            assert event.body is body
+            assert copy.deepcopy(event) == event
+
+    def test_honest_run_converts_no_send_payload_until_serialised(self, monkeypatch):
+        converted = []
+
+        def counting(term):
+            converted.append(term)
+            return encode(term)
+
+        monkeypatch.setattr(events, "encode", counting)
+        world, _ = run_scenario_world("honest", seed=0)
+        before = len(converted)
+        text = world.trace.to_jsonl()
+        during = converted[before:]
+        sends = [ev for ev in Trace.from_jsonl(text) if ev.kind == KIND_SEND]
+        assert len(sends) == 12
+        assert {encode(term).hex() for term in converted[:before]}.isdisjoint(
+            ev.body["term"] for ev in sends
+        )
+        assert not Counter(ev.body["term"] for ev in sends) - Counter(
+            encode(term).hex() for term in during
+        )
+        assert world.trace.to_jsonl() == text
+        assert len(converted) == before + len(during)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_live_events_equal_their_parsed_twins(self, name):
+        twin = Trace.from_jsonl(run_scenario(name, seed=0).to_jsonl())
+        live = run_scenario(name, seed=0)
+        assert len(live) == len(twin)
+        for event, parsed in zip(live, twin):
+            assert event == parsed
+        assert live.to_jsonl() == twin.to_jsonl()
 
 
 def test_determinism_across_runs():
