@@ -9,12 +9,13 @@ Four event kinds, mirroring what the property checkers need to see:
 
 Trace.append records payload values as given, once it has checked
 that each is bytes, a term (Atom, Label or Tuple), or a str, int, bool
-or None; any other value raises TypeError there. An event builds its
-JSON-ready body on first read (body, text, to_json or ==), bytes and
-terms as hex strings (terms by their canonical encoding), then keeps
-the body and drops the values. Bytes and terms are immutable, so an
-in-memory trace and its JSON-lines file hold the same data, and a run
-hexes only the events it reads. Timestamps are the strictly increasing
+or None; any other value raises TypeError there. get and text read one
+field in its JSON-ready form, bytes and terms as hex strings (terms by
+their canonical encoding), and build nothing else. The first read of
+the whole body (body, to_json, ==, repr or a copy) builds every field
+that way, then the event keeps the body and drops the values. Bytes and
+terms are immutable, so an in-memory trace and its JSON-lines file hold
+the same data, and a run hexes only the fields it reads. Timestamps are the strictly increasing
 seq numbers; nothing in a trace depends on wall-clock time, which is
 what makes replays byte-identical.
 
@@ -67,7 +68,8 @@ class Event:
     """One trace event: its seq, its kind and its JSON-ready body.
 
     Event(seq, kind, body) holds body as given; an event Trace.append
-    records holds its raw values until body is first read. No field can
+    records holds its raw values until the whole body is first read.
+    get and text read one field without building the body. No field can
     be assigned or deleted.
     """
 
@@ -113,9 +115,16 @@ class Event:
             separators=(",", ":"),
         )
 
+    def get(self, key: str):
+        """Field key as body would hold it, or None; builds no body."""
+        values = self._values
+        if values is None:
+            return self._body.get(key)
+        return _stored(values.get(key))
+
     def text(self, key: str) -> str:
         """The str field key; ValueError when it is missing or no str."""
-        value = self.body.get(key)
+        value = self.get(key)
         if value.__class__ is not str:
             raise ValueError(f"trace event {self.seq} has no str {key}")
         return value

@@ -464,7 +464,7 @@ def fuzz_campaign(
             if not res.holds:
                 result.violations[pid].append((run_seed, res))
         result.accepts += sum(
-            1 for ev in world.trace.of_kind(KIND_VERDICT) if ev.body.get("accept")
+            1 for ev in world.trace.of_kind(KIND_VERDICT) if ev.get("accept")
         )
         for name in CLOSURE_COUNTERS:
             result.closure[name] += getattr(world.knowledge, name)

@@ -261,9 +261,9 @@ class AdversaryKnowledge:
     ) -> None:
         """The one rule from a trace event to adversary knowledge.
 
-        The simulator applies it to every event it records and
-        rebuild_knowledge to every event it decodes, so the two views
-        agree by construction. Only send and adversary events count; a
+        The simulator applies it to every send and adversary event it
+        records and rebuild_knowledge to every event it decodes, so the
+        two views agree by construction. Only those two kinds count; a
         leaked private key is registered before the event's term is
         observed. fresh says the event is the adversary's fresh_value
         event: its term is a fresh name, and a fresh blob is filed like a

@@ -41,8 +41,9 @@ AdversaryKnowledge.learn, and the test suite checks that they agree.
 The offline audit is total: on any trace Trace.from_jsonl accepts,
 rebuild_knowledge and check_all raise nothing but ValueError. Every field
 they decode, look up or match against another event goes through
-Event.text, which requires a str, and a channel key nested too deep to
-judge is a ValueError too.
+Event.text, which requires a str and, like Event.get, reads that one
+field without building the event's body; a channel key nested too deep
+to judge is a ValueError too.
 """
 
 from __future__ import annotations
@@ -100,8 +101,9 @@ class Compromises:
     """What the adversary has compromised, read off adversary events.
 
     Keys are hex, as traces store them. The simulator applies learn to
-    every event it records and the checkers to every event of the trace
-    they judge, so the live and the rebuilt record agree by construction.
+    every send and adversary event it records and the checkers to every
+    event of the trace they judge; learn reads adversary events only, so
+    the live and the rebuilt record agree by construction.
     """
 
     intel: bool = False
@@ -113,7 +115,7 @@ class Compromises:
         """The one rule from a trace event to compromise state."""
         if event.kind != KIND_ADVERSARY:
             return
-        action = event.body.get("action")
+        action = event.get("action")
         if action == "compromise_intel_rot":
             self.intel = True
         elif action == "compromise_amd_rot":
@@ -197,12 +199,12 @@ def _owner_accepts(trace: Trace) -> list[Event]:
     return [
         ev
         for ev in trace.of_kind(KIND_VERDICT)
-        if ev.body.get("accept") and ev.body.get("quote_msr") == _TO_MSR_HEX
+        if ev.get("accept") and ev.get("quote_msr") == _TO_MSR_HEX
     ]
 
 
 def _transitions(trace: Trace, label: str) -> list[Event]:
-    return [ev for ev in trace.of_kind(KIND_TRANSITION) if ev.body.get("label") == label]
+    return [ev for ev in trace.of_kind(KIND_TRANSITION) if ev.get("label") == label]
 
 
 def _check_sgx_quote_authenticity(
@@ -232,7 +234,7 @@ def _check_sev_secret_secrecy(
     instances = [
         ev
         for ev in _transitions(trace, "owner_provision_vm")
-        if ev.body.get("vm_dig") == _DESIGNATED_DIG_HEX
+        if ev.get("vm_dig") == _DESIGNATED_DIG_HEX
     ]
     if instances:
         if knowledge is None:
@@ -286,7 +288,7 @@ def _check_vm_quote_authenticity(
 
     return _judge(
         "vm_quote_authenticity",
-        [ev for ev in _owner_accepts(trace) if ev.body.get("msr_dig") == _DESIGNATED_DIG_HEX],
+        [ev for ev in _owner_accepts(trace) if ev.get("msr_dig") == _DESIGNATED_DIG_HEX],
         escaped,
         backed,
     )

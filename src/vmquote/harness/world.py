@@ -12,10 +12,11 @@ replay with the same seed reproduces every key, nonce, and ciphertext
 byte.
 
 Every event goes through World.record, which appends it to the trace
-and applies both learn rules to it: AdversaryKnowledge.learn and
-Compromises.learn. Live adversary knowledge and the live compromise
-record are exactly what the events show, by the same rules the checkers
-apply to a trace. An adversary capability that creates, leaks or steals
+and hands each send and adversary event, the kinds the adversary sees,
+to both learn rules: AdversaryKnowledge.learn and Compromises.learn.
+Neither rule reads any other kind. Live adversary knowledge and the
+live compromise record are exactly what the events show, by the same
+rules the checkers apply to a trace. An adversary capability that creates, leaks or steals
 a value therefore only has to log it. Owner i's enclave records its
 commitments the same way: it is built with a recorder that writes them
 as owner{i} transitions the moment it makes them.
@@ -72,7 +73,15 @@ from ..sev import (
     SevPlatformCert,
 )
 from ..sgx import OWNER_ENCLAVE_MEASUREMENT, SgxPlatform
-from .events import FRESH_VALUE, KIND_ADVERSARY, KIND_SEND, KIND_TRANSITION, KIND_VERDICT, Trace
+from .events import (
+    ADVERSARY_VISIBLE,
+    FRESH_VALUE,
+    KIND_ADVERSARY,
+    KIND_SEND,
+    KIND_TRANSITION,
+    KIND_VERDICT,
+    Trace,
+)
 from .knowledge import AdversaryKnowledge
 from .properties import Compromises
 
@@ -156,14 +165,16 @@ class World:
 
     def record(self, kind: str, **body) -> None:
         """Append one event; the adversary learns what it shows."""
-        self.compromised.learn(self.trace.append(kind, **body))
-        self.knowledge.learn(
-            kind,
-            body.get("term"),
-            body.get("leak"),
-            body.get("leak_kind"),
-            body.get("action") == FRESH_VALUE,
-        )
+        event = self.trace.append(kind, **body)
+        if kind in ADVERSARY_VISIBLE:
+            self.compromised.learn(event)
+            self.knowledge.learn(
+                kind,
+                body.get("term"),
+                body.get("leak"),
+                body.get("leak_kind"),
+                body.get("action") == FRESH_VALUE,
+            )
 
     def send(self, src: str, dst: str, term: Term) -> Term:
         """Put a term on the bus: logged and visible to the adversary."""

@@ -18,6 +18,7 @@ from vmquote.codec import Atom, Label, encode
 from vmquote.guest import DESIGNATED_VM_CODE, ReportRequest
 from vmquote.harness import (
     COMPROMISE_ATTACKS,
+    DEFAULT_MASK,
     Compromises,
     NEGATIVE_SCENARIOS,
     PROPERTY_IDS,
@@ -673,6 +674,74 @@ class TestDeferredBody:
         for event, parsed in zip(live, twin):
             assert event == parsed
         assert live.to_jsonl() == twin.to_jsonl()
+
+
+    @staticmethod
+    def _fuzz_world(run_seed):
+        world = World(seed=run_seed)
+        fuzz_adversary(world, seed=run_seed, steps=40, mask=DEFAULT_MASK)
+        return world
+
+    def test_fuzz_run_builds_no_adversary_or_transition_body(self):
+        """The learn rules and the checkers read fields, not bodies."""
+        actions = Counter()
+        for run_seed in range(5):
+            world = self._fuzz_world(run_seed)
+            results = check_all(world.trace, world.knowledge)
+            built = [
+                ev.seq
+                for ev in world.trace
+                if ev.kind in (KIND_ADVERSARY, KIND_TRANSITION) and ev._values is None
+            ]
+            assert built == [], run_seed
+            actions.update(ev.get("action") for ev in world.trace.of_kind(KIND_ADVERSARY))
+            assert results == check_all(Trace.from_jsonl(world.trace.to_jsonl()))
+        assert any(action.startswith("compromise_") for action in actions)
+
+    @staticmethod
+    def _text_by_body(event, key):
+        """What text returned or raised when it read the whole body."""
+        value = event.body.get(key)
+        if value.__class__ is not str:
+            return ValueError, f"trace event {event.seq} has no str {key}"
+        return str, value
+
+    @staticmethod
+    def _text_outcome(event, key):
+        try:
+            return str, event.text(key)
+        except ValueError as exc:
+            return ValueError, str(exc)
+
+    def _assert_fields_read_as_body(self, trace, reference):
+        for event, ref in zip(trace, reference, strict=True):
+            keys = [*ref.body, "no_such_field"]
+            for _ in ("before the body is built", "after"):
+                for key in keys:
+                    value = event.get(key)
+                    assert (value.__class__, value) == (
+                        ref.body.get(key).__class__,
+                        ref.body.get(key),
+                    ), (event.seq, key)
+                    assert self._text_outcome(event, key) == self._text_by_body(ref, key)
+                assert event.body == ref.body
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda name=name: run_scenario(name, seed=0), id=name)
+            for name in sorted(SCENARIOS)
+        ]
+        + [
+            pytest.param(lambda s=s: TestDeferredBody._fuzz_world(s).trace, id=f"fuzz{s}")
+            for s in range(20)
+        ],
+    )
+    def test_get_and_text_read_as_body_does(self, make):
+        """The 17 seed-0 scenarios and the FUZZ_DIGEST runs, live and parsed."""
+        reference = make()
+        self._assert_fields_read_as_body(make(), reference)
+        self._assert_fields_read_as_body(Trace.from_jsonl(reference.to_jsonl()), reference)
 
 
 def test_determinism_across_runs():
