@@ -11,13 +11,13 @@ Trace.append records payload values as given, once it has checked
 that each is bytes, a term (Atom, Label or Tuple), or a str, int, bool
 or None; any other value raises TypeError there. get and text read one
 field in its JSON-ready form, bytes and terms as hex strings (terms by
-their canonical encoding), and build nothing else. The first read of
-the whole body (body, to_json, ==, repr or a copy) builds every field
-that way, then the event keeps the body and drops the values. Bytes and
+their canonical encoding), and build no body. The first read of the
+whole body (body, to_json, ==, repr or a copy) builds every field that
+way, then the event keeps the body and drops the values. Bytes and
 terms are immutable, so an in-memory trace and its JSON-lines file hold
-the same data, and a run hexes only the fields it reads. Timestamps are the strictly increasing
-seq numbers; nothing in a trace depends on wall-clock time, which is
-what makes replays byte-identical.
+the same data, and a run hexes only the fields it reads. Timestamps are
+the strictly increasing seq numbers; nothing in a trace depends on
+wall-clock time, which is what makes replays byte-identical.
 
 Transition payloads may carry protocol-internal secrets (the same way a
 formal trace carries them). Only send and adversary events are

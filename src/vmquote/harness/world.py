@@ -16,10 +16,11 @@ and hands each send and adversary event, the kinds the adversary sees,
 to both learn rules: AdversaryKnowledge.learn and Compromises.learn.
 Neither rule reads any other kind. Live adversary knowledge and the
 live compromise record are exactly what the events show, by the same
-rules the checkers apply to a trace. An adversary capability that creates, leaks or steals
-a value therefore only has to log it. Owner i's enclave records its
-commitments the same way: it is built with a recorder that writes them
-as owner{i} transitions the moment it makes them.
+rules the checkers apply to a trace. An adversary capability that
+creates, leaks or steals a value therefore only has to log it. Owner
+i's enclave records its commitments the same way: it is built with a
+recorder that writes them as owner{i} transitions the moment it makes
+them.
 
 Each receiving end (PSP handlers, owner i's three steps, relying party)
 is one method that returns its reply. All but the relying party parse

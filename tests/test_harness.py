@@ -675,7 +675,6 @@ class TestDeferredBody:
             assert event == parsed
         assert live.to_jsonl() == twin.to_jsonl()
 
-
     @staticmethod
     def _fuzz_world(run_seed):
         world = World(seed=run_seed)
