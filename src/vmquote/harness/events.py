@@ -19,11 +19,15 @@ the same data, and a run hexes only the fields it reads. Timestamps are
 the strictly increasing seq numbers; nothing in a trace depends on
 wall-clock time, which is what makes replays byte-identical.
 
+term and data read a field back as the term or the bytes it holds, and
+build no body either: a recorded term or bytes value comes back as the
+very object recorded, and any str (parsed, or recorded as hex) is
+decoded from hex.
+
 Transition payloads may carry protocol-internal secrets (the same way a
 formal trace carries them). Only send and adversary events are
-adversary-visible: their term, leak and leak_kind fields, and whether
-the action is FRESH_VALUE, are what AdversaryKnowledge.learn consumes,
-live and on a rebuild alike.
+adversary-visible: AdversaryKnowledge.learn reads their term, leak,
+leak_kind and action fields, and nothing else, live and on a rebuild.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import json
 from ..codec import Atom, Label, Tuple, encode
 
 # Hex form of payload terms, under the names the harness exports.
-from ..codec import from_hex as term_from_hex  # noqa: F401
+from ..codec import from_hex as term_from_hex
 from ..codec import to_hex as term_hex  # noqa: F401
 
 KIND_SEND = "send"
@@ -69,8 +73,8 @@ class Event:
 
     Event(seq, kind, body) holds body as given; an event Trace.append
     records holds its raw values until the whole body is first read.
-    get and text read one field without building the body. No field can
-    be assigned or deleted.
+    get, text, term and data read one field without building the body.
+    No field can be assigned or deleted.
     """
 
     __slots__ = ("seq", "kind", "_body", "_values")
@@ -128,6 +132,26 @@ class Event:
         if value.__class__ is not str:
             raise ValueError(f"trace event {self.seq} has no str {key}")
         return value
+
+    def term(self, key: str):
+        """The term field key holds, or None; ValueError if it holds none."""
+        values = self._values
+        value = (self._body if values is None else values).get(key)
+        if value is None or isinstance(value, (Atom, Label, Tuple)):
+            return value
+        if value.__class__ is not str:
+            raise ValueError(f"trace event {self.seq} has no term {key}")
+        return term_from_hex(value)
+
+    def data(self, key: str):
+        """The bytes field key holds, or None; ValueError if it holds none."""
+        values = self._values
+        value = (self._body if values is None else values).get(key)
+        if value is None or isinstance(value, bytes):
+            return value
+        if value.__class__ is not str:
+            raise ValueError(f"trace event {self.seq} has no bytes {key}")
+        return bytes.fromhex(value)
 
 
 _set_seq = Event.seq.__set__

@@ -173,7 +173,7 @@ from .. import crypto
 from ..codec import Atom, Label, MalformedEncoding, Term, Tuple, decode, encode, may_decode
 from ..crypto import DecryptionFailure, InvalidPublicElement
 from ..sev import DeployPackage, SevPlatformCert, wrap_keys
-from .events import ADVERSARY_VISIBLE
+from .events import ADVERSARY_VISIBLE, FRESH_VALUE, Event
 
 # The shortest term encoding: a tag byte and a 4-byte length.
 _MIN_ENCODING = len(encode(Atom(b"")))
@@ -251,33 +251,28 @@ class AdversaryKnowledge:
         self.hits = 0
         self.scanned = 0
 
-    def learn(
-        self,
-        kind: str,
-        term: Term | None,
-        leak: bytes | None,
-        leak_kind: str | None,
-        fresh: bool = False,
-    ) -> None:
+    def learn(self, event: Event) -> None:
         """The one rule from a trace event to adversary knowledge.
 
         The simulator applies it to every send and adversary event it
-        records and rebuild_knowledge to every event it decodes, so the
-        two views agree by construction. Only those two kinds count; a
+        records, and rebuild_knowledge to every event of a trace, so the
+        two views agree by construction. Only those two kinds count, and
+        of them only the term, leak, leak_kind and action fields: a
         leaked private key is registered before the event's term is
-        observed. fresh says the event is the adversary's fresh_value
-        event: its term is a fresh name, and a fresh blob is filed like a
-        signature, never trial-decrypted.
+        observed. The fresh_value action's term is a fresh name, and a
+        fresh blob is filed like a signature, never trial-decrypted.
         """
-        if kind not in ADVERSARY_VISIBLE:
+        if event.kind not in ADVERSARY_VISIBLE:
             return
+        leak = event.data("leak")
         if leak is not None:
-            if leak_kind == "dh_private":
+            if event.get("leak_kind") == "dh_private":
                 self.add_private_dh(leak)
             else:
                 self.add_private_sig(leak)
+        term = event.term("term")
         if term is not None:
-            self._minting = fresh
+            self._minting = event.get("action") == FRESH_VALUE
             self.observe(term)
             self._minting = False
 

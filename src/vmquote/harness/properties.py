@@ -39,11 +39,11 @@ to skip the rebuild. Both views are fed by the same per-event rule,
 AdversaryKnowledge.learn, and the test suite checks that they agree.
 
 The offline audit is total: on any trace Trace.from_jsonl accepts,
-rebuild_knowledge and check_all raise nothing but ValueError. Every field
-they decode, look up or match against another event goes through
-Event.text, which requires a str and, like Event.get, reads that one
-field without building the event's body; a channel key nested too deep
-to judge is a ValueError too.
+rebuild_knowledge and check_all raise nothing but ValueError. learn
+decodes its fields with Event.term and Event.data; the checkers decode,
+look up and match fields with Event.text, which requires a str. None of
+them builds the event's body, and each raises ValueError on a field it
+cannot read; a channel key nested too deep to judge is a ValueError too.
 """
 
 from __future__ import annotations
@@ -53,16 +53,7 @@ from dataclasses import dataclass, field
 from ..codec import Atom
 from ..guest import DESIGNATED_VM_DIGEST
 from ..sgx import OWNER_ENCLAVE_MEASUREMENT
-from .events import (
-    FRESH_VALUE,
-    KIND_ADVERSARY,
-    KIND_TRANSITION,
-    KIND_VERDICT,
-    Event,
-    Trace,
-    term_from_hex,
-    term_hex,
-)
+from .events import KIND_ADVERSARY, KIND_TRANSITION, KIND_VERDICT, Event, Trace, term_hex
 from .knowledge import AdversaryKnowledge
 
 PROPERTY_IDS = (
@@ -139,20 +130,12 @@ def rebuild_knowledge(trace: Trace) -> AdversaryKnowledge:
 
     Bus traffic is public; adversary events carry any value the
     adversary created, computed, or was leaked. Each event goes through
-    AdversaryKnowledge.learn, the rule the live simulator uses, so
-    transition payloads (actor-internal) are not consumed.
+    AdversaryKnowledge.learn, the live simulator's rule, so the rebuild
+    reads only what learn reads: never a transition or verdict field.
     """
     know = AdversaryKnowledge()
     for ev in trace.events:
-        term = ev.body.get("term")
-        leak = ev.body.get("leak")
-        know.learn(
-            ev.kind,
-            None if term is None else term_from_hex(ev.text("term")),
-            None if leak is None else bytes.fromhex(ev.text("leak")),
-            ev.body.get("leak_kind"),
-            ev.body.get("action") == FRESH_VALUE,
-        )
+        know.learn(ev)
     return know
 
 

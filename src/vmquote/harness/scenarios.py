@@ -23,7 +23,7 @@ from ..guest import ReportRequest
 from ..relying_party import EvidenceBundle
 from ..sev import Measurement, MeasurementPackage, SecretPackage, SevPlatformCert, TransportKeys
 from ..sgx import Quote
-from .events import KIND_ADVERSARY, KIND_SEND, KIND_VERDICT, Trace, term_from_hex
+from .events import KIND_ADVERSARY, KIND_SEND, KIND_VERDICT, Trace
 from .fuzz import Move, run_schedule
 from .properties import _DESIGNATED_DIG_HEX, _owner_accepts, _transitions, check_all
 from .world import Pipeline, World
@@ -44,18 +44,18 @@ FINISH = Move("finish")
 def _sent(world: World, src: str, dst: str) -> Term:
     """The last term src put on the bus for dst."""
     return next(
-        term_from_hex(ev.body["term"])
+        ev.term("term")
         for ev in reversed(world.trace.events)
-        if ev.kind == KIND_SEND and ev.body["src"] == src and ev.body["dst"] == dst
+        if ev.kind == KIND_SEND and ev.get("src") == src and ev.get("dst") == dst
     )
 
 
 def _stolen(world: World) -> list[Term]:
     """The guest secrets the adversary's extraction events show."""
     return [
-        term_from_hex(ev.body["term"])
+        ev.term("term")
         for ev in world.trace.of_kind(KIND_ADVERSARY)
-        if ev.body["action"] == "adversary_extract_sev_secret"
+        if ev.get("action") == "adversary_extract_sev_secret"
     ]
 
 
@@ -212,8 +212,8 @@ def run_scenario(name: str, seed: int = 0) -> Trace:
 
 def _designated_cik(world: World) -> Atom | None:
     for ev in _transitions(world.trace, "owner_provision_vm"):
-        if ev.body["vm_dig"] == _DESIGNATED_DIG_HEX:
-            return Atom(bytes.fromhex(ev.body["cik"]))
+        if ev.get("vm_dig") == _DESIGNATED_DIG_HEX:
+            return Atom(ev.data("cik"))
     return None
 
 

@@ -12,12 +12,13 @@ replay with the same seed reproduces every key, nonce, and ciphertext
 byte.
 
 Every event goes through World.record, which appends it to the trace
-and hands each send and adversary event, the kinds the adversary sees,
-to both learn rules: AdversaryKnowledge.learn and Compromises.learn.
-Neither rule reads any other kind. Live adversary knowledge and the
-live compromise record are exactly what the events show, by the same
-rules the checkers apply to a trace. An adversary capability that
-creates, leaks or steals a value therefore only has to log it. Owner
+and hands each send and adversary event it appended, the kinds the
+adversary sees, to both learn rules: AdversaryKnowledge.learn and
+Compromises.learn. Both take the event itself and read no other kind.
+Live adversary knowledge and the live compromise record are exactly
+what the events show, by the rules the checkers apply to a trace. An
+adversary capability that creates, leaks or steals a value therefore
+only has to log it. Owner
 i's enclave records its commitments the same way: it is built with a
 recorder that writes them as owner{i} transitions the moment it makes
 them.
@@ -169,13 +170,7 @@ class World:
         event = self.trace.append(kind, **body)
         if kind in ADVERSARY_VISIBLE:
             self.compromised.learn(event)
-            self.knowledge.learn(
-                kind,
-                body.get("term"),
-                body.get("leak"),
-                body.get("leak_kind"),
-                body.get("action") == FRESH_VALUE,
-            )
+            self.knowledge.learn(event)
 
     def send(self, src: str, dst: str, term: Term) -> Term:
         """Put a term on the bus: logged and visible to the adversary."""

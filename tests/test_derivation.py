@@ -49,7 +49,7 @@ def test_negotiation_outputs_lose_nothing(oracle_pool):
     for run_seed, (trace, closure, oracle) in enumerate(rebuilt):
         for ev in trace.of_kind(KIND_TRANSITION):
             if ev.body.get("label") == "owner_provision_vm":
-                cik = Atom(bytes.fromhex(ev.body["cik"]))
+                cik = Atom(ev.data("cik"))
                 verdict = closure.derivable(cik, fresh=True)
                 assert verdict == oracle.derivable(cik, fresh=True), run_seed
                 provisioned += 1

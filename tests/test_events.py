@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from vmquote import crypto
 from vmquote.codec import Atom, encode, to_hex
 from vmquote.guest import DESIGNATED_VM_CODE
-from vmquote.harness import Trace, check_all, rebuild_knowledge
+from vmquote.harness import Trace, check_all, rebuild_knowledge, run_scenario
 from vmquote.sgx import OWNER_ENCLAVE_MEASUREMENT
 
 # the field values that make an event an instance of a checker
@@ -91,6 +91,25 @@ def test_hostile_field_fails_the_audit_with_value_error(text):
     trace = Trace.from_jsonl(text)
     with pytest.raises(ValueError, match="trace event"):
         check_all(trace, rebuild_knowledge(trace))
+
+
+def test_fields_learn_ignores_are_never_decoded():
+    """A malformed term or leak on a transition or verdict is never decoded."""
+    lines = [json.loads(line) for line in run_scenario("honest").to_jsonl().splitlines()]
+    clean = Trace.from_jsonl("\n".join(map(json.dumps, lines)))
+    marked = 0
+    for line in lines:
+        if line["kind"] in ("transition", "verdict"):
+            line.update(term="zz", leak=5)
+            marked += 1
+    hostile = Trace.from_jsonl("\n".join(map(json.dumps, lines)))
+    learned = []
+    for trace in (clean, hostile):
+        know = rebuild_knowledge(trace)
+        know.analyze()
+        learned.append([encode(t) for t in know.terms_list()])
+    assert marked > 0 and learned[0] == learned[1]
+    assert all(result.holds for result in check_all(hostile).values())
 
 
 _JSON = st.recursive(

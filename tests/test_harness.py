@@ -14,7 +14,7 @@ import pytest
 
 import vmquote
 from vmquote import crypto, sev
-from vmquote.codec import Atom, Label, encode
+from vmquote.codec import Atom, Label, encode, to_hex
 from vmquote.guest import DESIGNATED_VM_CODE, ReportRequest
 from vmquote.harness import (
     COMPROMISE_ATTACKS,
@@ -163,24 +163,30 @@ class TestCompromiseScenarios:
     @staticmethod
     def _provisioned_cik(world):
         for ev in world.trace.of_kind(KIND_TRANSITION):
-            if ev.body.get("label") == "owner_provision_vm":
-                return bytes.fromhex(ev.body["cik"])
+            if ev.get("label") == "owner_provision_vm":
+                return ev.data("cik")
         raise AssertionError("no provision transition in trace")
 
     def test_post_hoc_psp_compromise_opens_past_traffic(self):
         """No forward secrecy: a key stolen later decrypts old sessions."""
         world, _ = run_scenario_world("compromise_sev_psp_post")
-        know = rebuild_knowledge(world.trace)
-        know.analyze()
-        assert know.derivable(Atom(self._provisioned_cik(world)))
+        cik = Atom(self._provisioned_cik(world))
+        live = rebuild_knowledge(world.trace)
+        parsed = rebuild_knowledge(Trace.from_jsonl(world.trace.to_jsonl()))
+        for know in (live, parsed):
+            know.analyze()
+            assert know.derivable(cik)
         assert check_property(world.trace, "sev_secret_secrecy").holds
 
     def test_post_hoc_amd_compromise_opens_nothing(self):
         """The AMD signing key decrypts no traffic, past or future."""
         world, _ = run_scenario_world("compromise_amd_rot_post")
-        know = rebuild_knowledge(world.trace)
-        know.analyze()
-        assert not know.derivable(Atom(self._provisioned_cik(world)))
+        cik = Atom(self._provisioned_cik(world))
+        live = rebuild_knowledge(world.trace)
+        parsed = rebuild_knowledge(Trace.from_jsonl(world.trace.to_jsonl()))
+        for know in (live, parsed):
+            know.analyze()
+            assert not know.derivable(cik)
 
 
 class TestCheckerSoundness:
@@ -605,11 +611,14 @@ class TestTraceInfrastructure:
         for name, world in self._knowledge_worlds(masks):
             world.knowledge.analyze()
             rebuilt = rebuild_knowledge(world.trace)
-            rebuilt.analyze()
+            parsed = Trace.from_jsonl(world.trace.to_jsonl())
+            reparsed = rebuild_knowledge(parsed)
             live = {encode(t) for t in world.knowledge.terms_list()}
-            again = {encode(t) for t in rebuilt.terms_list()}
-            assert live == again, name
+            for know in (rebuilt, reparsed):
+                know.analyze()
+                assert {encode(t) for t in know.terms_list()} == live, name
             assert world.compromised == Compromises.from_trace(world.trace), name
+            assert world.compromised == Compromises.from_trace(parsed), name
 
     def test_send_events_carry_decodable_terms(self):
         world, _ = run_scenario_world("honest")
@@ -712,7 +721,28 @@ class TestDeferredBody:
         except ValueError as exc:
             return ValueError, str(exc)
 
-    def _assert_fields_read_as_body(self, trace, reference):
+    @staticmethod
+    def _read_back(event, key, encoded):
+        """The readers that accept key; each value's stored form is get's."""
+        recorded = event._values  # None once the body is built
+        accepted = set()
+        for read, stored in ((event.term, to_hex), (event.data, bytes.hex)):
+            before = len(encoded)
+            try:
+                value = read(key)
+            except ValueError:
+                continue
+            if recorded is not None:
+                assert encoded[before:] == [], (event.seq, key)
+                if recorded.get(key).__class__ is not str:
+                    assert value is recorded.get(key), (event.seq, key)
+            assert (None if value is None else stored(value)) == event.get(key), (event.seq, key)
+            if value is not None:
+                accepted.add(read.__name__)
+        return accepted
+
+    def _assert_fields_read_as_body(self, trace, reference, encoded):
+        accepted = set()
         for event, ref in zip(trace, reference, strict=True):
             keys = [*ref.body, "no_such_field"]
             for _ in ("before the body is built", "after"):
@@ -723,7 +753,9 @@ class TestDeferredBody:
                         ref.body.get(key),
                     ), (event.seq, key)
                     assert self._text_outcome(event, key) == self._text_by_body(ref, key)
+                    accepted |= self._read_back(event, key, encoded)
                 assert event.body == ref.body
+        assert accepted == {"term", "data"}
 
     @pytest.mark.parametrize(
         "make",
@@ -736,11 +768,18 @@ class TestDeferredBody:
             for s in range(20)
         ],
     )
-    def test_get_and_text_read_as_body_does(self, make):
-        """The 17 seed-0 scenarios and the FUZZ_DIGEST runs, live and parsed."""
-        reference = make()
-        self._assert_fields_read_as_body(make(), reference)
-        self._assert_fields_read_as_body(Trace.from_jsonl(reference.to_jsonl()), reference)
+    def test_get_and_text_read_as_body_does(self, make, monkeypatch):
+        """The 17 seed-0 scenarios and the FUZZ_DIGEST runs, live and parsed.
+
+        term and data read back what get stores, and on a live event they
+        return the recorded value itself, with no encode.
+        """
+        reference, live = make(), make()
+        parsed = Trace.from_jsonl(reference.to_jsonl())
+        encoded = []
+        monkeypatch.setattr(events, "encode", lambda term: encoded.append(term) or encode(term))
+        self._assert_fields_read_as_body(live, reference, encoded)
+        self._assert_fields_read_as_body(parsed, reference, encoded)
 
 
 def test_determinism_across_runs():

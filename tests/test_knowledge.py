@@ -6,7 +6,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from vmquote import crypto
 from vmquote.codec import Atom, Label, Tuple, encode
 from vmquote.crypto import Rng
-from vmquote.harness import DEFAULT_MASK, World, fuzz_adversary, rebuild_knowledge
+from vmquote.harness import DEFAULT_MASK, Event, Trace, World, fuzz_adversary, rebuild_knowledge
 from vmquote.harness.knowledge import _MIN_CIPHERTEXT, AdversaryKnowledge
 from vmquote.sev import DeployPackage, amd_rot_certify, new_amd_rot
 
@@ -165,7 +165,7 @@ def test_malformed_leaked_private_negotiates_nothing():
     k = AdversaryKnowledge()
     k.observe(amd_rot_certify(new_amd_rot(rng), psp.public).to_term())
     k.observe(_deploy_term(psp.public))
-    k.learn("adversary", None, b"short", "dh_private")
+    k.learn(Event(0, "adversary", {"leak": b"short".hex(), "leak_kind": "dh_private"}))
     k.analyze()
     assert k.kx_pairs == 0
     assert k.knows(Atom(b"short"))
@@ -374,13 +374,15 @@ class TestFreshValues:
         world = World(seed=12)
         value = world.adversary_fresh(64)
         rebuilt = rebuild_knowledge(world.trace)
-        for k in (world.knowledge, rebuilt):
+        parsed = rebuild_knowledge(Trace.from_jsonl(world.trace.to_jsonl()))
+        for k in (world.knowledge, rebuilt, parsed):
             k.analyze()
             keys, blobs = self._pairs(k)
             assert k.trials == keys * blobs
             assert k.scanned == keys * (blobs - 1)
         live = world.knowledge
-        assert (rebuilt.trials, rebuilt.scanned) == (live.trials, live.scanned)
+        for k in (rebuilt, parsed):
+            assert (k.trials, k.scanned) == (live.trials, live.scanned)
 
         computed = World(seed=12)
         computed.adversary_compute(Atom(value))
@@ -396,7 +398,8 @@ class TestFreshValues:
         secret = Atom(b"sealed under a fresh key")
         world.adversary_compute(Atom(crypto.encrypt(secret, key, world.rng)))
         rebuilt = rebuild_knowledge(world.trace)
-        for k in (world.knowledge, rebuilt):
+        parsed = rebuild_knowledge(Trace.from_jsonl(world.trace.to_jsonl()))
+        for k in (world.knowledge, rebuilt, parsed):
             k.analyze()
             assert k.knows(secret)
 

@@ -11,7 +11,7 @@ trace shows as fresh values.
 """
 
 from vmquote import crypto
-from vmquote.codec import Atom, encode, from_hex
+from vmquote.codec import Atom, encode
 from vmquote.harness import World, fuzz_adversary
 from vmquote.harness import world as world_mod
 from vmquote.harness.events import FRESH_VALUE, KIND_ADVERSARY
@@ -21,9 +21,9 @@ from vmquote.harness.knowledge import _MIN_CIPHERTEXT, AdversaryKnowledge
 class Forgetful(AdversaryKnowledge):
     """Knowledge that never finds a blob in the provenance map."""
 
-    def learn(self, kind, term, leak, leak_kind, fresh=False) -> None:
+    def learn(self, event) -> None:
         crypto._provenance.clear()
-        super().learn(kind, term, leak, leak_kind, fresh)
+        super().learn(event)
 
     def analyze(self) -> None:
         crypto._provenance.clear()
@@ -51,8 +51,8 @@ def _closure(monkeypatch, mask, seed, knowledge=AdversaryKnowledge, bound=crypto
     fresh_blobs = sum(
         1
         for ev in world.trace.of_kind(KIND_ADVERSARY)
-        if ev.body["action"] == FRESH_VALUE
-        and len(from_hex(ev.body["term"]).value) >= _MIN_CIPHERTEXT
+        if ev.get("action") == FRESH_VALUE
+        and len(ev.term("term").value) >= _MIN_CIPHERTEXT
     )
     return learned, know.scanned, (keys, blobs, fresh_blobs)
 
