@@ -6,7 +6,7 @@ grows by an analysis closure run to fixpoint:
 
 - tuples are taken apart
 - atoms whose payload parses as a term are decoded
-- ciphertext-sized atoms are decrypted under the known 32-byte keys
+- ciphertext-sized atoms are decrypted under the known sealing keys
   that can open them
 - key negotiation pairs each registered private element with the
   negotiation elements of the other side (privates are an explicit
@@ -77,6 +77,28 @@ Derivation outputs are never fed back in: the honest key schedule never
 stacks derivations, so one layer is complete and keeps the closure
 polynomial.
 
+Trial decryption is narrowed the same way: a blob is tried only under a
+sealing key, a known 32-byte atom that some party can have sealed under.
+Sealing keys are filed as the closure learns them:
+
+- each wrap key the derive rule outputs
+- the tek of each Tuple that TransportKeys.from_term accepts, filed by
+  the split rule with the same pre-check as a negotiation element
+- each 32-byte fresh value the adversary minted (a fresh_value event,
+  live or in a trace), filed when it is first learned
+
+This loses nothing. crypto.encrypt has two callers in the package
+(tests/test_derivation.py checks the source for that): sev.seal_deploy
+seals under the kek of wrap_keys(ss), and sev.seal_secret under a
+TransportKeys' tek. A kek never goes on the bus, so the adversary knows
+one only by deriving it. The owner's tek leaves the enclave only inside
+the TransportKeys term sealed in blob_d, and the adversary's own tek is a
+fresh value it minted. No party seals under any other key, so no hit is
+lost. A key observed in the clear before it is filed opens
+its blobs only once it is filed, so a closure run once over a whole trace
+learns the same terms as one that tries every key, though possibly in a
+different order.
+
 The closure is evaluated semi-naively: each round applies the rules only
 to what is new since the rule last ran, so no rule ever repeats work.
 
@@ -86,11 +108,11 @@ to what is new since the rule last ran, so no rule ever repeats work.
   before.
 - A wrap key is derived once from each negotiation output, in the round
   negotiation first computes it.
-- Trial decryption covers new keys against every blob and old keys against
-  new blobs, so each (blob, key) pair is covered once in the object's life.
-  Each key's GCM tag is checked against its range of blobs of unknown
-  origin in one scan, and only the pairs that authenticate are opened,
-  through crypto.decrypt.
+- Trial decryption covers new sealing keys against every blob and old
+  ones against new blobs, so each (blob, sealing key) pair is covered once
+  in the object's life. Each key's GCM tag is checked against its range of
+  blobs of unknown origin in one scan, and only the pairs that
+  authenticate are opened, through crypto.decrypt.
 
 Encryption is perfect, as in the symbolic model: a blob opens under the
 key that sealed it and under no other (Dolev-Yao; in Tamarin,
@@ -102,30 +124,29 @@ classified once:
 
 - a fresh value the adversary minted (a fresh_value event, live or in a
   trace) is no ciphertext and is never paired
-- a ciphertext crypto.encrypt made is paired only with its sealing key,
-  when that key is known
+- a ciphertext crypto.encrypt made is paired only with the key that
+  sealed it, once that key is filed as a sealing key
 - a signature crypto.sign made is no ciphertext and is never paired
 - any other blob (evicted from crypto's bounded provenance map, tampered
   with, or read from a trace in a fresh process) is scanned against every
-  key
-
-A fresh 32-byte value is still a key: the adversary's own transport key
-seals what it provisions.
+  sealing key
 
 The pairs skipped are exactly those that cannot open, so no hit is lost.
 The registered pairs are still opened through crypto.decrypt, which
 checks the tag. Each blob is classified once, so a later eviction changes
 nothing. Whether the map holds a blob or not, the closure therefore
 learns the same terms in the same order. Only the scanning work differs.
-Every skipped pair still counts in trials.
+trials counts every pair of a known 32-byte atom and a blob, tried or
+skipped, whatever the key or the blob's class.
 
 Known atoms are kept by their bytes, in the one table that also ranks
 them in first-seen order; the known set proper holds only Labels and
 Tuples.
 
 Within a round the rules run in that order. Each adds its results in the
-first-seen order of its inputs (decryptions by blob, then by key), so
-terms_list() order depends only on what was learned and when analyze ran.
+first-seen order of its inputs (decryptions by blob, then by key in the
+order the keys were filed), so terms_list() order depends only on what
+was learned and when analyze ran.
 
 There is no round cap. Every analysis output is a strict sub-term, the
 decoding or the decryption of a known term, each with a shorter encoding
@@ -172,7 +193,7 @@ from __future__ import annotations
 from .. import crypto
 from ..codec import Atom, Label, MalformedEncoding, Term, Tuple, decode, encode, may_decode
 from ..crypto import DecryptionFailure, InvalidPublicElement
-from ..sev import DeployPackage, SevPlatformCert, wrap_keys
+from ..sev import DeployPackage, SevPlatformCert, TransportKeys, wrap_keys
 from .events import ADVERSARY_VISIBLE, FRESH_VALUE, Event
 
 # The shortest term encoding: a tag byte and a 4-byte length.
@@ -197,9 +218,10 @@ class AdversaryKnowledge:
     work: rounds run, negotiations attempted, (blob, key) pairs covered by
     trial decryption and the ones that opened to a term. scanned counts
     the covered pairs whose tag crypto.scan_tags checked, which are those
-    of blobs with no provenance; when no blob has any, it equals trials
-    except for the blobs the trace shows as fresh. None of them is ever
-    written to a trace.
+    of a sealing key and a blob with no provenance; when no blob has any,
+    at fixpoint it is the number of sealing keys times the number of
+    blobs the trace does not show as fresh. None of them is ever written
+    to a trace.
     """
 
     def __init__(self) -> None:
@@ -212,23 +234,29 @@ class AdversaryKnowledge:
         self.dh_privates: dict[bytes, bytes] = {}
         # delta state: what each rule has not seen yet
         self._split = 0
-        # negotiation elements, filed by the message they came from, with
-        # the field each message's receiver feeds to X25519; the pairs
-        # negotiation has exchanged, and whether an element or a private
-        # has arrived since it last ran
+        # the number of known 32-byte atoms, each a key trial decryption
+        # covers, and the sealing keys among them in the order they were
+        # filed, each mapped to its index there
+        self._key_atoms = 0
+        self._keys: list[bytes] = []
+        self._key_index: dict[bytes, int] = {}
+        # negotiation elements and transport keys, filed by the message
+        # they came from, with the field each message's receiver uses as
+        # key material: the elements it feeds to X25519, the tek it opens
+        # the secret package under; the pairs negotiation has exchanged,
+        # and whether an element or a private has arrived since it last ran
         self._deploy_elements: set[bytes] = set()
         self._cert_elements: set[bytes] = set()
-        self._negotiating = (
+        self._filing = (
             (DeployPackage, *_position(DeployPackage, "go_sn_pb"), self._deploy_elements),
             (SevPlatformCert, *_position(SevPlatformCert, "psp_sn_pb"), self._cert_elements),
+            (TransportKeys, *_position(TransportKeys, "tek"), self._key_index),
         )
         self._kx_tried: set[tuple[bytes, bytes]] = set()
         self._kx_stale = False
         # negotiation outputs: all of them, and those not derived from yet
         self._kx_outputs: set[bytes] = set()
         self._new_outputs: list[bytes] = []
-        self._keys: list[bytes] = []
-        self._key_index: dict[bytes, int] = {}
         # ciphertext-sized atoms, and their indices filed by provenance:
         # under the key that sealed them, or (split once into nonce and
         # body) among the blobs of unknown origin
@@ -240,6 +268,7 @@ class AdversaryKnowledge:
         # true while learn observes a fresh_value event's term; a flag, not
         # an argument, so that observe stays the one way in for a seen term
         self._minting = False
+        self._tried_key_atoms = 0
         self._tried_keys = 0
         self._tried_blobs = 0
         self._tried_opaque = 0
@@ -259,8 +288,9 @@ class AdversaryKnowledge:
         two views agree by construction. Only those two kinds count, and
         of them only the term, leak, leak_kind and action fields: a
         leaked private key is registered before the event's term is
-        observed. The fresh_value action's term is a fresh name, and a
-        fresh blob is filed like a signature, never trial-decrypted.
+        observed. The fresh_value action's term is a fresh name: a fresh
+        blob is filed like a signature, never trial-decrypted, and a fresh
+        32-byte value as a sealing key.
         """
         if event.kind not in ADVERSARY_VISIBLE:
             return
@@ -307,10 +337,17 @@ class AdversaryKnowledge:
         self._terms.append(term)
         self._rank[value] = len(self._rank)
         if len(value) == 32:
-            self._key_index[value] = len(self._keys)
-            self._keys.append(value)
+            self._key_atoms += 1
+            if self._minting:
+                self._file_key(value)
         elif len(value) >= _MIN_CIPHERTEXT:
             self._file_blob(value)
+
+    def _file_key(self, value: bytes) -> None:
+        """File a sealing key: one some party can have sealed a blob under."""
+        if value not in self._key_index:
+            self._key_index[value] = len(self._keys)
+            self._keys.append(value)
 
     def _file_blob(self, value: bytes) -> None:
         b = len(self._blobs)
@@ -358,18 +395,21 @@ class AdversaryKnowledge:
                 items = term.items
                 for item in items:
                     self._add(item)
-                for message, arity, at, elements in self._negotiating:
+                for message, arity, at, filed in self._filing:
                     if len(items) != arity or items[at].__class__ is not Atom:
                         continue
                     value = items[at].value
-                    if len(value) != crypto.KEY_LEN or value in elements:
+                    if len(value) != crypto.KEY_LEN or value in filed:
                         continue
                     try:
                         message.from_term(term)
                     except ValueError:
                         continue
-                    elements.add(value)
-                    self._kx_stale = True
+                    if filed is self._key_index:
+                        self._file_key(value)
+                    else:
+                        filed.add(value)
+                        self._kx_stale = True
             elif isinstance(term, Atom) and may_decode(term.value):
                 try:
                     inner = decode(term.value)
@@ -417,21 +457,25 @@ class AdversaryKnowledge:
         for value in outputs:
             for key in wrap_keys(value):
                 self._add(Atom(key))
+                self._file_key(key)
 
     def _trial_decrypt(self) -> None:
-        """New keys x all blobs, old keys x new blobs, as filed.
+        """New sealing keys x all blobs, old sealing keys x new blobs.
 
-        A registered ciphertext is paired with its sealing key alone. Each
-        key's tag is checked against its range of blobs of unknown origin
-        in one crypto.scan_tags call. The pairs found are then opened
-        through crypto.decrypt blob by blob, each blob's keys in
-        first-seen order, and what opens to a term is added.
+        A registered ciphertext is paired with the key that sealed it alone,
+        once that key is filed. Each sealing key's tag is checked against
+        its range of blobs of unknown origin in one crypto.scan_tags call.
+        The pairs found are then opened through crypto.decrypt blob by
+        blob, each blob's keys in the order they were filed, and what opens
+        to a term is added. trials counts every known 32-byte atom against
+        every blob all the same.
         """
         keys, blobs, opaque = self._keys, self._blobs, self._opaque
         old_keys, old_blobs, old_opaque = self._tried_keys, self._tried_blobs, self._tried_opaque
+        key_atoms, old_key_atoms = self._key_atoms, self._tried_key_atoms
         self._tried_keys, self._tried_blobs = len(keys), len(blobs)
-        self._tried_opaque = len(opaque)
-        self.trials += (len(keys) - old_keys) * len(blobs) + old_keys * (
+        self._tried_opaque, self._tried_key_atoms = len(opaque), key_atoms
+        self.trials += (key_atoms - old_key_atoms) * len(blobs) + old_key_atoms * (
             len(blobs) - old_blobs
         )
         tagged = [(b, k) for k in range(old_keys, len(keys)) for b in self._sealed.get(keys[k], ())]

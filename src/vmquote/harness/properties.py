@@ -190,6 +190,14 @@ def _transitions(trace: Trace, label: str) -> list[Event]:
     return [ev for ev in trace.of_kind(KIND_TRANSITION) if ev.get("label") == label]
 
 
+def _data(ev: Event, key: str) -> bytes:
+    """The bytes field key; ValueError when it is missing or holds no bytes."""
+    value = ev.data(key)
+    if value is None:
+        raise ValueError(f"trace event {ev.seq} has no bytes {key}")
+    return value
+
+
 def _check_sgx_quote_authenticity(
     trace: Trace, esc: Compromises, knowledge: AdversaryKnowledge | None
 ) -> PropertyResult:
@@ -199,7 +207,7 @@ def _check_sgx_quote_authenticity(
         return any(
             rep.seq < ev.seq
             and rep.text("host_ppid") == ev.text("cert_ppid")
-            and term_hex(Atom(bytes.fromhex(rep.text("rpdata")))) == ev.text("quote_data")
+            and term_hex(Atom(_data(rep, "rpdata"))) == ev.text("quote_data")
             for rep in reports
         )
 
@@ -225,7 +233,7 @@ def _check_sev_secret_secrecy(
         knowledge.analyze()
 
     def backed(ev: Event) -> bool:
-        cik = Atom(bytes.fromhex(ev.text("cik")))
+        cik = Atom(_data(ev, "cik"))
         try:
             return not knowledge.derivable(cik, fresh=True)
         except RecursionError:

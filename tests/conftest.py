@@ -2,7 +2,9 @@
 
 The pool is recorded once per session and read only, and so is its
 rebuild under the closure and the oracle: no test changes a trace or a
-rebuilt knowledge.
+rebuilt knowledge. Each rebuild runs with crypto's provenance map
+emptied, as for a trace read in a fresh process, so every blob the
+trace does not show as fresh is scanned.
 """
 
 import pytest
@@ -18,6 +20,7 @@ from vmquote.harness import (
     rebuild_knowledge,
 )
 from vmquote.harness.knowledge import AdversaryKnowledge
+from vmquote.sev import wrap_keys
 
 #: Under the wide mask both roots, the designated PSP key and the
 #: designated QE key can be stolen.
@@ -55,7 +58,8 @@ class DolevYaoWide(AdversaryKnowledge):
     it, whether or not it was already known. Negotiation outputs derive
     both wrap keys too. Derivation outputs are never fed back in, so
     there is one layer of derivation, as in the closure. derived_from
-    holds every atom the rule has derived from.
+    holds every atom the rule has derived from. Every known 32-byte atom
+    is a sealing key, so each blob is tried under every key.
     """
 
     _making = False
@@ -67,9 +71,10 @@ class DolevYaoWide(AdversaryKnowledge):
 
     def _add(self, term) -> None:
         super()._add(term)
-        if term.__class__ is Atom and not self._making:
+        if term.__class__ is Atom and len(term.value) == crypto.KEY_LEN:
             value = term.value
-            if len(value) == crypto.KEY_LEN and value not in self._observed:
+            self._file_key(value)
+            if not self._making and value not in self._observed:
                 self._observed.add(value)
                 self._kx_stale = True
                 self._new_outputs.append(value)
@@ -91,13 +96,32 @@ class DolevYaoWide(AdversaryKnowledge):
         self._making = False
 
 
+def _observed(know) -> set:
+    """The terms know learned, less negotiation outputs and the wrap keys it derived."""
+    derived_from = know.derived_from if isinstance(know, DolevYaoWide) else know._kx_outputs
+    made = set(know._kx_outputs)
+    made.update(key for value in derived_from for key in wrap_keys(value))
+    return {t for t in know.terms_list() if t.__class__ is not Atom or t.value not in made}
+
+
 def _rebuilt(trace, knowledge):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(properties, "AdversaryKnowledge", knowledge)
+        patch.setattr(crypto, "_provenance", {})
         know = rebuild_knowledge(trace)
+        know.analyze()
     assert type(know) is knowledge
-    know.analyze()
     return know
+
+
+@pytest.fixture(scope="session")
+def observed():
+    """The function from a closed knowledge to the terms it observed or opened.
+
+    Negotiation outputs and the wrap keys derived are left out: the oracle
+    makes more of them than the closure, and they seal nothing more.
+    """
+    return _observed
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,11 @@
 """The delta closure against the round-based closure it replaced.
 
 RoundClosure below is the reference: every round rescans every known
-term, rebuilds the key, blob and negotiation-element lists, and skips the
-pairs it tried before, running to fixpoint without a round cap. The fuzz
-campaign samples terms_list(), so the delta closure must learn the same
-terms in the same order, and compute the same negotiation outputs, after
-every analyze, not just reach the same set.
+term, rebuilds the sealing-key, blob and negotiation-element lists, and
+skips the pairs it tried before, running to fixpoint without a round cap.
+The fuzz campaign samples terms_list(), so the delta closure must learn
+the same terms in the same order, and compute the same negotiation
+outputs, after every analyze, not just reach the same set.
 """
 
 from hypothesis import example, given, settings
@@ -13,12 +13,13 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from hypothesis import strategies as st
 
 from vmquote import crypto
-from vmquote.codec import Atom, Label, MalformedEncoding, Tuple, decode, encode
+from vmquote.codec import Atom, Label, MalformedEncoding, Tuple, decode, encode, to_hex
 from vmquote.crypto import WRAP_KEY_LABELS, DecryptionFailure, InvalidPublicElement, Rng
-from vmquote.harness import World, fuzz_adversary
+from vmquote.harness import Event, World, fuzz_adversary
 from vmquote.harness import world as world_mod
+from vmquote.harness.events import FRESH_VALUE, KIND_ADVERSARY
 from vmquote.harness.knowledge import _MIN_CIPHERTEXT, AdversaryKnowledge
-from vmquote.sev import DeployPackage, SevPlatformCert
+from vmquote.sev import DeployPackage, SevPlatformCert, TransportKeys
 
 
 class RoundClosure:
@@ -33,9 +34,13 @@ class RoundClosure:
         self._tried_kx = set()
         self._tried_dec = set()
         self._derived_from = set()
+        self._wrap_keys = set()
+        # 32-byte fresh values the adversary minted, when first learned
+        self._minted = set()
 
-    def observe(self, term) -> None:
-        self._add(term)
+    def observe(self, term, minted: bool = False) -> None:
+        if self._add(term) and minted and isinstance(term, Atom):
+            self._minted.add(term.value)
 
     def add_private_dh(self, private: bytes) -> None:
         self.dh_privates.setdefault(private, None)
@@ -77,12 +82,13 @@ class RoundClosure:
 
         # what the PSP and the owner feed to X25519, in the tuples split so
         # far: each private meets the elements of the side its own public
-        # element is not on
-        deploy, cert = set(), set()
+        # element is not on; and the transport keys in those tuples
+        deploy, cert, teks = set(), set(), set()
         for term in known:
             for message, name, elements in (
                 (DeployPackage, "go_sn_pb", deploy),
                 (SevPlatformCert, "psp_sn_pb", cert),
+                (TransportKeys, "tek", teks),
             ):
                 try:
                     elements.add(getattr(message.from_term(term), name))
@@ -108,9 +114,13 @@ class RoundClosure:
             if a in self._kx_outputs and a not in self._derived_from:
                 self._derived_from.add(a)
                 for label in WRAP_KEY_LABELS:
-                    added |= self._add(Atom(crypto.derive_wrap_key(label, a)))
+                    key = crypto.derive_wrap_key(label, a)
+                    self._wrap_keys.add(key)
+                    added |= self._add(Atom(key))
 
-        keys = [a for a in self._atoms if len(a) == 32]
+        # a blob is tried only under a key some party can have sealed under
+        sealing = self._wrap_keys | teks | self._minted
+        keys = [a for a in self._atoms if len(a) == 32 and a in sealing]
         blobs = [a for a in self._atoms if len(a) >= _MIN_CIPHERTEXT]
         for blob in blobs:
             for key in keys:
@@ -141,7 +151,7 @@ class Mirrored(AdversaryKnowledge):
 
     def observe(self, term) -> None:
         super().observe(term)
-        self.reference.observe(term)
+        self.reference.observe(term, minted=self._minting)
 
     def add_private_dh(self, private: bytes) -> None:
         super().add_private_dh(private)
@@ -195,10 +205,14 @@ def test_fuzz_worlds_wide_mask(monkeypatch, masks):
 def _pool():
     """Terms and privates that exercise every closure rule and ordering.
 
-    Two blobs open under crossed keys, so key-major and blob-major trial
+    Two blobs open under crossed keys, each sealing the transport-keys
+    term that files the other's key, so key-major and blob-major trial
     order disagree; negotiation outputs and derived keys also appear as
     observed atoms and as plaintexts, before or after they are computed,
     and only a negotiation output derives keys, even one seen first.
+    Transport keys appear bare as well, which files none of them, and the
+    last blob opens only under a key the adversary mints (_FRESH) before
+    it is seen in the clear.
     pairs[0]'s public element goes out in a deploy package, pairs[1]'s and
     pairs[2]'s in platform certificates, and pairs[1]'s in a second deploy
     package too, as a replayed PSP public; pairs[3]'s is a bare tuple item
@@ -206,14 +220,17 @@ def _pool():
     """
     rng = Rng(7)
     pairs = [crypto.kx_keygen(rng) for _ in range(4)]
-    k1, k2, k3 = (crypto.fresh_key(rng) for _ in range(3))
+    k1, k2, k3, k4 = (crypto.fresh_key(rng) for _ in range(4))
+    tk1, tk2, tk3 = (
+        TransportKeys(tek=tek, tik=crypto.fresh_key(rng)).to_term() for tek in (k1, k2, k3)
+    )
     ss_01 = crypto.shared_secret(pairs[1].public, pairs[0].private)
     ss_02 = crypto.shared_secret(pairs[2].public, pairs[0].private)
     kek_01 = crypto.derive_wrap_key(WRAP_KEY_LABELS[0], ss_01)
     kik_02 = crypto.derive_wrap_key(WRAP_KEY_LABELS[1], ss_02)
     secret = Atom(b"secret payload..")
-    blob_a = crypto.encrypt(Tuple([Label("under_k1"), Atom(k2)]), k1, rng)
-    blob_b = crypto.encrypt(Tuple([Label("under_k2"), Atom(k1)]), k2, rng)
+    blob_a = crypto.encrypt(Tuple([Label("under_k1"), tk2]), k1, rng)
+    blob_b = crypto.encrypt(Tuple([Label("under_k2"), tk1]), k2, rng)
 
     def deploy(pair):
         return DeployPackage(pair.public, b"blob", b"mac", Atom(b"code")).to_term()
@@ -226,15 +243,15 @@ def _pool():
         deploy(pairs[0]),
         cert(pairs[1]),
         Atom(pairs[2].private),
-        Atom(k1),
-        Atom(k2),
+        tk1,
+        tk2,
         Atom(ss_01),
         Atom(kek_01),
         Atom(kik_02),
         Atom(blob_a),
         Atom(blob_b),
         Atom(crypto.encrypt(secret, k2, rng)),
-        Atom(crypto.encrypt(Tuple([Label("transport_keys"), Atom(k3)]), kek_01, rng)),
+        Atom(crypto.encrypt(tk3, kek_01, rng)),
         Atom(crypto.encrypt(Atom(ss_02), k3, rng)),
         Atom(crypto.encrypt(Atom(kik_02), k1, rng)),
         Atom(crypto.encrypt(Atom(encode(Tuple([Atom(k2), secret]))), kik_02, rng)),
@@ -242,17 +259,21 @@ def _pool():
         Tuple([Atom(pairs[3].public), Tuple([Atom(ss_02), Label("x")])]),
         cert(pairs[2]),
         deploy(pairs[1]),
+        Atom(k1),
+        Atom(k4),
+        Atom(crypto.encrypt(Atom(b"under a minted key"), k4, rng)),
     ]
     privates = [p.private for p in pairs]
-    return terms, privates
+    return terms, privates, [k4]
 
 
-_TERMS, _PRIVATES = _pool()
+_TERMS, _PRIVATES, _FRESH = _pool()
 
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("observe"), st.integers(0, len(_TERMS) - 1)),
         st.tuples(st.just("register"), st.integers(0, len(_PRIVATES) - 1)),
+        st.tuples(st.just("mint"), st.integers(0, len(_FRESH) - 1)),
         st.tuples(st.just("analyze"), st.just(0)),
     ),
     max_size=24,
@@ -269,6 +290,10 @@ _OPS = st.lists(
 # a private meets a certificate only once its own public element turns up
 # in a deploy package
 @example(ops=[("register", 0), ("observe", 2), ("analyze", 0), ("observe", 1)])
+# a key the adversary mints opens what it sealed; the same key seen first
+# in the clear opens nothing
+@example(ops=[("observe", 22), ("mint", 0)])
+@example(ops=[("observe", 22), ("observe", 21), ("mint", 0)])
 @settings(max_examples=150, deadline=None)
 def test_interleavings_match_reference(ops):
     know = Mirrored()
@@ -277,6 +302,9 @@ def test_interleavings_match_reference(ops):
             know.observe(_TERMS[idx])
         elif op == "register":
             know.add_private_dh(_PRIVATES[idx])
+        elif op == "mint":
+            term = to_hex(Atom(_FRESH[idx]))
+            know.learn(Event(0, KIND_ADVERSARY, {"action": FRESH_VALUE, "term": term}))
         else:
             know.analyze()
     know.analyze()

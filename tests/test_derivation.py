@@ -1,12 +1,16 @@
-"""Deriving wrap keys only from negotiation outputs loses the adversary nothing.
+"""Deriving and sealing keys only where the model does loses the adversary nothing.
 
 The oracle (conftest.py) also derives both wrap keys from every observed
-32-byte atom. Its extra keys must give the same verdict on every
-provisioned channel key, while the closure tries fewer (blob, key) pairs.
+32-byte atom, and tries every blob under every 32-byte atom it knows.
+Its extra keys must open the same blobs, teach the same terms and give
+the same verdict on every provisioned channel key, while the closure
+tries fewer (blob, key) pairs.
 
 The narrowing is sound because every derivation runs on an X25519 output
-just computed; that holds while sev.wrap_keys is the one place in the
-package that names crypto.derive_wrap_key.
+just computed, and every seal is under a derived key or a transport
+key; that holds while sev.wrap_keys is the one place in the package that
+names crypto.derive_wrap_key, and sev.seal_deploy and sev.seal_secret
+the only places that name crypto.encrypt.
 """
 
 import ast
@@ -17,36 +21,61 @@ from vmquote.codec import Atom
 from vmquote.harness.events import KIND_TRANSITION
 
 
-def _derive_refs(tree: ast.AST) -> int:
-    """How often tree names derive_wrap_key: a call, a reference or an import."""
+def _refs(tree: ast.AST, name: str) -> int:
+    """How often tree names name: a call, a reference or an import."""
     return sum(
-        (isinstance(node, ast.Name) and node.id == "derive_wrap_key")
-        or (isinstance(node, ast.Attribute) and node.attr == "derive_wrap_key")
-        or (isinstance(node, ast.alias) and node.name == "derive_wrap_key")
+        (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and node.name == name)
         for node in ast.walk(tree)
     )
 
 
-def test_wrap_keys_is_the_one_derivation_site():
+def _package() -> dict:
+    """Every module of the package, parsed, by its path inside the package."""
     root = Path(vmquote.__file__).parent
-    trees = {
+    return {
         path.relative_to(root).as_posix(): ast.parse(path.read_text())
         for path in root.rglob("*.py")
     }
-    wrap_keys = next(
-        node
-        for node in ast.walk(trees["sev.py"])
-        if isinstance(node, ast.FunctionDef) and node.name == "wrap_keys"
-    )
-    named = {name: n for name, tree in trees.items() if (n := _derive_refs(tree))}
-    assert named == {"sev.py": _derive_refs(wrap_keys)}
+
+
+def _functions(tree: ast.AST, *names: str) -> list:
+    """The definitions in tree of the functions names, in source order."""
+    return [
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in names
+    ]
+
+
+def test_wrap_keys_is_the_one_derivation_site():
+    trees = _package()
+    [wrap_keys] = _functions(trees["sev.py"], "wrap_keys")
+    named = {name: n for name, tree in trees.items() if (n := _refs(tree, "derive_wrap_key"))}
+    assert named == {"sev.py": _refs(wrap_keys, "derive_wrap_key")}
     assert named["sev.py"] > 0
 
 
-def test_negotiation_outputs_lose_nothing(oracle_pool):
+def test_seal_deploy_and_seal_secret_are_the_only_sealing_sites():
+    """crypto.encrypt is named in the two sev functions that seal, and nowhere else.
+
+    In crypto.py itself the name stands only for the def and for the
+    AES-GCM object's own method, which that encrypt calls.
+    """
+    trees = _package()
+    sealers = _functions(trees["sev.py"], "seal_deploy", "seal_secret")
+    assert [_refs(fn, "encrypt") for fn in sealers] == [1, 1]
+    [encrypt] = _functions(trees["crypto.py"], "encrypt")
+    assert _refs(encrypt, "encrypt") == 1
+    named = {name: n for name, tree in trees.items() if (n := _refs(tree, "encrypt"))}
+    assert named == {"sev.py": 2, "crypto.py": 1}
+
+
+def test_negotiation_outputs_lose_nothing(oracle_pool, observed):
     mask_id, rebuilt = oracle_pool
     provisioned = leaked = 0
     for run_seed, (trace, closure, oracle) in enumerate(rebuilt):
+        assert closure.hits == oracle.hits, run_seed
+        assert observed(closure) == observed(oracle), run_seed
         for ev in trace.of_kind(KIND_TRANSITION):
             if ev.body.get("label") == "owner_provision_vm":
                 cik = Atom(ev.data("cik"))

@@ -93,6 +93,23 @@ def test_hostile_field_fails_the_audit_with_value_error(text):
         check_all(trace, rebuild_knowledge(trace))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"seq": 0, "kind": "transition", "label": "owner_provision_vm", '
+        f'"vm_dig": "{_DIG}", "psp_id": "aa"}}',
+        '{"seq": 0, "kind": "transition", "label": "owner_generate_report", "host_ppid": "aa"}\n'
+        f'{{"seq": 1, "kind": "verdict", "accept": true, "quote_msr": "{_MSR}", '
+        '"cert_ppid": "aa", "quote_data": "00"}',
+    ],
+    ids=["no-cik", "no-rpdata"],
+)
+def test_missing_bytes_field_fails_the_audit_with_value_error(text):
+    trace = Trace.from_jsonl(text)
+    with pytest.raises(ValueError, match="^trace event 0 has no bytes"):
+        check_all(trace, rebuild_knowledge(trace))
+
+
 def test_fields_learn_ignores_are_never_decoded():
     """A malformed term or leak on a transition or verdict is never decoded."""
     lines = [json.loads(line) for line in run_scenario("honest").to_jsonl().splitlines()]

@@ -8,7 +8,7 @@ from vmquote.codec import Atom, Label, Tuple, encode
 from vmquote.crypto import Rng
 from vmquote.harness import DEFAULT_MASK, Event, Trace, World, fuzz_adversary, rebuild_knowledge
 from vmquote.harness.knowledge import _MIN_CIPHERTEXT, AdversaryKnowledge
-from vmquote.sev import DeployPackage, amd_rot_certify, new_amd_rot
+from vmquote.sev import DeployPackage, TransportKeys, amd_rot_certify, new_amd_rot
 
 
 def test_tuples_come_apart():
@@ -39,6 +39,11 @@ def test_key_sized_encoding_still_decodes():
     assert k.knows(inner)
 
 
+def _transport_keys(tek: bytes, rng: Rng):
+    """The transport-keys term a deploy package wraps, with tek as its transport key."""
+    return TransportKeys(tek=tek, tik=crypto.fresh_key(rng)).to_term()
+
+
 def test_trial_decryption_with_known_key():
     rng = Rng(91)
     key = crypto.fresh_key(rng)
@@ -48,7 +53,7 @@ def test_trial_decryption_with_known_key():
     k.observe(Atom(blob))
     k.analyze()
     assert not k.knows(secret)
-    k.observe(Atom(key))
+    k.observe(_transport_keys(key, rng))
     k.analyze()
     assert k.knows(secret)
 
@@ -61,7 +66,8 @@ def test_registered_ciphertext_opens_in_either_order(key_first):
     secret = Atom(b"sealed payload..")
     blob = crypto.encrypt(secret, key, rng)
     k = AdversaryKnowledge()
-    first, second = (Atom(key), Atom(blob)) if key_first else (Atom(blob), Atom(key))
+    keys = _transport_keys(key, rng)
+    first, second = (keys, Atom(blob)) if key_first else (Atom(blob), keys)
     k.observe(first)
     k.analyze()
     assert not k.knows(secret)
@@ -71,7 +77,7 @@ def test_registered_ciphertext_opens_in_either_order(key_first):
     assert (k.scanned, k.hits) == (0, 1)
 
 
-def test_authentic_blob_without_a_term_teaches_nothing():
+def test_authentic_blob_without_a_term_teaches_nothing(monkeypatch):
     """A blob whose tag checks but whose plaintext is no term stays opaque."""
     rng = Rng(97)
     key = crypto.fresh_key(rng)
@@ -79,14 +85,44 @@ def test_authentic_blob_without_a_term_teaches_nothing():
     raw = b"\xff" * 8
     blob = nonce + AESGCM(key).encrypt(nonce, raw, None)
     assert crypto.scan_tags(key, [(nonce, blob[len(nonce) :])]) == [0]
+    opened = []
+    decrypt = crypto.decrypt
+    monkeypatch.setattr(crypto, "decrypt", lambda b, k: opened.append((b, k)) or decrypt(b, k))
+    keys = _transport_keys(key, rng)
     k = AdversaryKnowledge()
     k.observe(Atom(blob))
-    k.observe(Atom(key))
+    k.observe(keys)
     k.analyze()
-    assert k.terms_list() == [Atom(blob), Atom(key)]
+    # the tag authenticates under the transport key, so the blob is opened
+    assert opened == [(blob, key)]
+    assert k.terms_list() == [Atom(blob), keys, *keys.items]
     assert not k.knows(Atom(raw))
-    # an observed key derives no wrap key: one key against one blob
-    assert (k.trials, k.hits) == (1, 0)
+    # no wrap key is derived: two keys against one blob, the tek scanned
+    assert (k.trials, k.scanned, k.hits) == (2, 1, 0)
+
+
+@pytest.mark.parametrize("registered", [True, False], ids=["registered", "cold"])
+def test_blob_under_a_bare_key_is_counted_but_never_tried(monkeypatch, registered):
+    """No party seals under a key it only saw in the clear, so no such pair is tried.
+
+    The pair still counts in trials, whether crypto's provenance map holds
+    the blob or not.
+    """
+    rng = Rng(108)
+    key = crypto.fresh_key(rng)
+    secret = Atom(b"under a bare key")
+    blob = crypto.encrypt(secret, key, rng)
+    if not registered:
+        monkeypatch.setattr(crypto, "_provenance", {})
+    tried = []
+    monkeypatch.setattr(crypto, "scan_tags", lambda *args: tried.append(args) or [])
+    monkeypatch.setattr(crypto, "decrypt", lambda *args: tried.append(args))
+    k = AdversaryKnowledge()
+    k.observe(Tuple([Atom(key), Atom(blob)]))
+    k.analyze()
+    assert tried == []
+    assert not k.knows(secret)
+    assert (k.trials, k.scanned, k.hits) == (1, 0, 0)
 
 
 def _deploy_term(go_public: bytes):
@@ -237,43 +273,46 @@ class TestCounters:
     def test_second_analyze_with_nothing_new_does_no_work(self):
         rng = Rng(96)
         key = crypto.fresh_key(rng)
+        blob = Atom(crypto.encrypt(Atom(b"payload"), key, rng))
         k = AdversaryKnowledge()
-        k.observe(Tuple([Atom(key), Atom(crypto.encrypt(Atom(b"payload"), key, rng))]))
+        k.observe(Tuple([_transport_keys(key, rng), blob]))
         k.analyze()
-        # one key against one blob; an observed key derives no wrap key
-        assert (k.trials, k.hits) == (1, 1)
+        # two keys, tek and tik, against one blob; no wrap key is derived
+        assert (k.trials, k.hits) == (2, 1)
         work = (k.rounds, k.kx_pairs, k.trials, k.hits)
         k.analyze()
         assert (k.rounds, k.kx_pairs, k.trials, k.hits) == work
 
     @staticmethod
-    def _key_and_blob(key, blob):
+    def _key_and_blob(key, blob, rng):
+        """Knowledge of blob and of key, filed as a transport key, closed."""
         k = AdversaryKnowledge()
-        k.observe(Tuple([Atom(key), Atom(blob)]))
+        k.observe(Tuple([_transport_keys(key, rng), Atom(blob)]))
         k.analyze()
         return k
 
     def test_registered_ciphertext_is_not_scanned(self):
         rng = Rng(99)
         key = crypto.fresh_key(rng)
-        k = self._key_and_blob(key, crypto.encrypt(Atom(b"payload"), key, rng))
+        k = self._key_and_blob(key, crypto.encrypt(Atom(b"payload"), key, rng), rng)
         assert k.knows(Atom(b"payload"))
-        assert (k.trials, k.scanned, k.hits) == (1, 0, 1)
+        assert (k.trials, k.scanned, k.hits) == (2, 0, 1)
 
     def test_registered_signature_is_never_scanned(self):
         rng = Rng(100)
         sig = crypto.sign(Atom(b"payload"), crypto.sig_keygen(rng).private)
-        k = self._key_and_blob(crypto.fresh_key(rng), sig)
-        assert (k.trials, k.scanned, k.hits) == (1, 0, 0)
+        k = self._key_and_blob(crypto.fresh_key(rng), sig, rng)
+        assert (k.trials, k.scanned, k.hits) == (2, 0, 0)
 
-    def test_without_provenance_every_pair_is_scanned(self, monkeypatch):
+    def test_without_provenance_every_sealing_pair_is_scanned(self, monkeypatch):
+        """The tek's pair is scanned; the tik seals nothing, so its pair is not."""
         rng = Rng(101)
         key = crypto.fresh_key(rng)
         blob = crypto.encrypt(Atom(b"payload"), key, rng)
         monkeypatch.setattr(crypto, "_provenance", {})
-        k = self._key_and_blob(key, blob)
+        k = self._key_and_blob(key, blob, rng)
         assert k.knows(Atom(b"payload"))
-        assert (k.trials, k.scanned, k.hits) == (1, 1, 1)
+        assert (k.trials, k.scanned, k.hits) == (2, 1, 1)
 
     def test_fuzz_world_tries_each_pair_once(self):
         world = World(seed=5)
@@ -369,9 +408,11 @@ class TestFreshValues:
         return keys, blobs
 
     def test_fresh_blob_is_covered_but_never_scanned(self, monkeypatch):
-        # no provenance record survives: every other blob is scanned
+        # no provenance record survives: every other blob is scanned under
+        # the one sealing key, a fresh key the adversary minted
         monkeypatch.setattr(crypto, "_PROVENANCE_SIZE", 0)
         world = World(seed=12)
+        world.adversary_fresh(32)
         value = world.adversary_fresh(64)
         rebuilt = rebuild_knowledge(world.trace)
         parsed = rebuild_knowledge(Trace.from_jsonl(world.trace.to_jsonl()))
@@ -379,17 +420,19 @@ class TestFreshValues:
             k.analyze()
             keys, blobs = self._pairs(k)
             assert k.trials == keys * blobs
-            assert k.scanned == keys * (blobs - 1)
+            assert k.scanned == blobs - 1 > 0
         live = world.knowledge
         for k in (rebuilt, parsed):
             assert (k.trials, k.scanned) == (live.trials, live.scanned)
 
         computed = World(seed=12)
+        computed.adversary_fresh(32)
         computed.adversary_compute(Atom(value))
         k = computed.knowledge
         k.analyze()
         keys, blobs = self._pairs(k)
-        assert k.scanned == k.trials == keys * blobs
+        assert k.trials == keys * blobs
+        assert k.scanned == blobs
 
     def test_fresh_key_opens_a_blob_sealed_under_it(self, monkeypatch):
         monkeypatch.setattr(crypto, "_PROVENANCE_SIZE", 0)
