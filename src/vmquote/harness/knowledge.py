@@ -268,7 +268,6 @@ class AdversaryKnowledge:
         # true while learn observes a fresh_value event's term; a flag, not
         # an argument, so that observe stays the one way in for a seen term
         self._minting = False
-        self._tried_key_atoms = 0
         self._tried_keys = 0
         self._tried_blobs = 0
         self._tried_opaque = 0
@@ -471,13 +470,11 @@ class AdversaryKnowledge:
         every blob all the same.
         """
         keys, blobs, opaque = self._keys, self._blobs, self._opaque
-        old_keys, old_blobs, old_opaque = self._tried_keys, self._tried_blobs, self._tried_opaque
-        key_atoms, old_key_atoms = self._key_atoms, self._tried_key_atoms
+        old_keys, old_opaque = self._tried_keys, self._tried_opaque
         self._tried_keys, self._tried_blobs = len(keys), len(blobs)
-        self._tried_opaque, self._tried_key_atoms = len(opaque), key_atoms
-        self.trials += (key_atoms - old_key_atoms) * len(blobs) + old_key_atoms * (
-            len(blobs) - old_blobs
-        )
+        self._tried_opaque = len(opaque)
+        # each pair of a known 32-byte atom and a blob is covered once
+        self.trials = self._key_atoms * len(blobs)
         tagged = [(b, k) for k in range(old_keys, len(keys)) for b in self._sealed.get(keys[k], ())]
         for b, sealer in self._new_sealed:
             k = self._key_index.get(sealer, old_keys)

@@ -41,7 +41,7 @@ def _package() -> dict:
 
 
 def _functions(tree: ast.AST, *names: str) -> list:
-    """The definitions in tree of the functions names, in source order."""
+    """The definitions in tree of the functions named names."""
     return [
         node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in names
     ]
