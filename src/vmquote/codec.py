@@ -182,48 +182,73 @@ def decode(data: bytes) -> Term:
     """Parse a canonical byte string back into a Term.
 
     Rejects anything that is not exactly one well-formed term: trailing
-    bytes, truncation, unknown type bytes, nesting deeper than
-    MAX_DECODE_DEPTH, or inputs larger than MAX_DECODE_BYTES.
+    bytes, truncation, unknown type bytes, a label that is not printable
+    UTF-8, any node nested deeper than MAX_DECODE_DEPTH (an atom, a label
+    or an empty tuple included), or inputs larger than MAX_DECODE_BYTES.
+
+    One loop reads the nodes in encoding order, with an explicit stack of
+    the open tuples, each an (items, count) pair. A finished term joins
+    the innermost open tuple, and a tuple whose count is reached is built
+    and joins the one below it. Only a non-empty tuple opens a level, so
+    the depth limit is checked there. Terms are built through their slot
+    setters, after the same checks their constructors make.
     """
     if not isinstance(data, bytes):
         raise MalformedEncoding("input must be bytes")
-    if len(data) > MAX_DECODE_BYTES:
+    end = len(data)
+    if end > MAX_DECODE_BYTES:
         raise MalformedEncoding("input exceeds size limit")
-    term, pos = _decode_at(data, 0, 0)
-    if pos != len(data):
-        raise MalformedEncoding(f"trailing bytes at offset {pos}")
-    return term
-
-
-def _decode_at(data: bytes, pos: int, depth: int) -> tuple:
-    if depth > MAX_DECODE_DEPTH:
-        raise MalformedEncoding("nesting too deep")
-    if pos + _HEADER_LEN > len(data):
-        raise MalformedEncoding("truncated header")
-    kind, length = _HEADER.unpack_from(data, pos)
-    pos += _HEADER_LEN
-    if kind == _T_ATOM:
-        if pos + length > len(data):
-            raise MalformedEncoding("truncated atom payload")
-        return Atom(data[pos : pos + length]), pos + length
-    if kind == _T_LABEL:
-        if pos + length > len(data):
-            raise MalformedEncoding("truncated label payload")
-        try:
-            text = data[pos : pos + length].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedEncoding("label is not valid UTF-8") from exc
-        try:
-            return Label(text), pos + length
-        except ValueError as exc:
-            raise MalformedEncoding("label is not printable") from exc
-    if kind == _T_TUPLE:
-        items = []
-        for _ in range(length):
-            item, pos = _decode_at(data, pos, depth + 1)
-            items.append(item)
-        return Tuple(items), pos
-    raise MalformedEncoding(f"unknown type byte 0x{kind:02x}")
+    unpack = _HEADER.unpack_from
+    new = object.__new__
+    stack = []
+    pos = 0
+    while True:
+        if pos + _HEADER_LEN > end:
+            raise MalformedEncoding("truncated header")
+        kind, length = unpack(data, pos)
+        pos += _HEADER_LEN
+        if kind == _T_ATOM:
+            stop = pos + length
+            if stop > end:
+                raise MalformedEncoding("truncated atom payload")
+            term = new(Atom)
+            _set_value(term, data[pos:stop])
+            pos = stop
+        elif kind == _T_TUPLE:
+            if length:
+                if len(stack) == MAX_DECODE_DEPTH:
+                    raise MalformedEncoding("nesting too deep")
+                stack.append(([], length))
+                continue
+            term = new(Tuple)
+            _set_items(term, ())
+        elif kind == _T_LABEL:
+            stop = pos + length
+            if stop > end:
+                raise MalformedEncoding("truncated label payload")
+            try:
+                text = data[pos:stop].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedEncoding("label is not valid UTF-8") from exc
+            if not text.isprintable():
+                raise MalformedEncoding("label is not printable")
+            term = new(Label)
+            _set_text(term, text)
+            pos = stop
+        else:
+            raise MalformedEncoding(f"unknown type byte 0x{kind:02x}")
+        while stack:
+            items, count = stack[-1]
+            items.append(term)
+            if len(items) < count:
+                break
+            stack.pop()
+            term = new(Tuple)
+            _set_items(term, tuple(items))
+        else:
+            if pos != end:
+                raise MalformedEncoding(f"trailing bytes at offset {pos}")
+            return term
 
 
 def may_decode(data: bytes) -> bool:

@@ -51,8 +51,9 @@ ADVERSARY_VISIBLE = (KIND_SEND, KIND_ADVERSARY)
 #: The adversary action that logs a value it minted: a fresh name.
 FRESH_VALUE = "fresh_value"
 
-# The one decoder every trace line goes through.
+# The one decoder every trace line goes through, and its scanner.
 _DECODER = json.JSONDecoder()
+_SCAN = _DECODER.scan_once
 
 
 #: The payload value types Trace.append records; bool is an int.
@@ -196,13 +197,24 @@ class Trace:
 
         Raises ValueError, and nothing else, unless every other line is
         exactly one JSON object with an int seq and a str kind.
+
+        Each line is read by one call of the decoder's scanner from its
+        first character. Only a line the scanner cannot start on, such as
+        one with leading whitespace, or does not consume whole goes on to
+        JSONDecoder.decode, so every line parses, or fails with the same
+        message, as decode alone would have it.
         """
         trace = Trace()
         for n, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
             try:
-                body = _DECODER.decode(line)
+                try:
+                    body, end = _SCAN(line, 0)
+                except StopIteration:
+                    end = -1
+                if end != len(line):
+                    body = _DECODER.decode(line)
             except (ValueError, RecursionError) as exc:
                 raise ValueError(f"trace line {n}: {exc}") from None
             if body.__class__ is not dict:

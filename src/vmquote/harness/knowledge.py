@@ -79,9 +79,11 @@ polynomial.
 
 Trial decryption is narrowed the same way: a blob is tried only under a
 sealing key, a known 32-byte atom that some party can have sealed under.
-Sealing keys are filed as the closure learns them:
+A sealing key is a kek, a TransportKeys tek or a minted 32-byte value,
+each filed as the closure learns it:
 
-- each wrap key the derive rule outputs
+- the kek of each pair of wrap keys the derive rule outputs; the kik is
+  learned as an atom too, but only MACs, so it is no sealing key
 - the tek of each Tuple that TransportKeys.from_term accepts, filed by
   the split rule with the same pre-check as a negotiation element
 - each 32-byte fresh value the adversary minted (a fresh_value event,
@@ -89,13 +91,13 @@ Sealing keys are filed as the closure learns them:
 
 This loses nothing. crypto.encrypt has two callers in the package
 (tests/test_derivation.py checks the source for that): sev.seal_deploy
-seals under the kek of wrap_keys(ss), and sev.seal_secret under a
-TransportKeys' tek. A kek never goes on the bus, so the adversary knows
-one only by deriving it. The owner's tek leaves the enclave only inside
-the TransportKeys term sealed in blob_d, and the adversary's own tek is a
-fresh value it minted. No party seals under any other key, so no hit is
-lost. A key observed in the clear before it is filed opens
-its blobs only once it is filed, so a closure run once over a whole trace
+seals under the kek, wrap_keys(ss)[0], and never under the kik, and
+sev.seal_secret under a TransportKeys' tek. A kek never goes on the bus,
+so the adversary knows one only by deriving it. The owner's tek leaves
+the enclave only inside the TransportKeys term sealed in blob_d, and the
+adversary's own tek is a fresh value it minted. No party seals under any
+other key, so no hit is lost. A key observed in the clear before it is
+filed opens its blobs only once it is filed, so a closure run once over a whole trace
 learns the same terms as one that tries every key, though possibly in a
 different order.
 
@@ -454,9 +456,10 @@ class AdversaryKnowledge:
         outputs = sorted(self._new_outputs, key=self._rank.__getitem__)
         self._new_outputs = []
         for value in outputs:
-            for key in wrap_keys(value):
-                self._add(Atom(key))
-                self._file_key(key)
+            kek, kik = wrap_keys(value)
+            self._add(Atom(kek))
+            self._add(Atom(kik))
+            self._file_key(kek)
 
     def _trial_decrypt(self) -> None:
         """New sealing keys x all blobs, old sealing keys x new blobs.

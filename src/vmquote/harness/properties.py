@@ -24,10 +24,17 @@ Each checker names its instances, its escape clause and its backing
 predicate; _judge runs the one loop that excuses, matches or returns an
 instance as the witness.
 
+check_all and check_property first group the trace in one pass, a
+_Grouping: its transitions by label and its owner accepts, in trace
+order, and its Compromises record. Every checker, and every scenario
+postcondition, looks instances and backing events up there, so one
+judgement reads each transition's label and each verdict's accept and
+quote_msr once. Backing is still an any() over the grouped events.
+
 Escapes come from Compromises, the record Compromises.learn builds from
 the trace's compromise actions; the simulator keeps the same record live
-by the same rule, and check_all reads it off the trace once for all three
-checkers. Escapes are trace-global: a compromise event anywhere
+by the same rule, and the grouping reads it off the trace once for all
+three checkers. Escapes are trace-global: a compromise event anywhere
 in the trace excuses matching instances, mirroring how such disjuncts
 quantify over a whole trace. That is not a loophole but a fact about the
 protocol: the key exchange has no forward secrecy, so a PSP key stolen
@@ -139,21 +146,56 @@ def rebuild_knowledge(trace: Trace) -> AdversaryKnowledge:
     return know
 
 
+class _Grouping:
+    """What the checkers look up in a trace, gathered in one pass.
+
+    by_label maps each str label to its transition events and accepts
+    lists the accepted verdicts whose quote names the owner-enclave
+    measurement, both in trace order; esc is the trace's Compromises
+    record, built by one Compromises.from_trace call.
+    """
+
+    __slots__ = ("trace", "by_label", "accepts", "esc")
+
+    def __init__(self, trace: Trace) -> None:
+        by_label: dict[str, list[Event]] = {}
+        accepts = []
+        for ev in trace.events:
+            kind = ev.kind
+            if kind == KIND_TRANSITION:
+                label = ev.get("label")
+                if isinstance(label, str):
+                    by_label.setdefault(label, []).append(ev)
+            elif kind == KIND_VERDICT and ev.get("accept") and ev.get("quote_msr") == _TO_MSR_HEX:
+                accepts.append(ev)
+        self.trace = trace
+        self.by_label = by_label
+        self.accepts = accepts
+        self.esc = Compromises.from_trace(trace)
+
+    def transitions(self, label: str) -> list[Event]:
+        """The transitions with this label, in trace order."""
+        return self.by_label.get(label, [])
+
+    def judge(self, knowledge: AdversaryKnowledge | None) -> dict[str, PropertyResult]:
+        """Every property's result over this grouping."""
+        return {pid: _CHECKERS[pid](self, knowledge) for pid in PROPERTY_IDS}
+
+
 def check_property(
     trace: Trace, property_id: str, knowledge: AdversaryKnowledge | None = None
 ) -> PropertyResult:
     """Judge one property over trace."""
     if property_id not in _CHECKERS:
         raise UnknownProperty(f"unknown property: {property_id}")
-    return _CHECKERS[property_id](trace, Compromises.from_trace(trace), knowledge)
+    return _CHECKERS[property_id](_Grouping(trace), knowledge)
 
 
 def check_all(
     trace: Trace, knowledge: AdversaryKnowledge | None = None
 ) -> dict[str, PropertyResult]:
-    """Judge every property, reading the Compromises record off trace once."""
-    esc = Compromises.from_trace(trace)
-    return {pid: _CHECKERS[pid](trace, esc, knowledge) for pid in PROPERTY_IDS}
+    """Judge every property over one grouping of trace."""
+    return _Grouping(trace).judge(knowledge)
 
 
 def _judge(pid: str, instances: list[Event], escaped, backed) -> PropertyResult:
@@ -177,19 +219,6 @@ def _judge(pid: str, instances: list[Event], escaped, backed) -> PropertyResult:
     return PropertyResult(pid, holds=True, matched=matched, escaped=excused)
 
 
-def _owner_accepts(trace: Trace) -> list[Event]:
-    """Accepted verdicts whose quote names the owner-enclave measurement."""
-    return [
-        ev
-        for ev in trace.of_kind(KIND_VERDICT)
-        if ev.get("accept") and ev.get("quote_msr") == _TO_MSR_HEX
-    ]
-
-
-def _transitions(trace: Trace, label: str) -> list[Event]:
-    return [ev for ev in trace.of_kind(KIND_TRANSITION) if ev.get("label") == label]
-
-
 def _data(ev: Event, key: str) -> bytes:
     """The bytes field key; ValueError when it is missing or holds no bytes."""
     value = ev.data(key)
@@ -199,9 +228,10 @@ def _data(ev: Event, key: str) -> bytes:
 
 
 def _check_sgx_quote_authenticity(
-    trace: Trace, esc: Compromises, knowledge: AdversaryKnowledge | None
+    seen: _Grouping, knowledge: AdversaryKnowledge | None
 ) -> PropertyResult:
-    reports = _transitions(trace, "owner_generate_report")
+    esc = seen.esc
+    reports = seen.transitions("owner_generate_report")
 
     def backed(ev: Event) -> bool:
         return any(
@@ -213,23 +243,24 @@ def _check_sgx_quote_authenticity(
 
     return _judge(
         "sgx_quote_authenticity",
-        _owner_accepts(trace),
+        seen.accepts,
         lambda ev: esc.intel or ev.text("cert_ppid") in esc.qe_ppids,
         backed,
     )
 
 
 def _check_sev_secret_secrecy(
-    trace: Trace, esc: Compromises, knowledge: AdversaryKnowledge | None
+    seen: _Grouping, knowledge: AdversaryKnowledge | None
 ) -> PropertyResult:
+    esc = seen.esc
     instances = [
         ev
-        for ev in _transitions(trace, "owner_provision_vm")
+        for ev in seen.transitions("owner_provision_vm")
         if ev.get("vm_dig") == _DESIGNATED_DIG_HEX
     ]
     if instances:
         if knowledge is None:
-            knowledge = rebuild_knowledge(trace)
+            knowledge = rebuild_knowledge(seen.trace)
         knowledge.analyze()
 
     def backed(ev: Event) -> bool:
@@ -248,10 +279,11 @@ def _check_sev_secret_secrecy(
 
 
 def _check_vm_quote_authenticity(
-    trace: Trace, esc: Compromises, knowledge: AdversaryKnowledge | None
+    seen: _Grouping, knowledge: AdversaryKnowledge | None
 ) -> PropertyResult:
-    launches = _transitions(trace, "sev_session_measured")
-    requests = _transitions(trace, "guest_request_report")
+    esc = seen.esc
+    launches = seen.transitions("sev_session_measured")
+    requests = seen.transitions("guest_request_report")
 
     def escaped(ev: Event) -> bool:
         return (
@@ -279,13 +311,13 @@ def _check_vm_quote_authenticity(
 
     return _judge(
         "vm_quote_authenticity",
-        [ev for ev in _owner_accepts(trace) if ev.get("msr_dig") == _DESIGNATED_DIG_HEX],
+        [ev for ev in seen.accepts if ev.get("msr_dig") == _DESIGNATED_DIG_HEX],
         escaped,
         backed,
     )
 
 
-#: Property id -> checker; every checker takes (trace, esc, knowledge).
+#: Property id -> checker; every checker takes (grouping, knowledge).
 _CHECKERS = {
     "sgx_quote_authenticity": _check_sgx_quote_authenticity,
     "sev_secret_secrecy": _check_sev_secret_secrecy,

@@ -25,7 +25,7 @@ from ..sev import Measurement, MeasurementPackage, SecretPackage, SevPlatformCer
 from ..sgx import Quote
 from .events import KIND_ADVERSARY, KIND_SEND, KIND_VERDICT, Trace
 from .fuzz import Move, run_schedule
-from .properties import _DESIGNATED_DIG_HEX, _owner_accepts, _transitions, check_all
+from .properties import _DESIGNATED_DIG_HEX, _Grouping
 from .world import Pipeline, World
 
 
@@ -207,132 +207,135 @@ def run_scenario(name: str, seed: int = 0) -> Trace:
 # Each scenario has a pass condition the CLI and the test suite share:
 # every property checker comes back clean, and the scenario produced what
 # the attack (or honest run) exists to show. A postcondition gets the
-# closed adversary knowledge and the checkers' results for its world.
+# closed adversary knowledge, the checkers' results and the grouping they
+# judged for its world, and looks transitions and owner accepts up there.
 
 
-def _designated_cik(world: World) -> Atom | None:
-    for ev in _transitions(world.trace, "owner_provision_vm"):
+def _designated_cik(seen: _Grouping) -> Atom | None:
+    for ev in seen.transitions("owner_provision_vm"):
         if ev.get("vm_dig") == _DESIGNATED_DIG_HEX:
             return Atom(ev.data("cik"))
     return None
 
 
-def _cik_derivable(world: World) -> bool:
-    cik = _designated_cik(world)
+def _cik_derivable(world: World, seen: _Grouping) -> bool:
+    cik = _designated_cik(seen)
     if cik is None:
         raise ScenarioIncomplete("scenario never provisioned the designated guest")
     return world.knowledge.derivable(cik, fresh=True)
 
 
-def _post_honest(world: World, info: dict, results: dict) -> bool:
+def _post_honest(world: World, info: dict, results: dict, seen: _Grouping) -> bool:
     return (
-        len(_owner_accepts(world.trace)) == 1
+        len(seen.accepts) == 1
         and world.owner.phase == "PROVISIONED"
-        and len(_transitions(world.trace, "owner_deploy_vm")) == 1
-        and len(_transitions(world.trace, "owner_provision_vm")) == 1
+        and len(seen.transitions("owner_deploy_vm")) == 1
+        and len(seen.transitions("owner_provision_vm")) == 1
     )
 
 
-def _post_tamper_deploy_blob(world: World, info: dict, results: dict) -> bool:
+def _post_tamper_deploy_blob(world: World, info: dict, results: dict, seen: _Grouping) -> bool:
     return (
-        not _owner_accepts(world.trace)
-        and _transitions(world.trace, "sev_deploy_abort")
+        not seen.accepts
+        and seen.transitions("sev_deploy_abort")
         and world.sev_platforms[0].session is None
     )
 
 
-def _post_provision_refused(world: World, info: dict, results: dict) -> bool:
+def _post_provision_refused(world: World, info: dict, results: dict, seen: _Grouping) -> bool:
     session = world.sev_platforms[0].session
     return (
-        not _owner_accepts(world.trace)
-        and _transitions(world.trace, "owner_provision_refused")
+        not seen.accepts
+        and seen.transitions("owner_provision_refused")
         and (session is None or not session.running)
     )
 
 
-def _post_tamper_secret_package(world: World, info: dict, results: dict) -> bool:
+def _post_tamper_secret_package(world: World, info: dict, results: dict, seen: _Grouping) -> bool:
     return (
-        not _owner_accepts(world.trace)
-        and _transitions(world.trace, "sev_secret_abort")
+        not seen.accepts
+        and seen.transitions("sev_secret_abort")
         and world.sev_platforms[0].session is None
     )
 
 
-def _post_replay_secret_package(world: World, info: dict, results: dict) -> bool:
-    aborts = _transitions(world.trace, "sev_secret_abort")
+def _post_replay_secret_package(world: World, info: dict, results: dict, seen: _Grouping) -> bool:
+    aborts = seen.transitions("sev_secret_abort")
     return (
-        len(_owner_accepts(world.trace)) == 1
+        len(seen.accepts) == 1
         and any(ev.body.get("error") == "NoMeasuredSession" for ev in aborts)
         and world.sev_platforms[0].session is not None
         and world.sev_platforms[0].session.running
     )
 
 
-def _post_forge_report_request(world: World, info: dict, results: dict) -> bool:
+def _post_forge_report_request(world: World, info: dict, results: dict, seen: _Grouping) -> bool:
     return (
-        not _owner_accepts(world.trace)
-        and _transitions(world.trace, "owner_report_refused")
+        not seen.accepts
+        and seen.transitions("owner_report_refused")
         and info["pipe"].guest is not None
     )
 
 
-def _post_cross_platform_cert_swap(world: World, info: dict, results: dict) -> bool:
+def _post_cross_platform_cert_swap(
+    world: World, info: dict, results: dict, seen: _Grouping
+) -> bool:
     rejects = [
         ev.body
         for ev in world.trace.of_kind(KIND_VERDICT)
         if not ev.body.get("accept")
     ]
-    return not _owner_accepts(world.trace) and any(
+    return not seen.accepts and any(
         b.get("reason") == "quote-sig" for b in rejects
     )
 
 
-def _post_intel_pre(world: World, info: dict, results: dict) -> bool:
+def _post_intel_pre(world: World, info: dict, results: dict, seen: _Grouping) -> bool:
     return (
-        len(_owner_accepts(world.trace)) == 1
+        len(seen.accepts) == 1
         and results["sgx_quote_authenticity"].escaped >= 1
         and results["vm_quote_authenticity"].escaped >= 1
     )
 
 
-def _post_intel_post(world: World, info: dict, results: dict) -> bool:
+def _post_intel_post(world: World, info: dict, results: dict, seen: _Grouping) -> bool:
     return (
-        len(_owner_accepts(world.trace)) == 1
+        len(seen.accepts) == 1
         and results["sgx_quote_authenticity"].escaped == 1
     )
 
 
-def _post_amd_pre(world: World, info: dict, results: dict) -> bool:
+def _post_amd_pre(world: World, info: dict, results: dict, seen: _Grouping) -> bool:
     return (
-        len(_owner_accepts(world.trace)) == 1
+        len(seen.accepts) == 1
         and results["sev_secret_secrecy"].escaped >= 1
         and results["vm_quote_authenticity"].escaped >= 1
-        and _cik_derivable(world)
+        and _cik_derivable(world, seen)
     )
 
 
-def _post_amd_post(world: World, info: dict, results: dict) -> bool:
+def _post_amd_post(world: World, info: dict, results: dict, seen: _Grouping) -> bool:
     return (
-        len(_owner_accepts(world.trace)) == 1
+        len(seen.accepts) == 1
         and results["sev_secret_secrecy"].escaped == 1
-        and not _cik_derivable(world)
+        and not _cik_derivable(world, seen)
     )
 
 
-def _post_psp_pre(world: World, info: dict, results: dict) -> bool:
+def _post_psp_pre(world: World, info: dict, results: dict, seen: _Grouping) -> bool:
     return (
-        len(_owner_accepts(world.trace)) == 1
+        len(seen.accepts) == 1
         and results["sev_secret_secrecy"].escaped == 1
         and results["vm_quote_authenticity"].escaped == 1
-        and _cik_derivable(world)
+        and _cik_derivable(world, seen)
     )
 
 
-def _post_extract_other(world: World, info: dict, results: dict) -> bool:
-    cik = _designated_cik(world)
+def _post_extract_other(world: World, info: dict, results: dict, seen: _Grouping) -> bool:
+    cik = _designated_cik(seen)
     stolen = _stolen(world)
     return (
-        len(_owner_accepts(world.trace)) == 3
+        len(seen.accepts) == 3
         and all(res.escaped == 0 for res in results.values())
         and len(stolen) == 1
         and world.knowledge.knows(stolen[0])
@@ -368,5 +371,6 @@ def check_postcondition(name: str, world: World, info: dict) -> bool:
     """True when the scenario produced what it exists to demonstrate."""
     post = POSTCONDITIONS[name]
     world.knowledge.analyze()
-    results = check_all(world.trace, world.knowledge)
-    return all(res.holds for res in results.values()) and bool(post(world, info, results))
+    seen = _Grouping(world.trace)
+    results = seen.judge(world.knowledge)
+    return all(res.holds for res in results.values()) and bool(post(world, info, results, seen))

@@ -34,7 +34,7 @@ class RoundClosure:
         self._tried_kx = set()
         self._tried_dec = set()
         self._derived_from = set()
-        self._wrap_keys = set()
+        self._keks = set()
         # 32-byte fresh values the adversary minted, when first learned
         self._minted = set()
 
@@ -109,17 +109,19 @@ class RoundClosure:
                 self._kx_outputs.add(ss)
                 added |= self._add(Atom(ss))
 
-        # wrap keys come from negotiation outputs only, each derived once
+        # wrap keys come from negotiation outputs only, each derived once;
+        # of the two only the kek seals, the kik only MACs
         for a in list(self._atoms):
             if a in self._kx_outputs and a not in self._derived_from:
                 self._derived_from.add(a)
-                for label in WRAP_KEY_LABELS:
-                    key = crypto.derive_wrap_key(label, a)
-                    self._wrap_keys.add(key)
-                    added |= self._add(Atom(key))
+                kek_label, kik_label = WRAP_KEY_LABELS
+                kek = crypto.derive_wrap_key(kek_label, a)
+                self._keks.add(kek)
+                added |= self._add(Atom(kek))
+                added |= self._add(Atom(crypto.derive_wrap_key(kik_label, a)))
 
         # a blob is tried only under a key some party can have sealed under
-        sealing = self._wrap_keys | teks | self._minted
+        sealing = self._keks | teks | self._minted
         keys = [a for a in self._atoms if len(a) == 32 and a in sealing]
         blobs = [a for a in self._atoms if len(a) >= _MIN_CIPHERTEXT]
         for blob in blobs:
@@ -209,7 +211,8 @@ def _pool():
     term that files the other's key, so key-major and blob-major trial
     order disagree; negotiation outputs and derived keys also appear as
     observed atoms and as plaintexts, before or after they are computed,
-    and only a negotiation output derives keys, even one seen first.
+    and only a negotiation output derives keys, even one seen first. Only
+    a kek is a sealing key, so the blob sealed under a kik stays shut.
     Transport keys appear bare as well, which files none of them, and the
     last blob opens only under a key the adversary mints (_FRESH) before
     it is seen in the clear.

@@ -2,6 +2,7 @@
 
 import copy
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from vmquote.codec import (
     MAX_DECODE_BYTES,
+    MAX_DECODE_DEPTH,
     MalformedEncoding,
     Atom,
     Label,
@@ -276,3 +278,131 @@ class TestMayDecode:
         assert not may_decode(data)
         with pytest.raises(MalformedEncoding):
             decode(data)
+
+
+def _reference_decode(data: bytes):
+    """The recursive decoder that codec.decode's one loop replaced."""
+    if not isinstance(data, bytes):
+        raise MalformedEncoding("input must be bytes")
+    if len(data) > MAX_DECODE_BYTES:
+        raise MalformedEncoding("input exceeds size limit")
+    term, pos = _decode_at(data, 0, 0)
+    if pos != len(data):
+        raise MalformedEncoding(f"trailing bytes at offset {pos}")
+    return term
+
+
+def _decode_at(data: bytes, pos: int, depth: int) -> tuple:
+    if depth > MAX_DECODE_DEPTH:
+        raise MalformedEncoding("nesting too deep")
+    if pos + 5 > len(data):
+        raise MalformedEncoding("truncated header")
+    kind, length = struct.unpack_from(">BI", data, pos)
+    pos += 5
+    if kind == 0x01:
+        if pos + length > len(data):
+            raise MalformedEncoding("truncated atom payload")
+        return Atom(data[pos : pos + length]), pos + length
+    if kind == 0x02:
+        if pos + length > len(data):
+            raise MalformedEncoding("truncated label payload")
+        try:
+            text = data[pos : pos + length].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedEncoding("label is not valid UTF-8") from exc
+        try:
+            return Label(text), pos + length
+        except ValueError as exc:
+            raise MalformedEncoding("label is not printable") from exc
+    if kind == 0x03:
+        items = []
+        for _ in range(length):
+            item, pos = _decode_at(data, pos, depth + 1)
+            items.append(item)
+        return Tuple(items), pos
+    raise MalformedEncoding(f"unknown type byte 0x{kind:02x}")
+
+
+def _outcome(decoder, data: bytes):
+    """What decoder makes of data: its term's class and encoding, or its message."""
+    try:
+        term = decoder(data)
+    except MalformedEncoding as exc:
+        return ("reject", str(exc))
+    return ("term", type(term), encode(term))
+
+
+def _nest(depth: int, leaf, sibling: bool = False):
+    """leaf inside depth Tuples, optionally after an atom at every level."""
+    for _ in range(depth):
+        leaf = Tuple([Atom(b"s"), leaf] if sibling else [leaf])
+    return leaf
+
+
+_LEAVES = (Atom(b"x"), Label("x"), Tuple([]))
+
+
+class TestAgainstRecursiveReference:
+    """decode returns what the recursive reference returns, or rejects as it does."""
+
+    def _agree(self, data: bytes) -> None:
+        ours = _outcome(decode, data)
+        assert ours == _outcome(_reference_decode, data)
+        if ours[0] == "term":
+            assert ours[2] == data
+
+    @given(
+        data=st.one_of(
+            st.binary(max_size=64),
+            st.tuples(
+                st.sampled_from(b"\x00\x01\x02\x03\x04"),
+                st.integers(0, 6),
+                st.binary(max_size=48),
+            ).map(lambda h: bytes([h[0]]) + h[1].to_bytes(4, "big") + h[2]),
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_random_bytes(self, data):
+        self._agree(data)
+
+    @given(term=_term_strategy(), cut=st.integers(0, 400), flip=st.integers(0, 4000))
+    @settings(max_examples=400, deadline=None)
+    def test_truncated_and_flipped_encodings(self, term, cut, flip):
+        data = encode(term)
+        self._agree(data)
+        self._agree(data[: cut % (len(data) + 1)])
+        flipped = bytearray(data)
+        flipped[(flip // 8) % len(data)] ^= 1 << (flip % 8)
+        self._agree(bytes(flipped))
+
+    @given(
+        depth=st.integers(MAX_DECODE_DEPTH - 1, MAX_DECODE_DEPTH + 2),
+        leaf=st.sampled_from(_LEAVES),
+        sibling=st.booleans(),
+        tail=st.sampled_from((b"", b"\x00", b"\x01\x00\x00")),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_nests_around_the_depth_limit(self, depth, leaf, sibling, tail):
+        self._agree(encode(_nest(depth, leaf, sibling)) + tail)
+
+    @pytest.mark.parametrize("leaf", _LEAVES, ids=("atom", "label", "empty_tuple"))
+    def test_depth_limit_is_on_every_node(self, leaf):
+        """A node at depth MAX_DECODE_DEPTH decodes; one level deeper it does not."""
+        deepest = _nest(MAX_DECODE_DEPTH, leaf)
+        assert decode(encode(deepest)) == deepest
+        with pytest.raises(MalformedEncoding, match="nesting too deep"):
+            decode(encode(_nest(MAX_DECODE_DEPTH + 1, leaf)))
+
+    @given(
+        delta=st.sampled_from((-1, 0, 1)),
+        wrapped=st.booleans(),
+        cut=st.sampled_from((0, 1)),
+    )
+    @settings(max_examples=24, deadline=None)
+    def test_inputs_at_the_size_limit(self, delta, wrapped, cut):
+        # a 5-byte atom header, and one more for the tuple around it
+        payload = MAX_DECODE_BYTES + delta - 5 - (5 if wrapped else 0)
+        term = Atom(bytes(payload))
+        data = encode(Tuple([term]) if wrapped else term)
+        assert len(data) == MAX_DECODE_BYTES + delta
+        self._agree(data[: len(data) - cut])

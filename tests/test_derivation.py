@@ -7,10 +7,11 @@ the same verdict on every provisioned channel key, while the closure
 tries fewer (blob, key) pairs.
 
 The narrowing is sound because every derivation runs on an X25519 output
-just computed, and every seal is under a derived key or a transport
+just computed, and every seal is under a derived kek or a transport
 key; that holds while sev.wrap_keys is the one place in the package that
-names crypto.derive_wrap_key, and sev.seal_deploy and sev.seal_secret
-the only places that name crypto.encrypt.
+names crypto.derive_wrap_key, sev.seal_deploy and sev.seal_secret the
+only places that name crypto.encrypt, and seal_deploy encrypts under the
+first of the wrap keys, the kek.
 """
 
 import ast
@@ -68,6 +69,49 @@ def test_seal_deploy_and_seal_secret_are_the_only_sealing_sites():
     assert _refs(encrypt, "encrypt") == 1
     named = {name: n for name, tree in trees.items() if (n := _refs(tree, "encrypt"))}
     assert named == {"sev.py": 2, "crypto.py": 1}
+
+
+def _wrap_key_index(fn: ast.FunctionDef, key: ast.expr):
+    """Which item of a wrap_keys(...) call key is in fn, or None.
+
+    key is either wrap_keys(...)[i] itself or a name that fn binds once,
+    by unpacking a wrap_keys(...) call into names.
+    """
+    if isinstance(key, ast.Subscript):
+        call, index = key.value, key.slice
+        if isinstance(call, ast.Call) and _refs(call.func, "wrap_keys"):
+            return index.value if isinstance(index, ast.Constant) else None
+        return None
+    binds = [
+        node
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Assign)
+        and isinstance(key, ast.Name)
+        and any(_refs(target, key.id) for target in node.targets)
+    ]
+    if len(binds) != 1:
+        return None
+    [node] = binds
+    [target] = node.targets
+    if not (isinstance(node.value, ast.Call) and _refs(node.value.func, "wrap_keys")):
+        return None
+    names = [elt.id for elt in getattr(target, "elts", ()) if isinstance(elt, ast.Name)]
+    return names.index(key.id) if key.id in names else None
+
+
+def test_seal_deploy_seals_under_the_kek_alone():
+    """seal_deploy, the one seal under a wrap key, encrypts under wrap_keys(...)[0].
+
+    So the closure files the kek of each negotiation output as a sealing
+    key and not the kik, which only MACs.
+    """
+    [seal_deploy] = _functions(_package()["sev.py"], "seal_deploy")
+    [call] = [
+        node
+        for node in ast.walk(seal_deploy)
+        if isinstance(node, ast.Call) and _refs(node.func, "encrypt")
+    ]
+    assert _wrap_key_index(seal_deploy, call.args[1]) == 0
 
 
 def test_negotiation_outputs_lose_nothing(oracle_pool, observed):

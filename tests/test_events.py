@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from vmquote import crypto
 from vmquote.codec import Atom, encode, to_hex
 from vmquote.guest import DESIGNATED_VM_CODE
-from vmquote.harness import Trace, check_all, rebuild_knowledge, run_scenario
+from vmquote.harness import Event, Trace, check_all, rebuild_knowledge, run_scenario
 from vmquote.sgx import OWNER_ENCLAVE_MEASUREMENT
 
 # the field values that make an event an instance of a checker
@@ -58,6 +58,94 @@ def test_event_fields_are_read_off_each_line():
     trace = Trace.from_jsonl('\n{"kind": "send", "seq": 3, "src": "adv"}\n\n')
     [event] = trace.events
     assert (event.seq, event.kind, event.body) == (3, "send", {"src": "adv"})
+
+
+def _per_line_decode(text: str):
+    """The loader's rule, read with JSONDecoder().decode on every line.
+
+    Returns each event as its JSON line, or the ValueError's text.
+    """
+    decoder = json.JSONDecoder()
+    events = []
+    for n, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            body = decoder.decode(line)
+        except (ValueError, RecursionError) as exc:
+            return f"trace line {n}: {exc}"
+        if body.__class__ is not dict:
+            return f"trace line {n} is no JSON object"
+        seq = body.pop("seq", None)
+        kind = body.pop("kind", None)
+        if seq.__class__ is not int or kind.__class__ is not str:
+            return f"trace line {n} lacks an int seq or a str kind"
+        events.append(Event(seq, kind, body).to_json())
+    return events
+
+
+def _loaded(text: str):
+    """Trace.from_jsonl's events as JSON lines, or its ValueError's text."""
+    try:
+        trace = Trace.from_jsonl(text)
+    except ValueError as exc:
+        return str(exc)
+    return [event.to_json() for event in trace.events]
+
+
+_EVENT = '{"seq": 0, "kind": "send", "src": "adv"}'
+
+# lines the decoder's scanner does not consume whole from their first
+# character, and the values it reads that are no event
+_HOSTILE_LINES = [
+    "  " + _EVENT,
+    _EVENT + "  ",
+    "\t" + _EVENT + "\r",
+    "\xa0" + _EVENT,
+    _EVENT + "\xa0",
+    "\ufeff" + _EVENT,
+    _EVENT + _EVENT,
+    _EVENT + " " + _EVENT,
+    _EVENT + "x",
+    _EVENT + "]",
+    _EVENT + " // note",
+    "NaN",
+    "-Infinity",
+    '{"seq": 0, "kind": "send", "x": NaN, "y": Infinity}',
+    "1",
+    " 1 ",
+    "1 2",
+    "[1]",
+    '[{"seq": 0, "kind": "send"}]',
+    '"send"',
+    "",
+    "   ",
+    "\x0b",
+]
+
+# lines nested past the interpreter's recursion limit
+_DEEP_LINES = [
+    "[" * 100_000,
+    "[" * 5_000 + "]" * 5_000,
+    '{"seq": 0, "kind": "send", "x": ' + "[" * 5_000 + "]" * 5_000 + "}",
+]
+
+
+def _line_id(line: str) -> str:
+    return ascii(line if len(line) <= 24 else f"{line[:10]}..{line[-12:]}")
+
+
+@pytest.mark.parametrize("line", _HOSTILE_LINES + _DEEP_LINES, ids=_line_id)
+def test_loader_reads_a_hostile_line_as_decode_does(line):
+    for text in (line, _EVENT + "\n" + line, _EVENT + "\n\n  \n" + line + "\n\n" + _EVENT):
+        assert _loaded(text) == _per_line_decode(text)
+
+
+@given(lines=st.lists(st.sampled_from([_EVENT, *_HOSTILE_LINES]) | st.text(), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_loader_reads_any_lines_as_decode_does(lines):
+    text = "\n".join(lines)
+    assert _loaded(text) == _per_line_decode(text)
 
 
 @pytest.mark.parametrize(
@@ -108,6 +196,14 @@ def test_missing_bytes_field_fails_the_audit_with_value_error(text):
     trace = Trace.from_jsonl(text)
     with pytest.raises(ValueError, match="^trace event 0 has no bytes"):
         check_all(trace, rebuild_knowledge(trace))
+
+
+@pytest.mark.parametrize("label", [["owner_provision_vm"], {"a": 1}, 1, None])
+def test_a_label_that_is_no_str_names_no_transition(label):
+    """A transition's label groups it only when it is a str; any other is no error."""
+    body = {"seq": 0, "kind": "transition", "label": label, "vm_dig": _DIG, "psp_id": "aa"}
+    trace = Trace.from_jsonl(json.dumps(body))
+    assert all(result.matched == result.escaped == 0 for result in check_all(trace).values())
 
 
 def test_fields_learn_ignores_are_never_decoded():

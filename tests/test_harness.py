@@ -160,6 +160,43 @@ class TestCompromiseScenarios:
         assert check_all(world.trace, world.knowledge) == alone
         assert built == [world.trace]
 
+    def test_check_all_reads_each_grouped_field_once(self, monkeypatch):
+        """check_all reads a transition's label, a verdict's accept and quote_msr once.
+
+        The three checkers share one grouping of the trace; quote_msr is
+        read only for an accepted verdict.
+        """
+        worlds = [run_scenario_world(name, seed=1)[0] for name in sorted(SCENARIOS)]
+        for seed in range(3):
+            world = World(seed=seed)
+            fuzz_adversary(world, seed=seed, steps=40, mask=DEFAULT_MASK)
+            worlds.append(world)
+        reads = Counter()
+        get = Event.get
+
+        def counted(ev, key):
+            reads[id(ev), key] += 1
+            return get(ev, key)
+
+        transitions = accepted = 0
+        for world in worlds:
+            world.knowledge.analyze()
+            parsed = Trace.from_jsonl(world.trace.to_jsonl())
+            for trace, knowledge in ((world.trace, world.knowledge), (parsed, None)):
+                reads.clear()
+                monkeypatch.setattr(Event, "get", counted)
+                check_all(trace, knowledge)
+                monkeypatch.setattr(Event, "get", get)
+                for ev in trace.of_kind(KIND_TRANSITION):
+                    assert reads[id(ev), "label"] == 1, ev
+                    transitions += 1
+                for ev in trace.of_kind(KIND_VERDICT):
+                    accept = bool(ev.get("accept"))
+                    assert reads[id(ev), "accept"] == 1, ev
+                    assert reads[id(ev), "quote_msr"] == accept, ev
+                    accepted += accept
+        assert transitions > 0 and accepted > 0
+
     @staticmethod
     def _provisioned_cik(world):
         for ev in world.trace.of_kind(KIND_TRANSITION):

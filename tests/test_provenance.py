@@ -8,9 +8,9 @@ single entry. All three must learn the same terms in the same order, with
 the same negotiation outputs and the same trial and hit counts. With the
 map emptied, every covered pair of a sealing key is scanned except those
 of the blobs the trace shows as fresh values. The sealing keys are found
-here apart from the closure's own filing: the wrap keys of each
-negotiation output, the tek of each transport-keys term learned, and
-each 32-byte fresh value the adversary minted.
+here apart from the closure's own filing: the kek of each negotiation
+output (its kik only MACs), the tek of each transport-keys term learned,
+and each 32-byte fresh value the adversary minted.
 """
 
 from vmquote import crypto
@@ -36,7 +36,7 @@ class Forgetful(AdversaryKnowledge):
 
 def _sealing_keys(know, minted) -> set:
     """The known keys some party can have sealed under."""
-    keys = {key for value in know._kx_outputs for key in wrap_keys(value)}
+    keys = {wrap_keys(value)[0] for value in know._kx_outputs}
     keys.update(minted)
     for term in know.terms_list():
         try:
