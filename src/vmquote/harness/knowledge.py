@@ -97,9 +97,9 @@ so the adversary knows one only by deriving it. The owner's tek leaves
 the enclave only inside the TransportKeys term sealed in blob_d, and the
 adversary's own tek is a fresh value it minted. No party seals under any
 other key, so no hit is lost. A key observed in the clear before it is
-filed opens its blobs only once it is filed, so a closure run once over a whole trace
-learns the same terms as one that tries every key, though possibly in a
-different order.
+filed opens its blobs only once it is filed, so a closure run once over
+a whole trace learns the same terms as one that tries every key, though
+possibly in a different order.
 
 The closure is evaluated semi-naively: each round applies the rules only
 to what is new since the rule last ran, so no rule ever repeats work.

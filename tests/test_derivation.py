@@ -95,7 +95,7 @@ def _wrap_key_index(fn: ast.FunctionDef, key: ast.expr):
     [target] = node.targets
     if not (isinstance(node.value, ast.Call) and _refs(node.value.func, "wrap_keys")):
         return None
-    names = [elt.id for elt in getattr(target, "elts", ()) if isinstance(elt, ast.Name)]
+    names = [getattr(elt, "id", None) for elt in getattr(target, "elts", ())]
     return names.index(key.id) if key.id in names else None
 
 
