@@ -15,7 +15,10 @@ Key objects (AES-GCM ciphers, X25519 and Ed25519 private keys) are loaded
 once per key and kept in per-process caches of at most 64 keys each,
 least recently used out first: loading a private key costs as much as
 using it once, and the adversary's closure reuses each key across many
-trial decryptions.
+trial decryptions. A private key is cached with its raw public key,
+computed once when the key is loaded, so sig_keygen, sign, kx_public
+and shared_secret build no public-key object while the key stays
+cached.
 
 Beside them, two bounded per-process memos of 64 entries each, least
 recently used out first, answer a repeated check from the first one:
@@ -193,13 +196,15 @@ class KxKeyPair:
 
 
 @lru_cache(maxsize=_KEY_CACHE_SIZE)
-def _sig_private(private: bytes) -> Ed25519PrivateKey:
-    return Ed25519PrivateKey.from_private_bytes(private)
+def _sig_private(private: bytes) -> tuple[Ed25519PrivateKey, bytes]:
+    key = Ed25519PrivateKey.from_private_bytes(private)
+    return key, key.public_key().public_bytes_raw()
 
 
 @lru_cache(maxsize=_KEY_CACHE_SIZE)
-def _kx_private(private: bytes) -> X25519PrivateKey:
-    return X25519PrivateKey.from_private_bytes(private)
+def _kx_private(private: bytes) -> tuple[X25519PrivateKey, bytes]:
+    key = X25519PrivateKey.from_private_bytes(private)
+    return key, key.public_key().public_bytes_raw()
 
 
 @lru_cache(maxsize=_KEY_CACHE_SIZE)
@@ -218,15 +223,14 @@ def _ed25519_verify(public: bytes, message: bytes, signature: bytes) -> bool:
 def _x25519(public: bytes, private: bytes) -> bytes:
     try:
         pk = X25519PublicKey.from_public_bytes(public)
-        return _kx_private(private).exchange(pk)
+        return _kx_private(private)[0].exchange(pk)
     except (ValueError, TypeError) as exc:
         raise InvalidPublicElement(str(exc)) from exc
 
 
 def sig_keygen(rng: Rng) -> SigKeyPair:
     priv = rng.bytes(KEY_LEN)
-    pub = _sig_private(priv).public_key()
-    return SigKeyPair(private=priv, public=pub.public_bytes_raw())
+    return SigKeyPair(private=priv, public=_sig_private(priv)[1])
 
 
 def _register(blob: bytes, sealer: bytes) -> None:
@@ -256,11 +260,11 @@ def _remember(memo: dict, key, value) -> None:
 
 def sign(term: Term, private: bytes) -> bytes:
     """Sign the canonical encoding of term. 64-byte signature."""
-    key = _sig_private(private)
+    key, public = _sig_private(private)
     message = encode(term)
     sig = key.sign(message)
     _register(sig, NOT_SEALED)
-    _remember(_verified, (key.public_key().public_bytes_raw(), message, sig), True)
+    _remember(_verified, (public, message, sig), True)
     return sig
 
 
@@ -290,7 +294,7 @@ def kx_public(private: bytes) -> bytes:
 
     Raises ValueError when private is not 32 bytes long.
     """
-    return _kx_private(private).public_key().public_bytes_raw()
+    return _kx_private(private)[1]
 
 
 def shared_secret(public: bytes, private: bytes) -> bytes:

@@ -284,14 +284,15 @@ class AdversaryKnowledge:
     def learn(self, event: Event) -> None:
         """The one rule from a trace event to adversary knowledge.
 
-        The simulator applies it to every send and adversary event it
-        records, and rebuild_knowledge to every event of a trace, so the
-        two views agree by construction. Only those two kinds count, and
-        of them only the term, leak, leak_kind and action fields: a
-        leaked private key is registered before the event's term is
-        observed. The fresh_value action's term is a fresh name: a fresh
-        blob is filed like a signature, never trial-decrypted, and a fresh
-        32-byte value as a sealing key.
+        In the package only properties.feed calls it: the World's view,
+        when read, catches up with the events recorded since the last
+        read, and rebuild_knowledge feeds every event of a trace, so the
+        two views agree by construction. Only send and adversary events
+        count, and of them only the term, leak, leak_kind and action
+        fields: a leaked private key is registered before the event's
+        term is observed. The fresh_value action's term is a fresh name:
+        a fresh blob is filed like a signature, never trial-decrypted,
+        and a fresh 32-byte value as a sealing key.
         """
         if event.kind not in ADVERSARY_VISIBLE:
             return

@@ -32,9 +32,10 @@ judgement reads each transition's label and each verdict's accept and
 quote_msr once. Backing is still an any() over the grouped events.
 
 Escapes come from Compromises, the record Compromises.learn builds from
-the trace's compromise actions; the simulator keeps the same record live
-by the same rule, and the grouping reads it off the trace once for all
-three checkers. Escapes are trace-global: a compromise event anywhere
+the trace's compromise actions; the simulator's World.compromised is the
+same record, fed by the same loop from the events recorded so far when
+it is read, and the grouping reads it off the trace once for all three
+checkers. Escapes are trace-global: a compromise event anywhere
 in the trace excuses matching instances, mirroring how such disjuncts
 quantify over a whole trace. That is not a loophole but a fact about the
 protocol: the key exchange has no forward secrecy, so a PSP key stolen
@@ -42,8 +43,9 @@ after the fact really does open past traffic.
 
 Checkers rebuild adversary knowledge from the trace alone (bus traffic
 plus logged adversary actions); a live knowledge object may be passed in
-to skip the rebuild. Both views are fed by the same per-event rule,
-AdversaryKnowledge.learn, and the test suite checks that they agree.
+to skip the rebuild. Both views are fed through the one loop, feed, to
+the same per-event rule, AdversaryKnowledge.learn, and the test suite
+checks that they agree.
 
 The offline audit is total: on any trace Trace.from_jsonl accepts,
 rebuild_knowledge and check_all raise nothing but ValueError. learn
@@ -60,7 +62,15 @@ from dataclasses import dataclass, field
 from ..codec import Atom
 from ..guest import DESIGNATED_VM_DIGEST
 from ..sgx import OWNER_ENCLAVE_MEASUREMENT
-from .events import KIND_ADVERSARY, KIND_TRANSITION, KIND_VERDICT, Event, Trace, term_hex
+from .events import (
+    ADVERSARY_VISIBLE,
+    KIND_ADVERSARY,
+    KIND_TRANSITION,
+    KIND_VERDICT,
+    Event,
+    Trace,
+    term_hex,
+)
 from .knowledge import AdversaryKnowledge
 
 PROPERTY_IDS = (
@@ -98,10 +108,11 @@ class PropertyResult:
 class Compromises:
     """What the adversary has compromised, read off adversary events.
 
-    Keys are hex, as traces store them. The simulator applies learn to
-    every send and adversary event it records and the checkers to every
-    event of the trace they judge; learn reads adversary events only, so
-    the live and the rebuilt record agree by construction.
+    Keys are hex, as traces store them. In the package only feed calls
+    learn: the World's record, when read, catches up with the events
+    recorded since the last read, and the checkers' record is fed every
+    event of the trace they judge; learn reads adversary events only,
+    so the live and the rebuilt record agree by construction.
     """
 
     intel: bool = False
@@ -127,9 +138,21 @@ class Compromises:
     def from_trace(trace: Trace) -> "Compromises":
         """The record the trace's events show."""
         record = Compromises()
-        for ev in trace.events:
-            record.learn(ev)
+        feed(trace.events, record)
         return record
+
+
+def feed(events, *views) -> None:
+    """The one loop from trace events to the adversary's view.
+
+    Hands each send and adversary event, in order, to the learn rule of
+    each view, an AdversaryKnowledge or a Compromises. rebuild_knowledge,
+    Compromises.from_trace and the World's on-demand view all run it.
+    """
+    for ev in events:
+        if ev.kind in ADVERSARY_VISIBLE:
+            for view in views:
+                view.learn(ev)
 
 
 def rebuild_knowledge(trace: Trace) -> AdversaryKnowledge:
@@ -137,12 +160,12 @@ def rebuild_knowledge(trace: Trace) -> AdversaryKnowledge:
 
     Bus traffic is public; adversary events carry any value the
     adversary created, computed, or was leaked. Each event goes through
-    AdversaryKnowledge.learn, the live simulator's rule, so the rebuild
-    reads only what learn reads: never a transition or verdict field.
+    AdversaryKnowledge.learn by the feed loop the simulator's view runs
+    too, so the rebuild reads only what learn reads: never a transition
+    or verdict field.
     """
     know = AdversaryKnowledge()
-    for ev in trace.events:
-        know.learn(ev)
+    feed(trace.events, know)
     return know
 
 

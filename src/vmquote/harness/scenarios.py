@@ -263,7 +263,7 @@ def _post_replay_secret_package(world: World, info: dict, results: dict, seen: _
     aborts = seen.transitions("sev_secret_abort")
     return (
         len(seen.accepts) == 1
-        and any(ev.body.get("error") == "NoMeasuredSession" for ev in aborts)
+        and any(ev.get("error") == "NoMeasuredSession" for ev in aborts)
         and world.sev_platforms[0].session is not None
         and world.sev_platforms[0].session.running
     )
@@ -280,13 +280,9 @@ def _post_forge_report_request(world: World, info: dict, results: dict, seen: _G
 def _post_cross_platform_cert_swap(
     world: World, info: dict, results: dict, seen: _Grouping
 ) -> bool:
-    rejects = [
-        ev.body
-        for ev in world.trace.of_kind(KIND_VERDICT)
-        if not ev.body.get("accept")
-    ]
     return not seen.accepts and any(
-        b.get("reason") == "quote-sig" for b in rejects
+        not ev.get("accept") and ev.get("reason") == "quote-sig"
+        for ev in world.trace.of_kind(KIND_VERDICT)
     )
 
 

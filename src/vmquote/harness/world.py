@@ -11,17 +11,18 @@ All randomness of all actors flows from the single seeded Rng, so a
 replay with the same seed reproduces every key, nonce, and ciphertext
 byte.
 
-Every event goes through World.record, which appends it to the trace
-and hands each send and adversary event it appended, the kinds the
-adversary sees, to both learn rules: AdversaryKnowledge.learn and
-Compromises.learn. Both take the event itself and read no other kind.
-Live adversary knowledge and the live compromise record are exactly
-what the events show, by the rules the checkers apply to a trace. An
-adversary capability that creates, leaks or steals a value therefore
-only has to log it. Owner
-i's enclave records its commitments the same way: it is built with a
-recorder that writes them as owner{i} transitions the moment it makes
-them.
+The World only records: each event is appended to the trace and
+nothing more. The adversary's view, World.knowledge and
+World.compromised, catches up when read: each read first feeds the
+send and adversary events recorded since the last read, in trace order,
+to both learn rules, AdversaryKnowledge.learn and Compromises.learn,
+through properties.feed, the loop rebuild_knowledge runs too. The live
+view is therefore exactly what the events show, by the rules the
+checkers apply to a trace, and a run that never reads it never builds
+it. An adversary capability that creates, leaks or steals a value only
+has to log it. Owner i's enclave records its commitments the same way:
+it is built with a recorder that writes them as owner{i} transitions
+the moment it makes them.
 
 Each receiving end (PSP handlers, owner i's three steps, relying party)
 is one method that returns its reply. All but the relying party parse
@@ -76,7 +77,6 @@ from ..sev import (
 )
 from ..sgx import OWNER_ENCLAVE_MEASUREMENT, SgxPlatform
 from .events import (
-    ADVERSARY_VISIBLE,
     FRESH_VALUE,
     KIND_ADVERSARY,
     KIND_SEND,
@@ -85,7 +85,7 @@ from .events import (
     Trace,
 )
 from .knowledge import AdversaryKnowledge
-from .properties import Compromises
+from .properties import Compromises, feed
 
 
 class ForbiddenMeasurement(RuntimeError):
@@ -104,8 +104,9 @@ class World:
     def __init__(self, seed: int) -> None:
         self.rng = Rng(seed)
         self.trace = Trace()
-        self.knowledge = AdversaryKnowledge()
-        self.compromised = Compromises()
+        self._knowledge = AdversaryKnowledge()
+        self._compromised = Compromises()
+        self._fed = 0  # events the view has caught up with
 
         self.intel_rot = sgx.new_intel_rot(self.rng)
         self.amd_rot = sev.new_amd_rot(self.rng)
@@ -165,26 +166,39 @@ class World:
 
     # ---- trace plumbing ----------------------------------------------
 
-    def record(self, kind: str, **body) -> None:
-        """Append one event; the adversary learns what it shows."""
-        event = self.trace.append(kind, **body)
-        if kind in ADVERSARY_VISIBLE:
-            self.compromised.learn(event)
-            self.knowledge.learn(event)
+    @property
+    def knowledge(self) -> AdversaryKnowledge:
+        """What the adversary knows, caught up with the trace."""
+        self._catch_up()
+        return self._knowledge
+
+    @property
+    def compromised(self) -> Compromises:
+        """What the adversary has compromised, caught up with the trace."""
+        self._catch_up()
+        return self._compromised
+
+    def _catch_up(self) -> None:
+        """Feed both learn rules the events recorded since the last read."""
+        events = self.trace.events
+        start = self._fed
+        if start < len(events):
+            self._fed = len(events)
+            feed(events[start:], self._compromised, self._knowledge)
 
     def send(self, src: str, dst: str, term: Term) -> Term:
         """Put a term on the bus: logged and visible to the adversary."""
-        self.record(KIND_SEND, src=src, dst=dst, term=term)
+        self.trace.append(KIND_SEND, src=src, dst=dst, term=term)
         return term
 
     def publish(self, src: str, term: Term) -> Term:
         return self.send(src, "bulletin", term)
 
     def transition(self, actor: str, label: str, **payload) -> None:
-        self.record(KIND_TRANSITION, actor=actor, label=label, **payload)
+        self.trace.append(KIND_TRANSITION, actor=actor, label=label, **payload)
 
     def adversary_event(self, action: str, **body) -> None:
-        self.record(KIND_ADVERSARY, action=action, **body)
+        self.trace.append(KIND_ADVERSARY, action=action, **body)
 
     # ---- receiving ends (honest handlers, also injection targets) ----
 
@@ -305,11 +319,11 @@ class World:
         try:
             bundle = EvidenceBundle.from_term(term)
         except ValueError:
-            self.record(KIND_VERDICT, accept=False, reason=REASON_MALFORMED)
+            self.trace.append(KIND_VERDICT, accept=False, reason=REASON_MALFORMED)
             return Verdict(accept=False, reason=REASON_MALFORMED)
         vin = bundle.verification_input(self.intel_rot.public, OWNER_ENCLAVE_MEASUREMENT)
         verdict = rp_verify_vm_quote(vin)
-        self.record(
+        self.trace.append(
             KIND_VERDICT,
             accept=verdict.accept,
             reason=verdict.reason,

@@ -11,6 +11,7 @@ from cryptography.exceptions import InvalidSignature
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 
 import vmquote
@@ -280,6 +281,61 @@ class TestMemo:
             assert len(crypto._exchanged) <= crypto._KEY_CACHE_SIZE
         assert len(crypto._verified) == crypto._KEY_CACHE_SIZE
         assert len(crypto._exchanged) == crypto._KEY_CACHE_SIZE
+
+
+class TestKeyCaches:
+    """Each cached private key carries its public key, computed when loaded.
+
+    The public sig_keygen returns, the one kx_public returns and the one
+    sign files in the verify memo must equal the library's, for every
+    key and again after the key was evicted and reloaded.
+    """
+
+    def test_publics_equal_the_library_across_an_eviction(self):
+        crypto._sig_private.cache_clear()
+        crypto._kx_private.cache_clear()
+        rng = Rng(47)
+        keys = []
+        for n in range(crypto._KEY_CACHE_SIZE + 1):
+            pair = sig_keygen(rng)
+            private = pair.private
+            sig_public = (
+                Ed25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
+            )
+            kx_lib = X25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
+            assert pair.public == sig_public, n
+            assert kx_public(private) == kx_lib, n
+            term = Atom(rng.bytes(8))
+            sig = sign(term, private)
+            assert next(reversed(crypto._verified)) == (sig_public, encode(term), sig), n
+            assert crypto._verified[(sig_public, encode(term), sig)] is True
+            keys.append((private, sig_public, kx_lib))
+        assert crypto._sig_private.cache_info().currsize == crypto._KEY_CACHE_SIZE
+        assert crypto._kx_private.cache_info().currsize == crypto._KEY_CACHE_SIZE
+        # the first key was evicted from both caches: each call below reloads it
+        private, sig_public, kx_lib = keys[0]
+        sig_misses = crypto._sig_private.cache_info().misses
+        kx_misses = crypto._kx_private.cache_info().misses
+        term = Atom(b"after eviction")
+        sig = sign(term, private)
+        assert crypto._verified[(sig_public, encode(term), sig)] is True
+        assert kx_public(private) == kx_lib
+        assert crypto._sig_private.cache_info().misses == sig_misses + 1
+        assert crypto._kx_private.cache_info().misses == kx_misses + 1
+        assert verify(term, sig, sig_public)
+
+    @pytest.mark.parametrize("length", [KEY_LEN - 1, KEY_LEN + 1])
+    def test_kx_public_rejects_a_private_of_the_wrong_length(self, length):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                kx_public(b"\x09" * length)
+
+    def test_zero_element_raises_with_the_private_cached(self):
+        a = kx_keygen(Rng(48))
+        assert kx_public(a.private) == a.public
+        for _ in range(2):
+            with pytest.raises(InvalidPublicElement):
+                shared_secret(bytes(32), a.private)
 
 
 @pytest.fixture
