@@ -192,11 +192,13 @@ them once.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from .. import crypto
 from ..codec import Atom, Label, MalformedEncoding, Term, Tuple, decode, encode, may_decode
 from ..crypto import DecryptionFailure, InvalidPublicElement
 from ..sev import DeployPackage, SevPlatformCert, TransportKeys, wrap_keys
-from .events import ADVERSARY_VISIBLE, FRESH_VALUE, Event
+from .events import ADVERSARY_VISIBLE, FRESH_VALUE, KIND_ADVERSARY, Event, Trace
 
 # The shortest term encoding: a tag byte and a 4-byte length.
 _MIN_ENCODING = len(encode(Atom(b"")))
@@ -204,6 +206,44 @@ _MIN_CIPHERTEXT = crypto.NONCE_LEN + 16 + _MIN_ENCODING
 
 #: The closure's work counters, attributes of AdversaryKnowledge.
 CLOSURE_COUNTERS = ("rounds", "kx_pairs", "trials", "hits")
+
+
+@dataclass
+class Compromises:
+    """What the adversary has compromised, read off adversary events.
+
+    Keys are hex, as traces store them. learn is the one compromise rule:
+    AdversaryKnowledge.learn hands it each compromise of the view's own
+    record, and from_trace feeds a bare record a whole trace.
+    """
+
+    intel: bool = False
+    amd: bool = False
+    qe_ppids: set[str] = field(default_factory=set)
+    psp_ids: set[str] = field(default_factory=set)
+
+    def learn(self, event: Event) -> None:
+        """The one rule from a trace event to compromise state."""
+        if event.kind != KIND_ADVERSARY:
+            return
+        action = event.get("action")
+        if action == "compromise_intel_rot":
+            self.intel = True
+        elif action == "compromise_amd_rot":
+            self.amd = True
+        elif action == "compromise_sgx_qe":
+            self.qe_ppids.add(event.text("ppid"))
+        elif action == "compromise_sev_psp":
+            self.psp_ids.add(event.text("psp"))
+
+    @staticmethod
+    def from_trace(trace: Trace) -> Compromises:
+        """The record the trace's events show, fed through properties.feed."""
+        from .properties import feed  # properties imports this module
+
+        record = Compromises()
+        feed(trace.events, record)
+        return record
 
 
 def _position(message: type, name: str) -> tuple[int, int]:
@@ -216,6 +256,9 @@ def _position(message: type, name: str) -> tuple[int, int]:
 class AdversaryKnowledge:
     """What the adversary knows, closed under analysis by analyze().
 
+    It is the one adversary view: compromised is its Compromises record,
+    which learn feeds too, and a judgement given the view reads it.
+
     The counters rounds, kx_pairs, trials and hits count the closure's
     work: rounds run, negotiations attempted, (blob, key) pairs covered by
     trial decryption and the ones that opened to a term. scanned counts
@@ -227,6 +270,7 @@ class AdversaryKnowledge:
     """
 
     def __init__(self) -> None:
+        self.compromised = Compromises()
         # the known Labels and Tuples; known atoms are the keys of _rank
         self._known: set[Term] = set()
         self._terms: list[Term] = []
@@ -282,20 +326,26 @@ class AdversaryKnowledge:
         self.scanned = 0
 
     def learn(self, event: Event) -> None:
-        """The one rule from a trace event to adversary knowledge.
+        """The one rule from a trace event to the adversary's view.
 
         In the package only properties.feed calls it: the World's view,
         when read, catches up with the events recorded since the last
         read, and rebuild_knowledge feeds every event of a trace, so the
         two views agree by construction. Only send and adversary events
         count, and of them only the term, leak, leak_kind and action
-        fields: a leaked private key is registered before the event's
-        term is observed. The fresh_value action's term is a fresh name:
-        a fresh blob is filed like a signature, never trial-decrypted,
-        and a fresh 32-byte value as a sealing key.
+        fields: an adversary event whose action is a str naming a
+        compromise goes to compromised.learn, and a leaked private key is
+        registered before the event's term is observed. The fresh_value
+        action's term is a fresh name: a fresh blob is filed like a
+        signature, never trial-decrypted, and a fresh 32-byte value as a
+        sealing key.
         """
-        if event.kind not in ADVERSARY_VISIBLE:
+        kind = event.kind
+        if kind not in ADVERSARY_VISIBLE:
             return
+        action = event.get("action")
+        if kind == KIND_ADVERSARY and action.__class__ is str and action.startswith("compromise_"):
+            self.compromised.learn(event)
         leak = event.data("leak")
         if leak is not None:
             if event.get("leak_kind") == "dh_private":
@@ -304,7 +354,7 @@ class AdversaryKnowledge:
                 self.add_private_sig(leak)
         term = event.term("term")
         if term is not None:
-            self._minting = event.get("action") == FRESH_VALUE
+            self._minting = action == FRESH_VALUE
             self.observe(term)
             self._minting = False
 

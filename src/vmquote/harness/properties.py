@@ -26,52 +26,43 @@ instance as the witness.
 
 check_all and check_property first group the trace in one pass, a
 _Grouping: its transitions by label and its owner accepts, in trace
-order, and its Compromises record. Every checker, and every scenario
-postcondition, looks instances and backing events up there, so one
-judgement reads each transition's label and each verdict's accept and
-quote_msr once. Backing is still an any() over the grouped events.
+order, and the record its escapes come from. Every checker, and every
+scenario postcondition, looks instances and backing events up there, so
+one judgement reads each transition's label and each verdict's accept
+and quote_msr once. Backing is still an any() over the grouped events.
 
-Escapes come from Compromises, the record Compromises.learn builds from
-the trace's compromise actions; the simulator's World.compromised is the
-same record, fed by the same loop from the events recorded so far when
-it is read, and the grouping reads it off the trace once for all three
-checkers. Escapes are trace-global: a compromise event anywhere
-in the trace excuses matching instances, mirroring how such disjuncts
-quantify over a whole trace. That is not a loophole but a fact about the
+The adversary's view is one AdversaryKnowledge, fed by one loop, feed,
+through one rule, AdversaryKnowledge.learn, which also keeps the view's
+Compromises record. A judgement given a view, such as the simulator's
+World.knowledge, reads its escapes from that record and rebuilds
+nothing; one without a view rebuilds it from the trace alone (bus
+traffic plus logged adversary actions) and reads the escapes off the
+trace once, with Compromises.from_trace. The test suite checks that the
+two agree. Escapes are trace-global: a compromise event anywhere in the
+trace excuses matching instances, mirroring how such disjuncts quantify
+over a whole trace. That is not a loophole but a fact about the
 protocol: the key exchange has no forward secrecy, so a PSP key stolen
 after the fact really does open past traffic.
 
-Checkers rebuild adversary knowledge from the trace alone (bus traffic
-plus logged adversary actions); a live knowledge object may be passed in
-to skip the rebuild. Both views are fed through the one loop, feed, to
-the same per-event rule, AdversaryKnowledge.learn, and the test suite
-checks that they agree.
-
 The offline audit is total: on any trace Trace.from_jsonl accepts,
 rebuild_knowledge and check_all raise nothing but ValueError. learn
-decodes its fields with Event.term and Event.data; the checkers decode,
-look up and match fields with Event.text, which requires a str. None of
-them builds the event's body, and each raises ValueError on a field it
-cannot read; a channel key nested too deep to judge is a ValueError too.
+decodes its fields with Event.term and Event.data and compares an action
+only when it is a str; Compromises.learn and the checkers read fields
+with Event.text, which requires a str. None of them builds the event's
+body, and each raises ValueError on a field it cannot read, so a
+malformed compromise fails the view's rebuild; a channel key nested too
+deep to judge is a ValueError too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..codec import Atom
 from ..guest import DESIGNATED_VM_DIGEST
 from ..sgx import OWNER_ENCLAVE_MEASUREMENT
-from .events import (
-    ADVERSARY_VISIBLE,
-    KIND_ADVERSARY,
-    KIND_TRANSITION,
-    KIND_VERDICT,
-    Event,
-    Trace,
-    term_hex,
-)
-from .knowledge import AdversaryKnowledge
+from .events import ADVERSARY_VISIBLE, KIND_TRANSITION, KIND_VERDICT, Event, Trace, term_hex
+from .knowledge import AdversaryKnowledge, Compromises
 
 PROPERTY_IDS = (
     "sgx_quote_authenticity",
@@ -104,65 +95,27 @@ class PropertyResult:
     escaped: int = 0
 
 
-@dataclass
-class Compromises:
-    """What the adversary has compromised, read off adversary events.
-
-    Keys are hex, as traces store them. In the package only feed calls
-    learn: the World's record, when read, catches up with the events
-    recorded since the last read, and the checkers' record is fed every
-    event of the trace they judge; learn reads adversary events only,
-    so the live and the rebuilt record agree by construction.
-    """
-
-    intel: bool = False
-    amd: bool = False
-    qe_ppids: set[str] = field(default_factory=set)
-    psp_ids: set[str] = field(default_factory=set)
-
-    def learn(self, event: Event) -> None:
-        """The one rule from a trace event to compromise state."""
-        if event.kind != KIND_ADVERSARY:
-            return
-        action = event.get("action")
-        if action == "compromise_intel_rot":
-            self.intel = True
-        elif action == "compromise_amd_rot":
-            self.amd = True
-        elif action == "compromise_sgx_qe":
-            self.qe_ppids.add(event.text("ppid"))
-        elif action == "compromise_sev_psp":
-            self.psp_ids.add(event.text("psp"))
-
-    @staticmethod
-    def from_trace(trace: Trace) -> "Compromises":
-        """The record the trace's events show."""
-        record = Compromises()
-        feed(trace.events, record)
-        return record
-
-
-def feed(events, *views) -> None:
+def feed(events, view) -> None:
     """The one loop from trace events to the adversary's view.
 
-    Hands each send and adversary event, in order, to the learn rule of
-    each view, an AdversaryKnowledge or a Compromises. rebuild_knowledge,
-    Compromises.from_trace and the World's on-demand view all run it.
+    Hands each send and adversary event, in order, to the view's learn
+    rule: an AdversaryKnowledge's, which feeds its compromised record
+    too, or a bare Compromises record's. rebuild_knowledge, the World's
+    on-demand view and Compromises.from_trace all run it.
     """
     for ev in events:
         if ev.kind in ADVERSARY_VISIBLE:
-            for view in views:
-                view.learn(ev)
+            view.learn(ev)
 
 
 def rebuild_knowledge(trace: Trace) -> AdversaryKnowledge:
     """Adversary view from the trace alone.
 
     Bus traffic is public; adversary events carry any value the
-    adversary created, computed, or was leaked. Each event goes through
-    AdversaryKnowledge.learn by the feed loop the simulator's view runs
-    too, so the rebuild reads only what learn reads: never a transition
-    or verdict field.
+    adversary created, computed, or was leaked, and its compromises.
+    Each event goes through AdversaryKnowledge.learn by the feed loop the
+    simulator's view runs too, so the rebuild reads only what learn
+    reads: never a transition or verdict field.
     """
     know = AdversaryKnowledge()
     feed(trace.events, know)
@@ -174,13 +127,14 @@ class _Grouping:
 
     by_label maps each str label to its transition events and accepts
     lists the accepted verdicts whose quote names the owner-enclave
-    measurement, both in trace order; esc is the trace's Compromises
-    record, built by one Compromises.from_trace call.
+    measurement, both in trace order. knowledge is the view the caller
+    gave, or None, and esc the record escapes are read from: the view's
+    compromised, or else the one Compromises.from_trace builds.
     """
 
-    __slots__ = ("trace", "by_label", "accepts", "esc")
+    __slots__ = ("trace", "knowledge", "by_label", "accepts", "esc")
 
-    def __init__(self, trace: Trace) -> None:
+    def __init__(self, trace: Trace, knowledge: AdversaryKnowledge | None = None) -> None:
         by_label: dict[str, list[Event]] = {}
         accepts = []
         for ev in trace.events:
@@ -192,17 +146,18 @@ class _Grouping:
             elif kind == KIND_VERDICT and ev.get("accept") and ev.get("quote_msr") == _TO_MSR_HEX:
                 accepts.append(ev)
         self.trace = trace
+        self.knowledge = knowledge
         self.by_label = by_label
         self.accepts = accepts
-        self.esc = Compromises.from_trace(trace)
+        self.esc = Compromises.from_trace(trace) if knowledge is None else knowledge.compromised
 
     def transitions(self, label: str) -> list[Event]:
         """The transitions with this label, in trace order."""
         return self.by_label.get(label, [])
 
-    def judge(self, knowledge: AdversaryKnowledge | None) -> dict[str, PropertyResult]:
+    def judge(self) -> dict[str, PropertyResult]:
         """Every property's result over this grouping."""
-        return {pid: _CHECKERS[pid](self, knowledge) for pid in PROPERTY_IDS}
+        return {pid: _CHECKERS[pid](self) for pid in PROPERTY_IDS}
 
 
 def check_property(
@@ -211,14 +166,14 @@ def check_property(
     """Judge one property over trace."""
     if property_id not in _CHECKERS:
         raise UnknownProperty(f"unknown property: {property_id}")
-    return _CHECKERS[property_id](_Grouping(trace), knowledge)
+    return _CHECKERS[property_id](_Grouping(trace, knowledge))
 
 
 def check_all(
     trace: Trace, knowledge: AdversaryKnowledge | None = None
 ) -> dict[str, PropertyResult]:
     """Judge every property over one grouping of trace."""
-    return _Grouping(trace).judge(knowledge)
+    return _Grouping(trace, knowledge).judge()
 
 
 def _judge(pid: str, instances: list[Event], escaped, backed) -> PropertyResult:
@@ -250,9 +205,7 @@ def _data(ev: Event, key: str) -> bytes:
     return value
 
 
-def _check_sgx_quote_authenticity(
-    seen: _Grouping, knowledge: AdversaryKnowledge | None
-) -> PropertyResult:
+def _check_sgx_quote_authenticity(seen: _Grouping) -> PropertyResult:
     esc = seen.esc
     reports = seen.transitions("owner_generate_report")
 
@@ -272,15 +225,14 @@ def _check_sgx_quote_authenticity(
     )
 
 
-def _check_sev_secret_secrecy(
-    seen: _Grouping, knowledge: AdversaryKnowledge | None
-) -> PropertyResult:
+def _check_sev_secret_secrecy(seen: _Grouping) -> PropertyResult:
     esc = seen.esc
     instances = [
         ev
         for ev in seen.transitions("owner_provision_vm")
         if ev.get("vm_dig") == _DESIGNATED_DIG_HEX
     ]
+    knowledge = seen.knowledge
     if instances:
         if knowledge is None:
             knowledge = rebuild_knowledge(seen.trace)
@@ -301,9 +253,7 @@ def _check_sev_secret_secrecy(
     )
 
 
-def _check_vm_quote_authenticity(
-    seen: _Grouping, knowledge: AdversaryKnowledge | None
-) -> PropertyResult:
+def _check_vm_quote_authenticity(seen: _Grouping) -> PropertyResult:
     esc = seen.esc
     launches = seen.transitions("sev_session_measured")
     requests = seen.transitions("guest_request_report")
@@ -340,7 +290,7 @@ def _check_vm_quote_authenticity(
     )
 
 
-#: Property id -> checker; every checker takes (grouping, knowledge).
+#: Property id -> checker; every checker takes the grouping.
 _CHECKERS = {
     "sgx_quote_authenticity": _check_sgx_quote_authenticity,
     "sev_secret_secrecy": _check_sev_secret_secrecy,

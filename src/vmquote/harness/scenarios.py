@@ -367,6 +367,6 @@ def check_postcondition(name: str, world: World, info: dict) -> bool:
     """True when the scenario produced what it exists to demonstrate."""
     post = POSTCONDITIONS[name]
     world.knowledge.analyze()
-    seen = _Grouping(world.trace)
-    results = seen.judge(world.knowledge)
+    seen = _Grouping(world.trace, world.knowledge)
+    results = seen.judge()
     return all(res.holds for res in results.values()) and bool(post(world, info, results, seen))

@@ -12,17 +12,18 @@ replay with the same seed reproduces every key, nonce, and ciphertext
 byte.
 
 The World only records: each event is appended to the trace and
-nothing more. The adversary's view, World.knowledge and
-World.compromised, catches up when read: each read first feeds the
-send and adversary events recorded since the last read, in trace order,
-to both learn rules, AdversaryKnowledge.learn and Compromises.learn,
-through properties.feed, the loop rebuild_knowledge runs too. The live
-view is therefore exactly what the events show, by the rules the
-checkers apply to a trace, and a run that never reads it never builds
-it. An adversary capability that creates, leaks or steals a value only
-has to log it. Owner i's enclave records its commitments the same way:
-it is built with a recorder that writes them as owner{i} transitions
-the moment it makes them.
+nothing more. The adversary's view is one object, World.knowledge, and
+it catches up when read: each read first feeds the send and adversary
+events recorded since the last read, in trace order, to its one learn
+rule, AdversaryKnowledge.learn, through properties.feed, the loop
+rebuild_knowledge runs too. learn keeps the view's compromise record,
+which World.compromised returns and a judgement given the view reads
+its escapes from. The live view is therefore exactly what the events
+show, by the rules the checkers apply to a trace, and a run that never
+reads it never builds it. An adversary capability that creates, leaks
+or steals a value only has to log it. Owner i's enclave records its
+commitments the same way: it is built with a recorder that writes them
+as owner{i} transitions the moment it makes them.
 
 Each receiving end (PSP handlers, owner i's three steps, relying party)
 is one method that returns its reply. All but the relying party parse
@@ -84,8 +85,8 @@ from .events import (
     KIND_VERDICT,
     Trace,
 )
-from .knowledge import AdversaryKnowledge
-from .properties import Compromises, feed
+from .knowledge import AdversaryKnowledge, Compromises
+from .properties import feed
 
 
 class ForbiddenMeasurement(RuntimeError):
@@ -105,7 +106,6 @@ class World:
         self.rng = Rng(seed)
         self.trace = Trace()
         self._knowledge = AdversaryKnowledge()
-        self._compromised = Compromises()
         self._fed = 0  # events the view has caught up with
 
         self.intel_rot = sgx.new_intel_rot(self.rng)
@@ -174,17 +174,16 @@ class World:
 
     @property
     def compromised(self) -> Compromises:
-        """What the adversary has compromised, caught up with the trace."""
-        self._catch_up()
-        return self._compromised
+        """What the adversary has compromised: the caught-up view's record."""
+        return self.knowledge.compromised
 
     def _catch_up(self) -> None:
-        """Feed both learn rules the events recorded since the last read."""
+        """Feed the view the events recorded since the last read."""
         events = self.trace.events
         start = self._fed
         if start < len(events):
             self._fed = len(events)
-            feed(events[start:], self._compromised, self._knowledge)
+            feed(events[start:], self._knowledge)
 
     def send(self, src: str, dst: str, term: Term) -> Term:
         """Put a term on the bus: logged and visible to the adversary."""

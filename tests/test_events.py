@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from vmquote import crypto
 from vmquote.codec import Atom, encode, to_hex
 from vmquote.guest import DESIGNATED_VM_CODE
-from vmquote.harness import Event, Trace, check_all, rebuild_knowledge, run_scenario
+from vmquote.harness import Compromises, Event, Trace, check_all, rebuild_knowledge, run_scenario
 from vmquote.sgx import OWNER_ENCLAVE_MEASUREMENT
 
 # the field values that make an event an instance of a checker
@@ -196,6 +196,65 @@ def test_missing_bytes_field_fails_the_audit_with_value_error(text):
     trace = Trace.from_jsonl(text)
     with pytest.raises(ValueError, match="^trace event 0 has no bytes"):
         check_all(trace, rebuild_knowledge(trace))
+
+
+# a provisioning of the designated guest on PSP aa, whose secrecy a
+# compromise of PSP aa would excuse
+_PROVISION_ON_AA = {
+    "seq": 1,
+    "kind": "transition",
+    "label": "owner_provision_vm",
+    "vm_dig": _DIG,
+    "psp_id": "aa",
+    "cik": "00" * 32,
+}
+
+
+def _audits(trace):
+    """Each way the offline audit reads a trace: rebuild, judge alone, judge with the view."""
+    return (
+        lambda: rebuild_knowledge(trace),
+        lambda: check_all(trace),
+        lambda: check_all(trace, rebuild_knowledge(trace)),
+    )
+
+
+@pytest.mark.parametrize(
+    "action",
+    [["compromise_sev_psp"], {"compromise_sev_psp": 1}, 1, None],
+    ids=["list", "dict", "int", "missing"],
+)
+def test_an_action_that_is_no_str_compromises_nothing(action):
+    """A compromise action is compared only when it is a str; any other is no error."""
+    body = {"seq": 0, "kind": "adversary", "action": action, "psp": "aa", "ppid": "aa"}
+    if action is None:
+        del body["action"]
+    trace = Trace.from_jsonl("\n".join(map(json.dumps, (body, _PROVISION_ON_AA))))
+    assert rebuild_knowledge(trace).compromised == Compromises()
+    for audit in _audits(trace)[1:]:
+        result = audit()["sev_secret_secrecy"]
+        assert (result.holds, result.matched, result.escaped) == (True, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"action": "compromise_sgx_qe"},
+        {"action": "compromise_sgx_qe", "ppid": 5},
+        {"action": "compromise_sgx_qe", "ppid": {"aa": 1}},
+        {"action": "compromise_sgx_qe", "ppid": None},
+        {"action": "compromise_sev_psp", "psp": ["aa"]},
+    ],
+    ids=["no-ppid", "int-ppid", "dict-ppid", "null-ppid", "list-psp"],
+)
+def test_malformed_compromise_fails_the_rebuild_with_value_error(fields):
+    """The view's learn hands the compromise to its record, which raises ValueError."""
+    trace = Trace.from_jsonl(
+        "\n".join(map(json.dumps, ({"seq": 0, "kind": "adversary", **fields}, _PROVISION_ON_AA)))
+    )
+    for audit in _audits(trace):
+        with pytest.raises(ValueError, match="^trace event 0 has no str p"):
+            audit()
 
 
 @pytest.mark.parametrize("label", [["owner_provision_vm"], {"a": 1}, 1, None])

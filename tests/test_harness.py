@@ -146,7 +146,11 @@ class TestCompromiseScenarios:
             assert any(results[pid].escaped > 0 for pid in PROPERTY_IDS), name
 
     def test_check_all_reads_compromises_once(self, monkeypatch):
-        """check_all judges as check_property does, from one Compromises record."""
+        """check_all judges as check_property does, from one Compromises record.
+
+        Given the view, the record is the view's own and none is built;
+        without it, one is built from the trace.
+        """
         world, _ = run_scenario_world("compromise_sev_psp_pre", seed=1)
         alone = {pid: check_property(world.trace, pid, world.knowledge) for pid in PROPERTY_IDS}
         built = []
@@ -158,6 +162,8 @@ class TestCompromiseScenarios:
 
         monkeypatch.setattr(Compromises, "from_trace", staticmethod(counted))
         assert check_all(world.trace, world.knowledge) == alone
+        assert built == []
+        assert check_all(world.trace) == alone
         assert built == [world.trace]
 
     def test_check_all_reads_each_grouped_field_once(self, monkeypatch):
