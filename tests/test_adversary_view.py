@@ -205,10 +205,10 @@ _MASKS = {
 
 
 def _judged_traces():
-    """(name, trace, view): each scenario and fuzz trace, live and parsed.
+    """(name, trace, view, record): each scenario and fuzz trace, live and parsed.
 
     A live trace comes with its World's view, a parsed one with the view
-    rebuilt from it.
+    rebuilt from it; record is the World's compromise record for both.
     """
     worlds = [
         (f"{name} seed {seed}", run_scenario_world(name, seed)[0])
