@@ -62,24 +62,18 @@ the work its set-up did.
 
 The symbolic model treats encryption as perfect: a blob opens only under
 the key that sealed it (Dolev-Yao; sdec(senc(m, k), k) = m is the only
-decryption equation). The process therefore keeps a provenance map of at
-most _PROVENANCE_SIZE blobs, oldest out first: encrypt maps each output
-to its key, and sign marks each signature as no ciphertext at all. A
-ciphertext entry is never overwritten. The map is a hint and never a
-verdict. provenance() answers None for a blob it does not hold, whether
-evicted, tampered with, produced by another process or never made here,
-and the caller must then fall back to trying keys, except for blobs the
-trace shows as fresh values, which are atomic and no ciphertext. Fresh
-values are not entered in the map: they would evict the ciphertext
-records it exists for.
+decryption equation). encrypt and sign keep no record of what they made:
+which keys the adversary's closure tries on which blobs is decided from
+the messages alone, so a trace is analysed the same in the process that
+recorded it as in a fresh one.
 
-Those trial decryptions go through scan_tags, which checks one key's GCM
-tag against many blobs and only reports which ones authenticate; nearly
-every trial fails, so it neither raises nor decodes. decrypt is the only
-way from a blob to a plaintext term: the closure opens each hit, and each
-ciphertext under the key the map names, through it, so the tag is always
-checked and a blob that authenticates but holds no term is rejected
-there, as everywhere.
+The closure's trial decryptions go through scan_tags, which checks one
+key's GCM tag against many blobs and only reports which ones
+authenticate; nearly every trial fails, so it neither raises nor
+decodes. decrypt is the only way from a blob to a plaintext term: the
+closure opens each hit through it, so the tag is always checked and a
+blob that authenticates but holds no term is rejected there, as
+everywhere.
 """
 
 from __future__ import annotations
@@ -119,13 +113,6 @@ NONCE_LEN = 12
 #: Length of a digest() output (SHA-256).
 DIGEST_LEN = hashlib.sha256().digest_size
 _KEY_CACHE_SIZE = 64
-_PROVENANCE_SIZE = 1024
-
-#: provenance() of a signature: a blob that is no ciphertext.
-NOT_SEALED = b""
-
-# blob -> the key that sealed it, or NOT_SEALED; insertion order is age
-_provenance: dict[bytes, bytes] = {}
 
 # (public, encode(term), signature) -> verify's outcome; insertion order is
 # recency, least recently used first
@@ -233,23 +220,6 @@ def sig_keygen(rng: Rng) -> SigKeyPair:
     return SigKeyPair(private=priv, public=_sig_private(priv)[1])
 
 
-def _register(blob: bytes, sealer: bytes) -> None:
-    """Record blob's provenance; a ciphertext entry is never overwritten."""
-    if _provenance.get(blob):
-        return
-    _provenance[blob] = sealer
-    while len(_provenance) > _PROVENANCE_SIZE:
-        del _provenance[next(iter(_provenance))]
-
-
-def provenance(blob: bytes) -> bytes | None:
-    """The key that sealed blob, NOT_SEALED for a signature, else None.
-
-    None means only that this process holds no record of blob.
-    """
-    return _provenance.get(blob)
-
-
 def _remember(memo: dict, key, value) -> None:
     """Record value under key as memo's most recently used entry."""
     memo.pop(key, None)
@@ -263,7 +233,6 @@ def sign(term: Term, private: bytes) -> bytes:
     key, public = _sig_private(private)
     message = encode(term)
     sig = key.sign(message)
-    _register(sig, NOT_SEALED)
     _remember(_verified, (public, message, sig), True)
     return sig
 
@@ -341,9 +310,7 @@ def fresh_key(rng: Rng) -> bytes:
 def encrypt(term: Term, key: bytes, rng: Rng) -> bytes:
     """AEAD-encrypt encode(term): 12-byte fresh nonce || GCM ciphertext."""
     nonce = rng.bytes(NONCE_LEN)
-    blob = nonce + _aead(key).encrypt(nonce, encode(term), None)
-    _register(blob, key)
-    return blob
+    return nonce + _aead(key).encrypt(nonce, encode(term), None)
 
 
 def decrypt(blob: bytes, key: bytes) -> Term:

@@ -6,8 +6,8 @@ grows by an analysis closure run to fixpoint:
 
 - tuples are taken apart
 - atoms whose payload parses as a term are decoded
-- ciphertext-sized atoms are decrypted under the known sealing keys
-  that can open them
+- ciphertext-sized atoms filed as blobs are decrypted under the known
+  sealing keys of their kind
 - key negotiation pairs each registered private element with the
   negotiation elements of the other side (privates are an explicit
   registry: the adversary owns or stole them, it does not guess them out
@@ -77,29 +77,37 @@ Derivation outputs are never fed back in: the honest key schedule never
 stacks derivations, so one layer is complete and keeps the closure
 polynomial.
 
-Trial decryption is narrowed the same way: a blob is tried only under a
-sealing key, a known 32-byte atom that some party can have sealed under.
-A sealing key is a kek, a TransportKeys tek or a minted 32-byte value,
-each filed as the closure learns it:
+Trial decryption is narrowed the same way, by kind. A sealing key is of
+one of two kinds, and a key of a kind is tried only on the blobs of that
+kind, each filed by the message it came from:
 
-- the kek of each pair of wrap keys the derive rule outputs; the kik is
-  learned as an atom too, but only MACs, so it is no sealing key
-- the tek of each Tuple that TransportKeys.from_term accepts, filed by
-  the split rule with the same pre-check as a negotiation element
-- each 32-byte fresh value the adversary minted (a fresh_value event,
-  live or in a trace), filed when it is first learned
+- kek kind: the kek of each pair of wrap keys the derive rule outputs
+  opens the blob_d of each Tuple that DeployPackage.from_term accepts;
+  the kik is learned as an atom too, but only MACs, so it is no key
+- tek kind: the tek of each Tuple that TransportKeys.from_term accepts
+  opens the blob_p of each Tuple that SecretPackage.from_term accepts
 
-This loses nothing. crypto.encrypt has two callers in the package
-(tests/test_derivation.py checks the source for that): sev.seal_deploy
-seals under the kek, wrap_keys(ss)[0], and never under the kik, and
-sev.seal_secret under a TransportKeys' tek. A kek never goes on the bus,
-so the adversary knows one only by deriving it. The owner's tek leaves
-the enclave only inside the TransportKeys term sealed in blob_d, and the
-adversary's own tek is a fresh value it minted. No party seals under any
-other key, so no hit is lost. A key observed in the clear before it is
-filed opens its blobs only once it is filed, so a closure run once over
-a whole trace learns the same terms as one that tries every key, though
-possibly in a different order.
+The split rule files teks and both blob fields with the same pre-check as
+a negotiation element, except that a blob field holds a ciphertext-sized
+Atom where an element holds a 32-byte one.
+
+This loses nothing. crypto.encrypt has two callers in the package, and
+each puts what it seals in one field (tests/test_derivation.py checks
+the source for both): sev.seal_deploy seals a TransportKeys term under
+the kek, wrap_keys(ss)[0] and never the kik, into blob_d, and
+sev.seal_secret seals under a TransportKeys' tek into blob_p. A kek never
+goes on the bus, so the adversary knows one only by deriving it.
+seal_secret has two callers, TrustedOwner.provision_vm and
+World.adversary_own_deploy, and each seals under the tek of a
+TransportKeys it has also sealed into a delivered blob_d, so a tek is
+known only from opening that blob_d. The adversary's own deploy is always
+opened: its go private is registered through the keygen leak, and it
+pairs with the published certificate element of the platform it deploys
+to. No party seals under any other key or into any other field, so no
+hit is lost. A key observed in the clear before it is filed opens its
+blobs only once it is filed, so a closure run once over a whole trace
+learns the same terms as one that tries every key, though possibly in a
+different order.
 
 The closure is evaluated semi-naively: each round applies the rules only
 to what is new since the rule last ran, so no rule ever repeats work.
@@ -110,10 +118,10 @@ to what is new since the rule last ran, so no rule ever repeats work.
   before.
 - A wrap key is derived once from each negotiation output, in the round
   negotiation first computes it.
-- Trial decryption covers new sealing keys against every blob and old
-  ones against new blobs, so each (blob, sealing key) pair is covered once
-  in the object's life. Each key's GCM tag is checked against its range of
-  blobs of unknown origin in one scan, and only the pairs that
+- Trial decryption runs per kind: new keys against all the kind's blobs
+  and old keys against its new blobs, so each pair of a kind is scanned
+  once in the object's life. Each key's GCM tag is checked against its
+  range of blobs in one crypto.scan_tags call, and only the pairs that
   authenticate are opened, through crypto.decrypt.
 
 Encryption is perfect, as in the symbolic model: a blob opens under the
@@ -121,25 +129,14 @@ key that sealed it and under no other (Dolev-Yao; in Tamarin,
 sdec(senc(m, k), k) = m is the only decryption equation). Fresh names are
 atomic, as Tamarin's ~n is: never senc(m, k) and never h(m). Read
 computationally, random bytes authenticate under a key, or equal a
-digest, only with negligible probability. When a blob is learned, it is
-classified once:
-
-- a fresh value the adversary minted (a fresh_value event, live or in a
-  trace) is no ciphertext and is never paired
-- a ciphertext crypto.encrypt made is paired only with the key that
-  sealed it, once that key is filed as a sealing key
-- a signature crypto.sign made is no ciphertext and is never paired
-- any other blob (evicted from crypto's bounded provenance map, tampered
-  with, or read from a trace in a fresh process) is scanned against every
-  sealing key
-
-The pairs skipped are exactly those that cannot open, so no hit is lost.
-The registered pairs are still opened through crypto.decrypt, which
-checks the tag. Each blob is classified once, so a later eviction changes
-nothing. Whether the map holds a blob or not, the closure therefore
-learns the same terms in the same order. Only the scanning work differs.
-trials counts every pair of a known 32-byte atom and a blob, tried or
-skipped, whatever the key or the blob's class.
+digest, only with negligible probability. Messages are typed, so a blob
+is only what its field says it is: the pairs of a key and a blob of
+another kind are exactly those that cannot open, and no hit is lost by
+skipping them. Which pairs are tried is decided from the messages alone,
+and no record of which key sealed which blob is kept anywhere, so a view
+built live and one rebuilt from the trace in a fresh process scan the
+same pairs. trials counts every pair of a known 32-byte atom and a known
+ciphertext-sized atom, tried or skipped, whatever its kind.
 
 Known atoms are kept by their bytes, in the one table that also ranks
 them in first-seen order; the known set proper holds only Labels and
@@ -147,8 +144,8 @@ Tuples.
 
 Within a round the rules run in that order. Each adds its results in the
 first-seen order of its inputs (decryptions by blob, then by key in the
-order the keys were filed), so terms_list() order depends only on what
-was learned and when analyze ran.
+one order the keys of both kinds were filed in), so terms_list() order
+depends only on what was learned and when analyze ran.
 
 There is no round cap. Every analysis output is a strict sub-term, the
 decoding or the decryption of a known term, each with a shorter encoding
@@ -197,8 +194,8 @@ from dataclasses import dataclass, field
 from .. import crypto
 from ..codec import Atom, Label, MalformedEncoding, Term, Tuple, decode, encode, may_decode
 from ..crypto import DecryptionFailure, InvalidPublicElement
-from ..sev import DeployPackage, SevPlatformCert, TransportKeys, wrap_keys
-from .events import ADVERSARY_VISIBLE, FRESH_VALUE, KIND_ADVERSARY, Event, Trace
+from ..sev import DeployPackage, SecretPackage, SevPlatformCert, TransportKeys, wrap_keys
+from .events import ADVERSARY_VISIBLE, KIND_ADVERSARY, Event, Trace
 
 # The shortest term encoding: a tag byte and a 4-byte length.
 _MIN_ENCODING = len(encode(Atom(b"")))
@@ -253,6 +250,52 @@ def _position(message: type, name: str) -> tuple[int, int]:
     return head + len(fields), head + fields.index(name)
 
 
+# The length checks of the fields the split rule files: a key or element
+# field holds 32 bytes, a blob field a ciphertext.
+_KEY_SIZED = crypto.KEY_LEN.__eq__
+_BLOB_SIZED = _MIN_CIPHERTEXT.__le__
+
+
+class _Kind:
+    """The sealing keys of one kind, and the blobs only they can open.
+
+    Keys go to keys in the order they are filed, and take their place in
+    index, the one filing order both kinds share; blobs go to blobs and,
+    split once into nonce and body, to sealed. A key is 32 bytes long and
+    a blob longer, so one set holds what is filed of both.
+    """
+
+    __slots__ = ("index", "filed", "keys", "blobs", "sealed", "tried_keys", "tried_blobs")
+
+    def __init__(self, index: dict[bytes, int]) -> None:
+        self.index = index
+        self.filed: set[bytes] = set()
+        self.keys: list[bytes] = []
+        self.blobs: list[bytes] = []
+        self.sealed: list[tuple[bytes, bytes]] = []
+        # how many keys and blobs trial decryption has covered
+        self.tried_keys = 0
+        self.tried_blobs = 0
+
+    def __contains__(self, value: bytes) -> bool:
+        return value in self.filed
+
+    def file(self, value: bytes) -> None:
+        """File a 32-byte value as a key, a longer one as a blob."""
+        if value in self.filed:
+            return
+        self.filed.add(value)
+        if len(value) == crypto.KEY_LEN:
+            self.index.setdefault(value, len(self.index))
+            self.keys.append(value)
+        else:
+            self.blobs.append(value)
+            self.sealed.append((value[: crypto.NONCE_LEN], value[crypto.NONCE_LEN :]))
+
+    def untried(self) -> bool:
+        return self.tried_keys < len(self.keys) or self.tried_blobs < len(self.blobs)
+
+
 class AdversaryKnowledge:
     """What the adversary knows, closed under analysis by analyze().
 
@@ -262,11 +305,10 @@ class AdversaryKnowledge:
     The counters rounds, kx_pairs, trials and hits count the closure's
     work: rounds run, negotiations attempted, (blob, key) pairs covered by
     trial decryption and the ones that opened to a term. scanned counts
-    the covered pairs whose tag crypto.scan_tags checked, which are those
-    of a sealing key and a blob with no provenance; when no blob has any,
-    at fixpoint it is the number of sealing keys times the number of
-    blobs the trace does not show as fresh. None of them is ever written
-    to a trace.
+    the pairs whose tag crypto.scan_tags checked: at fixpoint, summed over
+    both kinds, the kind's keys times its blobs, the same in a live view
+    and in one rebuilt from its trace. None of them is ever written to a
+    trace.
     """
 
     def __init__(self) -> None:
@@ -280,43 +322,38 @@ class AdversaryKnowledge:
         self.dh_privates: dict[bytes, bytes] = {}
         # delta state: what each rule has not seen yet
         self._split = 0
-        # the number of known 32-byte atoms, each a key trial decryption
-        # covers, and the sealing keys among them in the order they were
-        # filed, each mapped to its index there
+        # the numbers of known 32-byte and ciphertext-sized atoms, whose
+        # product trial decryption covers
         self._key_atoms = 0
-        self._keys: list[bytes] = []
+        self._blob_atoms = 0
+        # the sealing keys of each kind and the blobs they open, and each
+        # key's place in the one order both kinds file keys in
         self._key_index: dict[bytes, int] = {}
-        # negotiation elements and transport keys, filed by the message
-        # they came from, with the field each message's receiver uses as
-        # key material: the elements it feeds to X25519, the tek it opens
-        # the secret package under; the pairs negotiation has exchanged,
-        # and whether an element or a private has arrived since it last ran
+        self._kek = _Kind(self._key_index)
+        self._tek = _Kind(self._key_index)
+        self._kinds = (self._kek, self._tek)
+        # negotiation elements, filed by the message they came from; the
+        # pairs negotiation has exchanged, and whether an element or a
+        # private has arrived since it last ran
         self._deploy_elements: set[bytes] = set()
         self._cert_elements: set[bytes] = set()
-        self._filing = (
-            (DeployPackage, *_position(DeployPackage, "go_sn_pb"), self._deploy_elements),
-            (SevPlatformCert, *_position(SevPlatformCert, "psp_sn_pb"), self._cert_elements),
-            (TransportKeys, *_position(TransportKeys, "tek"), self._key_index),
-        )
         self._kx_tried: set[tuple[bytes, bytes]] = set()
         self._kx_stale = False
+        # the fields the split rule files, by the arity of their message:
+        # (message, the field's index, its length check, where it is filed)
+        self._filing: dict[int, list] = {}
+        for message, name, sized, filed in (
+            (DeployPackage, "go_sn_pb", _KEY_SIZED, self._deploy_elements),
+            (SevPlatformCert, "psp_sn_pb", _KEY_SIZED, self._cert_elements),
+            (TransportKeys, "tek", _KEY_SIZED, self._tek),
+            (DeployPackage, "blob_d", _BLOB_SIZED, self._kek),
+            (SecretPackage, "blob_p", _BLOB_SIZED, self._tek),
+        ):
+            arity, at = _position(message, name)
+            self._filing.setdefault(arity, []).append((message, at, sized, filed))
         # negotiation outputs: all of them, and those not derived from yet
         self._kx_outputs: set[bytes] = set()
         self._new_outputs: list[bytes] = []
-        # ciphertext-sized atoms, and their indices filed by provenance:
-        # under the key that sealed them, or (split once into nonce and
-        # body) among the blobs of unknown origin
-        self._blobs: list[bytes] = []
-        self._sealed: dict[bytes, list[int]] = {}
-        self._new_sealed: list[tuple[int, bytes]] = []
-        self._opaque: list[tuple[bytes, bytes]] = []
-        self._opaque_at: list[int] = []
-        # true while learn observes a fresh_value event's term; a flag, not
-        # an argument, so that observe stays the one way in for a seen term
-        self._minting = False
-        self._tried_keys = 0
-        self._tried_blobs = 0
-        self._tried_opaque = 0
         self._digests: set[bytes] = set()
         self._digested = 0
         self.rounds = 0
@@ -335,10 +372,7 @@ class AdversaryKnowledge:
         count, and of them only the term, leak, leak_kind and action
         fields: an adversary event whose action is a str naming a
         compromise goes to compromised.learn, and a leaked private key is
-        registered before the event's term is observed. The fresh_value
-        action's term is a fresh name: a fresh blob is filed like a
-        signature, never trial-decrypted, and a fresh 32-byte value as a
-        sealing key.
+        registered before the event's term is observed.
         """
         kind = event.kind
         if kind not in ADVERSARY_VISIBLE:
@@ -354,9 +388,7 @@ class AdversaryKnowledge:
                 self.add_private_sig(leak)
         term = event.term("term")
         if term is not None:
-            self._minting = action == FRESH_VALUE
             self.observe(term)
-            self._minting = False
 
     def observe(self, term: Term) -> None:
         """Record a term the adversary saw in the clear."""
@@ -390,28 +422,8 @@ class AdversaryKnowledge:
         self._rank[value] = len(self._rank)
         if len(value) == 32:
             self._key_atoms += 1
-            if self._minting:
-                self._file_key(value)
         elif len(value) >= _MIN_CIPHERTEXT:
-            self._file_blob(value)
-
-    def _file_key(self, value: bytes) -> None:
-        """File a sealing key: one some party can have sealed a blob under."""
-        if value not in self._key_index:
-            self._key_index[value] = len(self._keys)
-            self._keys.append(value)
-
-    def _file_blob(self, value: bytes) -> None:
-        b = len(self._blobs)
-        self._blobs.append(value)
-        sealer = crypto.NOT_SEALED if self._minting else crypto.provenance(value)
-        if sealer is None:
-            n = crypto.NONCE_LEN
-            self._opaque.append((value[:n], value[n:]))
-            self._opaque_at.append(b)
-        elif sealer != crypto.NOT_SEALED:
-            self._sealed.setdefault(sealer, []).append(b)
-            self._new_sealed.append((b, sealer))
+            self._blob_atoms += 1
 
     def knows(self, term: Term) -> bool:
         if term.__class__ is Atom:
@@ -427,8 +439,8 @@ class AdversaryKnowledge:
             self._split < len(self._terms)
             or self._kx_stale
             or self._new_outputs
-            or self._tried_keys < len(self._keys)
-            or self._tried_blobs < len(self._blobs)
+            or self._kek.untried()
+            or self._tek.untried()
         )
 
     def analyze(self) -> None:
@@ -447,18 +459,18 @@ class AdversaryKnowledge:
                 items = term.items
                 for item in items:
                     self._add(item)
-                for message, arity, at, filed in self._filing:
-                    if len(items) != arity or items[at].__class__ is not Atom:
+                for message, at, sized, filed in self._filing.get(len(items), ()):
+                    if items[at].__class__ is not Atom:
                         continue
                     value = items[at].value
-                    if len(value) != crypto.KEY_LEN or value in filed:
+                    if not sized(len(value)) or value in filed:
                         continue
                     try:
                         message.from_term(term)
                     except ValueError:
                         continue
-                    if filed is self._key_index:
-                        self._file_key(value)
+                    if filed.__class__ is _Kind:
+                        filed.file(value)
                     else:
                         filed.add(value)
                         self._kx_stale = True
@@ -510,42 +522,37 @@ class AdversaryKnowledge:
             kek, kik = wrap_keys(value)
             self._add(Atom(kek))
             self._add(Atom(kik))
-            self._file_key(kek)
+            self._kek.file(kek)
 
     def _trial_decrypt(self) -> None:
-        """New sealing keys x all blobs, old sealing keys x new blobs.
+        """Per kind, new keys x all its blobs and old keys x its new blobs.
 
-        A registered ciphertext is paired with the key that sealed it alone,
-        once that key is filed. Each sealing key's tag is checked against
-        its range of blobs of unknown origin in one crypto.scan_tags call.
-        The pairs found are then opened through crypto.decrypt blob by
-        blob, each blob's keys in the order they were filed, and what opens
-        to a term is added. trials counts every known 32-byte atom against
-        every blob all the same.
+        Each key's tag is checked against its range of its kind's blobs in
+        one crypto.scan_tags call. The pairs found are then opened through
+        crypto.decrypt in the first-seen order of their blobs, each blob's
+        keys in the one order both kinds file keys in, and what opens to a
+        term is added. trials counts every known 32-byte atom against every
+        known ciphertext-sized atom all the same.
         """
-        keys, blobs, opaque = self._keys, self._blobs, self._opaque
-        old_keys, old_opaque = self._tried_keys, self._tried_opaque
-        self._tried_keys, self._tried_blobs = len(keys), len(blobs)
-        self._tried_opaque = len(opaque)
-        # each pair of a known 32-byte atom and a blob is covered once
-        self.trials = self._key_atoms * len(blobs)
-        tagged = [(b, k) for k in range(old_keys, len(keys)) for b in self._sealed.get(keys[k], ())]
-        for b, sealer in self._new_sealed:
-            k = self._key_index.get(sealer, old_keys)
-            if k < old_keys:
-                tagged.append((b, k))
-        self._new_sealed = []
-        at = self._opaque_at
-        for k in range(old_keys if old_opaque == len(opaque) else 0, len(keys)):
-            start = 0 if k >= old_keys else old_opaque
-            if start < len(opaque):
-                self.scanned += len(opaque) - start
-                for i in crypto.scan_tags(keys[k], opaque, start):
-                    tagged.append((at[i], k))
-        tagged.sort()
-        for b, k in tagged:
+        self.trials = self._key_atoms * self._blob_atoms
+        rank, index = self._rank, self._key_index
+        # (blob's rank, key's index) -> (blob, key); a pair filed under both
+        # kinds is opened once
+        tagged = {}
+        for kind in self._kinds:
+            keys, blobs = kind.keys, kind.blobs
+            old_keys, old_blobs = kind.tried_keys, kind.tried_blobs
+            kind.tried_keys, kind.tried_blobs = len(keys), len(blobs)
+            for k in range(old_keys if old_blobs == len(blobs) else 0, len(keys)):
+                start = 0 if k >= old_keys else old_blobs
+                if start < len(blobs):
+                    key = keys[k]
+                    self.scanned += len(blobs) - start
+                    for i in crypto.scan_tags(key, kind.sealed, start):
+                        tagged[rank[blobs[i]], index[key]] = (blobs[i], key)
+        for _, (blob, key) in sorted(tagged.items()):
             try:
-                plain = crypto.decrypt(blobs[b], keys[k])
+                plain = crypto.decrypt(blob, key)
             except DecryptionFailure:
                 continue
             self.hits += 1

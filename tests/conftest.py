@@ -2,9 +2,7 @@
 
 The pool is recorded once per session and read only, and so is its
 rebuild under the closure and the oracle: no test changes a trace or a
-rebuilt knowledge. Each rebuild runs with crypto's provenance map
-emptied, as for a trace read in a fresh process, so every blob the
-trace does not show as fresh is scanned.
+rebuilt knowledge.
 """
 
 import pytest
@@ -19,7 +17,7 @@ from vmquote.harness import (
     properties,
     rebuild_knowledge,
 )
-from vmquote.harness.knowledge import AdversaryKnowledge
+from vmquote.harness.knowledge import _MIN_CIPHERTEXT, AdversaryKnowledge
 from vmquote.sev import wrap_keys
 
 #: Under the wide mask both roots, the designated PSP key and the
@@ -59,7 +57,8 @@ class DolevYaoWide(AdversaryKnowledge):
     both wrap keys too. Derivation outputs are never fed back in, so
     there is one layer of derivation, as in the closure. derived_from
     holds every atom the rule has derived from. Every known 32-byte atom
-    is a sealing key, so each blob is tried under every key.
+    is a sealing key of both kinds, and every known ciphertext-sized atom
+    a blob of both kinds, so each blob is tried under every key.
     """
 
     _making = False
@@ -71,13 +70,16 @@ class DolevYaoWide(AdversaryKnowledge):
 
     def _add(self, term) -> None:
         super()._add(term)
-        if term.__class__ is Atom and len(term.value) == crypto.KEY_LEN:
-            value = term.value
-            self._file_key(value)
-            if not self._making and value not in self._observed:
-                self._observed.add(value)
-                self._kx_stale = True
-                self._new_outputs.append(value)
+        if term.__class__ is not Atom:
+            return
+        value = term.value
+        if len(value) == crypto.KEY_LEN or len(value) >= _MIN_CIPHERTEXT:
+            for kind in self._kinds:
+                kind.file(value)
+        if len(value) == crypto.KEY_LEN and not self._making and value not in self._observed:
+            self._observed.add(value)
+            self._kx_stale = True
+            self._new_outputs.append(value)
 
     def _peers(self, public: bytes) -> set[bytes]:
         return self._observed
@@ -107,7 +109,6 @@ def _observed(know) -> set:
 def _rebuilt(trace, knowledge):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(properties, "AdversaryKnowledge", knowledge)
-        patch.setattr(crypto, "_provenance", {})
         know = rebuild_knowledge(trace)
         know.analyze()
     assert type(know) is knowledge

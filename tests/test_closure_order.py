@@ -1,8 +1,9 @@
 """The delta closure against the round-based closure it replaced.
 
 RoundClosure below is the reference: every round rescans every known
-term, rebuilds the sealing-key, blob and negotiation-element lists, and
-skips the pairs it tried before, running to fixpoint without a round cap.
+term, rebuilds the key, blob and negotiation-element sets of each kind
+by from_term alone, and skips the pairs it tried before, running to
+fixpoint without a round cap.
 The fuzz campaign samples terms_list(), so the delta closure must learn
 the same terms in the same order, and compute the same negotiation
 outputs, after every analyze, not just reach the same set.
@@ -19,7 +20,7 @@ from vmquote.harness import Event, World, fuzz_adversary
 from vmquote.harness import world as world_mod
 from vmquote.harness.events import FRESH_VALUE, KIND_ADVERSARY
 from vmquote.harness.knowledge import _MIN_CIPHERTEXT, AdversaryKnowledge
-from vmquote.sev import DeployPackage, SevPlatformCert, TransportKeys
+from vmquote.sev import DeployPackage, SecretPackage, SevPlatformCert, TransportKeys
 
 
 class RoundClosure:
@@ -35,12 +36,9 @@ class RoundClosure:
         self._tried_dec = set()
         self._derived_from = set()
         self._keks = set()
-        # 32-byte fresh values the adversary minted, when first learned
-        self._minted = set()
 
-    def observe(self, term, minted: bool = False) -> None:
-        if self._add(term) and minted and isinstance(term, Atom):
-            self._minted.add(term.value)
+    def observe(self, term) -> None:
+        self._add(term)
 
     def add_private_dh(self, private: bytes) -> None:
         self.dh_privates.setdefault(private, None)
@@ -82,13 +80,16 @@ class RoundClosure:
 
         # what the PSP and the owner feed to X25519, in the tuples split so
         # far: each private meets the elements of the side its own public
-        # element is not on; and the transport keys in those tuples
-        deploy, cert, teks = set(), set(), set()
+        # element is not on; and the transport keys and the blobs of both
+        # packages in those tuples
+        deploy, cert, teks, blob_ds, blob_ps = set(), set(), set(), set(), set()
         for term in known:
             for message, name, elements in (
                 (DeployPackage, "go_sn_pb", deploy),
                 (SevPlatformCert, "psp_sn_pb", cert),
                 (TransportKeys, "tek", teks),
+                (DeployPackage, "blob_d", blob_ds),
+                (SecretPackage, "blob_p", blob_ps),
             ):
                 try:
                     elements.add(getattr(message.from_term(term), name))
@@ -120,13 +121,14 @@ class RoundClosure:
                 added |= self._add(Atom(kek))
                 added |= self._add(Atom(crypto.derive_wrap_key(kik_label, a)))
 
-        # a blob is tried only under a key some party can have sealed under
-        sealing = self._keks | teks | self._minted
-        keys = [a for a in self._atoms if len(a) == 32 and a in sealing]
+        # a blob is tried only under a key of its kind: a kek on a blob_d,
+        # a tek on a blob_p
+        keys = [a for a in self._atoms if len(a) == 32 and (a in self._keks or a in teks)]
         blobs = [a for a in self._atoms if len(a) >= _MIN_CIPHERTEXT]
         for blob in blobs:
             for key in keys:
-                if (blob, key) in self._tried_dec:
+                kind = (key in self._keks and blob in blob_ds) or (key in teks and blob in blob_ps)
+                if not kind or (blob, key) in self._tried_dec:
                     continue
                 self._tried_dec.add((blob, key))
                 try:
@@ -153,7 +155,7 @@ class Mirrored(AdversaryKnowledge):
 
     def observe(self, term) -> None:
         super().observe(term)
-        self.reference.observe(term, minted=self._minting)
+        self.reference.observe(term)
 
     def add_private_dh(self, private: bytes) -> None:
         super().add_private_dh(private)
@@ -207,15 +209,16 @@ def test_fuzz_worlds_wide_mask(monkeypatch, masks):
 def _pool():
     """Terms and privates that exercise every closure rule and ordering.
 
-    Two blobs open under crossed keys, each sealing the transport-keys
+    Two blob_ps open under crossed keys, each sealing the transport-keys
     term that files the other's key, so key-major and blob-major trial
     order disagree; negotiation outputs and derived keys also appear as
     observed atoms and as plaintexts, before or after they are computed,
     and only a negotiation output derives keys, even one seen first. Only
-    a kek is a sealing key, so the blob sealed under a kik stays shut.
-    Transport keys appear bare as well, which files none of them, and the
-    last blob opens only under a key the adversary mints (_FRESH) before
-    it is seen in the clear.
+    a kek opens a blob_d, so the blob_d sealed under a kik stays shut, and
+    a blob sealed under a key of the other kind's field stays shut too.
+    Transport keys appear bare as well, which files none of them. The
+    blob_p sealed under a key the adversary mints (_FRESH) opens only once
+    a transport-keys term names that key: minting files no key.
     pairs[0]'s public element goes out in a deploy package, pairs[1]'s and
     pairs[2]'s in platform certificates, and pairs[1]'s in a second deploy
     package too, as a replayed PSP public; pairs[3]'s is a bare tuple item
@@ -224,8 +227,8 @@ def _pool():
     rng = Rng(7)
     pairs = [crypto.kx_keygen(rng) for _ in range(4)]
     k1, k2, k3, k4 = (crypto.fresh_key(rng) for _ in range(4))
-    tk1, tk2, tk3 = (
-        TransportKeys(tek=tek, tik=crypto.fresh_key(rng)).to_term() for tek in (k1, k2, k3)
+    tk1, tk2, tk3, tk4 = (
+        TransportKeys(tek=tek, tik=crypto.fresh_key(rng)).to_term() for tek in (k1, k2, k3, k4)
     )
     ss_01 = crypto.shared_secret(pairs[1].public, pairs[0].private)
     ss_02 = crypto.shared_secret(pairs[2].public, pairs[0].private)
@@ -235,8 +238,11 @@ def _pool():
     blob_a = crypto.encrypt(Tuple([Label("under_k1"), tk2]), k1, rng)
     blob_b = crypto.encrypt(Tuple([Label("under_k2"), tk1]), k2, rng)
 
-    def deploy(pair):
-        return DeployPackage(pair.public, b"blob", b"mac", Atom(b"code")).to_term()
+    def deploy(pair, blob_d=b"blob"):
+        return DeployPackage(pair.public, blob_d, b"mac", Atom(b"code")).to_term()
+
+    def secret_package(blob_p):
+        return SecretPackage(blob_p=blob_p, mac_p=b"mac").to_term()
 
     def cert(pair):
         return SevPlatformCert(psp_sn_pb=pair.public, sig_ar=b"sig").to_term()
@@ -251,20 +257,23 @@ def _pool():
         Atom(ss_01),
         Atom(kek_01),
         Atom(kik_02),
-        Atom(blob_a),
-        Atom(blob_b),
-        Atom(crypto.encrypt(secret, k2, rng)),
-        Atom(crypto.encrypt(tk3, kek_01, rng)),
-        Atom(crypto.encrypt(Atom(ss_02), k3, rng)),
-        Atom(crypto.encrypt(Atom(kik_02), k1, rng)),
-        Atom(crypto.encrypt(Atom(encode(Tuple([Atom(k2), secret]))), kik_02, rng)),
+        secret_package(blob_a),
+        secret_package(blob_b),
+        secret_package(crypto.encrypt(secret, k2, rng)),
+        deploy(pairs[0], crypto.encrypt(tk3, kek_01, rng)),
+        secret_package(crypto.encrypt(Atom(ss_02), k3, rng)),
+        secret_package(crypto.encrypt(Atom(kik_02), k1, rng)),
+        deploy(pairs[0], crypto.encrypt(Atom(encode(Tuple([Atom(k2), secret]))), kik_02, rng)),
         Tuple([Atom(blob_b), Atom(encode(Atom(k3)))]),
         Tuple([Atom(pairs[3].public), Tuple([Atom(ss_02), Label("x")])]),
         cert(pairs[2]),
         deploy(pairs[1]),
         Atom(k1),
         Atom(k4),
-        Atom(crypto.encrypt(Atom(b"under a minted key"), k4, rng)),
+        secret_package(crypto.encrypt(Atom(b"under a minted key"), k4, rng)),
+        tk4,
+        deploy(pairs[0], crypto.encrypt(Atom(b"a tek's blob in blob_d"), k1, rng)),
+        secret_package(crypto.encrypt(Atom(b"a kek's blob in blob_p"), kek_01, rng)),
     ]
     privates = [p.private for p in pairs]
     return terms, privates, [k4]
@@ -293,10 +302,21 @@ _OPS = st.lists(
 # a private meets a certificate only once its own public element turns up
 # in a deploy package
 @example(ops=[("register", 0), ("observe", 2), ("analyze", 0), ("observe", 1)])
-# a key the adversary mints opens what it sealed; the same key seen first
-# in the clear opens nothing
-@example(ops=[("observe", 22), ("mint", 0)])
+# a key the adversary mints, or sees in the clear, opens nothing until a
+# transport-keys term names it
+@example(ops=[("observe", 22), ("mint", 0), ("analyze", 0), ("observe", 23)])
 @example(ops=[("observe", 22), ("observe", 21), ("mint", 0)])
+# a key opens no blob in the other kind's field
+@example(
+    ops=[
+        ("observe", 24),
+        ("observe", 4),
+        ("observe", 25),
+        ("observe", 1),
+        ("observe", 2),
+        ("register", 0),
+    ]
+)
 @settings(max_examples=150, deadline=None)
 def test_interleavings_match_reference(ops):
     know = Mirrored()

@@ -21,7 +21,6 @@ from vmquote.harness import run_scenario_world
 from vmquote.crypto import (
     KEY_LEN,
     NONCE_LEN,
-    NOT_SEALED,
     WRAP_KEY_LABELS,
     DecryptionFailure,
     InvalidPublicElement,
@@ -35,7 +34,6 @@ from vmquote.crypto import (
     kx_keygen,
     kx_public,
     mac,
-    provenance,
     scan_tags,
     shared_secret,
     sig_keygen,
@@ -596,52 +594,6 @@ class TestScanTags:
         assert scan_tags(key, sealed, 3) == []
         assert scan_tags(key, sealed + sealed, 3) == [7]
         assert scan_tags(key, sealed, len(sealed)) == []
-
-
-class TestProvenance:
-    @pytest.fixture(autouse=True)
-    def _own_map(self, monkeypatch):
-        monkeypatch.setattr(crypto, "_provenance", {})
-
-    def test_encrypt_registers_its_key(self):
-        rng = Rng(31)
-        key = fresh_key(rng)
-        blob = encrypt(Atom(b"payload"), key, rng)
-        assert provenance(blob) == key
-
-    def test_sign_registers_no_ciphertext(self):
-        pair = sig_keygen(Rng(32))
-        sig = sign(Atom(b"payload"), pair.private)
-        assert provenance(sig) == NOT_SEALED
-
-    def test_unknown_blob_has_none(self):
-        assert provenance(Rng(33).bytes(64)) is None
-
-    def test_oldest_evicted_at_bound(self, monkeypatch):
-        monkeypatch.setattr(crypto, "_PROVENANCE_SIZE", 3)
-        rng = Rng(34)
-        key = fresh_key(rng)
-        blobs = [encrypt(Atom(b"m%d" % i), key, rng) for i in range(5)]
-        assert [provenance(b) for b in blobs] == [None, None, key, key, key]
-        assert len(crypto._provenance) == 3
-
-    def test_ciphertext_entry_never_overwritten(self):
-        rng = Rng(35)
-        key = fresh_key(rng)
-        blob = encrypt(Atom(b"payload"), key, rng)
-        crypto._register(blob, NOT_SEALED)
-        crypto._register(blob, fresh_key(rng))
-        assert provenance(blob) == key
-
-    def test_flipped_copy_has_none(self):
-        rng = Rng(36)
-        blob = encrypt(Atom(b"payload"), fresh_key(rng), rng)
-        sig = sign(Atom(b"payload"), sig_keygen(rng).private)
-        for registered in (blob, sig):
-            for i in (0, len(registered) // 2, len(registered) - 1):
-                flipped = bytearray(registered)
-                flipped[i] ^= 0x01
-                assert provenance(bytes(flipped)) is None
 
 
 class TestMac:

@@ -7,11 +7,14 @@ the same verdict on every provisioned channel key, while the closure
 tries fewer (blob, key) pairs.
 
 The narrowing is sound because every derivation runs on an X25519 output
-just computed, and every seal is under a derived kek or a transport
-key; that holds while sev.wrap_keys is the one place in the package that
-names crypto.derive_wrap_key, sev.seal_deploy and sev.seal_secret the
-only places that name crypto.encrypt, and seal_deploy encrypts under the
-first of the wrap keys, the kek.
+just computed, and every seal is under a derived kek into a blob_d or
+under a transport key into a blob_p; that holds while sev.wrap_keys is
+the one place in the package that names crypto.derive_wrap_key,
+sev.seal_deploy and sev.seal_secret the only places that name
+crypto.encrypt, seal_deploy encrypts under the first of the wrap keys,
+the kek, each puts what it seals in its own package field alone, and
+seal_secret is called only where the caller has sealed the same
+transport keys into a deploy package.
 """
 
 import ast
@@ -22,14 +25,18 @@ from vmquote.codec import Atom
 from vmquote.harness.events import KIND_TRANSITION
 
 
-def _refs(tree: ast.AST, name: str) -> int:
-    """How often tree names name: a call, a reference or an import."""
-    return sum(
+def _names(node: ast.AST, name: str) -> bool:
+    """Whether node itself names name: a call, a reference or an import."""
+    return (
         (isinstance(node, ast.Name) and node.id == name)
         or (isinstance(node, ast.Attribute) and node.attr == name)
         or (isinstance(node, ast.alias) and node.name == name)
-        for node in ast.walk(tree)
     )
+
+
+def _refs(tree: ast.AST, name: str) -> int:
+    """How often tree names name."""
+    return sum(_names(node, name) for node in ast.walk(tree))
 
 
 def _package() -> dict:
@@ -112,6 +119,99 @@ def test_seal_deploy_seals_under_the_kek_alone():
         if isinstance(node, ast.Call) and _refs(node.func, "encrypt")
     ]
     assert _wrap_key_index(seal_deploy, call.args[1]) == 0
+
+
+def _sealed_reads(fn: ast.FunctionDef) -> list:
+    """The reads in fn of the name its one crypto.encrypt call is bound to.
+
+    A read inside the arguments of a crypto.mac call is left out: a MAC
+    of the blob is a tag, not the blob.
+    """
+    [bind] = [
+        node
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and _refs(node.value.func, "encrypt")
+    ]
+    [target] = bind.targets
+    assert isinstance(target, ast.Name)
+    stores = [
+        node
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == target.id and isinstance(node.ctx, ast.Store)
+    ]
+    assert stores == [target]
+    maced = {
+        id(node)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and _refs(call.func, "mac")
+        for arg in call.args
+        for node in ast.walk(arg)
+    }
+    return [
+        node
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name)
+        and node.id == target.id
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in maced
+    ]
+
+
+def test_each_seal_goes_into_its_own_package_field_alone():
+    """What each seal makes goes into its own package's blob field and nowhere else.
+
+    seal_deploy's blob goes only into DeployPackage(blob_d=...), and
+    seal_secret's only into SecretPackage(blob_p=...), so the closure
+    tries a kek only on blob_d fields and a tek only on blob_p fields.
+    """
+    trees = _package()
+    for name, package, field in (
+        ("seal_deploy", "DeployPackage", "blob_d"),
+        ("seal_secret", "SecretPackage", "blob_p"),
+    ):
+        [fn] = _functions(trees["sev.py"], name)
+        reads = _sealed_reads(fn)
+        fields = [
+            (call.func.id, keyword.arg)
+            for call in ast.walk(fn)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            for keyword in call.keywords
+            if any(keyword.value is read for read in reads)
+        ]
+        assert len(reads) == 1, name
+        assert fields == [(package, field)], name
+
+
+def _referrers(trees: dict, name: str) -> list:
+    """(module, enclosing class and function) of each reference to name, in the package."""
+    found = []
+
+    def visit(module: str, node: ast.AST, scope: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(module, child, scope + (child.name,))
+                continue
+            if _names(child, name):
+                found.append((module, ".".join(scope)))
+            visit(module, child, scope)
+
+    for module, tree in trees.items():
+        visit(module, tree, ())
+    return sorted(found)
+
+
+def test_seal_secret_has_two_callers():
+    """TrustedOwner.provision_vm and World.adversary_own_deploy, and nothing else.
+
+    Each seals under the tek of a TransportKeys it also sealed into a
+    delivered blob_d, so a tek is known only from opening a blob_d.
+    """
+    assert _referrers(_package(), "seal_secret") == [
+        ("harness/world.py", "World.adversary_own_deploy"),
+        ("owner.py", "TrustedOwner.provision_vm"),
+    ]
 
 
 def test_negotiation_outputs_lose_nothing(oracle_pool, observed):

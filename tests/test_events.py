@@ -10,13 +10,14 @@ import json
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vmquote import crypto
-from vmquote.codec import Atom, encode, to_hex
+from vmquote.codec import Atom, Tuple, encode, to_hex
 from vmquote.guest import DESIGNATED_VM_CODE
 from vmquote.harness import Compromises, Event, Trace, check_all, rebuild_knowledge, run_scenario
+from vmquote.harness.knowledge import _MIN_CIPHERTEXT
 from vmquote.sgx import OWNER_ENCLAVE_MEASUREMENT
 
 # the field values that make an event an instance of a checker
@@ -291,6 +292,15 @@ _JSON = st.recursive(
     max_leaves=8,
 )
 
+# package-shaped terms the split rule files a blob from only if from_term
+# accepts them: a ciphertext-sized blob_d beside a Tuple where the deploy
+# package's vmc Atom goes, and a ciphertext-sized blob_p beside a Tuple
+# where the secret package's mac_p goes
+_HOSTILE_PACKAGES = [
+    to_hex(Tuple([Atom(bytes(32)), Atom(bytes(_MIN_CIPHERTEXT)), Atom(b"mac"), Tuple([])])),
+    to_hex(Tuple([Atom(bytes(_MIN_CIPHERTEXT)), Tuple([Atom(b"mac")])])),
+]
+
 # events with the kind, label or action and the designated values that
 # make each checker read the other fields, which may be anything
 _AUDITED = st.fixed_dictionaries(
@@ -307,16 +317,18 @@ _AUDITED = st.fixed_dictionaries(
                 "guest_request_report",
             ]
         ),
-        "action": st.sampled_from(["compromise_sgx_qe", "compromise_sev_psp", "fresh_value"]),
+        "action": st.sampled_from(["compromise_sgx_qe", "compromise_sev_psp", "fresh_value"])
+        | _JSON,
         "accept": st.just(True),
         "quote_msr": st.just(_MSR),
         "vm_dig": st.just(_DIG),
         "msr_dig": st.just(_DIG),
         "leak_kind": st.just("dh_private"),
+        "term": _JSON | st.just("00" * 32) | st.sampled_from(_HOSTILE_PACKAGES),
         **{
             name: _JSON | st.just("00" * 32)
             for name in (
-                "term leak ppid psp psp_id pspid cik rpdata host_ppid cert_ppid quote_data"
+                "leak ppid psp psp_id pspid cik rpdata host_ppid cert_ppid quote_data"
                 " dig nonce msr_nonce vmdata"
             ).split()
         },
@@ -334,6 +346,24 @@ _LINES = st.one_of(
 )
 
 
+# an action of any JSON type; the checkers analyse a view that files
+# both hostile packages
+@example(text=json.dumps({"seq": 0, "kind": "adversary", "action": ["compromise_intel_rot"]}))
+@example(
+    text="\n".join(
+        json.dumps(line)
+        for line in (
+            {
+                "seq": 0,
+                "kind": "transition",
+                "label": "owner_provision_vm",
+                "vm_dig": _DIG,
+                "cik": "00" * 32,
+            },
+            *({"seq": 1, "kind": "send", "term": term} for term in _HOSTILE_PACKAGES),
+        )
+    )
+)
 @given(text=st.one_of(st.text(), st.lists(_LINES, max_size=4).map("\n".join)))
 @settings(max_examples=200, deadline=None)
 def test_any_text_gives_a_trace_or_value_error(text):

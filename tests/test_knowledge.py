@@ -3,12 +3,19 @@
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from vmquote import crypto
+from vmquote import crypto, sev
 from vmquote.codec import Atom, Label, Tuple, encode
 from vmquote.crypto import Rng
 from vmquote.harness import DEFAULT_MASK, Event, Trace, World, fuzz_adversary, rebuild_knowledge
 from vmquote.harness.knowledge import _MIN_CIPHERTEXT, AdversaryKnowledge
-from vmquote.sev import DeployPackage, TransportKeys, amd_rot_certify, new_amd_rot
+from vmquote.sev import (
+    DeployPackage,
+    SecretPackage,
+    SevPlatformCert,
+    TransportKeys,
+    amd_rot_certify,
+    new_amd_rot,
+)
 
 
 def test_tuples_come_apart():
@@ -44,13 +51,18 @@ def _transport_keys(tek: bytes, rng: Rng):
     return TransportKeys(tek=tek, tik=crypto.fresh_key(rng)).to_term()
 
 
+def _secret_package(blob_p: bytes):
+    """The secret package that carries blob_p, the field a tek opens."""
+    return SecretPackage(blob_p=blob_p, mac_p=b"mac").to_term()
+
+
 def test_trial_decryption_with_known_key():
     rng = Rng(91)
     key = crypto.fresh_key(rng)
     secret = Atom(b"hidden payload..")
     blob = crypto.encrypt(secret, key, rng)
     k = AdversaryKnowledge()
-    k.observe(Atom(blob))
+    k.observe(_secret_package(blob))
     k.analyze()
     assert not k.knows(secret)
     k.observe(_transport_keys(key, rng))
@@ -59,22 +71,23 @@ def test_trial_decryption_with_known_key():
 
 
 @pytest.mark.parametrize("key_first", [False, True], ids=["blob_first", "key_first"])
-def test_registered_ciphertext_opens_in_either_order(key_first):
-    """A sealing key learned after its blob, or a blob after its key."""
+def test_sealed_blob_opens_in_either_order(key_first):
+    """A tek learned after the blob_p it opens, or a blob_p after its tek."""
     rng = Rng(98)
     key = crypto.fresh_key(rng)
     secret = Atom(b"sealed payload..")
     blob = crypto.encrypt(secret, key, rng)
     k = AdversaryKnowledge()
-    keys = _transport_keys(key, rng)
-    first, second = (keys, Atom(blob)) if key_first else (Atom(blob), keys)
+    keys, package = _transport_keys(key, rng), _secret_package(blob)
+    first, second = (keys, package) if key_first else (package, keys)
     k.observe(first)
     k.analyze()
     assert not k.knows(secret)
     k.observe(second)
     k.analyze()
     assert k.knows(secret)
-    assert (k.scanned, k.hits) == (0, 1)
+    # the tek against the blob_p: one pair scanned, once
+    assert (k.scanned, k.hits) == (1, 1)
 
 
 def test_authentic_blob_without_a_term_teaches_nothing(monkeypatch):
@@ -88,37 +101,34 @@ def test_authentic_blob_without_a_term_teaches_nothing(monkeypatch):
     opened = []
     decrypt = crypto.decrypt
     monkeypatch.setattr(crypto, "decrypt", lambda b, k: opened.append((b, k)) or decrypt(b, k))
-    keys = _transport_keys(key, rng)
+    keys, package = _transport_keys(key, rng), _secret_package(blob)
     k = AdversaryKnowledge()
-    k.observe(Atom(blob))
+    k.observe(package)
     k.observe(keys)
     k.analyze()
     # the tag authenticates under the transport key, so the blob is opened
     assert opened == [(blob, key)]
-    assert k.terms_list() == [Atom(blob), keys, *keys.items]
+    assert k.terms_list() == [package, keys, *package.items, *keys.items]
     assert not k.knows(Atom(raw))
     # no wrap key is derived: two keys against one blob, the tek scanned
     assert (k.trials, k.scanned, k.hits) == (2, 1, 0)
 
 
-@pytest.mark.parametrize("registered", [True, False], ids=["registered", "cold"])
-def test_blob_under_a_bare_key_is_counted_but_never_tried(monkeypatch, registered):
+def test_blob_under_a_bare_key_is_counted_but_never_tried(monkeypatch):
     """No party seals under a key it only saw in the clear, so no such pair is tried.
 
-    The pair still counts in trials, whether crypto's provenance map holds
-    the blob or not.
+    The blob is filed, in its secret package, but the key is of no kind.
+    The pair still counts in trials.
     """
     rng = Rng(108)
     key = crypto.fresh_key(rng)
     secret = Atom(b"under a bare key")
     blob = crypto.encrypt(secret, key, rng)
-    if not registered:
-        monkeypatch.setattr(crypto, "_provenance", {})
     tried = []
     monkeypatch.setattr(crypto, "scan_tags", lambda *args: tried.append(args) or [])
     monkeypatch.setattr(crypto, "decrypt", lambda *args: tried.append(args))
     k = AdversaryKnowledge()
-    k.observe(Tuple([Atom(key), Atom(blob)]))
+    k.observe(Tuple([Atom(key), _secret_package(blob)]))
     k.analyze()
     assert tried == []
     assert not k.knows(secret)
@@ -130,7 +140,7 @@ def _deploy_term(go_public: bytes):
     return DeployPackage(go_public, b"blob", b"mac", Atom(b"code")).to_term()
 
 
-def test_registered_private_negotiates():
+def test_leaked_or_owned_private_negotiates():
     """A private deployed with meets the PSP key of a platform certificate."""
     rng = Rng(92)
     victim = crypto.kx_keygen(rng)
@@ -244,7 +254,7 @@ def test_psp_compromise_extraction_chain():
     k = AdversaryKnowledge()
     k.observe(amd_rot_certify(new_amd_rot(rng), psp.public).to_term())
     k.observe(DeployPackage(go.public, blob_d, mac_d, Atom(b"guest code")).to_term())
-    k.observe(Atom(blob_p))
+    k.observe(_secret_package(blob_p))
     k.analyze()
     assert not k.knows(Atom(cik))
 
@@ -273,9 +283,9 @@ class TestCounters:
     def test_second_analyze_with_nothing_new_does_no_work(self):
         rng = Rng(96)
         key = crypto.fresh_key(rng)
-        blob = Atom(crypto.encrypt(Atom(b"payload"), key, rng))
+        blob = crypto.encrypt(Atom(b"payload"), key, rng)
         k = AdversaryKnowledge()
-        k.observe(Tuple([_transport_keys(key, rng), blob]))
+        k.observe(Tuple([_transport_keys(key, rng), _secret_package(blob)]))
         k.analyze()
         # two keys, tek and tik, against one blob; no wrap key is derived
         assert (k.trials, k.hits) == (2, 1)
@@ -283,34 +293,24 @@ class TestCounters:
         k.analyze()
         assert (k.rounds, k.kx_pairs, k.trials, k.hits) == work
 
-    @staticmethod
-    def _key_and_blob(key, blob, rng):
-        """Knowledge of blob and of key, filed as a transport key, closed."""
-        k = AdversaryKnowledge()
-        k.observe(Tuple([_transport_keys(key, rng), Atom(blob)]))
-        k.analyze()
-        return k
-
-    def test_registered_ciphertext_is_not_scanned(self):
-        rng = Rng(99)
-        key = crypto.fresh_key(rng)
-        k = self._key_and_blob(key, crypto.encrypt(Atom(b"payload"), key, rng), rng)
-        assert k.knows(Atom(b"payload"))
-        assert (k.trials, k.scanned, k.hits) == (2, 0, 1)
-
-    def test_registered_signature_is_never_scanned(self):
+    def test_signature_in_its_own_field_is_never_scanned(self):
+        """A certificate's signature is filed as no blob: tek, tik and PSP key cover it."""
         rng = Rng(100)
         sig = crypto.sign(Atom(b"payload"), crypto.sig_keygen(rng).private)
-        k = self._key_and_blob(crypto.fresh_key(rng), sig, rng)
-        assert (k.trials, k.scanned, k.hits) == (2, 0, 0)
+        cert = SevPlatformCert(psp_sn_pb=rng.bytes(32), sig_ar=sig).to_term()
+        k = AdversaryKnowledge()
+        k.observe(Tuple([_transport_keys(crypto.fresh_key(rng), rng), cert]))
+        k.analyze()
+        assert (k.trials, k.scanned, k.hits) == (3, 0, 0)
 
-    def test_without_provenance_every_sealing_pair_is_scanned(self, monkeypatch):
+    def test_each_pair_of_a_kind_is_scanned(self):
         """The tek's pair is scanned; the tik seals nothing, so its pair is not."""
         rng = Rng(101)
         key = crypto.fresh_key(rng)
         blob = crypto.encrypt(Atom(b"payload"), key, rng)
-        monkeypatch.setattr(crypto, "_provenance", {})
-        k = self._key_and_blob(key, blob, rng)
+        k = AdversaryKnowledge()
+        k.observe(Tuple([_transport_keys(key, rng), _secret_package(blob)]))
+        k.analyze()
         assert k.knows(Atom(b"payload"))
         assert (k.trials, k.scanned, k.hits) == (2, 1, 1)
 
@@ -407,44 +407,58 @@ class TestFreshValues:
         blobs = sum(1 for a in atoms if len(a) >= _MIN_CIPHERTEXT)
         return keys, blobs
 
-    def test_fresh_blob_is_covered_but_never_scanned(self, monkeypatch):
-        # no provenance record survives: every other blob is scanned under
-        # the one sealing key, a fresh key the adversary minted
-        monkeypatch.setattr(crypto, "_PROVENANCE_SIZE", 0)
+    def test_fresh_blob_is_covered_but_never_scanned(self):
+        # a fresh value is filed as no key and no blob: it lies in no
+        # message field, and the closure files nothing by who minted it
         world = World(seed=12)
         world.adversary_fresh(32)
-        value = world.adversary_fresh(64)
+        world.adversary_fresh(64)
         rebuilt = rebuild_knowledge(world.trace)
         parsed = rebuild_knowledge(Trace.from_jsonl(world.trace.to_jsonl()))
         for k in (world.knowledge, rebuilt, parsed):
             k.analyze()
             keys, blobs = self._pairs(k)
             assert k.trials == keys * blobs
-            assert k.scanned == blobs - 1 > 0
+            assert blobs > 0
+            assert k.scanned == 0
         live = world.knowledge
         for k in (rebuilt, parsed):
             assert (k.trials, k.scanned) == (live.trials, live.scanned)
 
-        computed = World(seed=12)
-        computed.adversary_fresh(32)
-        computed.adversary_compute(Atom(value))
-        k = computed.knowledge
-        k.analyze()
-        keys, blobs = self._pairs(k)
-        assert k.trials == keys * blobs
-        assert k.scanned == blobs
+    def test_minted_tek_opens_its_blob_p(self, monkeypatch):
+        """The adversary's own deploy: a tek it minted opens the blob_p sealed under it.
 
-    def test_fresh_key_opens_a_blob_sealed_under_it(self, monkeypatch):
-        monkeypatch.setattr(crypto, "_PROVENANCE_SIZE", 0)
+        The tek is filed because the closure opens the deploy's blob_d,
+        not because the adversary minted it.
+        """
+        sealed = []
+        seal_secret = sev.seal_secret
+
+        def spy(msr, secret, keys, rng):
+            package = seal_secret(msr, secret, keys, rng)
+            sealed.append((package.blob_p, keys.tek))
+            return package
+
+        monkeypatch.setattr(sev, "seal_secret", spy)
         world = World(seed=13)
-        key = world.adversary_fresh(32)
-        secret = Atom(b"sealed under a fresh key")
-        world.adversary_compute(Atom(crypto.encrypt(secret, key, world.rng)))
+        assert world.adversary_own_deploy(world.sev_platforms[1], Atom(b"adversary code"))
+        [(blob_p, tek)] = sealed
+        opened = []
+        decrypt = crypto.decrypt
+
+        def opening(blob, key):
+            plain = decrypt(blob, key)
+            opened.append((blob, key))
+            return plain
+
+        monkeypatch.setattr(crypto, "decrypt", opening)
         rebuilt = rebuild_knowledge(world.trace)
         parsed = rebuild_knowledge(Trace.from_jsonl(world.trace.to_jsonl()))
         for k in (world.knowledge, rebuilt, parsed):
+            opened.clear()
             k.analyze()
-            assert k.knows(secret)
+            assert (blob_p, tek) in opened
+            assert tek in k._tek.keys
 
     def test_fresh_atom_skips_the_digest_rule(self, monkeypatch):
         term = Tuple([Label("report_data"), Atom(b"a")])
