@@ -596,6 +596,34 @@ class TestScanTags:
         assert scan_tags(key, sealed, len(sealed)) == []
 
 
+def test_encrypt_and_sign_keep_no_record():
+    """No module-level table records what was sealed or signed.
+
+    The knowledge closure files a blob by the message field it travels in,
+    so a rebuild in a fresh process learns what one in the recording
+    process does. encrypt changes no module-level value; sign only primes
+    verify's memo of outcomes.
+    """
+
+    def state():
+        return {
+            name: value.copy() if isinstance(value, (dict, list, set, bytearray)) else value
+            for name, value in vars(crypto).items()
+        }
+
+    rng = Rng(35)
+    key = fresh_key(rng)
+    pair = sig_keygen(rng)
+    before = state()
+    blobs = [encrypt(Atom(b"payload %d" % i), key, rng) for i in range(3)]
+    assert state() == before
+    assert [decrypt(blob, key) for blob in blobs] == [Atom(b"payload %d" % i) for i in range(3)]
+    for blob in blobs:
+        sign(Atom(blob), pair.private)
+    after = state()
+    assert {name for name in before if after[name] != before[name]} == {"_verified"}
+
+
 class TestMac:
     def test_round_trip(self):
         key = fresh_key(Rng(22))

@@ -140,6 +140,84 @@ def _deploy_term(go_public: bytes):
     return DeployPackage(go_public, b"blob", b"mac", Atom(b"code")).to_term()
 
 
+def _negotiated_kek(k: AdversaryKnowledge, rng: Rng) -> bytes:
+    """Show k one negotiation it can run; return the kek derived from its output."""
+    victim = crypto.kx_keygen(rng)
+    adv = crypto.kx_keygen(rng)
+    k.observe(amd_rot_certify(new_amd_rot(rng), victim.public).to_term())
+    k.observe(_deploy_term(adv.public))
+    k.add_private_dh(adv.private)
+    ss = crypto.shared_secret(victim.public, adv.private)
+    return crypto.derive_wrap_key(crypto.WRAP_KEY_LABELS[0], ss)
+
+
+def _package(field: str, blob: bytes, rng: Rng):
+    """The deploy package (blob_d) or the secret package (blob_p) that carries blob."""
+    if field == "blob_d":
+        return DeployPackage(rng.bytes(32), blob, b"mac", Atom(b"code")).to_term()
+    return _secret_package(blob)
+
+
+@pytest.mark.parametrize("field", ["blob_d", "blob_p"])
+def test_kek_opens_only_a_blob_d(field):
+    """A blob sealed under a kek opens only in the field a kek seals."""
+    rng = Rng(110)
+    k = AdversaryKnowledge()
+    kek = _negotiated_kek(k, rng)
+    secret = Atom(b"sealed under kek")
+    k.observe(_package(field, crypto.encrypt(secret, kek, rng), rng))
+    k.analyze()
+    assert k.knows(Atom(kek))
+    opens = field == "blob_d"
+    assert k.knows(secret) == opens
+    # the kek against its one blob_d; a blob_p finds no tek to meet
+    assert (k.scanned, k.hits) == (opens, opens)
+
+
+@pytest.mark.parametrize("field", ["blob_p", "blob_d"])
+def test_tek_opens_only_a_blob_p(field):
+    """A blob sealed under a tek opens only in the field a tek seals."""
+    rng = Rng(111)
+    tek = crypto.fresh_key(rng)
+    secret = Atom(b"sealed under tek")
+    k = AdversaryKnowledge()
+    k.observe(_transport_keys(tek, rng))
+    k.observe(_package(field, crypto.encrypt(secret, tek, rng), rng))
+    k.analyze()
+    opens = field == "blob_p"
+    assert k.knows(secret) == opens
+    # the tek against its one blob_p; a blob_d finds no kek to meet
+    assert (k.scanned, k.hits) == (opens, opens)
+
+
+@pytest.mark.parametrize("field", ["blob_d", "blob_p"])
+def test_blob_of_a_package_from_term_rejects_is_never_filed(field):
+    """A package-shaped Tuple whose last field is no valid value files no blob.
+
+    The blob field passes the length check, and a key of its kind is
+    known, but from_term rejects the Tuple, so the pair is never scanned.
+    """
+    rng = Rng(112)
+    k = AdversaryKnowledge()
+    if field == "blob_d":
+        message, key, kind = DeployPackage, _negotiated_kek(k, rng), k._kek
+    else:
+        message, key, kind = SecretPackage, crypto.fresh_key(rng), k._tek
+        k.observe(_transport_keys(key, rng))
+    secret = Atom(b"in a hostile one.")
+    valid = _package(field, crypto.encrypt(secret, key, rng), rng)
+    # vmc must be an Atom, mac_p bytes: a Tuple in the last place is neither
+    hostile = Tuple([*valid.items[:-1], Tuple([Atom(b"not a field value")])])
+    with pytest.raises(ValueError):
+        message.from_term(hostile)
+    k.observe(hostile)
+    k.analyze()
+    assert k.knows(Atom(key))
+    assert not k.knows(secret)
+    assert kind.blobs == []
+    assert (k.scanned, k.hits) == (0, 0)
+
+
 def test_leaked_or_owned_private_negotiates():
     """A private deployed with meets the PSP key of a platform certificate."""
     rng = Rng(92)

@@ -24,7 +24,14 @@ from pathlib import Path
 import vmquote
 from vmquote import crypto
 from vmquote.codec import encode
-from vmquote.harness import World, fuzz_adversary
+from vmquote.harness import (
+    SCENARIOS,
+    Trace,
+    World,
+    fuzz_adversary,
+    rebuild_knowledge,
+    run_scenario_world,
+)
 from vmquote.harness.knowledge import _MIN_CIPHERTEXT, CLOSURE_COUNTERS
 from vmquote.sev import DeployPackage, SecretPackage, TransportKeys, wrap_keys
 
@@ -106,3 +113,24 @@ def test_live_and_rebuilt_scan_each_kind(oracle_pool, masks, tmp_path):
         check=True,
     )
     assert run.stdout.splitlines() == audited
+
+
+def test_scenario_closures_scan_each_kind():
+    """Each scenario's live view and the rebuild of its trace file by kind alike."""
+    totals = [0, 0]
+    for name in SCENARIOS:
+        world, _ = run_scenario_world(name, seed=0)
+        live = world.knowledge
+        live.analyze()
+        cold = rebuild_knowledge(Trace.from_jsonl(world.trace.to_jsonl()))
+        cold.analyze()
+        learned = sorted(encode(t) for t in cold.terms_list())
+        assert sorted(encode(t) for t in live.terms_list()) == learned, name
+        assert _counters(live) == _counters(cold), name
+        kinds = _kinds(cold)
+        for i, ((keys, blobs), kind) in enumerate(zip(kinds, (cold._kek, cold._tek))):
+            assert (set(kind.keys), set(kind.blobs)) == (keys, blobs), (name, i)
+            totals[i] += len(keys) * len(blobs)
+        assert cold.scanned == sum(len(keys) * len(blobs) for keys, blobs in kinds), name
+    # both kinds were scanned
+    assert all(totals)
