@@ -8,6 +8,9 @@ Exit codes: run returns 0 when the scenario's postcondition held, 1 when
 it did not, 2 for an unknown scenario. verify returns 0 for accept, 1
 for reject, 2 for a bundle file that cannot be parsed. fuzz returns 0
 iff no property was violated.
+
+Only run and fuzz use the simulator: they import the harness when they
+start, so verify loads no more than the relying party's checks need.
 """
 
 from __future__ import annotations
@@ -18,13 +21,6 @@ import sys
 from pathlib import Path
 
 from .codec import Term, from_hex, to_hex, to_sexpr
-from .harness import (
-    UnknownScenario,
-    check_postcondition,
-    fuzz_campaign,
-    parse_compromise_flags,
-    run_scenario_world,
-)
 from .relying_party import EvidenceBundle, rp_verify_vm_quote
 
 #: Scenarios whose runs leave verifiable evidence worth exporting.
@@ -59,6 +55,8 @@ def load_bundle_file(path: Path) -> tuple[EvidenceBundle, bytes, Term]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .harness import UnknownScenario, check_postcondition, run_scenario_world
+
     try:
         world, info = run_scenario_world(args.scenario, seed=args.seed)
     except UnknownScenario as exc:
@@ -102,6 +100,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    from .harness import fuzz_campaign, parse_compromise_flags
+
     try:
         mask = parse_compromise_flags(args.allow_compromise)
     except ValueError as exc:

@@ -16,9 +16,12 @@ once per key and kept in per-process caches of at most 64 keys each,
 least recently used out first: loading a private key costs as much as
 using it once, and the adversary's closure reuses each key across many
 trial decryptions. A private key is cached with its raw public key,
-computed once when the key is loaded, so sig_keygen, sign, kx_public
-and shared_secret build no public-key object while the key stays
-cached.
+computed once when the key is loaded, so sig_keygen, sig_public, sign,
+kx_public and shared_secret build no public-key object while the key
+stays cached. A platform draws its key's 32 bytes when it is built but
+derives the key pair, through sig_public or kx_public, only when the
+pair is first read (see derived), so a platform whose key a run never
+reads never loads it.
 
 Beside them, two bounded per-process memos of 64 entries each, least
 recently used out first, answer a repeated check from the first one:
@@ -182,6 +185,30 @@ class KxKeyPair:
     public: bytes
 
 
+class derived:
+    """An attribute made from its instance on first read, then kept on it.
+
+    Decorates a method. The first read of the attribute calls it and
+    stores the result in the instance's __dict__ under the same name,
+    where every later read finds a plain attribute. An assignment sets
+    that attribute, so once assigned the method never runs. Unlike
+    functools.cached_property it takes no lock: a simulation runs in one
+    thread.
+    """
+
+    def __init__(self, make) -> None:
+        self._make = make
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self._name] = self._make(instance)
+        return value
+
+
 @lru_cache(maxsize=_KEY_CACHE_SIZE)
 def _sig_private(private: bytes) -> tuple[Ed25519PrivateKey, bytes]:
     key = Ed25519PrivateKey.from_private_bytes(private)
@@ -217,7 +244,15 @@ def _x25519(public: bytes, private: bytes) -> bytes:
 
 def sig_keygen(rng: Rng) -> SigKeyPair:
     priv = rng.bytes(KEY_LEN)
-    return SigKeyPair(private=priv, public=_sig_private(priv)[1])
+    return SigKeyPair(private=priv, public=sig_public(priv))
+
+
+def sig_public(private: bytes) -> bytes:
+    """The Ed25519 public key of private.
+
+    Raises ValueError when private is not 32 bytes long.
+    """
+    return _sig_private(private)[1]
 
 
 def _remember(memo: dict, key, value) -> None:

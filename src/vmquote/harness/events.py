@@ -24,6 +24,14 @@ build no body either: a recorded term or bytes value comes back as the
 very object recorded, and any str (parsed, or recorded as hex) is
 decoded from hex.
 
+Trace.defer records an event whose values are made at its first read:
+it takes its seq at once, and the first read of a field or of its body
+calls the function it was given, checks what it returns as append
+checks its values, and turns the event into a plain Event. The World
+publishes the platform certificates this way, so a certificate no one
+reads is never signed. A deferred event answers its first read through
+its own class, so a plain event's readers check for nothing.
+
 Transition payloads may carry protocol-internal secrets (the same way a
 formal trace carries them). Only send and adversary events are
 adversary-visible: AdversaryKnowledge.learn reads their term, leak,
@@ -103,7 +111,7 @@ class Event:
         return body
 
     def __eq__(self, other):
-        if other.__class__ is Event:
+        if isinstance(other, Event):
             return (self.seq, self.kind, self.body) == (other.seq, other.kind, other.body)
         return NotImplemented
 
@@ -161,6 +169,43 @@ _set_body = Event._body.__set__
 _set_values = Event._values.__set__
 
 
+class _Unmade(Event):
+    """An event Trace.defer records: its values are made at its first read.
+
+    Until then its values slot holds the function that makes them. The
+    first read of a field or of the body calls it, checks the values as
+    Trace.append does, and turns the event into a plain Event, which
+    answers that read and every later one. text, to_json, ==, repr and
+    pickling all read through body or get.
+    """
+
+    __slots__ = ()
+
+    @property
+    def body(self) -> dict:
+        return _made(self).body
+
+    def get(self, key: str):
+        return _made(self).get(key)
+
+    def term(self, key: str):
+        return _made(self).term(key)
+
+    def data(self, key: str):
+        return _made(self).data(key)
+
+
+def _made(event: _Unmade) -> Event:
+    """The event, its values made and checked, now a plain Event."""
+    values = event._values()
+    for key, value in values.items():
+        if not isinstance(value, _RECORDABLE):
+            raise TypeError(f"trace field {key} cannot hold a {type(value).__name__}")
+    _set_values(event, values)
+    object.__setattr__(event, "__class__", Event)
+    return event
+
+
 class Trace:
     """Append-only event list with auto-assigned seq numbers."""
 
@@ -176,6 +221,21 @@ class Trace:
         _set_seq(event, len(self.events))
         _set_kind(event, kind)
         _set_values(event, values)
+        self.events.append(event)
+        return event
+
+    def defer(self, kind: str, make) -> Event:
+        """Record one event whose values make() returns at its first read.
+
+        make runs once, when a field or the body of the event is first
+        read, and its values are checked then, as append checks them;
+        from then on the event is a plain Event. The event takes its seq
+        now, so the trace's order is the order of recording.
+        """
+        event = object.__new__(_Unmade)
+        _set_seq(event, len(self.events))
+        _set_kind(event, kind)
+        _set_values(event, make)
         self.events.append(event)
         return event
 

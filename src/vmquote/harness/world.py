@@ -11,6 +11,18 @@ All randomness of all actors flows from the single seeded Rng, so a
 replay with the same seed reproduces every key, nonce, and ciphertext
 byte.
 
+Construction draws every random byte a platform has, in a fixed order:
+both root keys, then each SGX platform's ppid, quoting-key seed and
+plat_info, then each SEV platform's PSP-key seed, plat_sev and
+launch_sev. A platform's key pair and its root's certificate are
+derived from those bytes on first read, and then kept. The bulletin
+sends of the four certificates are recorded with Trace.defer, so a
+certificate is signed when a party reads it or when its send is first
+read, by the adversary's view, a checker or to_jsonl. Ed25519 signing
+is deterministic, so when a derivation runs changes no byte of the
+trace. An honest run reads only sgx0's and sev0's, and never pays for
+the other two platforms.
+
 The World only records: each event is appended to the trace and
 nothing more. The adversary's view is one object, World.knowledge, and
 it catches up when read: each read first feeds the send and adversary
@@ -105,23 +117,17 @@ class World:
     def __init__(self, seed: int) -> None:
         self.rng = Rng(seed)
         self.trace = Trace()
-        self._knowledge = AdversaryKnowledge()
+        self._knowledge: AdversaryKnowledge | None = None  # built on first read
         self._fed = 0  # events the view has caught up with
 
         self.intel_rot = sgx.new_intel_rot(self.rng)
         self.amd_rot = sev.new_amd_rot(self.rng)
-
-        self.sgx_platforms: list[SgxPlatform] = []
-        for _ in range(2):
-            plat = sgx.new_sgx_platform(self.rng)
-            plat.cert = sgx.intel_rot_certify(self.intel_rot, plat.qek.public, plat.ppid)
-            self.sgx_platforms.append(plat)
-
-        self.sev_platforms: list[SevPlatform] = []
-        for _ in range(2):
-            plat = sev.new_sev_platform(self.rng)
-            plat.cert = sev.amd_rot_certify(self.amd_rot, plat.psp_sn.public)
-            self.sev_platforms.append(plat)
+        self.sgx_platforms: list[SgxPlatform] = [
+            sgx.new_sgx_platform(self.rng, self.intel_rot) for _ in range(2)
+        ]
+        self.sev_platforms: list[SevPlatform] = [
+            sev.new_sev_platform(self.rng, self.amd_rot) for _ in range(2)
+        ]
 
         self.owners: list[TrustedOwner] = []
         self.workloads: list[Atom] = []
@@ -131,9 +137,9 @@ class World:
         self.publish("intel_rot", Atom(self.intel_rot.public))
         self.publish("amd_rot", Atom(self.amd_rot.public))
         for plat in self.sgx_platforms:
-            self.publish("intel_rot", plat.cert.to_term())
+            self._publish_cert("intel_rot", plat)
         for plat in self.sev_platforms:
-            self.publish("amd_rot", plat.cert.to_term())
+            self._publish_cert("amd_rot", plat)
         self.add_owner(DESIGNATED_VM_CODE)
 
     @property
@@ -169,8 +175,11 @@ class World:
     @property
     def knowledge(self) -> AdversaryKnowledge:
         """What the adversary knows, caught up with the trace."""
+        knowledge = self._knowledge
+        if knowledge is None:
+            knowledge = self._knowledge = AdversaryKnowledge()
         self._catch_up()
-        return self._knowledge
+        return knowledge
 
     @property
     def compromised(self) -> Compromises:
@@ -192,6 +201,12 @@ class World:
 
     def publish(self, src: str, term: Term) -> Term:
         return self.send(src, "bulletin", term)
+
+    def _publish_cert(self, src: str, plat: SgxPlatform | SevPlatform) -> None:
+        """Publish plat's certificate; it is derived when the send is first read."""
+        self.trace.defer(
+            KIND_SEND, lambda: {"src": src, "dst": "bulletin", "term": plat.cert.to_term()}
+        )
 
     def transition(self, actor: str, label: str, **payload) -> None:
         self.trace.append(KIND_TRANSITION, actor=actor, label=label, **payload)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import crypto
 from .codec import TAG_TRANSPORT_KEYS, Atom, Message, Term, Tuple
-from .crypto import DecryptionFailure, KxKeyPair, Rng, SigKeyPair
+from .crypto import DecryptionFailure, KxKeyPair, Rng, SigKeyPair, derived
 
 NONCE_LEN = 16
 PLAT_SEV_LEN = 8
@@ -155,20 +155,40 @@ class GuestSession:
 
 @dataclass
 class SevPlatform:
-    """One SEV machine: PSP key, firmware state atoms, guest slot."""
+    """One SEV machine: PSP key, firmware state atoms, issuing root, guest slot.
 
-    psp_sn: KxKeyPair
+    psp_sn_seed, plat_sev and launch_sev are drawn when the platform is
+    built. The PSP key pair psp_sn and the certificate cert are derived
+    on first read, and then kept as plain attributes: a run that never
+    reads them never loads the key or signs the certificate. cert is the
+    issuing root's certificate of the PSP key, or None on a platform
+    built without a root until one is assigned.
+    """
+
+    psp_sn_seed: bytes
     plat_sev: Atom
     launch_sev: Atom
-    cert: SevPlatformCert | None = None
+    root: AmdRot | None = None
     session: GuestSession | None = None
 
+    @derived
+    def psp_sn(self) -> KxKeyPair:
+        return KxKeyPair(private=self.psp_sn_seed, public=crypto.kx_public(self.psp_sn_seed))
 
-def new_sev_platform(rng: Rng) -> SevPlatform:
+    @derived
+    def cert(self) -> SevPlatformCert | None:
+        if self.root is None:
+            return None
+        return amd_rot_certify(self.root, self.psp_sn.public)
+
+
+def new_sev_platform(rng: Rng, root: AmdRot | None = None) -> SevPlatform:
+    """Fresh platform with random keys and state, certified by root when given."""
     return SevPlatform(
-        psp_sn=crypto.kx_keygen(rng),
+        psp_sn_seed=rng.bytes(crypto.KEY_LEN),
         plat_sev=Atom(rng.bytes(PLAT_SEV_LEN)),
         launch_sev=Atom(rng.bytes(PLAT_SEV_LEN)),
+        root=root,
     )
 
 

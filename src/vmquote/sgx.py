@@ -24,7 +24,7 @@ from .codec import (
     Term,
     Tuple,
 )
-from .crypto import Rng, SigKeyPair
+from .crypto import Rng, SigKeyPair, derived
 
 PPID_LEN = 16
 PLAT_INFO_LEN = 8
@@ -129,23 +129,42 @@ def quote_payload(msr: Term, plat: Atom, data: Term) -> Term:
 
 @dataclass
 class SgxPlatform:
-    """One SGX machine: identity, quoting key, loaded enclaves."""
+    """One SGX machine: identity, quoting key, issuing root, loaded enclaves.
+
+    ppid, qek_seed and plat_info are drawn when the platform is built.
+    The quoting key pair qek and the certificate cert are derived from
+    them on first read, and then kept as plain attributes: a run that
+    never reads them never loads the key or signs the certificate. cert
+    is the issuing root's certificate of the quoting key, or None on a
+    platform built without a root until one is assigned.
+    """
 
     ppid: bytes
-    qek: SigKeyPair
+    qek_seed: bytes
     plat_info: Atom
-    cert: SgxPlatformCert | None = None
+    root: IntelRot | None = None
     _loaded: set = field(default_factory=set)
     _issued: set = field(default_factory=set)
     _next_serial: int = 0
 
+    @derived
+    def qek(self) -> SigKeyPair:
+        return SigKeyPair(private=self.qek_seed, public=crypto.sig_public(self.qek_seed))
 
-def new_sgx_platform(rng: Rng) -> SgxPlatform:
-    """Fresh platform with random identity; certify separately."""
+    @derived
+    def cert(self) -> SgxPlatformCert | None:
+        if self.root is None:
+            return None
+        return intel_rot_certify(self.root, self.qek.public, self.ppid)
+
+
+def new_sgx_platform(rng: Rng, root: IntelRot | None = None) -> SgxPlatform:
+    """Fresh platform with random identity, certified by root when given."""
     return SgxPlatform(
         ppid=rng.bytes(PPID_LEN),
-        qek=crypto.sig_keygen(rng),
+        qek_seed=rng.bytes(crypto.KEY_LEN),
         plat_info=Atom(rng.bytes(PLAT_INFO_LEN)),
+        root=root,
     )
 
 

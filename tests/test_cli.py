@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vmquote
 from vmquote.cli import EvidenceBundle, load_bundle_file, main
 
 
@@ -124,3 +129,11 @@ class TestFuzz:
         code = main(["fuzz", "--runs", "1", "--allow-compromise", "everything"])
         assert code == 2
         assert "unknown compromise flag" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_the_harness_out():
+    """verify's cold start: only run and fuzz import the simulator."""
+    code = "import sys, vmquote.cli; assert 'vmquote.harness' not in sys.modules"
+    src = str(Path(vmquote.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -3,6 +3,7 @@
 import copy
 import gc
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -823,6 +824,95 @@ class TestDeferredBody:
         monkeypatch.setattr(events, "encode", lambda term: encoded.append(term) or encode(term))
         self._assert_fields_read_as_body(live, reference, encoded)
         self._assert_fields_read_as_body(parsed, reference, encoded)
+
+
+class TestMadeOnFirstRead:
+    """Trace.defer: an event whose values are made at its first read."""
+
+    VALUES = {"src": "intel_rot", "dst": "bulletin", "term": Atom(b"\x01"), "key": b"\x02"}
+
+    #: Every way to read an event, each run against its appended twin.
+    READS = {
+        "get": lambda event, twin: event.get("term") == twin.get("term"),
+        "text": lambda event, twin: event.text("src") == twin.text("src"),
+        "term": lambda event, twin: event.term("term") == twin.term("term"),
+        "data": lambda event, twin: event.data("key") == twin.data("key"),
+        "body": lambda event, twin: event.body == twin.body,
+        "to_json": lambda event, twin: event.to_json() == twin.to_json(),
+        "==": lambda event, twin: event == twin,
+        "== reflected": lambda event, twin: twin == event,
+        "repr": lambda event, twin: repr(event) == repr(twin),
+        "pickle": lambda event, twin: pickle.loads(pickle.dumps(event)) == twin,
+        "deepcopy": lambda event, twin: copy.deepcopy(event) == twin,
+    }
+
+    @staticmethod
+    def _deferred(values):
+        """A trace of one deferred event, and the calls of its make."""
+        made = []
+        deferred = Trace()
+        deferred.defer(KIND_SEND, lambda: made.append(values) or dict(values))
+        return deferred, made
+
+    def _traces(self, values):
+        """The deferred trace, its twin recorded by append, and make's calls."""
+        twin = Trace()
+        twin.append(KIND_SEND, **values)
+        return (*self._deferred(values), twin)
+
+    @pytest.mark.parametrize("read", READS)
+    def test_make_runs_once_however_it_is_read(self, read):
+        deferred, made, twin = self._traces(self.VALUES)
+        event = deferred.events[0]
+        assert (event.seq, event.kind) == (0, KIND_SEND)
+        assert made == []
+        assert self.READS[read](event, twin.events[0])
+        assert made == [self.VALUES]
+        for check in self.READS.values():
+            assert check(event, twin.events[0])
+        assert made == [self.VALUES]
+
+    def test_after_its_first_read_it_is_a_plain_event(self):
+        deferred, _ = self._deferred(self.VALUES)
+        event = deferred.events[0]
+        assert event.__class__ is not Event
+        event.get("src")
+        assert event.__class__ is Event
+        assert event._values == self.VALUES
+        assert event.term("term") is self.VALUES["term"]
+        with pytest.raises(AttributeError):
+            event.seq = 1
+
+    @pytest.mark.parametrize("value", [bytearray(b"\x01"), [1], {"a": 1}])
+    def test_values_are_checked_at_the_first_read(self, value):
+        deferred, made = self._deferred({"src": "adv", "term": value})
+        assert len(deferred) == 1 and made == []
+        for read in (lambda event: event.get("src"), lambda event: event.body):
+            with pytest.raises(TypeError, match="trace field term"):
+                read(deferred.events[0])
+        assert len(made) == 2
+
+    def test_two_unread_events_compare_by_their_values(self):
+        first, _ = self._deferred(self.VALUES)
+        second, _ = self._deferred(self.VALUES)
+        other, _ = self._deferred({**self.VALUES, "src": "amd_rot"})
+        assert first.events[0] == second.events[0]
+        assert first.events[0] != other.events[0]
+
+    def test_a_trace_of_unread_events_survives_its_file(self):
+        deferred, _, twin = self._traces(self.VALUES)
+        deferred.append(KIND_TRANSITION, actor="sgx0", label="sgx_ereport")
+        deferred.defer(KIND_VERDICT, lambda: {"accept": True, "reason": None})
+        text = deferred.to_jsonl()
+        assert Trace.from_jsonl(text).events == deferred.events
+        assert text.splitlines()[0] == twin.to_jsonl().rstrip("\n")
+
+    def test_world_defers_exactly_the_platform_certificates(self):
+        world = World(seed=0)
+        unread = [event for event in world.trace if event.__class__ is not Event]
+        assert [event.seq for event in unread] == [2, 3, 4, 5]
+        roots = [event.get("src") for event in unread]
+        assert roots == ["intel_rot", "intel_rot", "amd_rot", "amd_rot"]
 
 
 def test_determinism_across_runs():
