@@ -18,10 +18,9 @@ using it once, and the adversary's closure reuses each key across many
 trial decryptions. A private key is cached with its raw public key,
 computed once when the key is loaded, so sig_keygen, sig_public, sign,
 kx_public and shared_secret build no public-key object while the key
-stays cached. A platform draws its key's 32 bytes when it is built but
-derives the key pair, through sig_public or kx_public, only when the
-pair is first read (see derived), so a platform whose key a run never
-reads never loads it.
+stays cached. A platform derives its key pair from the 32 bytes it drew
+through sig_public or kx_public, on first read (see derived), so a key
+a run never reads is never loaded.
 
 Beside them, two bounded per-process memos of 64 entries each, least
 recently used out first, answer a repeated check from the first one:

@@ -170,13 +170,9 @@ _set_values = Event._values.__set__
 
 
 class _Unmade(Event):
-    """An event Trace.defer records: its values are made at its first read.
+    """An event Trace.defer records; its values slot holds make until read.
 
-    Until then its values slot holds the function that makes them. The
-    first read of a field or of the body calls it, checks the values as
-    Trace.append does, and turns the event into a plain Event, which
-    answers that read and every later one. text, to_json, ==, repr and
-    pickling all read through body or get.
+    text, to_json, ==, repr and pickling all read through body or get.
     """
 
     __slots__ = ()
@@ -198,6 +194,7 @@ class _Unmade(Event):
 def _made(event: _Unmade) -> Event:
     """The event, its values made and checked, now a plain Event."""
     values = event._values()
+    # append's check, which append keeps inline on its hot path
     for key, value in values.items():
         if not isinstance(value, _RECORDABLE):
             raise TypeError(f"trace field {key} cannot hold a {type(value).__name__}")
@@ -227,10 +224,8 @@ class Trace:
     def defer(self, kind: str, make) -> Event:
         """Record one event whose values make() returns at its first read.
 
-        make runs once, when a field or the body of the event is first
-        read, and its values are checked then, as append checks them;
-        from then on the event is a plain Event. The event takes its seq
-        now, so the trace's order is the order of recording.
+        The event takes its seq now. make runs once, at the first read of
+        a field or the body, and TypeError names a value no trace can hold.
         """
         event = object.__new__(_Unmade)
         _set_seq(event, len(self.events))

@@ -158,11 +158,8 @@ class SevPlatform:
     """One SEV machine: PSP key, firmware state atoms, issuing root, guest slot.
 
     psp_sn_seed, plat_sev and launch_sev are drawn when the platform is
-    built. The PSP key pair psp_sn and the certificate cert are derived
-    on first read, and then kept as plain attributes: a run that never
-    reads them never loads the key or signs the certificate. cert is the
-    issuing root's certificate of the PSP key, or None on a platform
-    built without a root until one is assigned.
+    built. The PSP key pair psp_sn, and cert, the root's certificate of
+    it (None without a root), are derived on first read and then kept.
     """
 
     psp_sn_seed: bytes

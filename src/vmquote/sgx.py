@@ -132,11 +132,8 @@ class SgxPlatform:
     """One SGX machine: identity, quoting key, issuing root, loaded enclaves.
 
     ppid, qek_seed and plat_info are drawn when the platform is built.
-    The quoting key pair qek and the certificate cert are derived from
-    them on first read, and then kept as plain attributes: a run that
-    never reads them never loads the key or signs the certificate. cert
-    is the issuing root's certificate of the quoting key, or None on a
-    platform built without a root until one is assigned.
+    The quoting key pair qek, and cert, the root's certificate of it
+    (None without a root), are derived on first read and then kept.
     """
 
     ppid: bytes
