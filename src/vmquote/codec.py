@@ -26,7 +26,9 @@ raising MalformedEncoding once per atom.
 
 Message is the one rule from a protocol message to its term: a Tuple
 that starts with Label(TAG) when the class sets TAG, then carries every
-dataclass field in declaration order, each as its annotation says.
+annotated field in declaration order, each as its annotation says.
+Message builds each class from that layout when the class is created,
+term conversions and constructor alike.
 """
 
 from __future__ import annotations
@@ -157,23 +159,36 @@ def encode(term: Term) -> bytes:
     if term.__class__ is Atom:
         value = term.value
         return _HEADER.pack(_T_ATOM, len(value)) + value
-    out = bytearray()
-    _encode_into(term, out)
-    return bytes(out)
+    parts = []
+    _encode_into(term, parts)
+    return b"".join(parts)
 
 
-def _encode_into(term: Term, out: bytearray) -> None:
-    if isinstance(term, Atom):
-        out += _HEADER.pack(_T_ATOM, len(term.value))
-        out += term.value
-    elif isinstance(term, Label):
+def _encode_into(term: Term, parts: list) -> None:
+    """Append term's encoding to parts, piece by piece.
+
+    Dispatches on the exact class, so an object of any other class,
+    subclasses of the term classes included, raises TypeError. A Tuple
+    writes its Atom items inline, without a call.
+    """
+    cls = term.__class__
+    if cls is Tuple:
+        items = term.items
+        parts.append(_HEADER.pack(_T_TUPLE, len(items)))
+        for item in items:
+            if item.__class__ is Atom:
+                value = item.value
+                parts.append(_HEADER.pack(_T_ATOM, len(value)))
+                parts.append(value)
+            else:
+                _encode_into(item, parts)
+    elif cls is Atom:
+        parts.append(_HEADER.pack(_T_ATOM, len(term.value)))
+        parts.append(term.value)
+    elif cls is Label:
         text = term.text.encode("utf-8")
-        out += _HEADER.pack(_T_LABEL, len(text))
-        out += text
-    elif isinstance(term, Tuple):
-        out += _HEADER.pack(_T_TUPLE, len(term.items))
-        for item in term.items:
-            _encode_into(item, out)
+        parts.append(_HEADER.pack(_T_LABEL, len(text)))
+        parts.append(text)
     else:
         raise TypeError(f"not a Term: {term!r}")
 
@@ -271,13 +286,20 @@ def may_decode(data: bytes) -> bool:
 class Message:
     """Base of the protocol messages: one term layout, stated once.
 
-    A subclass is a dataclass. Its term form is a Tuple of Label(TAG),
-    when the class sets TAG, followed by every field in declaration order.
-    A field's annotation sets how it travels: bytes as an Atom of those
-    bytes, Atom as that Atom, Term as any term, and a Message subclass
-    in its own term form. from_term raises ValueError for any other
-    shape, nested messages included. Field kinds are resolved once, when
-    the subclass is defined.
+    A subclass declares its fields as annotations, in order. Its term
+    form is a Tuple of Label(TAG), when the class sets TAG, followed by
+    every field in declaration order. A field's annotation sets how it
+    travels: bytes as an Atom of those bytes, Atom as that Atom, Term as
+    any term, and a Message subclass in its own term form. from_term
+    raises ValueError for any other shape, nested messages included, and
+    checks the tag and the fields in that order.
+
+    Message builds each class from its layout when the class is created:
+    it writes straight-line code for __init__ (every field required,
+    positional or keyword), to_term and from_term, and for the value
+    methods a frozen dataclass has: __eq__ (same class, equal fields),
+    __hash__ and __repr__. Assigning or deleting an attribute of an
+    instance raises AttributeError.
     """
 
     #: Label text the term form starts with; None for no tag.
@@ -297,40 +319,98 @@ class Message:
                 or (isinstance(kind, type) and issubclass(kind, Message))
             ):
                 raise TypeError(f"{cls.__name__}.{name}: not a message field kind")
+            if name == "self" or name.startswith("_"):
+                raise TypeError(f"{cls.__name__}.{name}: not a message field name")
             layout.append((name, kind))
         cls._layout = tuple(layout)
         cls._head = () if cls.TAG is None else (Label(cls.TAG),)
+        namespace = {
+            "__name__": cls.__module__,
+            "_Atom": Atom,
+            "_Label": Label,
+            "_Tuple": Tuple,
+            "_new": object.__new__,
+            "_set_items": _set_items,
+            "_head": cls._head[0] if cls._head else None,
+            "_tag": cls.TAG,
+            "_bad": f"not a {cls.__name__} term",
+        }
+        namespace.update((f"_kind_{name}", kind) for name, kind in layout)
+        exec(_message_source(cls.TAG is not None, cls._layout), namespace)
+        for name in _GENERATED:
+            method = namespace[name]
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, classmethod(method) if name == "from_term" else method)
 
-    def to_term(self) -> Tuple:
-        items = list(self._head)
-        for name, kind in self._layout:
-            value = getattr(self, name)
-            if kind is bytes:
-                value = Atom(value)
-            elif kind is not Atom and kind is not Term:
-                value = value.to_term()
-            items.append(value)
-        return Tuple(items)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def from_term(cls, term: Term):
-        head = cls._head
-        if not isinstance(term, Tuple) or len(term.items) != len(head) + len(cls._layout):
-            raise ValueError(f"not a {cls.__name__} term")
-        items = term.items
-        if head and items[0] != head[0]:
-            raise ValueError(f"not a {cls.__name__} term")
-        values = []
-        for (_, kind), item in zip(cls._layout, items[len(head) :]):
-            if kind is bytes or kind is Atom:
-                if item.__class__ is not Atom:
-                    raise ValueError(f"not a {cls.__name__} term")
-                if kind is bytes:
-                    item = item.value
-            elif kind is not Term:
-                item = kind.from_term(item)
-            values.append(item)
-        return cls(*values)
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+_GENERATED = ("__init__", "to_term", "from_term", "__eq__", "__hash__", "__repr__")
+
+
+def _message_source(tagged: bool, layout) -> str:
+    """Python source of the _GENERATED methods for one message layout.
+
+    The code reads the names Message.__init_subclass__ binds: the term
+    classes, the head Label and its text, the rejection message, and each
+    field's kind as _kind_<field>. from_term joins neighbouring
+    checks into one condition, as they raise the same error; a nested
+    message's from_term runs between them, in field order.
+    """
+    names = [name for name, _ in layout]
+    values = "".join(f"self.{name}, " for name in names)
+    others = "".join(f"other.{name}, " for name in names)
+    items = ["_head"] if tagged else []
+    parse = []
+    pending = ["not isinstance(_tag_item, _Label)", "_tag_item.text != _tag"] if tagged else []
+    for name, kind in layout:
+        if kind is bytes:
+            items.append(f"_Atom(self.{name})")
+        elif kind is Atom or kind is Term:
+            items.append(f"self.{name}")
+        else:
+            items.append(f"self.{name}.to_term()")
+        if kind is bytes or kind is Atom:
+            pending.append(f"{name}.__class__ is not _Atom")
+        elif kind is not Term:
+            if pending:
+                parse += [f"    if {' or '.join(pending)}:", "        raise ValueError(_bad)"]
+                pending = []
+            parse.append(f"    {name} = _kind_{name}.from_term({name})")
+    if pending:
+        parse += [f"    if {' or '.join(pending)}:", "        raise ValueError(_bad)"]
+    fields = [f"{name}={name}.value" if kind is bytes else f"{name}={name}" for name, kind in layout]
+    unpacked = "".join(f"{item}, " for item in (["_tag_item"] if tagged else []) + names)
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
+    lines = [
+        f"def __init__(self, {', '.join(names)}):",
+        f"    self.__dict__.update({', '.join(f'{name}={name}' for name in names)})",
+        "def to_term(self):",
+        "    _term = _new(_Tuple)",
+        f"    _set_items(_term, ({''.join(f'{item}, ' for item in items)}))",
+        "    return _term",
+        "def from_term(_cls, _term):",
+        f"    if not isinstance(_term, _Tuple) or len(_term.items) != {len(items)}:",
+        "        raise ValueError(_bad)",
+        f"    ({unpacked}) = _term.items",
+        *parse,
+        "    _msg = _new(_cls)",
+        f"    _msg.__dict__.update({', '.join(fields)})",
+        "    return _msg",
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({values}) == ({others})",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        f"    return hash(({values}))",
+        "def __repr__(self):",
+        f'    return f"{{self.__class__.__qualname__}}({shown})"',
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def to_hex(term: Term) -> str:

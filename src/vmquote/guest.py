@@ -8,8 +8,6 @@ monotonic counter standing in for a timestamp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import crypto
 from .codec import TAG_GUEST_REPORT, Atom, Label, Message, Term, Tuple
 from .sev import GuestSession
@@ -21,7 +19,6 @@ DESIGNATED_VM_CODE = Atom(b"burrito_guest_vm")
 DESIGNATED_VM_DIGEST = crypto.digest(DESIGNATED_VM_CODE)
 
 
-@dataclass(frozen=True)
 class ReportRequest(Message):
     """A guest's payload for the owner to vouch for, MAC'd under its channel key."""
 

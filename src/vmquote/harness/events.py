@@ -66,6 +66,9 @@ _SCAN = _DECODER.scan_once
 
 #: The payload value types Trace.append records; bool is an int.
 _RECORDABLE = (str, Tuple, bytes, Atom, Label, int, type(None))
+#: The same types as a set: a value of one of them exactly passes without
+#: isinstance, which a subclass such as bool still goes through.
+_RECORDABLE_CLASSES = frozenset(_RECORDABLE)
 
 
 def _stored(value):
@@ -196,7 +199,7 @@ def _made(event: _Unmade) -> Event:
     values = event._values()
     # append's check, which append keeps inline on its hot path
     for key, value in values.items():
-        if not isinstance(value, _RECORDABLE):
+        if value.__class__ not in _RECORDABLE_CLASSES and not isinstance(value, _RECORDABLE):
             raise TypeError(f"trace field {key} cannot hold a {type(value).__name__}")
     _set_values(event, values)
     object.__setattr__(event, "__class__", Event)
@@ -212,7 +215,7 @@ class Trace:
     def append(self, kind: str, **values) -> Event:
         """Record one event; TypeError for a value no trace can hold."""
         for key, value in values.items():
-            if not isinstance(value, _RECORDABLE):
+            if value.__class__ not in _RECORDABLE_CLASSES and not isinstance(value, _RECORDABLE):
                 raise TypeError(f"trace field {key} cannot hold a {type(value).__name__}")
         event = object.__new__(Event)
         _set_seq(event, len(self.events))

@@ -47,7 +47,6 @@ class VerificationInput:
     vmdata: Term
 
 
-@dataclass(frozen=True)
 class EvidenceBundle(Message):
     """The five pieces of evidence a verdict judges.
 

@@ -37,7 +37,6 @@ class NoMeasuredSession(RuntimeError):
     """Secret package arrived with no session awaiting provisioning."""
 
 
-@dataclass(frozen=True)
 class SevPlatformCert(Message):
     """Root-signed PSP key. sig_ar signs Tuple([Atom(psp_sn_pb)]).
 
@@ -78,7 +77,6 @@ def amd_rot_certify(rot: AmdRot, psp_sn_pb: bytes) -> SevPlatformCert:
     )
 
 
-@dataclass(frozen=True)
 class DeployPackage(Message):
     """Everything the deploying party hands the platform.
 
@@ -94,7 +92,6 @@ class DeployPackage(Message):
     vmc: Atom
 
 
-@dataclass(frozen=True)
 class TransportKeys(Message):
     """The plaintext blob_d wraps: the guest's transport keys."""
 
@@ -104,7 +101,6 @@ class TransportKeys(Message):
     tik: bytes
 
 
-@dataclass(frozen=True)
 class Measurement(Message):
     """Launch measurement: platform state, code digest, fresh nonce."""
 
@@ -114,7 +110,6 @@ class Measurement(Message):
     nonce: bytes
 
 
-@dataclass(frozen=True)
 class MeasurementPackage(Message):
     """Measurement plus its MAC under the transport integrity key."""
 
@@ -122,7 +117,6 @@ class MeasurementPackage(Message):
     mac_ti: bytes
 
 
-@dataclass(frozen=True)
 class SecretPackage(Message):
     """Wrapped guest secret, MAC-bound to the exact measurement.
 

@@ -49,7 +49,6 @@ class ForeignReport(RuntimeError):
     """Quote requested for a report this platform never issued."""
 
 
-@dataclass(frozen=True)
 class SgxPlatformCert(Message):
     """Root-signed binding of a quoting key to a platform identity.
 
@@ -105,7 +104,6 @@ class LocalReport:
     serial: int
 
 
-@dataclass(frozen=True)
 class Quote(Message):
     """Remotely verifiable quote signed by the platform's quoting key.
 
