@@ -73,9 +73,8 @@ _terms = st.recursive(
 )
 
 
-def _tags():
-    """The protocol's tags, which a wrong tag slot may hold instead."""
-    return st.sampled_from([Label(cls.TAG) for cls in MESSAGES if cls.TAG is not None])
+# The protocol's tags, which a slot may hold instead of its own item.
+_tags = st.sampled_from([Label(cls.TAG) for cls in MESSAGES if cls.TAG is not None])
 
 
 def valid_terms(cls):
@@ -95,7 +94,7 @@ def valid_terms(cls):
 def near_terms(draw, cls):
     """A term of cls's layout with up to two items replaced, dropped or added."""
     items = list(draw(valid_terms(cls)).items)
-    nested = {len(cls._head) + i: kind for i, (_, kind) in enumerate(cls._layout)}
+    kinds = {len(cls._head) + i: kind for i, (_, kind) in enumerate(cls._layout)}
     for _ in range(draw(st.integers(0, 2))):
         change = draw(st.sampled_from(["replace", "replace", "drop", "add"]))
         if change == "drop" and items:
@@ -104,8 +103,8 @@ def near_terms(draw, cls):
             items.insert(draw(st.integers(0, len(items))), draw(_terms))
         else:
             idx = draw(st.integers(0, len(items) - 1))
-            kind = nested.get(idx)
-            options = [_atoms, _labels, st.lists(_terms, max_size=3).map(Tuple), _tags()]
+            kind = kinds.get(idx)
+            options = [_atoms, _labels, st.lists(_terms, max_size=3).map(Tuple), _tags]
             if isinstance(kind, type) and issubclass(kind, Message):
                 options.append(near_terms(kind))
             items[idx] = draw(st.one_of(*options))
