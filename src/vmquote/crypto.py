@@ -19,8 +19,8 @@ trial decryptions. A private key is cached with its raw public key,
 computed once when the key is loaded, so sig_keygen, sig_public, sign,
 kx_public and shared_secret build no public-key object while the key
 stays cached. A platform derives its key pair from the 32 bytes it drew
-through sig_public or kx_public, on first read (see derived), so a key
-a run never reads is never loaded.
+through sig_public or kx_public, on first read (a cached_property), so a
+key a run never reads is never loaded.
 
 Beside them, two bounded per-process memos of 64 entries each, least
 recently used out first, answer a repeated check from the first one:
@@ -182,30 +182,6 @@ class KxKeyPair:
 
     private: bytes
     public: bytes
-
-
-class derived:
-    """An attribute made from its instance on first read, then kept on it.
-
-    Decorates a method. The first read of the attribute calls it and
-    stores the result in the instance's __dict__ under the same name,
-    where every later read finds a plain attribute. An assignment sets
-    that attribute, so once assigned the method never runs. Unlike
-    functools.cached_property it takes no lock: a simulation runs in one
-    thread.
-    """
-
-    def __init__(self, make) -> None:
-        self._make = make
-
-    def __set_name__(self, owner, name: str) -> None:
-        self._name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self._name] = self._make(instance)
-        return value
 
 
 @lru_cache(maxsize=_KEY_CACHE_SIZE)

@@ -18,10 +18,9 @@ from .fuzz import (
     fuzz_campaign,
     parse_compromise_flags,
 )
-from .knowledge import AdversaryKnowledge
+from .knowledge import AdversaryKnowledge, Compromises
 from .properties import (
     PROPERTY_IDS,
-    Compromises,
     PropertyResult,
     UnknownProperty,
     check_all,
@@ -55,8 +54,8 @@ __all__ = [
     "fuzz_campaign",
     "parse_compromise_flags",
     "AdversaryKnowledge",
-    "PROPERTY_IDS",
     "Compromises",
+    "PROPERTY_IDS",
     "PropertyResult",
     "UnknownProperty",
     "check_all",

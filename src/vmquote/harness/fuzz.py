@@ -112,35 +112,37 @@ def parse_compromise_flags(flags: list[str]) -> CompromiseMask:
 class Move:
     """One adversary action with every choice already made.
 
-    kind names the action, args hold its choices: an item path, byte and
-    bit for a flip, platform indices, terms and lengths. Fresh values are
-    named only by their length; apply mints them from the world's Rng.
+    kind names the action, args hold its choices. Fresh values are named
+    only by their length; apply mints them from the world's Rng. The
+    kinds apply performs, with their args:
+
+    - advance: the honest pipeline takes one step
+    - finish: the honest pipeline runs to completion
+    - flip: (item path, byte, bit) in the in-flight message
+    - replace: (item index, term) in the in-flight message
+    - truncate: the in-flight message loses its last item
+    - drop: the in-flight message is lost
+    - inject: (deliver target, term)
+    - inject_fresh: (deliver target, length) of a fresh atom
+    - tenant: (code,) a new owner on the next SGX platform runs its
+      pipeline to the end
+    - compromise: ("intel" | "amd" | "qe" | "psp", platform index or None)
+    - request_quote: (sgx index, report data length) for an adversary
+      enclave
+    - own_deploy: (sev index,) of a free platform
+    - extract: (sev index,) of a running non-designated guest
+    - forge_bundle: (sgx index whose quoting key is stolen, or None for
+      the Intel root,)
+    - forge_sev_cert: (deliver target,) gets a fresh key's cert signed by
+      the stolen AMD root
+    - forge_measurement: (key,) MACs a fresh designated-digest
+      measurement for owner0
+    - forge_request: (deliver target, vmdata length, key or None for a
+      fresh tag)
     """
 
     kind: str
     args: tuple = ()
-
-
-#: Every kind apply performs, with its args.
-MOVE_KINDS = (
-    "advance",  # the honest pipeline takes one step
-    "finish",  # the honest pipeline runs to completion
-    "flip",  # (item path, byte, bit) in the in-flight message
-    "replace",  # (item index, term) in the in-flight message
-    "truncate",  # the in-flight message loses its last item
-    "drop",  # the in-flight message is lost
-    "inject",  # (deliver target, term)
-    "inject_fresh",  # (deliver target, length) of a fresh atom
-    "tenant",  # (code,) a new owner on the next SGX platform runs its pipeline to the end
-    "compromise",  # ("intel" | "amd" | "qe" | "psp", platform index or None)
-    "request_quote",  # (sgx index, report data length) for an adversary enclave
-    "own_deploy",  # (sev index,) of a free platform
-    "extract",  # (sev index,) of a running non-designated guest
-    "forge_bundle",  # (sgx index whose quoting key is stolen, or None for the Intel root,)
-    "forge_sev_cert",  # (deliver target,) gets a fresh key's cert signed by the stolen AMD root
-    "forge_measurement",  # (key,) MACs a fresh designated-digest measurement for owner0
-    "forge_request",  # (deliver target, vmdata length, key or None for a fresh tag)
-)
 
 
 def forge_sgx_cert(world: World) -> tuple[sgx.SgxPlatformCert, bytes]:

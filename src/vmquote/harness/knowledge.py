@@ -1,8 +1,12 @@
 """Explicit Dolev-Yao adversary knowledge.
 
 The adversary sees every term on the network plus the public bulletin,
-and on top of that whatever private keys compromises hand it. Knowledge
-grows by an analysis closure run to fixpoint:
+and on top of that whatever private keys compromises hand it. Its view
+is one AdversaryKnowledge, fed by one loop, feed, which hands each send
+and adversary event to the one rule, AdversaryKnowledge.learn; learn
+also keeps the view's Compromises record, the only one a judgement reads
+its escapes from. Knowledge grows by an analysis closure run to
+fixpoint:
 
 - tuples are taken apart
 - atoms whose payload parses as a term are decoded
@@ -195,7 +199,7 @@ from .. import crypto
 from ..codec import Atom, Label, MalformedEncoding, Term, Tuple, decode, encode, may_decode
 from ..crypto import DecryptionFailure, InvalidPublicElement
 from ..sev import DeployPackage, SecretPackage, SevPlatformCert, TransportKeys, wrap_keys
-from .events import ADVERSARY_VISIBLE, KIND_ADVERSARY, Event, Trace
+from .events import ADVERSARY_VISIBLE, Event
 
 # The shortest term encoding: a tag byte and a 4-byte length.
 _MIN_ENCODING = len(encode(Atom(b"")))
@@ -209,9 +213,9 @@ CLOSURE_COUNTERS = ("rounds", "kx_pairs", "trials", "hits")
 class Compromises:
     """What the adversary has compromised, read off adversary events.
 
-    Keys are hex, as traces store them. learn is the one compromise rule:
-    AdversaryKnowledge.learn hands it each compromise of the view's own
-    record, and from_trace feeds a bare record a whole trace.
+    Keys are hex, as traces store them. learn is the one compromise rule,
+    and AdversaryKnowledge.learn, which hands it each compromise event,
+    its one caller: every record is a view's own.
     """
 
     intel: bool = False
@@ -220,9 +224,7 @@ class Compromises:
     psp_ids: set[str] = field(default_factory=set)
 
     def learn(self, event: Event) -> None:
-        """The one rule from a trace event to compromise state."""
-        if event.kind != KIND_ADVERSARY:
-            return
+        """The one rule from a compromise event to compromise state."""
         action = event.get("action")
         if action == "compromise_intel_rot":
             self.intel = True
@@ -232,15 +234,6 @@ class Compromises:
             self.qe_ppids.add(event.text("ppid"))
         elif action == "compromise_sev_psp":
             self.psp_ids.add(event.text("psp"))
-
-    @staticmethod
-    def from_trace(trace: Trace) -> Compromises:
-        """The record the trace's events show, fed through properties.feed."""
-        from .properties import feed  # properties imports this module
-
-        record = Compromises()
-        feed(trace.events, record)
-        return record
 
 
 def _position(message: type, name: str) -> tuple[int, int]:
@@ -300,7 +293,7 @@ class AdversaryKnowledge:
     """What the adversary knows, closed under analysis by analyze().
 
     It is the one adversary view: compromised is its Compromises record,
-    which learn feeds too, and a judgement given the view reads it.
+    which learn feeds too, and every judgement reads its escapes there.
 
     The counters rounds, kx_pairs, trials and hits count the closure's
     work: rounds run, negotiations attempted, (blob, key) pairs covered by
@@ -363,22 +356,16 @@ class AdversaryKnowledge:
         self.scanned = 0
 
     def learn(self, event: Event) -> None:
-        """The one rule from a trace event to the adversary's view.
+        """The one rule from a send or adversary event to the view.
 
-        In the package only properties.feed calls it: the World's view,
-        when read, catches up with the events recorded since the last
-        read, and rebuild_knowledge feeds every event of a trace, so the
-        two views agree by construction. Only send and adversary events
-        count, and of them only the term, leak, leak_kind and action
-        fields: an adversary event whose action is a str naming a
+        In the package only feed calls it, and feed has already tested
+        the event's kind. learn reads only the term, leak, leak_kind and
+        action fields: an event whose action is a str naming a
         compromise goes to compromised.learn, and a leaked private key is
         registered before the event's term is observed.
         """
-        kind = event.kind
-        if kind not in ADVERSARY_VISIBLE:
-            return
         action = event.get("action")
-        if kind == KIND_ADVERSARY and action.__class__ is str and action.startswith("compromise_"):
+        if action.__class__ is str and action.startswith("compromise_"):
             self.compromised.learn(event)
         leak = event.data("leak")
         if leak is not None:
@@ -591,3 +578,15 @@ class AdversaryKnowledge:
                 not fresh and len(value) == crypto.DIGEST_LEN and value in self._digest_index()
             )
         return False
+
+
+def feed(events, view: AdversaryKnowledge) -> None:
+    """The one loop from trace events to the adversary's view.
+
+    Hands each send and adversary event, in order, to view.learn; this is
+    the one place an event's kind is tested on the way. The World's view
+    and rebuild_knowledge both run it.
+    """
+    for ev in events:
+        if ev.kind in ADVERSARY_VISIBLE:
+            view.learn(ev)

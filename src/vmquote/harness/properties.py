@@ -26,32 +26,34 @@ instance as the witness.
 
 check_all and check_property first group the trace in one pass, a
 _Grouping: its transitions by label and its owner accepts, in trace
-order, and the record its escapes come from. Every checker, and every
-scenario postcondition, looks instances and backing events up there, so
-one judgement reads each transition's label and each verdict's accept
-and quote_msr once. Backing is still an any() over the grouped events.
+order, and the one adversary view the judgement reads. Every checker,
+and every scenario postcondition, looks instances and backing events up
+there, so one judgement reads each transition's label and each
+verdict's accept and quote_msr once. Backing is still an any() over the
+grouped events.
 
-The adversary's view is one AdversaryKnowledge, fed by one loop, feed,
-through one rule, AdversaryKnowledge.learn, which also keeps the view's
-Compromises record. A judgement given a view, such as the simulator's
-World.knowledge, reads its escapes from that record and rebuilds
-nothing; one without a view rebuilds it from the trace alone (bus
-traffic plus logged adversary actions) and reads the escapes off the
-trace once, with Compromises.from_trace. The test suite checks that the
-two agree. Escapes are trace-global: a compromise event anywhere in the
-trace excuses matching instances, mirroring how such disjuncts quantify
-over a whole trace. That is not a loophole but a fact about the
+Every judgement reads exactly one AdversaryKnowledge, as a Tamarin lemma
+reads one adversary knowledge in both its reveal clause and its secrecy
+claim. A judgement given a view, such as the simulator's
+World.knowledge, rebuilds nothing; one without a view rebuilds it from
+the trace alone (bus traffic plus logged adversary actions) with
+rebuild_knowledge, which only feeds the events; the closure runs only
+when secrecy has instances. Escapes are read only from the view's
+Compromises record. They are trace-global: a compromise event anywhere
+in the trace excuses matching instances, mirroring how such disjuncts
+quantify over a whole trace. That is not a loophole but a fact about the
 protocol: the key exchange has no forward secrecy, so a PSP key stolen
 after the fact really does open past traffic.
 
 The offline audit is total: on any trace Trace.from_jsonl accepts,
-rebuild_knowledge and check_all raise nothing but ValueError. learn
+rebuild_knowledge and check_all raise nothing but ValueError, and a
+judgement with or without a view raises on the same fields. learn
 decodes its fields with Event.term and Event.data and compares an action
 only when it is a str; Compromises.learn and the checkers read fields
 with Event.text, which requires a str. None of them builds the event's
 body, and each raises ValueError on a field it cannot read, so a
-malformed compromise fails the view's rebuild; a channel key nested too
-deep to judge is a ValueError too.
+malformed term, leak or compromise fails the view's rebuild; a channel
+key nested too deep to judge is a ValueError too.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ from dataclasses import dataclass
 from ..codec import Atom
 from ..guest import DESIGNATED_VM_DIGEST
 from ..sgx import OWNER_ENCLAVE_MEASUREMENT
-from .events import ADVERSARY_VISIBLE, KIND_TRANSITION, KIND_VERDICT, Event, Trace, term_hex
-from .knowledge import AdversaryKnowledge, Compromises
+from .events import KIND_TRANSITION, KIND_VERDICT, Event, Trace, term_hex
+from .knowledge import AdversaryKnowledge, feed
 
 PROPERTY_IDS = (
     "sgx_quote_authenticity",
@@ -95,19 +97,6 @@ class PropertyResult:
     escaped: int = 0
 
 
-def feed(events, view) -> None:
-    """The one loop from trace events to the adversary's view.
-
-    Hands each send and adversary event, in order, to the view's learn
-    rule: an AdversaryKnowledge's, which feeds its compromised record
-    too, or a bare Compromises record's. rebuild_knowledge, the World's
-    on-demand view and Compromises.from_trace all run it.
-    """
-    for ev in events:
-        if ev.kind in ADVERSARY_VISIBLE:
-            view.learn(ev)
-
-
 def rebuild_knowledge(trace: Trace) -> AdversaryKnowledge:
     """Adversary view from the trace alone.
 
@@ -127,12 +116,12 @@ class _Grouping:
 
     by_label maps each str label to its transition events and accepts
     lists the accepted verdicts whose quote names the owner-enclave
-    measurement, both in trace order. knowledge is the view the caller
-    gave, or None, and esc the record escapes are read from: the view's
-    compromised, or else the one Compromises.from_trace builds.
+    measurement, both in trace order. knowledge is the one view every
+    checker reads, escapes included: the caller's, or else the one
+    rebuild_knowledge builds from the trace.
     """
 
-    __slots__ = ("trace", "knowledge", "by_label", "accepts", "esc")
+    __slots__ = ("knowledge", "by_label", "accepts")
 
     def __init__(self, trace: Trace, knowledge: AdversaryKnowledge | None = None) -> None:
         by_label: dict[str, list[Event]] = {}
@@ -145,11 +134,9 @@ class _Grouping:
                     by_label.setdefault(label, []).append(ev)
             elif kind == KIND_VERDICT and ev.get("accept") and ev.get("quote_msr") == _TO_MSR_HEX:
                 accepts.append(ev)
-        self.trace = trace
-        self.knowledge = knowledge
+        self.knowledge = rebuild_knowledge(trace) if knowledge is None else knowledge
         self.by_label = by_label
         self.accepts = accepts
-        self.esc = Compromises.from_trace(trace) if knowledge is None else knowledge.compromised
 
     def transitions(self, label: str) -> list[Event]:
         """The transitions with this label, in trace order."""
@@ -206,7 +193,7 @@ def _data(ev: Event, key: str) -> bytes:
 
 
 def _check_sgx_quote_authenticity(seen: _Grouping) -> PropertyResult:
-    esc = seen.esc
+    esc = seen.knowledge.compromised
     reports = seen.transitions("owner_generate_report")
 
     def backed(ev: Event) -> bool:
@@ -226,16 +213,14 @@ def _check_sgx_quote_authenticity(seen: _Grouping) -> PropertyResult:
 
 
 def _check_sev_secret_secrecy(seen: _Grouping) -> PropertyResult:
-    esc = seen.esc
+    knowledge = seen.knowledge
+    esc = knowledge.compromised
     instances = [
         ev
         for ev in seen.transitions("owner_provision_vm")
         if ev.get("vm_dig") == _DESIGNATED_DIG_HEX
     ]
-    knowledge = seen.knowledge
     if instances:
-        if knowledge is None:
-            knowledge = rebuild_knowledge(seen.trace)
         knowledge.analyze()
 
     def backed(ev: Event) -> bool:
@@ -254,7 +239,7 @@ def _check_sev_secret_secrecy(seen: _Grouping) -> PropertyResult:
 
 
 def _check_vm_quote_authenticity(seen: _Grouping) -> PropertyResult:
-    esc = seen.esc
+    esc = seen.knowledge.compromised
     launches = seen.transitions("sev_session_measured")
     requests = seen.transitions("guest_request_report")
 

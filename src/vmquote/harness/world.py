@@ -27,7 +27,7 @@ The World only records: each event is appended to the trace and
 nothing more. The adversary's view is one object, World.knowledge, and
 it catches up when read: each read first feeds the send and adversary
 events recorded since the last read, in trace order, to its one learn
-rule, AdversaryKnowledge.learn, through properties.feed, the loop
+rule, AdversaryKnowledge.learn, through knowledge.feed, the loop
 rebuild_knowledge runs too. learn keeps the view's compromise record,
 which World.compromised returns and a judgement given the view reads
 its escapes from. The live view is therefore exactly what the events
@@ -97,8 +97,7 @@ from .events import (
     KIND_VERDICT,
     Trace,
 )
-from .knowledge import AdversaryKnowledge, Compromises
-from .properties import feed
+from .knowledge import AdversaryKnowledge, Compromises, feed
 
 
 class ForbiddenMeasurement(RuntimeError):

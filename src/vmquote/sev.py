@@ -16,10 +16,11 @@ terminates the session.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import crypto
 from .codec import TAG_TRANSPORT_KEYS, Atom, Message, Term, Tuple
-from .crypto import DecryptionFailure, KxKeyPair, Rng, SigKeyPair, derived
+from .crypto import DecryptionFailure, KxKeyPair, Rng, SigKeyPair
 
 NONCE_LEN = 16
 PLAT_SEV_LEN = 8
@@ -162,11 +163,11 @@ class SevPlatform:
     root: AmdRot | None = None
     session: GuestSession | None = None
 
-    @derived
+    @cached_property
     def psp_sn(self) -> KxKeyPair:
         return KxKeyPair(private=self.psp_sn_seed, public=crypto.kx_public(self.psp_sn_seed))
 
-    @derived
+    @cached_property
     def cert(self) -> SevPlatformCert | None:
         if self.root is None:
             return None

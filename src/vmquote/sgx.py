@@ -12,6 +12,7 @@ report-key check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import crypto
 from .codec import (
@@ -24,7 +25,7 @@ from .codec import (
     Term,
     Tuple,
 )
-from .crypto import Rng, SigKeyPair, derived
+from .crypto import Rng, SigKeyPair
 
 PPID_LEN = 16
 PLAT_INFO_LEN = 8
@@ -142,11 +143,11 @@ class SgxPlatform:
     _issued: set = field(default_factory=set)
     _next_serial: int = 0
 
-    @derived
+    @cached_property
     def qek(self) -> SigKeyPair:
         return SigKeyPair(private=self.qek_seed, public=crypto.sig_public(self.qek_seed))
 
-    @derived
+    @cached_property
     def cert(self) -> SgxPlatformCert | None:
         if self.root is None:
             return None

@@ -17,6 +17,7 @@ from vmquote import crypto
 from vmquote.codec import Atom, Tuple, encode, to_hex
 from vmquote.guest import DESIGNATED_VM_CODE
 from vmquote.harness import Compromises, Event, Trace, check_all, rebuild_knowledge, run_scenario
+from vmquote.harness.events import ADVERSARY_VISIBLE
 from vmquote.harness.knowledge import _MIN_CIPHERTEXT
 from vmquote.sgx import OWNER_ENCLAVE_MEASUREMENT
 
@@ -153,6 +154,7 @@ def test_loader_reads_any_lines_as_decode_does(lines):
     "text",
     [
         '{"seq": 0, "kind": "send", "term": 1}',
+        '{"seq": 0, "kind": "send", "term": "zz"}',
         '{"seq": 0, "kind": "adversary", "leak": 1}',
         '{"seq": 0, "kind": "adversary", "action": "compromise_sgx_qe"}',
         '{"seq": 0, "kind": "adversary", "action": "compromise_sgx_qe", "ppid": [1]}',
@@ -167,6 +169,7 @@ def test_loader_reads_any_lines_as_decode_does(lines):
     ],
     ids=[
         "term",
+        "hex-term",
         "leak",
         "no-ppid",
         "list-ppid",
@@ -177,9 +180,17 @@ def test_loader_reads_any_lines_as_decode_does(lines):
     ],
 )
 def test_hostile_field_fails_the_audit_with_value_error(text):
+    """Every audit form that reads the field raises ValueError.
+
+    The rebuild reads only send and adversary events, and a judgement
+    with or without a view reads what the rebuild reads.
+    """
     trace = Trace.from_jsonl(text)
-    with pytest.raises(ValueError, match="trace event"):
-        check_all(trace, rebuild_knowledge(trace))
+    rebuild, *judgements = _audits(trace)
+    visible = any(event.kind in ADVERSARY_VISIBLE for event in trace.events)
+    for audit in [rebuild, *judgements] if visible else judgements:
+        with pytest.raises(ValueError, match="^trace event|^not valid hex"):
+            audit()
 
 
 @pytest.mark.parametrize(

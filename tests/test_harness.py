@@ -40,7 +40,7 @@ from vmquote.harness import (
     run_scenario,
     run_scenario_world,
 )
-from vmquote.harness import events
+from vmquote.harness import events, properties
 from vmquote.harness.events import (
     KIND_ADVERSARY,
     KIND_SEND,
@@ -146,22 +146,22 @@ class TestCompromiseScenarios:
             assert all(results[pid].holds for pid in PROPERTY_IDS), name
             assert any(results[pid].escaped > 0 for pid in PROPERTY_IDS), name
 
-    def test_check_all_reads_compromises_once(self, monkeypatch):
-        """check_all judges as check_property does, from one Compromises record.
+    def test_check_all_reads_one_view(self, monkeypatch):
+        """check_all judges as check_property does, from one adversary view.
 
-        Given the view, the record is the view's own and none is built;
-        without it, one is built from the trace.
+        Given the view, escapes come from its own record and nothing is
+        rebuilt; without it, exactly one view is rebuilt from the trace.
         """
         world, _ = run_scenario_world("compromise_sev_psp_pre", seed=1)
         alone = {pid: check_property(world.trace, pid, world.knowledge) for pid in PROPERTY_IDS}
         built = []
-        from_trace = Compromises.from_trace
+        rebuild = properties.rebuild_knowledge
 
         def counted(trace):
             built.append(trace)
-            return from_trace(trace)
+            return rebuild(trace)
 
-        monkeypatch.setattr(Compromises, "from_trace", staticmethod(counted))
+        monkeypatch.setattr(properties, "rebuild_knowledge", counted)
         assert check_all(world.trace, world.knowledge) == alone
         assert built == []
         assert check_all(world.trace) == alone
@@ -661,8 +661,8 @@ class TestTraceInfrastructure:
             for know in (rebuilt, reparsed):
                 know.analyze()
                 assert {encode(t) for t in know.terms_list()} == live, name
-            assert world.compromised == Compromises.from_trace(world.trace), name
-            assert world.compromised == Compromises.from_trace(parsed), name
+            assert world.compromised == rebuilt.compromised, name
+            assert world.compromised == reparsed.compromised, name
 
     def test_send_events_carry_decodable_terms(self):
         world, _ = run_scenario_world("honest")
