@@ -9,28 +9,31 @@ Four event kinds, mirroring what the property checkers need to see:
 
 Trace.append records payload values as given, once it has checked
 that each is bytes, a term (Atom, Label or Tuple), or a str, int, bool
-or None; any other value raises TypeError there. get and text read one
-field in its JSON-ready form, bytes and terms as hex strings (terms by
-their canonical encoding), and build no body. The first read of the
-whole body (body, to_json, ==, repr or a copy) builds every field that
-way, then the event keeps the body and drops the values. Bytes and
-terms are immutable, so an in-memory trace and its JSON-lines file hold
-the same data, and a run hexes only the fields it reads. Timestamps are
-the strictly increasing seq numbers; nothing in a trace depends on
-wall-clock time, which is what makes replays byte-identical.
+or None; any other value raises TypeError there. An event keeps its
+fields in one slot: the values as recorded, the dict Trace.from_jsonl
+parsed, or, for an event Trace.defer recorded, the function that makes
+its values. get and text read one field in its JSON-ready form, bytes
+and terms as hex strings (terms by their canonical encoding), and build
+no body. A read of the whole body (body, to_json, ==, repr or a copy)
+builds every field that way and stores that body in the slot, so each
+term is hexed at most once. Bytes and terms are immutable, so an
+in-memory trace and its JSON-lines file hold the same data, and a run
+hexes only the fields it reads. Timestamps are the strictly increasing
+seq numbers; nothing in a trace depends on wall-clock time, which is
+what makes replays byte-identical.
 
 term and data read a field back as the term or the bytes it holds, and
 build no body either: a recorded term or bytes value comes back as the
 very object recorded, and any str (parsed, or recorded as hex) is
-decoded from hex.
+decoded from hex. A field that holds neither raises ValueError naming
+the event's seq and the field.
 
 Trace.defer records an event whose values are made at its first read:
 it takes its seq at once, and the first read of a field or of its body
 calls the function it was given, checks what it returns as append
-checks its values, and turns the event into a plain Event. The World
+checks its values, and stores those values in the slot. The World
 publishes the platform certificates this way, so a certificate no one
-reads is never signed. A deferred event answers its first read through
-its own class, so a plain event's readers check for nothing.
+reads is never signed.
 
 Transition payloads may carry protocol-internal secrets (the same way a
 formal trace carries them). Only send and adversary events are
@@ -71,6 +74,14 @@ _RECORDABLE = (str, Tuple, bytes, Atom, Label, int, type(None))
 _RECORDABLE_CLASSES = frozenset(_RECORDABLE)
 
 
+def _recordable(values: dict) -> dict:
+    """values, each checked to be one a trace can hold; TypeError otherwise."""
+    for key, value in values.items():
+        if value.__class__ not in _RECORDABLE_CLASSES and not isinstance(value, _RECORDABLE):
+            raise TypeError(f"trace field {key} cannot hold a {type(value).__name__}")
+    return values
+
+
 def _stored(value):
     """A payload value as the trace keeps it: bytes and terms as hex."""
     if isinstance(value, bytes):
@@ -81,21 +92,22 @@ def _stored(value):
 
 
 class Event:
-    """One trace event: its seq, its kind and its JSON-ready body.
+    """One trace event: its seq, its kind and its fields.
 
-    Event(seq, kind, body) holds body as given; an event Trace.append
-    records holds its raw values until the whole body is first read.
-    get, text, term and data read one field without building the body.
-    No field can be assigned or deleted.
+    One slot holds the fields: the values Trace.append recorded, the
+    body Event(seq, kind, body) was given, or the make Trace.defer was
+    given, until the first read stores its checked values there. body
+    stores the JSON-ready dict it builds in the same slot. get, text,
+    term and data read one field without building the body. No field
+    can be assigned or deleted.
     """
 
-    __slots__ = ("seq", "kind", "_body", "_values")
+    __slots__ = ("seq", "kind", "_fields")
 
     def __init__(self, seq: int, kind: str, body: dict) -> None:
         _set_seq(self, seq)
         _set_kind(self, kind)
-        _set_body(self, body)
-        _set_values(self, None)
+        _set_fields(self, body)
 
     def __setattr__(self, name, value):
         raise AttributeError("a trace event is immutable")
@@ -103,14 +115,22 @@ class Event:
     def __delattr__(self, name):
         raise AttributeError("a trace event is immutable")
 
+    def _read(self) -> dict:
+        """The fields the slot holds, made first if the event was deferred.
+
+        get, term and data test the slot inline and call this only for a
+        deferred event: a call on every read slowed the offline audit.
+        """
+        fields = self._fields
+        if fields.__class__ is not dict:
+            fields = _recordable(dict(fields()))
+            _set_fields(self, fields)
+        return fields
+
     @property
     def body(self) -> dict:
-        values = self._values
-        if values is None:
-            return self._body
-        body = {key: _stored(value) for key, value in values.items()}
-        _set_body(self, body)
-        _set_values(self, None)
+        body = {key: _stored(value) for key, value in self._read().items()}
+        _set_fields(self, body)
         return body
 
     def __eq__(self, other):
@@ -133,10 +153,9 @@ class Event:
 
     def get(self, key: str):
         """Field key as body would hold it, or None; builds no body."""
-        values = self._values
-        if values is None:
-            return self._body.get(key)
-        return _stored(values.get(key))
+        fields = self._fields
+        value = (fields if fields.__class__ is dict else self._read()).get(key)
+        return value if value.__class__ is str or value is None else _stored(value)
 
     def text(self, key: str) -> str:
         """The str field key; ValueError when it is missing or no str."""
@@ -147,63 +166,30 @@ class Event:
 
     def term(self, key: str):
         """The term field key holds, or None; ValueError if it holds none."""
-        values = self._values
-        value = (self._body if values is None else values).get(key)
+        fields = self._fields
+        value = (fields if fields.__class__ is dict else self._read()).get(key)
         if value is None or isinstance(value, (Atom, Label, Tuple)):
             return value
-        if value.__class__ is not str:
-            raise ValueError(f"trace event {self.seq} has no term {key}")
-        return term_from_hex(value)
+        try:
+            return term_from_hex(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"trace event {self.seq} has no term {key}") from None
 
     def data(self, key: str):
         """The bytes field key holds, or None; ValueError if it holds none."""
-        values = self._values
-        value = (self._body if values is None else values).get(key)
+        fields = self._fields
+        value = (fields if fields.__class__ is dict else self._read()).get(key)
         if value is None or isinstance(value, bytes):
             return value
-        if value.__class__ is not str:
-            raise ValueError(f"trace event {self.seq} has no bytes {key}")
-        return bytes.fromhex(value)
+        try:
+            return bytes.fromhex(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"trace event {self.seq} has no bytes {key}") from None
 
 
 _set_seq = Event.seq.__set__
 _set_kind = Event.kind.__set__
-_set_body = Event._body.__set__
-_set_values = Event._values.__set__
-
-
-class _Unmade(Event):
-    """An event Trace.defer records; its values slot holds make until read.
-
-    text, to_json, ==, repr and pickling all read through body or get.
-    """
-
-    __slots__ = ()
-
-    @property
-    def body(self) -> dict:
-        return _made(self).body
-
-    def get(self, key: str):
-        return _made(self).get(key)
-
-    def term(self, key: str):
-        return _made(self).term(key)
-
-    def data(self, key: str):
-        return _made(self).data(key)
-
-
-def _made(event: _Unmade) -> Event:
-    """The event, its values made and checked, now a plain Event."""
-    values = event._values()
-    # append's check, which append keeps inline on its hot path
-    for key, value in values.items():
-        if value.__class__ not in _RECORDABLE_CLASSES and not isinstance(value, _RECORDABLE):
-            raise TypeError(f"trace field {key} cannot hold a {type(value).__name__}")
-    _set_values(event, values)
-    object.__setattr__(event, "__class__", Event)
-    return event
+_set_fields = Event._fields.__set__
 
 
 class Trace:
@@ -214,26 +200,18 @@ class Trace:
 
     def append(self, kind: str, **values) -> Event:
         """Record one event; TypeError for a value no trace can hold."""
-        for key, value in values.items():
-            if value.__class__ not in _RECORDABLE_CLASSES and not isinstance(value, _RECORDABLE):
-                raise TypeError(f"trace field {key} cannot hold a {type(value).__name__}")
-        event = object.__new__(Event)
-        _set_seq(event, len(self.events))
-        _set_kind(event, kind)
-        _set_values(event, values)
+        event = Event(len(self.events), kind, _recordable(values))
         self.events.append(event)
         return event
 
     def defer(self, kind: str, make) -> Event:
         """Record one event whose values make() returns at its first read.
 
-        The event takes its seq now. make runs once, at the first read of
-        a field or the body, and TypeError names a value no trace can hold.
+        The event takes its seq now. make runs at the first read of a
+        field or the body, and TypeError names a value no trace can hold;
+        once its values pass that check, make never runs again.
         """
-        event = object.__new__(_Unmade)
-        _set_seq(event, len(self.events))
-        _set_kind(event, kind)
-        _set_values(event, make)
+        event = Event(len(self.events), kind, make)
         self.events.append(event)
         return event
 

@@ -153,7 +153,7 @@ def forge_sgx_cert(world: World) -> tuple[sgx.SgxPlatformCert, bytes]:
     fake_qek = world.adversary_sig_keygen()
     fake_ppid = world.adversary_fresh(sgx.PPID_LEN)
     sig = world.adversary_sign(
-        sgx.cert_payload(fake_qek.public, fake_ppid), world.intel_rot.ltk.private
+        sgx.cert_payload(fake_qek.public, fake_ppid), world.intel_rot.private
     )
     cert = sgx.SgxPlatformCert(qek_pb=fake_qek.public, ppid=fake_ppid, sig_ir=sig)
     return cert, fake_qek.private
@@ -246,7 +246,7 @@ def apply(world: World, pipe: Pipeline, move: Move) -> None:
         world.deliver("rp_bundle", forge_accepting_bundle(world, cert, key).to_term())
     elif kind == "forge_sev_cert":
         fake = world.adversary_kx_keygen()
-        sig = world.adversary_sign(sev.cert_payload(fake.public), world.amd_rot.ltk.private)
+        sig = world.adversary_sign(sev.cert_payload(fake.public), world.amd_rot.private)
         world.deliver(args[0], sev.SevPlatformCert(psp_sn_pb=fake.public, sig_ar=sig).to_term())
     elif kind == "forge_measurement":
         msr = Measurement(
@@ -360,7 +360,7 @@ def _draw(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> Move |
         running = [
             i
             for i, p in enumerate(world.sev_platforms)
-            if p.session and p.session.running and p.session.dig != DESIGNATED_VM_DIGEST
+            if p.session and p.session.running and p.session.msr.dig != DESIGNATED_VM_DIGEST
         ]
         return Move("extract", (mv.choice(running),)) if running else None
     if family == "forge_bundle":

@@ -119,8 +119,8 @@ class World:
         self._knowledge: AdversaryKnowledge | None = None  # built on first read
         self._fed = 0  # events the view has caught up with
 
-        self.intel_rot = sgx.new_intel_rot(self.rng)
-        self.amd_rot = sev.new_amd_rot(self.rng)
+        self.intel_rot = crypto.sig_keygen(self.rng)
+        self.amd_rot = crypto.sig_keygen(self.rng)
         self.sgx_platforms: list[SgxPlatform] = [
             sgx.new_sgx_platform(self.rng, self.intel_rot) for _ in range(2)
         ]
@@ -283,7 +283,7 @@ class World:
             "sev_guest_launched",
             guest=guest_name,
             psp=platform.psp_sn.public,
-            dig=session.dig,
+            dig=session.msr.dig,
         )
         return runtime
 
@@ -472,7 +472,7 @@ class World:
             if not getattr(taken, what):
                 rot = self.intel_rot if what == "intel" else self.amd_rot
                 self.adversary_event(
-                    f"compromise_{what}_rot", leak=rot.ltk.private, leak_kind="sig_private"
+                    f"compromise_{what}_rot", leak=rot.private, leak_kind="sig_private"
                 )
         elif what == "qe":
             plat = self.sgx_platforms[index]
@@ -526,13 +526,13 @@ class World:
         session = platform.session
         if session is None or not session.running:
             raise ForbiddenGuest("no running guest on this platform")
-        if session.dig == DESIGNATED_VM_DIGEST:
+        if session.msr.dig == DESIGNATED_VM_DIGEST:
             raise ForbiddenGuest("refusing to extract from the designated guest")
         secret = session.provisioned_secret
         self.adversary_event(
             "adversary_extract_sev_secret",
             psp=platform.psp_sn.public,
-            dig=session.dig,
+            dig=session.msr.dig,
             term=secret,
         )
         return secret

@@ -56,25 +56,11 @@ def cert_payload(psp_sn_pb: bytes) -> Term:
     return Tuple([Atom(psp_sn_pb)])
 
 
-@dataclass
-class AmdRot:
-    """AMD root of trust: one long-term certification key."""
-
-    ltk: SigKeyPair
-
-    @property
-    def public(self) -> bytes:
-        return self.ltk.public
-
-
-def new_amd_rot(rng: Rng) -> AmdRot:
-    return AmdRot(ltk=crypto.sig_keygen(rng))
-
-
-def amd_rot_certify(rot: AmdRot, psp_sn_pb: bytes) -> SevPlatformCert:
+def amd_rot_certify(rot: SigKeyPair, psp_sn_pb: bytes) -> SevPlatformCert:
+    """Issue a platform certificate for a PSP key under the AMD root's key."""
     return SevPlatformCert(
         psp_sn_pb=psp_sn_pb,
-        sig_ar=crypto.sign(cert_payload(psp_sn_pb), rot.ltk.private),
+        sig_ar=crypto.sign(cert_payload(psp_sn_pb), rot.private),
     )
 
 
@@ -137,7 +123,6 @@ class GuestSession:
     implies provisioned_secret is present.
     """
 
-    dig: bytes
     keys: TransportKeys
     msr: Measurement
     phase: str = "measured"
@@ -160,7 +145,7 @@ class SevPlatform:
     psp_sn_seed: bytes
     plat_sev: Atom
     launch_sev: Atom
-    root: AmdRot | None = None
+    root: SigKeyPair | None = None
     session: GuestSession | None = None
 
     @cached_property
@@ -174,7 +159,7 @@ class SevPlatform:
         return amd_rot_certify(self.root, self.psp_sn.public)
 
 
-def new_sev_platform(rng: Rng, root: AmdRot | None = None) -> SevPlatform:
+def new_sev_platform(rng: Rng, root: SigKeyPair | None = None) -> SevPlatform:
     """Fresh platform with random keys and state, certified by root when given."""
     return SevPlatform(
         psp_sn_seed=rng.bytes(crypto.KEY_LEN),
@@ -248,7 +233,7 @@ def psp_receive_deploy(
         dig=crypto.digest(pkg.vmc),
         nonce=rng.bytes(NONCE_LEN),
     )
-    platform.session = GuestSession(dig=msr.dig, keys=keys, msr=msr)
+    platform.session = GuestSession(keys=keys, msr=msr)
     return MeasurementPackage(msr=msr, mac_ti=crypto.mac(msr.to_term(), keys.tik))
 
 

@@ -70,24 +70,9 @@ def cert_payload(qek_pb: bytes, ppid: bytes) -> Term:
     return Tuple([Label(TAG_SGX_PLATFORM_CERT), Atom(qek_pb), Atom(ppid)])
 
 
-@dataclass
-class IntelRot:
-    """Intel root of trust: one long-term certification key."""
-
-    ltk: SigKeyPair
-
-    @property
-    def public(self) -> bytes:
-        return self.ltk.public
-
-
-def new_intel_rot(rng: Rng) -> IntelRot:
-    return IntelRot(ltk=crypto.sig_keygen(rng))
-
-
-def intel_rot_certify(rot: IntelRot, qek_pb: bytes, ppid: bytes) -> SgxPlatformCert:
-    """Issue a platform certificate for a quoting key."""
-    sig = crypto.sign(cert_payload(qek_pb, ppid), rot.ltk.private)
+def intel_rot_certify(rot: SigKeyPair, qek_pb: bytes, ppid: bytes) -> SgxPlatformCert:
+    """Issue a platform certificate for a quoting key under the Intel root's key."""
+    sig = crypto.sign(cert_payload(qek_pb, ppid), rot.private)
     return SgxPlatformCert(qek_pb=qek_pb, ppid=ppid, sig_ir=sig)
 
 
@@ -138,7 +123,7 @@ class SgxPlatform:
     ppid: bytes
     qek_seed: bytes
     plat_info: Atom
-    root: IntelRot | None = None
+    root: SigKeyPair | None = None
     _loaded: set = field(default_factory=set)
     _issued: set = field(default_factory=set)
     _next_serial: int = 0
@@ -154,7 +139,7 @@ class SgxPlatform:
         return intel_rot_certify(self.root, self.qek.public, self.ppid)
 
 
-def new_sgx_platform(rng: Rng, root: IntelRot | None = None) -> SgxPlatform:
+def new_sgx_platform(rng: Rng, root: SigKeyPair | None = None) -> SgxPlatform:
     """Fresh platform with random identity, certified by root when given."""
     return SgxPlatform(
         ppid=rng.bytes(PPID_LEN),

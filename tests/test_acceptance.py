@@ -39,7 +39,6 @@ from vmquote.sev import (
     Measurement,
     SecretPackage,
     amd_rot_certify,
-    new_amd_rot,
     new_sev_platform,
     psp_receive_deploy,
     psp_receive_secret,
@@ -95,14 +94,14 @@ def test_criterion_2_state_machine_exhaustion():
     else, from any position in any sequence.
     """
     rng = Rng(12345)
-    amd = new_amd_rot(rng)
-    intel = sgx.new_intel_rot(rng)
+    amd = crypto.sig_keygen(rng)
+    intel = crypto.sig_keygen(rng)
     host = sgx.new_sgx_platform(rng)
     host.cert = sgx.intel_rot_certify(intel, host.qek.public, host.ppid)
     sgx.load_enclave(host, sgx.OWNER_ENCLAVE_MEASUREMENT)
     sev_plat = new_sev_platform(rng)
     sev_plat.cert = amd_rot_certify(amd, sev_plat.psp_sn.public)
-    rogue_cert = amd_rot_certify(new_amd_rot(rng), sev_plat.psp_sn.public)
+    rogue_cert = amd_rot_certify(crypto.sig_keygen(rng), sev_plat.psp_sn.public)
     garbage_msr = Measurement(
         sev_plat.plat_sev, sev_plat.launch_sev, rng.bytes(32), rng.bytes(16)
     )

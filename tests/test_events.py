@@ -155,7 +155,9 @@ def test_loader_reads_any_lines_as_decode_does(lines):
     [
         '{"seq": 0, "kind": "send", "term": 1}',
         '{"seq": 0, "kind": "send", "term": "zz"}',
+        '{"seq": 0, "kind": "send", "term": "00"}',
         '{"seq": 0, "kind": "adversary", "leak": 1}',
+        '{"seq": 0, "kind": "adversary", "leak": "zz"}',
         '{"seq": 0, "kind": "adversary", "action": "compromise_sgx_qe"}',
         '{"seq": 0, "kind": "adversary", "action": "compromise_sgx_qe", "ppid": [1]}',
         '{"seq": 0, "kind": "transition", "label": "owner_provision_vm", '
@@ -170,7 +172,9 @@ def test_loader_reads_any_lines_as_decode_does(lines):
     ids=[
         "term",
         "hex-term",
+        "bytes-term",
         "leak",
+        "hex-leak",
         "no-ppid",
         "list-ppid",
         "no-psp_id",
@@ -189,7 +193,7 @@ def test_hostile_field_fails_the_audit_with_value_error(text):
     rebuild, *judgements = _audits(trace)
     visible = any(event.kind in ADVERSARY_VISIBLE for event in trace.events)
     for audit in [rebuild, *judgements] if visible else judgements:
-        with pytest.raises(ValueError, match="^trace event|^not valid hex"):
+        with pytest.raises(ValueError, match="^trace event"):
             audit()
 
 

@@ -693,7 +693,6 @@ class TestDeferredBody:
             with pytest.raises(AttributeError):
                 delattr(event, field)
             assert (event.seq, event.kind, event.body) == (0, KIND_SEND, body)
-            assert event.body is body
             assert copy.deepcopy(event) == event
 
     def test_honest_run_converts_no_send_payload_until_serialised(self, monkeypatch):
@@ -734,17 +733,17 @@ class TestDeferredBody:
         fuzz_adversary(world, seed=run_seed, steps=40, mask=DEFAULT_MASK)
         return world
 
-    def test_fuzz_run_builds_no_adversary_or_transition_body(self):
+    def test_fuzz_run_builds_no_adversary_or_transition_body(self, monkeypatch):
         """The learn rules and the checkers read fields, not bodies."""
+        read = []
+        body = Event.body
+        monkeypatch.setattr(Event, "body", property(lambda ev: read.append(ev) or body.fget(ev)))
         actions = Counter()
         for run_seed in range(5):
+            read.clear()
             world = self._fuzz_world(run_seed)
             results = check_all(world.trace, world.knowledge)
-            built = [
-                ev.seq
-                for ev in world.trace
-                if ev.kind in (KIND_ADVERSARY, KIND_TRANSITION) and ev._values is None
-            ]
+            built = [ev.seq for ev in read if ev.kind in (KIND_ADVERSARY, KIND_TRANSITION)]
             assert built == [], run_seed
             actions.update(ev.get("action") for ev in world.trace.of_kind(KIND_ADVERSARY))
             assert results == check_all(Trace.from_jsonl(world.trace.to_jsonl()))
@@ -766,9 +765,35 @@ class TestDeferredBody:
             return ValueError, str(exc)
 
     @staticmethod
-    def _read_back(event, key, encoded):
-        """The readers that accept key; each value's stored form is get's."""
-        recorded = event._values  # None once the body is built
+    def _recording(monkeypatch):
+        """The values each event appended or deferred from now on holds, by the event's id."""
+        recorded = {}
+        append, defer = Trace.append, Trace.defer
+
+        def recording_append(trace, kind, **values):
+            event = append(trace, kind, **values)
+            recorded[id(event)] = values
+            return event
+
+        def recording_defer(trace, kind, make):
+            def recording_make():
+                recorded[id(event)] = values = make()
+                return values
+
+            event = defer(trace, kind, recording_make)
+            return event
+
+        monkeypatch.setattr(Trace, "append", recording_append)
+        monkeypatch.setattr(Trace, "defer", recording_defer)
+        return recorded
+
+    @staticmethod
+    def _read_back(event, key, encoded, recorded):
+        """The readers that accept key; each value's stored form is get's.
+
+        recorded is the event's values as recorded while no body is
+        built, else None.
+        """
         accepted = set()
         for read, stored in ((event.term, to_hex), (event.data, bytes.hex)):
             before = len(encoded)
@@ -785,11 +810,11 @@ class TestDeferredBody:
                 accepted.add(read.__name__)
         return accepted
 
-    def _assert_fields_read_as_body(self, trace, reference, encoded):
+    def _assert_fields_read_as_body(self, trace, reference, encoded, recorded):
         accepted = set()
         for event, ref in zip(trace, reference, strict=True):
             keys = [*ref.body, "no_such_field"]
-            for _ in ("before the body is built", "after"):
+            for before in (True, False):
                 for key in keys:
                     value = event.get(key)
                     assert (value.__class__, value) == (
@@ -797,7 +822,8 @@ class TestDeferredBody:
                         ref.body.get(key),
                     ), (event.seq, key)
                     assert self._text_outcome(event, key) == self._text_by_body(ref, key)
-                    accepted |= self._read_back(event, key, encoded)
+                    values = recorded.get(id(event)) if before else None
+                    accepted |= self._read_back(event, key, encoded, values)
                 assert event.body == ref.body
         assert accepted == {"term", "data"}
 
@@ -818,12 +844,15 @@ class TestDeferredBody:
         term and data read back what get stores, and on a live event they
         return the recorded value itself, with no encode.
         """
-        reference, live = make(), make()
+        reference = make()
+        recorded = self._recording(monkeypatch)
+        live = make()
         parsed = Trace.from_jsonl(reference.to_jsonl())
         encoded = []
         monkeypatch.setattr(events, "encode", lambda term: encoded.append(term) or encode(term))
-        self._assert_fields_read_as_body(live, reference, encoded)
-        self._assert_fields_read_as_body(parsed, reference, encoded)
+        self._assert_fields_read_as_body(live, reference, encoded, recorded)
+        self._assert_fields_read_as_body(parsed, reference, encoded, {})
+        assert len(recorded) == len(live)
 
 
 class TestMadeOnFirstRead:
@@ -872,14 +901,18 @@ class TestMadeOnFirstRead:
             assert check(event, twin.events[0])
         assert made == [self.VALUES]
 
-    def test_after_its_first_read_it_is_a_plain_event(self):
-        deferred, _ = self._deferred(self.VALUES)
+    def test_after_its_first_read_it_holds_the_made_values(self, monkeypatch):
+        """Fields read back as made, with no encode; body hexes the term once."""
+        encoded = []
+        monkeypatch.setattr(events, "encode", lambda term: encoded.append(term) or encode(term))
+        deferred, made = self._deferred(self.VALUES)
         event = deferred.events[0]
-        assert event.__class__ is not Event
-        event.get("src")
-        assert event.__class__ is Event
-        assert event._values == self.VALUES
+        assert event.text("src") == "intel_rot" and made == [self.VALUES]
         assert event.term("term") is self.VALUES["term"]
+        assert event.data("key") is self.VALUES["key"]
+        assert encoded == []
+        assert event.body == event.body == {**self.VALUES, "term": "010000000101", "key": "02"}
+        assert encoded == [self.VALUES["term"]]
         with pytest.raises(AttributeError):
             event.seq = 1
 
@@ -907,12 +940,23 @@ class TestMadeOnFirstRead:
         assert Trace.from_jsonl(text).events == deferred.events
         assert text.splitlines()[0] == twin.to_jsonl().rstrip("\n")
 
-    def test_world_defers_exactly_the_platform_certificates(self):
+    def test_world_defers_exactly_the_platform_certificates(self, monkeypatch):
+        """A new World defers seqs 2-5 and makes none of them until each is read."""
+        unread, made = [], []
+        defer = Trace.defer
+
+        def recording_defer(trace, kind, make):
+            event = defer(trace, kind, lambda: made.append(event.seq) or make())
+            unread.append(event)
+            return event
+
+        monkeypatch.setattr(Trace, "defer", recording_defer)
         world = World(seed=0)
-        unread = [event for event in world.trace if event.__class__ is not Event]
-        assert [event.seq for event in unread] == [2, 3, 4, 5]
+        assert [event.seq for event in unread] == [2, 3, 4, 5] and made == []
+        assert all(world.trace.events[event.seq] is event for event in unread)
         roots = [event.get("src") for event in unread]
         assert roots == ["intel_rot", "intel_rot", "amd_rot", "amd_rot"]
+        assert made == [2, 3, 4, 5]
 
 
 def test_determinism_across_runs():

@@ -14,7 +14,6 @@ from vmquote.sev import (
     SevPlatformCert,
     TransportKeys,
     amd_rot_certify,
-    new_amd_rot,
 )
 
 
@@ -144,7 +143,7 @@ def _negotiated_kek(k: AdversaryKnowledge, rng: Rng) -> bytes:
     """Show k one negotiation it can run; return the kek derived from its output."""
     victim = crypto.kx_keygen(rng)
     adv = crypto.kx_keygen(rng)
-    k.observe(amd_rot_certify(new_amd_rot(rng), victim.public).to_term())
+    k.observe(amd_rot_certify(crypto.sig_keygen(rng), victim.public).to_term())
     k.observe(_deploy_term(adv.public))
     k.add_private_dh(adv.private)
     ss = crypto.shared_secret(victim.public, adv.private)
@@ -224,7 +223,7 @@ def test_leaked_or_owned_private_negotiates():
     victim = crypto.kx_keygen(rng)
     adv = crypto.kx_keygen(rng)
     k = AdversaryKnowledge()
-    k.observe(amd_rot_certify(new_amd_rot(rng), victim.public).to_term())
+    k.observe(amd_rot_certify(crypto.sig_keygen(rng), victim.public).to_term())
     k.observe(_deploy_term(adv.public))
     k.add_private_dh(adv.private)
     k.analyze()
@@ -272,7 +271,7 @@ def test_negotiation_output_derives_both_wrap_keys(observed_first):
         k.observe(Atom(ss))
         k.analyze()
         assert not any(k.knows(key) for key in wrap_keys)
-    k.observe(amd_rot_certify(new_amd_rot(rng), victim.public).to_term())
+    k.observe(amd_rot_certify(crypto.sig_keygen(rng), victim.public).to_term())
     k.observe(_deploy_term(adv.public))
     k.add_private_dh(adv.private)
     k.analyze()
@@ -287,7 +286,7 @@ def test_malformed_leaked_private_negotiates_nothing():
     rng = Rng(107)
     psp = crypto.kx_keygen(rng)
     k = AdversaryKnowledge()
-    k.observe(amd_rot_certify(new_amd_rot(rng), psp.public).to_term())
+    k.observe(amd_rot_certify(crypto.sig_keygen(rng), psp.public).to_term())
     k.observe(_deploy_term(psp.public))
     k.learn(Event(0, "adversary", {"leak": b"short".hex(), "leak_kind": "dh_private"}))
     k.analyze()
@@ -301,7 +300,7 @@ def test_observed_privates_are_not_guessed():
     victim = crypto.kx_keygen(rng)
     leaked = crypto.kx_keygen(rng)
     k = AdversaryKnowledge()
-    k.observe(amd_rot_certify(new_amd_rot(rng), victim.public).to_term())
+    k.observe(amd_rot_certify(crypto.sig_keygen(rng), victim.public).to_term())
     k.observe(Atom(leaked.private))
     k.analyze()
     ss = crypto.shared_secret(victim.public, leaked.private)
@@ -330,7 +329,7 @@ def test_psp_compromise_extraction_chain():
     blob_p = crypto.encrypt(Atom(cik), tek, rng)
 
     k = AdversaryKnowledge()
-    k.observe(amd_rot_certify(new_amd_rot(rng), psp.public).to_term())
+    k.observe(amd_rot_certify(crypto.sig_keygen(rng), psp.public).to_term())
     k.observe(DeployPackage(go.public, blob_d, mac_d, Atom(b"guest code")).to_term())
     k.observe(_secret_package(blob_p))
     k.analyze()

@@ -10,7 +10,7 @@ from vmquote import crypto
 from vmquote.codec import Atom, Label, Tuple
 from vmquote.crypto import Rng
 from vmquote.harness.knowledge import AdversaryKnowledge
-from vmquote.sev import DeployPackage, SevPlatformCert, amd_rot_certify, new_amd_rot
+from vmquote.sev import DeployPackage, SevPlatformCert, amd_rot_certify
 
 
 def test_negotiation_elements_lose_nothing(oracle_pool, observed):
@@ -82,7 +82,7 @@ def test_filing_edge_tuples():
 
 
 def _cert(rng, public: bytes):
-    return amd_rot_certify(new_amd_rot(rng), public).to_term()
+    return amd_rot_certify(crypto.sig_keygen(rng), public).to_term()
 
 
 def _deploy(go_public: bytes):

@@ -17,7 +17,6 @@ from vmquote.sev import (
     DeployPackage,
     Measurement,
     amd_rot_certify,
-    new_amd_rot,
     new_sev_platform,
     psp_receive_deploy,
     psp_receive_secret,
@@ -49,8 +48,8 @@ def recorded():
 def ctx(recorded):
     """One owner on a certified host, one certified SEV platform."""
     rng = Rng(71)
-    amd = new_amd_rot(rng)
-    intel = sgx.new_intel_rot(rng)
+    amd = crypto.sig_keygen(rng)
+    intel = crypto.sig_keygen(rng)
     host = sgx.new_sgx_platform(rng)
     host.cert = sgx.intel_rot_certify(intel, host.qek.public, host.ppid)
     sgx.load_enclave(host, sgx.OWNER_ENCLAVE_MEASUREMENT)
@@ -86,7 +85,7 @@ class TestDeploy:
 
     def test_forged_cert_refused(self, ctx, recorded):
         rng, amd, intel, host, sev_plat, owner = ctx
-        rogue = new_amd_rot(rng)
+        rogue = crypto.sig_keygen(rng)
         fake = amd_rot_certify(rogue, sev_plat.psp_sn.public)
         assert owner.deploy_vm(fake, DESIGNATED_VM_CODE) is None
         assert owner.phase == PHASE_INIT

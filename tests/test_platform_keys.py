@@ -120,9 +120,8 @@ def _eager_world(seed):
         )
         for _ in range(2)
     ]
-    intel_rot, amd_rot = sgx.IntelRot(intel), sev.AmdRot(amd)
-    certs = [sgx.intel_rot_certify(intel_rot, qek.public, ppid) for ppid, qek, _ in sgx_plats]
-    certs += [sev.amd_rot_certify(amd_rot, psp.public) for psp, _, _ in sev_plats]
+    certs = [sgx.intel_rot_certify(intel, qek.public, ppid) for ppid, qek, _ in sgx_plats]
+    certs += [sev.amd_rot_certify(amd, psp.public) for psp, _, _ in sev_plats]
     return (intel, amd), sgx_plats, sev_plats, certs
 
 
@@ -140,7 +139,7 @@ def test_published_certificates_equal_eager_ones(seed):
         Atom(roots[1].public),
         *(cert.to_term() for cert in certs),
     ]
-    assert (world.intel_rot.ltk, world.amd_rot.ltk) == roots
+    assert (world.intel_rot, world.amd_rot) == roots
     assert [(p.ppid, p.qek, p.plat_info) for p in world.sgx_platforms] == sgx_plats
     assert [(p.psp_sn, p.plat_sev, p.launch_sev) for p in world.sev_platforms] == sev_plats
     assert [plat.cert for plat in _platforms(world)] == certs
@@ -161,7 +160,7 @@ def test_when_a_derivation_runs_changes_no_trace_byte(seed):
 
 def test_an_assigned_certificate_replaces_the_derivation(library):
     rng = Rng(5)
-    rot = sgx.new_intel_rot(rng)
+    rot = crypto.sig_keygen(rng)
     plat = sgx.new_sgx_platform(rng)
     assert plat.cert is None
     other = sgx.new_sgx_platform(rng, rot)

@@ -20,7 +20,6 @@ from vmquote.relying_party import (
 from vmquote.sev import (
     SecretPackage,
     amd_rot_certify,
-    new_amd_rot,
     new_sev_platform,
     psp_receive_deploy,
     psp_receive_secret,
@@ -32,8 +31,8 @@ from vmquote.guest import GuestRuntime
 def evidence():
     """Full honest run, returning the bundle a relying party would see."""
     rng = Rng(81)
-    amd = new_amd_rot(rng)
-    intel = sgx.new_intel_rot(rng)
+    amd = crypto.sig_keygen(rng)
+    intel = crypto.sig_keygen(rng)
     host = sgx.new_sgx_platform(rng)
     host.cert = sgx.intel_rot_certify(intel, host.qek.public, host.ppid)
     sgx.load_enclave(host, sgx.OWNER_ENCLAVE_MEASUREMENT)

@@ -17,7 +17,6 @@ from vmquote.sev import (
     SevPlatformCert,
     TransportKeys,
     amd_rot_certify,
-    new_amd_rot,
     new_sev_platform,
     psp_receive_deploy,
     psp_receive_secret,
@@ -63,7 +62,7 @@ def plat():
 class TestCertification:
     def test_cert_verifies_under_amd_root(self):
         rng = Rng(42)
-        rot = new_amd_rot(rng)
+        rot = crypto.sig_keygen(rng)
         p = new_sev_platform(rng)
         cert = amd_rot_certify(rot, p.psp_sn.public)
         assert crypto.verify(cert.payload(), cert.sig_ar, rot.public)
@@ -71,7 +70,7 @@ class TestCertification:
 
     def test_cert_term_round_trip(self):
         rng = Rng(43)
-        cert = amd_rot_certify(new_amd_rot(rng), new_sev_platform(rng).psp_sn.public)
+        cert = amd_rot_certify(crypto.sig_keygen(rng), new_sev_platform(rng).psp_sn.public)
         assert SevPlatformCert.from_term(cert.to_term()) == cert
 
 
@@ -285,4 +284,4 @@ class TestGuestRuntime:
     def test_digest_exposed(self):
         session = self._running(Rng(65))
         GuestRuntime(session)
-        assert session.dig == crypto.digest(DESIGNATED_VM_CODE)
+        assert session.msr.dig == crypto.digest(DESIGNATED_VM_CODE)

@@ -14,7 +14,6 @@ from vmquote.sgx import (
     ereport,
     intel_rot_certify,
     load_enclave,
-    new_intel_rot,
     new_sgx_platform,
     qe_generate_quote,
     quote_check_failure,
@@ -27,7 +26,7 @@ SOME_DATA = Tuple([Label("report_data"), Atom(b"\x2a")])
 @pytest.fixture
 def setup():
     rng = Rng(31)
-    rot = new_intel_rot(rng)
+    rot = sig_keygen(rng)
     plat = new_sgx_platform(rng)
     plat.cert = intel_rot_certify(rot, plat.qek.public, plat.ppid)
     return rng, rot, plat
