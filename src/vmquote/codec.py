@@ -165,11 +165,12 @@ def encode(term: Term) -> bytes:
 
 
 def _encode_into(term: Term, parts: list) -> None:
-    """Append term's encoding to parts, piece by piece.
+    """Append the encoding of a Tuple or a Label to parts, piece by piece.
 
     Dispatches on the exact class, so an object of any other class,
-    subclasses of the term classes included, raises TypeError. A Tuple
-    writes its Atom items inline, without a call.
+    subclasses of the term classes included, raises TypeError. No Atom
+    reaches it: encode writes a lone Atom itself, and a Tuple writes its
+    Atom items inline, without a call.
     """
     cls = term.__class__
     if cls is Tuple:
@@ -182,9 +183,6 @@ def _encode_into(term: Term, parts: list) -> None:
                 parts.append(value)
             else:
                 _encode_into(item, parts)
-    elif cls is Atom:
-        parts.append(_HEADER.pack(_T_ATOM, len(term.value)))
-        parts.append(term.value)
     elif cls is Label:
         text = term.text.encode("utf-8")
         parts.append(_HEADER.pack(_T_LABEL, len(text)))

@@ -69,13 +69,9 @@ which keys the adversary's closure tries on which blobs is decided from
 the messages alone, so a trace is analysed the same in the process that
 recorded it as in a fresh one.
 
-The closure's trial decryptions go through scan_tags, which checks one
-key's GCM tag against many blobs and only reports which ones
-authenticate; nearly every trial fails, so it neither raises nor
-decodes. decrypt is the only way from a blob to a plaintext term: the
-closure opens each hit through it, so the tag is always checked and a
-blob that authenticates but holds no term is rejected there, as
-everywhere.
+decrypt is the only way from a blob to a plaintext term, the closure's
+trial decryptions included, so the tag is always checked and a blob that
+authenticates but holds no term is rejected there, as everywhere.
 """
 
 from __future__ import annotations
@@ -340,24 +336,6 @@ def decrypt(blob: bytes, key: bytes) -> Term:
         return decode(plain)
     except MalformedEncoding as exc:
         raise DecryptionFailure("plaintext is not a term") from exc
-
-
-def scan_tags(key: bytes, sealed: list, start: int = 0) -> list[int]:
-    """Indices i >= start of the (nonce, body) pairs whose GCM tag checks.
-
-    sealed holds blobs already split at NONCE_LEN. A hit says only that
-    the blob was sealed under key; decrypt opens it into a term.
-    """
-    open_ = _aead(key).decrypt
-    hits = []
-    for i in range(start, len(sealed)):
-        nonce, body = sealed[i]
-        try:
-            open_(nonce, body, None)
-        except InvalidTag:
-            continue
-        hits.append(i)
-    return hits
 
 
 def mac(term: Term, key: bytes) -> bytes:

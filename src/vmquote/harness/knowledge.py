@@ -123,10 +123,9 @@ to what is new since the rule last ran, so no rule ever repeats work.
 - A wrap key is derived once from each negotiation output, in the round
   negotiation first computes it.
 - Trial decryption runs per kind: new keys against all the kind's blobs
-  and old keys against its new blobs, so each pair of a kind is scanned
-  once in the object's life. Each key's GCM tag is checked against its
-  range of blobs in one crypto.scan_tags call, and only the pairs that
-  authenticate are opened, through crypto.decrypt.
+  and old keys against its new blobs, so each pair of a kind is tried
+  once in the object's life, through crypto.decrypt, the one way from a
+  blob to a plaintext term.
 
 Encryption is perfect, as in the symbolic model: a blob opens under the
 key that sealed it and under no other (Dolev-Yao; in Tamarin,
@@ -138,7 +137,7 @@ is only what its field says it is: the pairs of a key and a blob of
 another kind are exactly those that cannot open, and no hit is lost by
 skipping them. Which pairs are tried is decided from the messages alone,
 and no record of which key sealed which blob is kept anywhere, so a view
-built live and one rebuilt from the trace in a fresh process scan the
+built live and one rebuilt from the trace in a fresh process try the
 same pairs. trials counts every pair of a known 32-byte atom and a known
 ciphertext-sized atom, tried or skipped, whatever its kind.
 
@@ -253,19 +252,18 @@ class _Kind:
     """The sealing keys of one kind, and the blobs only they can open.
 
     Keys go to keys in the order they are filed, and take their place in
-    index, the one filing order both kinds share; blobs go to blobs and,
-    split once into nonce and body, to sealed. A key is 32 bytes long and
-    a blob longer, so one set holds what is filed of both.
+    index, the one filing order both kinds share; blobs go to blobs. A
+    key is 32 bytes long and a blob longer, so one set holds what is
+    filed of both.
     """
 
-    __slots__ = ("index", "filed", "keys", "blobs", "sealed", "tried_keys", "tried_blobs")
+    __slots__ = ("index", "filed", "keys", "blobs", "tried_keys", "tried_blobs")
 
     def __init__(self, index: dict[bytes, int]) -> None:
         self.index = index
         self.filed: set[bytes] = set()
         self.keys: list[bytes] = []
         self.blobs: list[bytes] = []
-        self.sealed: list[tuple[bytes, bytes]] = []
         # how many keys and blobs trial decryption has covered
         self.tried_keys = 0
         self.tried_blobs = 0
@@ -283,7 +281,6 @@ class _Kind:
             self.keys.append(value)
         else:
             self.blobs.append(value)
-            self.sealed.append((value[: crypto.NONCE_LEN], value[crypto.NONCE_LEN :]))
 
     def untried(self) -> bool:
         return self.tried_keys < len(self.keys) or self.tried_blobs < len(self.blobs)
@@ -298,10 +295,9 @@ class AdversaryKnowledge:
     The counters rounds, kx_pairs, trials and hits count the closure's
     work: rounds run, negotiations attempted, (blob, key) pairs covered by
     trial decryption and the ones that opened to a term. scanned counts
-    the pairs whose tag crypto.scan_tags checked: at fixpoint, summed over
-    both kinds, the kind's keys times its blobs, the same in a live view
-    and in one rebuilt from its trace. None of them is ever written to a
-    trace.
+    the pairs tried, per kind: at fixpoint, summed over both kinds, the
+    kind's keys times its blobs, the same in a live view and in one
+    rebuilt from its trace. None of them is ever written to a trace.
     """
 
     def __init__(self) -> None:
@@ -514,30 +510,28 @@ class AdversaryKnowledge:
     def _trial_decrypt(self) -> None:
         """Per kind, new keys x all its blobs and old keys x its new blobs.
 
-        Each key's tag is checked against its range of its kind's blobs in
-        one crypto.scan_tags call. The pairs found are then opened through
-        crypto.decrypt in the first-seen order of their blobs, each blob's
-        keys in the one order both kinds file keys in, and what opens to a
-        term is added. trials counts every known 32-byte atom against every
-        known ciphertext-sized atom all the same.
+        Each pair is opened through crypto.decrypt, in the first-seen
+        order of its blob, each blob's keys in the one order both kinds
+        file keys in, and what opens to a term is added. trials counts
+        every known 32-byte atom against every known ciphertext-sized atom
+        all the same.
         """
         self.trials = self._key_atoms * self._blob_atoms
         rank, index = self._rank, self._key_index
         # (blob's rank, key's index) -> (blob, key); a pair filed under both
         # kinds is opened once
-        tagged = {}
+        pairs = {}
         for kind in self._kinds:
             keys, blobs = kind.keys, kind.blobs
             old_keys, old_blobs = kind.tried_keys, kind.tried_blobs
             kind.tried_keys, kind.tried_blobs = len(keys), len(blobs)
             for k in range(old_keys if old_blobs == len(blobs) else 0, len(keys)):
+                key = keys[k]
                 start = 0 if k >= old_keys else old_blobs
-                if start < len(blobs):
-                    key = keys[k]
-                    self.scanned += len(blobs) - start
-                    for i in crypto.scan_tags(key, kind.sealed, start):
-                        tagged[rank[blobs[i]], index[key]] = (blobs[i], key)
-        for _, (blob, key) in sorted(tagged.items()):
+                self.scanned += len(blobs) - start
+                for blob in blobs[start:]:
+                    pairs[rank[blob], index[key]] = (blob, key)
+        for _, (blob, key) in sorted(pairs.items()):
             try:
                 plain = crypto.decrypt(blob, key)
             except DecryptionFailure:

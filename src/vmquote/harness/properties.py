@@ -3,11 +3,13 @@
 Three checkers, each scanning a finished trace:
 
 sgx_quote_authenticity
-    Every accepted verdict whose quote carries the owner-enclave
-    measurement was preceded by that owner enclave actually generating a
-    report with the same data on the same platform, unless the Intel
-    root or the quoting enclave of the certified platform was
-    compromised.
+    Every accepted verdict's quote carries the owner-enclave measurement,
+    and was preceded by that owner enclave actually generating a report
+    with the same data on the same platform, unless the Intel root or the
+    quoting enclave of the certified platform was compromised. As in the
+    Tamarin lemma, the instances are the relying party's accepts, not
+    what their quotes claim: an accepted quote of any other enclave is
+    unbacked.
 
 sev_secret_secrecy
     The channel key provisioned for the designated guest code is not
@@ -25,12 +27,13 @@ predicate; _judge runs the one loop that excuses, matches or returns an
 instance as the witness.
 
 check_all and check_property first group the trace in one pass, a
-_Grouping: its transitions by label and its owner accepts, in trace
-order, and the one adversary view the judgement reads. Every checker,
-and every scenario postcondition, looks instances and backing events up
-there, so one judgement reads each transition's label and each
-verdict's accept and quote_msr once. Backing is still an any() over the
-grouped events.
+_Grouping: its transitions by label, its accepts and, among them, the
+owner-enclave accepts, in trace order, and the one adversary view the
+judgement reads. Every checker, and every scenario postcondition, looks
+instances and backing events up there, so one judgement reads each
+transition's label and each verdict's accept once, and each accepted
+verdict's quote_msr once. Backing is still an any() over the grouped
+events.
 
 Every judgement reads exactly one AdversaryKnowledge, as a Tamarin lemma
 reads one adversary knowledge in both its reveal clause and its secrecy
@@ -114,29 +117,33 @@ def rebuild_knowledge(trace: Trace) -> AdversaryKnowledge:
 class _Grouping:
     """What the checkers look up in a trace, gathered in one pass.
 
-    by_label maps each str label to its transition events and accepts
-    lists the accepted verdicts whose quote names the owner-enclave
-    measurement, both in trace order. knowledge is the one view every
-    checker reads, escapes included: the caller's, or else the one
-    rebuild_knowledge builds from the trace.
+    by_label maps each str label to its transition events, accepts lists
+    the accepted verdicts and owner_accepts those whose quote names the
+    owner-enclave measurement, all in trace order. knowledge is the one
+    view every checker reads, escapes included: the caller's, or else the
+    one rebuild_knowledge builds from the trace.
     """
 
-    __slots__ = ("knowledge", "by_label", "accepts")
+    __slots__ = ("knowledge", "by_label", "accepts", "owner_accepts")
 
     def __init__(self, trace: Trace, knowledge: AdversaryKnowledge | None = None) -> None:
         by_label: dict[str, list[Event]] = {}
         accepts = []
+        owner_accepts = []
         for ev in trace.events:
             kind = ev.kind
             if kind == KIND_TRANSITION:
                 label = ev.get("label")
                 if isinstance(label, str):
                     by_label.setdefault(label, []).append(ev)
-            elif kind == KIND_VERDICT and ev.get("accept") and ev.get("quote_msr") == _TO_MSR_HEX:
+            elif kind == KIND_VERDICT and ev.get("accept"):
                 accepts.append(ev)
+                if ev.get("quote_msr") == _TO_MSR_HEX:
+                    owner_accepts.append(ev)
         self.knowledge = rebuild_knowledge(trace) if knowledge is None else knowledge
         self.by_label = by_label
         self.accepts = accepts
+        self.owner_accepts = owner_accepts
 
     def transitions(self, label: str) -> list[Event]:
         """The transitions with this label, in trace order."""
@@ -195,9 +202,11 @@ def _data(ev: Event, key: str) -> bytes:
 def _check_sgx_quote_authenticity(seen: _Grouping) -> PropertyResult:
     esc = seen.knowledge.compromised
     reports = seen.transitions("owner_generate_report")
+    # the owner-enclave accepts by identity: a parsed trace's seqs need not be distinct
+    owner_quoted = {id(ev) for ev in seen.owner_accepts}
 
     def backed(ev: Event) -> bool:
-        return any(
+        return id(ev) in owner_quoted and any(
             rep.seq < ev.seq
             and rep.text("host_ppid") == ev.text("cert_ppid")
             and term_hex(Atom(_data(rep, "rpdata"))) == ev.text("quote_data")
@@ -269,7 +278,7 @@ def _check_vm_quote_authenticity(seen: _Grouping) -> PropertyResult:
 
     return _judge(
         "vm_quote_authenticity",
-        [ev for ev in seen.accepts if ev.get("msr_dig") == _DESIGNATED_DIG_HEX],
+        [ev for ev in seen.owner_accepts if ev.get("msr_dig") == _DESIGNATED_DIG_HEX],
         escaped,
         backed,
     )

@@ -208,7 +208,7 @@ def run_scenario(name: str, seed: int = 0) -> Trace:
 # every property checker comes back clean, and the scenario produced what
 # the attack (or honest run) exists to show. A postcondition gets the
 # closed adversary knowledge, the checkers' results and the grouping they
-# judged for its world, and looks transitions and owner accepts up there.
+# judged for its world, and looks transitions and accepts up there.
 
 
 def _designated_cik(seen: _Grouping) -> Atom | None:

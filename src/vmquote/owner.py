@@ -80,7 +80,7 @@ class TrustedOwner:
         """
         if self._vm_dig is not None:
             return None
-        if not crypto.verify(cert.payload(), cert.sig_ar, self.amd_ltk_pb):
+        if not crypto.verify(sev.cert_payload(cert.psp_sn_pb), cert.sig_ar, self.amd_ltk_pb):
             return None
         go_sn = crypto.kx_keygen(self._rng)
         try:

@@ -48,9 +48,6 @@ class SevPlatformCert(Message):
     psp_sn_pb: bytes
     sig_ar: bytes
 
-    def payload(self) -> Term:
-        return cert_payload(self.psp_sn_pb)
-
 
 def cert_payload(psp_sn_pb: bytes) -> Term:
     return Tuple([Atom(psp_sn_pb)])

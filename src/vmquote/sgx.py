@@ -62,9 +62,6 @@ class SgxPlatformCert(Message):
     ppid: bytes
     sig_ir: bytes
 
-    def payload(self) -> Term:
-        return cert_payload(self.qek_pb, self.ppid)
-
 
 def cert_payload(qek_pb: bytes, ppid: bytes) -> Term:
     return Tuple([Label(TAG_SGX_PLATFORM_CERT), Atom(qek_pb), Atom(ppid)])
@@ -102,9 +99,6 @@ class Quote(Message):
     plat: Atom
     data: Term
     sig: bytes
-
-    def payload(self) -> Term:
-        return quote_payload(self.msr, self.plat, self.data)
 
 
 def quote_payload(msr: Term, plat: Atom, data: Term) -> Term:
@@ -204,9 +198,11 @@ def quote_check_failure(
     equality of measurement and report data against the expected values.
     """
     try:
-        if not crypto.verify(cert.payload(), cert.sig_ir, intel_pk):
+        if not crypto.verify(cert_payload(cert.qek_pb, cert.ppid), cert.sig_ir, intel_pk):
             return REASON_CERT_SIG
-        if not crypto.verify(quote.payload(), quote.sig, cert.qek_pb):
+        if not crypto.verify(
+            quote_payload(quote.msr, quote.plat, quote.data), quote.sig, cert.qek_pb
+        ):
             return REASON_QUOTE_SIG
         if quote.msr != msr_exp:
             return REASON_MSR_MISMATCH

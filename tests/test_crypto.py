@@ -34,7 +34,6 @@ from vmquote.crypto import (
     kx_keygen,
     kx_public,
     mac,
-    scan_tags,
     shared_secret,
     sig_keygen,
     sign,
@@ -551,49 +550,28 @@ class TestAead:
         key = fresh_key(rng)
         assert encrypt(Atom(b"x"), key, rng) != encrypt(Atom(b"x"), key, rng)
 
-
-class TestScanTags:
-    @staticmethod
-    def _split(blob):
-        return (blob[:NONCE_LEN], blob[NONCE_LEN:])
-
-    def _sealed(self, seed):
-        rng = Rng(seed)
+    def test_flipped_nonce_or_body_rejected(self):
+        rng = Rng(28)
         key = fresh_key(rng)
-        others = [encrypt(Atom(b"other %d" % i), fresh_key(rng), rng) for i in range(4)]
-        mine = encrypt(Atom(b"mine"), key, rng)
-        return key, [self._split(b) for b in others[:2] + [mine] + others[2:]]
-
-    def test_finds_the_one_blob_under_the_key(self):
-        key, sealed = self._sealed(25)
-        assert scan_tags(key, sealed) == [2]
-
-    def test_wrong_key_finds_nothing(self):
-        _, sealed = self._sealed(26)
-        assert scan_tags(fresh_key(Rng(27)), sealed) == []
-
-    def test_flipped_byte_rejected(self):
-        key, sealed = self._sealed(28)
-        nonce, body = sealed[2]
+        blob = encrypt(Atom(b"mine"), key, rng)
+        nonce, body = blob[:NONCE_LEN], blob[NONCE_LEN:]
         for i in (0, len(body) // 2, len(body) - 1):
             flipped = bytearray(body)
             flipped[i] ^= 0x01
-            assert scan_tags(key, [(nonce, bytes(flipped))]) == []
+            with pytest.raises(DecryptionFailure):
+                decrypt(nonce + bytes(flipped), key)
         flipped_nonce = bytes([nonce[0] ^ 0x01]) + nonce[1:]
-        assert scan_tags(key, [(flipped_nonce, body)]) == []
+        with pytest.raises(DecryptionFailure):
+            decrypt(flipped_nonce + body, key)
 
     def test_truncated_body_rejected(self):
-        key, sealed = self._sealed(29)
-        nonce, body = sealed[2]
+        rng = Rng(29)
+        key = fresh_key(rng)
+        blob = encrypt(Atom(b"mine"), key, rng)
+        nonce, body = blob[:NONCE_LEN], blob[NONCE_LEN:]
         for n in (0, 1, 15, 16, len(body) - 1):
-            assert scan_tags(key, [(nonce, body[:n])]) == []
-
-    def test_start_index_honoured(self):
-        key, sealed = self._sealed(30)
-        assert scan_tags(key, sealed, 2) == [2]
-        assert scan_tags(key, sealed, 3) == []
-        assert scan_tags(key, sealed + sealed, 3) == [7]
-        assert scan_tags(key, sealed, len(sealed)) == []
+            with pytest.raises(DecryptionFailure):
+                decrypt(nonce + body[:n], key)
 
 
 def test_encrypt_and_sign_keep_no_record():

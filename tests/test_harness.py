@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import vmquote
-from vmquote import crypto, sev
+from vmquote import crypto, relying_party, sev, sgx
 from vmquote.codec import Atom, Label, encode, to_hex
 from vmquote.guest import DESIGNATED_VM_CODE, ReportRequest
 from vmquote.harness import (
@@ -51,6 +51,7 @@ from vmquote.harness.events import (
 )
 from vmquote.harness.fuzz import Move, apply
 from vmquote.owner import report_data_preimage
+from vmquote.relying_party import EvidenceBundle
 from vmquote.sgx import OWNER_ENCLAVE_MEASUREMENT
 
 
@@ -340,6 +341,40 @@ class TestCheckerSoundness:
         assert result.witness["cert_ppid"] == "ee" * 16
         assert result.matched == 0
         assert result.escaped == 1
+
+    def test_accepted_quote_of_another_enclave_fails_sgx_authenticity(self, monkeypatch):
+        """A relying party that skips its measurement check is caught.
+
+        The adversary's own enclave on sgx0 is quoted over the report data
+        the honest run's evidence expects, and the planted relying party
+        accepts that bundle. Nothing the default mask protects is stolen,
+        so the accept is an unbacked instance, though an owner report on
+        sgx0 with the same data precedes it. vm_quote_authenticity judges
+        only owner-enclave accepts. A stolen sgx0 quoting key excuses it.
+        """
+
+        def no_measurement_check(msr_exp, data_exp, quote, cert, intel_pk):
+            return sgx.quote_check_failure(quote.msr, data_exp, quote, cert, intel_pk)
+
+        monkeypatch.setattr(relying_party, "quote_check_failure", no_measurement_check)
+        world = World(seed=3)
+        Pipeline(world).run_all()
+        vin = world.last_verification
+        data = Atom(crypto.digest(report_data_preimage(vin.pspid, vin.vmmsr, vin.vmdata)))
+        msr = Atom(world.adversary_fresh(16))
+        quote = world.adversary_request_quote(world.sgx_platforms[0], msr, data)
+        forged = EvidenceBundle(quote, vin.sgx_cert, vin.pspid, vin.vmmsr, vin.vmdata)
+        assert world.deliver("rp_bundle", forged.to_term()).accept
+        parsed = Trace.from_jsonl(world.trace.to_jsonl())
+        for results in (check_all(world.trace, world.knowledge), check_all(parsed)):
+            sgx_result = results["sgx_quote_authenticity"]
+            assert not sgx_result.holds
+            assert sgx_result.witness["quote_msr"] == term_hex(msr)
+            assert (sgx_result.matched, sgx_result.escaped) == (1, 0)
+            assert results["vm_quote_authenticity"].holds
+        world.compromise("qe", 0)
+        result = check_all(world.trace, world.knowledge)["sgx_quote_authenticity"]
+        assert result.holds and result.escaped == 2
 
     def test_psp_escape_excuses_only_its_own_provision(self):
         """A later PSP compromise excuses that PSP's cik, not the other's."""

@@ -6,7 +6,16 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from vmquote import crypto, sev
 from vmquote.codec import Atom, Label, Tuple, encode
 from vmquote.crypto import Rng
-from vmquote.harness import DEFAULT_MASK, Event, Trace, World, fuzz_adversary, rebuild_knowledge
+from vmquote.harness import (
+    DEFAULT_MASK,
+    SCENARIOS,
+    Event,
+    Trace,
+    World,
+    fuzz_adversary,
+    rebuild_knowledge,
+    run_scenario,
+)
 from vmquote.harness.knowledge import _MIN_CIPHERTEXT, AdversaryKnowledge
 from vmquote.sev import (
     DeployPackage,
@@ -96,7 +105,7 @@ def test_authentic_blob_without_a_term_teaches_nothing(monkeypatch):
     nonce = bytes(crypto.NONCE_LEN)
     raw = b"\xff" * 8
     blob = nonce + AESGCM(key).encrypt(nonce, raw, None)
-    assert crypto.scan_tags(key, [(nonce, blob[len(nonce) :])]) == [0]
+    assert AESGCM(key).decrypt(nonce, blob[len(nonce) :], None) == raw
     opened = []
     decrypt = crypto.decrypt
     monkeypatch.setattr(crypto, "decrypt", lambda b, k: opened.append((b, k)) or decrypt(b, k))
@@ -105,11 +114,11 @@ def test_authentic_blob_without_a_term_teaches_nothing(monkeypatch):
     k.observe(package)
     k.observe(keys)
     k.analyze()
-    # the tag authenticates under the transport key, so the blob is opened
+    # the blob is tried under the transport key, and only under it
     assert opened == [(blob, key)]
     assert k.terms_list() == [package, keys, *package.items, *keys.items]
     assert not k.knows(Atom(raw))
-    # no wrap key is derived: two keys against one blob, the tek scanned
+    # no wrap key is derived: two keys against one blob, the tek tried
     assert (k.trials, k.scanned, k.hits) == (2, 1, 0)
 
 
@@ -124,7 +133,6 @@ def test_blob_under_a_bare_key_is_counted_but_never_tried(monkeypatch):
     secret = Atom(b"under a bare key")
     blob = crypto.encrypt(secret, key, rng)
     tried = []
-    monkeypatch.setattr(crypto, "scan_tags", lambda *args: tried.append(args) or [])
     monkeypatch.setattr(crypto, "decrypt", lambda *args: tried.append(args))
     k = AdversaryKnowledge()
     k.observe(Tuple([Atom(key), _secret_package(blob)]))
@@ -402,6 +410,31 @@ class TestCounters:
         assert k.trials == keys * blobs
         assert 0 < k.hits < k.trials
         assert k.rounds > 0 and k.kx_pairs > 0
+
+    def test_each_pair_tried_is_one_decrypt_call(self, monkeypatch, masks):
+        """Trial decryption opens every pair it tries through crypto.decrypt, once.
+
+        Over the 17 seed-0 scenario traces and fuzz runs 0-19 at 40 steps
+        under each mask, each rebuilt and closed, the closure's decrypt
+        calls equal scanned.
+        """
+        traces = [run_scenario(name, seed=0) for name in sorted(SCENARIOS)]
+        for mask in masks.values():
+            traces += [
+                fuzz_adversary(World(seed=seed), seed=seed, steps=40, mask=mask)
+                for seed in range(20)
+            ]
+        calls = []
+        decrypt = crypto.decrypt
+        monkeypatch.setattr(crypto, "decrypt", lambda b, k: calls.append((b, k)) or decrypt(b, k))
+        hits = 0
+        for trace in traces:
+            k = rebuild_knowledge(trace)
+            calls.clear()
+            k.analyze()
+            assert len(calls) == k.scanned
+            hits += k.hits
+        assert hits > 0
 
 
 class TestDerivable:

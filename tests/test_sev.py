@@ -17,6 +17,7 @@ from vmquote.sev import (
     SevPlatformCert,
     TransportKeys,
     amd_rot_certify,
+    cert_payload,
     new_sev_platform,
     psp_receive_deploy,
     psp_receive_secret,
@@ -65,7 +66,7 @@ class TestCertification:
         rot = crypto.sig_keygen(rng)
         p = new_sev_platform(rng)
         cert = amd_rot_certify(rot, p.psp_sn.public)
-        assert crypto.verify(cert.payload(), cert.sig_ar, rot.public)
+        assert crypto.verify(cert_payload(cert.psp_sn_pb), cert.sig_ar, rot.public)
         assert cert.psp_sn_pb == p.psp_sn.public
 
     def test_cert_term_round_trip(self):

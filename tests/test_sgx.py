@@ -11,6 +11,7 @@ from vmquote.sgx import (
     ForeignReport,
     Quote,
     SgxPlatformCert,
+    cert_payload,
     ereport,
     intel_rot_certify,
     load_enclave,
@@ -43,14 +44,15 @@ class TestCertification:
         rng, rot, plat = setup
         from vmquote.crypto import verify
 
-        assert verify(plat.cert.payload(), plat.cert.sig_ir, rot.public)
+        assert verify(cert_payload(plat.cert.qek_pb, plat.cert.ppid), plat.cert.sig_ir, rot.public)
 
     def test_cert_fails_under_unrelated_key(self, setup):
         rng, rot, plat = setup
         from vmquote.crypto import verify
 
         other = sig_keygen(rng)
-        assert not verify(plat.cert.payload(), plat.cert.sig_ir, other.public)
+        payload = cert_payload(plat.cert.qek_pb, plat.cert.ppid)
+        assert not verify(payload, plat.cert.sig_ir, other.public)
 
     def test_cert_term_round_trip(self, setup):
         _, _, plat = setup
