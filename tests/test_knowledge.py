@@ -98,6 +98,62 @@ def test_sealed_blob_opens_in_either_order(key_first):
     assert (k.scanned, k.hits) == (1, 1)
 
 
+def _watch_decrypt(monkeypatch) -> list:
+    """Record each (blob, key) the closure opens through crypto.decrypt."""
+    opened = []
+    decrypt = crypto.decrypt
+    monkeypatch.setattr(crypto, "decrypt", lambda b, k: opened.append((b, k)) or decrypt(b, k))
+    return opened
+
+
+def _five_blob_ps(key: bytes, rng: Rng):
+    """Five blob_ps, the middle one sealed under key, the rest each under a key of its own."""
+    others = [crypto.encrypt(Atom(b"other %d" % i), crypto.fresh_key(rng), rng) for i in range(4)]
+    mine = crypto.encrypt(Atom(b"mine"), key, rng)
+    return others[:2] + [mine] + others[2:]
+
+
+def test_tek_opens_the_one_blob_p_sealed_under_it(monkeypatch):
+    """The tek is tried against every blob_p, in first-seen order; one opens."""
+    rng = Rng(25)
+    tek = crypto.fresh_key(rng)
+    blobs = _five_blob_ps(tek, rng)
+    k = AdversaryKnowledge()
+    k.observe(_transport_keys(tek, rng))
+    for blob in blobs:
+        k.observe(_secret_package(blob))
+    opened = _watch_decrypt(monkeypatch)
+    k.analyze()
+    assert opened == [(blob, tek) for blob in blobs]
+    assert k.knows(Atom(b"mine"))
+    assert not any(k.knows(Atom(b"other %d" % i)) for i in range(4))
+    assert (k.scanned, k.hits) == (5, 1)
+
+
+def test_old_tek_is_tried_only_against_new_blob_ps(monkeypatch):
+    """A tek tried once meets only the blob_ps filed after its last trial."""
+    rng = Rng(30)
+    tek = crypto.fresh_key(rng)
+    blobs = _five_blob_ps(tek, rng)
+    k = AdversaryKnowledge()
+    k.observe(_transport_keys(tek, rng))
+    for blob in blobs[:2]:
+        k.observe(_secret_package(blob))
+    k.analyze()
+    assert not k.knows(Atom(b"mine"))
+    assert (k.scanned, k.hits) == (2, 0)
+    opened = _watch_decrypt(monkeypatch)
+    for blob in blobs[2:]:
+        k.observe(_secret_package(blob))
+    k.analyze()
+    assert opened == [(blob, tek) for blob in blobs[2:]]
+    assert k.knows(Atom(b"mine"))
+    assert (k.scanned, k.hits) == (5, 1)
+    opened.clear()
+    k.analyze()
+    assert opened == []
+
+
 def test_authentic_blob_without_a_term_teaches_nothing(monkeypatch):
     """A blob whose tag checks but whose plaintext is no term stays opaque."""
     rng = Rng(97)
