@@ -22,11 +22,12 @@ hexes only the fields it reads. Timestamps are the strictly increasing
 seq numbers; nothing in a trace depends on wall-clock time, which is
 what makes replays byte-identical.
 
-term and data read a field back as the term or the bytes it holds, and
-build no body either: a recorded term or bytes value comes back as the
-very object recorded, and any str (parsed, or recorded as hex) is
-decoded from hex. A field that holds neither raises ValueError naming
-the event's seq and the field.
+fields returns the values the slot holds, for a reader of several
+fields. term and data read a field back as the term or the bytes it
+holds, and build no body either: a recorded term or bytes value comes
+back as the very object recorded, and any str (parsed, or recorded as
+hex) is decoded from hex. A field that holds neither raises ValueError
+naming the event's seq and the field.
 
 Trace.defer records an event whose values are made at its first read:
 it takes its seq at once, and the first read of a field or of its body
@@ -98,8 +99,8 @@ class Event:
     body Event(seq, kind, body) was given, or the make Trace.defer was
     given, until the first read stores its checked values there. body
     stores the JSON-ready dict it builds in the same slot. get, text,
-    term and data read one field without building the body. No field
-    can be assigned or deleted.
+    term and data read one field without building the body, and fields
+    returns what the slot holds. No field can be assigned or deleted.
     """
 
     __slots__ = ("seq", "kind", "_fields")
@@ -115,11 +116,13 @@ class Event:
     def __delattr__(self, name):
         raise AttributeError("a trace event is immutable")
 
-    def _read(self) -> dict:
+    def fields(self) -> dict:
         """The fields the slot holds, made first if the event was deferred.
 
-        get, term and data test the slot inline and call this only for a
-        deferred event: a call on every read slowed the offline audit.
+        The dict is the event's own and must not be changed. A caller
+        that reads several fields takes it once; get, term and data test
+        the slot inline and call this only for a deferred event: a call on
+        every read slowed the offline audit.
         """
         fields = self._fields
         if fields.__class__ is not dict:
@@ -129,7 +132,7 @@ class Event:
 
     @property
     def body(self) -> dict:
-        body = {key: _stored(value) for key, value in self._read().items()}
+        body = {key: _stored(value) for key, value in self.fields().items()}
         _set_fields(self, body)
         return body
 
@@ -154,7 +157,7 @@ class Event:
     def get(self, key: str):
         """Field key as body would hold it, or None; builds no body."""
         fields = self._fields
-        value = (fields if fields.__class__ is dict else self._read()).get(key)
+        value = (fields if fields.__class__ is dict else self.fields()).get(key)
         return value if value.__class__ is str or value is None else _stored(value)
 
     def text(self, key: str) -> str:
@@ -167,7 +170,7 @@ class Event:
     def term(self, key: str):
         """The term field key holds, or None; ValueError if it holds none."""
         fields = self._fields
-        value = (fields if fields.__class__ is dict else self._read()).get(key)
+        value = (fields if fields.__class__ is dict else self.fields()).get(key)
         if value is None or isinstance(value, (Atom, Label, Tuple)):
             return value
         try:
@@ -178,7 +181,7 @@ class Event:
     def data(self, key: str):
         """The bytes field key holds, or None; ValueError if it holds none."""
         fields = self._fields
-        value = (fields if fields.__class__ is dict else self._read()).get(key)
+        value = (fields if fields.__class__ is dict else self.fields()).get(key)
         if value is None or isinstance(value, bytes):
             return value
         try:

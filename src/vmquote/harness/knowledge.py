@@ -114,7 +114,9 @@ learns the same terms as one that tries every key, though possibly in a
 different order.
 
 The closure is evaluated semi-naively: each round applies the rules only
-to what is new since the rule last ran, so no rule ever repeats work.
+to what is new since the rule last ran, so no rule ever repeats work, and
+a rule with no new input returns at once. A term is deduplicated by one
+set insertion, which hashes it once.
 
 - A term is split or decoded once, in the round after it is learned.
 - Key negotiation runs in a round only after a negotiation element was
@@ -355,23 +357,24 @@ class AdversaryKnowledge:
         """The one rule from a send or adversary event to the view.
 
         In the package only feed calls it, and feed has already tested
-        the event's kind. learn reads only the term, leak, leak_kind and
-        action fields: an event whose action is a str naming a
-        compromise goes to compromised.learn, and a leaked private key is
-        registered before the event's term is observed.
+        the event's kind. learn reads the event's fields once, and only
+        the term, leak, leak_kind and action fields: an event whose action
+        is a str naming a compromise goes to compromised.learn, and a
+        leaked private key is registered before the event's term is
+        observed. A leak or term is decoded only when the field is there.
         """
-        action = event.get("action")
+        fields = event.fields()
+        action = fields.get("action")
         if action.__class__ is str and action.startswith("compromise_"):
             self.compromised.learn(event)
-        leak = event.data("leak")
-        if leak is not None:
-            if event.get("leak_kind") == "dh_private":
+        if fields.get("leak") is not None:
+            leak = event.data("leak")
+            if fields.get("leak_kind") == "dh_private":
                 self.add_private_dh(leak)
             else:
                 self.add_private_sig(leak)
-        term = event.term("term")
-        if term is not None:
-            self.observe(term)
+        if fields.get("term") is not None:
+            self.observe(event.term("term"))
 
     def observe(self, term: Term) -> None:
         """Record a term the adversary saw in the clear."""
@@ -394,8 +397,10 @@ class AdversaryKnowledge:
 
     def _add(self, term: Term) -> None:
         if term.__class__ is not Atom:
-            if term not in self._known:
-                self._known.add(term)
+            known = self._known
+            size = len(known)
+            known.add(term)
+            if len(known) != size:
                 self._terms.append(term)
             return
         value = term.value
@@ -499,6 +504,8 @@ class AdversaryKnowledge:
                     self._new_outputs.append(ss)
 
     def _derive(self) -> None:
+        if not self._new_outputs:
+            return
         outputs = sorted(self._new_outputs, key=self._rank.__getitem__)
         self._new_outputs = []
         for value in outputs:
@@ -517,6 +524,8 @@ class AdversaryKnowledge:
         all the same.
         """
         self.trials = self._key_atoms * self._blob_atoms
+        if not (self._kek.untried() or self._tek.untried()):
+            return
         rank, index = self._rank, self._key_index
         # (blob's rank, key's index) -> (blob, key); a pair filed under both
         # kinds is opened once
@@ -550,14 +559,17 @@ class AdversaryKnowledge:
 
         fresh says term is a fresh name, such as a key crypto.fresh_key
         drew: an Atom then skips the digest rule, since no fresh name is
-        a digest.
+        a digest. A Tuple's parts are checked before the whole, so a
+        Tuple of derivable parts is never hashed; the known set is asked
+        only when a part is not derivable, which keeps an observed Tuple
+        derivable before analyze takes it apart.
         """
         if isinstance(term, Label):
             return True
+        if isinstance(term, Tuple):
+            return all(self.derivable(i) for i in term.items) or term in self._known
         if self.knows(term):
             return True
-        if isinstance(term, Tuple):
-            return all(self.derivable(i) for i in term.items)
         if isinstance(term, Atom):
             value = term.value
             if may_decode(value):

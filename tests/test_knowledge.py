@@ -16,6 +16,7 @@ from vmquote.harness import (
     rebuild_knowledge,
     run_scenario,
 )
+from vmquote.harness.events import FRESH_VALUE, KIND_ADVERSARY
 from vmquote.harness.knowledge import _MIN_CIPHERTEXT, AdversaryKnowledge
 from vmquote.sev import (
     DeployPackage,
@@ -562,6 +563,21 @@ class TestDerivable:
         k.analyze()
         assert not k.derivable(Atom(Rng(95).bytes(32)))
 
+    def test_observed_tuple_is_derivable_before_analyze(self):
+        # its fresh part is not known until analyze takes the Tuple
+        # apart, so only the known set makes the whole derivable
+        k = AdversaryKnowledge()
+        term = Tuple([Atom(Rng(96).bytes(32)), Label("l")])
+        k.observe(term)
+        assert not k.derivable(term.items[0])
+        assert k.derivable(term)
+
+    def test_composed_tuple_with_an_unknown_part_is_not_derivable(self):
+        k = AdversaryKnowledge()
+        k.observe(Tuple([Atom(b"a"), Label("l")]))
+        k.analyze()
+        assert not k.derivable(Tuple([Atom(b"a"), Atom(Rng(97).bytes(32))]))
+
 
 class TestFreshValues:
     """Fresh names are atomic: no ciphertext and no digest."""
@@ -681,6 +697,54 @@ class TestKnownSet:
         terms = k.terms_list()
         assert terms == [Tuple([Atom(b"a"), Atom(b"b")]), Atom(b"a"), Atom(b"b")]
         assert len({encode(t) for t in terms}) == len(terms)
+
+
+class TestHotPath:
+    """What one dedupe, one event and one synthesis check cost."""
+
+    @staticmethod
+    def _count_tuple_hashes(monkeypatch) -> list:
+        hashed = []
+        tuple_hash = Tuple.__hash__
+
+        def counting(self):
+            hashed.append(self)
+            return tuple_hash(self)
+
+        monkeypatch.setattr(Tuple, "__hash__", counting)
+        return hashed
+
+    def test_observing_a_fresh_tuple_hashes_each_node_once(self, monkeypatch):
+        inner = Tuple([Atom(b"a"), Label("l")])
+        middle = Tuple([inner, Atom(b"b")])
+        outer = Tuple([middle, Label("m")])
+        k = AdversaryKnowledge()
+        hashed = self._count_tuple_hashes(monkeypatch)
+        k.observe(outer)
+        assert [id(t) for t in hashed] == [id(outer), id(middle), id(inner)]
+        assert k.terms_list() == [outer]
+
+    def test_tuple_of_known_parts_is_derivable_without_a_hash(self, monkeypatch):
+        k = AdversaryKnowledge()
+        k.observe(Atom(b"a"))
+        k.observe(Atom(b"b"))
+        k.analyze()
+        hashed = self._count_tuple_hashes(monkeypatch)
+        assert k.derivable(Tuple([Tuple([Atom(b"a"), Label("l")]), Atom(b"b")]))
+        assert hashed == []
+
+    def test_fresh_value_event_reads_its_term_once_and_no_bytes(self, monkeypatch):
+        reads = []
+        for name in ("data", "term"):
+            read = getattr(Event, name)
+            monkeypatch.setattr(
+                Event, name, lambda ev, key, _n=name, _r=read: reads.append(_n) or _r(ev, key)
+            )
+        value = Rng(98).bytes(32)
+        k = AdversaryKnowledge()
+        k.learn(Event(0, KIND_ADVERSARY, {"action": FRESH_VALUE, "term": Atom(value)}))
+        assert reads == ["term"]
+        assert k.terms_list() == [Atom(value)]
 
 
 def test_terms_list_deterministic_order():
