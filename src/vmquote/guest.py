@@ -1,9 +1,10 @@
 """Guest VM runtime: the provisioned workload asking for reports.
 
-A runtime exists only for a running session and holds the channel key the
-owner provisioned into it. Its single protocol act is signing payloads it
-wants attested; the demo workload emits one report request with a
-monotonic counter standing in for a timestamp.
+A runtime is built only for a running session and holds the channel key
+the owner provisioned into it, not the session: no code stops a running
+session. Its single protocol act is MACing payloads it wants attested;
+the demo workload emits one report request with a monotonic counter
+standing in for a timestamp.
 """
 
 from __future__ import annotations
@@ -27,19 +28,18 @@ class ReportRequest(Message):
 
 
 class GuestNotRunning(RuntimeError):
-    """Runtime requested for (or used on) a session that is not running."""
+    """Runtime requested for a session that is not running or has an unusable secret."""
 
 
 class GuestRuntime:
     """Execution context of one provisioned, running guest."""
 
     def __init__(self, session: GuestSession) -> None:
-        if not session.running or session.provisioned_secret is None:
+        if not session.running:
             raise GuestNotRunning("session is not running")
         secret = session.provisioned_secret
         if not isinstance(secret, Atom):
             raise GuestNotRunning("provisioned secret has unusable shape")
-        self._session = session
         self._cik = secret.value
         self.clock = 0
 
@@ -50,6 +50,4 @@ class GuestRuntime:
 
     def request_report(self, payload: Term) -> ReportRequest:
         """MAC a payload for the owner."""
-        if not self._session.running:
-            raise GuestNotRunning("session is not running")
         return ReportRequest(vmdata=payload, tag=crypto.mac(payload, self._cik))

@@ -119,7 +119,7 @@ class Move:
     - advance: the honest pipeline takes one step
     - finish: the honest pipeline runs to completion
     - flip: (item path, byte, bit) in the in-flight message
-    - replace: (item index, term) in the in-flight message
+    - replace: (item path, term) in the in-flight message
     - truncate: the in-flight message loses its last item
     - drop: the in-flight message is lost
     - inject: (deliver target, term)
@@ -187,17 +187,19 @@ def forge_accepting_bundle(
     return EvidenceBundle(quote=quote, sgx_cert=cert, pspid=pspid, vmmsr=msr, vmdata=vmdata)
 
 
-def _flipped(term: Tuple, path: tuple, byte: int, bit: int) -> Tuple:
-    """Copy of a tuple term with one bit of the atom at path flipped."""
+def _replaced(term: Tuple, path: tuple, change) -> Tuple:
+    """Copy of a tuple term whose item at path, outermost index first, is change(item)."""
+    index, *rest = path
     items = list(term.items)
-    index = path[0]
-    if len(path) > 1:
-        items[index] = _flipped(items[index], path[1:], byte, bit)
-    else:
-        value = bytearray(items[index].value)
-        value[byte] ^= 1 << bit
-        items[index] = Atom(bytes(value))
+    items[index] = _replaced(items[index], rest, change) if rest else change(items[index])
     return Tuple(items)
+
+
+def _flipped(atom: Atom, byte: int, bit: int) -> Atom:
+    """Copy of an atom with one bit flipped."""
+    value = bytearray(atom.value)
+    value[byte] ^= 1 << bit
+    return Atom(bytes(value))
 
 
 def apply(world: World, pipe: Pipeline, move: Move) -> None:
@@ -208,12 +210,12 @@ def apply(world: World, pipe: Pipeline, move: Move) -> None:
     elif kind == "finish":
         pipe.run_all()
     elif kind == "flip":
-        world.adversary_tamper(pipe, _flipped(pipe.in_flight, *args))
+        path, byte, bit = args
+        tampered = _replaced(pipe.in_flight, path, lambda atom: _flipped(atom, byte, bit))
+        world.adversary_tamper(pipe, tampered)
     elif kind == "replace":
-        index, term = args
-        items = list(pipe.in_flight.items)
-        items[index] = term
-        world.adversary_tamper(pipe, Tuple(items))
+        path, term = args
+        world.adversary_tamper(pipe, _replaced(pipe.in_flight, path, lambda _: term))
     elif kind == "truncate":
         world.adversary_tamper(pipe, Tuple(pipe.in_flight.items[:-1]))
     elif kind == "drop":
@@ -321,7 +323,7 @@ def _draw(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> Move |
             return Move("flip", ((index,), byte, mv.randrange(8)))
         if style == 1:
             term = mv.choice(_pool(world))
-            return Move("replace", (mv.randrange(len(items)), term))
+            return Move("replace", ((mv.randrange(len(items)),), term))
         return Move("truncate")
     if family == "drop":
         return Move("drop") if pipe.in_flight is not None else None

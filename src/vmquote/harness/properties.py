@@ -88,16 +88,19 @@ class PropertyResult:
     """Outcome of one property over one trace.
 
     matched counts instances satisfied by honest correspondence, escaped
-    counts instances excused by a compromise clause. holds is False only
-    when some instance is neither, and witness then carries that
-    instance's event body.
+    counts instances excused by a compromise clause. witness is None
+    unless some instance is neither, and then carries that instance's
+    event body; holds says the witness is None.
     """
 
     property_id: str
-    holds: bool
     witness: dict | None = None
     matched: int = 0
     escaped: int = 0
+
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
 
 def rebuild_knowledge(trace: Trace) -> AdversaryKnowledge:
@@ -185,10 +188,8 @@ def _judge(pid: str, instances: list[Event], escaped, backed) -> PropertyResult:
         elif backed(ev):
             matched += 1
         else:
-            return PropertyResult(
-                pid, holds=False, witness=dict(ev.body), matched=matched, escaped=excused
-            )
-    return PropertyResult(pid, holds=True, matched=matched, escaped=excused)
+            return PropertyResult(pid, witness=dict(ev.body), matched=matched, escaped=excused)
+    return PropertyResult(pid, matched=matched, escaped=excused)
 
 
 def _data(ev: Event, key: str) -> bytes:

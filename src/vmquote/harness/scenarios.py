@@ -93,7 +93,7 @@ def _replay_secret_package(world: World, pipe: Pipeline) -> Iterator[Move]:
 
 def _cross_platform_cert_swap(world: World, pipe: Pipeline) -> Iterator[Move]:
     yield from (ADVANCE,) * 6
-    yield Move("replace", (1, world.sgx_platforms[1].cert.to_term()))
+    yield Move("replace", ((1,), world.sgx_platforms[1].cert.to_term()))
     yield FINISH
 
 
@@ -143,7 +143,7 @@ SCENARIOS = {
     "tamper_measurement": (ADVANCE,) * 2 + (Move("flip", ((0, 3), 0, 0)), FINISH),
     "tamper_secret_package": (ADVANCE,) * 3 + (Move("flip", ((0,), 0, 0)), FINISH),
     "replay_secret_package": _replay_secret_package,
-    "wrong_vm_code": (ADVANCE, Move("replace", (3, Atom(b"evil code"))), FINISH),
+    "wrong_vm_code": (ADVANCE, Move("replace", ((3,), Atom(b"evil code"))), FINISH),
     "forge_report_request": (ADVANCE,) * 4
     + (Move("forge_request", ("owner_report", 24, None)),),
     "cross_platform_cert_swap": _cross_platform_cert_swap,

@@ -333,7 +333,7 @@ class World:
             bundle = EvidenceBundle.from_term(term)
         except ValueError:
             self.trace.append(KIND_VERDICT, accept=False, reason=REASON_MALFORMED)
-            return Verdict(accept=False, reason=REASON_MALFORMED)
+            return Verdict(REASON_MALFORMED)
         vin = bundle.verification_input(self.intel_rot.public, OWNER_ENCLAVE_MEASUREMENT)
         verdict = rp_verify_vm_quote(vin)
         self.trace.append(
@@ -428,6 +428,10 @@ class World:
         return sig
 
     def adversary_mac(self, payload: Term, key: bytes) -> bytes:
+        """MAC under a key the adversary can derive, the tag recorded."""
+        self.knowledge.analyze()
+        if not self.knowledge.derivable(Atom(key)):
+            raise CapabilityDenied("adversary lacks the MAC key")
         tag = crypto.mac(payload, key)
         self.adversary_compute(Atom(tag))
         return tag

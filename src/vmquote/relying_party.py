@@ -20,7 +20,6 @@ from .sev import Measurement
 from .sgx import (  # the REASON_* names are re-exported for callers
     REASON_CERT_SIG,
     REASON_DATA_MISMATCH,
-    REASON_MALFORMED,
     REASON_MSR_MISMATCH,
     REASON_QUOTE_SIG,
     Quote,
@@ -28,6 +27,9 @@ from .sgx import (  # the REASON_* names are re-exported for callers
     quote_check_failure,
 )
 from . import crypto
+
+#: The reason for evidence that does not even reach the checks.
+REASON_MALFORMED = "malformed"
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,13 @@ class EvidenceBundle(Message):
 
 @dataclass(frozen=True)
 class Verdict:
-    accept: bool
+    """A relying party's judgement: the first failing check, None to accept."""
+
     reason: str | None = None
+
+    @property
+    def accept(self) -> bool:
+        return self.reason is None
 
 
 def rp_verify_vm_quote(vin: VerificationInput) -> Verdict:
@@ -119,7 +126,5 @@ def rp_verify_vm_quote(vin: VerificationInput) -> Verdict:
             vin.expected_to_msr, expected_data, vin.quote, vin.sgx_cert, vin.intel_pk
         )
     except Exception:
-        return Verdict(accept=False, reason=REASON_MALFORMED)
-    if failure is None:
-        return Verdict(accept=True)
-    return Verdict(accept=False, reason=failure)
+        return Verdict(REASON_MALFORMED)
+    return Verdict(failure)

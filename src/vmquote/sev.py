@@ -115,19 +115,18 @@ class SecretPackage(Message):
 class GuestSession:
     """One guest's lifecycle on a platform.
 
-    phase advances measured -> running and never backward; a session that
-    fails provisioning is dropped from the platform entirely. running
-    implies provisioned_secret is present.
+    A session is measured until psp_receive_secret sets
+    provisioned_secret, and running from then on; it never goes back. A
+    session that fails provisioning is dropped from the platform entirely.
     """
 
     keys: TransportKeys
     msr: Measurement
-    phase: str = "measured"
     provisioned_secret: Term | None = None
 
     @property
     def running(self) -> bool:
-        return self.phase == "running"
+        return self.provisioned_secret is not None
 
 
 @dataclass
@@ -136,13 +135,13 @@ class SevPlatform:
 
     psp_sn_seed, plat_sev and launch_sev are drawn when the platform is
     built. The PSP key pair psp_sn, and cert, the root's certificate of
-    it (None without a root), are derived on first read and then kept.
+    it, are derived on first read and then kept.
     """
 
     psp_sn_seed: bytes
     plat_sev: Atom
     launch_sev: Atom
-    root: SigKeyPair | None = None
+    root: SigKeyPair
     session: GuestSession | None = None
 
     @cached_property
@@ -150,14 +149,12 @@ class SevPlatform:
         return KxKeyPair(private=self.psp_sn_seed, public=crypto.kx_public(self.psp_sn_seed))
 
     @cached_property
-    def cert(self) -> SevPlatformCert | None:
-        if self.root is None:
-            return None
+    def cert(self) -> SevPlatformCert:
         return amd_rot_certify(self.root, self.psp_sn.public)
 
 
-def new_sev_platform(rng: Rng, root: SigKeyPair | None = None) -> SevPlatform:
-    """Fresh platform with random keys and state, certified by root when given."""
+def new_sev_platform(rng: Rng, root: SigKeyPair) -> SevPlatform:
+    """Fresh platform with random keys and state, certified by root."""
     return SevPlatform(
         psp_sn_seed=rng.bytes(crypto.KEY_LEN),
         plat_sev=Atom(rng.bytes(PLAT_SEV_LEN)),
@@ -206,8 +203,7 @@ def psp_receive_deploy(
 
     Derives the wrap keys from the negotiated secret, recovers the
     transport keys from blob_d, checks mac_d, measures the guest code,
-    and opens a session in the measured phase. No session is created on
-    failure.
+    and opens a measured session. No session is created on failure.
 
     Raises SessionBusy, DecryptionFailure (blob rejected under the
     derived kek, or unexpected plaintext shape), MacVerificationFailed
@@ -248,7 +244,7 @@ def psp_receive_secret(platform: SevPlatform, pkg: SecretPackage) -> GuestSessio
     DecryptionFailure.
     """
     session = platform.session
-    if session is None or session.phase != "measured":
+    if session is None or session.running:
         raise NoMeasuredSession("no session awaiting a secret package")
     if not crypto.verify_mac(secret_binding(session.msr, pkg.blob_p), pkg.mac_p, session.keys.tik):
         platform.session = None
@@ -259,5 +255,4 @@ def psp_receive_secret(platform: SevPlatform, pkg: SecretPackage) -> GuestSessio
         platform.session = None
         raise
     session.provisioned_secret = secret
-    session.phase = "running"
     return session

@@ -3,10 +3,9 @@
 The model keeps exactly the security-relevant structure: an Intel root of
 trust certifies per-platform quoting keys, enclaves on a platform obtain
 local reports over (measurement, report data), and the platform's quoting
-enclave turns local reports into remotely verifiable quotes. Report
-provenance (a local report is only usable on the platform that minted it)
-is enforced by a per-platform registry standing in for the hardware
-report-key check.
+enclave turns local reports into remotely verifiable quotes. Standing in
+for the hardware report-key MAC, each platform keeps the reports it
+issued and its quoting enclave quotes no other, however little differs.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ REASON_CERT_SIG = "cert-sig"
 REASON_QUOTE_SIG = "quote-sig"
 REASON_MSR_MISMATCH = "msr-mismatch"
 REASON_DATA_MISMATCH = "data-mismatch"
-REASON_MALFORMED = "malformed"
 
 
 class EnclaveNotLoaded(RuntimeError):
@@ -77,14 +75,12 @@ def intel_rot_certify(rot: SigKeyPair, qek_pb: bytes, ppid: bytes) -> SgxPlatfor
 class LocalReport:
     """Platform-local attestation of an enclave.
 
-    Only platforms mint these (through ereport); serial plus platform_ppid
-    let the quoting enclave reject reports from elsewhere.
+    Only platforms mint these (through ereport); the minting platform
+    keeps every one it issued, and its quoting enclave quotes no other.
     """
 
     enclave_msr: Term
     report_data: Term
-    platform_ppid: bytes
-    serial: int
 
 
 class Quote(Message):
@@ -110,31 +106,29 @@ class SgxPlatform:
     """One SGX machine: identity, quoting key, issuing root, loaded enclaves.
 
     ppid, qek_seed and plat_info are drawn when the platform is built.
-    The quoting key pair qek, and cert, the root's certificate of it
-    (None without a root), are derived on first read and then kept.
+    The quoting key pair qek, and cert, the root's certificate of it,
+    are derived on first read and then kept. _issued holds every
+    LocalReport this platform minted.
     """
 
     ppid: bytes
     qek_seed: bytes
     plat_info: Atom
-    root: SigKeyPair | None = None
+    root: SigKeyPair
     _loaded: set = field(default_factory=set)
     _issued: set = field(default_factory=set)
-    _next_serial: int = 0
 
     @cached_property
     def qek(self) -> SigKeyPair:
         return SigKeyPair(private=self.qek_seed, public=crypto.sig_public(self.qek_seed))
 
     @cached_property
-    def cert(self) -> SgxPlatformCert | None:
-        if self.root is None:
-            return None
+    def cert(self) -> SgxPlatformCert:
         return intel_rot_certify(self.root, self.qek.public, self.ppid)
 
 
-def new_sgx_platform(rng: Rng, root: SigKeyPair | None = None) -> SgxPlatform:
-    """Fresh platform with random identity, certified by root when given."""
+def new_sgx_platform(rng: Rng, root: SigKeyPair) -> SgxPlatform:
+    """Fresh platform with random identity, certified by root."""
     return SgxPlatform(
         ppid=rng.bytes(PPID_LEN),
         qek_seed=rng.bytes(crypto.KEY_LEN),
@@ -152,28 +146,23 @@ def ereport(platform: SgxPlatform, enclave_msr: Term, data: Term) -> LocalReport
     """Mint a local report for a loaded enclave.
 
     Raises EnclaveNotLoaded otherwise. Repeated calls with equal inputs
-    yield reports equal on (enclave_msr, report_data); serials differ.
+    yield equal reports.
     """
     if enclave_msr not in platform._loaded:
         raise EnclaveNotLoaded(f"enclave not loaded on platform {platform.ppid.hex()}")
-    serial = platform._next_serial
-    platform._next_serial += 1
-    platform._issued.add(serial)
-    return LocalReport(
-        enclave_msr=enclave_msr,
-        report_data=data,
-        platform_ppid=platform.ppid,
-        serial=serial,
-    )
+    report = LocalReport(enclave_msr=enclave_msr, report_data=data)
+    platform._issued.add(report)
+    return report
 
 
 def qe_generate_quote(platform: SgxPlatform, report: LocalReport) -> Quote:
-    """Turn a local report from this same platform into a quote.
+    """Turn a local report this platform issued into a quote.
 
-    Raises ForeignReport when the report was minted elsewhere (or not
-    minted at all).
+    Raises ForeignReport for any other report: one minted elsewhere with
+    content this platform never issued, an issued report with a field
+    altered, or one never minted at all.
     """
-    if report.platform_ppid != platform.ppid or report.serial not in platform._issued:
+    if report not in platform._issued:
         raise ForeignReport("report was not issued by this platform")
     payload = quote_payload(report.enclave_msr, platform.plat_info, report.report_data)
     return Quote(
@@ -196,18 +185,15 @@ def quote_check_failure(
     Checks in order: certificate signature under the Intel root key,
     quote signature under the certified quoting key, then structural
     equality of measurement and report data against the expected values.
+    Inputs of the wrong shape raise; rp_verify_vm_quote turns that into
+    its malformed verdict.
     """
-    try:
-        if not crypto.verify(cert_payload(cert.qek_pb, cert.ppid), cert.sig_ir, intel_pk):
-            return REASON_CERT_SIG
-        if not crypto.verify(
-            quote_payload(quote.msr, quote.plat, quote.data), quote.sig, cert.qek_pb
-        ):
-            return REASON_QUOTE_SIG
-        if quote.msr != msr_exp:
-            return REASON_MSR_MISMATCH
-        if quote.data != data_exp:
-            return REASON_DATA_MISMATCH
-        return None
-    except Exception:
-        return REASON_MALFORMED
+    if not crypto.verify(cert_payload(cert.qek_pb, cert.ppid), cert.sig_ir, intel_pk):
+        return REASON_CERT_SIG
+    if not crypto.verify(quote_payload(quote.msr, quote.plat, quote.data), quote.sig, cert.qek_pb):
+        return REASON_QUOTE_SIG
+    if quote.msr != msr_exp:
+        return REASON_MSR_MISMATCH
+    if quote.data != data_exp:
+        return REASON_DATA_MISMATCH
+    return None

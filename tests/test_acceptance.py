@@ -96,11 +96,9 @@ def test_criterion_2_state_machine_exhaustion():
     rng = Rng(12345)
     amd = crypto.sig_keygen(rng)
     intel = crypto.sig_keygen(rng)
-    host = sgx.new_sgx_platform(rng)
-    host.cert = sgx.intel_rot_certify(intel, host.qek.public, host.ppid)
+    host = sgx.new_sgx_platform(rng, intel)
     sgx.load_enclave(host, sgx.OWNER_ENCLAVE_MEASUREMENT)
-    sev_plat = new_sev_platform(rng)
-    sev_plat.cert = amd_rot_certify(amd, sev_plat.psp_sn.public)
+    sev_plat = new_sev_platform(rng, amd)
     rogue_cert = amd_rot_certify(crypto.sig_keygen(rng), sev_plat.psp_sn.public)
     garbage_msr = Measurement(
         sev_plat.plat_sev, sev_plat.launch_sev, rng.bytes(32), rng.bytes(16)

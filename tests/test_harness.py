@@ -445,6 +445,42 @@ class TestAdversaryInterfaceLimits:
         with pytest.raises(CapabilityDenied, match="signing key"):
             apply(world, Pipeline(world), move)
 
+    def test_mac_needs_a_derivable_key(self):
+        """The designated channel key stays out of reach, so nothing MACs under it."""
+        world = World(seed=5)
+        Pipeline(world).run_all()
+        (provision,) = [
+            ev
+            for ev in world.trace.of_kind(KIND_TRANSITION)
+            if ev.body["label"] == "owner_provision_vm"
+        ]
+        before = world.trace.to_jsonl()
+        with pytest.raises(CapabilityDenied, match="MAC key"):
+            world.adversary_mac(Atom(b"forged vmdata"), provision.data("cik"))
+        assert world.trace.to_jsonl() == before
+
+    def test_replace_reaches_a_nested_measurement_field(self):
+        """A replaced launch digest inside the measurement breaks its MAC."""
+        world = World(seed=5)
+        pipe = Pipeline(world)
+        for move in (Move("advance"),) * 2:
+            apply(world, pipe, move)
+        msr = sev.MeasurementPackage.from_term(pipe.in_flight).msr
+        apply(world, pipe, Move("replace", ((0, 2), Atom(crypto.digest(Atom(b"other code"))))))
+        tampered = sev.MeasurementPackage.from_term(pipe.in_flight).msr
+        assert tampered.dig != msr.dig
+        assert (tampered.plat_sev, tampered.nonce) == (msr.plat_sev, msr.nonce)
+        apply(world, pipe, Move("finish"))
+        refusals = [
+            ev.body
+            for ev in world.trace.of_kind(KIND_TRANSITION)
+            if ev.body["label"] == "owner_provision_refused"
+        ]
+        assert refusals == [
+            {"actor": "owner0", "label": "owner_provision_refused", "error": "guard"}
+        ]
+        assert not [ev for ev in world.trace.of_kind(KIND_VERDICT) if ev.get("accept")]
+
     def test_refusals_survive_python_O(self):
         """The capability guards are no asserts: python -O keeps every one."""
         script = textwrap.dedent(

@@ -50,11 +50,9 @@ def ctx(recorded):
     rng = Rng(71)
     amd = crypto.sig_keygen(rng)
     intel = crypto.sig_keygen(rng)
-    host = sgx.new_sgx_platform(rng)
-    host.cert = sgx.intel_rot_certify(intel, host.qek.public, host.ppid)
+    host = sgx.new_sgx_platform(rng, intel)
     sgx.load_enclave(host, sgx.OWNER_ENCLAVE_MEASUREMENT)
-    sev_plat = new_sev_platform(rng)
-    sev_plat.cert = amd_rot_certify(amd, sev_plat.psp_sn.public)
+    sev_plat = new_sev_platform(rng, amd)
     owner = TrustedOwner(
         amd.public, host, rng, lambda label, **payload: recorded.append((label, payload))
     )

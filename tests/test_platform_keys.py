@@ -161,8 +161,7 @@ def test_when_a_derivation_runs_changes_no_trace_byte(seed):
 def test_an_assigned_certificate_replaces_the_derivation(library):
     rng = Rng(5)
     rot = crypto.sig_keygen(rng)
-    plat = sgx.new_sgx_platform(rng)
-    assert plat.cert is None
+    plat = sgx.new_sgx_platform(rng, rot)
     other = sgx.new_sgx_platform(rng, rot)
     other.cert = sgx.intel_rot_certify(rot, plat.qek.public, plat.ppid)
     assert other.cert.ppid == plat.ppid

@@ -19,7 +19,6 @@ from vmquote.relying_party import (
 )
 from vmquote.sev import (
     SecretPackage,
-    amd_rot_certify,
     new_sev_platform,
     psp_receive_deploy,
     psp_receive_secret,
@@ -33,11 +32,9 @@ def evidence():
     rng = Rng(81)
     amd = crypto.sig_keygen(rng)
     intel = crypto.sig_keygen(rng)
-    host = sgx.new_sgx_platform(rng)
-    host.cert = sgx.intel_rot_certify(intel, host.qek.public, host.ppid)
+    host = sgx.new_sgx_platform(rng, intel)
     sgx.load_enclave(host, sgx.OWNER_ENCLAVE_MEASUREMENT)
-    sev_plat = new_sev_platform(rng)
-    sev_plat.cert = amd_rot_certify(amd, sev_plat.psp_sn.public)
+    sev_plat = new_sev_platform(rng, amd)
     owner = TrustedOwner(amd.public, host, rng, lambda label, **payload: None)
 
     pkg = owner.deploy_vm(sev_plat.cert, DESIGNATED_VM_CODE)
@@ -61,7 +58,7 @@ def evidence():
 
 
 def test_honest_evidence_accepted(evidence):
-    assert rp_verify_vm_quote(evidence) == Verdict(accept=True)
+    assert rp_verify_vm_quote(evidence) == Verdict()
 
 
 def test_wrong_pspid_rejected(evidence):
@@ -79,7 +76,7 @@ def test_wrong_vmdata_rejected(evidence):
 
     other = Tuple([Label("burrito_report"), Atom((2).to_bytes(8, "big"))])
     verdict = rp_verify_vm_quote(replace(evidence, vmdata=other))
-    assert verdict == Verdict(accept=False, reason=REASON_DATA_MISMATCH)
+    assert verdict == Verdict(reason=REASON_DATA_MISMATCH)
 
 
 def test_wrong_measurement_nonce_rejected(evidence):
@@ -132,7 +129,7 @@ def test_garbage_input_malformed(evidence):
     from dataclasses import replace
 
     verdict = rp_verify_vm_quote(replace(evidence, pspid="not even bytes"))
-    assert verdict == Verdict(accept=False, reason=REASON_MALFORMED)
+    assert verdict == Verdict(reason=REASON_MALFORMED)
 
 
 def test_acceptance_recomputes_report_data(evidence):

@@ -26,6 +26,7 @@ from vmquote.sev import (
 )
 
 VM_CODE = Atom(b"some vm image")
+AMD_ROOT = crypto.sig_keygen(Rng(40))
 
 
 def make_deploy(platform, rng, vmc=VM_CODE):
@@ -57,21 +58,21 @@ def make_secret(msr, tek, tik, rng, secret=Atom(b"\x5c" * 32)):
 
 @pytest.fixture
 def plat():
-    return new_sev_platform(Rng(41))
+    return new_sev_platform(Rng(41), AMD_ROOT)
 
 
 class TestCertification:
     def test_cert_verifies_under_amd_root(self):
         rng = Rng(42)
         rot = crypto.sig_keygen(rng)
-        p = new_sev_platform(rng)
+        p = new_sev_platform(rng, rot)
         cert = amd_rot_certify(rot, p.psp_sn.public)
         assert crypto.verify(cert_payload(cert.psp_sn_pb), cert.sig_ar, rot.public)
         assert cert.psp_sn_pb == p.psp_sn.public
 
     def test_cert_term_round_trip(self):
         rng = Rng(43)
-        cert = amd_rot_certify(crypto.sig_keygen(rng), new_sev_platform(rng).psp_sn.public)
+        cert = new_sev_platform(rng, crypto.sig_keygen(rng)).cert
         assert SevPlatformCert.from_term(cert.to_term()) == cert
 
 
@@ -84,7 +85,7 @@ class TestDeploy:
         assert mp.msr.plat_sev == plat.plat_sev
         assert crypto.verify_mac(mp.msr.to_term(), mp.mac_ti, tik)
         assert plat.session is not None
-        assert plat.session.phase == "measured"
+        assert not plat.session.running
         assert plat.session.keys.tek == tek
 
     def test_second_deploy_busy(self, plat):
@@ -140,7 +141,7 @@ class TestDeploy:
 
     def test_measurement_nonce_fresh_per_deploy(self):
         rng = Rng(49)
-        p1, p2 = new_sev_platform(Rng(50)), new_sev_platform(Rng(50))
+        p1, p2 = new_sev_platform(Rng(50), AMD_ROOT), new_sev_platform(Rng(50), AMD_ROOT)
         pkg1, _, _ = make_deploy(p1, rng)
         m1 = psp_receive_deploy(p1, pkg1, rng)
         pkg2, _, _ = make_deploy(p2, rng)
@@ -251,14 +252,14 @@ class TestPackageTerms:
 
 class TestGuestRuntime:
     def _running(self, rng, secret=Atom(b"\x5c" * 32), vmc=DESIGNATED_VM_CODE):
-        plat = new_sev_platform(rng)
+        plat = new_sev_platform(rng, AMD_ROOT)
         pkg, tek, tik = make_deploy(plat, rng, vmc=vmc)
         mp = psp_receive_deploy(plat, pkg, rng)
         return psp_receive_secret(plat, make_secret(mp.msr, tek, tik, rng, secret=secret))
 
     def test_runtime_for_measured_session_refused(self):
         rng = Rng(61)
-        plat = new_sev_platform(rng)
+        plat = new_sev_platform(rng, AMD_ROOT)
         pkg, _, _ = make_deploy(plat, rng)
         psp_receive_deploy(plat, pkg, rng)
         with pytest.raises(GuestNotRunning):

@@ -13,7 +13,6 @@ from vmquote.sgx import (
     SgxPlatformCert,
     cert_payload,
     ereport,
-    intel_rot_certify,
     load_enclave,
     new_sgx_platform,
     qe_generate_quote,
@@ -28,8 +27,7 @@ SOME_DATA = Tuple([Label("report_data"), Atom(b"\x2a")])
 def setup():
     rng = Rng(31)
     rot = sig_keygen(rng)
-    plat = new_sgx_platform(rng)
-    plat.cert = intel_rot_certify(rot, plat.qek.public, plat.ppid)
+    plat = new_sgx_platform(rng, rot)
     return rng, rot, plat
 
 
@@ -66,7 +64,6 @@ class TestEreport:
         rep = ereport(plat, ENCLAVE_A, SOME_DATA)
         assert rep.enclave_msr == ENCLAVE_A
         assert rep.report_data == SOME_DATA
-        assert rep.platform_ppid == plat.ppid
 
     def test_unloaded_enclave_raises(self, setup):
         _, _, plat = setup
@@ -79,7 +76,6 @@ class TestEreport:
         r1 = ereport(plat, ENCLAVE_A, SOME_DATA)
         r2 = ereport(plat, ENCLAVE_A, SOME_DATA)
         assert (r1.enclave_msr, r1.report_data) == (r2.enclave_msr, r2.report_data)
-        assert r1.serial != r2.serial
 
 
 class TestQuoting:
@@ -91,7 +87,7 @@ class TestQuoting:
 
     def test_foreign_report_refused(self, setup):
         rng, rot, plat = setup
-        other = new_sgx_platform(rng)
+        other = new_sgx_platform(rng, rot)
         load_enclave(other, ENCLAVE_A)
         rep = ereport(other, ENCLAVE_A, SOME_DATA)
         with pytest.raises(ForeignReport):
@@ -101,14 +97,31 @@ class TestQuoting:
         rng, _, plat = setup
         from vmquote.sgx import LocalReport
 
-        fake = LocalReport(
-            enclave_msr=ENCLAVE_A,
-            report_data=SOME_DATA,
-            platform_ppid=plat.ppid,
-            serial=10_000,
-        )
+        fake = LocalReport(enclave_msr=ENCLAVE_A, report_data=SOME_DATA)
         with pytest.raises(ForeignReport):
             qe_generate_quote(plat, fake)
+
+    @pytest.mark.parametrize(
+        "issued_msr, field, value",
+        (
+            (OWNER_ENCLAVE_MEASUREMENT, "report_data", Tuple([Label("attacker"), Atom(b"\x2b")])),
+            (ENCLAVE_A, "enclave_msr", OWNER_ENCLAVE_MEASUREMENT),
+        ),
+    )
+    def test_altered_report_refused(self, setup, issued_msr, field, value):
+        """An issued report with one field changed, here to speak for the owner
+        enclave, is a report this platform never issued."""
+        from dataclasses import replace
+
+        _, rot, plat = setup
+        load_enclave(plat, issued_msr)
+        rep = ereport(plat, issued_msr, SOME_DATA)
+        forged = replace(rep, **{field: value})
+        assert forged.enclave_msr == OWNER_ENCLAVE_MEASUREMENT
+        with pytest.raises(ForeignReport):
+            qe_generate_quote(plat, forged)
+        quote = qe_generate_quote(plat, rep)
+        assert quote_check_failure(issued_msr, SOME_DATA, quote, plat.cert, rot.public) is None
 
     def test_same_report_quotes_twice(self, setup):
         rng, rot, plat = setup
@@ -152,8 +165,7 @@ class TestVerification:
 
     def test_cross_platform_cert_rejected(self, setup):
         rng, rot, plat = setup
-        other = new_sgx_platform(rng)
-        other.cert = intel_rot_certify(rot, other.qek.public, other.ppid)
+        other = new_sgx_platform(rng, rot)
         quote = self._quote(plat)
         assert (
             quote_check_failure(ENCLAVE_A, SOME_DATA, quote, other.cert, rot.public)
