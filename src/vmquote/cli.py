@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="WHAT",
-        help="intel_rot | amd_rot | qe:<designated|other> | psp:<designated|other>; repeatable",
+        help="intel_rot | amd_rot | qe:designated | psp:designated; repeatable",
     )
     p_fuzz.set_defaults(fn=cmd_fuzz)
     return parser

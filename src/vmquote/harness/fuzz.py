@@ -54,8 +54,8 @@ _INJECT_TARGETS = (
     "sev_deploy:1",
     "sev_secret:0",
     "sev_secret:1",
-    "owner_measurement",
-    "owner_report",
+    "owner_measurement:0",
+    "owner_report:0",
     "rp_bundle",
 )
 
@@ -87,10 +87,9 @@ DEFAULT_MASK = CompromiseMask()
 def parse_compromise_flags(flags: list[str]) -> CompromiseMask:
     """Build a mask from repeatable --allow-compromise values.
 
-    Accepted: intel_rot, amd_rot, qe:designated, qe:other,
-    psp:designated, psp:other; any other value raises ValueError. Flags
-    only ever grant, and the other platforms are always granted, so
-    qe:other and psp:other are accepted no-ops.
+    Accepted: intel_rot, amd_rot, qe:designated, psp:designated; any
+    other value raises ValueError. Flags only ever grant: the other
+    platforms are always granted, so no flag names them.
     """
     kwargs = {}
     for flag in flags:
@@ -100,7 +99,7 @@ def parse_compromise_flags(flags: list[str]) -> CompromiseMask:
             kwargs["designated_qe"] = True
         elif flag == "psp:designated":
             kwargs["designated_psp"] = True
-        elif flag not in ("qe:other", "psp:other"):
+        else:
             raise ValueError(f"unknown compromise flag: {flag!r}")
     return CompromiseMask(**kwargs)
 
@@ -231,19 +230,21 @@ def apply(world: World, pipe: Pipeline, move: Move) -> None:
         world.compromise(*args)
     elif kind == "request_quote":
         index, length = args
+        platform = world.platform("sgx", index)
         msr = Atom(world.adversary_fresh(16))
         data = Atom(world.adversary_fresh(length))
-        world.adversary_request_quote(world.sgx_platforms[index], msr, data)
+        world.adversary_request_quote(platform, msr, data)
     elif kind == "own_deploy":
+        platform = world.platform("sev", args[0])
         code = Atom(b"fuzz workload " + world.adversary_fresh(4))
-        world.adversary_own_deploy(world.sev_platforms[args[0]], code)
+        world.adversary_own_deploy(platform, code)
     elif kind == "extract":
-        world.adversary_extract_sev_secret(world.sev_platforms[args[0]])
+        world.adversary_extract_sev_secret(world.platform("sev", args[0]))
     elif kind == "forge_bundle":
         if args[0] is None:
             cert, key = forge_sgx_cert(world)
         else:
-            plat = world.sgx_platforms[args[0]]
+            plat = world.platform("sgx", args[0])
             cert, key = plat.cert, plat.qek.private
         world.deliver("rp_bundle", forge_accepting_bundle(world, cert, key).to_term())
     elif kind == "forge_sev_cert":
@@ -258,7 +259,7 @@ def apply(world: World, pipe: Pipeline, move: Move) -> None:
             nonce=world.adversary_fresh(16),
         )
         mac_ti = world.adversary_mac(msr.to_term(), args[0])
-        world.deliver("owner_measurement", MeasurementPackage(msr=msr, mac_ti=mac_ti).to_term())
+        world.deliver("owner_measurement:0", MeasurementPackage(msr=msr, mac_ti=mac_ti).to_term())
     elif kind == "forge_request":
         target, length, key = args
         vmdata = Atom(world.adversary_fresh(length))
@@ -371,7 +372,7 @@ def _draw(world: World, pipe: Pipeline, mv: Rng, mask: CompromiseMask) -> Move |
             if plat.ppid.hex() in world.compromised.qe_ppids:
                 options.append(i)
         return Move("forge_bundle", (mv.choice(options),)) if options else None
-    return Move("forge_request", ("owner_report", 16, None))
+    return Move("forge_request", ("owner_report:0", 16, None))
 
 
 def fuzz_moves(

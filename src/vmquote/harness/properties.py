@@ -69,12 +69,6 @@ from ..sgx import OWNER_ENCLAVE_MEASUREMENT
 from .events import KIND_TRANSITION, KIND_VERDICT, Event, Trace, term_hex
 from .knowledge import AdversaryKnowledge, feed
 
-PROPERTY_IDS = (
-    "sgx_quote_authenticity",
-    "sev_secret_secrecy",
-    "vm_quote_authenticity",
-)
-
 _TO_MSR_HEX = term_hex(OWNER_ENCLAVE_MEASUREMENT)
 _DESIGNATED_DIG_HEX = DESIGNATED_VM_DIGEST.hex()
 
@@ -291,3 +285,5 @@ _CHECKERS = {
     "sev_secret_secrecy": _check_sev_secret_secrecy,
     "vm_quote_authenticity": _check_vm_quote_authenticity,
 }
+
+PROPERTY_IDS = tuple(_CHECKERS)

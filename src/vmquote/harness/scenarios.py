@@ -106,14 +106,14 @@ def _compromise_amd_rot_pre(world: World, pipe: Pipeline) -> Iterator[Move]:
     arbitrary guest data.
     """
     yield Move("compromise", ("amd", None))
-    yield Move("forge_sev_cert", ("owner_deploy",))
+    yield Move("forge_sev_cert", ("owner_deploy:0",))
     fake = SevPlatformCert.from_term(_sent(world, "adv", "owner0"))
     keys = _transport_keys(world)
     yield Move("forge_measurement", (keys.tik,))
     msr = MeasurementPackage.from_term(_sent(world, "adv", "owner0")).msr
     secret = SecretPackage.from_term(_sent(world, "owner0", "adv"))
     cik = crypto.decrypt(secret.blob_p, keys.tek)
-    yield Move("forge_request", ("owner_report", 24, cik.value))
+    yield Move("forge_request", ("owner_report:0", 24, cik.value))
     yield _inject_evidence(world, 0, fake.psp_sn_pb, msr)
 
 
@@ -145,7 +145,7 @@ SCENARIOS = {
     "replay_secret_package": _replay_secret_package,
     "wrong_vm_code": (ADVANCE, Move("replace", ((3,), Atom(b"evil code"))), FINISH),
     "forge_report_request": (ADVANCE,) * 4
-    + (Move("forge_request", ("owner_report", 24, None)),),
+    + (Move("forge_request", ("owner_report:0", 24, None)),),
     "cross_platform_cert_swap": _cross_platform_cert_swap,
     "compromise_intel_rot_pre": (
         Move("compromise", ("intel", None)),

@@ -37,28 +37,28 @@ or steals a value only has to log it. Owner i's enclave records its
 commitments the same way: it is built with a recorder that writes them
 as owner{i} transitions the moment it makes them.
 
-Each receiving end (PSP handlers, owner i's three steps, relying party)
-is one method that returns its reply. All but the relying party parse
-their message through _parse, the one place a malformed term becomes the
-receiver's refusal; the relying party's refusal is its malformed
-verdict. Both quoting paths, the owner's and the adversary's own
-enclave, record sgx_ereport through _quote. The Pipeline is owner i's
-honest protocol run as one script over them, in protocol order: owner
-deploy, PSP measure, owner provision, guest launch, report request,
-owner quote, relying-party verdict. The script pauses after each send
-and after the launch, holding at most one in-flight message the
-adversary may tamper with or drop before it resumes; a dropped message
-or a refusal ends the script. deliver lets the adversary inject
-arbitrary terms at the same handlers, named by target strings such as
-owner_report:1. The owner's provisioning and report steps also return
-the message as parsed: the host builds the evidence bundle from it.
+Each receiving end but the relying party is one RECEIVING_ENDS row,
+keyed by message kind, run by World.receive: the one place a malformed
+term, a raised refusal or an owner's guard becomes the end's refusal.
+receive returns the message as parsed with the reply: the host builds
+the evidence bundle from the owner's parsed messages. The relying
+party's refusal is its malformed verdict. Both quoting paths, the owner's and the adversary's
+own enclave, record sgx_ereport through _quote. The Pipeline is owner
+i's honest protocol run as one script over them, in protocol order:
+owner deploy, PSP measure, owner provision, guest launch, report
+request, owner quote, relying-party verdict. The script pauses after
+each send and after the launch, holding at most one in-flight message
+the adversary may tamper with or drop before it resumes; a dropped
+message or a refusal ends the script. deliver lets the adversary inject
+arbitrary terms at the same ends, named by targets such as owner_report:1.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from functools import partial
+from typing import NamedTuple
 
 from .. import crypto, sev, sgx
 from ..codec import Atom, Term
@@ -215,14 +215,6 @@ class World:
 
     # ---- receiving ends (honest handlers, also injection targets) ----
 
-    def _parse(self, message: type, term: Term, actor: str, refusal: str):
-        """The term as a message of that type, or None after actor's malformed refusal."""
-        try:
-            return message.from_term(term)
-        except ValueError:
-            self.transition(actor, refusal, error="malformed")
-            return None
-
     def _quote(self, i: int, report: sgx.LocalReport) -> sgx.Quote:
         """sgx{i}'s quote of a local report it minted, its ereport recorded first."""
         host = self.sgx_platforms[i]
@@ -235,98 +227,29 @@ class World:
         )
         return sgx.qe_generate_quote(host, report)
 
-    def recv_deploy(self, i: int, term: Term) -> MeasurementPackage | None:
-        platform, name = self.sev_platforms[i], f"sev{i}"
-        pkg = self._parse(DeployPackage, term, name, "sev_deploy_abort")
-        if pkg is None:
-            return None
-        try:
-            mp = sev.psp_receive_deploy(platform, pkg, self.rng)
-        except (
-            SessionBusy,
-            MacVerificationFailed,
-            DecryptionFailure,
-            InvalidPublicElement,
-        ) as exc:
-            self.transition(name, "sev_deploy_abort", error=type(exc).__name__)
-            return None
-        self.transition(
-            name,
-            "sev_session_measured",
-            psp=platform.psp_sn.public,
-            dig=mp.msr.dig,
-            nonce=mp.msr.nonce,
-        )
-        return mp
+    def receive(self, kind: str, i: int, term: Term) -> tuple:
+        """Party i's end of that kind takes a term: (message as parsed, reply).
 
-    def recv_secret(self, i: int, term: Term) -> GuestRuntime | None:
-        """Launch the guest; there is no reply, the result is its runtime."""
-        platform, name = self.sev_platforms[i], f"sev{i}"
-        pkg = self._parse(SecretPackage, term, name, "sev_secret_abort")
-        if pkg is None:
-            return None
-        try:
-            session = sev.psp_receive_secret(platform, pkg)
-            runtime = GuestRuntime(session)
-        except (
-            NoMeasuredSession,
-            MacVerificationFailed,
-            DecryptionFailure,
-            GuestNotRunning,
-        ) as exc:
-            self.transition(name, "sev_secret_abort", error=type(exc).__name__)
-            return None
-        guest_name = f"guest{len(self.guests)}"
-        self.guests.append(guest_name)
-        self.transition(
-            name,
-            "sev_guest_launched",
-            guest=guest_name,
-            psp=platform.psp_sn.public,
-            dig=session.msr.dig,
-        )
-        return runtime
-
-    # Owner i's three steps. Owner i is named owner{i}, runs on sgx{i} and
-    # deploys workloads[i]; the Pipeline hands it sev{i}'s certificate.
-
-    def owner_deploy(self, i: int, term: Term) -> DeployPackage | None:
-        """Owner i's opening move: a deploy package for the certified PSP."""
-        cert = self._parse(SevPlatformCert, term, f"owner{i}", "owner_deploy_refused")
-        if cert is None:
-            return None
-        pkg = self.owners[i].deploy_vm(cert, self.workloads[i])
-        if pkg is None:
-            self.transition(f"owner{i}", "owner_deploy_refused", error="guard")
-        return pkg
-
-    def owner_provision(
-        self, i: int, term: Term
-    ) -> tuple[MeasurementPackage | None, SecretPackage | None]:
-        """Owner i's provisioning step: the package as parsed, and the reply."""
-        mp = self._parse(MeasurementPackage, term, f"owner{i}", "owner_provision_refused")
-        if mp is None:
-            return None, None
-        result = self.owners[i].provision_vm(mp.msr, mp.mac_ti)
-        if result is None:
-            self.transition(f"owner{i}", "owner_provision_refused", error="guard")
-        return mp, result
-
-    def owner_report(
-        self, i: int, term: Term
-    ) -> tuple[ReportRequest | None, sgx.Quote | None]:
-        """Owner i's report for a guest request, quoted by its host's QE.
-
-        Returns the request as parsed, and the quote.
+        A term that does not parse, a refusal the step raises or a step's
+        None (an owner's guard) is the end's one refusal transition, with
+        error malformed, the refusal's class name or guard.
         """
-        request = self._parse(ReportRequest, term, f"owner{i}", "owner_report_refused")
-        if request is None:
-            return None, None
-        report = self.owners[i].generate_report_for_vm(request.vmdata, request.tag)
-        if report is None:
-            self.transition(f"owner{i}", "owner_report_refused", error="guard")
-            return request, None
-        return request, self._quote(i, report)
+        end = RECEIVING_ENDS[kind]
+        try:
+            message = end.message.from_term(term)
+        except ValueError:
+            message, error = None, "malformed"
+        else:
+            try:
+                reply = end.step(self, i, message)
+            except end.refusals as exc:
+                error = type(exc).__name__
+            else:
+                if reply is not None:
+                    return message, reply
+                error = "guard"
+        self.transition(f"{kind.partition('_')[0]}{i}", end.refusal, error=error)
+        return message, None
 
     def recv_bundle(self, term: Term) -> Verdict:
         try:
@@ -352,47 +275,28 @@ class World:
             self.last_verification = vin
         return verdict
 
-    def _receiving_end(self, target: str) -> tuple:
-        """A deliver target's (receiver, reply sender or None, handler).
-
-        sev_deploy:i and sev_secret:i name SEV platform i; owner_deploy,
-        owner_measurement and owner_report name owner0, or owner i with
-        :i; rp_bundle names the relying party. Any other target, an index
-        included, names no receiving end and raises ValueError.
-        """
-        if target == "rp_bundle":
-            return "rp", None, self.recv_bundle
-        kind, sep, idx = target.partition(":")
-        if kind.startswith("owner_") and not sep:
-            idx = "0"
-        parties = self.sev_platforms if kind.startswith("sev_") else self.owners
-        if idx not in [str(i) for i in range(len(parties))]:
-            raise ValueError(f"no receiving end: {target}")
-        i = int(idx)
-        if kind == "sev_deploy":
-            return f"sev{i}", f"sev{i}", partial(self.recv_deploy, i)
-        if kind == "sev_secret":
-            return f"sev{i}", None, partial(self.recv_secret, i)
-        if kind == "owner_deploy":
-            return f"owner{i}", f"owner{i}", partial(self.owner_deploy, i)
-        if kind == "owner_measurement":
-            return f"owner{i}", f"owner{i}", lambda term: self.owner_provision(i, term)[1]
-        if kind == "owner_report":
-            return f"owner{i}", f"sgx{i}", lambda term: self.owner_report(i, term)[1]
-        raise ValueError(f"no receiving end: {target}")
-
     def deliver(self, target: str, term: Term):
         """Adversary injection: hand a term to a named receiving end.
 
-        A reply goes back to the adversary on the bus; the handler's
-        result is returned either way.
+        rp_bundle names the relying party, kind:i party i's end of that
+        kind; any other target raises ValueError and records nothing. A
+        reply goes back to the adversary on the bus; the end's result is
+        returned either way.
         """
-        receiver, replier, handler = self._receiving_end(target)
-        self.send("adv", receiver, term)
-        result = handler(term)
-        if replier is not None and result is not None:
-            self.send(replier, "adv", result.to_term())
-        return result
+        if target == "rp_bundle":
+            self.send("adv", "rp", term)
+            return self.recv_bundle(term)
+        kind, _, idx = target.partition(":")
+        end, party = RECEIVING_ENDS.get(kind), kind.partition("_")[0]
+        parties = self.sev_platforms if party == "sev" else self.owners
+        if end is None or idx not in [str(i) for i in range(len(parties))]:
+            raise ValueError(f"no receiving end: {target}")
+        i = int(idx)
+        self.send("adv", f"{party}{i}", term)
+        _, reply = self.receive(kind, i, term)
+        if end.replier is not None and reply is not None:
+            self.send(f"{end.replier}{i}", "adv", reply.to_term())
+        return reply
 
     # ---- adversary value creation (always logged) --------------------
 
@@ -459,18 +363,25 @@ class World:
 
     # ---- compromise capabilities --------------------------------------
 
+    def platform(self, family: str, index: int) -> SgxPlatform | SevPlatform:
+        """sgx{index} or sev{index} by family; ValueError if index names none.
+
+        None, a bool, or a negative or out-of-range number names none.
+        """
+        platforms = self.sgx_platforms if family == "sgx" else self.sev_platforms
+        if type(index) is not int or index not in range(len(platforms)):
+            raise ValueError(f"no {family} platform: {index!r}")
+        return platforms[index]
+
     def compromise(self, what: str, index: int | None = None) -> None:
         """Steal one key; a key already stolen is not logged again.
 
         intel and amd steal a root of trust's signing key, qe the quoting
         key of sgx{index}, psp the PSP key of sev{index}. An index that
-        names no platform (None, a bool, a negative or out-of-range
-        number) raises ValueError and records nothing.
+        names no platform raises ValueError and records nothing.
         """
         if what in ("qe", "psp"):
-            count = len(self.sgx_platforms if what == "qe" else self.sev_platforms)
-            if type(index) is not int or index not in range(count):
-                raise ValueError(f"no {what} platform: {index!r}")
+            plat = self.platform("sgx" if what == "qe" else "sev", index)
         taken = self.compromised
         if what in ("intel", "amd"):
             if not getattr(taken, what):
@@ -479,7 +390,6 @@ class World:
                     f"compromise_{what}_rot", leak=rot.private, leak_kind="sig_private"
                 )
         elif what == "qe":
-            plat = self.sgx_platforms[index]
             if plat.ppid.hex() not in taken.qe_ppids:
                 self.adversary_event(
                     "compromise_sgx_qe",
@@ -488,7 +398,6 @@ class World:
                     leak_kind="sig_private",
                 )
         elif what == "psp":
-            plat = self.sev_platforms[index]
             if plat.psp_sn.public.hex() not in taken.psp_ids:
                 self.adversary_event(
                     "compromise_sev_psp",
@@ -567,6 +476,84 @@ class World:
         return self.deliver(f"sev_secret:{idx}", spkg.to_term()) is not None
 
 
+class ReceivingEnd(NamedTuple):
+    """One message kind's receiving end; its party is the kind's prefix, sev or owner."""
+
+    message: type  # the message type the end parses
+    replier: str | None  # the party prefix of the reply to an injection
+    refusal: str  # the label of the end's one refusal transition
+    step: Callable  # (world, i, message) -> the reply, None for a guard refusal
+    refusals: tuple = ()  # the exceptions the step raises as refusals
+
+
+def _psp_measure(world: World, i: int, pkg: DeployPackage) -> MeasurementPackage:
+    platform = world.sev_platforms[i]
+    mp = sev.psp_receive_deploy(platform, pkg, world.rng)
+    world.transition(
+        f"sev{i}",
+        "sev_session_measured",
+        psp=platform.psp_sn.public,
+        dig=mp.msr.dig,
+        nonce=mp.msr.nonce,
+    )
+    return mp
+
+
+def _psp_launch(world: World, i: int, pkg: SecretPackage) -> GuestRuntime:
+    """Launch the guest; there is no reply, the result is its runtime."""
+    platform = world.sev_platforms[i]
+    session = sev.psp_receive_secret(platform, pkg)
+    runtime = GuestRuntime(session)
+    guest_name = f"guest{len(world.guests)}"
+    world.guests.append(guest_name)
+    world.transition(
+        f"sev{i}",
+        "sev_guest_launched",
+        guest=guest_name,
+        psp=platform.psp_sn.public,
+        dig=session.msr.dig,
+    )
+    return runtime
+
+
+def _owner_quote(world: World, i: int, request: ReportRequest) -> sgx.Quote | None:
+    """Owner i's report for a guest request, quoted by its host's QE."""
+    report = world.owners[i].generate_report_for_vm(request.vmdata, request.tag)
+    return None if report is None else world._quote(i, report)
+
+
+#: Kind -> receiving end. Owner i runs on sgx{i} and deploys workloads[i].
+RECEIVING_ENDS = {
+    "sev_deploy": ReceivingEnd(
+        DeployPackage,
+        "sev",
+        "sev_deploy_abort",
+        _psp_measure,
+        (SessionBusy, MacVerificationFailed, DecryptionFailure, InvalidPublicElement),
+    ),
+    "sev_secret": ReceivingEnd(
+        SecretPackage,
+        None,
+        "sev_secret_abort",
+        _psp_launch,
+        (NoMeasuredSession, MacVerificationFailed, DecryptionFailure, GuestNotRunning),
+    ),
+    "owner_deploy": ReceivingEnd(
+        SevPlatformCert,
+        "owner",
+        "owner_deploy_refused",
+        lambda world, i, cert: world.owners[i].deploy_vm(cert, world.workloads[i]),
+    ),
+    "owner_measurement": ReceivingEnd(
+        MeasurementPackage,
+        "owner",
+        "owner_provision_refused",
+        lambda world, i, mp: world.owners[i].provision_vm(mp.msr, mp.mac_ti),
+    ),
+    "owner_report": ReceivingEnd(ReportRequest, "sgx", "owner_report_refused", _owner_quote),
+}
+
+
 class Pipeline:
     """Owner i's honest protocol run, stepped so the adversary can interleave.
 
@@ -616,25 +603,25 @@ class Pipeline:
         world = self.world
         owner, sev_name = f"owner{i}", f"sev{i}"
         sev_platform = world.sev_platforms[i]
-        deploy = world.owner_deploy(i, sev_platform.cert.to_term())
+        _, deploy = world.receive("owner_deploy", i, sev_platform.cert.to_term())
         if deploy is None:
             return
         term = yield from self._hand_over(owner, sev_name, deploy.to_term(), "deploy")
         if term is None:
             return
-        measured = world.recv_deploy(i, term)
+        _, measured = world.receive("sev_deploy", i, term)
         if measured is None:
             return
         term = yield from self._hand_over(sev_name, owner, measured.to_term(), "measurement")
         if term is None:
             return
-        mp, secret = world.owner_provision(i, term)
+        mp, secret = world.receive("owner_measurement", i, term)
         if secret is None:
             return
         term = yield from self._hand_over(owner, sev_name, secret.to_term(), "secret")
         if term is None:
             return
-        self.guest = world.recv_secret(i, term)
+        _, self.guest = world.receive("sev_secret", i, term)
         if self.guest is None:
             return
         guest = world.guests[-1]
@@ -646,7 +633,7 @@ class Pipeline:
         term = yield from self._hand_over(guest, owner, request.to_term(), "report_request")
         if term is None:
             return
-        request, quote = world.owner_report(i, term)
+        request, quote = world.receive("owner_report", i, term)
         if quote is None:
             return
         bundle = EvidenceBundle(

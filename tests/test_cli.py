@@ -125,8 +125,10 @@ class TestFuzz:
         )
         assert code == 0
 
-    def test_bad_compromise_flag_exits_2(self, capsys):
-        code = main(["fuzz", "--runs", "1", "--allow-compromise", "everything"])
+    # every mask grants the other platforms, so no flag names them
+    @pytest.mark.parametrize("flag", ["everything", "qe:other", "psp:other"])
+    def test_bad_compromise_flag_exits_2(self, capsys, flag):
+        code = main(["fuzz", "--runs", "1", "--allow-compromise", flag])
         assert code == 2
         assert "unknown compromise flag" in capsys.readouterr().err
 

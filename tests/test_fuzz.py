@@ -130,9 +130,7 @@ class TestMask:
             parse_compromise_flags([f"qe:{ppid}"])
 
     def test_parse_all_flag_forms(self):
-        mask = parse_compromise_flags(
-            ["intel_rot", "amd_rot", "qe:designated", "psp:designated", "psp:other"]
-        )
+        mask = parse_compromise_flags(["intel_rot", "amd_rot", "qe:designated", "psp:designated"])
         assert mask.intel_rot and mask.amd_rot
         assert mask.designated_qe and mask.designated_psp
         world = World(seed=1)

@@ -49,7 +49,8 @@ from vmquote.harness.events import (
     Event,
     term_hex,
 )
-from vmquote.harness.fuzz import Move, apply
+from vmquote.harness.fuzz import _INJECT_TARGETS, Move, apply
+from vmquote.harness.world import RECEIVING_ENDS
 from vmquote.owner import report_data_preimage
 from vmquote.relying_party import EvidenceBundle
 from vmquote.sgx import OWNER_ENCLAVE_MEASUREMENT
@@ -435,7 +436,7 @@ class TestAdversaryInterfaceLimits:
     @pytest.mark.parametrize(
         "move",
         (
-            Move("forge_sev_cert", ("owner_deploy",)),
+            Move("forge_sev_cert", ("owner_deploy:0",)),
             Move("forge_bundle", (None,)),
             Move("forge_bundle", (0,)),
         ),
@@ -538,6 +539,28 @@ class TestAdversaryInterfaceLimits:
         assert world.trace.to_jsonl() == before
         assert world.compromised == Compromises()
 
+    @pytest.mark.parametrize(
+        "move",
+        [
+            Move(kind, (index, *rest))
+            for kind, rest in (
+                ("request_quote", (8,)),
+                ("own_deploy", ()),
+                ("extract", ()),
+                ("forge_bundle", ()),
+            )
+            for index in (-1, True, None, 2)
+            if (kind, index) != ("forge_bundle", None)  # None is the Intel root
+        ],
+        ids=repr,
+    )
+    def test_move_naming_no_platform_raises_and_records_nothing(self, move):
+        world = World(seed=5)
+        before = len(world.trace)
+        with pytest.raises(ValueError, match="no .* platform"):
+            apply(world, Pipeline(world), move)
+        assert len(world.trace) == before
+
 
 class TestReceivingEnds:
     """deliver's targets: each names one receiving end or raises."""
@@ -550,6 +573,7 @@ class TestReceivingEnds:
             "owner_report:1",
             "owner_report:",
             "owner_report:01",
+            "owner_report",
             "rp_bundle:3",
             "rp_bundle:0",
             "sev_deploy",
@@ -569,7 +593,7 @@ class TestReceivingEnds:
         world = World(seed=5)
         assert world.add_owner(Atom(b"other workload")) == 1
         world.deliver("owner_report:1", Atom(b"x"))
-        world.deliver("owner_measurement", Atom(b"x"))
+        world.deliver("owner_measurement:0", Atom(b"x"))
         sends = world.trace.of_kind(KIND_SEND)[-2:]
         assert [ev.body["dst"] for ev in sends] == ["owner1", "owner0"]
         refused = world.trace.of_kind(KIND_TRANSITION)[-2:]
@@ -577,7 +601,7 @@ class TestReceivingEnds:
 
     @staticmethod
     def _deploy_refusals(world, term) -> list:
-        assert world.deliver("owner_deploy", term) is None
+        assert world.deliver("owner_deploy:0", term) is None
         assert not [ev for ev in world.trace.of_kind(KIND_SEND) if ev.body["dst"] == "adv"]
         return [
             ev.body["error"]
@@ -605,7 +629,7 @@ class TestReceivingEnds:
 
     def test_owner_deploy_reply_goes_to_adv(self):
         world = World(seed=5)
-        pkg = world.deliver("owner_deploy", world.sev_platforms[1].cert.to_term())
+        pkg = world.deliver("owner_deploy:0", world.sev_platforms[1].cert.to_term())
         last = world.trace.of_kind(KIND_SEND)[-1].body
         assert (last["src"], last["dst"]) == ("owner0", "adv")
         assert last["term"] == term_hex(pkg.to_term())
@@ -628,9 +652,9 @@ class TestReceivingEnds:
     MALFORMED_REFUSALS = {
         "sev_deploy:0": _refused("sev0", "sev_deploy_abort", "malformed"),
         "sev_secret:0": _refused("sev0", "sev_secret_abort", "malformed"),
-        "owner_deploy": _refused("owner0", "owner_deploy_refused", "malformed"),
-        "owner_measurement": _refused("owner0", "owner_provision_refused", "malformed"),
-        "owner_report": _refused("owner0", "owner_report_refused", "malformed"),
+        "owner_deploy:0": _refused("owner0", "owner_deploy_refused", "malformed"),
+        "owner_measurement:0": _refused("owner0", "owner_provision_refused", "malformed"),
+        "owner_report:0": _refused("owner0", "owner_report_refused", "malformed"),
         "rp_bundle": (KIND_VERDICT, {"accept": False, "reason": "malformed"}),
     }
 
@@ -645,14 +669,14 @@ class TestReceivingEnds:
         plat = world.sev_platforms[0]
         msr = sev.Measurement(plat.plat_sev, plat.launch_sev, b"\x00" * 32, b"\x01" * 16)
         term = sev.MeasurementPackage(msr=msr, mac_ti=b"\x00" * 32).to_term()
-        assert self._refusal(world, "owner_measurement", term) == [
+        assert self._refusal(world, "owner_measurement:0", term) == [
             self._refused("owner0", "owner_provision_refused", "guard")
         ]
 
     def test_report_request_before_provision_is_guard_refusal(self):
         world = World(seed=5)
         term = ReportRequest(vmdata=Atom(b"x"), tag=b"\x00" * 32).to_term()
-        assert self._refusal(world, "owner_report", term) == [
+        assert self._refusal(world, "owner_report:0", term) == [
             self._refused("owner0", "owner_report_refused", "guard")
         ]
         assert not [
@@ -695,6 +719,83 @@ class TestReceivingEnds:
                 "data": term_hex(data),
             }
         ]
+
+
+class TestReceive:
+    """World.receive: each RECEIVING_ENDS row parses, refuses once and replies."""
+
+    @staticmethod
+    def _receive(world, kind, term) -> tuple:
+        """receive's result for party 0, and the events it recorded."""
+        before = len(world.trace)
+        result = world.receive(kind, 0, term)
+        return result, [(ev.kind, ev.body) for ev in world.trace.events[before:]]
+
+    @staticmethod
+    def _refusal(kind, error) -> list:
+        actor = kind.partition("_")[0] + "0"
+        label = RECEIVING_ENDS[kind].refusal
+        return [(KIND_TRANSITION, {"actor": actor, "label": label, "error": error})]
+
+    @pytest.mark.parametrize("kind", tuple(RECEIVING_ENDS))
+    def test_malformed_term_is_one_refusal(self, kind):
+        world = World(seed=5)
+        result, recorded = self._receive(world, kind, Atom(b"not a message"))
+        assert result == (None, None)
+        assert recorded == self._refusal(kind, "malformed")
+
+    @staticmethod
+    def _unsigned_cert(world):
+        psp = world.adversary_kx_keygen()
+        signer = world.adversary_sig_keygen()
+        sig = world.adversary_sign(sev.cert_payload(psp.public), signer.private)
+        return sev.SevPlatformCert(psp_sn_pb=psp.public, sig_ar=sig)
+
+    @staticmethod
+    def _early_measurement(world):
+        plat = world.sev_platforms[0]
+        msr = sev.Measurement(plat.plat_sev, plat.launch_sev, b"\x00" * 32, b"\x01" * 16)
+        return sev.MeasurementPackage(msr=msr, mac_ti=b"\x00" * 32)
+
+    #: Owner end -> a message its guard refuses on a fresh world.
+    GUARDED = {
+        "owner_deploy": _unsigned_cert,
+        "owner_measurement": _early_measurement,
+        "owner_report": lambda world: ReportRequest(vmdata=Atom(b"x"), tag=b"\x00" * 32),
+    }
+
+    def test_every_owner_end_has_a_guard_case(self):
+        assert sorted(self.GUARDED) == sorted(k for k in RECEIVING_ENDS if k.startswith("owner_"))
+
+    @pytest.mark.parametrize("kind", tuple(GUARDED))
+    def test_owner_guard_is_one_refusal(self, kind):
+        world = World(seed=5)
+        message = self.GUARDED[kind](world)
+        result, recorded = self._receive(world, kind, message.to_term())
+        assert result == (message, None)
+        assert recorded == self._refusal(kind, "guard")
+
+    def test_raised_refusal_is_its_class_name(self):
+        world = World(seed=5)
+        message = sev.SecretPackage(blob_p=b"\x00" * 48, mac_p=b"\x00" * 32)
+        result, recorded = self._receive(world, "sev_secret", message.to_term())
+        assert result == (message, None)
+        assert recorded == self._refusal("sev_secret", "NoMeasuredSession")
+
+    @staticmethod
+    def _names_a_row(target) -> bool:
+        kind, _, idx = target.partition(":")
+        return target == "rp_bundle" or (kind in RECEIVING_ENDS and idx.isdigit())
+
+    def test_every_inject_target_names_a_row(self):
+        assert all(self._names_a_row(target) for target in _INJECT_TARGETS)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_every_scenario_target_names_a_row(self, name):
+        _, info = run_scenario_world(name, seed=0)
+        targeted = ("inject", "inject_fresh", "forge_sev_cert", "forge_request")
+        targets = [move.args[0] for move in info["schedule"] if move.kind in targeted]
+        assert all(self._names_a_row(target) for target in targets), targets
 
 
 class TestTraceInfrastructure:
