@@ -138,6 +138,8 @@ class Move:
       measurement for owner0
     - forge_request: (deliver target, vmdata length, key or None for a
       fresh tag)
+
+    A forge checks its key first: refused, it records nothing.
     """
 
     kind: str
@@ -148,7 +150,9 @@ def forge_sgx_cert(world: World) -> tuple[sgx.SgxPlatformCert, bytes]:
     """A platform certificate minted under the stolen Intel root key.
 
     Returns the certificate and the private half of its fresh quoting key.
+    The root key is checked before anything is minted.
     """
+    world.check_signing_key(world.intel_rot.private)
     fake_qek = world.adversary_sig_keygen()
     fake_ppid = world.adversary_fresh(sgx.PPID_LEN)
     sig = world.adversary_sign(
@@ -167,8 +171,10 @@ def forge_accepting_bundle(
     matching report data the way the owner would, and signs a quote
     naming the owner-enclave measurement. Verifies cleanly whenever the
     certificate chain checks out, precisely the situation the escape
-    clauses describe.
+    clauses describe. The quoting key is checked before anything is
+    minted.
     """
+    world.check_signing_key(qek_private)
     pspid = world.sev_platforms[0].psp_sn.public
     msr = Measurement(
         plat_sev=Atom(world.adversary_fresh(8)),
@@ -248,10 +254,12 @@ def apply(world: World, pipe: Pipeline, move: Move) -> None:
             cert, key = plat.cert, plat.qek.private
         world.deliver("rp_bundle", forge_accepting_bundle(world, cert, key).to_term())
     elif kind == "forge_sev_cert":
+        world.check_signing_key(world.amd_rot.private)
         fake = world.adversary_kx_keygen()
         sig = world.adversary_sign(sev.cert_payload(fake.public), world.amd_rot.private)
         world.deliver(args[0], sev.SevPlatformCert(psp_sn_pb=fake.public, sig_ar=sig).to_term())
     elif kind == "forge_measurement":
+        world.check_mac_key(args[0])
         msr = Measurement(
             plat_sev=Atom(world.adversary_fresh(8)),
             launch_sev=Atom(world.adversary_fresh(8)),
@@ -262,6 +270,8 @@ def apply(world: World, pipe: Pipeline, move: Move) -> None:
         world.deliver("owner_measurement:0", MeasurementPackage(msr=msr, mac_ti=mac_ti).to_term())
     elif kind == "forge_request":
         target, length, key = args
+        if key is not None:
+            world.check_mac_key(key)
         vmdata = Atom(world.adversary_fresh(length))
         tag = world.adversary_fresh(32) if key is None else world.adversary_mac(vmdata, key)
         world.deliver(target, ReportRequest(vmdata=vmdata, tag=tag).to_term())

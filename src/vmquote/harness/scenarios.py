@@ -25,7 +25,7 @@ from ..sev import Measurement, MeasurementPackage, SecretPackage, SevPlatformCer
 from ..sgx import Quote
 from .events import KIND_ADVERSARY, KIND_SEND, KIND_VERDICT, Trace
 from .fuzz import Move, run_schedule
-from .properties import _DESIGNATED_DIG_HEX, _Grouping
+from .properties import _Grouping, _designated
 from .world import Pipeline, World
 
 
@@ -212,10 +212,8 @@ def run_scenario(name: str, seed: int = 0) -> Trace:
 
 
 def _designated_cik(seen: _Grouping) -> Atom | None:
-    for ev in seen.transitions("owner_provision_vm"):
-        if ev.get("vm_dig") == _DESIGNATED_DIG_HEX:
-            return Atom(ev.data("cik"))
-    return None
+    provisions = _designated(seen.transitions("owner_provision_vm"), "vm_dig")
+    return Atom(provisions[0].data("cik")) if provisions else None
 
 
 def _cik_derivable(world: World, seen: _Grouping) -> bool:

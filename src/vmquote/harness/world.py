@@ -323,19 +323,27 @@ class World:
         self.adversary_event("adversary_compute", term=result)
         return result
 
-    def adversary_sign(self, payload: Term, private: bytes) -> bytes:
-        """Sign with a key the adversary minted or stole, never derived."""
+    def check_signing_key(self, private: bytes) -> None:
+        """Raise CapabilityDenied unless the adversary minted or stole the key."""
         if not self.knowledge.knows(Atom(private)):
             raise CapabilityDenied("adversary lacks the signing key")
+
+    def check_mac_key(self, key: bytes) -> None:
+        """Raise CapabilityDenied unless the adversary can derive the key."""
+        self.knowledge.analyze()
+        if not self.knowledge.derivable(Atom(key)):
+            raise CapabilityDenied("adversary lacks the MAC key")
+
+    def adversary_sign(self, payload: Term, private: bytes) -> bytes:
+        """Sign with a key the adversary minted or stole, never derived."""
+        self.check_signing_key(private)
         sig = crypto.sign(payload, private)
         self.adversary_compute(Atom(sig))
         return sig
 
     def adversary_mac(self, payload: Term, key: bytes) -> bytes:
         """MAC under a key the adversary can derive, the tag recorded."""
-        self.knowledge.analyze()
-        if not self.knowledge.derivable(Atom(key)):
-            raise CapabilityDenied("adversary lacks the MAC key")
+        self.check_mac_key(key)
         tag = crypto.mac(payload, key)
         self.adversary_compute(Atom(tag))
         return tag

@@ -446,6 +446,25 @@ class TestAdversaryInterfaceLimits:
         with pytest.raises(CapabilityDenied, match="signing key"):
             apply(world, Pipeline(world), move)
 
+    @pytest.mark.parametrize(
+        "move",
+        (
+            Move("forge_bundle", (0,)),
+            Move("forge_bundle", (None,)),
+            Move("forge_sev_cert", ("owner_deploy:0",)),
+            Move("forge_measurement", (b"\x5a" * 32,)),
+            Move("forge_request", ("owner_report:0", 16, b"\x5a" * 32)),
+        ),
+        ids=repr,
+    )
+    def test_refused_forge_records_nothing(self, move):
+        """The key is checked before the forge mints a value or a key pair."""
+        world = World(seed=5)
+        before = len(world.trace)
+        with pytest.raises(CapabilityDenied):
+            apply(world, Pipeline(world), move)
+        assert len(world.trace) == before
+
     def test_mac_needs_a_derivable_key(self):
         """The designated channel key stays out of reach, so nothing MACs under it."""
         world = World(seed=5)
